@@ -19,6 +19,7 @@ pool used for sweep points.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -64,6 +65,11 @@ def _write_csv(path, header_meta: dict, columns, rows):
         cw.writerow(columns)
         cw.writerows(rows)
     _atomic_write(path, w)
+
+
+def _finite_or_none(x):
+    """JSON has no NaN or infinity; such values are written as null."""
+    return x if not isinstance(x, float) or math.isfinite(x) else None
 
 
 def _write_json(path, payload: dict):
@@ -261,9 +267,10 @@ def cmd_stability(cfg: ExperimentConfig, args) -> int:
     _write_csv(_out(cfg, "stability.csv"), _meta(cfg),
                ["eps", "eta", "true_diff", "recovered", "ok", "note"], rows)
     payload = {"target": target,
-               "rows": [vars(r) for r in table.rows],
-               "fitted_slope": table.fitted_slope,
-               "holder_constant": table.holder_constant,
+               "rows": [{k: _finite_or_none(v) for k, v in vars(r).items()}
+                        for r in table.rows],
+               "fitted_slope": _finite_or_none(table.fitted_slope),
+               "holder_constant": _finite_or_none(table.holder_constant),
                "holder_ok": table.holder_ok,
                "norm_flag": table.norm_flag}
     payload.update(_meta(cfg))

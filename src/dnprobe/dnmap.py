@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .geometry import Grid
+from .geometry import Grid, trapezoid_weights
 from .material import MaterialLaw, MatrixField
 from .pde import (BoundaryField, SpaceTimeField, constant_stiffness,
                   interior_mask, solve_forward, solve_linearized, PDEError)
@@ -32,12 +32,6 @@ class FluxRecord:
 
     values: np.ndarray          # (nt+1, *face_shape)
     grid: Grid
-    producer: str               # "nonlinear" or "linearized"
-    label: str = ""
-
-    @property
-    def patch_mask(self):
-        return self.grid.patch_support_mask()
 
 
 def _face_normal_derivative(field_level: np.ndarray, grid: Grid) -> np.ndarray:
@@ -81,7 +75,7 @@ def nonlinear_flux(u: SpaceTimeField, law: MaterialLaw, A: MatrixField,
         con = _face_conormal(lvl, grid, A)
         vals[m] = law.gamma(t, lvl[face_sel]) * con
         vals[m][~smask] = 0.0
-    return FluxRecord(values=vals, grid=grid, producer="nonlinear")
+    return FluxRecord(values=vals, grid=grid)
 
 
 def linear_flux(w: SpaceTimeField, law: MaterialLaw, A: MatrixField,
@@ -94,42 +88,27 @@ def linear_flux(w: SpaceTimeField, law: MaterialLaw, A: MatrixField,
         con = _face_conormal(w.values[m], grid, A)
         vals[m] = float(law.gamma(t, lam)) * con
         vals[m][~smask] = 0.0
-    return FluxRecord(values=vals, grid=grid, producer="linearized")
+    return FluxRecord(values=vals, grid=grid)
 
 
 # ---------------------------------------------------------------------------
 # surface quadrature and the direct pairing
 
 
-def _face_trapezoid_weights(grid: Grid):
-    w = 1.0
-    for _ in range(grid.dim - 1):
-        wa = np.ones(grid.n_cells + 1)
-        wa[0] = wa[-1] = 0.5
-        w = np.multiply.outer(w, wa) if np.ndim(w) else wa
-    return w * grid.h ** (grid.dim - 1)
-
-
-def _time_trapezoid_weights(grid: Grid):
-    wt = np.full(grid.nt + 1, grid.dt)
-    wt[0] = wt[-1] = 0.5 * grid.dt
-    return wt
-
-
 def surface_pairing(flux: FluxRecord, h: BoundaryField, grid: Grid) -> float:
     """int_{S x (0,T)} flux * h dsigma dt by trapezoid quadrature."""
     face_sel = grid.face_node_selector(grid.patch_axis, grid.patch_side)
     hv = h.values[(slice(None),) + face_sel]
-    W = _face_trapezoid_weights(grid)
-    wt = _time_trapezoid_weights(grid)
+    W = trapezoid_weights(flux.values.shape[1:], grid.h)
+    wt = trapezoid_weights(grid.times.shape, grid.dt)
     per_level = (flux.values * hv * W).reshape(grid.nt + 1, -1).sum(axis=1)
     return float((per_level * wt).sum())
 
 
 def flux_l2_st(flux: FluxRecord, grid: Grid) -> float:
     """L2(S x (0,T)) norm of a flux record."""
-    W = _face_trapezoid_weights(grid)
-    wt = _time_trapezoid_weights(grid)
+    W = trapezoid_weights(flux.values.shape[1:], grid.h)
+    wt = trapezoid_weights(grid.times.shape, grid.dt)
     per_level = (flux.values ** 2 * W).reshape(grid.nt + 1, -1).sum(axis=1)
     return math.sqrt(float((per_level * wt).sum()))
 
@@ -142,7 +121,7 @@ class Lifting:
     """Per-time-slice A-harmonic extension operator into Omega."""
 
     def __init__(self, grid: Grid, A: MatrixField):
-        K, flat_int, red = constant_stiffness(grid, A.A)
+        K, flat_int = constant_stiffness(grid, A.A)
         self.grid = grid
         self.K = K
         self.flat_int = flat_int
@@ -169,15 +148,6 @@ def lift_terminal_zero(h: BoundaryField, grid: Grid, A: MatrixField,
     return out
 
 
-def _volume_trapezoid_weights(grid: Grid):
-    w = 1.0
-    for _ in range(grid.dim):
-        wa = np.ones(grid.n_cells + 1)
-        wa[0] = wa[-1] = 0.5
-        w = np.multiply.outer(w, wa) if np.ndim(w) else wa
-    return w * grid.h ** grid.dim
-
-
 def weak_pairing(w: SpaceTimeField, h: BoundaryField, law: MaterialLaw,
                  A: MatrixField, grid: Grid, lam: float,
                  lifting: Lifting = None) -> float:
@@ -189,11 +159,11 @@ def weak_pairing(w: SpaceTimeField, h: BoundaryField, law: MaterialLaw,
     E = lift_terminal_zero(h, grid, A, lifting)
     times = grid.times
     rho = np.array([float(law.rho(t, lam)) for t in times])
-    drho = np.array([float(law.d_rho_dt(t, lam)) for t in times])
+    drho = np.array([float(law.rho.dt(t, lam)) for t in times])
     gam = np.array([float(law.gamma(t, lam)) for t in times])
     dE = np.gradient(E, grid.dt, axis=0, edge_order=2)
-    W = _volume_trapezoid_weights(grid)
-    wt = _time_trapezoid_weights(grid)
+    W = trapezoid_weights(grid.shape, grid.h)
+    wt = trapezoid_weights(grid.times.shape, grid.dt)
     total = 0.0
     for m in range(grid.nt + 1):
         gw = np.gradient(w.values[m], grid.h, edge_order=2)
@@ -300,7 +270,7 @@ def _l2_sigma(values_full: np.ndarray, grid: Grid) -> float:
     bmask = ~interior_mask(grid)
     # each boundary node carries a face-area weight; corner/edge nodes are
     # shared between faces, a second-order detail ignored by this stand-in
-    wt = _time_trapezoid_weights(grid)
+    wt = trapezoid_weights(grid.times.shape, grid.dt)
     per_level = (values_full[:, bmask] ** 2).sum(axis=1) * grid.h ** (grid.dim - 1)
     return math.sqrt(float((per_level * wt).sum()))
 
@@ -327,8 +297,7 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
             rows.append({"k": k, "d_k": float("nan"), "ok": False, "why": str(exc)})
             continue
         nf = nonlinear_flux(u, law, A, grid)
-        diff = FluxRecord(values=k * nf.values - lam_flux.values, grid=grid,
-                          producer="difference")
+        diff = FluxRecord(values=k * nf.values - lam_flux.values, grid=grid)
         rows.append({"k": k, "d_k": flux_l2_st(diff, grid), "ok": True, "why": ""})
     return rows
 
@@ -341,8 +310,7 @@ def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
     w2 = solve_linearized(law2, A, grid, lam, g)
     f1 = linear_flux(w1, law1, A, grid, lam)
     f2 = linear_flux(w2, law2, A, grid, lam)
-    return FluxRecord(values=f1.values - f2.values, grid=grid,
-                      producer="linearized", label="difference")
+    return FluxRecord(values=f1.values - f2.values, grid=grid)
 
 
 def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:

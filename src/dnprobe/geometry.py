@@ -12,7 +12,7 @@ Everything is axis-aligned and node-based: a grid with spacing h = 1/N has
 and the exterior point construction are exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +66,8 @@ class Grid:
     def times(self):
         return np.linspace(0.0, self.T, self.nt + 1)
 
-    def axis_nodes(self, axis=None):
-        """Node coordinates along one axis of the closure of Omega."""
+    def axis_nodes(self):
+        """Node coordinates along any axis of the closure of Omega."""
         return np.linspace(0.0, 1.0, self.n_cells + 1)
 
     def node_coords(self):
@@ -174,8 +174,7 @@ class ProbeGeometry:
     t0: float
     tau: float
     y_tau: tuple
-    delta: float
-    tau0: float
+    tau0: float  # admissibility radius delta of x0
 
 
 def build_grid(dim, h, dt, T, patch_face="left", patch_interval=None, pad=8) -> Grid:
@@ -262,4 +261,14 @@ def exterior_point(grid: Grid, x0, tau: float, t0: float = None) -> ProbeGeometr
         raise GridError(f"t0={t0} is not an interior time")
     y = x0 + tau * grid.patch_normal()
     return ProbeGeometry(x0=tuple(x0), t0=t0, tau=float(tau), y_tau=tuple(y),
-                         delta=delta, tau0=delta)
+                         tau0=delta)
+
+
+def trapezoid_weights(shape, h):
+    """Tensor-product trapezoid weights on a node lattice of spacing h."""
+    w = 1.0
+    for m in shape:
+        wa = np.ones(m)
+        wa[0] = wa[-1] = 0.5
+        w = np.multiply.outer(w, wa) if np.ndim(w) else wa
+    return w * h ** len(shape)

@@ -2,40 +2,21 @@
 
 Laws come from a small closed-form library (selected by name + parameters)
 so that partial derivatives are exact and experiment configs stay
-reproducible.  Admissibility -- positivity floors, the time-derivative cap
-used by the rho experiment, and the interior-maximum condition on the
-difference rho^1 - rho^2 -- is checked by dense sampling, not proved.
+reproducible.  A law is a value: laws built from the same spec compare
+equal and hash alike.  Admissibility -- positivity floors, the
+time-derivative cap used by the rho experiment, and the interior-maximum
+condition on the difference rho^1 - rho^2 -- is checked by dense
+sampling, not proved.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 
 class MaterialError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class MaterialLaw:
-    """Coefficient pair (gamma, rho) with exact partial derivatives.
-
-    All maps take (t, s) with array-broadcasting semantics.  m_floor(s) is
-    the positivity floor both coefficients must respect; kappa_cap(s) caps
-    sup_t d_t rho(t, s) when the rho experiment is enabled.
-    """
-
-    gamma: Callable
-    rho: Callable
-    d_gamma_ds: Callable
-    d_rho_ds: Callable
-    d_rho_dt: Callable
-    d_gamma_dt: Callable
-    m_floor: Callable = field(default=lambda s: 1e-8 + 0.0 * np.asarray(s, float))
-    kappa_cap: Callable = field(default=lambda s: np.inf + 0.0 * np.asarray(s, float))
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -58,21 +39,16 @@ class MatrixField:
         return bool(np.allclose(self.A, np.eye(self.dim), atol=0.0))
 
 
-def make_matrix(A, check_samples: int = 64, rng=None) -> MatrixField:
-    """Validate symmetry/ellipticity on sampled directions and wrap A."""
+def make_matrix(A) -> MatrixField:
+    """Validate squareness, symmetry and ellipticity, and wrap A."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise MaterialError("A must be a square matrix")
     if not np.allclose(A, A.T, atol=1e-14):
         raise MaterialError("A must be symmetric")
-    eigs = np.linalg.eigvalsh(A)
-    c = float(eigs.min())
+    c = float(np.linalg.eigvalsh(A).min())
     if c <= 0.0:
         raise MaterialError(f"A is not elliptic (min eigenvalue {c})")
-    rng = np.random.default_rng(0) if rng is None else rng
-    xi = rng.normal(size=(check_samples, A.shape[0]))
-    quad = np.einsum("ki,ij,kj->k", xi, A, xi)
-    assert np.all(quad >= c * (xi ** 2).sum(axis=1) - 1e-12)
     return MatrixField(A=A, ellipticity_c=c)
 
 
@@ -80,102 +56,128 @@ def make_matrix(A, check_samples: int = 64, rng=None) -> MatrixField:
 # law library
 
 
-def _coefficient(name: str, params: dict):
-    """One scalar coefficient map from the library.
+def _zero(t, s, *params):
+    return np.zeros_like(t)
 
-    Returns (f, df_dt, df_ds).  Supported names:
 
-    constant      c0
-    affine_t      c0 + c1*t
-    trig_t        c0 + c1*sin(2*pi*freq*t + phase)
-    gauss_s       c0 + c1*exp(-((s-s0)/w)^2)
-    poly_s        c0 + c1*s + c2*s^2
+# name -> (parameter defaults, value, d/dt, d/ds).  Every map takes
+# (t, s, *params) with t and s float arrays of one common shape.
+_LIBRARY = {
+    # c0
+    "constant": ({"c0": 1.0},
+                 lambda t, s, c0: np.full_like(t, c0),
+                 _zero, _zero),
+    # c0 + c1*t
+    "affine_t": ({"c0": 1.0, "c1": 0.0},
+                 lambda t, s, c0, c1: c0 + c1 * t,
+                 lambda t, s, c0, c1: np.full_like(t, c1),
+                 _zero),
+    # c0 + c1*sin(2*pi*freq*t + phase)
+    "trig_t": ({"c0": 1.0, "c1": 0.0, "freq": 1.0, "phase": 0.0},
+               lambda t, s, c0, c1, freq, phase:
+                   c0 + c1 * np.sin(2.0 * math.pi * freq * t + phase),
+               lambda t, s, c0, c1, freq, phase:
+                   c1 * (2.0 * math.pi * freq) * np.cos(2.0 * math.pi * freq * t + phase),
+               _zero),
+    # c0 + c1*exp(-((s-s0)/w)^2)
+    "gauss_s": ({"c0": 1.0, "c1": 0.0, "s0": 0.0, "w": 1.0},
+                lambda t, s, c0, c1, s0, w: c0 + c1 * np.exp(-(((s - s0) / w) ** 2)),
+                _zero,
+                lambda t, s, c0, c1, s0, w:
+                    c1 * np.exp(-(((s - s0) / w) ** 2)) * (-2.0 * (s - s0) / w ** 2)),
+    # c0 + c1*s + c2*s^2
+    "poly_s": ({"c0": 1.0, "c1": 0.0, "c2": 0.0},
+               lambda t, s, c0, c1, c2: c0 + c1 * s + c2 * s ** 2,
+               _zero,
+               lambda t, s, c0, c1, c2: c1 + 2.0 * c2 * s),
+}
+
+
+@dataclass(frozen=True)
+class Coefficient:
+    """Scalar coefficient map (t, s) -> value: a weighted sum of formulas.
+
+    terms holds (weight, name, params) with params the formula's
+    ((key, value), ...) in library order.  Coefficients add, scale by a
+    float, compare by value and hash, so laws built from the same spec are
+    interchangeable.  Evaluation broadcasts t against s.
     """
-    p = dict(params)
 
-    def g(key, default=0.0):
-        return float(p.pop(key, default))
+    terms: tuple
 
-    if name == "constant":
-        c0 = g("c0", 1.0)
-        f = lambda t, s: c0 + 0.0 * np.asarray(t, float) * np.asarray(s, float)
-        ft = lambda t, s: 0.0 * np.asarray(t, float) * np.asarray(s, float)
-        fs = ft
-    elif name == "affine_t":
-        c0, c1 = g("c0", 1.0), g("c1", 0.0)
-        f = lambda t, s: c0 + c1 * np.asarray(t, float) + 0.0 * np.asarray(s, float)
-        ft = lambda t, s: c1 + 0.0 * np.asarray(t, float) * np.asarray(s, float)
-        fs = lambda t, s: 0.0 * np.asarray(t, float) * np.asarray(s, float)
-    elif name == "trig_t":
-        c0, c1 = g("c0", 1.0), g("c1", 0.0)
-        freq, phase = g("freq", 1.0), g("phase", 0.0)
-        w = 2.0 * math.pi * freq
-        f = lambda t, s: c0 + c1 * np.sin(w * np.asarray(t, float) + phase) + 0.0 * np.asarray(s, float)
-        ft = lambda t, s: c1 * w * np.cos(w * np.asarray(t, float) + phase) + 0.0 * np.asarray(s, float)
-        fs = lambda t, s: 0.0 * np.asarray(t, float) * np.asarray(s, float)
-    elif name == "gauss_s":
-        c0, c1, s0, wid = g("c0", 1.0), g("c1", 0.0), g("s0", 0.0), g("w", 1.0)
-        f = lambda t, s: c0 + c1 * np.exp(-(((np.asarray(s, float) - s0) / wid) ** 2)) + 0.0 * np.asarray(t, float)
-        ft = lambda t, s: 0.0 * np.asarray(t, float) * np.asarray(s, float)
-        fs = lambda t, s: (c1 * np.exp(-(((np.asarray(s, float) - s0) / wid) ** 2))
-                           * (-2.0 * (np.asarray(s, float) - s0) / wid ** 2) + 0.0 * np.asarray(t, float))
-    elif name == "poly_s":
-        c0, c1, c2 = g("c0", 1.0), g("c1", 0.0), g("c2", 0.0)
-        f = lambda t, s: c0 + c1 * np.asarray(s, float) + c2 * np.asarray(s, float) ** 2 + 0.0 * np.asarray(t, float)
-        ft = lambda t, s: 0.0 * np.asarray(t, float) * np.asarray(s, float)
-        fs = lambda t, s: c1 + 2.0 * c2 * np.asarray(s, float) + 0.0 * np.asarray(t, float)
-    else:
-        raise MaterialError(f"unknown coefficient law {name!r}")
-    if p:
-        raise MaterialError(f"unused parameters for law {name!r}: {sorted(p)}")
-    return f, ft, fs
+    def _eval(self, which: int, t, s):
+        t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+        if t.shape != s.shape:
+            t, s = np.broadcast_arrays(t, s)
+        out = None
+        for weight, name, params in self.terms:
+            term = _LIBRARY[name][which](t, s, *(v for _, v in params))
+            if weight != 1.0:
+                term = weight * term
+            out = term if out is None else out + term
+        return out
+
+    def __call__(self, t, s):
+        return self._eval(1, t, s)
+
+    def dt(self, t, s):
+        return self._eval(2, t, s)
+
+    def ds(self, t, s):
+        return self._eval(3, t, s)
+
+    def __add__(self, other: "Coefficient") -> "Coefficient":
+        return Coefficient(self.terms + other.terms)
+
+    def __rmul__(self, eps: float) -> "Coefficient":
+        return Coefficient(tuple((eps * w, name, params) for w, name, params in self.terms))
+
+
+def coefficient(name: str, params: dict) -> Coefficient:
+    """Library formula `name` with the given parameters (others default)."""
+    try:
+        defaults = _LIBRARY[name][0]
+    except KeyError:
+        raise MaterialError(f"unknown coefficient law {name!r}") from None
+    unused = set(params) - set(defaults)
+    if unused:
+        raise MaterialError(f"unused parameters for law {name!r}: {sorted(unused)}")
+    values = tuple((k, float(params.get(k, d))) for k, d in defaults.items())
+    return Coefficient(((1.0, name, values),))
+
+
+@dataclass(frozen=True)
+class MaterialLaw:
+    """Coefficient pair (gamma, rho) with exact partial derivatives.
+
+    m_floor is the positivity floor both coefficients must respect;
+    kappa_cap caps sup_t d_t rho(t, s) when the rho experiment is enabled.
+    """
+
+    gamma: Coefficient
+    rho: Coefficient
+    m_floor: float
+    kappa_cap: float
+    label: str
 
 
 def make_law(gamma=("constant", {"c0": 1.0}), rho=("constant", {"c0": 1.0}),
              m_floor=1e-3, kappa_cap=None, label="") -> MaterialLaw:
     """Assemble a MaterialLaw from library entries (name, params)."""
-    gname, gparams = gamma
-    rname, rparams = rho
-    gf, gft, gfs = _coefficient(gname, gparams)
-    rf, rft, rfs = _coefficient(rname, rparams)
-    floor = (lambda s: m_floor + 0.0 * np.asarray(s, float)) if np.isscalar(m_floor) else m_floor
-    if kappa_cap is None:
-        cap = lambda s: np.inf + 0.0 * np.asarray(s, float)
-    elif np.isscalar(kappa_cap):
-        cap = lambda s: kappa_cap + 0.0 * np.asarray(s, float)
-    else:
-        cap = kappa_cap
-    return MaterialLaw(gamma=gf, rho=rf, d_gamma_ds=gfs, d_rho_ds=rfs,
-                       d_rho_dt=rft, d_gamma_dt=gft,
-                       m_floor=floor, kappa_cap=cap,
-                       label=label or f"gamma={gname},rho={rname}")
+    return MaterialLaw(gamma=coefficient(*gamma), rho=coefficient(*rho),
+                       m_floor=float(m_floor),
+                       kappa_cap=math.inf if kappa_cap is None else float(kappa_cap),
+                       label=label or f"gamma={gamma[0]},rho={rho[0]}")
 
 
 def perturb_law(base: MaterialLaw, eps: float, target: str = "gamma",
                 profile=("constant", {"c0": 1.0})) -> MaterialLaw:
     """Law with gamma (or rho) shifted by eps times a library profile."""
-    pf, pft, pfs = _coefficient(*profile)
-    if target == "gamma":
-        return MaterialLaw(
-            gamma=lambda t, s: base.gamma(t, s) + eps * pf(t, s),
-            rho=base.rho,
-            d_gamma_ds=lambda t, s: base.d_gamma_ds(t, s) + eps * pfs(t, s),
-            d_rho_ds=base.d_rho_ds,
-            d_rho_dt=base.d_rho_dt,
-            d_gamma_dt=lambda t, s: base.d_gamma_dt(t, s) + eps * pft(t, s),
-            m_floor=base.m_floor, kappa_cap=base.kappa_cap,
-            label=f"{base.label}+{eps}*gamma-perturbation")
-    if target == "rho":
-        return MaterialLaw(
-            gamma=base.gamma,
-            rho=lambda t, s: base.rho(t, s) + eps * pf(t, s),
-            d_gamma_ds=base.d_gamma_ds,
-            d_rho_ds=lambda t, s: base.d_rho_ds(t, s) + eps * pfs(t, s),
-            d_rho_dt=lambda t, s: base.d_rho_dt(t, s) + eps * pft(t, s),
-            d_gamma_dt=base.d_gamma_dt,
-            m_floor=base.m_floor, kappa_cap=base.kappa_cap,
-            label=f"{base.label}+{eps}*rho-perturbation")
-    raise MaterialError(f"unknown perturbation target {target!r}")
+    if target not in ("gamma", "rho"):
+        raise MaterialError(f"unknown perturbation target {target!r}")
+    shifted = getattr(base, target) + eps * coefficient(*profile)
+    return replace(base, **{target: shifted},
+                   label=f"{base.label}+{eps}*{target}-perturbation")
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +209,10 @@ def check_admissible(law: MaterialLaw, s_range=(-1.0, 1.0), t_grid=None,
         checks[name] = (bool(margin[k] >= 0.0), float(margin[k]),
                         (float(tt[k]), float(ss[k])))
 
-    floor = law.m_floor(ss)
-    record("gamma_floor", law.gamma(tt, ss) - floor)
-    record("rho_floor", law.rho(tt, ss) - floor)
+    record("gamma_floor", law.gamma(tt, ss) - law.m_floor)
+    record("rho_floor", law.rho(tt, ss) - law.m_floor)
     if check_kappa:
-        record("rho_dt_cap", law.kappa_cap(ss) - law.d_rho_dt(tt, ss))
+        record("rho_dt_cap", law.kappa_cap - law.rho.dt(tt, ss))
     return AdmissibilityReport(passed=all(ok for ok, _, _ in checks.values()),
                                checks=checks)
 

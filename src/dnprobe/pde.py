@@ -17,13 +17,14 @@ face-averaged diffusion coefficients on the diagonal of A; off-diagonal
 Jacobian.  The source term exists only for manufactured-solution studies.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .geometry import Grid
+from .material import MatrixField
 
 NEWTON_TOL = 1e-10
 NEWTON_CAP = 25
@@ -39,10 +40,6 @@ class SpaceTimeField:
 
     values: np.ndarray  # (nt+1, *grid.shape)
     grid: Grid
-    meta: str = ""
-
-    def level(self, m: int):
-        return self.values[m]
 
 
 @dataclass
@@ -155,9 +152,7 @@ def constant_stiffness(grid: Grid, A: np.ndarray):
                 vals.append(np.full(n_int, sign * 2.0 * A[a, b] / (4.0 * h2)))
     K = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                    shape=(n_int, size)).tocsc()
-    red = -np.ones(size, dtype=np.int64)
-    red[flat_int] = loc
-    return K, flat_int, red
+    return K, flat_int
 
 
 def _nonlinear_diffusion(grid: Grid, A: np.ndarray, gamma_vals: np.ndarray,
@@ -192,9 +187,9 @@ def _forward_jacobian(grid: Grid, A: np.ndarray, law, t: float, u: np.ndarray,
     h2 = grid.h ** 2
     uf = u.ravel()
     g = law.gamma(t, u)
-    gs = law.d_gamma_ds(t, u)
+    gs = law.gamma.ds(t, u)
     rho = law.rho(t, u).ravel()[flat_int]
-    rho_s = law.d_rho_ds(t, u).ravel()[flat_int]
+    rho_s = law.rho.ds(t, u).ravel()[flat_int]
     gf, gsf = g.ravel(), gs.ravel()
 
     n_int = flat_int.size
@@ -236,7 +231,7 @@ def _forward_jacobian(grid: Grid, A: np.ndarray, law, t: float, u: np.ndarray,
 # solvers
 
 
-def solve_forward(law, A, grid: Grid, lam: float, g: BoundaryField,
+def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
                   source=None, newton_tol: float = NEWTON_TOL,
                   newton_cap: int = NEWTON_CAP) -> SpaceTimeField:
     """Implicit-Euler / Newton solve of the quasilinear problem.
@@ -246,7 +241,6 @@ def solve_forward(law, A, grid: Grid, lam: float, g: BoundaryField,
     as the boundary amplitude lying outside the operational smallness
     radius of the background state.
     """
-    Amat = A.A if hasattr(A, "A") else np.asarray(A, dtype=float)
     g.check_compatible("start")
     shape = grid.shape
     imask = interior_mask(grid)
@@ -266,7 +260,7 @@ def solve_forward(law, A, grid: Grid, lam: float, g: BoundaryField,
         converged = False
         for _ in range(newton_cap):
             res_full = (law.rho(t, cur) * (cur - u_prev) / dt
-                        - _nonlinear_diffusion(grid, Amat, law.gamma(t, cur), cur))
+                        - _nonlinear_diffusion(grid, A.A, law.gamma(t, cur), cur))
             if f_m is not None:
                 res_full = res_full - f_m
             res = res_full.ravel()[flat_int]
@@ -276,14 +270,14 @@ def solve_forward(law, A, grid: Grid, lam: float, g: BoundaryField,
             if np.abs(res).max() <= newton_tol:
                 converged = True
                 break
-            J = _forward_jacobian(grid, Amat, law, t, cur, u_prev, dt, flat_int, red)
+            J = _forward_jacobian(grid, A.A, law, t, cur, u_prev, dt, flat_int, red)
             delta = splu(J).solve(-res)
             cur.ravel()[flat_int] += delta
         if not converged:
             raise PDEError("outside operational smallness radius "
                            f"(Newton cap {newton_cap} hit at t={t:g})")
         u[m] = cur
-    return SpaceTimeField(values=u, grid=grid, meta="forward")
+    return SpaceTimeField(values=u, grid=grid)
 
 
 class _StepCache:
@@ -304,29 +298,29 @@ class _StepCache:
 _FROZEN_CACHE = {}
 
 
-def _frozen_setup(law, A, grid: Grid, lam: float):
+def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):
     # factorizations are reused across solves with the same frozen
-    # coefficients (dictionary sweeps hit this hard)
-    Amat = A.A if hasattr(A, "A") else np.asarray(A, dtype=float)
-    key = (id(law), grid, float(lam), Amat.tobytes())
-    if key not in _FROZEN_CACHE:
+    # coefficients (dictionary sweeps hit this hard).  The entry is read
+    # once: another worker thread may clear the cache at any time.
+    key = (law, grid, float(lam), A.A.tobytes())
+    entry = _FROZEN_CACHE.get(key)
+    if entry is None:
         if len(_FROZEN_CACHE) > 32:
             _FROZEN_CACHE.clear()
-        K, flat_int, red = constant_stiffness(grid, Amat)
-        K_int = K[:, flat_int]
-        _FROZEN_CACHE[key] = (K, K_int, flat_int, _StepCache(K_int, flat_int.size),
-                              law)
-    K, K_int, flat_int, cache, _lawref = _FROZEN_CACHE[key]
+        K, flat_int = constant_stiffness(grid, A.A)
+        entry = _FROZEN_CACHE[key] = (K, flat_int,
+                                      _StepCache(K[:, flat_int], flat_int.size))
+    K, flat_int, cache = entry
     gam = lambda t: float(law.gamma(t, lam))
     rho = lambda t: float(law.rho(t, lam))
-    return K, K_int, flat_int, cache, gam, rho
+    return K, flat_int, cache, gam, rho
 
 
-def solve_linearized(law, A, grid: Grid, lam: float, g: BoundaryField,
+def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
                      source=None) -> SpaceTimeField:
     """Linear solve with coefficients frozen at the background s = lambda."""
     g.check_compatible("start")
-    K, K_int, flat_int, cache, gam, rho = _frozen_setup(law, A, grid, lam)
+    K, flat_int, cache, gam, rho = _frozen_setup(law, A, grid, lam)
     dt = grid.dt
     w = np.zeros((grid.nt + 1,) + grid.shape)
     for m in range(1, grid.nt + 1):
@@ -339,16 +333,17 @@ def solve_linearized(law, A, grid: Grid, lam: float, g: BoundaryField,
         sol = cache.solve(rho(t) / dt, gam(t), rhs)
         full.ravel()[flat_int] = sol
         w[m] = full
-    return SpaceTimeField(values=w, grid=grid, meta="linearized")
+    return SpaceTimeField(values=w, grid=grid)
 
 
-def solve_adjoint(law, A, grid: Grid, lam: float, gbar: BoundaryField) -> SpaceTimeField:
+def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
+                  gbar: BoundaryField) -> SpaceTimeField:
     """Backward solve of -d_t(rho_lam wbar) - gamma_lam div(A grad wbar) = 0.
 
     Terminal state is zero; gbar must vanish at t = T.
     """
     gbar.check_compatible("end")
-    K, K_int, flat_int, cache, gam, rho = _frozen_setup(law, A, grid, lam)
+    K, flat_int, cache, gam, rho = _frozen_setup(law, A, grid, lam)
     dt = grid.dt
     w = np.zeros((grid.nt + 1,) + grid.shape)
     for m in range(grid.nt - 1, -1, -1):
@@ -360,22 +355,21 @@ def solve_adjoint(law, A, grid: Grid, lam: float, gbar: BoundaryField) -> SpaceT
         sol = cache.solve(rho(t) / dt, gam(t), rhs)
         full.ravel()[flat_int] = sol
         w[m] = full
-    return SpaceTimeField(values=w, grid=grid, meta="adjoint")
+    return SpaceTimeField(values=w, grid=grid)
 
 
 # ---------------------------------------------------------------------------
 # manufactured solutions
 
 
-def mms_problem(grid: Grid, law, A, lam: float, exact, exact_dt, exact_grad,
-                exact_hess):
+def mms_problem(grid: Grid, law, A: MatrixField, lam: float, exact, exact_dt,
+                exact_grad, exact_hess):
     """Source + boundary data making `exact` solve the continuous problem.
 
     exact(t, X) -> field; exact_dt likewise; exact_grad(t, X) -> list of
     first partials; exact_hess(t, X) -> matrix [d_a d_b u] as nested lists.
     Returns (g: BoundaryField, source array, exact field array).
     """
-    Amat = A.A if hasattr(A, "A") else np.asarray(A, dtype=float)
     coords = np.stack(grid.node_coords(), axis=-1)
     bmask = ~interior_mask(grid)
     nt = grid.nt
@@ -390,13 +384,13 @@ def mms_problem(grid: Grid, law, A, lam: float, exact, exact_dt, exact_grad,
         gradu = exact_grad(t, coords)
         hess = exact_hess(t, coords)
         gam = law.gamma(t, u)
-        gam_s = law.d_gamma_ds(t, u)
+        gam_s = law.gamma.ds(t, u)
         div = np.zeros(grid.shape)
         for a in range(grid.dim):
             for b in range(grid.dim):
-                if Amat[a, b] == 0.0:
+                if A.A[a, b] == 0.0:
                     continue
-                div += Amat[a, b] * (gam_s * gradu[a] * gradu[b] + gam * hess[a][b])
+                div += A.A[a, b] * (gam_s * gradu[a] * gradu[b] + gam * hess[a][b])
         src[m] = law.rho(t, u) * ut - div
     g = BoundaryField(values=gvals, grid=grid, support="full")
     return g, src, ex

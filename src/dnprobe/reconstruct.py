@@ -11,22 +11,19 @@ the known reference law.  tau-sweeps, power-law extrapolation, and the
 stability-rate experiments live here too.
 """
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .geometry import Grid, exterior_point
-from .material import MaterialLaw, MatrixField
-from .singular import (SingularError, build_basis, grad_H_energy, make_cutoffs,
-                       _omega_prime_operator)
-from .pde import BoundaryField, PDEError, probe_boundary_field, solve_linearized
-from .dnmap import (FluxRecord, eta_surrogate, lambda_difference_flux,
-                    linear_flux, make_norm, random_bump_dictionary,
-                    surface_pairing)
+from .material import MatrixField, make_matrix
+from .singular import SingularError, build_basis, grad_H_energy, make_cutoffs
+from .pde import PDEError, probe_boundary_field
+from .dnmap import (eta_surrogate, lambda_difference_flux, make_norm,
+                    random_bump_dictionary, surface_pairing)
 
 
 class ReconstructError(RuntimeError):
@@ -137,61 +134,22 @@ def rho_probe_data(grid: Grid, probe: ProbeSpec, A: MatrixField, op=None):
 
 
 def recover_rho_point(pair, grid: Grid, lam: float, probe: ProbeSpec,
-                      A: MatrixField = None, op=None,
-                      gamma_correction: bool = False) -> float:
+                      A: MatrixField = None, op=None) -> float:
     """Estimate of rho^1(t0, lambda) - rho^2(t0, lambda), n >= 3, A = Id.
 
-    Default experiment assumes gamma^1 = gamma^2 so the conductivity cross
-    term vanishes identically; gamma_correction subtracts it from interior
-    fields (an oracle step, not boundary-only data) when the gammas differ.
+    Assumes gamma^1 = gamma^2, so the conductivity cross term of the rho
+    identity vanishes identically.
     """
-    from .material import make_matrix
     A = make_matrix(np.eye(grid.dim)) if A is None else A
-    law1, law2 = pair
-    fam, basis, cut = rho_probe_data(grid, probe, A, op=op)
+    fam, basis, _ = rho_probe_data(grid, probe, A, op=op)
     energy = grad_H_energy(basis, grid)
     if energy <= 1e-14:
         raise ReconstructError("singular-basis energy underflow")
     total = 0.0
-    for j, (g_j, gbar_j) in enumerate(fam):
+    for g_j, gbar_j in fam:
         diff = lambda_difference_flux(pair, A, grid, lam, g_j)
         total += surface_pairing(diff, gbar_j, grid)
-        if gamma_correction:
-            total -= _gamma_cross_term(pair, A, grid, lam, g_j, gbar_j)
     return total / energy
-
-
-def _gamma_cross_term(pair, A: MatrixField, grid: Grid, lam: float,
-                      g_j: BoundaryField, gbar_j: BoundaryField) -> float:
-    """int_Q (gamma^1-gamma^2)_lam A grad w^1 . grad wbar of the rho identity.
-
-    Uses simulated interior fields; flagged oracle correction.
-    """
-    law1, law2 = pair
-    w1 = solve_linearized(law1, A, grid, lam, g_j)
-    w2 = solve_linearized(law2, A, grid, lam, gbar_j)
-    wt = np.full(grid.nt + 1, grid.dt)
-    wt[0] = wt[-1] = 0.5 * grid.dt
-    W = 1.0
-    for _ in range(grid.dim):
-        wa = np.ones(grid.n_cells + 1)
-        wa[0] = wa[-1] = 0.5
-        W = np.multiply.outer(W, wa) if np.ndim(W) else wa
-    W = W * grid.h ** grid.dim
-    total = 0.0
-    for m, t in enumerate(grid.times):
-        dg = float(law1.gamma(t, lam)) - float(law2.gamma(t, lam))
-        if dg == 0.0:
-            continue
-        g1 = np.gradient(w1.values[m], grid.h, edge_order=2)
-        g2 = np.gradient(w2.values[m], grid.h, edge_order=2)
-        quad = np.zeros(grid.shape)
-        for a in range(grid.dim):
-            for b in range(grid.dim):
-                if A.A[a, b] != 0.0:
-                    quad += A.A[a, b] * g1[a] * g2[b]
-        total += wt[m] * dg * float((quad * W).sum())
-    return total
 
 
 # ---------------------------------------------------------------------------

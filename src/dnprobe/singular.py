@@ -25,7 +25,7 @@ from scipy import integrate
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from .geometry import Grid, ProbeGeometry
+from .geometry import Grid, ProbeGeometry, trapezoid_weights
 from .material import MatrixField
 
 
@@ -251,14 +251,7 @@ class CutoffSet:
     phi_tau: object      # scaled bump, callable on t
     Phi_tau: object      # running integral of phi_tau
     chi: object          # plateau cutoff (identically 1 for gamma probes)
-    dchi: object
-    xi: object
-    zeta: object
     times: np.ndarray
-
-    @property
-    def phi_tau_samples(self):
-        return self.phi_tau(self.times)
 
     def moment(self, f):
         """integral of phi_tau^2 * f over (0, T) by adaptive quadrature."""
@@ -298,9 +291,6 @@ def make_cutoffs(t0: float, tau: float, kind: str, grid: Grid, r: float = 0.25,
 
     if kind == "gamma":
         chi = lambda t: np.ones_like(np.asarray(t, dtype=float))
-        dchi = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        xi = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        zeta = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     else:
         if tau0 is None:
             raise SingularError("rho cutoffs need the admissibility ceiling tau0")
@@ -319,35 +309,9 @@ def make_cutoffs(t0: float, tau: float, kind: str, grid: Grid, r: float = 0.25,
             down = _smoothstep(((t0 + half + ramp) - t) / ramp)
             return np.minimum(up, down)
 
-        def dchi(t):
-            t = np.asarray(t, dtype=float)
-            u1 = (t - (t0 - half - ramp)) / ramp
-            u2 = ((t0 + half + ramp) - t) / ramp
-            d = np.zeros_like(t)
-            rising = (u1 > 0) & (u1 < 1)
-            falling = (u2 > 0) & (u2 < 1)
-            uu = np.clip(u1, 0.0, 1.0)
-            dd = np.clip(u2, 0.0, 1.0)
-            d[rising] = (30 * uu ** 2 * (1 - uu) ** 2)[rising] / ramp
-            d[falling] = -(30 * dd ** 2 * (1 - dd) ** 2)[falling] / ramp
-            return d
-
-        phi_total = Phi_tau(T)
-
-        # after supp(phi_tau) the running integral is the constant Phi_tau(T),
-        # so chi * Phi_tau splits into the bump part plus these two tails
-        def xi(t):
-            t = np.asarray(t, dtype=float)
-            return phi_total * chi(t) * (t >= t0 + tau ** r)
-
-        def zeta(t):
-            t = np.asarray(t, dtype=float)
-            return phi_total * dchi(t) * (t >= t0 + tau ** r)
-
-    times = grid.times
     return CutoffSet(kind=kind, shape=shape, t0=t0, tau=tau, r=r, a_tau=a,
                      phi=phi, phi_tau=phi_tau, Phi_tau=Phi_tau, chi=chi,
-                     dchi=dchi, xi=xi, zeta=zeta, times=times)
+                     times=grid.times)
 
 
 def mollifier_gap(cut: CutoffSet, f) -> float:
@@ -370,10 +334,8 @@ class SingularBasis:
     kind: str
     H_omega: np.ndarray          # H(., y_tau) on closure-of-Omega nodes
     v_omega: np.ndarray          # corrector restricted to Omega nodes
-    v_ext: dict                  # full Omega' corrector solve
     djH_omega: list = None       # d_j H on Omega nodes, j = 0..n-1 (rho kind)
     vj_omega: list = None
-    vj_ext: list = None
 
 
 def build_basis(grid: Grid, geom: ProbeGeometry, A: MatrixField,
@@ -391,31 +353,20 @@ def build_basis(grid: Grid, geom: ProbeGeometry, A: MatrixField,
     vres = solve_corrector(grid, lambda x: fundamental_H(x, y, A, conv=conv), A, op=op)
     v_omega = vres["field"][grid.omega_slice()]
 
-    djH, vj, vj_ext = None, None, None
+    djH, vj = None, None
     if kind == "rho":
-        djH, vj, vj_ext = [], [], []
+        djH, vj = [], []
         for j in range(grid.dim):
             djH.append(fundamental_dj_H(coords, y, A, j, conv=conv))
             res = solve_corrector(
                 grid, lambda x, jj=j: fundamental_dj_H(x, y, A, jj, conv=conv), A, op=op)
-            vj_ext.append(res)
             vj.append(res["field"][grid.omega_slice()])
     return SingularBasis(geom=geom, A=A, conv=conv, kind=kind, H_omega=H,
-                         v_omega=v_omega, v_ext=vres, djH_omega=djH,
-                         vj_omega=vj, vj_ext=vj_ext)
+                         v_omega=v_omega, djH_omega=djH, vj_omega=vj)
 
 
 # ---------------------------------------------------------------------------
 # energies
-
-
-def _trapezoid_weights(shape, h):
-    w = 1.0
-    for m in shape:
-        wa = np.ones(m)
-        wa[0] = wa[-1] = 0.5
-        w = np.multiply.outer(w, wa) if np.ndim(w) else wa
-    return w * h ** len(shape)
 
 
 def grad_H_energy(basis: SingularBasis, grid: Grid) -> float:
@@ -429,7 +380,7 @@ def grad_H_energy(basis: SingularBasis, grid: Grid) -> float:
 
 def grad_h_energy_field(H: np.ndarray, grid: Grid, A: MatrixField) -> float:
     grads = np.gradient(H, grid.h, edge_order=2)
-    W = _trapezoid_weights(H.shape, grid.h)
+    W = trapezoid_weights(H.shape, grid.h)
     total = 0.0
     for d in range(grid.dim):
         for e in range(grid.dim):
@@ -447,9 +398,8 @@ def grad_h_energy_fine(y, A: MatrixField, dim: int, N: int, conv: float = 1.0,
     """
     h = 1.0 / N
     ax = np.linspace(0.0, 1.0, N + 1)
-    w1 = np.ones(N + 1)
-    w1[0] = w1[-1] = 0.5
-    Wt = _trapezoid_weights((N + 1,) * (dim - 1), 1.0)  # tangential, unit spacing
+    w1 = trapezoid_weights((N + 1,), 1.0)
+    Wt = trapezoid_weights((N + 1,) * (dim - 1), 1.0)  # tangential, unit spacing
     total = 0.0
     tang = np.meshgrid(*([ax] * (dim - 1)), indexing="ij")
     for start in range(0, N + 1, chunk):
@@ -483,9 +433,7 @@ def h_norms_oracle(tau: float, dim: int, n_nodes: int = 192) -> dict:
     def mapped(lo, hi):
         t_lo, t_hi = math.atan(lo / tau), math.atan(hi / tau)
         th = np.linspace(t_lo, t_hi, n_nodes)
-        w = np.ones(n_nodes)
-        w[0] = w[-1] = 0.5
-        w = w * (th[1] - th[0])
+        w = trapezoid_weights(th.shape, th[1] - th[0])
         x = tau * np.tan(th)
         jac = tau / np.cos(th) ** 2
         return x, w * jac
@@ -512,6 +460,6 @@ def l2_norms_H(y, A: MatrixField, dim: int, N: int, conv: float = 1.0):
     pts = np.stack(np.meshgrid(*([ax] * dim), indexing="ij"), axis=-1)
     H = fundamental_H(pts, y, A, conv=conv)
     G = fundamental_grad_H(pts, y, A, conv=conv)
-    W = _trapezoid_weights(H.shape, h)
+    W = trapezoid_weights(H.shape, h)
     return (math.sqrt(float((H ** 2 * W).sum())),
             math.sqrt(float(((G ** 2).sum(axis=-1) * W).sum())))

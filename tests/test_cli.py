@@ -128,6 +128,31 @@ def test_stability_report(cfg_path, tmp_path, capsys):
     assert "slope" in capsys.readouterr().out
 
 
+def test_stability_failed_row_is_strict_json(cfg_path, tmp_path, monkeypatch):
+    import dnprobe.reconstruct as reconstruct
+    from dnprobe.pde import PDEError
+    real, calls = reconstruct.eta_surrogate, []
+
+    def fail_first_eps(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise PDEError("outside operational smallness radius (injected)")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "eta_surrogate", fail_first_eps)
+    assert main(["stability", "-c", cfg_path]) == 0
+
+    def reject(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    with open(tmp_path / "out" / "demo_stability_report.json") as fh:
+        rep = json.load(fh, parse_constant=reject)
+    failed, good = rep["rows"]
+    assert not failed["ok"] and "injected" in failed["why"]
+    assert failed["eta"] is None and failed["recovered"] is None
+    assert good["ok"] and good["eta"] > 0.0
+
+
 def test_report_summarizes_outputs(cfg_path, tmp_path, capsys):
     main(["probe-gamma", "-c", cfg_path])
     capsys.readouterr()

@@ -79,7 +79,7 @@ def test_surface_pairing_matches_closed_form():
     vals = np.ones((g.nt + 1,) + smask.shape)
     vals[:, ~smask] = 0.0
     from dnprobe.dnmap import FluxRecord
-    fl = FluxRecord(values=vals, grid=g, producer="nonlinear")
+    fl = FluxRecord(values=vals, grid=g)
     hb = boundary_field_from_callable(
         g, lambda t, x: math.sin(math.pi * t) + 0.0 * x[..., 0])
     got = surface_pairing(fl, hb, g)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnprobe.material import (MaterialError, check_admissible,
-                              check_interior_max, make_law, make_matrix,
-                              perturb_law)
+                              check_interior_max, coefficient, make_law,
+                              make_matrix, perturb_law)
 
 
 def test_matrix_identity_flags():
@@ -40,6 +40,16 @@ def test_unused_params_rejected():
         make_law(gamma=("constant", {"c0": 1.0, "junk": 2.0}))
 
 
+def test_equal_specs_give_equal_hashable_laws():
+    spec = dict(gamma=("trig_t", {"c0": 2.0, "c1": 0.5}),
+                rho=("poly_s", {"c1": 0.3}), m_floor=0.1, kappa_cap=4.0)
+    law1, law2 = make_law(**spec), make_law(**spec)
+    assert law1 == law2 and hash(law1) == hash(law2)
+    assert law1 != make_law(**dict(spec, rho=("poly_s", {"c1": 0.4})))
+    # omitted parameters take their defaults
+    assert make_law(gamma=("constant", {})) == make_law()
+
+
 def _fd(f, t, s, which, eps=1e-6):
     if which == "t":
         return (f(t + eps, s) - f(t - eps, s)) / (2 * eps)
@@ -57,14 +67,9 @@ def test_exact_derivatives_match_finite_differences(spec):
     law = make_law(gamma=spec, rho=spec)
     for t in (0.1, 0.5, 0.9):
         for s in (-0.4, 0.0, 0.7):
-            assert law.d_gamma_dt(t, s) == pytest.approx(
-                _fd(law.gamma, t, s, "t"), abs=1e-7)
-            assert law.d_gamma_ds(t, s) == pytest.approx(
-                _fd(law.gamma, t, s, "s"), abs=1e-7)
-            assert law.d_rho_dt(t, s) == pytest.approx(
-                _fd(law.rho, t, s, "t"), abs=1e-7)
-            assert law.d_rho_ds(t, s) == pytest.approx(
-                _fd(law.rho, t, s, "s"), abs=1e-7)
+            for c in (law.gamma, law.rho):
+                assert c.dt(t, s) == pytest.approx(_fd(c, t, s, "t"), abs=1e-7)
+                assert c.ds(t, s) == pytest.approx(_fd(c, t, s, "s"), abs=1e-7)
 
 
 def test_trig_law_values():
@@ -83,15 +88,32 @@ def test_perturb_gamma_shifts_only_gamma(eps, t, s):
     pert = perturb_law(base, eps, "gamma", ("constant", {"c0": 1.0}))
     assert pert.gamma(t, s) == pytest.approx(base.gamma(t, s) + eps)
     assert pert.rho(t, s) == base.rho(t, s)
-    assert pert.d_gamma_ds(t, s) == pytest.approx(base.d_gamma_ds(t, s))
+    assert pert.gamma.ds(t, s) == pytest.approx(base.gamma.ds(t, s))
 
 
 def test_perturb_rho_with_time_profile():
     base = make_law()
     pert = perturb_law(base, 0.1, "rho", ("trig_t", {"c0": 0.0, "c1": 1.0}))
     assert pert.rho(0.25, 0.0) == pytest.approx(1.0 + 0.1)
-    assert pert.d_rho_dt(0.0, 0.0) == pytest.approx(0.1 * 2 * np.pi)
+    assert pert.rho.dt(0.0, 0.0) == pytest.approx(0.1 * 2 * np.pi)
     assert pert.gamma(0.3, 0.4) == base.gamma(0.3, 0.4)
+
+
+@pytest.mark.parametrize("target", ["gamma", "rho"])
+def test_perturbed_coefficient_is_base_plus_eps_profile(target):
+    base = make_law(gamma=("gauss_s", {"c0": 2.0, "c1": 0.3, "s0": 0.1, "w": 0.6}),
+                    rho=("trig_t", {"c0": 1.5, "c1": 0.2, "freq": 0.7}))
+    profile = ("trig_t", {"c0": 0.1, "c1": 1.0, "freq": 0.4, "phase": 0.2})
+    eps = 0.037
+    pert = perturb_law(base, eps, target, profile)
+    prof = coefficient(*profile)
+    t, s = np.meshgrid(np.linspace(0, 1, 7), np.linspace(-1, 1, 9), indexing="ij")
+    b, p = getattr(base, target), getattr(pert, target)
+    assert np.array_equal(p(t, s), b(t, s) + eps * prof(t, s))
+    assert np.array_equal(p.dt(t, s), b.dt(t, s) + eps * prof.dt(t, s))
+    assert np.array_equal(p.ds(t, s), b.ds(t, s) + eps * prof.ds(t, s))
+    other = "rho" if target == "gamma" else "gamma"
+    assert getattr(pert, other) == getattr(base, other)
 
 
 def test_perturb_unknown_target():

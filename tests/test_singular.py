@@ -163,7 +163,6 @@ def test_gamma_cutoffs_have_trivial_plateau():
     cut = make_cutoffs(0.5, 0.05, "gamma", g, a_rule="power", r=0.5)
     t = np.linspace(0, 1, 50)
     assert np.all(cut.chi(t) == 1.0)
-    assert np.all(cut.xi(t) == 0.0) and np.all(cut.zeta(t) == 0.0)
 
 
 def test_cutoff_support_overflow_rejected():
@@ -180,21 +179,24 @@ def test_rho_cutoffs_need_tau0():
 
 
 def test_rho_product_rule_identity():
-    # d/dt (chi * Phi_tau) = phi_tau + zeta wherever chi is differentiable
+    # the rho probe's time profile chi * Phi_tau differentiates to phi_tau
+    # wherever the plateau cutoff chi is 1
     g = build_grid(3, 1 / 8, 1 / 16, 2.5)
     cut = make_cutoffs(1.25, 0.05, "rho", g, tau0=0.2)
     t = np.linspace(0.3, 2.2, 1201)
     eps = 1e-6
+    plateau = (cut.chi(t - eps) == 1.0) & (cut.chi(t + eps) == 1.0)
+    # the plateau covers supp(phi_tau) and reaches past it on both sides
+    assert plateau.sum() > 100
+    assert np.all(cut.phi_tau(t[~plateau]) == 0.0)
     prod = lambda x: cut.chi(x) * cut.Phi_tau(x)
     lhs = (prod(t + eps) - prod(t - eps)) / (2 * eps)
-    rhs = cut.phi_tau(t) + cut.zeta(t)
-    assert np.abs(lhs - rhs).max() < 1e-3
+    assert np.abs(lhs - cut.phi_tau(t))[plateau].max() < 1e-3
 
 
 def test_rho_tail_fields_vanish_at_endpoints():
     g = build_grid(3, 1 / 8, 1 / 16, 2.5)
     cut = make_cutoffs(1.25, 0.05, "rho", g, tau0=0.2)
-    assert cut.xi(0.0) == 0.0 and cut.xi(2.5) == 0.0
     assert cut.chi(0.0) == 0.0 and cut.chi(2.5) == 0.0
     # plateau covers the bump support
     assert cut.chi(cut.t0) == pytest.approx(1.0)
