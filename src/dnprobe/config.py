@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .geometry import build_grid
-from .material import make_law, make_matrix, perturb_law
+from .material import check_admissible, make_law, make_matrix, perturb_law
 
 
 class ConfigError(ValueError):
@@ -137,6 +137,15 @@ class ExperimentConfig:
         self.out_dir = raw["output"]["dir"]
         self.prefix = raw["output"]["prefix"]
         self.seed = int(raw["run"]["seed"])
+
+        # every law a subcommand can solve with must respect the floors
+        for law in [self.law1, self.law2] + [p[0] for _, p in self.law_family()]:
+            rep = check_admissible(law, s_range=(self.lam - 1.0, self.lam + 1.0),
+                                   T=self.grid.T)
+            for name, (ok, margin, (t, s)) in rep.checks.items():
+                if not ok:
+                    raise ConfigError(f"{law.label} is not admissible: {name} fails "
+                                      f"by {-margin:.3g} at (t, s) = ({t:.3g}, {s:.3g})")
 
     def law_family(self):
         """eps-indexed pairs (perturbed law1-side, law2) for stability runs."""

@@ -8,19 +8,25 @@ The forward problem
 is advanced by implicit Euler with a Newton iteration per step; the
 Jacobian is analytic, using the closed-form s-derivatives carried by the
 MaterialLaw.  The linearized problem freezes both coefficients at the
-background value s = lambda, so each step is one sparse solve; the adjoint
-problem is the same operator stepped backward from a zero terminal state.
+background value s = lambda.  For diagonal A the type-I discrete sine
+transform diagonalizes the frozen operator on the interior box, so each
+step is one forward and one inverse DST-I (Buzbee, Golub & Nielson, SIAM
+J. Numer. Anal. 7, 1970); the adjoint problem is the same operator stepped
+backward from a zero terminal state.  Frozen solves and the stiffness
+matrix K they couple the boundary through require diagonal A.
 
 Spatial discretization is the standard second-order stencil with
-face-averaged diffusion coefficients on the diagonal of A; off-diagonal
-(cross) terms use centered differences with the coefficient frozen in the
-Jacobian.  The source term exists only for manufactured-solution studies.
+face-averaged diffusion coefficients on the diagonal of A.  The forward
+solver also takes off-diagonal (cross) terms, by centered differences
+with the coefficient frozen in the Jacobian.  The source term exists only
+for manufactured-solution studies.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, identity
+from scipy.fft import dstn, idstn
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .geometry import Grid
@@ -124,8 +130,10 @@ def _flat_strides(shape):
 def constant_stiffness(grid: Grid, A: np.ndarray):
     """Rows of K = -div(A grad .) for interior nodes, columns over all nodes.
 
-    Constant coefficient; cross terms by the 4-point centered stencil.
+    Constant diagonal coefficient; raises PDEError for off-diagonal A.
     """
+    if np.any(A != np.diag(np.diagonal(A))):
+        raise PDEError("frozen-coefficient operators need a diagonal A")
     shape = grid.shape
     size = int(np.prod(shape))
     strides = _flat_strides(shape)
@@ -141,15 +149,6 @@ def constant_stiffness(grid: Grid, A: np.ndarray):
             rows.append(loc)
             cols.append(flat_int + sgn * strides[a])
             vals.append(np.full(n_int, -A[a, a] / h2))
-    for a in range(grid.dim):
-        for b in range(a + 1, grid.dim):
-            if A[a, b] == 0.0:
-                continue
-            # -2*a_ab * d_a d_b u, centered corners
-            for sa, sb, sign in ((1, 1, -1.0), (-1, -1, -1.0), (1, -1, 1.0), (-1, 1, 1.0)):
-                rows.append(loc)
-                cols.append(flat_int + sa * strides[a] + sb * strides[b])
-                vals.append(np.full(n_int, sign * 2.0 * A[a, b] / (4.0 * h2)))
     K = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                    shape=(n_int, size)).tocsc()
     return K, flat_int
@@ -280,59 +279,46 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
     return SpaceTimeField(values=u, grid=grid)
 
 
-class _StepCache:
-    """splu factorizations keyed by the (rho/dt, gamma) scalar pair."""
-
-    def __init__(self, K_int: csc_matrix, n_int: int):
-        self.K = K_int
-        self.I = identity(n_int, format="csc")
-        self.cache = {}
-
-    def solve(self, rho_over_dt: float, gam: float, rhs: np.ndarray):
-        key = (round(rho_over_dt, 14), round(gam, 14))
-        if key not in self.cache:
-            self.cache[key] = splu((rho_over_dt * self.I + gam * self.K).tocsc())
-        return self.cache[key].solve(rhs)
-
-
-_FROZEN_CACHE = {}
-
-
 def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):
-    # factorizations are reused across solves with the same frozen
-    # coefficients (dictionary sweeps hit this hard).  The entry is read
-    # once: another worker thread may clear the cache at any time.
-    key = (law, grid, float(lam), A.A.tobytes())
-    entry = _FROZEN_CACHE.get(key)
-    if entry is None:
-        if len(_FROZEN_CACHE) > 32:
-            _FROZEN_CACHE.clear()
-        K, flat_int = constant_stiffness(grid, A.A)
-        entry = _FROZEN_CACHE[key] = (K, flat_int,
-                                      _StepCache(K[:, flat_int], flat_int.size))
-    K, flat_int, cache = entry
+    """Stiffness K, its DST-I spectrum on the interior box, and the frozen
+    coefficients t -> gamma(t, lam) and t -> rho(t, lam).
+
+    K restricted to the interior is sum_a a_aa (-D_a^2), and the sine
+    modes sin(pi k j / N) diagonalize each -D_a^2 with eigenvalue
+    (4 / h^2) sin^2(pi k / 2N), k = 1..N-1.
+    """
+    K, _ = constant_stiffness(grid, A.A)
+    N = grid.n_cells
+    s2 = (4.0 / grid.h ** 2) * np.sin(0.5 * np.pi * np.arange(1, N) / N) ** 2
+    eig = np.zeros((N - 1,) * grid.dim)
+    for a in range(grid.dim):
+        eig += A.A[a, a] * s2.reshape((-1,) + (1,) * (grid.dim - 1 - a))
     gam = lambda t: float(law.gamma(t, lam))
     rho = lambda t: float(law.rho(t, lam))
-    return K, flat_int, cache, gam, rho
+    return K, eig, gam, rho
+
+
+def _frozen_step(eig, rho_over_dt: float, gam: float, rhs: np.ndarray):
+    """Solve (rho/dt I + gamma K_int) x = rhs on the interior box by DST-I."""
+    return idstn(dstn(rhs, type=1) / (rho_over_dt + gam * eig), type=1)
 
 
 def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
                      source=None) -> SpaceTimeField:
     """Linear solve with coefficients frozen at the background s = lambda."""
     g.check_compatible("start")
-    K, flat_int, cache, gam, rho = _frozen_setup(law, A, grid, lam)
+    K, eig, gam, rho = _frozen_setup(law, A, grid, lam)
+    inner = (slice(1, -1),) * grid.dim
     dt = grid.dt
-    w = np.zeros((grid.nt + 1,) + grid.shape)
+    w = g.values.copy()
+    w[0] = 0.0  # g(0) vanishes only to check_compatible's tolerance
     for m in range(1, grid.nt + 1):
         t = grid.times[m]
-        full = np.zeros(grid.shape)
-        full[:] = g.values[m]
-        rhs = (rho(t) / dt) * w[m - 1].ravel()[flat_int] - gam(t) * (K @ full.ravel())
+        rhs = (rho(t) / dt) * w[m - 1][inner] \
+            - gam(t) * (K @ g.values[m].ravel()).reshape(eig.shape)
         if source is not None:
-            rhs = rhs + source[m].ravel()[flat_int]
-        sol = cache.solve(rho(t) / dt, gam(t), rhs)
-        full.ravel()[flat_int] = sol
-        w[m] = full
+            rhs = rhs + source[m][inner]
+        w[m][inner] = _frozen_step(eig, rho(t) / dt, gam(t), rhs)
     return SpaceTimeField(values=w, grid=grid)
 
 
@@ -343,18 +329,16 @@ def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
     Terminal state is zero; gbar must vanish at t = T.
     """
     gbar.check_compatible("end")
-    K, flat_int, cache, gam, rho = _frozen_setup(law, A, grid, lam)
+    K, eig, gam, rho = _frozen_setup(law, A, grid, lam)
+    inner = (slice(1, -1),) * grid.dim
     dt = grid.dt
-    w = np.zeros((grid.nt + 1,) + grid.shape)
+    w = gbar.values.copy()
+    w[-1] = 0.0  # likewise gbar(T)
     for m in range(grid.nt - 1, -1, -1):
         t = grid.times[m]
-        full = np.zeros(grid.shape)
-        full[:] = gbar.values[m]
-        rhs = (rho(grid.times[m + 1]) / dt) * w[m + 1].ravel()[flat_int] \
-            - gam(t) * (K @ full.ravel())
-        sol = cache.solve(rho(t) / dt, gam(t), rhs)
-        full.ravel()[flat_int] = sol
-        w[m] = full
+        rhs = (rho(grid.times[m + 1]) / dt) * w[m + 1][inner] \
+            - gam(t) * (K @ gbar.values[m].ravel()).reshape(eig.shape)
+        w[m][inner] = _frozen_step(eig, rho(t) / dt, gam(t), rhs)
     return SpaceTimeField(values=w, grid=grid)
 
 

@@ -175,3 +175,14 @@ def test_infeasible_probe_exits_1(tmp_path, capsys):
                  .replace("tau_list = 0.2,0.15,0.125", "tau_list = 0.1,0.05"))
     assert main(["probe-gamma", "-c", str(p)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_inadmissible_law_exits_2_before_any_solve(tmp_path, capsys):
+    # gamma1 below the positivity floor must be rejected by name, not probed
+    p = tmp_path / "exp.ini"
+    p.write_text(GAMMA_CFG.format(out=tmp_path / "out")
+                 .replace("gamma1 = constant:c0=1.02",
+                          "gamma1 = constant:c0=-0.5\nm_floor = 0.5"))
+    assert main(["probe-gamma", "-c", str(p)]) == 2
+    assert "gamma_floor" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

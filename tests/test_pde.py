@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import identity
+from scipy.sparse.linalg import spsolve
 
+from dnprobe.dnmap import lambda_difference_flux, lift_terminal_zero
 from dnprobe.geometry import build_grid
 from dnprobe.material import make_law, make_matrix
 from dnprobe.pde import (BoundaryField, PDEError, boundary_field_from_callable,
-                         interior_mask, mms_problem, probe_boundary_field,
-                         solve_adjoint, solve_forward, solve_linearized)
+                         constant_stiffness, interior_mask, mms_problem,
+                         probe_boundary_field, solve_adjoint, solve_forward,
+                         solve_linearized)
 
 A2 = make_matrix(np.eye(2))
 
@@ -184,3 +190,88 @@ def test_mms_anisotropic_matrix():
         u = solve_forward(law, A, g, 0.0, gb, source=src)
         errs.append(np.abs(u.values - ex).max())
     assert errs[1] < errs[0] / 3.0
+
+
+# --- frozen-coefficient core against a sparse reference ----------------------
+
+
+def _reference_frozen(law, A, grid, lam, g, backward=False):
+    """Implicit Euler by sparse direct solves of rho/dt I + gamma K_int."""
+    K, flat_int = constant_stiffness(grid, A.A)
+    K_int = K[:, flat_int]
+    I = identity(flat_int.size, format="csc")
+    gam = lambda t: float(law.gamma(t, lam))
+    rho = lambda t: float(law.rho(t, lam))
+    dt = grid.dt
+    w = np.zeros_like(g.values)
+    steps = range(grid.nt - 1, -1, -1) if backward else range(1, grid.nt + 1)
+    for m in steps:
+        t = grid.times[m]
+        # the adjoint steps d_t(rho w) backward, so rho is taken at t_{m+1}
+        prev, t_rho = (m + 1, grid.times[m + 1]) if backward else (m - 1, t)
+        rhs = (rho(t_rho) / dt) * w[prev].ravel()[flat_int] \
+            - gam(t) * (K @ g.values[m].ravel())
+        w[m] = g.values[m]
+        w[m].ravel()[flat_int] = spsolve((rho(t) / dt * I + gam(t) * K_int).tocsc(), rhs)
+    return w
+
+
+_TRIG_LAW = make_law(gamma=("trig_t", {"c0": 2.0, "c1": 0.5, "freq": 1.5}),
+                     rho=("trig_t", {"c0": 1.5, "c1": 0.4, "phase": 0.7}))
+
+
+@pytest.mark.parametrize("dim, A, nh", [(2, np.diag([2.0, 0.5]), 16), (3, np.eye(3), 8)])
+def test_frozen_solves_match_sparse_reference(dim, A, nh):
+    A = make_matrix(A)
+    g = build_grid(dim, 1 / nh, 1 / 16, 1.0)
+    gb = boundary_field_from_callable(
+        g, lambda t, x: _datum(t, x) * (1.0 + x[..., -1] ** 2))
+    w = solve_linearized(_TRIG_LAW, A, g, 0.3, gb)
+    ref = _reference_frozen(_TRIG_LAW, A, g, 0.3, gb)
+    assert np.abs(w.values - ref).max() <= 1e-12 * np.abs(ref).max()
+    wbar = solve_adjoint(_TRIG_LAW, A, g, 0.3, gb)
+    ref = _reference_frozen(_TRIG_LAW, A, g, 0.3, gb, backward=True)
+    assert np.abs(wbar.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_frozen_operators_reject_off_diagonal_matrix():
+    A = make_matrix(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    g = build_grid(2, 1 / 8, 1 / 8, 1.0)
+    gb = boundary_field_from_callable(g, _datum)
+    for solve in (solve_linearized, solve_adjoint):
+        with pytest.raises(PDEError, match="diagonal"):
+            solve(make_law(), A, g, 0.0, gb)
+    with pytest.raises(PDEError, match="diagonal"):
+        lift_terminal_zero(gb, g, A)
+
+
+# --- identities of the frozen map (h = 1/8) ----------------------------------
+
+_trig = st.fixed_dictionaries({"c0": st.floats(1.0, 3.0), "c1": st.floats(-0.5, 0.5),
+                               "freq": st.floats(0.0, 2.0), "phase": st.floats(0.0, 6.3)})
+_laws = st.builds(lambda gp, rp: make_law(gamma=("trig_t", gp), rho=("trig_t", rp)),
+                  _trig, _trig)
+_GRID8 = build_grid(2, 1 / 8, 1 / 8, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(law=_laws, lam=st.floats(-1.0, 1.0), alpha=st.floats(-3.0, 3.0),
+       beta=st.floats(-3.0, 3.0))
+def test_frozen_superposition_property(law, lam, alpha, beta):
+    g = _GRID8
+    g1 = boundary_field_from_callable(g, _datum)
+    g2 = boundary_field_from_callable(
+        g, lambda t, x: np.sin(2 * np.pi * t) * x[..., 1] * (1 - x[..., 0]))
+    gs = BoundaryField(values=alpha * g1.values + beta * g2.values, grid=g)
+    w1 = solve_linearized(law, A2, g, lam, g1)
+    w2 = solve_linearized(law, A2, g, lam, g2)
+    ws = solve_linearized(law, A2, g, lam, gs)
+    assert np.abs(ws.values - alpha * w1.values - beta * w2.values).max() < 1e-11
+
+
+@settings(max_examples=25, deadline=None)
+@given(law=_laws, lam=st.floats(-1.0, 1.0))
+def test_equal_laws_give_zero_difference_flux_property(law, lam):
+    gb = boundary_field_from_callable(_GRID8, _datum)
+    fl = lambda_difference_flux((law, law), A2, _GRID8, lam, gb)
+    assert not fl.values.any()
