@@ -92,19 +92,28 @@ def _probe_spec(cfg: ExperimentConfig, tau: float, kind=None) -> ProbeSpec:
                      a_rule=cfg.a_rule, shape=cfg.bump_shape, conv=cfg.conv)
 
 
+def _report_newton(args, label: str, stats):
+    """With -v, print one forward solve's Newton counts to stderr."""
+    if args.verbose and stats is not None:
+        print(f"{label}: steps {stats['steps']} iterations {stats['iterations']} "
+              f"factorizations {stats['factorizations']} "
+              f"max_residual {stats['max_residual']:.3e}", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_forward(cfg: ExperimentConfig, args) -> int:
     if args.mms:
-        return _forward_mms(cfg)
+        return _forward_mms(cfg, args)
     grid = cfg.grid
     if cfg.tau_list and cfg.probe_kind == "gamma":
         g, _, _ = gamma_probe_data(grid, cfg.A, _probe_spec(cfg, min(cfg.tau_list)))
     else:
         g = BoundaryField(values=np.zeros((grid.nt + 1,) + grid.shape), grid=grid)
     u = solve_forward(cfg.law1, cfg.A, grid, cfg.lam, g)
+    _report_newton(args, "forward", u.newton)
     flux = nonlinear_flux(u, cfg.law1, cfg.A, grid)
     rows = []
     smask = grid.patch_support_mask()
@@ -118,7 +127,7 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _forward_mms(cfg: ExperimentConfig) -> int:
+def _forward_mms(cfg: ExperimentConfig, args) -> int:
     """Refinement study with a manufactured solution; prints observed orders."""
     lam = cfg.lam
     base = cfg.grid
@@ -165,6 +174,7 @@ def _forward_mms(cfg: ExperimentConfig) -> int:
         g, src, ex = mms_problem(grid, cfg.law1, cfg.A, lam, exact, exact_dt,
                                  exact_grad, exact_hess)
         u = solve_forward(cfg.law1, cfg.A, grid, lam, g, source=src)
+        _report_newton(args, f"mms space h={h:g} dt={dt:g}", u.newton)
         return float(np.abs(u.values - ex).max())
 
     def err_time(h, dt):
@@ -179,6 +189,7 @@ def _forward_mms(cfg: ExperimentConfig) -> int:
         g, src, ex = mms_problem(grid, cfg.law1, cfg.A, lam, exact, exact_dt,
                                  exact_grad, exact_hess)
         u = solve_forward(cfg.law1, cfg.A, grid, lam, g, source=src)
+        _report_newton(args, f"mms time h={h:g} dt={dt:g}", u.newton)
         return float(np.abs(u.values - ex).max())
 
     h0, dt0 = base.h, base.dt
@@ -200,6 +211,7 @@ def cmd_linearize_check(cfg: ExperimentConfig, args) -> int:
     _write_csv(_out(cfg, "linearize.csv"), _meta(cfg), ["k", "d_k", "ok", "note"], out)
     for r in rows:
         print(f"k={r['k']:<6d} d_k={r['d_k']:.6e} ok={r['ok']}")
+        _report_newton(args, f"forward k={r['k']}", r["newton"])
     return 0
 
 
@@ -319,7 +331,8 @@ def main(argv=None) -> int:
     ap.add_argument("-c", "--config", required=True, help="experiment config file")
     ap.add_argument("--mms", action="store_true",
                     help="forward: run a manufactured-solution refinement study")
-    ap.add_argument("-v", "--verbose", action="store_true")
+    ap.add_argument("-v", "--verbose", action="store_true",
+                    help="print forward-solver counts per solve to stderr")
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .geometry import build_grid
-from .material import check_admissible, make_law, make_matrix, perturb_law
+from .material import (check_admissible, check_interior_max, make_law,
+                       make_matrix, perturb_law)
 
 
 class ConfigError(ValueError):
@@ -138,14 +139,25 @@ class ExperimentConfig:
         self.prefix = raw["output"]["prefix"]
         self.seed = int(raw["run"]["seed"])
 
-        # every law a subcommand can solve with must respect the floors
-        for law in [self.law1, self.law2] + [p[0] for _, p in self.law_family()]:
+        # every law a subcommand can solve with must respect the floors,
+        # and the d_t rho cap when one is set
+        family = [pair for _, pair in self.law_family()]
+        for law in [self.law1, self.law2] + [pair[0] for pair in family]:
             rep = check_admissible(law, s_range=(self.lam - 1.0, self.lam + 1.0),
-                                   T=self.grid.T)
+                                   T=self.grid.T, check_kappa=law.kappa_cap is not None)
             for name, (ok, margin, (t, s)) in rep.checks.items():
                 if not ok:
                     raise ConfigError(f"{law.label} is not admissible: {name} fails "
                                       f"by {-margin:.3g} at (t, s) = ({t:.3g}, {s:.3g})")
+        # a rho difference the experiments probe must peak inside (0, T)
+        rho_pairs = family if self.perturb_target == "rho" else []
+        if self.probe_kind == "rho":
+            rho_pairs = [(self.law1, self.law2)] + rho_pairs
+        for pair in rho_pairs:
+            rep = check_interior_max(pair, self.lam, self.grid.times)
+            if not rep.interior:
+                raise ConfigError(f"{pair[0].label} vs {pair[1].label}: interior_max "
+                                  f"fails: |rho1 - rho2| peaks only at t = {rep.t_max:.3g}")
 
     def law_family(self):
         """eps-indexed pairs (perturbed law1-side, law2) for stability runs."""

@@ -284,7 +284,7 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
     """Frechet-derivative decay table d_k = ||k N(g/k) - Lambda g||.
 
     Rows where the forward Newton solve diverges are flagged instead of
-    raising.
+    raising; "newton" holds the solver counts of the row's forward solve.
     """
     w = solve_linearized(law, A, grid, lam, g)
     lam_flux = linear_flux(w, law, A, grid, lam)
@@ -294,11 +294,13 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
         try:
             u = solve_forward(law, A, grid, lam, gk)
         except PDEError as exc:
-            rows.append({"k": k, "d_k": float("nan"), "ok": False, "why": str(exc)})
+            rows.append({"k": k, "d_k": float("nan"), "ok": False, "why": str(exc),
+                         "newton": None})
             continue
         nf = nonlinear_flux(u, law, A, grid)
         diff = FluxRecord(values=k * nf.values - lam_flux.values, grid=grid)
-        rows.append({"k": k, "d_k": flux_l2_st(diff, grid), "ok": True, "why": ""})
+        rows.append({"k": k, "d_k": flux_l2_st(diff, grid), "ok": True, "why": "",
+                     "newton": u.newton})
     return rows
 
 

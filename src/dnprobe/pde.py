@@ -5,13 +5,20 @@ The forward problem
     rho(t, u) du/dt - div(gamma(t, u) A grad u) = f,   u|_{t=0} = lambda,
     u = lambda + g on the boundary,
 
-is advanced by implicit Euler with a Newton iteration per step; the
-Jacobian is analytic, using the closed-form s-derivatives carried by the
-MaterialLaw.  The linearized problem freezes both coefficients at the
-background value s = lambda.  For diagonal A the type-I discrete sine
-transform diagonalizes the frozen operator on the interior box, so each
-step is one forward and one inverse DST-I (Buzbee, Golub & Nielson, SIAM
-J. Numer. Anal. 7, 1970); the adjoint problem is the same operator stepped
+is advanced by implicit Euler with a chord-Newton iteration per step
+(Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+ch. 5).  The Jacobian is analytic, using the closed-form s-derivatives
+carried by the MaterialLaw.  One sparse LU factorization of it is reused
+across iterations and time steps; it is rebuilt at the current iterate
+only when a step fails to cut the max-norm residual by CHORD_RATE.  For
+u-independent laws the Jacobian does not depend on the iterate, so each
+solve factorizes once and the chord step is the Newton step.
+
+The linearized problem freezes both coefficients at the background value
+s = lambda.  For diagonal A the type-I discrete sine transform
+diagonalizes the frozen operator on the interior box, so each step is one
+forward and one inverse DST-I (Buzbee, Golub & Nielson, SIAM J. Numer.
+Anal. 7, 1970); the adjoint problem is the same operator stepped
 backward from a zero terminal state.  Frozen solves and the stiffness
 matrix K they couple the boundary through require diagonal A.
 
@@ -34,6 +41,7 @@ from .material import MatrixField
 
 NEWTON_TOL = 1e-10
 NEWTON_CAP = 25
+CHORD_RATE = 0.1  # a step must cut the residual to this fraction, else refactorize
 
 
 class PDEError(RuntimeError):
@@ -46,6 +54,7 @@ class SpaceTimeField:
 
     values: np.ndarray  # (nt+1, *grid.shape)
     grid: Grid
+    newton: dict | None = None  # solver counts, set by solve_forward
 
 
 @dataclass
@@ -233,12 +242,13 @@ def _forward_jacobian(grid: Grid, A: np.ndarray, law, t: float, u: np.ndarray,
 def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
                   source=None, newton_tol: float = NEWTON_TOL,
                   newton_cap: int = NEWTON_CAP) -> SpaceTimeField:
-    """Implicit-Euler / Newton solve of the quasilinear problem.
+    """Implicit-Euler / chord-Newton solve of the quasilinear problem.
 
     source, if given, is an array (nt+1, *shape) added to the right side
     (manufactured-solution studies only).  Newton divergence is reported
     as the boundary amplitude lying outside the operational smallness
-    radius of the background state.
+    radius of the background state.  The returned field's `newton` records
+    time steps, iterations, factorizations and the largest final residual.
     """
     g.check_compatible("start")
     shape = grid.shape
@@ -250,13 +260,14 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
 
     u = np.empty((grid.nt + 1,) + shape)
     u[0] = lam
+    lu, iterations, factorizations, worst = None, 0, 0, 0.0
     for m in range(1, grid.nt + 1):
         t = grid.times[m]
         u_prev = u[m - 1]
         cur = u_prev.copy()
         cur[~imask] = lam + g.values[m][~imask]
         f_m = source[m] if source is not None else None
-        converged = False
+        converged, last = False, None
         for _ in range(newton_cap):
             res_full = (law.rho(t, cur) * (cur - u_prev) / dt
                         - _nonlinear_diffusion(grid, A.A, law.gamma(t, cur), cur))
@@ -266,17 +277,25 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
             if not np.all(np.isfinite(res)):
                 raise PDEError("outside operational smallness radius "
                                f"(non-finite residual at t={t:g})")
-            if np.abs(res).max() <= newton_tol:
+            norm = np.abs(res).max()
+            if norm <= newton_tol:
                 converged = True
                 break
-            J = _forward_jacobian(grid, A.A, law, t, cur, u_prev, dt, flat_int, red)
-            delta = splu(J).solve(-res)
-            cur.ravel()[flat_int] += delta
+            if lu is None or (last is not None and norm > CHORD_RATE * last):
+                lu = splu(_forward_jacobian(grid, A.A, law, t, cur, u_prev, dt,
+                                            flat_int, red))
+                factorizations += 1
+            last = norm
+            cur.ravel()[flat_int] += lu.solve(-res)
+            iterations += 1
         if not converged:
             raise PDEError("outside operational smallness radius "
                            f"(Newton cap {newton_cap} hit at t={t:g})")
+        worst = max(worst, float(norm))
         u[m] = cur
-    return SpaceTimeField(values=u, grid=grid)
+    stats = {"steps": grid.nt, "iterations": iterations,
+             "factorizations": factorizations, "max_residual": worst}
+    return SpaceTimeField(values=u, grid=grid, newton=stats)
 
 
 def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from dnprobe.cli import main
+from dnprobe.config import load_config
 
 GAMMA_CFG = """
 [grid]
@@ -186,3 +187,39 @@ def test_inadmissible_law_exits_2_before_any_solve(tmp_path, capsys):
     assert main(["probe-gamma", "-c", str(p)]) == 2
     assert "gamma_floor" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_kappa_cap_is_enforced_at_load(tmp_path, capsys):
+    # sup d_t rho1 = 0.2 * 2 pi * 0.2 = 0.25 exceeds the cap of 0.1
+    p = tmp_path / "exp.ini"
+    p.write_text(GAMMA_CFG.format(out=tmp_path / "out")
+                 .replace("gamma2 = constant:c0=1",
+                          "gamma2 = constant:c0=1\nrho1 = trig_t:c0=1:c1=0.2:freq=0.2\n"
+                          "kappa_cap = 0.1"))
+    assert main(["forward", "-c", str(p)]) == 2
+    assert "rho_dt_cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rho_pair_without_interior_maximum_exits_2(tmp_path, capsys):
+    # rho1 - rho2 = 0.2 t peaks only at t = T: the rho probe cannot see it
+    text = GAMMA_CFG.format(out=tmp_path / "out").replace("[probe]\n", "[probe]\nkind = rho\n")
+    p = tmp_path / "exp.ini"
+    p.write_text(text.replace("gamma2 = constant:c0=1",
+                              "gamma2 = constant:c0=1\nrho1 = affine_t:c0=1:c1=0.2"))
+    assert main(["probe-rho", "-c", str(p)]) == 2
+    assert "interior_max" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # equal rho laws are a degenerate zero difference, which stays allowed
+    p.write_text(text)
+    assert load_config(str(p)).probe_kind == "rho"
+
+
+def test_verbose_forward_reports_newton_counts_on_stderr(cfg_path, capsys):
+    assert main(["forward", "-c", cfg_path]) == 0
+    quiet = capsys.readouterr()
+    assert main(["forward", "-v", "-c", cfg_path]) == 0
+    loud = capsys.readouterr()
+    # constant laws: one factorization serves the whole solve
+    assert "factorizations 1" in loud.err and "factorizations" not in quiet.err
+    assert loud.out == quiet.out

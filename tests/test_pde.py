@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import identity
 from scipy.sparse.linalg import spsolve
 
+from dnprobe import pde
 from dnprobe.dnmap import lambda_difference_flux, lift_terminal_zero
 from dnprobe.geometry import build_grid
 from dnprobe.material import make_law, make_matrix
@@ -275,3 +276,83 @@ def test_equal_laws_give_zero_difference_flux_property(law, lam):
     gb = boundary_field_from_callable(_GRID8, _datum)
     fl = lambda_difference_flux((law, law), A2, _GRID8, lam, gb)
     assert not fl.values.any()
+
+
+# --- chord Newton against full Newton ----------------------------------------
+
+
+def _reference_newton(law, A, grid, lam, g):
+    """Implicit Euler with a fresh Jacobian and a sparse solve per iteration.
+
+    Returns the solution and the number of Newton iterations taken.
+    """
+    imask = interior_mask(grid)
+    flat_int = np.flatnonzero(imask.ravel())
+    red = -np.ones(imask.size, dtype=np.int64)
+    red[flat_int] = np.arange(flat_int.size)
+    u = np.empty((grid.nt + 1,) + grid.shape)
+    u[0] = lam
+    iterations = 0
+    for m in range(1, grid.nt + 1):
+        t = grid.times[m]
+        cur = u[m - 1].copy()
+        cur[~imask] = lam + g.values[m][~imask]
+        for _ in range(pde.NEWTON_CAP):
+            res = (law.rho(t, cur) * (cur - u[m - 1]) / grid.dt
+                   - pde._nonlinear_diffusion(grid, A.A, law.gamma(t, cur), cur))
+            res = res.ravel()[flat_int]
+            if np.abs(res).max() <= pde.NEWTON_TOL:
+                break
+            J = pde._forward_jacobian(grid, A.A, law, t, cur, u[m - 1], grid.dt,
+                                      flat_int, red)
+            cur.ravel()[flat_int] += spsolve(J, -res)
+            iterations += 1
+        u[m] = cur
+    return u, iterations
+
+
+_NEWTON_LAWS = {
+    "poly_s": make_law(gamma=("poly_s", {"c0": 1.0, "c1": 0.5, "c2": 0.5}),
+                       rho=("poly_s", {"c0": 1.5, "c1": 0.3})),
+    "trig_t": _TRIG_LAW,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEWTON_LAWS))
+def test_chord_newton_matches_full_newton(name):
+    law = _NEWTON_LAWS[name]
+    g = build_grid(2, 1 / 16, 1 / 16, 1.0)
+    gb = boundary_field_from_callable(g, lambda t, x: 0.8 * _datum(t, x))
+    u = solve_forward(law, A2, g, 0.3, gb)
+    ref, _ = _reference_newton(law, A2, g, 0.3, gb)
+    assert np.abs(u.values - ref).max() <= 1e-10
+    assert u.newton["steps"] == g.nt
+    assert u.newton["max_residual"] <= pde.NEWTON_TOL
+
+
+def test_constant_law_factorizes_once(monkeypatch):
+    counts = {"factor": 0, "solve": 0}
+    real = pde.splu
+
+    class CountedLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            counts["solve"] += 1
+            return self.lu.solve(rhs)
+
+    def counted(J):
+        counts["factor"] += 1
+        return CountedLU(real(J))
+
+    monkeypatch.setattr(pde, "splu", counted)
+    law = make_law(gamma=("constant", {"c0": 2.0}), rho=("constant", {"c0": 1.5}))
+    g = build_grid(2, 1 / 16, 1 / 16, 1.0)
+    gb = boundary_field_from_callable(g, _datum)
+    _, iterations = _reference_newton(law, A2, g, 0.0, gb)
+    for call in (1, 2):
+        u = solve_forward(law, A2, g, 0.0, gb)
+        assert counts == {"factor": call, "solve": call * iterations}
+        assert u.newton["factorizations"] == 1
+        assert u.newton["iterations"] == iterations
