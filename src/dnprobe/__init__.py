@@ -19,7 +19,8 @@ from .pde import (BoundaryField, PDEError, SpaceTimeField, solve_adjoint,
                   solve_forward, solve_linearized)
 from .dnmap import (BoundaryNorm, DNMapError, FluxRecord, eta_surrogate,
                     linear_flux, linearization_check, make_norm,
-                    nonlinear_flux, surface_pairing, weak_pairing)
+                    nonlinear_flux, patch_linear_flux, surface_pairing,
+                    weak_pairing)
 from .reconstruct import (ProbeSpec, ReconstructError, ReconstructionReport,
                           StabilityTable, recover_gamma_point,
                           recover_rho_point, stability_experiment, tau_sweep)

@@ -336,6 +336,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        cfg.check_command(args.command)
     except (ConfigError, GridError, MaterialError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

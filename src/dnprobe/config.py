@@ -159,6 +159,23 @@ class ExperimentConfig:
                 raise ConfigError(f"{pair[0].label} vs {pair[1].label}: interior_max "
                                   f"fails: |rho1 - rho2| peaks only at t = {rep.t_max:.3g}")
 
+    def check_command(self, command: str):
+        """Reject what a subcommand's probes cannot do, before any solve.
+
+        Rho probes need n >= 3 and A = Id (probe-rho, and stability with
+        perturb_target = rho); a tau sweep needs two distinct taus.
+        """
+        rho = command == "probe-rho" or (command == "stability"
+                                         and self.perturb_target == "rho")
+        if rho and self.grid.dim < 3:
+            raise ConfigError(f"rho_dim fails: rho probes need n >= 3, dim = {self.grid.dim}")
+        if rho and not self.A.is_identity:
+            raise ConfigError(f"rho_identity_A fails: rho probes need A = Id, "
+                              f"a_diag = {self.raw['material']['a_diag']}")
+        if command in ("probe-gamma", "probe-rho") and len(set(self.tau_list)) < 2:
+            raise ConfigError(f"tau_sweep fails: a tau sweep needs at least two "
+                              f"distinct values, tau_list = {self.raw['sweep']['tau_list']}")
+
     def law_family(self):
         """eps-indexed pairs (perturbed law1-side, law2) for stability runs."""
         return [(eps, (perturb_law(self.law1, eps, self.perturb_target,

@@ -20,7 +20,10 @@ diagonalizes the frozen operator on the interior box, so each step is one
 forward and one inverse DST-I (Buzbee, Golub & Nielson, SIAM J. Numer.
 Anal. 7, 1970); the adjoint problem is the same operator stepped
 backward from a zero terminal state.  Frozen solves and the stiffness
-matrix K they couple the boundary through require diagonal A.
+matrix K they couple the boundary through require diagonal A.  The probes
+and eta do not call solve_linearized: dnmap.patch_linear_flux solves the
+same steps in the sine basis for data on the patch face, and the
+full-field solve here is its reference.
 
 Spatial discretization is the standard second-order stencil with
 face-averaged diffusion coefficients on the diagonal of A.  The forward

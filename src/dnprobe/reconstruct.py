@@ -22,7 +22,7 @@ from .geometry import Grid, exterior_point
 from .material import MatrixField, make_matrix
 from .singular import SingularError, build_basis, grad_H_energy, make_cutoffs
 from .pde import PDEError, probe_boundary_field
-from .dnmap import (eta_surrogate, lambda_difference_flux, make_norm,
+from .dnmap import (FluxRecord, eta_surrogate, make_norm, patch_linear_flux,
                     random_bump_dictionary, surface_pairing)
 
 
@@ -103,8 +103,8 @@ def recover_gamma_point(pair, A: MatrixField, grid: Grid, lam: float,
     energy = grad_H_energy(basis, grid)
     if energy <= 1e-14:
         raise ReconstructError("singular-basis energy underflow")
-    diff = lambda_difference_flux(pair, A, grid, lam, g)
-    return surface_pairing(diff, g, grid) / energy
+    f1, f2 = (patch_linear_flux(law, A, grid, lam, [g]) for law in pair)
+    return surface_pairing(FluxRecord(values=f1[0] - f2[0], grid=grid), g, grid) / energy
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +145,11 @@ def recover_rho_point(pair, grid: Grid, lam: float, probe: ProbeSpec,
     energy = grad_H_energy(basis, grid)
     if energy <= 1e-14:
         raise ReconstructError("singular-basis energy underflow")
+    f1, f2 = (patch_linear_flux(law, A, grid, lam, [g_j for g_j, _ in fam])
+              for law in pair)
     total = 0.0
-    for g_j, gbar_j in fam:
-        diff = lambda_difference_flux(pair, A, grid, lam, g_j)
-        total += surface_pairing(diff, gbar_j, grid)
+    for diff, (_, gbar_j) in zip(f1 - f2, fam):
+        total += surface_pairing(FluxRecord(values=diff, grid=grid), gbar_j, grid)
     return total / energy
 
 
@@ -262,6 +263,7 @@ def stability_experiment(family, target: str, A: MatrixField, grid: Grid,
     """
     norm = make_norm(grid) if norm is None else norm
     dictionary = random_bump_dictionary(grid, dict_size, seed=dict_seed)
+    responses = {}  # reference law -> its dictionary response, solved once
     rows = []
     for eps, pair in family:
         if eps == 0.0:
@@ -270,7 +272,10 @@ def stability_experiment(family, target: str, A: MatrixField, grid: Grid,
                                      why="zero row excluded from fits"))
             continue
         try:
-            eta = eta_surrogate(pair, A, grid, lam, dictionary, norm=norm)
+            if pair[1] not in responses:
+                responses[pair[1]] = patch_linear_flux(pair[1], A, grid, lam, dictionary)
+            eta = eta_surrogate(pair, A, grid, lam, dictionary, norm=norm,
+                                reference=responses[pair[1]])
             rec = recover(pair)
         except (PDEError, SingularError) as exc:
             rows.append(StabilityRow(eps=eps, eta=float("nan"),

@@ -223,3 +223,37 @@ def test_verbose_forward_reports_newton_counts_on_stderr(cfg_path, capsys):
     # constant laws: one factorization serves the whole solve
     assert "factorizations 1" in loud.err and "factorizations" not in quiet.err
     assert loud.out == quiet.out
+
+
+# --- paper hypotheses a subcommand needs, rejected before any solve ----------
+
+RHO3D = GAMMA_CFG.replace("[grid]\n", "[grid]\ndim = 3\n").replace(
+    "[material]\n", "[material]\nperturb_target = rho\n"
+    "perturb_profile = trig_t:c0=0:c1=1:freq=0.5\n")
+
+
+def _exits_2_naming(tmp_path, capsys, text, command, predicate):
+    p = tmp_path / "exp.ini"
+    p.write_text(text.format(out=tmp_path / "out"))
+    assert main([command, "-c", str(p)]) == 2
+    assert f"{predicate} fails" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["probe-rho", "stability"])
+def test_rho_probes_on_two_dimensions_exit_2(tmp_path, capsys, command):
+    text = RHO3D.replace("dim = 3", "dim = 2")
+    _exits_2_naming(tmp_path, capsys, text, command, "rho_dim")
+
+
+@pytest.mark.parametrize("command", ["probe-rho", "stability"])
+def test_rho_probes_with_anisotropic_matrix_exit_2(tmp_path, capsys, command):
+    text = RHO3D.replace("[material]\n", "[material]\na_diag = 1,1,2\n")
+    _exits_2_naming(tmp_path, capsys, text, command, "rho_identity_A")
+
+
+@pytest.mark.parametrize("command", ["probe-gamma", "probe-rho"])
+def test_single_tau_sweep_exits_2(tmp_path, capsys, command):
+    text = (RHO3D if command == "probe-rho" else GAMMA_CFG).replace(
+        "tau_list = 0.2,0.15,0.125", "tau_list = 0.2,0.2")
+    _exits_2_naming(tmp_path, capsys, text, command, "tau_sweep")

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from dnprobe.dnmap import (DNMapError, eta_surrogate, flux_l2_st,
                            lambda_difference_flux, lift_terminal_zero,
                            linear_flux, linearization_check, make_norm,
-                           nonlinear_flux, random_bump_dictionary,
-                           surface_pairing, weak_pairing)
+                           nonlinear_flux, patch_linear_flux,
+                           random_bump_dictionary, surface_pairing,
+                           weak_pairing)
 from dnprobe.geometry import build_grid
 from dnprobe.material import make_law, make_matrix
 from dnprobe.pde import (BoundaryField, SpaceTimeField,
                          boundary_field_from_callable, solve_forward,
                          solve_linearized)
+from test_pde import _laws
 
 A2 = make_matrix(np.eye(2))
 
@@ -261,3 +263,39 @@ def test_eta_surrogate_empty_dictionary():
     g = _grid(8, 8)
     with pytest.raises(DNMapError):
         eta_surrogate((make_law(), make_law()), A2, g, 0.0, [])
+
+
+# --- the patch path against the full-field reference -------------------------
+
+_PATCH_CASES = {
+    "2d-left": (build_grid(2, 1 / 16, 1 / 16, 1.0, patch_face="left"),
+                make_matrix(np.diag([2.0, 0.5]))),
+    "2d-right": (build_grid(2, 1 / 16, 1 / 16, 1.0, patch_face="right"),
+                 make_matrix(np.diag([2.0, 0.5]))),
+    "3d-h8": (build_grid(3, 1 / 8, 1 / 8, 1.0), make_matrix(np.eye(3))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PATCH_CASES))
+@settings(max_examples=15, deadline=None)
+@given(law1=_laws, law2=_laws, lam=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_patch_flux_matches_full_field_property(case, law1, law2, lam, seed):
+    g, A = _PATCH_CASES[case]
+    data = random_bump_dictionary(g, count=3, seed=seed)
+    f1 = patch_linear_flux(law1, A, g, lam, data)
+    f2 = patch_linear_flux(law2, A, g, lam, data)
+    scale = max(np.abs(f1).max(), np.abs(f2).max())
+    for datum, diff in zip(data, f1 - f2):
+        ref = lambda_difference_flux((law1, law2), A, g, lam, datum).values
+        assert np.abs(diff - ref).max() <= 1e-11 * scale
+
+
+def test_patch_flux_rejects_data_off_the_patch_face():
+    g = _grid(8, 8)
+    datum = random_bump_dictionary(g, count=1, seed=0)[0]
+    vals = datum.values.copy()
+    vals[1:-1, 3, 0] = 1.0  # bottom face, away from the left patch face
+    off_face = BoundaryField(values=vals, grid=g)
+    with pytest.raises(DNMapError, match="patch face"):
+        patch_linear_flux(make_law(), A2, g, 0.0, [datum, off_face])

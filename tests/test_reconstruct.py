@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import dnprobe.dnmap as dnmap
+import dnprobe.reconstruct as reconstruct
 from dnprobe.geometry import build_grid
 from dnprobe.material import make_law, make_matrix, perturb_law
 from dnprobe.reconstruct import (ProbeSpec, ReconstructError,
@@ -136,6 +138,26 @@ def test_stability_gamma_linear_slope():
     assert table.fitted_slope == pytest.approx(1.0, abs=0.05)
     etas = [r.eta for r in table.rows]
     assert etas == sorted(etas)  # eta grows with the perturbation size
+
+
+def test_stability_solves_the_reference_dictionary_once(monkeypatch):
+    g = build_grid(2, 1 / 8, 1 / 8, 1.0, pad=6)
+    base = make_law(gamma=("constant", {"c0": 2.0}))
+    family = [(eps, (perturb_law(base, eps, "gamma"), base))
+              for eps in (0.01, 0.02, 0.04)]
+    real, solved = dnmap.patch_linear_flux, []
+
+    def counted(law, A, grid, lam, data):
+        solved.append((law, len(data)))
+        return real(law, A, grid, lam, data)
+
+    monkeypatch.setattr(dnmap, "patch_linear_flux", counted)
+    monkeypatch.setattr(reconstruct, "patch_linear_flux", counted)
+    table = stability_experiment(family, "gamma", A2, g, 0.0, lambda pair: 0.0,
+                                 dict_size=4)
+    assert all(r.ok and r.eta > 0.0 for r in table.rows)
+    assert solved.count((base, 4)) == 1
+    assert len(solved) == 1 + len(family)
 
 
 def test_stability_zero_row_excluded():
