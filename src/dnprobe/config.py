@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
-from .geometry import build_grid
+from .geometry import GridError, build_grid, exterior_point
 from .material import (check_admissible, check_interior_max, make_law,
                        make_matrix, perturb_law)
+from .singular import BUMP_SKEW, SingularError, make_cutoffs
 
 
 class ConfigError(ValueError):
@@ -51,6 +52,16 @@ _DEFAULTS = {
 }
 
 
+# keys whose value comes from a closed set
+_CHOICES = {
+    ("material", "perturb_target"): ("gamma", "rho"),
+    ("probe", "kind"): ("gamma", "rho"),
+    ("probe", "a_rule"): ("", "log", "power"),
+    ("probe", "shape"): tuple(BUMP_SKEW),
+    ("norms", "kind"): ("auto", "spectral", "L2"),
+}
+
+
 def _parse_law_spec(spec: str):
     """'name:k=v:k=v' -> (name, {k: float})."""
     parts = spec.split(":")
@@ -77,67 +88,83 @@ def _ints(text: str):
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _intervals(text: str):
+    """'lo:hi,lo:hi' -> [(lo, hi), ...]; '' -> None."""
+    pairs = (pair.split(":") for pair in text.split(","))
+    return [(float(lo), float(hi)) for lo, hi in pairs] if text else None
+
+
 class ExperimentConfig:
     """Resolved, validated experiment options plus derived objects."""
 
     def __init__(self, raw: dict):
         self.raw = raw
-        g = raw["grid"]
-        interval = None
-        if g["patch_interval"]:
-            interval = []
-            for pair in g["patch_interval"].split(","):
-                lo, hi = pair.split(":")
-                interval.append((float(lo), float(hi)))
-        self.grid = build_grid(int(g["dim"]), float(g["h"]), float(g["dt"]),
-                               float(g["t_final"]), patch_face=g["patch_face"],
-                               patch_interval=interval, pad=int(g["pad"]))
+        for (section, key), choices in _CHOICES.items():
+            if raw[section][key] not in choices:
+                raise ConfigError(f"[{section}] {key} = {raw[section][key]!r} is not "
+                                  f"one of {', '.join(map(repr, choices))}")
+
+        def parse(section, key, conv):
+            try:
+                return conv(raw[section][key])
+            except ValueError:
+                raise ConfigError(f"malformed value for [{section}] {key}: "
+                                  f"{raw[section][key]!r}") from None
+
+        self.grid = build_grid(parse("grid", "dim", int), parse("grid", "h", float),
+                               parse("grid", "dt", float), parse("grid", "t_final", float),
+                               patch_face=raw["grid"]["patch_face"],
+                               patch_interval=parse("grid", "patch_interval", _intervals),
+                               pad=parse("grid", "pad", int))
 
         m = raw["material"]
-        diag = _floats(m["a_diag"]) if m["a_diag"] else [1.0] * self.grid.dim
+        diag = parse("material", "a_diag", _floats) or [1.0] * self.grid.dim
         if len(diag) != self.grid.dim:
             raise ConfigError("a_diag length does not match dim")
         self.A = make_matrix(np.diag(diag))
-        self.lam = float(m["lambda"])
-        kcap = float(m["kappa_cap"]) if m["kappa_cap"] else None
+        self.lam = parse("material", "lambda", float)
+        kcap = parse("material", "kappa_cap", lambda v: float(v) if v else None)
+        m_floor = parse("material", "m_floor", float)
         self.law1 = make_law(gamma=_parse_law_spec(m["gamma1"]),
                              rho=_parse_law_spec(m["rho1"]),
-                             m_floor=float(m["m_floor"]), kappa_cap=kcap, label="law1")
+                             m_floor=m_floor, kappa_cap=kcap, label="law1")
         self.law2 = make_law(gamma=_parse_law_spec(m["gamma2"]),
                              rho=_parse_law_spec(m["rho2"]),
-                             m_floor=float(m["m_floor"]), kappa_cap=kcap, label="law2")
+                             m_floor=m_floor, kappa_cap=kcap, label="law2")
         self.perturb_target = m["perturb_target"]
-        if self.perturb_target not in ("gamma", "rho"):
-            raise ConfigError(f"unknown perturb_target {self.perturb_target!r}")
         self.perturb_profile = _parse_law_spec(m["perturb_profile"])
 
         p = raw["probe"]
-        if p["x0"]:
-            self.x0 = tuple(_floats(p["x0"]))
-        else:
+        x0 = parse("probe", "x0", _floats)
+        if not x0:
             x0 = [0.5] * self.grid.dim
             x0[self.grid.patch_axis] = self.grid.patch_face_value()
-            self.x0 = tuple(x0)
-        self.t0 = float(p["t0"])
+        self.x0 = tuple(x0)
+        self.t0 = parse("probe", "t0", float)
         self.probe_kind = p["kind"]
-        self.probe_r = float(p["r"])
+        self.probe_r = parse("probe", "r", float)
         self.a_rule = p["a_rule"] or None
         self.bump_shape = p["shape"]
-        self.conv = float(p["conv"])
+        self.conv = parse("probe", "conv", float)
 
         n = raw["norms"]
         self.norm_kind = None if n["kind"] == "auto" else n["kind"]
-        self.dict_seed = int(n["dict_seed"])
-        self.dict_size = int(n["dict_size"])
+        if self.norm_kind == "spectral" and self.grid.dim != 2:
+            raise ConfigError(f"[norms] kind = 'spectral' needs dim = 2, not {self.grid.dim}")
+        self.dict_seed = parse("norms", "dict_seed", int)
+        self.dict_size = parse("norms", "dict_size", int)
+        if self.dict_size < 1:
+            raise ConfigError(f"[norms] dict_size = {self.dict_size} must be at least 1")
 
-        s = raw["sweep"]
-        self.tau_list = _floats(s["tau_list"])
-        self.eps_list = _floats(s["eps_list"])
-        self.k_list = _ints(s["k_list"])
+        self.tau_list = parse("sweep", "tau_list", _floats)
+        self.eps_list = parse("sweep", "eps_list", _floats)
+        self.k_list = parse("sweep", "k_list", _ints)
+        if min(self.k_list, default=1) < 1:
+            raise ConfigError(f"[sweep] k_list = {raw['sweep']['k_list']!r} needs every k >= 1")
 
         self.out_dir = raw["output"]["dir"]
         self.prefix = raw["output"]["prefix"]
-        self.seed = int(raw["run"]["seed"])
+        self.seed = parse("run", "seed", int)
 
         # every law a subcommand can solve with must respect the floors,
         # and the d_t rho cap when one is set
@@ -163,7 +190,10 @@ class ExperimentConfig:
         """Reject what a subcommand's probes cannot do, before any solve.
 
         Rho probes need n >= 3 and A = Id (probe-rho, and stability with
-        perturb_target = rho); a tau sweep needs two distinct taus.
+        perturb_target = rho); a tau sweep needs two distinct taus; a
+        stability table needs a nonzero eps.  Every probe the subcommand
+        builds must pass the placement predicates of exterior_point and
+        the cutoff-support predicates of make_cutoffs.
         """
         rho = command == "probe-rho" or (command == "stability"
                                          and self.perturb_target == "rho")
@@ -175,6 +205,24 @@ class ExperimentConfig:
         if command in ("probe-gamma", "probe-rho") and len(set(self.tau_list)) < 2:
             raise ConfigError(f"tau_sweep fails: a tau sweep needs at least two "
                               f"distinct values, tau_list = {self.raw['sweep']['tau_list']}")
+        if command == "stability" and not any(self.eps_list):
+            raise ConfigError(f"eps_sweep fails: a stability table needs a nonzero eps, "
+                              f"eps_list = {self.raw['sweep']['eps_list']!r}")
+        kind = {"probe-gamma": "gamma", "probe-rho": "rho", "linearize-check": "gamma",
+                "stability": self.perturb_target}.get(command)
+        if command == "forward" and self.probe_kind == "gamma" and self.tau_list:
+            kind = "gamma"  # else forward runs on zero data
+        if kind is None:
+            return
+        if not self.tau_list:
+            raise ConfigError(f"probe_tau fails: {command} needs a tau, tau_list is empty")
+        for tau in self.tau_list if command.startswith("probe-") else [min(self.tau_list)]:
+            try:
+                geom = exterior_point(self.grid, self.x0, tau, self.t0)
+                make_cutoffs(self.t0, tau, kind, self.grid, r=self.probe_r,
+                             tau0=geom.tau0, shape=self.bump_shape, a_rule=self.a_rule)
+            except (GridError, SingularError) as exc:
+                raise ConfigError(f"{exc} ({command}, tau = {tau:g})") from None
 
     def law_family(self):
         """eps-indexed pairs (perturbed law1-side, law2) for stability runs."""
@@ -191,14 +239,17 @@ class ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        items = {section: dict(cp[section]) for section in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file: {exc}") from None
     raw = {s: dict(d) for s, d in _DEFAULTS.items()}
-    for section in cp.sections():
+    for section, values in items.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, val in cp[section].items():
+        for key, val in values.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             raw[section][key] = val

@@ -246,19 +246,19 @@ def exterior_point(grid: Grid, x0, tau: float, t0: float = None) -> ProbeGeometr
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (grid.dim,):
-        raise GridError(f"x0 must have {grid.dim} components")
+        raise GridError(f"x0_dim fails: x0 must have {grid.dim} components")
     if abs(x0[grid.patch_axis] - grid.patch_face_value()) > 1e-12:
-        raise GridError("x0 does not lie on the patch face")
+        raise GridError("x0_on_face fails: x0 does not lie on the patch face")
     for a, lo, hi in zip(grid.tangential_axes, grid.patch_lo, grid.patch_hi):
         if not (lo * grid.h < x0[a] < hi * grid.h):
-            raise GridError("x0 lies outside the open patch S")
+            raise GridError("x0_in_patch fails: x0 lies outside the open patch S")
     delta = probe_admissibility_radius(grid, x0)
     if tau < 2.0 * grid.h - 1e-12:
-        raise GridError(f"tau={tau} under-resolves the grid (need tau >= 2h = {2 * grid.h})")
+        raise GridError(f"tau_resolution fails: tau={tau} < 2h = {2 * grid.h}")
     if tau >= delta:
-        raise GridError(f"tau={tau} exceeds the admissibility radius delta={delta}")
+        raise GridError(f"tau_admissible fails: tau={tau} >= admissibility radius {delta}")
     if t0 is not None and not (0.0 < t0 < grid.T):
-        raise GridError(f"t0={t0} is not an interior time")
+        raise GridError(f"t0_interior fails: t0={t0} is not an interior time")
     y = x0 + tau * grid.patch_normal()
     return ProbeGeometry(x0=tuple(x0), t0=t0, tau=float(tau), y_tau=tuple(y),
                          tau0=delta)

@@ -26,7 +26,8 @@ same steps in the sine basis for data on the patch face, and the
 full-field solve here is its reference.
 
 Spatial discretization is the standard second-order stencil with
-face-averaged diffusion coefficients on the diagonal of A.  The forward
+face-averaged diffusion coefficients on the diagonal of A; stiffness()
+builds its constant form on a node mask (the box, or Omega').  The forward
 solver also takes off-diagonal (cross) terms, by centered differences
 with the coefficient frozen in the Jacobian.  The source term exists only
 for manufactured-solution studies.
@@ -139,6 +140,28 @@ def _flat_strides(shape):
     return [int(np.prod(shape[a + 1:])) for a in range(len(shape))]
 
 
+def stiffness(interior, A: np.ndarray, h: float):
+    """(K, flat indices of the True nodes of the mask interior): rows of
+    K = -div(A grad .) (constant diagonal A, 2n+1 points, spacing h) at
+    those nodes, columns over all nodes, whose box must hold each stencil."""
+    shape = interior.shape
+    strides = _flat_strides(shape)
+    flat_int = np.flatnonzero(interior.ravel())
+    n_int = flat_int.size
+    h2 = h ** 2
+    loc = np.arange(n_int)
+
+    rows, cols, vals = [loc], [flat_int], [np.full(n_int, 2.0 * np.trace(A) / h2)]
+    for a in range(len(shape)):
+        for sgn in (-1, 1):
+            rows.append(loc)
+            cols.append(flat_int + sgn * strides[a])
+            vals.append(np.full(n_int, -A[a, a] / h2))
+    K = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(n_int, interior.size)).tocsc()
+    return K, flat_int
+
+
 def constant_stiffness(grid: Grid, A: np.ndarray):
     """Rows of K = -div(A grad .) for interior nodes, columns over all nodes.
 
@@ -146,24 +169,7 @@ def constant_stiffness(grid: Grid, A: np.ndarray):
     """
     if np.any(A != np.diag(np.diagonal(A))):
         raise PDEError("frozen-coefficient operators need a diagonal A")
-    shape = grid.shape
-    size = int(np.prod(shape))
-    strides = _flat_strides(shape)
-    imask = interior_mask(grid)
-    flat_int = np.flatnonzero(imask.ravel())
-    n_int = flat_int.size
-    h2 = grid.h ** 2
-    loc = np.arange(n_int)
-
-    rows, cols, vals = [loc], [flat_int], [np.full(n_int, 2.0 * np.trace(A) / h2)]
-    for a in range(grid.dim):
-        for sgn in (-1, 1):
-            rows.append(loc)
-            cols.append(flat_int + sgn * strides[a])
-            vals.append(np.full(n_int, -A[a, a] / h2))
-    K = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(n_int, size)).tocsc()
-    return K, flat_int
+    return stiffness(interior_mask(grid), A, grid.h)
 
 
 def _nonlinear_diffusion(grid: Grid, A: np.ndarray, gamma_vals: np.ndarray,

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geometry import Grid, exterior_point
 from .material import MatrixField, make_matrix
@@ -171,10 +170,12 @@ def _fit_extrapolation(taus, estimates):
     def gap(p):
         return (t1 ** p - t2 ** p) / (t2 ** p - t3 ** p) - target
 
-    try:
-        p = brentq(gap, 1e-3, 8.0)
-    except ValueError:
+    lo, hi = 1e-3, 8.0
+    g_lo = gap(lo)
+    if g_lo * gap(hi) > 0.0:
         return None, None
+    while lo < (p := 0.5 * (lo + hi)) < hi:  # bisect down to rounding
+        lo, hi = (p, hi) if (gap(p) > 0.0) == (g_lo > 0.0) else (lo, p)
     e_inf = e3 - d23 * t3 ** p / (t2 ** p - t3 ** p)
     return e_inf, p
 

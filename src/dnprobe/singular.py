@@ -18,15 +18,13 @@ concentrates at t0 as tau -> 0.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .geometry import Grid, ProbeGeometry, trapezoid_weights
 from .material import MatrixField
+from .pde import stiffness
 
 
 class SingularError(ValueError):
@@ -84,134 +82,74 @@ def _omega_prime_operator(grid: Grid, A: MatrixField):
     """Factorized 2n+1-point Laplacian -div(A grad .) on interior(Omega')."""
     if not A.is_diagonal:
         raise SingularError("correctors support constant diagonal A only")
-    mask = grid.omega_prime_mask()
     interior = grid.omega_prime_interior_mask()
-    boundary = mask & ~interior
-    shape = mask.shape
-    size = int(np.prod(shape))
-    flat_int = np.flatnonzero(interior.ravel())
-    red = -np.ones(size, dtype=np.int64)
-    red[flat_int] = np.arange(flat_int.size)
-
-    strides = [int(np.prod(shape[a + 1:])) for a in range(grid.dim)]
-    h2 = grid.h ** 2
-    diag_a = np.diagonal(A.A)
-
-    rows, cols, vals = [], [], []
-    nloc = np.arange(flat_int.size)
-    rows.append(nloc)
-    cols.append(nloc)
-    vals.append(np.full(flat_int.size, 2.0 * diag_a.sum() / h2))
-    # (neighbor flat index, weight) pairs; boundary neighbors handled via rhs
-    nbr_info = []
-    for a in range(grid.dim):
-        for sgn in (-1, 1):
-            nb = flat_int + sgn * strides[a]
-            nbr_info.append((nb, -diag_a[a] / h2))
-            is_int = red[nb] >= 0
-            rows.append(nloc[is_int])
-            cols.append(red[nb[is_int]])
-            vals.append(np.full(is_int.sum(), -diag_a[a] / h2))
-    M = coo_matrix((np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(flat_int.size, flat_int.size)).tocsc()
-    return {
-        "lu": splu(M),
-        "matrix": M,
-        "mask": mask,
-        "interior": interior,
-        "boundary": boundary,
-        "flat_int": flat_int,
-        "red": red,
-        "nbr_info": nbr_info,
-    }
-
-
-def _boundary_coords(grid: Grid, boundary_mask):
-    axes = [grid.extended_axis_nodes(a) for a in range(grid.dim)]
-    idx = np.nonzero(boundary_mask)
-    return np.stack([axes[a][idx[a]] for a in range(grid.dim)], axis=-1), idx
+    K, flat_int = stiffness(interior, A.A, grid.h)
+    M = K[:, flat_int].tocsc()
+    return {"lu": splu(M), "matrix": M, "K": K, "flat_int": flat_int,
+            "boundary": grid.omega_prime_mask() & ~interior}
 
 
 def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
     """Solve -div(A grad v) = 0 on Omega' with Dirichlet data on dOmega'.
 
     boundary_trace is a callable on physical coordinates (arrays of points
-    accepted).  Returns the field over the Omega' bounding box (zero
-    outside the domain) together with the boundary mask, wrapped as a dict.
+    accepted).  Returns {"field": v} with v over the Omega' bounding box
+    (zero outside the domain).
     """
     op = _omega_prime_operator(grid, A) if op is None else op
-    coords, bidx = _boundary_coords(grid, op["boundary"])
+    bidx = np.nonzero(op["boundary"])
+    coords = np.stack([grid.extended_axis_nodes(a)[bidx[a]] for a in range(grid.dim)], axis=-1)
     bvals = np.asarray(boundary_trace(coords), dtype=float)
     if not np.all(np.isfinite(bvals)):
         raise SingularError("corrector trace is not finite on dOmega'")
-    full = np.zeros(op["mask"].shape)
+    full = np.zeros(op["boundary"].shape)
     full[bidx] = bvals
-    flat = full.ravel()
-
-    rhs = np.zeros(op["flat_int"].size)
-    for nb, wgt in op["nbr_info"]:
-        is_bnd = op["red"][nb] < 0
-        rhs[is_bnd] -= wgt * flat[nb[is_bnd]]
+    rhs = -(op["K"] @ full.ravel())
     sol = op["lu"].solve(rhs)
     resid = op["matrix"] @ sol - rhs
     if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
         raise SingularError("corrector linear solve did not converge")
     full.ravel()[op["flat_int"]] = sol
-    return {"field": full, "mask": op["mask"], "boundary": op["boundary"],
-            "interior": op["interior"]}
+    return {"field": full}
 
 
 # ---------------------------------------------------------------------------
 # time cutoffs
 
+# skew of each bump shape: raw(s) = (1 + skew s) exp(-1 / (1 - s^2)) on |s| < 1
+BUMP_SKEW = {"symmetric": 0.0, "skewed": 0.8}
 
-_BUMP_SHAPES = ("symmetric", "skewed")
+# The bump vanishes with all its derivatives at s = +-1, so the trapezoid
+# rule on this s-lattice is exact to rounding for its L2 constant, its
+# running integral and its moments against smooth functions.
+_S_NODES = 8193
 
 
-@lru_cache(maxsize=None)
+def _raw_bump(s, shape: str):
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    out[inside] = (1.0 + BUMP_SKEW[shape] * s[inside]) * np.exp(-1.0 / (1.0 - s[inside] ** 2))
+    return out if out.ndim else float(out)
+
+
+def _s_lattice():
+    """Nodes and trapezoid weights of the fixed s-lattice on [-1, 1]."""
+    s = np.linspace(-1.0, 1.0, _S_NODES)
+    return s, trapezoid_weights(s.shape, 2.0 / (_S_NODES - 1))
+
+
 def _bump_normalization(shape: str) -> float:
-    raw = _raw_bump(shape)
-    val, _ = integrate.quad(lambda s: raw(s) ** 2, -1.0, 1.0,
-                            epsabs=1e-12, epsrel=1e-12)
-    return 1.0 / math.sqrt(val)
-
-
-def _raw_bump(shape: str):
-    if shape == "symmetric":
-        def raw(s):
-            s = np.asarray(s, dtype=float)
-            out = np.zeros_like(s)
-            inside = np.abs(s) < 1.0
-            out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
-            return out if out.ndim else float(out)
-    elif shape == "skewed":
-        def raw(s):
-            s = np.asarray(s, dtype=float)
-            out = np.zeros_like(s)
-            inside = np.abs(s) < 1.0
-            out[inside] = (1.0 + 0.8 * s[inside]) * np.exp(-1.0 / (1.0 - s[inside] ** 2))
-            return out if out.ndim else float(out)
-    else:
+    if shape not in BUMP_SKEW:
         raise SingularError(f"unknown bump shape {shape!r}")
-    return raw
+    s, w = _s_lattice()
+    return 1.0 / math.sqrt(float((w * _raw_bump(s, shape) ** 2).sum()))
 
 
 def base_bump(shape: str = "symmetric"):
     """Smooth compactly supported bump on [-1, 1] with unit L2 norm."""
-    raw = _raw_bump(shape)
     c = _bump_normalization(shape)
-    return lambda s: c * np.asarray(raw(s))
-
-
-@lru_cache(maxsize=None)
-def _bump_cumulative(shape: str):
-    """Cumulative integral of the normalized bump on a fine lattice."""
-    phi = base_bump(shape)
-    s = np.linspace(-1.0, 1.0, 8193)
-    vals = phi(s)
-    cum = integrate.cumulative_trapezoid(vals, s, initial=0.0)
-    return s, cum
+    return lambda s: c * np.asarray(_raw_bump(s, shape))
 
 
 def a_tau_value(tau: float, kind: str, r: float = 0.25, a_rule: str = None) -> float:
@@ -224,7 +162,7 @@ def a_tau_value(tau: float, kind: str, r: float = 0.25, a_rule: str = None) -> f
     rule = a_rule or ("log" if kind == "gamma" else "power")
     if rule == "log":
         if not (0.0 < tau < 1.0):
-            raise SingularError("log scale rule needs tau in (0, 1)")
+            raise SingularError(f"a_tau_log fails: the log rule needs tau in (0, 1), tau={tau}")
         return abs(math.log(tau)) ** (1.0 / 16.0)
     if rule == "power":
         return tau ** (-r)
@@ -239,7 +177,9 @@ def _smoothstep(u):
 
 @dataclass(frozen=True)
 class CutoffSet:
-    """Time cutoffs of one probe, as callables plus time-grid samples."""
+    """Time cutoffs of one probe, as a value: phi_tau(t) = sqrt(a_tau)
+    phi(a_tau (t - t0)) with phi = norm * raw bump, its running integral
+    Phi_tau, and the plateau cutoff chi (identically 1 for gamma probes)."""
 
     kind: str
     shape: str
@@ -247,19 +187,37 @@ class CutoffSet:
     tau: float
     r: float
     a_tau: float
-    phi: object          # base bump on [-1, 1]
-    phi_tau: object      # scaled bump, callable on t
-    Phi_tau: object      # running integral of phi_tau
-    chi: object          # plateau cutoff (identically 1 for gamma probes)
-    times: np.ndarray
+    norm: float            # L2 constant of the raw bump
+    half: float = 0.0      # rho plateau half-width
+    ramp: float = 0.0      # rho plateau ramp width
+
+    def _phi(self, s):
+        return self.norm * np.asarray(_raw_bump(s, self.shape))
+
+    def phi_tau(self, t):
+        u = self.a_tau * (np.asarray(t, dtype=float) - self.t0)
+        return math.sqrt(self.a_tau) * self._phi(u)
+
+    def Phi_tau(self, t):
+        s, _ = _s_lattice()
+        vals = self._phi(s)
+        cum = np.concatenate(([0.0], np.cumsum(np.diff(s) * (vals[1:] + vals[:-1]) / 2.0)))
+        u = self.a_tau * (np.asarray(t, dtype=float) - self.t0)
+        return np.interp(u, s, cum) / math.sqrt(self.a_tau)
+
+    def chi(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.kind == "gamma":
+            return np.ones_like(t)
+        up = _smoothstep((t - (self.t0 - self.half - self.ramp)) / self.ramp)
+        down = _smoothstep(((self.t0 + self.half + self.ramp) - t) / self.ramp)
+        return np.minimum(up, down)
 
     def moment(self, f):
-        """integral of phi_tau^2 * f over (0, T) by adaptive quadrature."""
-        lo = self.t0 - 1.0 / self.a_tau
-        hi = self.t0 + 1.0 / self.a_tau
-        val, _ = integrate.quad(lambda t: self.phi_tau(t) ** 2 * f(t), lo, hi,
-                                epsabs=1e-11, epsrel=1e-11, limit=200)
-        return val
+        """integral of phi_tau^2 * f over (0, T), by the trapezoid rule in
+        s = a_tau (t - t0); f must accept an array of times."""
+        s, w = _s_lattice()
+        return float((w * self._phi(s) ** 2 * f(self.t0 + s / self.a_tau)).sum())
 
 
 def make_cutoffs(t0: float, tau: float, kind: str, grid: Grid, r: float = 0.25,
@@ -270,48 +228,24 @@ def make_cutoffs(t0: float, tau: float, kind: str, grid: Grid, r: float = 0.25,
         raise SingularError(f"unknown probe kind {kind!r}")
     T = grid.T
     if not (0.0 < t0 < T):
-        raise SingularError("t0 must be an interior time")
+        raise SingularError(f"t0_interior fails: t0={t0} is not an interior time")
     a = a_tau_value(tau, kind, r=r, a_rule=a_rule)
     if 1.0 / a >= min(t0, T - t0):
         raise SingularError(
-            f"cutoff support overflows (0, T): width 1/a_tau = {1.0 / a:.4g} "
+            f"cutoff_support fails: width 1/a_tau = {1.0 / a:.4g} "
             f">= min(t0, T - t0) = {min(t0, T - t0):.4g}")
-
-    phi = base_bump(shape)
-    sqrt_a = math.sqrt(a)
-
-    def phi_tau(t):
-        return sqrt_a * phi(a * (np.asarray(t, dtype=float) - t0))
-
-    s_grid, cum = _bump_cumulative(shape)
-
-    def Phi_tau(t):
-        u = a * (np.asarray(t, dtype=float) - t0)
-        return np.interp(u, s_grid, cum) / sqrt_a
-
-    if kind == "gamma":
-        chi = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    else:
+    half = ramp = 0.0
+    if kind == "rho":
         if tau0 is None:
             raise SingularError("rho cutoffs need the admissibility ceiling tau0")
         if not (tau < tau0):
-            raise SingularError("rho cutoffs need tau < tau0")
+            raise SingularError("rho_tau0 fails: rho cutoffs need tau < tau0")
         half = min(tau0 ** r, 0.6 * min(t0, T - t0))
         if tau ** r > half:
-            raise SingularError("cutoff plateau cannot cover supp(phi_tau)")
-        ramp = half / 2.0
-        if half + ramp >= min(t0, T - t0):
-            raise SingularError("plateau cutoff support overflows (0, T)")
-
-        def chi(t):
-            t = np.asarray(t, dtype=float)
-            up = _smoothstep((t - (t0 - half - ramp)) / ramp)
-            down = _smoothstep(((t0 + half + ramp) - t) / ramp)
-            return np.minimum(up, down)
-
+            raise SingularError("plateau_cover fails: cutoff plateau cannot cover supp(phi_tau)")
+        ramp = half / 2.0  # supp(chi) = t0 +- 1.5 half stays inside (0, T)
     return CutoffSet(kind=kind, shape=shape, t0=t0, tau=tau, r=r, a_tau=a,
-                     phi=phi, phi_tau=phi_tau, Phi_tau=Phi_tau, chi=chi,
-                     times=grid.times)
+                     norm=_bump_normalization(shape), half=half, ramp=ramp)
 
 
 def mollifier_gap(cut: CutoffSet, f) -> float:

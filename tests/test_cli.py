@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -169,13 +171,14 @@ def test_report_empty_dir(cfg_path, tmp_path, capsys):
     assert "no reports" in capsys.readouterr().out
 
 
-def test_infeasible_probe_exits_1(tmp_path, capsys):
-    # tau below the 2h resolution guard must fail cleanly, not crash
+def test_infeasible_probe_exits_2(tmp_path, capsys):
+    # tau below the 2h resolution guard is rejected by name before any solve
     p = tmp_path / "exp.ini"
     p.write_text(GAMMA_CFG.format(out=tmp_path / "out")
                  .replace("tau_list = 0.2,0.15,0.125", "tau_list = 0.1,0.05"))
-    assert main(["probe-gamma", "-c", str(p)]) == 1
-    assert "error" in capsys.readouterr().err
+    assert main(["probe-gamma", "-c", str(p)]) == 2
+    assert "tau_resolution fails" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_inadmissible_law_exits_2_before_any_solve(tmp_path, capsys):
@@ -232,6 +235,11 @@ RHO3D = GAMMA_CFG.replace("[grid]\n", "[grid]\ndim = 3\n").replace(
     "perturb_profile = trig_t:c0=0:c1=1:freq=0.5\n")
 
 
+def _set(old, new, text=GAMMA_CFG):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
 def _exits_2_naming(tmp_path, capsys, text, command, predicate):
     p = tmp_path / "exp.ini"
     p.write_text(text.format(out=tmp_path / "out"))
@@ -257,3 +265,105 @@ def test_single_tau_sweep_exits_2(tmp_path, capsys, command):
     text = (RHO3D if command == "probe-rho" else GAMMA_CFG).replace(
         "tau_list = 0.2,0.15,0.125", "tau_list = 0.2,0.2")
     _exits_2_naming(tmp_path, capsys, text, command, "tau_sweep")
+
+
+# --- probe geometry over every tau a subcommand uses ---------------------------
+
+
+def _case(command, text, predicate):
+    return pytest.param(command, text, predicate, id=predicate)
+
+
+@pytest.mark.parametrize("command, text, predicate", [
+    _case("probe-gamma", _set("[probe]\n", "[probe]\nx0 = 0,0.5,0.5\n"), "x0_dim"),
+    _case("probe-gamma", _set("[probe]\n", "[probe]\nx0 = 0.5,0.5\n"), "x0_on_face"),
+    _case("probe-gamma", _set("[probe]\n", "[probe]\nx0 = 0,0.03\n"), "x0_in_patch"),
+    # pad 12 at h = 1/16 puts the admissibility radius at 0.375
+    _case("probe-gamma", _set("tau_list = 0.2,0.15,0.125", "tau_list = 0.5,0.2"),
+          "tau_admissible"),
+    _case("stability", _set("[probe]\n", "[probe]\nt0 = 1.5\n"), "t0_interior"),
+    # 1/a_tau = sqrt(0.3) reaches past t0 = 0.5
+    _case("probe-gamma", _set("tau_list = 0.2,0.15,0.125", "tau_list = 0.3,0.2"),
+          "cutoff_support"),
+    _case("linearize-check", _set("tau_list = 0.2,0.15,0.125", "tau_list ="), "probe_tau"),
+])
+def test_infeasible_probe_geometry_exits_2(tmp_path, capsys, command, text, predicate):
+    _exits_2_naming(tmp_path, capsys, text, command, predicate)
+
+
+def test_rho_plateau_that_cannot_cover_the_bump_exits_2(tmp_path, capsys):
+    # T = 1, t0 = 0.5: the plateau half-width is 0.3 < tau^r = sqrt(0.2)
+    _exits_2_naming(tmp_path, capsys, RHO3D, "probe-rho", "plateau_cover")
+
+
+def test_forward_checks_the_probe_it_solves_with(tmp_path, capsys):
+    # forward drives the gamma probe at min(tau_list); with a rho kind it
+    # runs on zero data and needs no probe
+    text = GAMMA_CFG.replace("tau_list = 0.2,0.15,0.125", "tau_list = 0.2,0.1")
+    _exits_2_naming(tmp_path, capsys, text, "forward", "tau_resolution")
+    p = tmp_path / "exp.ini"
+    p.write_text(text.replace("[probe]\n", "[probe]\nkind = rho\n")
+                 .format(out=tmp_path / "out"))
+    load_config(str(p)).check_command("forward")
+
+
+# --- malformed and out-of-set config values ------------------------------------
+
+
+@pytest.mark.parametrize("text, named", [
+    (GAMMA_CFG.replace("h = 0.0625", "h = abc"), "h"),
+    (GAMMA_CFG.replace("tau_list = 0.2,0.15,0.125", "tau_list = 0.2,x"), "tau_list"),
+    (GAMMA_CFG.replace("pad = 12", "pad = 12\npatch_interval = 0.25"), "patch_interval"),
+    (GAMMA_CFG + "\n[grid]\ndim = 2\n", "grid"),
+    ("dt = 0.0625\n" + GAMMA_CFG, "dt"),
+], ids=["float", "float-list", "interval", "duplicate-section", "no-section-header"])
+def test_malformed_config_exits_2(tmp_path, capsys, text, named):
+    p = tmp_path / "exp.ini"
+    p.write_text(text.format(out=tmp_path / "out"))
+    assert main(["forward", "-c", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("forward", _set("[probe]\n", "[probe]\nkind = foo\n"), "kind = 'foo'"),
+    ("probe-gamma", _set("a_rule = power", "a_rule = cubic"), "a_rule = 'cubic'"),
+    ("probe-gamma", _set("[probe]\n", "[probe]\nshape = bogus\n"), "shape = 'bogus'"),
+    ("probe-gamma", _set("dict_size = 2", "dict_size = 2\nkind = bogus"), "kind = 'bogus'"),
+    ("probe-gamma", _set("[grid]\n", "[grid]\ndim = 3\n",
+                         _set("dict_size = 2", "dict_size = 2\nkind = spectral")),
+     "spectral"),
+    ("stability", _set("dict_size = 2", "dict_size = 0"), "dict_size"),
+    ("linearize-check", _set("k_list = 4,8", "k_list = 0"), "k_list"),
+    ("stability", _set("eps_list = 0.02,0.04", "eps_list ="), "eps_sweep fails"),
+], ids=["probe-kind", "a-rule", "shape", "norm-kind", "spectral-3d", "dict-size",
+        "k-list", "eps-list"])
+def test_value_outside_its_set_exits_2(tmp_path, capsys, command, text, named):
+    p = tmp_path / "exp.ini"
+    p.write_text(text.format(out=tmp_path / "out"))
+    assert main([command, "-c", str(p)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bump_shapes_come_from_the_skew_table(tmp_path):
+    from dnprobe.singular import BUMP_SKEW
+    for shape in BUMP_SKEW:
+        p = tmp_path / "exp.ini"
+        p.write_text(GAMMA_CFG.replace("[probe]\n", f"[probe]\nshape = {shape}\n")
+                     .format(out=tmp_path / "out"))
+        assert load_config(str(p)).bump_shape == shape
+
+
+def test_cli_import_leaves_out_integrate_and_optimize():
+    # the package's quadrature and root finding run on numpy alone
+    code = ("import sys, dnprobe.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import dnprobe.dnmap as dnmap
 import dnprobe.reconstruct as reconstruct
@@ -195,3 +198,34 @@ def test_stability_rho_holder_bound():
     assert table.holder_ok
     assert table.holder_constant > 0.0
     assert table.norm_flag == "L2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(t3=st.floats(0.02, 0.2), q1=st.floats(1.1, 2.5), q2=st.floats(1.1, 2.5),
+       p=st.floats(0.25, 3.0), c=st.floats(0.01, 10.0), sign=st.sampled_from([-1, 1]),
+       e_inf=st.floats(-1.0, 1.0))
+def test_fit_extrapolation_matches_brentq_property(t3, q1, q2, p, c, sign, e_inf):
+    # three points of e(tau) = e_inf + c tau^p: the bisection finds the
+    # rate brentq finds, and both recover the generating law
+    taus = [t3 * q2 * q1, t3 * q2, t3]
+    est = [e_inf + sign * c * t ** p for t in taus]
+    d12, d23 = est[0] - est[1], est[1] - est[2]
+    target = d12 / d23
+    assume(target > 1.0)
+
+    def gap(q):
+        return (taus[0] ** q - taus[1] ** q) / (taus[1] ** q - taus[2] ** q) - target
+
+    assume(gap(1e-3) * gap(8.0) < 0.0)
+    p_ref = brentq(gap, 1e-3, 8.0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    e_ref = est[2] - d23 * taus[2] ** p_ref / (taus[1] ** p_ref - taus[2] ** p_ref)
+    e_fit, p_fit = reconstruct._fit_extrapolation(taus, est)
+    assert p_fit == pytest.approx(p_ref, rel=1e-12)
+    assert e_fit == pytest.approx(e_ref, rel=1e-12, abs=1e-12 * c)
+    assert p_fit == pytest.approx(p, rel=1e-6)
+    assert e_fit == pytest.approx(e_inf, abs=1e-6 * c)
+
+
+def test_fit_extrapolation_without_a_sign_change_is_skipped():
+    # d12 / d23 = 1000 needs a rate above the bracket [1e-3, 8]
+    assert reconstruct._fit_extrapolation([0.2, 0.1, 0.05], [1.0, 0.001, 0.0]) == (None, None)

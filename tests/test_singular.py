@@ -212,6 +212,30 @@ def test_mollifier_gap_concentrates():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+def test_cutoffs_are_equal_hashable_values():
+    g = build_grid(3, 1 / 8, 1 / 16, 2.5)
+    for kind, tau0 in (("gamma", None), ("rho", 0.2)):
+        a = make_cutoffs(1.25, 0.05, kind, g, tau0=tau0, shape="skewed")
+        b = make_cutoffs(1.25, 0.05, kind, g, tau0=tau0, shape="skewed")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert make_cutoffs(1.25, 0.05, "gamma", g) != make_cutoffs(1.25, 0.04, "gamma", g)
+
+
+@pytest.mark.parametrize("shape", ["symmetric", "skewed"])
+@pytest.mark.parametrize("kind", ["gamma", "rho"])
+def test_moment_matches_adaptive_quadrature(kind, shape):
+    g = build_grid(3, 1 / 8, 1 / 16, 2.5)
+    for f in (lambda t: 2.0 + np.sin(2 * np.pi * t), np.exp):
+        for tau in (0.05, 0.01):
+            cut = make_cutoffs(1.25, tau, kind, g, tau0=0.2, shape=shape,
+                               a_rule="power", r=0.5)
+            oracle, _ = integrate.quad(lambda t: cut.phi_tau(t) ** 2 * f(t),
+                                       cut.t0 - 1 / cut.a_tau, cut.t0 + 1 / cut.a_tau,
+                                       epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert cut.moment(f) == pytest.approx(oracle, rel=0, abs=1e-12)
+
+
 # --- basis + energies -------------------------------------------------------
 
 
