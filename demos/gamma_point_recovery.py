@@ -24,7 +24,7 @@ A = make_matrix(np.eye(2))
 law1 = make_law(gamma=("constant", {"c0": 1.0 + CONTRAST}), label="warm")
 law2 = make_law(gamma=("constant", {"c0": 1.0}), label="reference")
 
-op = _omega_prime_operator(grid, A)  # shared factorization across the sweep
+op = _omega_prime_operator(grid, A)  # Omega' interface factor, shared across the sweep
 
 
 def recover(tau):

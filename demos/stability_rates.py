@@ -14,7 +14,7 @@ import numpy as np
 
 from dnprobe import build_grid, make_law, stability_experiment
 from dnprobe.material import make_matrix, perturb_law
-from dnprobe.reconstruct import ProbeSpec, recover_gamma_point, recover_rho_point
+from dnprobe.reconstruct import ProbeSpec, point_recovery
 from dnprobe.singular import _omega_prime_operator
 
 # --- conductivity: Lipschitz slope -----------------------------------------
@@ -29,7 +29,7 @@ probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.125, kind="gamma",
                   a_rule="power", r=0.5)
 table = stability_experiment(
     family, "gamma", A, grid, 0.0,
-    lambda pair: recover_gamma_point(pair, A, grid, 0.0, probe, op=op),
+    point_recovery("gamma", A, grid, 0.0, probe, op=op),
     dict_seed=3, dict_size=8)
 
 print("conductivity target (norm:", table.norm_flag + ")")
@@ -50,7 +50,7 @@ op3 = _omega_prime_operator(grid3, A3)
 probe3 = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.125, kind="rho", r=0.25)
 table3 = stability_experiment(
     family3, "rho", A3, grid3, 0.0,
-    lambda pair: recover_rho_point(pair, grid3, 0.0, probe3, A=A3, op=op3),
+    point_recovery("rho", A3, grid3, 0.0, probe3, op=op3),
     dict_seed=0, dict_size=16)
 
 print("heat-capacity target (norm:", table3.norm_flag + ")")

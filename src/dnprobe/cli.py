@@ -35,7 +35,7 @@ from .pde import BoundaryField, PDEError, mms_problem, solve_forward
 from .dnmap import (linearization_check, make_norm, nonlinear_flux,
                     DNMapError)
 from .reconstruct import (ProbeSpec, ReconstructError, gamma_probe_data,
-                          recover_gamma_point, recover_rho_point,
+                          point_recovery, recover_gamma_point, recover_rho_point,
                           stability_experiment, tau_sweep)
 
 _ERRORS = (GridError, MaterialError, SingularError, PDEError, DNMapError,
@@ -115,15 +115,16 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     u = solve_forward(cfg.law1, cfg.A, grid, cfg.lam, g)
     _report_newton(args, "forward", u.newton)
     flux = nonlinear_flux(u, cfg.law1, cfg.A, grid)
-    rows = []
-    smask = grid.patch_support_mask()
-    ids = np.flatnonzero(smask.ravel())
-    for m, t in enumerate(grid.times):
-        vals = flux.values[m].ravel()
-        for i in ids:
-            rows.append((int(i), f"{t:.10g}", f"{vals[i]:.12e}"))
-    _write_csv(_out(cfg, "flux.csv"), _meta(cfg), ["face_node_id", "t", "flux"], rows)
-    print(f"wrote {_out(cfg, 'flux.csv')} ({len(rows)} rows)")
+    ids = np.flatnonzero(grid.patch_support_mask().ravel())
+
+    def rows():  # streamed, not held: a list of all rows costs a full GC
+        for t, level in zip(grid.times, flux.values):
+            vals = level.ravel()
+            for i in ids:
+                yield int(i), f"{t:.10g}", f"{vals[i]:.12e}"
+
+    _write_csv(_out(cfg, "flux.csv"), _meta(cfg), ["face_node_id", "t", "flux"], rows())
+    print(f"wrote {_out(cfg, 'flux.csv')} ({grid.times.size * ids.size} rows)")
     return 0
 
 
@@ -263,14 +264,8 @@ def cmd_stability(cfg: ExperimentConfig, args) -> int:
     target = cfg.perturb_target
     norm = make_norm(grid, cfg.norm_kind)
     tau = min(cfg.tau_list)
-    op = _omega_prime_operator(grid, cfg.A)
-    if target == "gamma":
-        rec = lambda pair: recover_gamma_point(pair, cfg.A, grid, cfg.lam,
-                                               _probe_spec(cfg, tau, "gamma"), op=op)
-    else:
-        rec = lambda pair: recover_rho_point(pair, grid, cfg.lam,
-                                             _probe_spec(cfg, tau, "rho"),
-                                             A=cfg.A, op=op)
+    rec = point_recovery(target, cfg.A, grid, cfg.lam, _probe_spec(cfg, tau, target),
+                         op=_omega_prime_operator(grid, cfg.A))
     table = stability_experiment(cfg.law_family(), target, cfg.A, grid, cfg.lam,
                                  rec, dict_seed=cfg.dict_seed,
                                  dict_size=cfg.dict_size, norm=norm)

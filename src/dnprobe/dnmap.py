@@ -7,7 +7,8 @@ module extracts both fluxes from solved fields, computes the duality
 pairing two ways (direct surface quadrature and the weak form with an
 interior lifting), provides desk-scale stand-ins for the H^{1/2,1/2}
 boundary norms, and assembles the operator-norm surrogate eta used by the
-stability experiments.
+stability experiments.  The lifting is the DST-I box solve of pde, one
+call over all time levels; nothing here is factorized.
 
 The probes and eta read (Lambda^1 - Lambda^2) g off patch_linear_flux,
 which solves the frozen problem for a stack of data on the patch face in
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dstn, idstn
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu  # noqa: F401  (perfbench/spans.py counts splu here)
 
 from .geometry import Grid, trapezoid_weights
 from .material import MaterialLaw, MatrixField
-from .pde import (BoundaryField, SpaceTimeField, _frozen_setup, constant_stiffness,
+from .pde import (BoundaryField, SpaceTimeField, _frozen_setup, dirichlet_solve,
                   interior_mask, solve_forward, solve_linearized, PDEError)
 
 
@@ -125,23 +126,19 @@ def flux_l2_st(flux: FluxRecord, grid: Grid) -> float:
 
 
 class Lifting:
-    """Per-time-slice A-harmonic extension operator into Omega."""
+    """Per-time-slice A-harmonic extension operator into Omega (diagonal A),
+    by the DST-I box solve of pde."""
 
     def __init__(self, grid: Grid, A: MatrixField):
-        K, flat_int = constant_stiffness(grid, A.A)
         self.grid = grid
-        self.K = K
-        self.flat_int = flat_int
-        self.lu = splu(K[:, flat_int].tocsc())
+        self.A = A.A
 
-    def extend(self, boundary_level: np.ndarray) -> np.ndarray:
-        full = boundary_level.copy()
-        full.ravel()[self.flat_int] = 0.0
-        if not full.any():
-            return full  # zero trace lifts to exact zero
-        rhs = -(self.K @ full.ravel())
-        full.ravel()[self.flat_int] = self.lu.solve(rhs)
-        return full
+    def extend(self, boundary_levels: np.ndarray) -> np.ndarray:
+        """Harmonic extension of the boundary values of one node array, or
+        of each of a stack of them (leading axes)."""
+        full = boundary_levels.copy()
+        full[(Ellipsis,) + (slice(1, -1),) * self.grid.dim] = 0.0
+        return dirichlet_solve(full, self.A, self.grid.h)
 
 
 def lift_terminal_zero(h: BoundaryField, grid: Grid, A: MatrixField,
@@ -149,10 +146,7 @@ def lift_terminal_zero(h: BoundaryField, grid: Grid, A: MatrixField,
     """E_T h: slice-wise harmonic extension; zero at t=T inherited from h."""
     h.check_compatible("end")
     lifting = Lifting(grid, A) if lifting is None else lifting
-    out = np.empty((grid.nt + 1,) + grid.shape)
-    for m in range(grid.nt + 1):
-        out[m] = lifting.extend(h.values[m])
-    return out
+    return lifting.extend(h.values)
 
 
 def weak_pairing(w: SpaceTimeField, h: BoundaryField, law: MaterialLaw,

@@ -23,7 +23,11 @@ backward from a zero terminal state.  Frozen solves and the stiffness
 matrix K they couple the boundary through require diagonal A.  The probes
 and eta do not call solve_linearized: dnmap.patch_linear_flux solves the
 same steps in the sine basis for data on the patch face, and the
-full-field solve here is its reference.
+full-field solve here is its reference.  dirichlet_solve is the same
+transform for the steady problem on any rectangular box with Dirichlet
+data: the harmonic lifting of dnmap and both boxes of the Omega'
+corrector in singular use it, so the Newton Jacobian is the only matrix
+factorized.
 
 Spatial discretization is the standard second-order stencil with
 face-averaged diffusion coefficients on the diagonal of A; stiffness()
@@ -162,14 +166,53 @@ def stiffness(interior, A: np.ndarray, h: float):
     return K, flat_int
 
 
+def _diagonal(A: np.ndarray) -> np.ndarray:
+    if np.any(A != np.diag(np.diagonal(A))):
+        raise PDEError("frozen-coefficient operators need a diagonal A")
+    return np.diagonal(A)
+
+
 def constant_stiffness(grid: Grid, A: np.ndarray):
     """Rows of K = -div(A grad .) for interior nodes, columns over all nodes.
 
     Constant diagonal coefficient; raises PDEError for off-diagonal A.
     """
-    if np.any(A != np.diag(np.diagonal(A))):
-        raise PDEError("frozen-coefficient operators need a diagonal A")
+    _diagonal(A)
     return stiffness(interior_mask(grid), A, grid.h)
+
+
+def box_spectrum(a_diag, h: float, lengths) -> np.ndarray:
+    """Eigenvalues of -div(A grad .), A = diag(a_diag), on the interior
+    nodes of a box of lengths[a] cells along axis a with zero Dirichlet
+    data, in DST-I mode order: the sine modes sin(pi k j / L) diagonalize
+    -D_a^2 with eigenvalue (4 / h^2) sin^2(pi k / 2L), k = 1..L-1."""
+    eig = 0.0
+    for a, L in zip(a_diag, lengths):
+        s2 = (4.0 / h ** 2) * np.sin(0.5 * np.pi * np.arange(1, L) / L) ** 2
+        eig = np.add.outer(eig, a * s2)
+    return eig
+
+
+def dirichlet_solve(u: np.ndarray, A: np.ndarray, h: float) -> np.ndarray:
+    """Overwrite the interior of the node box u (its last A.shape[0] axes;
+    leading axes are a batch) with the solution of -div(A grad v) = 0 whose
+    Dirichlet data are the boundary values of u, by one forward and one
+    inverse DST-I.  Constant diagonal A; returns u."""
+    a = _diagonal(A)
+    n = a.size
+    axes = tuple(range(-n, 0))
+    inner = (Ellipsis,) + (slice(1, -1),) * n
+    rhs = np.zeros(u[inner].shape)
+    for ax in range(n):
+        for end in (0, -1):
+            plane = [slice(1, -1)] * n
+            plane[ax] = end
+            near = [slice(None)] * n
+            near[ax] = end
+            rhs[(Ellipsis,) + tuple(near)] += (a[ax] / h ** 2) * u[(Ellipsis,) + tuple(plane)]
+    eig = box_spectrum(a, h, [m - 1 for m in u.shape[-n:]])
+    u[inner] = idstn(dstn(rhs, type=1, axes=axes) / eig, type=1, axes=axes)
+    return u
 
 
 def _nonlinear_diffusion(grid: Grid, A: np.ndarray, gamma_vals: np.ndarray,
@@ -308,19 +351,10 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
 
 
 def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):
-    """Stiffness K, its DST-I spectrum on the interior box, and the frozen
-    coefficients t -> gamma(t, lam) and t -> rho(t, lam).
-
-    K restricted to the interior is sum_a a_aa (-D_a^2), and the sine
-    modes sin(pi k j / N) diagonalize each -D_a^2 with eigenvalue
-    (4 / h^2) sin^2(pi k / 2N), k = 1..N-1.
-    """
+    """Stiffness K, its DST-I spectrum on the interior box (box_spectrum),
+    and the frozen coefficients t -> gamma(t, lam) and t -> rho(t, lam)."""
     K, _ = constant_stiffness(grid, A.A)
-    N = grid.n_cells
-    s2 = (4.0 / grid.h ** 2) * np.sin(0.5 * np.pi * np.arange(1, N) / N) ** 2
-    eig = np.zeros((N - 1,) * grid.dim)
-    for a in range(grid.dim):
-        eig += A.A[a, a] * s2.reshape((-1,) + (1,) * (grid.dim - 1 - a))
+    eig = box_spectrum(np.diagonal(A.A), grid.h, (grid.n_cells,) * grid.dim)
     gam = lambda t: float(law.gamma(t, lam))
     rho = lambda t: float(law.rho(t, lam))
     return K, eig, gam, rho

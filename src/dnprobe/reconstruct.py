@@ -98,12 +98,7 @@ def recover_gamma_point(pair, A: MatrixField, grid: Grid, lam: float,
     """Estimate of gamma^1(t0, lambda) - gamma^2(t0, lambda)."""
     if probe.kind != "gamma":
         raise ReconstructError("gamma recovery needs a gamma-kind probe")
-    g, basis, _ = gamma_probe_data(grid, A, probe, op=op)
-    energy = grad_H_energy(basis, grid)
-    if energy <= 1e-14:
-        raise ReconstructError("singular-basis energy underflow")
-    f1, f2 = (patch_linear_flux(law, A, grid, lam, [g]) for law in pair)
-    return surface_pairing(FluxRecord(values=f1[0] - f2[0], grid=grid), g, grid) / energy
+    return point_recovery("gamma", A, grid, lam, probe, op=op)(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +135,44 @@ def recover_rho_point(pair, grid: Grid, lam: float, probe: ProbeSpec,
     identity vanishes identically.
     """
     A = make_matrix(np.eye(grid.dim)) if A is None else A
-    fam, basis, _ = rho_probe_data(grid, probe, A, op=op)
-    energy = grad_H_energy(basis, grid)
-    if energy <= 1e-14:
-        raise ReconstructError("singular-basis energy underflow")
-    f1, f2 = (patch_linear_flux(law, A, grid, lam, [g_j for g_j, _ in fam])
-              for law in pair)
-    total = 0.0
-    for diff, (_, gbar_j) in zip(f1 - f2, fam):
-        total += surface_pairing(FluxRecord(values=diff, grid=grid), gbar_j, grid)
-    return total / energy
+    return point_recovery("rho", A, grid, lam, probe, op=op)(pair)
+
+
+def point_recovery(kind: str, A: MatrixField, grid: Grid, lam: float,
+                   probe: ProbeSpec, op=None):
+    """law_pair -> recovered kind difference at one probe.
+
+    The pairing <(Lambda^1 - Lambda^2) g, gbar> summed over the probe's data
+    (g = gbar for gamma; g_j, gbar_j per axis for rho), divided by the
+    gradient energy of H.  The probe and its energy are built on the first
+    call and each reference law's response is solved once, so a sweep over
+    law pairs (stability_experiment) pays for them once.
+    """
+    fam, energy, reference = None, None, {}
+
+    def recover(pair):
+        nonlocal fam, energy
+        if fam is None:
+            if kind == "gamma":
+                g, basis, _ = gamma_probe_data(grid, A, probe, op=op)
+                pairs = [(g, g)]
+            else:
+                pairs, basis, _ = rho_probe_data(grid, probe, A, op=op)
+            energy = grad_H_energy(basis, grid)
+            if energy <= 1e-14:
+                raise ReconstructError("singular-basis energy underflow")
+            fam = pairs
+        data = [g for g, _ in fam]
+        law1, law2 = pair
+        if law2 not in reference:
+            reference[law2] = patch_linear_flux(law2, A, grid, lam, data)
+        total = 0.0
+        for diff, (_, gbar) in zip(patch_linear_flux(law1, A, grid, lam, data)
+                                   - reference[law2], fam):
+            total += surface_pairing(FluxRecord(values=diff, grid=grid), gbar, grid)
+        return total / energy
+
+    return recover
 
 
 # ---------------------------------------------------------------------------

@@ -367,3 +367,48 @@ def test_cli_import_leaves_out_integrate_and_optimize():
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_stability_builds_its_probe_once(tmp_path, monkeypatch):
+    # three eps: one eta solve per eps, the reference dictionary once, the
+    # probe once and its reference response once
+    import dnprobe.dnmap as dnmap
+    import dnprobe.reconstruct as reconstruct
+    real_flux, real_basis = reconstruct.patch_linear_flux, reconstruct.build_basis
+    solved, built = [], []
+
+    def counted_flux(*args, **kwargs):
+        solved.append(1)
+        return real_flux(*args, **kwargs)
+
+    def counted_basis(*args, **kwargs):
+        built.append(1)
+        return real_basis(*args, **kwargs)
+
+    monkeypatch.setattr(dnmap, "patch_linear_flux", counted_flux)
+    monkeypatch.setattr(reconstruct, "patch_linear_flux", counted_flux)
+    monkeypatch.setattr(reconstruct, "build_basis", counted_basis)
+    p = tmp_path / "exp.ini"
+    p.write_text(GAMMA_CFG.replace("eps_list = 0.02,0.04", "eps_list = 0.01,0.02,0.04")
+                 .format(out=tmp_path / "out"))
+    assert main(["stability", "-c", str(p)]) == 0
+    assert len(built) == 1
+    assert len(solved) == 3 + 1 + 3 + 1
+
+
+def test_forward_prints_the_row_count_it_writes(cfg_path, tmp_path, capsys):
+    assert main(["forward", "-c", cfg_path]) == 0
+    _, _, body = _read_csv(tmp_path / "out" / "demo_flux.csv")
+    assert f"({len(body)} rows)" in capsys.readouterr().out
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # perfbench/spans.py wraps package functions and splu bindings by name;
+    # a rename in src must fail here, not only under --trace 1
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dnprobe.cli, spans; "
+            "spans.install(spans.Tracer())")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-c", code, os.path.join(root, "perfbench")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr

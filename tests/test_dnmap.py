@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
-from dnprobe.dnmap import (DNMapError, eta_surrogate, flux_l2_st,
+from dnprobe import dnmap, pde, singular
+from dnprobe.dnmap import (DNMapError, Lifting, eta_surrogate, flux_l2_st,
                            lambda_difference_flux, lift_terminal_zero,
                            linear_flux, linearization_check, make_norm,
                            nonlinear_flux, patch_linear_flux,
@@ -14,8 +16,9 @@ from dnprobe.dnmap import (DNMapError, eta_surrogate, flux_l2_st,
 from dnprobe.geometry import build_grid
 from dnprobe.material import make_law, make_matrix
 from dnprobe.pde import (BoundaryField, SpaceTimeField,
-                         boundary_field_from_callable, solve_forward,
-                         solve_linearized)
+                         boundary_field_from_callable, constant_stiffness,
+                         solve_forward, solve_linearized)
+from dnprobe.reconstruct import ProbeSpec, recover_rho_point
 from test_pde import _laws
 
 A2 = make_matrix(np.eye(2))
@@ -111,6 +114,51 @@ def test_lifting_requires_terminal_zero():
     from dnprobe.pde import PDEError
     with pytest.raises(PDEError):
         lift_terminal_zero(hb, g, A2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 3]), N=st.integers(4, 10),
+       diag=st.lists(st.floats(0.2, 5.0), min_size=3, max_size=3),
+       seed=st.integers(0, 2 ** 16))
+def test_lifting_matches_sparse_direct_solve_property(dim, N, diag, seed):
+    # each level of a stack of rough random boundary data against a sparse
+    # direct solve of the box stencil
+    g = build_grid(dim, 1 / N, 1.0, 1.0)
+    A = make_matrix(np.diag(diag[:dim]))
+    levels = np.random.default_rng(seed).standard_normal((2,) + g.shape)
+    E = Lifting(g, A).extend(levels)
+    K, flat_int = constant_stiffness(g, A.A)
+    M = K[:, flat_int].tocsc()
+    for level, lifted in zip(levels, E):
+        trace = level.copy()
+        trace.ravel()[flat_int] = 0.0
+        assert np.array_equal(np.delete(lifted.ravel(), flat_int),
+                              np.delete(trace.ravel(), flat_int))
+        ref = spsolve(M, -(K @ trace.ravel()))
+        assert np.abs(lifted.ravel()[flat_int] - ref).max() <= 1e-12 * np.abs(level).max()
+
+
+def test_probes_and_lifting_factorize_nothing(monkeypatch):
+    # the Omega' corrector and the lifting are DST solves; only the Newton
+    # Jacobian of solve_forward is factorized
+    calls = []
+
+    def counted(real):
+        return lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+
+    for mod in (pde, singular, dnmap):
+        monkeypatch.setattr(mod, "splu", counted(mod.splu))
+    g3 = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
+    law = make_law(rho=("trig_t", {"c0": 2.0, "c1": 0.3, "freq": 0.4}))
+    probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
+    recover_rho_point((law, make_law()), g3, 0.0, probe)
+    g = _grid()
+    lift_terminal_zero(boundary_field_from_callable(
+        g, lambda t, x: (1 - t) * x[..., 0] * x[..., 1]), g, A2)
+    assert calls == []
+    solve_forward(make_law(), A2, g, 0.0, boundary_field_from_callable(
+        g, lambda t, x: t * x[..., 0]))
+    assert calls  # the counter sees the one factorizing solver
 
 
 def test_weak_pairing_matches_surface_pairing():

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.sparse.linalg import spsolve
 
-from dnprobe.geometry import build_grid, exterior_point
+from dnprobe.geometry import FACE_NAMES, build_grid, exterior_point
 from dnprobe.material import make_matrix
+from dnprobe.pde import stiffness
 from dnprobe.singular import (SingularError, a_tau_value, base_bump,
                               build_basis, fundamental_H, fundamental_dj_H,
                               fundamental_grad_H, grad_H_energy,
@@ -124,6 +128,40 @@ def test_corrector_rejects_nonfinite_trace():
     g = build_grid(2, 1 / 8, 1 / 8, 1.0, pad=4)
     with pytest.raises(SingularError):
         solve_corrector(g, lambda x: np.full(x.shape[:-1], np.nan), A2)
+
+
+@st.composite
+def _omega_prime_cases(draw):
+    """A grid with any face and side, a node-aligned sub-face patch, pad >= 4,
+    a random diagonal A and a seed for random Dirichlet data."""
+    dim = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(4, 12 if dim == 2 else 8))
+    face = draw(st.sampled_from([f for f, (axis, _) in FACE_NAMES.items() if axis < dim]))
+    interval = []
+    for _ in range(dim - 1):
+        lo = draw(st.integers(1, N - 3))
+        hi = draw(st.integers(lo + 2, N - 1))
+        interval.append((lo / N, hi / N))
+    grid = build_grid(dim, 1 / N, 1.0, 1.0, patch_face=face, patch_interval=interval,
+                      pad=draw(st.integers(4, 9)))
+    A = make_matrix(np.diag(draw(st.lists(st.floats(0.2, 5.0), min_size=dim, max_size=dim))))
+    return grid, A, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_omega_prime_cases())
+def test_corrector_matches_sparse_direct_solve_property(case):
+    # the two-box interface solve against a sparse direct solve of the
+    # assembled Omega' stencil, on rough random Dirichlet data
+    g, A, seed = case
+    rng = np.random.default_rng(seed)
+    v = solve_corrector(g, lambda x: rng.standard_normal(x.shape[:-1]), A)["field"]
+    interior = g.omega_prime_interior_mask()
+    K, flat_int = stiffness(interior, A.A, g.h)
+    trace = np.where(g.omega_prime_mask() & ~interior, v, 0.0)
+    ref = spsolve(K[:, flat_int].tocsc(), -(K @ trace.ravel()))
+    assert np.abs(v.ravel()[flat_int] - ref).max() <= 1e-12 * np.abs(v).max()
+    assert not v[~g.omega_prime_mask()].any()
 
 
 # --- cutoffs ----------------------------------------------------------------
