@@ -15,9 +15,9 @@ from .material import (MaterialError, MaterialLaw, MatrixField, check_admissible
 from .singular import (CutoffSet, SingularBasis, SingularError, a_tau_value,
                        base_bump, build_basis, fundamental_H, grad_H_energy,
                        make_cutoffs, mollifier_gap, solve_corrector)
-from .pde import (BoundaryField, PDEError, SpaceTimeField, solve_adjoint,
-                  solve_forward, solve_linearized)
-from .dnmap import (BoundaryNorm, DNMapError, FluxRecord, eta_surrogate,
+from .pde import (BoundaryField, PatchField, PDEError, SpaceTimeField,
+                  solve_adjoint, solve_forward, solve_linearized)
+from .dnmap import (BoundaryNorm, DNMapError, eta_surrogate,
                     linear_flux, linearization_check, make_norm,
                     nonlinear_flux, patch_linear_flux, surface_pairing,
                     weak_pairing)

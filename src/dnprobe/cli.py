@@ -110,6 +110,7 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     grid = cfg.grid
     if cfg.tau_list and cfg.probe_kind == "gamma":
         g, _, _ = gamma_probe_data(grid, cfg.A, _probe_spec(cfg, min(cfg.tau_list)))
+        g = g.boundary()
     else:
         g = BoundaryField(values=np.zeros((grid.nt + 1,) + grid.shape), grid=grid)
     u = solve_forward(cfg.law1, cfg.A, grid, cfg.lam, g)

@@ -10,11 +10,12 @@ boundary norms, and assembles the operator-norm surrogate eta used by the
 stability experiments.  The lifting is the DST-I box solve of pde, one
 call over all time levels; nothing here is factorized.
 
-The probes and eta read (Lambda^1 - Lambda^2) g off patch_linear_flux,
-which solves the frozen problem for a stack of data on the patch face in
-the sine basis and forms only the two planes next to the face.
-lambda_difference_flux, the full-field solve_linearized plus linear_flux,
-is the reference it is tested against.
+Fluxes, the dictionary and the data they pair with are pde.PatchField
+face arrays.  The probes and eta read (Lambda^1 - Lambda^2) g off
+patch_linear_flux, which solves the frozen problem for a stack of patch
+data in the sine basis and forms only the two planes next to the face.
+lambda_difference_flux, the full-field solve_linearized plus linear_flux
+on PatchField.boundary(), is the reference it is tested against.
 """
 
 import math
@@ -26,20 +27,13 @@ from scipy.sparse.linalg import splu  # noqa: F401  (perfbench/spans.py counts s
 
 from .geometry import Grid, trapezoid_weights
 from .material import MaterialLaw, MatrixField
-from .pde import (BoundaryField, SpaceTimeField, _frozen_setup, dirichlet_solve,
-                  interior_mask, solve_forward, solve_linearized, PDEError)
+from .pde import (BoundaryField, PatchField, SpaceTimeField, _frozen_setup,
+                  dirichlet_solve, interior_mask, solve_forward, solve_linearized,
+                  PDEError)
 
 
 class DNMapError(RuntimeError):
     pass
-
-
-@dataclass
-class FluxRecord:
-    """Flux samples on the patch face (full face array, zero off S)."""
-
-    values: np.ndarray          # (nt+1, *face_shape)
-    grid: Grid
 
 
 def _face_normal_derivative(field_level: np.ndarray, grid: Grid) -> np.ndarray:
@@ -73,7 +67,7 @@ def _face_conormal(field_level: np.ndarray, grid: Grid, A: MatrixField) -> np.nd
 
 
 def nonlinear_flux(u: SpaceTimeField, law: MaterialLaw, A: MatrixField,
-                   grid: Grid) -> FluxRecord:
+                   grid: Grid) -> PatchField:
     """DN output gamma(t, u) (A grad u . nu) on S at every time level."""
     face_sel = grid.face_node_selector(grid.patch_axis, grid.patch_side)
     smask = grid.patch_support_mask()
@@ -83,11 +77,11 @@ def nonlinear_flux(u: SpaceTimeField, law: MaterialLaw, A: MatrixField,
         con = _face_conormal(lvl, grid, A)
         vals[m] = law.gamma(t, lvl[face_sel]) * con
         vals[m][~smask] = 0.0
-    return FluxRecord(values=vals, grid=grid)
+    return PatchField(values=vals, grid=grid)
 
 
 def linear_flux(w: SpaceTimeField, law: MaterialLaw, A: MatrixField,
-                grid: Grid, lam: float) -> FluxRecord:
+                grid: Grid, lam: float) -> PatchField:
     """Linearized DN output gamma(t, lambda) (A grad w . nu) on S."""
     face_sel = grid.face_node_selector(grid.patch_axis, grid.patch_side)
     smask = grid.patch_support_mask()
@@ -96,25 +90,23 @@ def linear_flux(w: SpaceTimeField, law: MaterialLaw, A: MatrixField,
         con = _face_conormal(w.values[m], grid, A)
         vals[m] = float(law.gamma(t, lam)) * con
         vals[m][~smask] = 0.0
-    return FluxRecord(values=vals, grid=grid)
+    return PatchField(values=vals, grid=grid)
 
 
 # ---------------------------------------------------------------------------
 # surface quadrature and the direct pairing
 
 
-def surface_pairing(flux: FluxRecord, h: BoundaryField, grid: Grid) -> float:
+def surface_pairing(flux: PatchField, h: PatchField, grid: Grid) -> float:
     """int_{S x (0,T)} flux * h dsigma dt by trapezoid quadrature."""
-    face_sel = grid.face_node_selector(grid.patch_axis, grid.patch_side)
-    hv = h.values[(slice(None),) + face_sel]
     W = trapezoid_weights(flux.values.shape[1:], grid.h)
     wt = trapezoid_weights(grid.times.shape, grid.dt)
-    per_level = (flux.values * hv * W).reshape(grid.nt + 1, -1).sum(axis=1)
+    per_level = (flux.values * h.values * W).reshape(grid.nt + 1, -1).sum(axis=1)
     return float((per_level * wt).sum())
 
 
-def flux_l2_st(flux: FluxRecord, grid: Grid) -> float:
-    """L2(S x (0,T)) norm of a flux record."""
+def flux_l2_st(flux: PatchField, grid: Grid) -> float:
+    """L2(S x (0,T)) norm of patch values."""
     W = trapezoid_weights(flux.values.shape[1:], grid.h)
     wt = trapezoid_weights(grid.times.shape, grid.dt)
     per_level = (flux.values ** 2 * W).reshape(grid.nt + 1, -1).sum(axis=1)
@@ -125,39 +117,21 @@ def flux_l2_st(flux: FluxRecord, grid: Grid) -> float:
 # weak pairing via interior lifting
 
 
-class Lifting:
-    """Per-time-slice A-harmonic extension operator into Omega (diagonal A),
-    by the DST-I box solve of pde."""
-
-    def __init__(self, grid: Grid, A: MatrixField):
-        self.grid = grid
-        self.A = A.A
-
-    def extend(self, boundary_levels: np.ndarray) -> np.ndarray:
-        """Harmonic extension of the boundary values of one node array, or
-        of each of a stack of them (leading axes)."""
-        full = boundary_levels.copy()
-        full[(Ellipsis,) + (slice(1, -1),) * self.grid.dim] = 0.0
-        return dirichlet_solve(full, self.A, self.grid.h)
-
-
-def lift_terminal_zero(h: BoundaryField, grid: Grid, A: MatrixField,
-                       lifting: Lifting = None) -> np.ndarray:
-    """E_T h: slice-wise harmonic extension; zero at t=T inherited from h."""
+def lift_terminal_zero(h: BoundaryField, grid: Grid, A: MatrixField) -> np.ndarray:
+    """E_T h: slice-wise A-harmonic extension into Omega (diagonal A), all
+    time levels in one DST-I box solve; zero at t=T inherited from h."""
     h.check_compatible("end")
-    lifting = Lifting(grid, A) if lifting is None else lifting
-    return lifting.extend(h.values)
+    return dirichlet_solve(h.values.copy(), A.A, grid.h)
 
 
 def weak_pairing(w: SpaceTimeField, h: BoundaryField, law: MaterialLaw,
-                 A: MatrixField, grid: Grid, lam: float,
-                 lifting: Lifting = None) -> float:
+                 A: MatrixField, grid: Grid, lam: float) -> float:
     """<Lambda g, h> through the interior identity with lifting E_T h.
 
     Computes int_Q (-d_t rho_lam w E - rho_lam w d_t E + gamma_lam
     A grad w . grad E); h must vanish at t = T.
     """
-    E = lift_terminal_zero(h, grid, A, lifting)
+    E = lift_terminal_zero(h, grid, A)
     times = grid.times
     rho = np.array([float(law.rho(t, lam)) for t in times])
     drho = np.array([float(law.rho.dt(t, lam)) for t in times])
@@ -216,33 +190,28 @@ class BoundaryNorm:
     def flag(self) -> str:
         return "spectral-half" if self.kind == "spectral" else "L2"
 
-    def _weights(self, n_s: int, n_t: int):
-        L = 4.0
-        xi_s = 2.0 * math.pi * np.abs(np.fft.fftfreq(n_s, d=L / n_s))
-        xi_t = 2.0 * math.pi * np.abs(np.fft.fftfreq(n_t, d=self.grid.T / n_t))
-        return (1.0 + xi_s)[None, :] + (1.0 + xi_t)[:, None]
-
-    def _spectrum(self, samples: np.ndarray):
-        n_t, n_s = samples.shape
-        ds = 4.0 / n_s
-        co = np.fft.fft2(samples) * math.sqrt(self.grid.dt * ds / (n_t * n_s))
-        return np.abs(co) ** 2
-
     def half(self, field) -> float:
-        vals = _as_boundary_values(field, self.grid)
-        if self.kind == "L2":
-            return _l2_sigma(vals, self.grid)
-        samples = _closed_curve_samples(vals, self.grid)[:-1]
-        p = self._spectrum(samples)
-        return math.sqrt(float((self._weights(p.shape[1], p.shape[0]) * p).sum()))
+        return self._norm(field, lambda p, w: w * p)
 
     def dual(self, field) -> float:
-        vals = _as_boundary_values(field, self.grid)
+        return self._norm(field, lambda p, w: p / w)
+
+    def _norm(self, field, weigh) -> float:
+        """sqrt(sum weigh(p, w)) over the (arclength, time) power spectrum p
+        of a BoundaryField or PatchField on dOmega and the weights w; the
+        L2 kind is plain L2(Sigma)."""
+        if isinstance(field, PatchField):
+            field = field.boundary()
         if self.kind == "L2":
-            return _l2_sigma(vals, self.grid)
-        samples = _closed_curve_samples(vals, self.grid)[:-1]
-        p = self._spectrum(samples)
-        return math.sqrt(float((p / self._weights(p.shape[1], p.shape[0])).sum()))
+            return _l2_sigma(field.values, self.grid)
+        samples = _closed_curve_samples(field.values, self.grid)[:-1]
+        n_t, n_s = samples.shape
+        ds = 4.0 / n_s
+        p = np.abs(np.fft.fft2(samples) * math.sqrt(self.grid.dt * ds / (n_t * n_s))) ** 2
+        xi_s = 2.0 * math.pi * np.abs(np.fft.fftfreq(n_s, d=ds))
+        xi_t = 2.0 * math.pi * np.abs(np.fft.fftfreq(n_t, d=self.grid.T / n_t))
+        w = (1.0 + xi_s)[None, :] + (1.0 + xi_t)[:, None]
+        return math.sqrt(float(weigh(p, w).sum()))
 
 
 def make_norm(grid: Grid, kind: str = None) -> BoundaryNorm:
@@ -253,18 +222,6 @@ def make_norm(grid: Grid, kind: str = None) -> BoundaryNorm:
     if kind not in ("spectral", "L2"):
         raise DNMapError(f"unknown norm kind {kind!r}")
     return BoundaryNorm(grid=grid, kind=kind)
-
-
-def _as_boundary_values(field, grid: Grid) -> np.ndarray:
-    """Full (nt+1, *shape) array with the field's boundary values."""
-    if isinstance(field, BoundaryField):
-        return field.values
-    if isinstance(field, FluxRecord):
-        vals = np.zeros((grid.nt + 1,) + grid.shape)
-        face = grid.face_node_selector(grid.patch_axis, grid.patch_side)
-        vals[(slice(None),) + face] = field.values
-        return vals
-    return np.asarray(field, dtype=float)
 
 
 def _l2_sigma(values_full: np.ndarray, grid: Grid) -> float:
@@ -281,17 +238,18 @@ def _l2_sigma(values_full: np.ndarray, grid: Grid) -> float:
 
 
 def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
-                        g: BoundaryField, k_list) -> list:
+                        g: PatchField, k_list) -> list:
     """Frechet-derivative decay table d_k = ||k N(g/k) - Lambda g||.
 
     Rows where the forward Newton solve diverges are flagged instead of
     raising; "newton" holds the solver counts of the row's forward solve.
     """
-    w = solve_linearized(law, A, grid, lam, g)
+    gb = g.boundary()
+    w = solve_linearized(law, A, grid, lam, gb)
     lam_flux = linear_flux(w, law, A, grid, lam)
     rows = []
     for k in k_list:
-        gk = BoundaryField(values=g.values / k, grid=grid, support=g.support)
+        gk = BoundaryField(values=gb.values / k, grid=grid)
         try:
             u = solve_forward(law, A, grid, lam, gk)
         except PDEError as exc:
@@ -299,47 +257,45 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
                          "newton": None})
             continue
         nf = nonlinear_flux(u, law, A, grid)
-        diff = FluxRecord(values=k * nf.values - lam_flux.values, grid=grid)
+        diff = PatchField(values=k * nf.values - lam_flux.values, grid=grid)
         rows.append({"k": k, "d_k": flux_l2_st(diff, grid), "ok": True, "why": "",
                      "newton": u.newton})
     return rows
 
 
 def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
-                           g: BoundaryField) -> FluxRecord:
-    """(Lambda^1 - Lambda^2) g as one flux record."""
+                           g: BoundaryField) -> PatchField:
+    """(Lambda^1 - Lambda^2) g on S by two full-field frozen solves."""
     law1, law2 = law_pair
     w1 = solve_linearized(law1, A, grid, lam, g)
     w2 = solve_linearized(law2, A, grid, lam, g)
     f1 = linear_flux(w1, law1, A, grid, lam)
     f2 = linear_flux(w2, law2, A, grid, lam)
-    return FluxRecord(values=f1.values - f2.values, grid=grid)
+    return PatchField(values=f1.values - f2.values, grid=grid)
 
 
 def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
                       data: list) -> np.ndarray:
-    """Lambda g on S for a stack of data supported on the patch face.
+    """Lambda g on S for a list of patch data (PatchField).
 
-    Same numbers as linear_flux(solve_linearized(...)) datum by datum, but
-    the frozen problem is solved in the sine basis of the interior box and
-    only the two node planes next to the face are ever formed.  For data on
-    the face, K g is -(a_dd / h^2) g_face on the interior plane p next to
-    it, whose DST-I along the normal is 2 sin(pi k p / N); each implicit
-    Euler step is then one elementwise update per mode.  The planes come
+    Same numbers as linear_flux(solve_linearized(g.boundary())) datum by
+    datum, but the frozen problem is solved in the sine basis of the
+    interior box and only the two node planes next to the face are ever
+    formed.  For data on the face, K g is -(a_dd / h^2) g_face on the
+    interior plane p next to it, whose DST-I along the normal is
+    2 sin(pi k p / N); each implicit Euler step is then one elementwise
+    update per mode.  The planes come
     back through the inverse-DST rows sin(pi k j / N) / N along the normal
     and one tangential inverse DST.  Returns (len(data), nt+1, *face_shape)
-    flux values, zero off S.
+    flux values, zero off S: row b is the PatchField values of data[b].
     """
     d, side = grid.patch_axis, grid.patch_side
-    face_sel = (slice(None),) + grid.face_node_selector(d, side)
     for g in data:
         g.check_compatible("start")
-        if np.count_nonzero(g.values) != np.count_nonzero(g.values[face_sel]):
-            raise DNMapError("patch flux needs data supported on the patch face")
-    _, eig, gam, rho = _frozen_setup(law, A, grid, lam)
+    eig, gam, rho = _frozen_setup(law, A, grid, lam)
     N, h, dt, nt = grid.n_cells, grid.h, grid.dt, grid.nt
     a_dd = A.A[d, d]
-    faces = np.stack([g.values[face_sel] for g in data])  # (B, nt+1, *face_shape)
+    faces = np.stack([g.values for g in data])  # (B, nt+1, *face_shape)
     faces[:, 0] = 0.0  # as solve_linearized's w(0) = 0
     tang = tuple(range(2, grid.dim + 1))
     inner = (Ellipsis,) + (slice(1, -1),) * (grid.dim - 1)
@@ -376,7 +332,6 @@ def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
     """
     rng = np.random.default_rng(seed)
     smask = grid.patch_support_mask()
-    face = grid.face_node_selector(grid.patch_axis, grid.patch_side)
     ax = grid.axis_nodes()
     tang = np.meshgrid(*([ax] * (grid.dim - 1)), indexing="ij")
     lo = np.array(grid.patch_lo) * grid.h
@@ -396,10 +351,8 @@ def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
         mode = rng.integers(1, 4)
         prof = np.sin(np.pi * mode * times / grid.T) ** 2
         prof[0] = prof[-1] = 0.0  # exact, not sin(pi*k) roundoff
-        vals = np.zeros((grid.nt + 1,) + grid.shape)
-        vals[(slice(None),) + face] = (prof.reshape((-1,) + (1,) * (grid.dim - 1))
-                                       * space[None])
-        out.append(BoundaryField(values=vals, grid=grid, support="S"))
+        vals = prof.reshape((-1,) + (1,) * (grid.dim - 1)) * space[None]
+        out.append(PatchField(values=vals, grid=grid))
     return out
 
 
@@ -425,5 +378,5 @@ def eta_surrogate(law_pair, A: MatrixField, grid: Grid, lam: float,
         denom = norm.half(g)
         if denom == 0.0:
             continue
-        best = max(best, norm.dual(FluxRecord(values=diff, grid=grid)) / denom)
+        best = max(best, norm.dual(PatchField(values=diff, grid=grid)) / denom)
     return best

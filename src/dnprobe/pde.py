@@ -29,6 +29,12 @@ data: the harmonic lifting of dnmap and both boxes of the Omega'
 corrector in singular use it, so the Newton Jacobian is the only matrix
 factorized.
 
+Data on the measurement patch S x (0, T) -- probes, dictionary data and
+every flux -- are PatchField face arrays, zero off S.  Solvers take
+BoundaryField node arrays on all of dOmega; PatchField.boundary() is the
+one conversion, used by the forward solve, the linearization check and
+the boundary norms.
+
 Spatial discretization is the standard second-order stencil with
 face-averaged diffusion coefficients on the diagonal of A; stiffness()
 builds its constant form on a node mask (the box, or Omega').  The forward
@@ -65,22 +71,8 @@ class SpaceTimeField:
     newton: dict | None = None  # solver counts, set by solve_forward
 
 
-@dataclass
-class BoundaryField:
-    """Dirichlet boundary data: node array per level, zero at interior nodes.
-
-    support is "S" when the datum is a patch probe (vanishing on the rest
-    of the boundary) and "full" otherwise.
-    """
-
-    values: np.ndarray  # (nt+1, *grid.shape)
-    grid: Grid
-    support: str = "full"
-
-    def __post_init__(self):
-        interior = interior_mask(self.grid)
-        if np.any(self.values[:, interior] != 0.0):
-            raise PDEError("boundary data carries interior values")
+class _TimeLevels:
+    """Data given at every time level, values[m] at grid.times[m]."""
 
     def check_compatible(self, where: str = "start", tol: float = 1e-12):
         scale = max(1.0, np.abs(self.values).max())
@@ -94,6 +86,44 @@ class BoundaryField:
             raise PDEError(msg)
 
 
+@dataclass
+class BoundaryField(_TimeLevels):
+    """Dirichlet data on all of dOmega: node array per level, zero at
+    interior nodes."""
+
+    values: np.ndarray  # (nt+1, *grid.shape)
+    grid: Grid
+
+    def __post_init__(self):
+        if self.values[(slice(None),) + (slice(1, -1),) * self.grid.dim].any():
+            raise PDEError("boundary data carries interior values")
+
+
+@dataclass
+class PatchField(_TimeLevels):
+    """Values on the patch face at every time level, zero off S: the probe
+    and dictionary data and every flux."""
+
+    values: np.ndarray  # (nt+1, *face_shape), axes as patch_support_mask
+    grid: Grid
+
+    def __post_init__(self):
+        support = self.grid.patch_support_mask()
+        shape = (self.grid.nt + 1,) + support.shape
+        if self.values.shape != shape:
+            raise PDEError(f"patch data needs shape {shape}, not {self.values.shape}")
+        if self.values[:, ~support].any():
+            raise PDEError("patch data carries values off S")
+
+    def boundary(self) -> BoundaryField:
+        """The same data as Dirichlet data on all of dOmega."""
+        grid = self.grid
+        face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
+        vals = np.zeros((grid.nt + 1,) + grid.shape)
+        vals[face] = self.values
+        return BoundaryField(values=vals, grid=grid)
+
+
 def interior_mask(grid: Grid):
     m = np.ones(grid.shape, dtype=bool)
     for a in range(grid.dim):
@@ -102,7 +132,7 @@ def interior_mask(grid: Grid):
     return m
 
 
-def boundary_field_from_callable(grid: Grid, fn, support: str = "full") -> BoundaryField:
+def boundary_field_from_callable(grid: Grid, fn) -> BoundaryField:
     """Sample fn(t, X) (X a stack of coordinate arrays) on boundary nodes."""
     coords = np.stack(grid.node_coords(), axis=-1)
     bmask = ~interior_mask(grid)
@@ -110,30 +140,30 @@ def boundary_field_from_callable(grid: Grid, fn, support: str = "full") -> Bound
     for m, t in enumerate(grid.times):
         full = np.asarray(fn(t, coords), dtype=float)
         vals[m][bmask] = full[bmask]
-    return BoundaryField(values=vals, grid=grid, support=support)
+    return BoundaryField(values=vals, grid=grid)
 
 
 def probe_boundary_field(grid: Grid, time_profile, spatial: np.ndarray,
-                         tol: float = 1e-7) -> BoundaryField:
-    """Boundary datum time_profile(t) * spatial(x) restricted to dOmega.
+                         tol: float = 1e-7) -> PatchField:
+    """Patch datum time_profile(t) * spatial(x) on S.
 
     spatial is a full node array (e.g. H - v_tau); it must vanish on
     dOmega \\ S up to tol relative to its peak, or the probe construction
     leaked outside the patch and we refuse to continue.
     """
     bmask = ~interior_mask(grid)
-    smask = np.zeros(grid.shape, dtype=bool)
     face = grid.face_node_selector(grid.patch_axis, grid.patch_side)
-    smask[face] = grid.patch_support_mask()
-    off_patch = bmask & ~smask
+    support = grid.patch_support_mask()
+    off_patch = bmask.copy()
+    off_patch[face] &= ~support
     peak = np.abs(spatial[bmask]).max()
     leak = np.abs(spatial[off_patch]).max()
     if peak > 0.0 and leak > tol * peak:
         raise PDEError(f"probe support leaks off the patch: {leak:.3e} vs peak {peak:.3e}")
     prof = np.asarray(time_profile(grid.times), dtype=float)
-    vals = np.zeros((grid.nt + 1,) + grid.shape)
-    vals[:, smask] = prof[:, None] * spatial[smask][None, :]
-    return BoundaryField(values=vals, grid=grid, support="S")
+    vals = np.zeros((grid.nt + 1,) + support.shape)
+    vals[:, support] = prof[:, None] * spatial[face][support][None, :]
+    return PatchField(values=vals, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +381,12 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
 
 
 def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):
-    """Stiffness K, its DST-I spectrum on the interior box (box_spectrum),
-    and the frozen coefficients t -> gamma(t, lam) and t -> rho(t, lam)."""
-    K, _ = constant_stiffness(grid, A.A)
-    eig = box_spectrum(np.diagonal(A.A), grid.h, (grid.n_cells,) * grid.dim)
+    """The DST-I spectrum of K on the interior box (box_spectrum) and the
+    frozen coefficients t -> gamma(t, lam) and t -> rho(t, lam)."""
+    eig = box_spectrum(_diagonal(A.A), grid.h, (grid.n_cells,) * grid.dim)
     gam = lambda t: float(law.gamma(t, lam))
     rho = lambda t: float(law.rho(t, lam))
-    return K, eig, gam, rho
+    return eig, gam, rho
 
 
 def _frozen_step(eig, rho_over_dt: float, gam: float, rhs: np.ndarray):
@@ -369,7 +398,8 @@ def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryFie
                      source=None) -> SpaceTimeField:
     """Linear solve with coefficients frozen at the background s = lambda."""
     g.check_compatible("start")
-    K, eig, gam, rho = _frozen_setup(law, A, grid, lam)
+    eig, gam, rho = _frozen_setup(law, A, grid, lam)
+    K, _ = constant_stiffness(grid, A.A)
     inner = (slice(1, -1),) * grid.dim
     dt = grid.dt
     w = g.values.copy()
@@ -388,10 +418,14 @@ def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
                   gbar: BoundaryField) -> SpaceTimeField:
     """Backward solve of -d_t(rho_lam wbar) - gamma_lam div(A grad wbar) = 0.
 
-    Terminal state is zero; gbar must vanish at t = T.
+    Terminal state is zero; gbar must vanish at t = T.  It is the discrete
+    adjoint of solve_linearized: for W = solve_linearized(g), g(0) = 0,
+    sum_m gamma(t_m) (K g_m) . wbar_m = sum_m gamma(t_m) W_m . (K gbar_m)
+    over interior nodes and m = 1..nt-1, to rounding.
     """
     gbar.check_compatible("end")
-    K, eig, gam, rho = _frozen_setup(law, A, grid, lam)
+    eig, gam, rho = _frozen_setup(law, A, grid, lam)
+    K, _ = constant_stiffness(grid, A.A)
     inner = (slice(1, -1),) * grid.dim
     dt = grid.dt
     w = gbar.values.copy()
@@ -438,5 +472,4 @@ def mms_problem(grid: Grid, law, A: MatrixField, lam: float, exact, exact_dt,
                     continue
                 div += A.A[a, b] * (gam_s * gradu[a] * gradu[b] + gam * hess[a][b])
         src[m] = law.rho(t, u) * ut - div
-    g = BoundaryField(values=gvals, grid=grid, support="full")
-    return g, src, ex
+    return BoundaryField(values=gvals, grid=grid), src, ex

@@ -20,8 +20,8 @@ import numpy as np
 from .geometry import Grid, exterior_point
 from .material import MatrixField, make_matrix
 from .singular import SingularError, build_basis, grad_H_energy, make_cutoffs
-from .pde import PDEError, probe_boundary_field
-from .dnmap import (FluxRecord, eta_surrogate, make_norm, patch_linear_flux,
+from .pde import PatchField, PDEError, probe_boundary_field
+from .dnmap import (eta_surrogate, make_norm, patch_linear_flux,
                     random_bump_dictionary, surface_pairing)
 
 
@@ -83,7 +83,7 @@ class ReconstructionReport:
 
 
 def gamma_probe_data(grid: Grid, A: MatrixField, probe: ProbeSpec, op=None):
-    """(boundary datum g_tau, basis, cutoffs) for one gamma probe."""
+    """(patch datum g_tau, basis, cutoffs) for one gamma probe."""
     geom = exterior_point(grid, probe.x0, probe.tau, probe.t0)
     cut = make_cutoffs(probe.t0, probe.tau, "gamma", grid, r=probe.r,
                        tau0=geom.tau0, shape=probe.shape, a_rule=probe.a_rule)
@@ -169,7 +169,7 @@ def point_recovery(kind: str, A: MatrixField, grid: Grid, lam: float,
         total = 0.0
         for diff, (_, gbar) in zip(patch_linear_flux(law1, A, grid, lam, data)
                                    - reference[law2], fam):
-            total += surface_pairing(FluxRecord(values=diff, grid=grid), gbar, grid)
+            total += surface_pairing(PatchField(values=diff, grid=grid), gbar, grid)
         return total / energy
 
     return recover

@@ -391,17 +391,14 @@ def grad_H_energy(basis: SingularBasis, grid: Grid) -> float:
     Gradients by centered differences of the sampled H (one-sided at the
     box edges), matching the convention of the pairing computations.
     """
-    return grad_h_energy_field(basis.H_omega, grid, basis.A)
-
-
-def grad_h_energy_field(H: np.ndarray, grid: Grid, A: MatrixField) -> float:
+    H, A = basis.H_omega, basis.A.A
     grads = np.gradient(H, grid.h, edge_order=2)
     W = trapezoid_weights(H.shape, grid.h)
     total = 0.0
     for d in range(grid.dim):
         for e in range(grid.dim):
-            if A.A[d, e] != 0.0:
-                total += A.A[d, e] * float((grads[d] * grads[e] * W).sum())
+            if A[d, e] != 0.0:
+                total += A[d, e] * float((grads[d] * grads[e] * W).sum())
     return total
 
 

@@ -266,8 +266,9 @@ def test_09_weak_strong_pairing_agreement():
     law = make_law(gamma=("trig_t", {"c0": 2.0, "c1": 0.3}),
                    rho=("trig_t", {"c0": 1.0, "c1": 0.2, "phase": 0.4}))
     gb, hb = random_bump_dictionary(g, count=2, seed=2)
-    w = solve_linearized(law, A2, g, 0.0, gb)
+    w = solve_linearized(law, A2, g, 0.0, gb.boundary())
     strong = surface_pairing(linear_flux(w, law, A2, g, 0.0), hb, g)
+    hb = hb.boundary()
     weak = weak_pairing(w, hb, law, A2, g, 0.0)
     rel = abs(weak - strong) / abs(strong)
     # lifting contracts: boundary trace reproduced exactly, zero at t=T

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from dnprobe import dnmap, pde, singular
-from dnprobe.dnmap import (DNMapError, Lifting, eta_surrogate, flux_l2_st,
+from dnprobe.dnmap import (DNMapError, eta_surrogate, flux_l2_st,
                            lambda_difference_flux, lift_terminal_zero,
                            linear_flux, linearization_check, make_norm,
                            nonlinear_flux, patch_linear_flux,
@@ -15,7 +15,7 @@ from dnprobe.dnmap import (DNMapError, Lifting, eta_surrogate, flux_l2_st,
                            weak_pairing)
 from dnprobe.geometry import build_grid
 from dnprobe.material import make_law, make_matrix
-from dnprobe.pde import (BoundaryField, SpaceTimeField,
+from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField,
                          boundary_field_from_callable, constant_stiffness,
                          solve_forward, solve_linearized)
 from dnprobe.reconstruct import ProbeSpec, recover_rho_point
@@ -30,6 +30,13 @@ def _datum(t, x):
 
 def _grid(nh=16, nt=16, T=1.0):
     return build_grid(2, 1 / nh, T / nt, T)
+
+
+def _on_patch(g, fn):
+    """fn(t, X) sampled on the patch face as patch data, zero off S."""
+    face = (slice(None),) + g.face_node_selector(g.patch_axis, g.patch_side)
+    vals = boundary_field_from_callable(g, fn).values[face] * g.patch_support_mask()
+    return PatchField(values=vals, grid=g)
 
 
 # --- flux extraction --------------------------------------------------------
@@ -83,10 +90,8 @@ def test_surface_pairing_matches_closed_form():
     smask = g.patch_support_mask()
     vals = np.ones((g.nt + 1,) + smask.shape)
     vals[:, ~smask] = 0.0
-    from dnprobe.dnmap import FluxRecord
-    fl = FluxRecord(values=vals, grid=g)
-    hb = boundary_field_from_callable(
-        g, lambda t, x: math.sin(math.pi * t) + 0.0 * x[..., 0])
+    fl = PatchField(values=vals, grid=g)
+    hb = _on_patch(g, lambda t, x: math.sin(math.pi * t) + 0.0 * x[..., 0])
     got = surface_pairing(fl, hb, g)
     # sharp indicator: each patch node carries weight h in the face rule
     exact = (2.0 / math.pi) * smask.sum() * g.h
@@ -121,21 +126,21 @@ def test_lifting_requires_terminal_zero():
        diag=st.lists(st.floats(0.2, 5.0), min_size=3, max_size=3),
        seed=st.integers(0, 2 ** 16))
 def test_lifting_matches_sparse_direct_solve_property(dim, N, diag, seed):
-    # each level of a stack of rough random boundary data against a sparse
-    # direct solve of the box stencil
-    g = build_grid(dim, 1 / N, 1.0, 1.0)
+    # each level of rough random boundary data against a sparse direct solve
+    # of the box stencil; the last level is the terminal zero
+    g = build_grid(dim, 1 / N, 0.5, 1.0)
     A = make_matrix(np.diag(diag[:dim]))
-    levels = np.random.default_rng(seed).standard_normal((2,) + g.shape)
-    E = Lifting(g, A).extend(levels)
+    levels = np.random.default_rng(seed).standard_normal((g.nt + 1,) + g.shape)
+    levels[-1] = 0.0
+    levels[(slice(None),) + (slice(1, -1),) * dim] = 0.0
+    E = lift_terminal_zero(BoundaryField(values=levels, grid=g), g, A)
     K, flat_int = constant_stiffness(g, A.A)
     M = K[:, flat_int].tocsc()
-    for level, lifted in zip(levels, E):
-        trace = level.copy()
-        trace.ravel()[flat_int] = 0.0
+    for trace, lifted in zip(levels, E):
         assert np.array_equal(np.delete(lifted.ravel(), flat_int),
                               np.delete(trace.ravel(), flat_int))
         ref = spsolve(M, -(K @ trace.ravel()))
-        assert np.abs(lifted.ravel()[flat_int] - ref).max() <= 1e-12 * np.abs(level).max()
+        assert np.abs(lifted.ravel()[flat_int] - ref).max() <= 1e-12 * np.abs(trace).max()
 
 
 def test_probes_and_lifting_factorize_nothing(monkeypatch):
@@ -169,9 +174,9 @@ def test_weak_pairing_matches_surface_pairing():
                    rho=("trig_t", {"c0": 1.0, "c1": 0.2, "phase": 0.4}))
     # both data live on the patch so the flux quadrature sees all of <Lg, h>
     gb, hb = random_bump_dictionary(g, count=2, seed=2)
-    w = solve_linearized(law, A2, g, 0.0, gb)
+    w = solve_linearized(law, A2, g, 0.0, gb.boundary())
     strong = surface_pairing(linear_flux(w, law, A2, g, 0.0), hb, g)
-    weak = weak_pairing(w, hb, law, A2, g, 0.0)
+    weak = weak_pairing(w, hb.boundary(), law, A2, g, 0.0)
     assert weak == pytest.approx(strong, rel=0.05)
 
 
@@ -224,8 +229,8 @@ def test_dual_bounds_the_l2_pairing():
     fields = random_bump_dictionary(g, count=4, seed=5)
     f, q = fields[0], fields[1]
     from dnprobe.dnmap import _closed_curve_samples
-    sf = _closed_curve_samples(f.values, g)[:-1]
-    sq = _closed_curve_samples(q.values, g)[:-1]
+    sf = _closed_curve_samples(f.boundary().values, g)[:-1]
+    sq = _closed_curve_samples(q.boundary().values, g)[:-1]
     ds = 4.0 / sf.shape[1]
     inner = float((sf * sq).sum()) * g.dt * ds
     assert abs(inner) <= nrm.dual(f) * nrm.half(q) + 1e-12
@@ -248,7 +253,7 @@ def test_rougher_data_has_larger_half_norm():
 def test_linearization_check_linear_law_is_exact():
     g = _grid()
     law = make_law(gamma=("constant", {"c0": 2.0}), rho=("constant", {"c0": 1.0}))
-    gb = boundary_field_from_callable(g, _datum)
+    gb = _on_patch(g, _datum)
     rows = linearization_check(law, A2, g, 0.0, gb, [4, 8, 16])
     for row in rows:
         assert row["ok"]
@@ -258,7 +263,7 @@ def test_linearization_check_linear_law_is_exact():
 def test_linearization_check_quadratic_decay():
     g = _grid()
     law = make_law(gamma=("poly_s", {"c0": 1.0, "c2": 1.0}))
-    gb = boundary_field_from_callable(g, _datum)
+    gb = _on_patch(g, _datum)
     rows = linearization_check(law, A2, g, 0.5, gb, [4, 8, 16])
     d = [r["d_k"] for r in rows]
     assert d[0] > d[1] > d[2] > 0.0
@@ -278,8 +283,8 @@ def test_dictionary_is_deterministic_and_supported():
     d1 = random_bump_dictionary(g, count=3, seed=7)
     d2 = random_bump_dictionary(g, count=3, seed=7)
     for a, b in zip(d1, d2):
+        assert a.values.shape == (g.nt + 1,) + g.patch_support_mask().shape
         assert np.array_equal(a.values, b.values)
-        assert a.support == "S"
         assert np.abs(a.values[0]).max() == 0.0  # compatible at t=0
 
 
@@ -335,15 +340,6 @@ def test_patch_flux_matches_full_field_property(case, law1, law2, lam, seed):
     f2 = patch_linear_flux(law2, A, g, lam, data)
     scale = max(np.abs(f1).max(), np.abs(f2).max())
     for datum, diff in zip(data, f1 - f2):
-        ref = lambda_difference_flux((law1, law2), A, g, lam, datum).values
+        ref = lambda_difference_flux((law1, law2), A, g, lam, datum.boundary()).values
         assert np.abs(diff - ref).max() <= 1e-11 * scale
 
-
-def test_patch_flux_rejects_data_off_the_patch_face():
-    g = _grid(8, 8)
-    datum = random_bump_dictionary(g, count=1, seed=0)[0]
-    vals = datum.values.copy()
-    vals[1:-1, 3, 0] = 1.0  # bottom face, away from the left patch face
-    off_face = BoundaryField(values=vals, grid=g)
-    with pytest.raises(DNMapError, match="patch face"):
-        patch_linear_flux(make_law(), A2, g, 0.0, [datum, off_face])

@@ -11,10 +11,10 @@ from dnprobe import pde
 from dnprobe.dnmap import lambda_difference_flux, lift_terminal_zero
 from dnprobe.geometry import build_grid
 from dnprobe.material import make_law, make_matrix
-from dnprobe.pde import (BoundaryField, PDEError, boundary_field_from_callable,
-                         constant_stiffness, interior_mask, mms_problem,
-                         probe_boundary_field, solve_adjoint, solve_forward,
-                         solve_linearized)
+from dnprobe.pde import (BoundaryField, PatchField, PDEError,
+                         boundary_field_from_callable, constant_stiffness,
+                         interior_mask, mms_problem, probe_boundary_field,
+                         solve_adjoint, solve_forward, solve_linearized)
 
 A2 = make_matrix(np.eye(2))
 
@@ -54,8 +54,23 @@ def test_probe_boundary_field_ok_on_patch():
     spatial = np.zeros(g.shape)
     spatial[0, g.patch_lo[0] + 1:g.patch_hi[0]] = 1.0
     gb = probe_boundary_field(g, lambda t: np.sin(np.pi * t), spatial)
-    assert gb.support == "S"
-    assert gb.values[:, interior_mask(g)].max() == 0.0
+    assert gb.values.shape == (g.nt + 1, g.n_cells + 1)
+    assert np.array_equal(gb.values, np.sin(np.pi * g.times)[:, None] * spatial[0])
+    full = gb.boundary().values
+    assert np.array_equal(full[:, 0], gb.values)
+    assert not full[:, 1:].any()
+
+
+def test_patch_field_rejects_values_off_s():
+    g = build_grid(2, 1 / 8, 1 / 8, 1.0, patch_interval=[(0.25, 0.75)])
+    vals = np.zeros((g.nt + 1, g.n_cells + 1))
+    vals[3, g.patch_lo[0]:g.patch_hi[0] + 1] = 1.0  # S is node-closed
+    PatchField(values=vals, grid=g)
+    vals[3, g.patch_lo[0] - 1] = 1e-300
+    with pytest.raises(PDEError, match="off S"):
+        PatchField(values=vals, grid=g)
+    with pytest.raises(PDEError, match="shape"):
+        PatchField(values=np.zeros((g.nt + 1,) + g.shape), grid=g)
 
 
 def test_forward_constant_data_is_steady():
@@ -253,6 +268,40 @@ _trig = st.fixed_dictionaries({"c0": st.floats(1.0, 3.0), "c1": st.floats(-0.5, 
 _laws = st.builds(lambda gp, rp: make_law(gamma=("trig_t", gp), rho=("trig_t", rp)),
                   _trig, _trig)
 _GRID8 = build_grid(2, 1 / 8, 1 / 8, 1.0)
+
+_ADJOINT_CASES = {
+    "2d-aniso": (build_grid(2, 1 / 8, 1 / 8, 1.0), make_matrix(np.diag([2.0, 0.5]))),
+    "3d-aniso": (build_grid(3, 1 / 6, 1 / 8, 1.0), make_matrix(np.diag([1.0, 0.6, 1.4]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ADJOINT_CASES))
+@settings(max_examples=20, deadline=None)
+@given(law=_laws, lam=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 16))
+def test_discrete_adjoint_relation_property(case, law, lam, seed):
+    # W = solve_linearized(g), V = solve_adjoint(gbar), g(0) = 0, gbar(T) = 0.
+    # Summation by parts of the implicit-Euler steps (rho(t_m) on both levels
+    # forward; rho(t_m), rho(t_{m+1}) backward) leaves
+    #   sum_m gamma_m (K_IB g_m) . V_m = sum_m gamma_m W_m . (K_IB gbar_m),
+    # m = 1..nt-1, for rough random data on all of dOmega.
+    g, A = _ADJOINT_CASES[case]
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((2, g.nt + 1) + g.shape)
+    data[(slice(None), slice(None)) + (slice(1, -1),) * g.dim] = 0.0
+    data[0, 0] = data[1, -1] = 0.0
+    gb, gbar = (BoundaryField(values=v, grid=g) for v in data)
+    W = solve_linearized(law, A, g, lam, gb).values
+    V = solve_adjoint(law, A, g, lam, gbar).values
+    K, flat_int = constant_stiffness(g, A.A)
+    lhs = rhs = scale = 0.0
+    for m in range(1, g.nt):
+        gam = float(law.gamma(g.times[m], lam))
+        Kg, Kgbar = K @ gb.values[m].ravel(), K @ gbar.values[m].ravel()
+        V_m, W_m = V[m].ravel()[flat_int], W[m].ravel()[flat_int]
+        lhs += gam * (Kg @ V_m)
+        rhs += gam * (W_m @ Kgbar)
+        scale += gam * (np.abs(Kg) @ np.abs(V_m))
+    assert abs(lhs - rhs) <= 1e-11 * scale
 
 
 @settings(max_examples=25, deadline=None)

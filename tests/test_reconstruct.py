@@ -86,6 +86,18 @@ def test_recover_rho_dimension_guard():
         recover_rho_point((law, law), g, 0.0, probe)
 
 
+def test_probe_data_live_on_the_patch_face():
+    g2 = build_grid(2, 1 / 16, 1 / 16, 1.0, pad=10)
+    gb, _, _ = reconstruct.gamma_probe_data(g2, A2, _gamma_probe(g2, 0.15))
+    assert gb.values.shape == (g2.nt + 1,) + g2.patch_support_mask().shape
+    g3 = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
+    probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
+    fam, _, _ = reconstruct.rho_probe_data(g3, probe, make_matrix(np.eye(3)))
+    assert len(fam) == 3
+    for datum in (d for pair in fam for d in pair):
+        assert datum.values.shape == (g3.nt + 1,) + g3.patch_support_mask().shape
+
+
 def test_recover_rho_equal_laws_is_zero():
     g = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
     law = make_law(rho=("trig_t", {"c0": 2.0, "c1": 0.3, "freq": 0.4}))
