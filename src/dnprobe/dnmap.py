@@ -358,13 +358,14 @@ def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
 
 def eta_surrogate(law_pair, A: MatrixField, grid: Grid, lam: float,
                   dictionary: list, norm: BoundaryNorm = None,
-                  reference: np.ndarray = None) -> float:
+                  reference: np.ndarray = None, half_norms: list = None) -> float:
     """Dictionary maximum of ||(Lambda^1-Lambda^2) g||_dual / ||g||_half.
 
     A lower bound of the operator norm; acceptance fits use it on both
     sides of every relation, so the bias is consistent.  reference, if
-    given, is patch_linear_flux of the second law on the dictionary, so a
-    caller sweeping the first law solves the second only once.
+    given, is patch_linear_flux of the second law on the dictionary, and
+    half_norms, if given, is norm.half of each datum, so a caller sweeping
+    the first law solves the second and measures the data only once.
     """
     if not dictionary:
         raise DNMapError("eta surrogate needs a nonempty dictionary")
@@ -372,10 +373,11 @@ def eta_surrogate(law_pair, A: MatrixField, grid: Grid, lam: float,
     law1, law2 = law_pair
     if reference is None:
         reference = patch_linear_flux(law2, A, grid, lam, dictionary)
+    if half_norms is None:
+        half_norms = [norm.half(g) for g in dictionary]
     diffs = patch_linear_flux(law1, A, grid, lam, dictionary) - reference
     best = 0.0
-    for g, diff in zip(dictionary, diffs):
-        denom = norm.half(g)
+    for denom, diff in zip(half_norms, diffs):
         if denom == 0.0:
             continue
         best = max(best, norm.dual(PatchField(values=diff, grid=grid)) / denom)

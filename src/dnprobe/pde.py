@@ -7,12 +7,17 @@ The forward problem
 
 is advanced by implicit Euler with a chord-Newton iteration per step
 (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
-ch. 5).  The Jacobian is analytic, using the closed-form s-derivatives
-carried by the MaterialLaw.  One sparse LU factorization of it is reused
-across iterations and time steps; it is rebuilt at the current iterate
-only when a step fails to cut the max-norm residual by CHORD_RATE.  For
-u-independent laws the Jacobian does not depend on the iterate, so each
-solve factorizes once and the chord step is the Newton step.
+ch. 5).  For diagonal A the first chord matrix is the frozen operator at
+the step's own time, rho(t_m, lambda)/dt + gamma(t_m, lambda) K, applied
+by one DST-I pair: small data keep u near lambda, so it is nearly the
+Jacobian, and for u-independent laws it is the Jacobian, so such solves
+factorize nothing and the chord step is the Newton step.  When a step
+fails to cut the max-norm residual to CHORD_RATE of the previous one, the
+analytic Jacobian (closed-form s-derivatives carried by the MaterialLaw)
+is factorized by sparse LU at the current iterate, and that factorization
+is reused across iterations and time steps until the next such failure.
+Off-diagonal A has no frozen DST step and factorizes the Jacobian at the
+first iteration.
 
 The linearized problem freezes both coefficients at the background value
 s = lambda.  For diagonal A the type-I discrete sine transform
@@ -26,8 +31,8 @@ same steps in the sine basis for data on the patch face, and the
 full-field solve here is its reference.  dirichlet_solve is the same
 transform for the steady problem on any rectangular box with Dirichlet
 data: the harmonic lifting of dnmap and both boxes of the Omega'
-corrector in singular use it, so the Newton Jacobian is the only matrix
-factorized.
+corrector in singular use it, so the forward Jacobian, once the frozen
+chord step stalls, is the only matrix factorized.
 
 Data on the measurement patch S x (0, T) -- probes, dictionary data and
 every flux -- are PatchField face arrays, zero off S.  Solvers take
@@ -245,27 +250,33 @@ def dirichlet_solve(u: np.ndarray, A: np.ndarray, h: float) -> np.ndarray:
     return u
 
 
-def _nonlinear_diffusion(grid: Grid, A: np.ndarray, gamma_vals: np.ndarray,
-                         u: np.ndarray):
-    """div(gamma A grad u) at interior nodes (full arrays in, full array out)."""
-    h = grid.h
-    out = np.zeros_like(u)
-    dim = grid.dim
+def _along(axis: int, sl: slice):
+    """Index tuple applying sl to one axis and keeping the axes before it."""
+    return (slice(None),) * axis + (sl,)
+
+
+def _diffusion(A: np.ndarray, h: float, gamma_vals: np.ndarray, u: np.ndarray):
+    """div(gamma A grad u) at the interior nodes of the node arrays u and
+    gamma_vals (interior-box array out): face-averaged gamma on the diagonal
+    of A, centered differences for cross terms."""
+    dim = u.ndim
+    out = np.zeros(tuple(n - 2 for n in u.shape))
     for a in range(dim):
-        up = np.roll(u, -1, axis=a)
-        dn = np.roll(u, 1, axis=a)
-        gup = np.roll(gamma_vals, -1, axis=a)
-        gdn = np.roll(gamma_vals, 1, axis=a)
-        out += A[a, a] * (0.5 * (gamma_vals + gup) * (up - u)
-                          - 0.5 * (gdn + gamma_vals) * (u - dn)) / h ** 2
+        box = tuple(slice(None) if ax == a else slice(1, -1) for ax in range(dim))
+        ua, ga = u[box], gamma_vals[box]
+        face = ga[_along(a, slice(1, None))] + ga[_along(a, slice(None, -1))]
+        out += (0.5 * A[a, a] / h ** 2) * np.diff(face * np.diff(ua, axis=a), axis=a)
     for a in range(dim):
         for b in range(dim):
             if a == b or A[a, b] == 0.0:
                 continue
-            # d_a(gamma a_ab d_b u) with centered differences in both axes
-            dbu = (np.roll(u, -1, axis=b) - np.roll(u, 1, axis=b)) / (2 * h)
-            flux = gamma_vals * dbu
-            out += A[a, b] * (np.roll(flux, -1, axis=a) - np.roll(flux, 1, axis=a)) / (2 * h)
+            # d_a(gamma a_ab d_b u): both axes over all nodes, the rest interior
+            box = tuple(slice(None) if ax in (a, b) else slice(1, -1) for ax in range(dim))
+            ub, gb = u[box], gamma_vals[box]
+            flux = gb[_along(b, slice(1, -1))] * (ub[_along(b, slice(2, None))]
+                                                   - ub[_along(b, slice(None, -2))])
+            out += (A[a, b] / (4 * h ** 2)) * (flux[_along(a, slice(2, None))]
+                                                - flux[_along(a, slice(None, -2))])
     return out
 
 
@@ -326,36 +337,39 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
                   newton_cap: int = NEWTON_CAP) -> SpaceTimeField:
     """Implicit-Euler / chord-Newton solve of the quasilinear problem.
 
-    source, if given, is an array (nt+1, *shape) added to the right side
-    (manufactured-solution studies only).  Newton divergence is reported
-    as the boundary amplitude lying outside the operational smallness
-    radius of the background state.  The returned field's `newton` records
-    time steps, iterations, factorizations and the largest final residual.
+    For diagonal A each step's chord matrix starts as the frozen DST-I
+    operator at t_m, and a factorized Jacobian takes over once a step
+    stalls (see the module docstring).  source, if given, is an array
+    (nt+1, *shape) added to the right side (manufactured-solution studies
+    only).  Newton divergence is reported as the boundary amplitude lying
+    outside the operational smallness radius of the background state.  The
+    returned field's `newton` records time steps, iterations,
+    factorizations and the largest final residual.
     """
     g.check_compatible("start")
-    shape = grid.shape
-    imask = interior_mask(grid)
-    flat_int = np.flatnonzero(imask.ravel())
-    red = -np.ones(int(np.prod(shape)), dtype=np.int64)
+    inner = (slice(1, -1),) * grid.dim
+    flat_int = np.flatnonzero(interior_mask(grid).ravel())
+    red = -np.ones(int(np.prod(grid.shape)), dtype=np.int64)
     red[flat_int] = np.arange(flat_int.size)
-    dt = grid.dt
+    diagonal = A.is_diagonal
+    if diagonal:
+        eig, gam, rho = _frozen_setup(law, A, grid, lam)
+    dt, times = grid.dt, grid.times
 
-    u = np.empty((grid.nt + 1,) + shape)
+    u = np.empty((grid.nt + 1,) + grid.shape)
     u[0] = lam
     lu, iterations, factorizations, worst = None, 0, 0, 0.0
     for m in range(1, grid.nt + 1):
-        t = grid.times[m]
+        t = times[m]
         u_prev = u[m - 1]
-        cur = u_prev.copy()
-        cur[~imask] = lam + g.values[m][~imask]
-        f_m = source[m] if source is not None else None
+        cur = lam + g.values[m]
+        cur[inner] = u_prev[inner]
         converged, last = False, None
         for _ in range(newton_cap):
-            res_full = (law.rho(t, cur) * (cur - u_prev) / dt
-                        - _nonlinear_diffusion(grid, A.A, law.gamma(t, cur), cur))
-            if f_m is not None:
-                res_full = res_full - f_m
-            res = res_full.ravel()[flat_int]
+            res = (law.rho(t, cur[inner]) * (cur[inner] - u_prev[inner]) / dt
+                   - _diffusion(A.A, grid.h, law.gamma(t, cur), cur))
+            if source is not None:
+                res -= source[m][inner]
             if not np.all(np.isfinite(res)):
                 raise PDEError("outside operational smallness radius "
                                f"(non-finite residual at t={t:g})")
@@ -363,12 +377,16 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
             if norm <= newton_tol:
                 converged = True
                 break
-            if lu is None or (last is not None and norm > CHORD_RATE * last):
+            stalled = last is not None and norm > CHORD_RATE * last
+            if stalled or (lu is None and not diagonal):
                 lu = splu(_forward_jacobian(grid, A.A, law, t, cur, u_prev, dt,
                                             flat_int, red))
                 factorizations += 1
             last = norm
-            cur.ravel()[flat_int] += lu.solve(-res)
+            if lu is None:
+                cur[inner] -= _frozen_step(eig, rho(t) / dt, gam(t), res)
+            else:
+                cur[inner] -= lu.solve(res.ravel()).reshape(res.shape)
             iterations += 1
         if not converged:
             raise PDEError("outside operational smallness radius "
@@ -401,11 +419,11 @@ def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryFie
     eig, gam, rho = _frozen_setup(law, A, grid, lam)
     K, _ = constant_stiffness(grid, A.A)
     inner = (slice(1, -1),) * grid.dim
-    dt = grid.dt
+    dt, times = grid.dt, grid.times
     w = g.values.copy()
     w[0] = 0.0  # g(0) vanishes only to check_compatible's tolerance
     for m in range(1, grid.nt + 1):
-        t = grid.times[m]
+        t = times[m]
         rhs = (rho(t) / dt) * w[m - 1][inner] \
             - gam(t) * (K @ g.values[m].ravel()).reshape(eig.shape)
         if source is not None:
@@ -427,12 +445,12 @@ def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
     eig, gam, rho = _frozen_setup(law, A, grid, lam)
     K, _ = constant_stiffness(grid, A.A)
     inner = (slice(1, -1),) * grid.dim
-    dt = grid.dt
+    dt, times = grid.dt, grid.times
     w = gbar.values.copy()
     w[-1] = 0.0  # likewise gbar(T)
     for m in range(grid.nt - 1, -1, -1):
-        t = grid.times[m]
-        rhs = (rho(grid.times[m + 1]) / dt) * w[m + 1][inner] \
+        t = times[m]
+        rhs = (rho(times[m + 1]) / dt) * w[m + 1][inner] \
             - gam(t) * (K @ gbar.values[m].ravel()).reshape(eig.shape)
         w[m][inner] = _frozen_step(eig, rho(t) / dt, gam(t), rhs)
     return SpaceTimeField(values=w, grid=grid)

@@ -287,6 +287,7 @@ def stability_experiment(family, target: str, A: MatrixField, grid: Grid,
     """
     norm = make_norm(grid) if norm is None else norm
     dictionary = random_bump_dictionary(grid, dict_size, seed=dict_seed)
+    half_norms = [norm.half(g) for g in dictionary]
     responses = {}  # reference law -> its dictionary response, solved once
     rows = []
     for eps, pair in family:
@@ -299,7 +300,7 @@ def stability_experiment(family, target: str, A: MatrixField, grid: Grid,
             if pair[1] not in responses:
                 responses[pair[1]] = patch_linear_flux(pair[1], A, grid, lam, dictionary)
             eta = eta_surrogate(pair, A, grid, lam, dictionary, norm=norm,
-                                reference=responses[pair[1]])
+                                reference=responses[pair[1]], half_norms=half_norms)
             rec = recover(pair)
         except (PDEError, SingularError) as exc:
             rows.append(StabilityRow(eps=eps, eta=float("nan"),

@@ -223,8 +223,8 @@ def test_verbose_forward_reports_newton_counts_on_stderr(cfg_path, capsys):
     quiet = capsys.readouterr()
     assert main(["forward", "-v", "-c", cfg_path]) == 0
     loud = capsys.readouterr()
-    # constant laws: one factorization serves the whole solve
-    assert "factorizations 1" in loud.err and "factorizations" not in quiet.err
+    # constant laws and diagonal A: the frozen DST step is the Newton step
+    assert "factorizations 0" in loud.err and "factorizations" not in quiet.err
     assert loud.out == quiet.out
 
 

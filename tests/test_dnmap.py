@@ -161,9 +161,11 @@ def test_probes_and_lifting_factorize_nothing(monkeypatch):
     lift_terminal_zero(boundary_field_from_callable(
         g, lambda t, x: (1 - t) * x[..., 0] * x[..., 1]), g, A2)
     assert calls == []
-    solve_forward(make_law(), A2, g, 0.0, boundary_field_from_callable(
-        g, lambda t, x: t * x[..., 0]))
-    assert calls  # the counter sees the one factorizing solver
+    # a u-dependent law driven far from lambda stalls the frozen chord step
+    law = make_law(gamma=("poly_s", {"c0": 1.0, "c1": 0.5, "c2": 0.5}))
+    u = solve_forward(law, A2, g, 0.0, boundary_field_from_callable(
+        g, lambda t, x: 2.0 * t * x[..., 0]))
+    assert len(calls) == u.newton["factorizations"] >= 1  # the one factorizing solver
 
 
 def test_weak_pairing_matches_surface_pairing():

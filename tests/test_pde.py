@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import identity
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from dnprobe import pde
 from dnprobe.dnmap import lambda_difference_flux, lift_terminal_zero
@@ -330,10 +330,33 @@ def test_equal_laws_give_zero_difference_flux_property(law, lam):
 # --- chord Newton against full Newton ----------------------------------------
 
 
-def _reference_newton(law, A, grid, lam, g):
-    """Implicit Euler with a fresh Jacobian and a sparse solve per iteration.
+def _roll_diffusion(grid, A, gamma_vals, u):
+    """div(gamma A grad u) on the full node array by periodic shifts; the
+    values at interior nodes are the stencil's, the rest wrap around."""
+    h = grid.h
+    out = np.zeros_like(u)
+    for a in range(grid.dim):
+        up, dn = np.roll(u, -1, axis=a), np.roll(u, 1, axis=a)
+        gup, gdn = np.roll(gamma_vals, -1, axis=a), np.roll(gamma_vals, 1, axis=a)
+        out += A[a, a] * (0.5 * (gamma_vals + gup) * (up - u)
+                          - 0.5 * (gdn + gamma_vals) * (u - dn)) / h ** 2
+    for a in range(grid.dim):
+        for b in range(grid.dim):
+            if a == b or A[a, b] == 0.0:
+                continue
+            dbu = (np.roll(u, -1, axis=b) - np.roll(u, 1, axis=b)) / (2 * h)
+            flux = gamma_vals * dbu
+            out += A[a, b] * (np.roll(flux, -1, axis=a) - np.roll(flux, 1, axis=a)) / (2 * h)
+    return out
 
-    Returns the solution and the number of Newton iterations taken.
+
+def _reference_newton(law, A, grid, lam, g, chord=False):
+    """Implicit Euler with a fresh Jacobian and a sparse solve per iteration,
+    the residual by _roll_diffusion.  chord=True instead reuses one LU of the
+    Jacobian across iterations and steps, rebuilt at the current iterate when
+    a step fails to cut the residual to CHORD_RATE of the last one.
+
+    Returns the solution, the Newton iterations and the factorizations.
     """
     imask = interior_mask(grid)
     flat_int = np.flatnonzero(imask.ravel())
@@ -341,23 +364,31 @@ def _reference_newton(law, A, grid, lam, g):
     red[flat_int] = np.arange(flat_int.size)
     u = np.empty((grid.nt + 1,) + grid.shape)
     u[0] = lam
-    iterations = 0
+    iterations = factorizations = 0
+    lu = None
     for m in range(1, grid.nt + 1):
         t = grid.times[m]
         cur = u[m - 1].copy()
         cur[~imask] = lam + g.values[m][~imask]
+        last = None
         for _ in range(pde.NEWTON_CAP):
             res = (law.rho(t, cur) * (cur - u[m - 1]) / grid.dt
-                   - pde._nonlinear_diffusion(grid, A.A, law.gamma(t, cur), cur))
+                   - _roll_diffusion(grid, A.A, law.gamma(t, cur), cur))
             res = res.ravel()[flat_int]
-            if np.abs(res).max() <= pde.NEWTON_TOL:
+            norm = np.abs(res).max()
+            if norm <= pde.NEWTON_TOL:
                 break
-            J = pde._forward_jacobian(grid, A.A, law, t, cur, u[m - 1], grid.dt,
-                                      flat_int, red)
-            cur.ravel()[flat_int] += spsolve(J, -res)
+            if not chord or lu is None or (last is not None
+                                           and norm > pde.CHORD_RATE * last):
+                J = pde._forward_jacobian(grid, A.A, law, t, cur, u[m - 1], grid.dt,
+                                          flat_int, red)
+                lu = splu(J)
+                factorizations += 1
+            last = norm
+            cur.ravel()[flat_int] -= lu.solve(res)
             iterations += 1
         u[m] = cur
-    return u, iterations
+    return u, iterations, factorizations
 
 
 _NEWTON_LAWS = {
@@ -373,13 +404,14 @@ def test_chord_newton_matches_full_newton(name):
     g = build_grid(2, 1 / 16, 1 / 16, 1.0)
     gb = boundary_field_from_callable(g, lambda t, x: 0.8 * _datum(t, x))
     u = solve_forward(law, A2, g, 0.3, gb)
-    ref, _ = _reference_newton(law, A2, g, 0.3, gb)
+    ref, _, _ = _reference_newton(law, A2, g, 0.3, gb)
     assert np.abs(u.values - ref).max() <= 1e-10
     assert u.newton["steps"] == g.nt
     assert u.newton["max_residual"] <= pde.NEWTON_TOL
 
 
-def test_constant_law_factorizes_once(monkeypatch):
+def _counted_splu(monkeypatch):
+    """Replace pde.splu by a proxy; returns its factorization/solve counts."""
     counts = {"factor": 0, "solve": 0}
     real = pde.splu
 
@@ -396,12 +428,95 @@ def test_constant_law_factorizes_once(monkeypatch):
         return CountedLU(real(J))
 
     monkeypatch.setattr(pde, "splu", counted)
+    return counts
+
+
+def test_constant_law_factorizes_nothing(monkeypatch):
+    # for a u-independent law and diagonal A the frozen operator at t_m is
+    # the Jacobian, so the DST chord step is the Newton step
+    counts = _counted_splu(monkeypatch)
     law = make_law(gamma=("constant", {"c0": 2.0}), rho=("constant", {"c0": 1.5}))
     g = build_grid(2, 1 / 16, 1 / 16, 1.0)
     gb = boundary_field_from_callable(g, _datum)
-    _, iterations = _reference_newton(law, A2, g, 0.0, gb)
-    for call in (1, 2):
+    _, iterations, _ = _reference_newton(law, A2, g, 0.0, gb)
+    for _ in range(2):
         u = solve_forward(law, A2, g, 0.0, gb)
-        assert counts == {"factor": call, "solve": call * iterations}
-        assert u.newton["factorizations"] == 1
+        assert counts == {"factor": 0, "solve": 0}
+        assert u.newton["factorizations"] == 0
         assert u.newton["iterations"] == iterations
+
+
+def test_stalled_frozen_chord_falls_back_to_the_jacobian(monkeypatch):
+    # large data take a u-dependent law far from lambda: the frozen step
+    # stops contracting and the analytic Jacobian is factorized
+    counts = _counted_splu(monkeypatch)
+    law = _NEWTON_LAWS["poly_s"]
+    g = build_grid(2, 1 / 16, 1 / 16, 1.0)
+    gb = boundary_field_from_callable(g, lambda t, x: 2.0 * _datum(t, x))
+    u = solve_forward(law, A2, g, 0.3, gb)
+    ref, _, _ = _reference_newton(law, A2, g, 0.3, gb)
+    assert u.newton["factorizations"] >= 1
+    assert counts["factor"] == u.newton["factorizations"] and counts["solve"] > 0
+    assert np.abs(u.values - ref).max() <= 1e-10
+
+
+def test_cross_terms_keep_the_jacobian_chord():
+    # non-diagonal A has no frozen DST step: the Jacobian is factorized at
+    # the first iteration and reused, as by the chord reference
+    A = make_matrix(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    g = build_grid(2, 1 / 16, 1 / 16, 1.0)
+    gb = boundary_field_from_callable(g, lambda t, x: 0.8 * _datum(t, x))
+    for law in _NEWTON_LAWS.values():
+        u = solve_forward(law, A, g, 0.3, gb)
+        ref, iterations, factorizations = _reference_newton(law, A, g, 0.3, gb, chord=True)
+        assert u.newton["iterations"] == iterations
+        assert u.newton["factorizations"] == factorizations >= 1
+        assert np.abs(u.values - ref).max() <= 1e-10
+
+
+_RESIDUAL_CASES = {
+    "2d-cross": (build_grid(2, 1 / 8, 1 / 8, 1.0), np.array([[2.0, 0.3], [0.3, 1.0]])),
+    "3d-cross": (build_grid(3, 1 / 6, 1 / 8, 1.0),
+                 np.array([[1.0, 0.2, 0.0], [0.2, 0.6, -0.1], [0.0, -0.1, 1.4]])),
+    "3d-diag": (build_grid(3, 1 / 6, 1 / 8, 1.0), np.diag([1.0, 0.6, 1.4])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RESIDUAL_CASES))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_slice_diffusion_matches_roll_reference(case, seed):
+    grid, A = _RESIDUAL_CASES[case]
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(grid.shape)
+    gam = 1.0 + rng.random(grid.shape)
+    ref = _roll_diffusion(grid, A, gam, u)[(slice(1, -1),) * grid.dim]
+    out = pde._diffusion(A, grid.h, gam, u)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+_t_law = st.one_of(
+    st.builds(lambda c0: ("constant", {"c0": c0}), st.floats(0.5, 3.0)),
+    st.builds(lambda c0, c1: ("affine_t", {"c0": c0, "c1": c1}),
+              st.floats(1.0, 3.0), st.floats(-0.5, 0.5)),
+    st.builds(lambda p: ("trig_t", p), _trig))
+_LINEARITY_CASES = {
+    "2d": (build_grid(2, 1 / 8, 1 / 8, 1.0), make_matrix(np.diag([2.0, 0.5]))),
+    "3d": (build_grid(3, 1 / 6, 1 / 8, 1.0), make_matrix(np.diag([1.0, 0.6, 1.4]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LINEARITY_CASES))
+@settings(max_examples=20, deadline=None)
+@given(gamma=_t_law, rho=_t_law, lam=st.floats(-1.0, 1.0))
+def test_forward_is_linear_for_u_independent_laws_property(case, gamma, rho, lam):
+    # a law that does not depend on u makes the forward problem linear: its
+    # solution minus lambda is the frozen solve, reached with no factorization
+    grid, A = _LINEARITY_CASES[case]
+    law = make_law(gamma=gamma, rho=rho)
+    gb = boundary_field_from_callable(
+        grid, lambda t, x: _datum(t, x) * (1.0 + x[..., -1] ** 2))
+    u = solve_forward(law, A, grid, lam, gb)
+    w = solve_linearized(law, A, grid, lam, gb).values
+    assert np.abs(u.values - lam - w).max() <= 1e-12 * np.abs(w).max()
+    assert u.newton["factorizations"] == 0

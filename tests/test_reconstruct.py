@@ -175,6 +175,28 @@ def test_stability_solves_the_reference_dictionary_once(monkeypatch):
     assert len(solved) == 1 + len(family)
 
 
+def test_stability_measures_the_dictionary_once(monkeypatch):
+    g = build_grid(2, 1 / 8, 1 / 8, 1.0, pad=6)
+    base = make_law(gamma=("constant", {"c0": 2.0}))
+    family = [(eps, (perturb_law(base, eps, "gamma"), base))
+              for eps in (0.01, 0.02, 0.04)]
+    real, measured = dnmap.BoundaryNorm.half, []
+
+    def counted(self, field):
+        measured.append(1)
+        return real(self, field)
+
+    reference = stability_experiment(family, "gamma", A2, g, 0.0, lambda pair: 0.0,
+                                     dict_size=4)
+    monkeypatch.setattr(dnmap.BoundaryNorm, "half", counted)
+    table = stability_experiment(family, "gamma", A2, g, 0.0, lambda pair: 0.0,
+                                 dict_size=4)
+    assert len(measured) == 4  # once per datum, not once per datum and eps
+    assert [r.eta for r in table.rows] == [r.eta for r in reference.rows]
+    d = dnmap.random_bump_dictionary(g, 4)
+    assert dnmap.eta_surrogate(family[0][1], A2, g, 0.0, d) == table.rows[0].eta
+
+
 def test_stability_zero_row_excluded():
     g = build_grid(2, 1 / 8, 1 / 8, 1.0, pad=6)
     base = make_law(gamma=("constant", {"c0": 2.0}))
