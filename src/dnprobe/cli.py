@@ -31,7 +31,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .geometry import GridError, build_grid
 from .material import MaterialError, make_law
 from .singular import SingularError, _omega_prime_operator
-from .pde import BoundaryField, PDEError, mms_problem, solve_forward
+from .pde import PatchField, PDEError, mms_problem, solve_forward
 from .dnmap import (linearization_check, make_norm, nonlinear_flux,
                     DNMapError)
 from .reconstruct import (ProbeSpec, ReconstructError, gamma_probe_data,
@@ -110,9 +110,9 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     grid = cfg.grid
     if cfg.tau_list and cfg.probe_kind == "gamma":
         g, _, _ = gamma_probe_data(grid, cfg.A, _probe_spec(cfg, min(cfg.tau_list)))
-        g = g.boundary()
     else:
-        g = BoundaryField(values=np.zeros((grid.nt + 1,) + grid.shape), grid=grid)
+        face_shape = grid.patch_support_mask().shape
+        g = PatchField(values=np.zeros((grid.nt + 1,) + face_shape), grid=grid)
     u = solve_forward(cfg.law1, cfg.A, grid, cfg.lam, g)
     _report_newton(args, "forward", u.newton)
     flux = nonlinear_flux(u, cfg.law1, cfg.A, grid)

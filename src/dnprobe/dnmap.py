@@ -13,9 +13,12 @@ call over all time levels; nothing here is factorized.
 Fluxes, the dictionary and the data they pair with are pde.PatchField
 face arrays.  The probes and eta read (Lambda^1 - Lambda^2) g off
 patch_linear_flux, which solves the frozen problem for a stack of patch
-data in the sine basis and forms only the two planes next to the face.
+data in the sine basis and forms only the two planes next to the face,
+and the linearization check reads Lambda g off it too.
 lambda_difference_flux, the full-field solve_linearized plus linear_flux
-on PatchField.boundary(), is the reference it is tested against.
+on PatchField.boundary(), is the reference it is tested against; no
+subcommand calls either.  The linearization check advances its data
+g/k for all k in one stacked pde.solve_forward.
 """
 
 import math
@@ -241,23 +244,21 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
                         g: PatchField, k_list) -> list:
     """Frechet-derivative decay table d_k = ||k N(g/k) - Lambda g||.
 
-    Rows where the forward Newton solve diverges are flagged instead of
-    raising; "newton" holds the solver counts of the row's forward solve.
+    Lambda g comes from patch_linear_flux.  The data g/k for every k are
+    advanced in one stacked solve_forward; a datum whose Newton solve
+    diverges leaves the stack and its row is flagged instead of raising.
+    "newton" holds the solver counts of the row's datum.
     """
-    gb = g.boundary()
-    w = solve_linearized(law, A, grid, lam, gb)
-    lam_flux = linear_flux(w, law, A, grid, lam)
+    lam_flux = patch_linear_flux(law, A, grid, lam, [g])[0]
+    scaled = [PatchField(values=g.values / k, grid=grid) for k in k_list]
     rows = []
-    for k in k_list:
-        gk = BoundaryField(values=gb.values / k, grid=grid)
-        try:
-            u = solve_forward(law, A, grid, lam, gk)
-        except PDEError as exc:
-            rows.append({"k": k, "d_k": float("nan"), "ok": False, "why": str(exc),
+    for k, u in zip(k_list, solve_forward(law, A, grid, lam, scaled)):
+        if isinstance(u, PDEError):
+            rows.append({"k": k, "d_k": float("nan"), "ok": False, "why": str(u),
                          "newton": None})
             continue
         nf = nonlinear_flux(u, law, A, grid)
-        diff = PatchField(values=k * nf.values - lam_flux.values, grid=grid)
+        diff = PatchField(values=k * nf.values - lam_flux, grid=grid)
         rows.append({"k": k, "d_k": flux_l2_st(diff, grid), "ok": True, "why": "",
                      "newton": u.newton})
     return rows

@@ -61,7 +61,8 @@ def _zero(t, s, *params):
 
 
 # name -> (parameter defaults, value, d/dt, d/ds).  Every map takes
-# (t, s, *params) with t and s float arrays of one common shape.
+# (t, s, *params) with t and s float arrays that broadcast together, and
+# may return the shape of t alone when it does not depend on s.
 _LIBRARY = {
     # c0
     "constant": ({"c0": 1.0},
@@ -100,22 +101,23 @@ class Coefficient:
     terms holds (weight, name, params) with params the formula's
     ((key, value), ...) in library order.  Coefficients add, scale by a
     float, compare by value and hash, so laws built from the same spec are
-    interchangeable.  Evaluation broadcasts t against s.
+    interchangeable.  Evaluation broadcasts t against s: each formula
+    sees them as given, so a scalar t stays scalar, and only the sum is
+    broadcast to the common shape, as a read-only view.
     """
 
     terms: tuple
 
     def _eval(self, which: int, t, s):
         t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-        if t.shape != s.shape:
-            t, s = np.broadcast_arrays(t, s)
         out = None
         for weight, name, params in self.terms:
             term = _LIBRARY[name][which](t, s, *(v for _, v in params))
             if weight != 1.0:
                 term = weight * term
             out = term if out is None else out + term
-        return out
+        shape = np.broadcast(t, s).shape
+        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
 
     def __call__(self, t, s):
         return self._eval(1, t, s)

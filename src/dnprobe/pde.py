@@ -17,7 +17,13 @@ analytic Jacobian (closed-form s-derivatives carried by the MaterialLaw)
 is factorized by sparse LU at the current iterate, and that factorization
 is reused across iterations and time steps until the next such failure.
 Off-diagonal A has no frozen DST step and factorizes the Jacobian at the
-first iteration.
+first iteration.  solve_forward advances a list of data as one stack, in
+one loop over time steps and iterations: each datum keeps its own
+convergence, chord and counts, the data on the frozen chord share one
+DST-I pair over the trailing axes, and a datum with a factorized Jacobian
+solves with it alone.  A datum that diverges leaves the stack with its
+own PDEError; the others continue.  linearization_check in dnmap solves
+all of its k-scaled data this way.
 
 The linearized problem freezes both coefficients at the background value
 s = lambda.  For diagonal A the type-I discrete sine transform
@@ -25,20 +31,22 @@ diagonalizes the frozen operator on the interior box, so each step is one
 forward and one inverse DST-I (Buzbee, Golub & Nielson, SIAM J. Numer.
 Anal. 7, 1970); the adjoint problem is the same operator stepped
 backward from a zero terminal state.  Frozen solves and the stiffness
-matrix K they couple the boundary through require diagonal A.  The probes
-and eta do not call solve_linearized: dnmap.patch_linear_flux solves the
-same steps in the sine basis for data on the patch face, and the
-full-field solve here is its reference.  dirichlet_solve is the same
+matrix K they couple the boundary through require diagonal A.  No
+subcommand calls solve_linearized: the probes, eta and the linearization
+check take Lambda g from dnmap.patch_linear_flux, which solves the same
+steps in the sine basis for data on the patch face, and the full-field
+solve here is its reference.  dirichlet_solve is the same
 transform for the steady problem on any rectangular box with Dirichlet
 data: the harmonic lifting of dnmap and both boxes of the Omega'
 corrector in singular use it, so the forward Jacobian, once the frozen
 chord step stalls, is the only matrix factorized.
 
 Data on the measurement patch S x (0, T) -- probes, dictionary data and
-every flux -- are PatchField face arrays, zero off S.  Solvers take
-BoundaryField node arrays on all of dOmega; PatchField.boundary() is the
-one conversion, used by the forward solve, the linearization check and
-the boundary norms.
+every flux -- are PatchField face arrays, zero off S.  The frozen solves
+take BoundaryField node arrays on all of dOmega; PatchField.boundary() is
+that conversion, used by the boundary norms.  solve_forward takes either
+kind and writes one level at a time onto its iterate (dirichlet_level),
+so patch data never become histories on all of dOmega.
 
 Spatial discretization is the standard second-order stencil with
 face-averaged diffusion coefficients on the diagonal of A; stiffness()
@@ -103,6 +111,10 @@ class BoundaryField(_TimeLevels):
         if self.values[(slice(None),) + (slice(1, -1),) * self.grid.dim].any():
             raise PDEError("boundary data carries interior values")
 
+    def dirichlet_level(self, m: int, lam: float, out: np.ndarray):
+        """Write lam + the data of level m onto the node array out."""
+        np.add(lam, self.values[m], out=out)
+
 
 @dataclass
 class PatchField(_TimeLevels):
@@ -119,6 +131,13 @@ class PatchField(_TimeLevels):
             raise PDEError(f"patch data needs shape {shape}, not {self.values.shape}")
         if self.values[:, ~support].any():
             raise PDEError("patch data carries values off S")
+
+    def dirichlet_level(self, m: int, lam: float, out: np.ndarray):
+        """Write lam + the data of level m onto the node array out: one
+        level of boundary(), with no history on all of dOmega formed."""
+        grid = self.grid
+        out[...] = lam
+        out[grid.face_node_selector(grid.patch_axis, grid.patch_side)] = lam + self.values[m]
 
     def boundary(self) -> BoundaryField:
         """The same data as Dirichlet data on all of dOmega."""
@@ -258,25 +277,29 @@ def _along(axis: int, sl: slice):
 def _diffusion(A: np.ndarray, h: float, gamma_vals: np.ndarray, u: np.ndarray):
     """div(gamma A grad u) at the interior nodes of the node arrays u and
     gamma_vals (interior-box array out): face-averaged gamma on the diagonal
-    of A, centered differences for cross terms."""
-    dim = u.ndim
-    out = np.zeros(tuple(n - 2 for n in u.shape))
+    of A, centered differences for cross terms.  The last A.shape[0] axes
+    are space; leading axes are a batch."""
+    dim = A.shape[0]
+    lead = u.ndim - dim
+    out = np.zeros(u.shape[:lead] + tuple(n - 2 for n in u.shape[lead:]))
     for a in range(dim):
-        box = tuple(slice(None) if ax == a else slice(1, -1) for ax in range(dim))
-        ua, ga = u[box], gamma_vals[box]
-        face = ga[_along(a, slice(1, None))] + ga[_along(a, slice(None, -1))]
-        out += (0.5 * A[a, a] / h ** 2) * np.diff(face * np.diff(ua, axis=a), axis=a)
+        box = (Ellipsis,) + tuple(slice(None) if c == a else slice(1, -1)
+                                  for c in range(dim))
+        ua, ga, ax = u[box], gamma_vals[box], lead + a
+        face = ga[_along(ax, slice(1, None))] + ga[_along(ax, slice(None, -1))]
+        out += (0.5 * A[a, a] / h ** 2) * np.diff(face * np.diff(ua, axis=ax), axis=ax)
     for a in range(dim):
         for b in range(dim):
             if a == b or A[a, b] == 0.0:
                 continue
             # d_a(gamma a_ab d_b u): both axes over all nodes, the rest interior
-            box = tuple(slice(None) if ax in (a, b) else slice(1, -1) for ax in range(dim))
-            ub, gb = u[box], gamma_vals[box]
-            flux = gb[_along(b, slice(1, -1))] * (ub[_along(b, slice(2, None))]
-                                                   - ub[_along(b, slice(None, -2))])
-            out += (A[a, b] / (4 * h ** 2)) * (flux[_along(a, slice(2, None))]
-                                                - flux[_along(a, slice(None, -2))])
+            box = (Ellipsis,) + tuple(slice(None) if c in (a, b) else slice(1, -1)
+                                      for c in range(dim))
+            ub, gb, ax, bx = u[box], gamma_vals[box], lead + a, lead + b
+            flux = gb[_along(bx, slice(1, -1))] * (ub[_along(bx, slice(2, None))]
+                                                    - ub[_along(bx, slice(None, -2))])
+            out += (A[a, b] / (4 * h ** 2)) * (flux[_along(ax, slice(2, None))]
+                                                - flux[_along(ax, slice(None, -2))])
     return out
 
 
@@ -332,70 +355,112 @@ def _forward_jacobian(grid: Grid, A: np.ndarray, law, t: float, u: np.ndarray,
 # solvers
 
 
-def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
+def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
                   source=None, newton_tol: float = NEWTON_TOL,
-                  newton_cap: int = NEWTON_CAP) -> SpaceTimeField:
+                  newton_cap: int = NEWTON_CAP):
     """Implicit-Euler / chord-Newton solve of the quasilinear problem.
 
-    For diagonal A each step's chord matrix starts as the frozen DST-I
-    operator at t_m, and a factorized Jacobian takes over once a step
-    stalls (see the module docstring).  source, if given, is an array
-    (nt+1, *shape) added to the right side (manufactured-solution studies
-    only).  Newton divergence is reported as the boundary amplitude lying
-    outside the operational smallness radius of the background state.  The
-    returned field's `newton` records time steps, iterations,
-    factorizations and the largest final residual.
+    g is one datum, a BoundaryField on all of dOmega or a PatchField on S,
+    and the result is its SpaceTimeField; PDEError is raised if it fails.
+    g may also be a list of data, advanced together in one loop; then the
+    result is a list holding, per datum, its SpaceTimeField or the
+    PDEError that stopped it alone, and the other data continue.  Each
+    datum keeps its own chord (see the module docstring): data on the
+    frozen chord share one DST-I pair per iteration, and a datum whose
+    chord stalls, or any datum for non-diagonal A, factorizes and solves
+    its own Jacobian.  source, if given, is an array (nt+1, *shape) added
+    to the right side of every datum (manufactured-solution studies only).
+    Newton divergence is reported as the boundary amplitude lying outside
+    the operational smallness radius of the background state.  Each
+    field's `newton` records time steps, iterations, factorizations and
+    the largest final residual.
     """
-    g.check_compatible("start")
-    inner = (slice(1, -1),) * grid.dim
+    data = g if isinstance(g, list) else [g]
+    B, dim, dt, times = len(data), grid.dim, grid.dt, grid.times
+    errors = [None] * B
+    for b, datum in enumerate(data):
+        try:
+            datum.check_compatible("start")
+        except PDEError as exc:
+            errors[b] = exc
+    inner = (slice(1, -1),) * dim
+    stack_inner = (slice(None),) + inner
     flat_int = np.flatnonzero(interior_mask(grid).ravel())
     red = -np.ones(int(np.prod(grid.shape)), dtype=np.int64)
     red[flat_int] = np.arange(flat_int.size)
     diagonal = A.is_diagonal
     if diagonal:
         eig, gam, rho = _frozen_setup(law, A, grid, lam)
-    dt, times = grid.dt, grid.times
 
-    u = np.empty((grid.nt + 1,) + grid.shape)
-    u[0] = lam
-    lu, iterations, factorizations, worst = None, 0, 0, 0.0
+    u = [np.empty((grid.nt + 1,) + grid.shape) for _ in range(B)]  # per-datum histories
+    cur = np.full((B,) + grid.shape, float(lam))  # the level being solved
+    lus = [None] * B  # None while on the frozen chord
+    iterations, factorizations, worst = [0] * B, [0] * B, [0.0] * B
     for m in range(1, grid.nt + 1):
         t = times[m]
-        u_prev = u[m - 1]
-        cur = lam + g.values[m]
-        cur[inner] = u_prev[inner]
-        converged, last = False, None
+        todo = [b for b in range(B) if errors[b] is None]
+        prev = cur.copy()
+        for b in todo:
+            u[b][m - 1] = prev[b]
+            data[b].dirichlet_level(m, lam, cur[b])
+        cur[stack_inner] = prev[stack_inner]
+        if diagonal:
+            rho_dt, gam_t = rho(t) / dt, gam(t)
+        last = [None] * B
         for _ in range(newton_cap):
-            res = (law.rho(t, cur[inner]) * (cur[inner] - u_prev[inner]) / dt
-                   - _diffusion(A.A, grid.h, law.gamma(t, cur), cur))
+            if not todo:
+                break
+            # while every datum iterates, c is a view of cur; else a copy
+            sel = slice(None) if len(todo) == B else todo
+            c, p = cur[sel], prev[sel]
+            res = (law.rho(t, c[stack_inner]) * (c[stack_inner] - p[stack_inner]) / dt
+                   - _diffusion(A.A, grid.h, law.gamma(t, c), c))
             if source is not None:
                 res -= source[m][inner]
-            if not np.all(np.isfinite(res)):
-                raise PDEError("outside operational smallness radius "
-                               f"(non-finite residual at t={t:g})")
-            norm = np.abs(res).max()
-            if norm <= newton_tol:
-                converged = True
-                break
-            stalled = last is not None and norm > CHORD_RATE * last
-            if stalled or (lu is None and not diagonal):
-                lu = splu(_forward_jacobian(grid, A.A, law, t, cur, u_prev, dt,
-                                            flat_int, red))
-                factorizations += 1
-            last = norm
-            if lu is None:
-                cur[inner] -= _frozen_step(eig, rho(t) / dt, gam(t), res)
-            else:
-                cur[inner] -= lu.solve(res.ravel()).reshape(res.shape)
-            iterations += 1
-        if not converged:
-            raise PDEError("outside operational smallness radius "
-                           f"(Newton cap {newton_cap} hit at t={t:g})")
-        worst = max(worst, float(norm))
-        u[m] = cur
-    stats = {"steps": grid.nt, "iterations": iterations,
-             "factorizations": factorizations, "max_residual": worst}
-    return SpaceTimeField(values=u, grid=grid, newton=stats)
+            flat = res.reshape(len(todo), -1)
+            finite = np.isfinite(flat).all(axis=1)
+            norms = np.abs(flat).max(axis=1)
+            chord, solved, going = [], [], []
+            for j, b in enumerate(todo):
+                if not finite[j]:
+                    errors[b] = PDEError("outside operational smallness radius "
+                                         f"(non-finite residual at t={t:g})")
+                    continue
+                if norms[j] <= newton_tol:
+                    worst[b] = max(worst[b], float(norms[j]))
+                    continue
+                stalled = last[b] is not None and norms[j] > CHORD_RATE * last[b]
+                if stalled or (lus[b] is None and not diagonal):
+                    lus[b] = splu(_forward_jacobian(grid, A.A, law, t, c[j], p[j],
+                                                    dt, flat_int, red))
+                    factorizations[b] += 1
+                last[b] = norms[j]
+                iterations[b] += 1
+                going.append(j)
+                (chord if lus[b] is None else solved).append(j)
+            if chord:
+                rows = slice(None) if len(chord) == len(todo) else chord
+                c[(rows,) + inner] -= _frozen_step(eig, rho_dt, gam_t, res[rows])
+            for j in solved:
+                c[j][inner] -= lus[todo[j]].solve(res[j].ravel()).reshape(res.shape[1:])
+            if isinstance(sel, list):
+                cur[sel] = c
+            todo = [todo[j] for j in going]
+        for b in todo:
+            errors[b] = PDEError("outside operational smallness radius "
+                                 f"(Newton cap {newton_cap} hit at t={t:g})")
+    for b in range(B):
+        u[b][-1] = cur[b]
+    out = [SpaceTimeField(values=u[b], grid=grid,
+                          newton={"steps": grid.nt, "iterations": iterations[b],
+                                  "factorizations": factorizations[b],
+                                  "max_residual": worst[b]})
+           if errors[b] is None else errors[b] for b in range(B)]
+    if isinstance(g, list):
+        return out
+    if errors[0] is not None:
+        raise errors[0]
+    return out[0]
 
 
 def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):
@@ -408,8 +473,11 @@ def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):
 
 
 def _frozen_step(eig, rho_over_dt: float, gam: float, rhs: np.ndarray):
-    """Solve (rho/dt I + gamma K_int) x = rhs on the interior box by DST-I."""
-    return idstn(dstn(rhs, type=1) / (rho_over_dt + gam * eig), type=1)
+    """Solve (rho/dt I + gamma K_int) x = rhs on the interior box by DST-I;
+    leading axes of rhs beyond eig's are a batch."""
+    axes = tuple(range(-eig.ndim, 0))
+    return idstn(dstn(rhs, type=1, axes=axes) / (rho_over_dt + gam * eig),
+                 type=1, axes=axes)
 
 
 def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,

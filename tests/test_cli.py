@@ -228,6 +228,23 @@ def test_verbose_forward_reports_newton_counts_on_stderr(cfg_path, capsys):
     assert loud.out == quiet.out
 
 
+def test_forward_and_linearize_outputs_do_not_depend_on_worker_count(
+        cfg_path, tmp_path, capsys, monkeypatch):
+    # both subcommands run one forward solve each, the k-scaled data of
+    # linearize-check as one stack; -v keeps one line of counts per k
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("DNPROBE_WORKERS", workers)
+        assert main(["forward", "-c", cfg_path]) == 0
+        assert main(["linearize-check", "-v", "-c", cfg_path]) == 0
+        err = capsys.readouterr().err
+        outputs.append({name: (tmp_path / "out" / name).read_bytes()
+                        for name in ("demo_flux.csv", "demo_linearize.csv")})
+        for k in (4, 8):
+            assert f"forward k={k}: steps 16 iterations 14 factorizations 0 " in err
+    assert outputs[0] == outputs[1]
+
+
 # --- paper hypotheses a subcommand needs, rejected before any solve ----------
 
 RHO3D = GAMMA_CFG.replace("[grid]\n", "[grid]\ndim = 3\n").replace(

@@ -272,6 +272,25 @@ def test_linearization_check_quadratic_decay():
     assert d[2] / d[1] == pytest.approx(0.5, abs=0.12)
 
 
+def test_linearization_check_flags_a_diverging_row_and_keeps_the_rest():
+    # gamma = 0.2 + s^2 driven by the full datum (k = 1) hits the Newton cap;
+    # g/4 and g/16 advance in the same stack and match their own solves
+    g = _grid()
+    law = make_law(gamma=("poly_s", {"c0": 0.2, "c2": 1.0}), m_floor=1e-4)
+    gb = _on_patch(g, lambda t, x: 20.0 * _datum(t, x))
+    rows = linearization_check(law, A2, g, 0.0, gb, [1, 4, 16])
+    assert rows[0]["ok"] is False and rows[0]["newton"] is None
+    assert rows[0]["why"] == ("outside operational smallness radius "
+                              "(Newton cap 25 hit at t=0.25)")
+    lam_flux = patch_linear_flux(law, A2, g, 0.0, [gb])[0]
+    for row in rows[1:]:
+        k = row["k"]
+        u = solve_forward(law, A2, g, 0.0, PatchField(values=gb.values / k, grid=g))
+        diff = k * nonlinear_flux(u, law, A2, g).values - lam_flux
+        assert row["ok"] and row["newton"] == u.newton
+        assert row["d_k"] == flux_l2_st(PatchField(values=diff, grid=g), g)
+
+
 def test_difference_flux_vanishes_for_equal_laws():
     g = _grid()
     law = make_law(gamma=("trig_t", {"c0": 2.0, "c1": 0.3}))

@@ -72,6 +72,39 @@ def test_exact_derivatives_match_finite_differences(spec):
                 assert c.ds(t, s) == pytest.approx(_fd(c, t, s, "s"), abs=1e-7)
 
 
+_params = st.floats(-1.5, 1.5)
+_library_laws = st.one_of(
+    st.builds(lambda c0: ("constant", {"c0": c0}), _params),
+    st.builds(lambda c0, c1: ("affine_t", {"c0": c0, "c1": c1}), _params, _params),
+    st.builds(lambda c0, c1, freq, phase: ("trig_t", {"c0": c0, "c1": c1,
+                                                      "freq": freq, "phase": phase}),
+              st.floats(1.0, 3.0), st.floats(-0.5, 0.5), st.floats(0.0, 2.0),
+              st.floats(0.0, 6.3)),
+    st.builds(lambda c0, c1, s0, w: ("gauss_s", {"c0": c0, "c1": c1, "s0": s0, "w": w}),
+              st.floats(1.0, 3.0), st.floats(-0.5, 0.5), _params, st.floats(0.3, 2.0)),
+    st.builds(lambda c0, c1, c2: ("poly_s", {"c0": c0, "c1": c1, "c2": c2}),
+              _params, _params, _params))
+_SHAPES = [(), (5,), (3, 1), (3, 5)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_library_laws, weight=st.sampled_from([1.0, -0.7, 2.5]),
+       which=st.sampled_from(["value", "dt", "ds"]), t_shape=st.sampled_from(_SHAPES),
+       s_shape=st.sampled_from(_SHAPES), seed=st.integers(0, 2 ** 16))
+def test_evaluation_matches_explicitly_broadcast_arguments(spec, weight, which, t_shape,
+                                                           s_shape, seed):
+    # each formula sees t and s as given (a scalar t stays scalar); the
+    # result must be the one the formula gives on arguments broadcast first
+    c = weight * coefficient(*spec)
+    f = {"value": c, "dt": c.dt, "ds": c.ds}[which]
+    rng = np.random.default_rng(seed)
+    t, s = rng.uniform(0.0, 2.0, t_shape), rng.uniform(-1.5, 1.5, s_shape)
+    got = f(t, s)
+    ref = f(*np.broadcast_arrays(t, s))
+    assert np.shape(got) == np.shape(ref) == np.broadcast_shapes(t_shape, s_shape)
+    assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+
+
 def test_trig_law_values():
     law = make_law(gamma=("trig_t", {"c0": 2.0, "c1": 0.5}))
     assert law.gamma(0.0, 0.0) == pytest.approx(2.0)

@@ -520,3 +520,81 @@ def test_forward_is_linear_for_u_independent_laws_property(case, gamma, rho, lam
     w = solve_linearized(law, A, grid, lam, gb).values
     assert np.abs(u.values - lam - w).max() <= 1e-12 * np.abs(w).max()
     assert u.newton["factorizations"] == 0
+
+
+# --- a stack of data in one forward loop -------------------------------------
+
+_s_law = st.one_of(
+    st.builds(lambda c0, c1, c2: ("poly_s", {"c0": c0, "c1": c1, "c2": c2}),
+              st.floats(1.0, 2.0), st.floats(-0.2, 0.2), st.floats(0.0, 0.5)),
+    st.builds(lambda c0, c1, s0, w: ("gauss_s", {"c0": c0, "c1": c1, "s0": s0, "w": w}),
+              st.floats(1.0, 2.0), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+              st.floats(0.3, 1.0)))
+_STACK_CASES = dict(_RESIDUAL_CASES, **{
+    "2d-diag": (build_grid(2, 1 / 8, 1 / 8, 1.0), np.diag([2.0, 0.5]))})
+
+
+def _stack_data(grid, amplitudes, on_patch):
+    """amplitude * a smooth datum, on all of dOmega or restricted to S."""
+    full = boundary_field_from_callable(
+        grid, lambda t, x: _datum(t, x) * (1.0 + x[..., -1] ** 2)).values
+    face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
+    patch = full[face] * grid.patch_support_mask()
+    return [PatchField(values=a * patch, grid=grid) if p
+            else BoundaryField(values=a * full, grid=grid)
+            for a, p in zip(amplitudes, on_patch)]
+
+
+def _assert_stack_matches_single_solves(law, A, grid, lam, data):
+    stacked = solve_forward(law, A, grid, lam, data)
+    assert len(stacked) == len(data)
+    for datum, got in zip(data, stacked):
+        try:
+            ref = solve_forward(law, A, grid, lam, datum)
+        except PDEError as exc:
+            assert isinstance(got, PDEError) and str(got) == str(exc)
+            continue
+        assert got.newton == ref.newton
+        assert np.abs(got.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
+    return stacked
+
+
+@pytest.mark.parametrize("case", sorted(_STACK_CASES))
+@settings(max_examples=15, deadline=None)
+@given(gamma=st.one_of(_t_law, _s_law), rho=st.one_of(_t_law, _s_law),
+       lam=st.floats(-0.5, 0.5),
+       data=st.lists(st.tuples(st.floats(0.05, 1.5), st.booleans()), min_size=1,
+                     max_size=4))
+def test_stacked_forward_equals_single_solves_property(case, gamma, rho, lam, data):
+    # one loop over a stack of data: each datum gets the field and the Newton
+    # record of its own solve, whatever chord the others are on
+    grid, A = _STACK_CASES[case]
+    A = make_matrix(A)
+    amplitudes, on_patch = zip(*data)
+    _assert_stack_matches_single_solves(make_law(gamma=gamma, rho=rho), A, grid, lam,
+                                        _stack_data(grid, amplitudes, on_patch))
+
+
+def test_stack_mixes_frozen_and_jacobian_chords():
+    # small data stay on the frozen DST chord, large data stall into the
+    # Jacobian fallback; both kinds advance in the same stack
+    g = build_grid(2, 1 / 16, 1 / 16, 1.0)
+    data = _stack_data(g, [0.05, 2.0, 0.1, 2.5], [False, True, True, False])
+    stacked = _assert_stack_matches_single_solves(_NEWTON_LAWS["poly_s"], A2, g, 0.3, data)
+    assert [u.newton["factorizations"] > 0 for u in stacked] == [False, True, False, True]
+
+
+def test_stack_isolates_a_failing_datum():
+    # the large datum hits the Newton cap; the small one finishes unchanged
+    g = build_grid(2, 1 / 8, 1 / 8, 1.0)
+    law = make_law(gamma=("poly_s", {"c0": 0.05, "c2": 1.0}), m_floor=1e-4)
+    big, small = (boundary_field_from_callable(
+        g, lambda t, x, a=a: a * np.sin(np.pi * t) * np.sin(np.pi * x[..., 1]))
+        for a in (50.0, 0.1))
+    got = solve_forward(law, A2, g, 0.0, [big, small], newton_cap=12)
+    with pytest.raises(PDEError) as exc:
+        solve_forward(law, A2, g, 0.0, big, newton_cap=12)
+    assert isinstance(got[0], PDEError) and str(got[0]) == str(exc.value)
+    ref = solve_forward(law, A2, g, 0.0, small, newton_cap=12)
+    assert got[1].newton == ref.newton
+    assert np.array_equal(got[1].values, ref.values)
