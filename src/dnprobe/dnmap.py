@@ -25,75 +25,79 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn, idstn
-from scipy.sparse.linalg import splu  # noqa: F401  (perfbench/spans.py counts splu here)
+from numpy.fft import fft2, fftfreq
+from numpy.random import default_rng
 
 from .geometry import Grid, trapezoid_weights
 from .material import MaterialLaw, MatrixField
-from .pde import (BoundaryField, PatchField, SpaceTimeField, _frozen_setup,
-                  dirichlet_solve, interior_mask, solve_forward, solve_linearized,
+from .pde import (BoundaryField, PatchField, SpaceTimeField, _frozen_setup, _lazy_splu,
+                  dirichlet_solve, dst1, interior_mask, solve_forward, solve_linearized,
                   PDEError)
+
+# nothing here factorizes: perfbench/spans.py SPLU_MODULES is the only
+# reader of dnmap.splu
+__getattr__ = _lazy_splu(globals())
 
 
 class DNMapError(RuntimeError):
     pass
 
 
-def _face_normal_derivative(field_level: np.ndarray, grid: Grid) -> np.ndarray:
+def _face_normal_derivative(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Outward normal derivative on the patch face, 3-point one-sided.
 
-    Exact for fields affine in the normal coordinate.
+    field is a node array whose last grid.dim axes are space; leading axes
+    are a batch.  Exact for fields affine in the normal coordinate.
     """
     d, side = grid.patch_axis, grid.patch_side
     h = grid.h
-    sl = lambda k: tuple(slice(None) if a != d else k for a in range(grid.dim))
+    sl = lambda k: (Ellipsis,) + tuple(slice(None) if a != d else k for a in range(grid.dim))
     if side == 0:
-        inward = (-3.0 * field_level[sl(0)] + 4.0 * field_level[sl(1)]
-                  - field_level[sl(2)]) / (2.0 * h)
+        inward = (-3.0 * field[sl(0)] + 4.0 * field[sl(1)] - field[sl(2)]) / (2.0 * h)
         return -inward  # nu = -e_d
-    inward = (-3.0 * field_level[sl(-1)] + 4.0 * field_level[sl(-2)]
-              - field_level[sl(-3)]) / (2.0 * h)
+    inward = (-3.0 * field[sl(-1)] + 4.0 * field[sl(-2)] - field[sl(-3)]) / (2.0 * h)
     return -inward      # derivative along -e_d; nu = +e_d
 
 
-def _face_conormal(field_level: np.ndarray, grid: Grid, A: MatrixField) -> np.ndarray:
-    """A grad(field) . nu on the patch face."""
+def _face_conormal(field: np.ndarray, grid: Grid, A: MatrixField) -> np.ndarray:
+    """A grad(field) . nu on the patch face; leading axes of field beyond
+    the grid.dim space axes are a batch."""
     d = grid.patch_axis
     nu_d = -1.0 if grid.patch_side == 0 else 1.0
-    dn = _face_normal_derivative(field_level, grid)  # = nu_d * d_d(field)
+    dn = _face_normal_derivative(field, grid)  # = nu_d * d_d(field)
     out = A.A[d, d] * dn
-    face = field_level[grid.face_node_selector(d, grid.patch_side)]
+    face = field[(Ellipsis,) + grid.face_node_selector(d, grid.patch_side)]
     for k, e in enumerate(grid.tangential_axes):
         if A.A[d, e] != 0.0:
-            out = out + nu_d * A.A[d, e] * np.gradient(face, grid.h, axis=k, edge_order=2)
+            out = out + nu_d * A.A[d, e] * np.gradient(face, grid.h, axis=k - (grid.dim - 1),
+                                                       edge_order=2)
     return out
+
+
+def _patch_flux(field: SpaceTimeField, gamma, grid: Grid, A: MatrixField) -> PatchField:
+    """gamma (A grad u . nu) on S at every time level, one evaluation over
+    the (nt+1, *shape) history; gamma broadcasts against its face arrays."""
+    vals = gamma * _face_conormal(field.values, grid, A)
+    vals[:, ~grid.patch_support_mask()] = 0.0
+    return PatchField(values=vals, grid=grid)
+
+
+def _face_times(grid: Grid) -> np.ndarray:
+    """The time levels as a column against (nt+1, *face_shape) arrays."""
+    return grid.times.reshape((-1,) + (1,) * (grid.dim - 1))
 
 
 def nonlinear_flux(u: SpaceTimeField, law: MaterialLaw, A: MatrixField,
                    grid: Grid) -> PatchField:
     """DN output gamma(t, u) (A grad u . nu) on S at every time level."""
-    face_sel = grid.face_node_selector(grid.patch_axis, grid.patch_side)
-    smask = grid.patch_support_mask()
-    vals = np.zeros((grid.nt + 1,) + smask.shape)
-    for m, t in enumerate(grid.times):
-        lvl = u.values[m]
-        con = _face_conormal(lvl, grid, A)
-        vals[m] = law.gamma(t, lvl[face_sel]) * con
-        vals[m][~smask] = 0.0
-    return PatchField(values=vals, grid=grid)
+    face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
+    return _patch_flux(u, law.gamma(_face_times(grid), u.values[face]), grid, A)
 
 
 def linear_flux(w: SpaceTimeField, law: MaterialLaw, A: MatrixField,
                 grid: Grid, lam: float) -> PatchField:
     """Linearized DN output gamma(t, lambda) (A grad w . nu) on S."""
-    face_sel = grid.face_node_selector(grid.patch_axis, grid.patch_side)
-    smask = grid.patch_support_mask()
-    vals = np.zeros((grid.nt + 1,) + smask.shape)
-    for m, t in enumerate(grid.times):
-        con = _face_conormal(w.values[m], grid, A)
-        vals[m] = float(law.gamma(t, lam)) * con
-        vals[m][~smask] = 0.0
-    return PatchField(values=vals, grid=grid)
+    return _patch_flux(w, law.gamma(_face_times(grid), lam), grid, A)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +214,9 @@ class BoundaryNorm:
         samples = _closed_curve_samples(field.values, self.grid)[:-1]
         n_t, n_s = samples.shape
         ds = 4.0 / n_s
-        p = np.abs(np.fft.fft2(samples) * math.sqrt(self.grid.dt * ds / (n_t * n_s))) ** 2
-        xi_s = 2.0 * math.pi * np.abs(np.fft.fftfreq(n_s, d=ds))
-        xi_t = 2.0 * math.pi * np.abs(np.fft.fftfreq(n_t, d=self.grid.T / n_t))
+        p = np.abs(fft2(samples) * math.sqrt(self.grid.dt * ds / (n_t * n_s))) ** 2
+        xi_s = 2.0 * math.pi * np.abs(fftfreq(n_s, d=ds))
+        xi_t = 2.0 * math.pi * np.abs(fftfreq(n_t, d=self.grid.T / n_t))
         w = (1.0 + xi_s)[None, :] + (1.0 + xi_t)[:, None]
         return math.sqrt(float(weigh(p, w).sum()))
 
@@ -293,14 +297,14 @@ def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
     d, side = grid.patch_axis, grid.patch_side
     for g in data:
         g.check_compatible("start")
-    eig, gam, rho = _frozen_setup(law, A, grid, lam)
+    eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
+    basis = [basis[e] for e in grid.tangential_axes]
     N, h, dt, nt = grid.n_cells, grid.h, grid.dt, grid.nt
     a_dd = A.A[d, d]
     faces = np.stack([g.values for g in data])  # (B, nt+1, *face_shape)
     faces[:, 0] = 0.0  # as solve_linearized's w(0) = 0
-    tang = tuple(range(2, grid.dim + 1))
     inner = (Ellipsis,) + (slice(1, -1),) * (grid.dim - 1)
-    src = dstn(faces[inner], type=1, axes=tang)
+    src = dst1(faces[inner], basis)
     # normal modes first, then the tangential ones in face order
     eig = np.moveaxis(eig, d, 0)
     k = np.arange(1, N)
@@ -317,7 +321,7 @@ def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
             / (r + gm * eig)
         near[:, m] = (rows @ state.reshape(B, N - 1, -1)).reshape((B,) + near.shape[2:])
     P = np.zeros((B, nt + 1, 2) + faces.shape[2:])
-    P[inner] = idstn(near, type=1, axes=tuple(a + 1 for a in tang))
+    P[inner] = dst1(near, basis)
     inward = (-3.0 * faces + 4.0 * P[:, :, 0] - P[:, :, 1]) / (2.0 * h)
     gam_t = np.array([gam(t) for t in times]).reshape((1, -1) + (1,) * (grid.dim - 1))
     out = gam_t * (a_dd * -inward)
@@ -331,7 +335,7 @@ def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
     Space: Gaussian bump in the patch tangential coordinates, clipped by a
     smooth patch window; time: sine arch vanishing at both endpoints.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     smask = grid.patch_support_mask()
     ax = grid.axis_nodes()
     tang = np.meshgrid(*([ax] * (grid.dim - 1)), indexing="ij")

@@ -17,7 +17,10 @@ analytic Jacobian (closed-form s-derivatives carried by the MaterialLaw)
 is factorized by sparse LU at the current iterate, and that factorization
 is reused across iterations and time steps until the next such failure.
 Off-diagonal A has no frozen DST step and factorizes the Jacobian at the
-first iteration.  solve_forward advances a list of data as one stack, in
+first iteration.  That LU is the only use of scipy on a subcommand's
+path: splu is a module attribute resolved on first access, so
+scipy.sparse.linalg loads only when a Jacobian is factorized.
+solve_forward advances a list of data as one stack, in
 one loop over time steps and iterations: each datum keeps its own
 convergence, chord and counts, the data on the frozen chord share one
 DST-I pair over the trailing axes, and a datum with a factorized Jacobian
@@ -30,8 +33,12 @@ s = lambda.  For diagonal A the type-I discrete sine transform
 diagonalizes the frozen operator on the interior box, so each step is one
 forward and one inverse DST-I (Buzbee, Golub & Nielson, SIAM J. Numer.
 Anal. 7, 1970); the adjoint problem is the same operator stepped
-backward from a zero terminal state.  Frozen solves and the stiffness
-matrix K they couple the boundary through require diagonal A.  No
+backward from a zero terminal state.  dst1 is that transform in its
+orthonormal form, which is its own inverse: dense sine matrices, one per
+axis (sine_basis, built per operator next to box_spectrum), applied with
+@ on contiguous trailing axes, one code path for every shape.  Frozen
+solves and the stiffness matrix K they couple the boundary through
+require diagonal A.  No
 subcommand calls solve_linearized: the probes, eta and the linearization
 check take Lambda g from dnmap.patch_linear_flux, which solves the same
 steps in the sine basis for data on the patch face, and the full-field
@@ -49,19 +56,21 @@ kind and writes one level at a time onto its iterate (dirichlet_level),
 so patch data never become histories on all of dOmega.
 
 Spatial discretization is the standard second-order stencil with
-face-averaged diffusion coefficients on the diagonal of A; stiffness()
-builds its constant form on a node mask (the box, or Omega').  The forward
-solver also takes off-diagonal (cross) terms, by centered differences
-with the coefficient frozen in the Jacobian.  The source term exists only
-for manufactured-solution studies.
+face-averaged diffusion coefficients on the diagonal of A, applied
+matrix-free by _diffusion (the forward residual, and with gamma = 1 the
+Omega' residual check in singular).  stiffness() assembles its constant
+form on a node mask as a scipy sparse matrix, importing scipy.sparse
+inside; only the full-field reference solves (solve_linearized,
+solve_adjoint) and the tests use it.  The forward solver also takes
+off-diagonal (cross) terms, by centered differences with the coefficient
+frozen in the Jacobian.  The source term exists only for
+manufactured-solution studies.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn, idstn
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
 
 from .geometry import Grid
 from .material import MatrixField
@@ -73,6 +82,23 @@ CHORD_RATE = 0.1  # a step must cut the residual to this fraction, else refactor
 
 class PDEError(RuntimeError):
     pass
+
+
+def _lazy_splu(namespace: dict):
+    """A PEP 562 module __getattr__ binding splu (scipy.sparse.linalg) into
+    namespace on first access, so scipy loads only when something factorizes."""
+    def __getattr__(name):
+        if name != "splu":
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        from scipy.sparse.linalg import splu
+        namespace["splu"] = splu
+        return splu
+    return __getattr__
+
+
+# the Newton fallback calls pde.splu through the module, so a rebinding of
+# it (perfbench/spans.py SPLU_MODULES, the counting tests) is what runs
+__getattr__ = _lazy_splu(globals())
 
 
 @dataclass
@@ -215,6 +241,7 @@ def stiffness(interior, A: np.ndarray, h: float):
             rows.append(loc)
             cols.append(flat_int + sgn * strides[a])
             vals.append(np.full(n_int, -A[a, a] / h2))
+    from scipy.sparse import coo_matrix
     K = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                    shape=(n_int, interior.size)).tocsc()
     return K, flat_int
@@ -247,14 +274,49 @@ def box_spectrum(a_diag, h: float, lengths) -> np.ndarray:
     return eig
 
 
-def dirichlet_solve(u: np.ndarray, A: np.ndarray, h: float) -> np.ndarray:
+def sine_rows(j, L: int) -> np.ndarray:
+    """Orthonormal DST-I modes sqrt(2/L) sin(pi kappa j / L), kappa = 1..L-1,
+    at the node indices j (rows); zero outside 0 < j < L."""
+    j = np.asarray(j)
+    # sin(pi m / L) has period 2L in the integer m = kappa j: one table
+    table = np.sqrt(2.0 / L) * np.sin(np.pi * np.arange(2 * L) / L)
+    Q = table[np.outer(j, np.arange(1, L)) % (2 * L)]
+    Q[(j <= 0) | (j >= L)] = 0.0
+    return Q
+
+
+def sine_basis(lengths) -> list:
+    """Per axis, the orthonormal DST-I matrix of the interior nodes of a
+    box of lengths[a] cells: sine_rows on nodes 1..L-1, in the mode order
+    of box_spectrum, built once per distinct L.  Each is symmetric and its
+    own inverse."""
+    mats = {L: sine_rows(np.arange(1, L), L) for L in set(lengths)}
+    return [mats[L] for L in lengths]
+
+
+def dst1(x: np.ndarray, basis: list) -> np.ndarray:
+    """Orthonormal DST-I of x over its last len(basis) axes, basis[a] acting
+    on the a-th of them; leading axes are a batch.  Dense sine matrices
+    applied with @ on contiguous trailing axes: x @ Q on the last axis, and
+    Q @ x on an earlier one with the axes after it flattened.  The inverse
+    transform is the same call."""
+    x = x @ basis[-1]
+    for k in range(2, len(basis) + 1):
+        shape = x.shape
+        x = (basis[-k] @ x.reshape(shape[:-k] + (shape[-k], -1))).reshape(shape)
+    return x
+
+
+def dirichlet_solve(u: np.ndarray, A: np.ndarray, h: float, basis=None) -> np.ndarray:
     """Overwrite the interior of the node box u (its last A.shape[0] axes;
     leading axes are a batch) with the solution of -div(A grad v) = 0 whose
     Dirichlet data are the boundary values of u, by one forward and one
-    inverse DST-I.  Constant diagonal A; returns u."""
+    inverse DST-I.  Constant diagonal A; basis is the box's sine_basis,
+    built here when not given.  Returns u."""
     a = _diagonal(A)
     n = a.size
-    axes = tuple(range(-n, 0))
+    lengths = [m - 1 for m in u.shape[-n:]]
+    basis = sine_basis(lengths) if basis is None else basis
     inner = (Ellipsis,) + (slice(1, -1),) * n
     rhs = np.zeros(u[inner].shape)
     for ax in range(n):
@@ -264,8 +326,7 @@ def dirichlet_solve(u: np.ndarray, A: np.ndarray, h: float) -> np.ndarray:
             near = [slice(None)] * n
             near[ax] = end
             rhs[(Ellipsis,) + tuple(near)] += (a[ax] / h ** 2) * u[(Ellipsis,) + tuple(plane)]
-    eig = box_spectrum(a, h, [m - 1 for m in u.shape[-n:]])
-    u[inner] = idstn(dstn(rhs, type=1, axes=axes) / eig, type=1, axes=axes)
+    u[inner] = dst1(dst1(rhs, basis) / box_spectrum(a, h, lengths), basis)
     return u
 
 
@@ -346,6 +407,7 @@ def _forward_jacobian(grid: Grid, A: np.ndarray, law, t: float, u: np.ndarray,
     rows.append(loc)
     cols.append(loc)
     vals.append(diag)
+    from scipy.sparse import coo_matrix
     J = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                    shape=(n_int, n_int)).tocsc()
     return J
@@ -390,7 +452,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     red[flat_int] = np.arange(flat_int.size)
     diagonal = A.is_diagonal
     if diagonal:
-        eig, gam, rho = _frozen_setup(law, A, grid, lam)
+        eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
 
     u = [np.empty((grid.nt + 1,) + grid.shape) for _ in range(B)]  # per-datum histories
     cur = np.full((B,) + grid.shape, float(lam))  # the level being solved
@@ -431,6 +493,8 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
                     continue
                 stalled = last[b] is not None and norms[j] > CHORD_RATE * last[b]
                 if stalled or (lus[b] is None and not diagonal):
+                    # splu through the module attribute: a rebinding is what runs
+                    splu = sys.modules[__name__].splu
                     lus[b] = splu(_forward_jacobian(grid, A.A, law, t, c[j], p[j],
                                                     dt, flat_int, red))
                     factorizations[b] += 1
@@ -440,7 +504,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
                 (chord if lus[b] is None else solved).append(j)
             if chord:
                 rows = slice(None) if len(chord) == len(todo) else chord
-                c[(rows,) + inner] -= _frozen_step(eig, rho_dt, gam_t, res[rows])
+                c[(rows,) + inner] -= _frozen_step(eig, basis, rho_dt, gam_t, res[rows])
             for j in solved:
                 c[j][inner] -= lus[todo[j]].solve(res[j].ravel()).reshape(res.shape[1:])
             if isinstance(sel, list):
@@ -464,27 +528,27 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
 
 
 def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):
-    """The DST-I spectrum of K on the interior box (box_spectrum) and the
-    frozen coefficients t -> gamma(t, lam) and t -> rho(t, lam)."""
-    eig = box_spectrum(_diagonal(A.A), grid.h, (grid.n_cells,) * grid.dim)
+    """The DST-I spectrum of K on the interior box (box_spectrum), the
+    box's sine_basis, and the frozen coefficients t -> gamma(t, lam) and
+    t -> rho(t, lam)."""
+    lengths = (grid.n_cells,) * grid.dim
+    eig = box_spectrum(_diagonal(A.A), grid.h, lengths)
     gam = lambda t: float(law.gamma(t, lam))
     rho = lambda t: float(law.rho(t, lam))
-    return eig, gam, rho
+    return eig, sine_basis(lengths), gam, rho
 
 
-def _frozen_step(eig, rho_over_dt: float, gam: float, rhs: np.ndarray):
+def _frozen_step(eig, basis, rho_over_dt: float, gam: float, rhs: np.ndarray):
     """Solve (rho/dt I + gamma K_int) x = rhs on the interior box by DST-I;
     leading axes of rhs beyond eig's are a batch."""
-    axes = tuple(range(-eig.ndim, 0))
-    return idstn(dstn(rhs, type=1, axes=axes) / (rho_over_dt + gam * eig),
-                 type=1, axes=axes)
+    return dst1(dst1(rhs, basis) / (rho_over_dt + gam * eig), basis)
 
 
 def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
                      source=None) -> SpaceTimeField:
     """Linear solve with coefficients frozen at the background s = lambda."""
     g.check_compatible("start")
-    eig, gam, rho = _frozen_setup(law, A, grid, lam)
+    eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
     K, _ = constant_stiffness(grid, A.A)
     inner = (slice(1, -1),) * grid.dim
     dt, times = grid.dt, grid.times
@@ -496,7 +560,7 @@ def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryFie
             - gam(t) * (K @ g.values[m].ravel()).reshape(eig.shape)
         if source is not None:
             rhs = rhs + source[m][inner]
-        w[m][inner] = _frozen_step(eig, rho(t) / dt, gam(t), rhs)
+        w[m][inner] = _frozen_step(eig, basis, rho(t) / dt, gam(t), rhs)
     return SpaceTimeField(values=w, grid=grid)
 
 
@@ -510,7 +574,7 @@ def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
     over interior nodes and m = 1..nt-1, to rounding.
     """
     gbar.check_compatible("end")
-    eig, gam, rho = _frozen_setup(law, A, grid, lam)
+    eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
     K, _ = constant_stiffness(grid, A.A)
     inner = (slice(1, -1),) * grid.dim
     dt, times = grid.dt, grid.times
@@ -520,7 +584,7 @@ def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
         t = times[m]
         rhs = (rho(times[m + 1]) / dt) * w[m + 1][inner] \
             - gam(t) * (K @ gbar.values[m].ravel()).reshape(eig.shape)
-        w[m][inner] = _frozen_step(eig, rho(t) / dt, gam(t), rhs)
+        w[m][inner] = _frozen_step(eig, basis, rho(t) / dt, gam(t), rhs)
     return SpaceTimeField(values=w, grid=grid)
 
 

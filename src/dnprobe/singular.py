@@ -20,8 +20,9 @@ glued along the patch-face nodes Gamma.  The corrector is solved by
 substructuring (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
 1971; Bjorstad & Widlund, SIAM J. Numer. Anal. 23, 1986): each box is
 eliminated by the DST-I solver of pde, and the Gamma x Gamma Schur
-complement, dense and closed-form in the tangential sine bases, is
-factorized once by Cholesky.
+complement, dense and closed-form in the tangential sine bases, is checked
+positive definite by numpy's Cholesky factor and inverted once.  Each
+corrector's residual is checked by the matrix-free stencil of pde.
 """
 
 import math
@@ -29,12 +30,15 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import splu  # noqa: F401  (perfbench/spans.py counts splu here)
 
 from .geometry import Grid, ProbeGeometry, trapezoid_weights
 from .material import MatrixField
-from .pde import box_spectrum, dirichlet_solve, stiffness
+from .pde import (_diffusion, _lazy_splu, box_spectrum, dirichlet_solve, sine_basis,
+                  sine_rows)
+
+# nothing here factorizes: perfbench/spans.py SPLU_MODULES is the only
+# reader of singular.splu
+__getattr__ = _lazy_splu(globals())
 
 
 class SingularError(ValueError):
@@ -88,15 +92,6 @@ def fundamental_dj_H(x, y, A: MatrixField, j: int, conv: float = 1.0):
 # corrector solves on Omega'
 
 
-def _sine_rows(j, L: int) -> np.ndarray:
-    """Orthonormal DST-I modes sqrt(2/L) sin(pi kappa j / L), kappa = 1..L-1,
-    at the node indices j (rows); zero outside 0 < j < L."""
-    j = np.asarray(j)
-    Q = np.sqrt(2.0 / L) * np.sin(np.pi * np.outer(j, np.arange(1, L)) / L)
-    Q[(j <= 0) | (j >= L)] = 0.0
-    return Q
-
-
 def _patch_first_diagonal(grid: Grid, A: MatrixField) -> np.ndarray:
     return np.diagonal(A.A)[[grid.patch_axis, *grid.tangential_axes]]
 
@@ -116,8 +111,11 @@ def _omega_prime_operator(grid: Grid, A: MatrixField):
     g(kappa) = sum_k phi_k(1)^2 / (a_dd lambda_k + mu_kappa) the value that
     a unit mode kappa on Gamma takes on the node plane next to Gamma inside
     each box (phi_k, lambda_k its normal sine modes and eigenvalues, mu_kappa
-    the tangential ones).  Returns the Cholesky factor of S, and the
-    2n+1-point stencil K on the Omega' mask for the residual check.
+    the tangential ones).  S is checked positive definite by its Cholesky
+    factorization and inverted once, so each interface solve is one matvec.
+    Returns that inverse, the sine_basis of each box for its DST-I solves,
+    and the Omega' interior mask on which the residual check applies the
+    matrix-free stencil K = -div(A grad .).
     """
     if not A.is_diagonal:
         raise SingularError("correctors support constant diagonal A only")
@@ -130,18 +128,26 @@ def _omega_prime_operator(grid: Grid, A: MatrixField):
         shift = np.eye(j.size, k=1) + np.eye(j.size, k=-1)
         S -= (a[e + 1] / h ** 2) * reduce(np.kron, eyes[:e] + [shift] + eyes[e + 1:])
     # per box: tangential sine rows on Gamma, normal cells, tangential cells
-    box = ([_sine_rows(j, N) for j in nodes], N, [N] * len(nodes))
-    slab = ([_sine_rows(j - j[0], j.size - 1) for j in nodes], pad,
+    box = ([sine_rows(j, N) for j in nodes], N, [N] * len(nodes))
+    slab = ([sine_rows(j - j[0], j.size - 1) for j in nodes], pad,
             [j.size - 1 for j in nodes])
     for rows, L, lengths in (box, slab):
-        g = np.tensordot(_sine_rows([1], L)[0] ** 2,
+        g = np.tensordot(sine_rows([1], L)[0] ** 2,
                          1.0 / box_spectrum(a, h, [L] + lengths), axes=1)
         Q = reduce(np.kron, rows)
         S -= (a[0] / h ** 2) ** 2 * (Q * g.ravel()) @ Q.T
+    np.linalg.cholesky(S)  # raises LinAlgError unless S is SPD
     interior = grid.omega_prime_interior_mask()
-    K, _ = stiffness(interior, A.A, h)
-    return {"schur": cho_factor(S), "K": K,
+    return {"schur": np.linalg.inv(S),
+            "bases": tuple(sine_basis([L] + lengths) for _, L, lengths in (box, slab)),
+            "interior": interior[(slice(1, -1),) * grid.dim],
             "boundary": grid.omega_prime_mask() & ~interior}
+
+
+def _omega_prime_residual(op, A: MatrixField, h: float, full: np.ndarray) -> np.ndarray:
+    """-div(A grad full) at the Omega' interior nodes: the stencil K applied
+    matrix-free (pde._diffusion with gamma = 1)."""
+    return -_diffusion(A.A, h, np.broadcast_to(1.0, full.shape), full)[op["interior"]]
 
 
 def _patch_first(grid: Grid, full: np.ndarray) -> np.ndarray:
@@ -168,7 +174,7 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
         raise SingularError("corrector trace is not finite on dOmega'")
     full = np.zeros(op["boundary"].shape)
     full[bidx] = bvals
-    rhs = -(op["K"] @ full.ravel())
+    rhs = -_omega_prime_residual(op, A, grid.h, full)
 
     h, pad = grid.h, grid.pad
     a = _patch_first_diagonal(grid, A)
@@ -176,8 +182,8 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
     v = _patch_first(grid, full)
     tang = tuple(slice(lo, hi + 1) for lo, hi in zip(grid.patch_lo, grid.patch_hi))
     parts = (v[pad:], v[(slice(0, pad + 1),) + tang])  # unit box, slab
-    for part in parts:
-        dirichlet_solve(part, A_n, h)
+    for part, basis in zip(parts, op["bases"]):
+        dirichlet_solve(part, A_n, h, basis)
     # the stencil rows of Gamma with v = 0 on Gamma give the interface load
     load = (a[0] / h ** 2) * (v[(pad + 1,) + tang] + v[(pad - 1,) + tang])
     for e, (lo, hi) in enumerate(zip(grid.patch_lo, grid.patch_hi), start=1):
@@ -185,11 +191,11 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
             near = list((pad,) + tang)
             near[e] = slice(lo + sgn, hi + 1 + sgn)
             load += (a[e] / h ** 2) * v[tuple(near)]
-    v[(pad,) + tang] = cho_solve(op["schur"], load.ravel()).reshape(load.shape)
-    for part in parts:
-        dirichlet_solve(part, A_n, h)
+    v[(pad,) + tang] = (op["schur"] @ load.ravel()).reshape(load.shape)
+    for part, basis in zip(parts, op["bases"]):
+        dirichlet_solve(part, A_n, h, basis)
 
-    resid = op["K"] @ full.ravel()
+    resid = _omega_prime_residual(op, A, h, full)
     if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
         raise SingularError("corrector linear solve did not converge")
     return {"field": full}

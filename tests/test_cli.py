@@ -373,17 +373,51 @@ def test_bump_shapes_come_from_the_skew_table(tmp_path):
         assert load_config(str(p)).bump_shape == shape
 
 
-def test_cli_import_leaves_out_integrate_and_optimize():
-    # the package's quadrature and root finding run on numpy alone
-    code = ("import sys, dnprobe.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+def _python(code: str, *args) -> str:
+    """Run code in a fresh interpreter on the package source; its stdout."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_cli_and_subcommands_that_factorize_nothing_load_no_scipy(cfg_path):
+    # DST-I, the Omega' Schur solve, quadrature and root finding run on
+    # numpy alone; scipy is for the Newton Jacobian's sparse LU only
+    code = ("import contextlib, io, sys, dnprobe.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rcs = [cli.main([c, '-c', sys.argv[1]]) for c in ('probe-gamma', "
+            "'stability', 'forward', 'linearize-check', 'report')]\n"
+            "print(rcs, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert _python(code, cfg_path).strip() == "[0, 0, 0, 0, 0] []"
+
+
+def test_a_factorizing_forward_solve_loads_splu_through_the_module():
+    # the first factorization imports scipy.sparse.linalg; a rebinding of
+    # pde.splu is what the Newton fallback then calls
+    code = """
+import sys
+from dnprobe import pde
+from dnprobe.geometry import build_grid
+from dnprobe.material import make_law, make_matrix
+import numpy as np
+g = build_grid(2, 1 / 16, 1 / 16, 1.0)
+law = make_law(gamma=("poly_s", {"c0": 1.0, "c1": 0.5, "c2": 0.5}))
+gb = pde.boundary_field_from_callable(g, lambda t, x: 2.0 * t * x[..., 0])
+solve = lambda: pde.solve_forward(law, make_matrix(np.eye(2)), g, 0.0, gb).newton
+before = sorted(m for m in sys.modules if m.startswith("scipy"))
+first = solve()
+loaded = "scipy.sparse.linalg" in sys.modules
+calls, real = [], pde.splu
+pde.splu = lambda J: calls.append(1) or real(J)
+second = solve()
+print(before, loaded, first == second, first["factorizations"], len(calls))
+"""
+    before, loaded, same, factorizations, calls = _python(code).split()
+    assert (before, loaded, same) == ("[]", "True", "True")
+    assert int(calls) == int(factorizations) >= 1
 
 
 def test_stability_builds_its_probe_once(tmp_path, monkeypatch):

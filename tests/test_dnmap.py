@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dnprobe.dnmap import (DNMapError, eta_surrogate, flux_l2_st,
                            random_bump_dictionary, surface_pairing,
                            weak_pairing)
 from dnprobe.geometry import build_grid
-from dnprobe.material import make_law, make_matrix
+from dnprobe.material import coefficient, make_law, make_matrix
 from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField,
                          boundary_field_from_callable, constant_stiffness,
                          solve_forward, solve_linearized)
@@ -82,6 +83,37 @@ def test_linear_flux_uses_background_coefficient():
     smask = g.patch_support_mask()
     # gamma(t, 0.5) = 2, du/dnu = -1 on the left face
     assert np.allclose(fl.values[:, smask], -2.0, atol=1e-12)
+
+
+_FLUX_CASES = {
+    "2d-left-cross": (2, "left", [[2.0, 0.5], [0.5, 1.0]]),
+    "2d-top-diag": (2, "top", [[1.5, 0.0], [0.0, 0.7]]),
+    "3d-back-cross": (3, "back", [[1.0, 0.0, 0.2], [0.0, 1.2, -0.3], [0.2, -0.3, 0.9]]),
+    "3d-bottom-diag": (3, "bottom", [[1.0, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 1.4]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FLUX_CASES))
+def test_flux_over_the_history_equals_level_by_level(case):
+    # one evaluation over the (nt+1, *shape) history, with t broadcast into
+    # the law, against the face formula applied level by level
+    dim, face, A = _FLUX_CASES[case]
+    A = make_matrix(np.array(A))
+    g = build_grid(dim, 1 / 8, 1 / 8, 1.0, patch_face=face)
+    # gamma depends on both t and s
+    gamma = coefficient("poly_s", {"c0": 1.0, "c1": 0.5, "c2": 0.5}) \
+        + coefficient("trig_t", {"c1": 0.3, "freq": 0.7})
+    law = replace(make_law(), gamma=gamma)
+    u = SpaceTimeField(values=np.random.default_rng(3).standard_normal((g.nt + 1,) + g.shape),
+                       grid=g)
+    face_sel = g.face_node_selector(g.patch_axis, g.patch_side)
+    smask = g.patch_support_mask()
+    fluxes = (nonlinear_flux(u, law, A, g).values, linear_flux(u, law, A, g, 0.3).values)
+    for m, t in enumerate(g.times):
+        con = dnmap._face_conormal(u.values[m], g, A)
+        for got, gam in zip(fluxes, (law.gamma(t, u.values[m][face_sel]), law.gamma(t, 0.3))):
+            ref = np.where(smask, gam * con, 0.0)
+            assert np.abs(got[m] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_surface_pairing_matches_closed_form():

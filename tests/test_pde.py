@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dstn, idstn
 from scipy.sparse import identity
 from scipy.sparse.linalg import splu, spsolve
 
@@ -11,10 +12,11 @@ from dnprobe import pde
 from dnprobe.dnmap import lambda_difference_flux, lift_terminal_zero
 from dnprobe.geometry import build_grid
 from dnprobe.material import make_law, make_matrix
-from dnprobe.pde import (BoundaryField, PatchField, PDEError,
+from dnprobe.pde import (BoundaryField, PatchField, PDEError, box_spectrum,
                          boundary_field_from_callable, constant_stiffness,
-                         interior_mask, mms_problem, probe_boundary_field,
-                         solve_adjoint, solve_forward, solve_linearized)
+                         dirichlet_solve, dst1, interior_mask, mms_problem,
+                         probe_boundary_field, sine_basis, solve_adjoint, solve_forward,
+                         solve_linearized, stiffness)
 
 A2 = make_matrix(np.eye(2))
 
@@ -248,6 +250,78 @@ def test_frozen_solves_match_sparse_reference(dim, A, nh):
     wbar = solve_adjoint(_TRIG_LAW, A, g, 0.3, gb)
     ref = _reference_frozen(_TRIG_LAW, A, g, 0.3, gb, backward=True)
     assert np.abs(wbar.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# --- DST-I by sine matrices -------------------------------------------------
+
+# The package transforms the trailing 1 (2D patch faces), 2 (2D boxes, 3D
+# patch faces) or 3 (3D boxes) axes, behind up to three batch axes.
+_dst_cases = st.tuples(
+    st.lists(st.integers(2, 17), min_size=1, max_size=3),  # cells L per axis
+    st.lists(st.integers(1, 3), max_size=3),               # batch shape
+    st.booleans(),                                         # strided view input
+    st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_dst_cases)
+def test_dst1_matches_scipy_dst_property(case):
+    # the orthonormal DST-I of scipy.fft is the oracle; scipy's
+    # unnormalized pair is the orthonormal one scaled by prod sqrt(2L)
+    lengths, batch, strided, seed = case
+    shape = tuple(batch) + tuple(L - 1 for L in lengths)
+    x = np.random.default_rng(seed).standard_normal(shape[:-1] + (shape[-1] + 2,))
+    x = x[..., 1:-1] if strided else np.ascontiguousarray(x[..., 1:-1])
+    axes = tuple(range(-len(lengths), 0))
+    basis = sine_basis(lengths)
+    y = dst1(x, basis)
+    tol = 1e-13 * np.abs(x).max()
+    assert y.shape == x.shape
+    assert np.abs(y - dstn(x, type=1, axes=axes, norm="ortho")).max() <= tol
+    assert np.abs(y - idstn(x, type=1, axes=axes, norm="ortho")).max() <= tol
+    assert np.abs(dst1(y, basis) - x).max() <= tol
+    scale = math.prod(math.sqrt(2.0 * L) for L in lengths)
+    assert np.abs(scale * y - dstn(x, type=1, axes=axes)).max() <= tol * scale
+    assert np.abs(y / scale - idstn(x, type=1, axes=axes)).max() <= tol / scale
+
+
+def _box_interior(shape):
+    m = np.zeros(shape, dtype=bool)
+    m[(slice(1, -1),) * len(shape)] = True
+    return m
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths=st.lists(st.integers(2, 9), min_size=2, max_size=3),
+       diag=st.lists(st.floats(0.2, 5.0), min_size=3, max_size=3),
+       coef=st.tuples(st.floats(0.5, 40.0), st.floats(0.1, 3.0)),
+       seed=st.integers(0, 2 ** 16))
+def test_box_solves_match_sparse_reference_property(lengths, diag, coef, seed):
+    # dirichlet_solve and the frozen step on a box of unequal sides, with a
+    # batch axis, against sparse direct solves of the assembled stencil
+    n, h = len(lengths), 0.125
+    a = np.array(diag[:n])
+    shape = tuple(L + 1 for L in lengths)
+    interior = _box_interior(shape)
+    K, flat_int = stiffness(interior, np.diag(a), h)
+    K_int = K[:, flat_int].tocsc()
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((2,) + shape)
+    inner = (slice(None),) + (slice(1, -1),) * n
+    u[inner] = 0.0
+    trace = u.copy()
+    dirichlet_solve(u, np.diag(a), h)
+    rhs = rng.standard_normal((3,) + tuple(L - 1 for L in lengths))
+    r, gam = coef
+    step = pde._frozen_step(box_spectrum(a, h, lengths), sine_basis(lengths), r, gam, rhs)
+    M = (r * identity(K_int.shape[0], format="csc") + gam * K_int).tocsc()
+    for b in range(2):
+        ref = spsolve(K_int, -(K @ trace[b].ravel()))
+        assert np.abs(u[b][inner[1:]].ravel() - ref).max() <= 1e-12 * np.abs(trace).max()
+        assert np.array_equal(u[b][~interior], trace[b][~interior])
+    for b in range(3):
+        ref = spsolve(M, rhs[b].ravel())
+        assert np.abs(step[b].ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_frozen_operators_reject_off_diagonal_matrix():

@@ -10,9 +10,9 @@ from scipy.sparse.linalg import spsolve
 from dnprobe.geometry import FACE_NAMES, build_grid, exterior_point
 from dnprobe.material import make_matrix
 from dnprobe.pde import stiffness
-from dnprobe.singular import (SingularError, a_tau_value, base_bump,
-                              build_basis, fundamental_H, fundamental_dj_H,
-                              fundamental_grad_H, grad_H_energy,
+from dnprobe.singular import (SingularError, _omega_prime_operator, _omega_prime_residual,
+                              a_tau_value, base_bump, build_basis, fundamental_H,
+                              fundamental_dj_H, fundamental_grad_H, grad_H_energy,
                               h_norms_oracle, make_cutoffs, mollifier_gap,
                               solve_corrector)
 
@@ -162,6 +162,36 @@ def test_corrector_matches_sparse_direct_solve_property(case):
     ref = spsolve(K[:, flat_int].tocsc(), -(K @ trace.ravel()))
     assert np.abs(v.ravel()[flat_int] - ref).max() <= 1e-12 * np.abs(v).max()
     assert not v[~g.omega_prime_mask()].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_omega_prime_cases())
+def test_omega_prime_residual_matches_the_assembled_stiffness_property(case):
+    # the matrix-free stencil of the residual check against K of stiffness()
+    # on the Omega' interior mask, on rough random node values
+    g, A, seed = case
+    op = _omega_prime_operator(g, A)
+    full = np.random.default_rng(seed).standard_normal(op["boundary"].shape)
+    K, _ = stiffness(g.omega_prime_interior_mask(), A.A, g.h)
+    ref = K @ full.ravel()
+    got = _omega_prime_residual(op, A, g.h, full)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_corrupted_interface_fails_the_residual_check(dim):
+    # an interface solve that is off by 1e-6 relative must not pass: the
+    # residual check is what catches it
+    g = build_grid(dim, 1 / 8, 1 / 8, 1.0, pad=4)
+    A = make_matrix(np.diag([1.0, 0.6, 1.4][:dim]))
+    y = np.r_[-2.0, [0.5] * (dim - 1)]
+    trace = lambda x: fundamental_H(x, y, A)
+    op = _omega_prime_operator(g, A)
+    solve_corrector(g, trace, A, op=op)
+    bad = dict(op, schur=op["schur"] * (1.0 + 1e-6))
+    with pytest.raises(SingularError, match="^corrector linear solve did not converge$"):
+        solve_corrector(g, trace, A, op=bad)
 
 
 # --- cutoffs ----------------------------------------------------------------
