@@ -57,14 +57,18 @@ def _atomic_write(path: str, writer):
         raise
 
 
+def _csv_header(fh, header_meta: dict, columns):
+    """Write the `# key=value` lines and the column row; returns the csv
+    writer for the rows."""
+    for k, v in header_meta.items():
+        fh.write(f"# {k}={v}\n")
+    cw = csv.writer(fh)
+    cw.writerow(columns)
+    return cw
+
+
 def _write_csv(path, header_meta: dict, columns, rows):
-    def w(fh):
-        for k, v in header_meta.items():
-            fh.write(f"# {k}={v}\n")
-        cw = csv.writer(fh)
-        cw.writerow(columns)
-        cw.writerows(rows)
-    _atomic_write(path, w)
+    _atomic_write(path, lambda fh: _csv_header(fh, header_meta, columns).writerows(rows))
 
 
 def _finite_or_none(x):
@@ -117,14 +121,17 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     _report_newton(args, "forward", u.newton)
     flux = nonlinear_flux(u, cfg.law1, cfg.A, grid)
     ids = np.flatnonzero(grid.patch_support_mask().ravel())
+    meta = _meta(cfg)
 
-    def rows():  # streamed, not held: a list of all rows costs a full GC
+    def write(fh):  # one level at a time, not held: a list of all rows costs a full GC
+        _csv_header(fh, meta, ["face_node_id", "t", "flux"])
+        id_list = ids.tolist()
         for t, level in zip(grid.times, flux.values):
-            vals = level.ravel()
-            for i in ids:
-                yield int(i), f"{t:.10g}", f"{vals[i]:.12e}"
+            ts = f"{t:.10g}"  # the rows csv.writer would write, \r\n-terminated
+            fh.write("".join(f"{i},{ts},{v:.12e}\r\n"
+                             for i, v in zip(id_list, level.ravel()[ids].tolist())))
 
-    _write_csv(_out(cfg, "flux.csv"), _meta(cfg), ["face_node_id", "t", "flux"], rows())
+    _atomic_write(_out(cfg, "flux.csv"), write)
     print(f"wrote {_out(cfg, 'flux.csv')} ({grid.times.size * ids.size} rows)")
     return 0
 

@@ -14,15 +14,17 @@ Fluxes, the dictionary and the data they pair with are pde.PatchField
 face arrays.  The probes and eta read (Lambda^1 - Lambda^2) g off
 patch_linear_flux, which solves the frozen problem for a stack of patch
 data in the sine basis and forms only the two planes next to the face,
-and the linearization check reads Lambda g off it too.
-lambda_difference_flux, the full-field solve_linearized plus linear_flux
-on PatchField.boundary(), is the reference it is tested against; no
-subcommand calls either.  The linearization check advances its data
-g/k for all k in one stacked pde.solve_forward.
+with each law evaluated once over all time levels, and the linearization
+check reads Lambda g off it too.  lambda_difference_flux, the full-field
+solve_linearized plus linear_flux on PatchField.boundary(), is the
+reference it is tested against; no subcommand calls either.  The
+boundary norms measure a PatchField on its face array, without forming
+it on all of dOmega.  The linearization check advances its data g/k for
+all k in one stacked pde.solve_forward.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from numpy.fft import fft2, fftfreq
@@ -188,10 +190,35 @@ class BoundaryNorm:
     n=2: DFT in (arclength, time) with weights (1+|xi_s|) + (1+|xi_t|);
     dual uses inverse weights, so |<f,g>_L2| <= dual(f) * half(g).
     n=3: plain L2(Sigma) and flag "L2".
+
+    A PatchField is measured on its face array: the spectral kind scatters
+    it into its slots of the closed-curve samples, the L2 kind sums its
+    squares over the face.  A BoundaryField is walked around dOmega.  The
+    spectral weights and the face slots are built once, with the norm.
     """
 
     grid: Grid
     kind: str   # "spectral" or "L2"
+    weights: np.ndarray = dc_field(init=False, default=None, repr=False, compare=False)
+    slots: tuple = dc_field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind != "spectral":
+            return
+        grid = self.grid
+        n_t, n_s = grid.nt, 4 * grid.n_cells
+        ds = 4.0 / n_s
+        xi_s = 2.0 * math.pi * np.abs(fftfreq(n_s, d=ds))
+        xi_t = 2.0 * math.pi * np.abs(fftfreq(n_t, d=grid.T / n_t))
+        self.weights = (1.0 + xi_s)[None, :] + (1.0 + xi_t)[:, None]
+        # walk face node ids around the curve: (curve slots, face nodes) on S
+        ids = np.full((1,) + grid.shape, -1)
+        ids[(0,) + grid.face_node_selector(grid.patch_axis, grid.patch_side)] = \
+            np.arange(grid.n_cells + 1)
+        walk = _closed_curve_samples(ids, grid)[0]
+        slot = np.flatnonzero(walk >= 0)
+        slot = slot[grid.patch_support_mask()[walk[slot]]]
+        self.slots = (slot, walk[slot])
 
     @property
     def flag(self) -> str:
@@ -205,20 +232,21 @@ class BoundaryNorm:
 
     def _norm(self, field, weigh) -> float:
         """sqrt(sum weigh(p, w)) over the (arclength, time) power spectrum p
-        of a BoundaryField or PatchField on dOmega and the weights w; the
-        L2 kind is plain L2(Sigma)."""
-        if isinstance(field, PatchField):
-            field = field.boundary()
+        of a BoundaryField or PatchField and the weights w; the L2 kind is
+        plain L2(Sigma)."""
+        grid, patch = self.grid, isinstance(field, PatchField)
         if self.kind == "L2":
-            return _l2_sigma(field.values, self.grid)
-        samples = _closed_curve_samples(field.values, self.grid)[:-1]
+            return _l2_sigma(field.values if patch else field.values[:, ~interior_mask(grid)],
+                             grid)
+        if patch:
+            slot, node = self.slots
+            samples = np.zeros(self.weights.shape)
+            samples[:, slot] = field.values[:-1, node]
+        else:
+            samples = _closed_curve_samples(field.values, grid)[:-1]
         n_t, n_s = samples.shape
-        ds = 4.0 / n_s
-        p = np.abs(fft2(samples) * math.sqrt(self.grid.dt * ds / (n_t * n_s))) ** 2
-        xi_s = 2.0 * math.pi * np.abs(fftfreq(n_s, d=ds))
-        xi_t = 2.0 * math.pi * np.abs(fftfreq(n_t, d=self.grid.T / n_t))
-        w = (1.0 + xi_s)[None, :] + (1.0 + xi_t)[:, None]
-        return math.sqrt(float(weigh(p, w).sum()))
+        p = np.abs(fft2(samples) * math.sqrt(grid.dt * (4.0 / n_s) / (n_t * n_s))) ** 2
+        return math.sqrt(float(weigh(p, self.weights).sum()))
 
 
 def make_norm(grid: Grid, kind: str = None) -> BoundaryNorm:
@@ -231,12 +259,13 @@ def make_norm(grid: Grid, kind: str = None) -> BoundaryNorm:
     return BoundaryNorm(grid=grid, kind=kind)
 
 
-def _l2_sigma(values_full: np.ndarray, grid: Grid) -> float:
-    bmask = ~interior_mask(grid)
+def _l2_sigma(values: np.ndarray, grid: Grid) -> float:
+    """L2(Sigma) of boundary-node values, (nt+1, ...) with every node after
+    the time axis on dOmega."""
     # each boundary node carries a face-area weight; corner/edge nodes are
     # shared between faces, a second-order detail ignored by this stand-in
     wt = trapezoid_weights(grid.times.shape, grid.dt)
-    per_level = (values_full[:, bmask] ** 2).sum(axis=1) * grid.h ** (grid.dim - 1)
+    per_level = (values ** 2).reshape(grid.nt + 1, -1).sum(axis=1) * grid.h ** (grid.dim - 1)
     return math.sqrt(float((per_level * wt).sum()))
 
 
@@ -313,18 +342,21 @@ def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
     rows = np.sin(np.pi * np.outer(planes, k) / N) / N
     B = len(data)
     state = np.zeros((B,) + eig.shape)
+    load = np.empty_like(state)
     near = np.zeros((B, nt + 1, 2) + eig.shape[1:])
-    times = grid.times
     for m in range(1, nt + 1):
-        r, gm = rho(times[m]) / dt, gam(times[m])
-        state = (r * state + (gm * a_dd / h ** 2) * src[:, m, None] * col) \
-            / (r + gm * eig)
+        r, gm = rho[m] / dt, gam[m]
+        # state = (r state + (gm a_dd / h^2) src_m col) / (r + gm eig), in place
+        state *= r
+        np.multiply((gm * a_dd / h ** 2) * src[:, m, None], col, out=load)
+        state += load
+        state /= r + gm * eig
         near[:, m] = (rows @ state.reshape(B, N - 1, -1)).reshape((B,) + near.shape[2:])
+    del state, load  # mode-sized, not held through the face reconstruction below
     P = np.zeros((B, nt + 1, 2) + faces.shape[2:])
     P[inner] = dst1(near, basis)
     inward = (-3.0 * faces + 4.0 * P[:, :, 0] - P[:, :, 1]) / (2.0 * h)
-    gam_t = np.array([gam(t) for t in times]).reshape((1, -1) + (1,) * (grid.dim - 1))
-    out = gam_t * (a_dd * -inward)
+    out = gam.reshape((1, -1) + (1,) * (grid.dim - 1)) * (a_dd * -inward)
     out[:, :, ~grid.patch_support_mask()] = 0.0
     return out
 

@@ -49,11 +49,15 @@ corrector in singular use it, so the forward Jacobian, once the frozen
 chord step stalls, is the only matrix factorized.
 
 Data on the measurement patch S x (0, T) -- probes, dictionary data and
-every flux -- are PatchField face arrays, zero off S.  The frozen solves
-take BoundaryField node arrays on all of dOmega; PatchField.boundary() is
-that conversion, used by the boundary norms.  solve_forward takes either
-kind and writes one level at a time onto its iterate (dirichlet_level),
-so patch data never become histories on all of dOmega.
+every flux -- are PatchField face arrays, zero off S.  The full-field
+frozen solves take BoundaryField node arrays on all of dOmega;
+PatchField.boundary() is that conversion, for those reference solves and
+the tests: no subcommand calls it, and the boundary norms of dnmap read
+the face array itself.  solve_forward takes either kind and writes one
+level at a time onto its iterate (dirichlet_level), so patch data never
+become histories on all of dOmega.  Every frozen solve reads
+gamma(t_m, lambda) and rho(t_m, lambda) from arrays over grid.times
+(_frozen_setup), one law evaluation each per solve.
 
 Spatial discretization is the standard second-order stencil with
 face-averaged diffusion coefficients on the diagonal of A, applied
@@ -467,7 +471,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
             data[b].dirichlet_level(m, lam, cur[b])
         cur[stack_inner] = prev[stack_inner]
         if diagonal:
-            rho_dt, gam_t = rho(t) / dt, gam(t)
+            rho_dt, gam_t = rho[m] / dt, gam[m]
         last = [None] * B
         for _ in range(newton_cap):
             if not todo:
@@ -529,13 +533,12 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
 
 def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):
     """The DST-I spectrum of K on the interior box (box_spectrum), the
-    box's sine_basis, and the frozen coefficients t -> gamma(t, lam) and
-    t -> rho(t, lam)."""
+    box's sine_basis, and the frozen coefficients gamma(t_m, lam) and
+    rho(t_m, lam) as arrays over grid.times, one law evaluation each."""
     lengths = (grid.n_cells,) * grid.dim
     eig = box_spectrum(_diagonal(A.A), grid.h, lengths)
-    gam = lambda t: float(law.gamma(t, lam))
-    rho = lambda t: float(law.rho(t, lam))
-    return eig, sine_basis(lengths), gam, rho
+    times = grid.times
+    return eig, sine_basis(lengths), law.gamma(times, lam), law.rho(times, lam)
 
 
 def _frozen_step(eig, basis, rho_over_dt: float, gam: float, rhs: np.ndarray):
@@ -551,16 +554,15 @@ def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryFie
     eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
     K, _ = constant_stiffness(grid, A.A)
     inner = (slice(1, -1),) * grid.dim
-    dt, times = grid.dt, grid.times
+    dt = grid.dt
     w = g.values.copy()
     w[0] = 0.0  # g(0) vanishes only to check_compatible's tolerance
     for m in range(1, grid.nt + 1):
-        t = times[m]
-        rhs = (rho(t) / dt) * w[m - 1][inner] \
-            - gam(t) * (K @ g.values[m].ravel()).reshape(eig.shape)
+        rhs = (rho[m] / dt) * w[m - 1][inner] \
+            - gam[m] * (K @ g.values[m].ravel()).reshape(eig.shape)
         if source is not None:
             rhs = rhs + source[m][inner]
-        w[m][inner] = _frozen_step(eig, basis, rho(t) / dt, gam(t), rhs)
+        w[m][inner] = _frozen_step(eig, basis, rho[m] / dt, gam[m], rhs)
     return SpaceTimeField(values=w, grid=grid)
 
 
@@ -577,14 +579,13 @@ def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
     eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
     K, _ = constant_stiffness(grid, A.A)
     inner = (slice(1, -1),) * grid.dim
-    dt, times = grid.dt, grid.times
+    dt = grid.dt
     w = gbar.values.copy()
     w[-1] = 0.0  # likewise gbar(T)
     for m in range(grid.nt - 1, -1, -1):
-        t = times[m]
-        rhs = (rho(times[m + 1]) / dt) * w[m + 1][inner] \
-            - gam(t) * (K @ gbar.values[m].ravel()).reshape(eig.shape)
-        w[m][inner] = _frozen_step(eig, basis, rho(t) / dt, gam(t), rhs)
+        rhs = (rho[m + 1] / dt) * w[m + 1][inner] \
+            - gam[m] * (K @ gbar.values[m].ravel()).reshape(eig.shape)
+        w[m][inner] = _frozen_step(eig, basis, rho[m] / dt, gam[m], rhs)
     return SpaceTimeField(values=w, grid=grid)
 
 

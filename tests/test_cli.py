@@ -463,3 +463,52 @@ def test_benchmark_tracer_installs_on_the_package():
     out = subprocess.run([sys.executable, "-c", code, os.path.join(root, "perfbench")],
                          env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+RHO3D_SMALL = """
+[grid]
+dim = 3
+h = 0.0625
+dt = 0.125
+t_final = 2.5
+pad = 8
+
+[material]
+rho1 = trig_t:c0=1:c1=0.2:freq=0.2
+rho2 = constant:c0=1
+perturb_target = rho
+perturb_profile = trig_t:c0=0:c1=1:freq=0.2
+
+[probe]
+t0 = 1.25
+kind = rho
+r = 0.25
+
+[sweep]
+tau_list = 0.2,0.15
+eps_list = 0.1,0.2
+
+[norms]
+dict_size = 2
+
+[output]
+dir = {out}
+prefix = rho
+"""
+
+
+def test_probes_and_stability_measure_patch_data_on_the_face(tmp_path, monkeypatch):
+    # the boundary norms read PatchField face arrays (the 2D spectral and the
+    # 3D L2 kind): no subcommand scatters patch data onto all of dOmega
+    from dnprobe.pde import PatchField
+
+    def refuse(self):
+        raise AssertionError("PatchField.boundary() called")
+
+    monkeypatch.setattr(PatchField, "boundary", refuse)
+    for text, commands in ((GAMMA_CFG, ("probe-gamma", "stability")),
+                           (RHO3D_SMALL, ("probe-rho", "stability"))):
+        p = tmp_path / "exp.ini"
+        p.write_text(text.format(out=tmp_path / "out"))
+        for command in commands:
+            assert main([command, "-c", str(p)]) == 0, command

@@ -15,7 +15,7 @@ from dnprobe.dnmap import (DNMapError, eta_surrogate, flux_l2_st,
                            random_bump_dictionary, surface_pairing,
                            weak_pairing)
 from dnprobe.geometry import build_grid
-from dnprobe.material import coefficient, make_law, make_matrix
+from dnprobe.material import Coefficient, coefficient, make_law, make_matrix
 from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField,
                          boundary_field_from_callable, constant_stiffness,
                          solve_forward, solve_linearized)
@@ -281,6 +281,40 @@ def test_rougher_data_has_larger_half_norm():
     assert nrm.half(rough) > 1.5 * nrm.half(smooth)
 
 
+_FACES_2D = [build_grid(2, 1 / 16, 1 / 16, 1.0, patch_face=f)
+             for f in ("left", "right", "bottom", "top")] \
+    + [build_grid(2, 1 / 16, 1 / 8, 1.0, patch_face="top", patch_interval=[(0.25, 0.625)])]
+_FACES_3D = [build_grid(3, 1 / 8, 1 / 8, 1.0, patch_face=f)
+             for f in ("left", "right", "bottom", "top", "front", "back")]
+
+
+def _face_data(g, seed):
+    """Two dictionary data and one rough datum on S, nonzero at t = T."""
+    rough = np.random.default_rng(seed).standard_normal((g.nt + 1,) + g.patch_support_mask().shape)
+    rough[:, ~g.patch_support_mask()] = 0.0
+    return random_bump_dictionary(g, count=2, seed=seed) + [PatchField(values=rough, grid=g)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_face_norms_equal_the_norms_of_the_boundary_field(seed):
+    # patch data are measured on their face array; the walk around dOmega
+    # of PatchField.boundary() is the reference
+    for g in _FACES_2D:
+        nrm = make_norm(g)
+        for datum in _face_data(g, seed):
+            full = datum.boundary()
+            assert nrm.half(datum) == nrm.half(full)
+            assert nrm.dual(datum) == nrm.dual(full)
+    for g in _FACES_3D:
+        nrm = make_norm(g)
+        for datum in _face_data(g, seed):
+            full = datum.boundary()
+            for face, ref in ((nrm.half(datum), nrm.half(full)),
+                              (nrm.dual(datum), nrm.dual(full))):
+                assert abs(face - ref) <= 1e-15 * ref
+
+
 # --- linearization check and eta surrogate ----------------------------------
 
 
@@ -396,3 +430,23 @@ def test_patch_flux_matches_full_field_property(case, law1, law2, lam, seed):
         ref = lambda_difference_flux((law1, law2), A, g, lam, datum.boundary()).values
         assert np.abs(diff - ref).max() <= 1e-11 * scale
 
+
+def test_patch_flux_evaluates_each_law_once_per_call(monkeypatch):
+    # gamma and rho over all time levels in one evaluation each, however
+    # many steps the frozen solve takes
+    calls, real = [], Coefficient._eval
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(Coefficient, "_eval", counted)
+    law = make_law(gamma=("trig_t", {"c0": 1.5, "c1": 0.2}), rho=("affine_t", {"c1": 0.3}))
+    counts = []
+    for nt in (8, 16):
+        g = build_grid(2, 1 / 16, 1 / nt, 1.0)
+        data = random_bump_dictionary(g, count=2, seed=1)
+        calls.clear()
+        patch_linear_flux(law, A2, g, 0.0, data)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

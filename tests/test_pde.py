@@ -11,12 +11,13 @@ from scipy.sparse.linalg import splu, spsolve
 from dnprobe import pde
 from dnprobe.dnmap import lambda_difference_flux, lift_terminal_zero
 from dnprobe.geometry import build_grid
-from dnprobe.material import make_law, make_matrix
+from dnprobe.material import make_law, make_matrix, perturb_law
 from dnprobe.pde import (BoundaryField, PatchField, PDEError, box_spectrum,
                          boundary_field_from_callable, constant_stiffness,
                          dirichlet_solve, dst1, interior_mask, mms_problem,
                          probe_boundary_field, sine_basis, solve_adjoint, solve_forward,
                          solve_linearized, stiffness)
+from test_material import _library_laws
 
 A2 = make_matrix(np.eye(2))
 
@@ -342,6 +343,22 @@ _trig = st.fixed_dictionaries({"c0": st.floats(1.0, 3.0), "c1": st.floats(-0.5, 
 _laws = st.builds(lambda gp, rp: make_law(gamma=("trig_t", gp), rho=("trig_t", rp)),
                   _trig, _trig)
 _GRID8 = build_grid(2, 1 / 8, 1 / 8, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=_library_laws, rho=_library_laws, profile=_library_laws,
+       eps=st.sampled_from([0.0, 0.37]), target=st.sampled_from(["gamma", "rho"]),
+       lam=st.floats(-1.0, 1.0), nt=st.sampled_from([8, 40]), T=st.sampled_from([1.0, 2.5]))
+def test_frozen_coefficients_equal_the_per_level_evaluation(gamma, rho, profile, eps,
+                                                            target, lam, nt, T):
+    # one law evaluation over grid.times gives the scalar values of each level
+    law = perturb_law(make_law(gamma=gamma, rho=rho), eps, target, profile)
+    g = build_grid(2, 1 / 8, T / nt, T)
+    _, _, gam, rh = pde._frozen_setup(law, A2, g, lam)
+    for frozen, coef in ((gam, law.gamma), (rh, law.rho)):
+        assert frozen.shape == g.times.shape
+        assert np.array_equal(frozen, [float(coef(t, lam)) for t in g.times])
+
 
 _ADJOINT_CASES = {
     "2d-aniso": (build_grid(2, 1 / 8, 1 / 8, 1.0), make_matrix(np.diag([2.0, 0.5]))),
