@@ -15,19 +15,23 @@ face arrays.  The probes and eta read (Lambda^1 - Lambda^2) g off
 patch_linear_flux, which solves the frozen problem for a stack of patch
 data in the sine basis and forms only the two planes next to the face,
 with each law evaluated once over all time levels, and the linearization
-check reads Lambda g off it too.  lambda_difference_flux, the full-field
-solve_linearized plus linear_flux on PatchField.boundary(), is the
-reference it is tested against; no subcommand calls either.  The
-boundary norms measure a PatchField on its face array, without forming
-it on all of dOmega.  The linearization check advances its data g/k for
-all k in one stacked pde.solve_forward.
+check reads Lambda g off it too.  A law whose gamma(t_m, lambda) and
+rho(t_m, lambda) are equal at every level m >= 1 makes implicit Euler a
+time-invariant recursion per sine mode, so its planes are one FFT
+convolution in time with the step's impulse response (convolution
+quadrature); a law that varies in t steps the modes level by level.
+lambda_difference_flux, the full-field solve_linearized plus linear_flux
+on PatchField.boundary(), is the reference it is tested against; no
+subcommand calls either.  The boundary norms measure a PatchField on
+its face array, without forming it on all of dOmega.  The linearization
+check advances its data g/k for all k in one stacked pde.solve_forward.
 """
 
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from numpy.fft import fft2, fftfreq
+from numpy.fft import fft2, fftfreq, irfft, rfft
 from numpy.random import default_rng
 
 from .geometry import Grid, trapezoid_weights
@@ -308,6 +312,54 @@ def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
     return PatchField(values=f1.values - f2.values, grid=grid)
 
 
+def _planes_by_steps(src, eig, col, rows, r, gam, w):
+    """The two planes next to the face in tangential modes, (B, nt+1, 2,
+    *tang), by implicit Euler: every sine mode of the interior box advanced
+    one level at a time,
+
+        s_m = (r_m s_{m-1} + w_m src_m col) / (r_m + gam_m eig),
+
+    with r = rho/dt, gam and w = gam a_dd / h^2 given over the levels.
+    The mode state is updated in place through one load buffer; both are
+    released on return, before the caller's face reconstruction."""
+    B, nt = src.shape[0], src.shape[1] - 1
+    state = np.zeros((B,) + eig.shape)
+    load = np.empty_like(state)
+    near = np.zeros((B, nt + 1, 2) + eig.shape[1:])
+    for m in range(1, nt + 1):
+        state *= r[m]
+        np.multiply(w[m] * src[:, m, None], col, out=load)
+        state += load
+        state /= r[m] + gam[m] * eig
+        near[:, m] = (rows @ state.reshape(B, len(col), -1)).reshape((B,) + near.shape[2:])
+    return near
+
+
+def _planes_by_convolution(src, eig, col, rows, r, gam, w):
+    """The planes of _planes_by_steps when r, gam and w are constant over
+    the levels m >= 1 (level 1 is read).  Each mode then follows
+    s_m = a s_{m-1} + b src_m with a = r / (r + gam eig) and
+    b = w col / (r + gam eig), so the planes are the causal convolution of
+    src with the kernel H[n] = rows (b a^n), n = 0 .. nt-1; zero-padded to
+    2 nt, the FFT product is that linear convolution, with no wrap-around.
+    H is built by nt small matmuls, and the data are transformed one at a
+    time, so no spectrum is larger than the mode state of the steps."""
+    B, nt = src.shape[0], src.shape[1] - 1
+    den = r[1] + gam[1] * eig
+    a = r[1] / den
+    pw = w[1] * col / den
+    H = np.empty((nt, 2) + eig.shape[1:])
+    for n in range(nt):
+        H[n] = (rows @ pw.reshape(len(col), -1)).reshape(H.shape[1:])
+        pw *= a
+    spec = rfft(H, 2 * nt, axis=0)
+    near = np.zeros((B, nt + 1, 2) + eig.shape[1:])
+    for b in range(B):
+        near[b, 1:] = irfft(spec * rfft(src[b, 1:], 2 * nt, axis=0)[:, None],
+                            2 * nt, axis=0)[:nt]
+    return near
+
+
 def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
                       data: list) -> np.ndarray:
     """Lambda g on S for a list of patch data (PatchField).
@@ -318,17 +370,23 @@ def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
     formed.  For data on the face, K g is -(a_dd / h^2) g_face on the
     interior plane p next to it, whose DST-I along the normal is
     2 sin(pi k p / N); each implicit Euler step is then one elementwise
-    update per mode.  The planes come
-    back through the inverse-DST rows sin(pi k j / N) / N along the normal
-    and one tangential inverse DST.  Returns (len(data), nt+1, *face_shape)
-    flux values, zero off S: row b is the PatchField values of data[b].
+    update per mode.  When gamma(t_m, lam) and rho(t_m, lam) are the same
+    at every level m >= 1 (a law constant in t), that update is the same
+    linear map at every step, so the planes are exactly the causal
+    convolution of the data with the step's impulse response, one
+    zero-padded FFT product in time (_planes_by_convolution; the paths
+    differ by rounding only); otherwise the modes are stepped level by
+    level (_planes_by_steps).  The planes come back through the
+    inverse-DST rows sin(pi k j / N) / N along the normal and one
+    tangential inverse DST.  Returns (len(data), nt+1, *face_shape) flux
+    values, zero off S: row b is the PatchField values of data[b].
     """
     d, side = grid.patch_axis, grid.patch_side
     for g in data:
         g.check_compatible("start")
     eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
     basis = [basis[e] for e in grid.tangential_axes]
-    N, h, dt, nt = grid.n_cells, grid.h, grid.dt, grid.nt
+    N, h, dt = grid.n_cells, grid.h, grid.dt
     a_dd = A.A[d, d]
     faces = np.stack([g.values for g in data])  # (B, nt+1, *face_shape)
     faces[:, 0] = 0.0  # as solve_linearized's w(0) = 0
@@ -340,23 +398,22 @@ def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
     planes = (1, 2) if side == 0 else (N - 1, N - 2)  # p = planes[0]
     col = (2.0 * np.sin(np.pi * k * planes[0] / N)).reshape((-1,) + (1,) * (grid.dim - 1))
     rows = np.sin(np.pi * np.outer(planes, k) / N) / N
-    B = len(data)
-    state = np.zeros((B,) + eig.shape)
-    load = np.empty_like(state)
-    near = np.zeros((B, nt + 1, 2) + eig.shape[1:])
-    for m in range(1, nt + 1):
-        r, gm = rho[m] / dt, gam[m]
-        # state = (r state + (gm a_dd / h^2) src_m col) / (r + gm eig), in place
-        state *= r
-        np.multiply((gm * a_dd / h ** 2) * src[:, m, None], col, out=load)
-        state += load
-        state /= r + gm * eig
-        near[:, m] = (rows @ state.reshape(B, N - 1, -1)).reshape((B,) + near.shape[2:])
-    del state, load  # mode-sized, not held through the face reconstruction below
-    P = np.zeros((B, nt + 1, 2) + faces.shape[2:])
+    constant_in_t = np.all(gam[1:] == gam[1]) and np.all(rho[1:] == rho[1])
+    near_planes = _planes_by_convolution if constant_in_t else _planes_by_steps
+    near = near_planes(src, eig, col, rows, rho / dt, gam, gam * a_dd / h ** 2)
+    # the face reconstruction is where a call's memory peaks: nothing it
+    # does not read is held through it, and it works in place
+    del src
+    P = np.zeros((len(data), grid.nt + 1, 2) + faces.shape[2:])
     P[inner] = dst1(near, basis)
-    inward = (-3.0 * faces + 4.0 * P[:, :, 0] - P[:, :, 1]) / (2.0 * h)
-    out = gam.reshape((1, -1) + (1,) * (grid.dim - 1)) * (a_dd * -inward)
+    del near
+    # gamma a_dd (-inward) with inward = (-3 f + 4 P_0 - P_1) / (2h)
+    out = -3.0 * faces
+    out += 4.0 * P[:, :, 0]
+    out -= P[:, :, 1]
+    out /= 2.0 * h
+    out *= -a_dd
+    out *= gam.reshape((1, -1) + (1,) * (grid.dim - 1))
     out[:, :, ~grid.patch_support_mask()] = 0.0
     return out
 

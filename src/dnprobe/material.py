@@ -203,18 +203,20 @@ def check_admissible(law: MaterialLaw, s_range=(-1.0, 1.0), t_grid=None,
     """
     t = np.linspace(0.0, T, samples) if t_grid is None else np.asarray(t_grid, float)
     s = np.linspace(s_range[0], s_range[1], samples)
-    tt, ss = np.meshgrid(t, s, indexing="ij")
+    # a t column against an s row: each margin is a fresh contiguous
+    # (t, s) array, so argmin never walks a stride-0 broadcast view
+    tc, sr = t[:, None], s[None, :]
     checks = {}
 
     def record(name, margin):
-        k = np.unravel_index(np.argmin(margin), margin.shape)
-        checks[name] = (bool(margin[k] >= 0.0), float(margin[k]),
-                        (float(tt[k]), float(ss[k])))
+        i, j = np.unravel_index(np.argmin(margin), margin.shape)
+        checks[name] = (bool(margin[i, j] >= 0.0), float(margin[i, j]),
+                        (float(t[i]), float(s[j])))
 
-    record("gamma_floor", law.gamma(tt, ss) - law.m_floor)
-    record("rho_floor", law.rho(tt, ss) - law.m_floor)
+    record("gamma_floor", law.gamma(tc, sr) - law.m_floor)
+    record("rho_floor", law.rho(tc, sr) - law.m_floor)
     if check_kappa:
-        record("rho_dt_cap", law.kappa_cap - law.rho.dt(tt, ss))
+        record("rho_dt_cap", law.kappa_cap - law.rho.dt(tc, sr))
     return AdmissibilityReport(passed=all(ok for ok, _, _ in checks.values()),
                                checks=checks)
 

@@ -416,11 +416,7 @@ _PATCH_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_PATCH_CASES))
-@settings(max_examples=15, deadline=None)
-@given(law1=_laws, law2=_laws, lam=st.floats(-1.0, 1.0),
-       seed=st.integers(0, 2 ** 16))
-def test_patch_flux_matches_full_field_property(case, law1, law2, lam, seed):
+def _assert_patch_flux_matches_full_field(case, law1, law2, lam, seed):
     g, A = _PATCH_CASES[case]
     data = random_bump_dictionary(g, count=3, seed=seed)
     f1 = patch_linear_flux(law1, A, g, lam, data)
@@ -431,9 +427,83 @@ def test_patch_flux_matches_full_field_property(case, law1, law2, lam, seed):
         assert np.abs(diff - ref).max() <= 1e-11 * scale
 
 
+@pytest.mark.parametrize("case", sorted(_PATCH_CASES))
+@settings(max_examples=15, deadline=None)
+@given(law1=_laws, law2=_laws, lam=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_patch_flux_matches_full_field_property(case, law1, law2, lam, seed):
+    _assert_patch_flux_matches_full_field(case, law1, law2, lam, seed)
+
+
+# coefficient specs whose value does not depend on t, so a law built from
+# them takes the convolution path of patch_linear_flux
+_c0 = st.floats(1.0, 3.0)
+_small = st.floats(-0.3, 0.3)
+_constant_in_t = st.one_of(
+    st.builds(lambda c0: ("constant", {"c0": c0}), _c0),
+    st.builds(lambda c0, c1, c2: ("poly_s", {"c0": c0, "c1": c1, "c2": c2}),
+              _c0, _small, _small),
+    st.builds(lambda c0, c1, s0, w: ("gauss_s", {"c0": c0, "c1": c1, "s0": s0, "w": w}),
+              _c0, _small, st.floats(-1.0, 1.0), st.floats(0.3, 2.0)),
+    st.builds(lambda c0, freq, phase: ("trig_t", {"c0": c0, "c1": 0.0, "freq": freq,
+                                                  "phase": phase}),
+              _c0, st.floats(0.0, 2.0), st.floats(0.0, 6.3)))
+_laws_constant_in_t = st.builds(lambda gp, rp: make_law(gamma=gp, rho=rp),
+                                _constant_in_t, _constant_in_t)
+
+
+def _is_constant_in_t(law, case, lam):
+    g, A = _PATCH_CASES[case]
+    _, _, gam, rho = pde._frozen_setup(law, A, g, lam)
+    return np.all(gam[1:] == gam[1]) and np.all(rho[1:] == rho[1])
+
+
+@pytest.mark.parametrize("case", sorted(_PATCH_CASES))
+@settings(max_examples=10, deadline=None)
+@given(law1=_laws_constant_in_t, law2=st.one_of(_laws_constant_in_t, _laws),
+       swap=st.booleans(), lam=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 16))
+def test_patch_flux_of_laws_constant_in_t_matches_full_field_property(case, law1, law2,
+                                                                      swap, lam, seed):
+    # both laws constant in t, or one constant and one varying, in either order
+    assert _is_constant_in_t(law1, case, lam)
+    if swap:
+        law1, law2 = law2, law1
+    _assert_patch_flux_matches_full_field(case, law1, law2, lam, seed)
+
+
+_CONSTANT_LAW = make_law(gamma=("poly_s", {"c0": 1.5, "c1": 0.3}),
+                         rho=("trig_t", {"c0": 2.0, "c1": 0.0, "freq": 0.7}))
+_VARYING_LAW = make_law(gamma=("trig_t", {"c0": 1.5, "c1": 0.2}),
+                        rho=("affine_t", {"c1": 0.3}))
+
+
+_AGREE_CASES = dict(_PATCH_CASES, **{"2d-h64": (build_grid(2, 1 / 64, 1 / 64, 1.0), A2)})
+
+
+@pytest.mark.parametrize("case", sorted(_AGREE_CASES))
+def test_convolution_and_steps_agree_on_constant_coefficients(monkeypatch, case):
+    # the two plane helpers, handed the same constant coefficient arrays by
+    # one patch_linear_flux call, agree to rounding
+    g, A = _AGREE_CASES[case]
+    convolved, stepped = dnmap._planes_by_convolution, dnmap._planes_by_steps
+    gaps = []
+
+    def both(*args):
+        near, ref = convolved(*args), stepped(*args)
+        gaps.append(np.abs(near - ref).max() / np.abs(ref).max())
+        return near
+
+    monkeypatch.setattr(dnmap, "_planes_by_convolution", both)
+    data = random_bump_dictionary(g, count=3, seed=7)
+    patch_linear_flux(_CONSTANT_LAW, A, g, 0.4, data)
+    assert len(gaps) == 1 and gaps[0] <= 1e-13
+    patch_linear_flux(_VARYING_LAW, A, g, 0.4, data)  # stepped, not convolved
+    assert len(gaps) == 1
+
+
 def test_patch_flux_evaluates_each_law_once_per_call(monkeypatch):
     # gamma and rho over all time levels in one evaluation each, however
-    # many steps the frozen solve takes
+    # many steps the frozen solve takes, stepped or convolved
     calls, real = [], Coefficient._eval
 
     def counted(self, *args):
@@ -441,12 +511,12 @@ def test_patch_flux_evaluates_each_law_once_per_call(monkeypatch):
         return real(self, *args)
 
     monkeypatch.setattr(Coefficient, "_eval", counted)
-    law = make_law(gamma=("trig_t", {"c0": 1.5, "c1": 0.2}), rho=("affine_t", {"c1": 0.3}))
-    counts = []
-    for nt in (8, 16):
-        g = build_grid(2, 1 / 16, 1 / nt, 1.0)
-        data = random_bump_dictionary(g, count=2, seed=1)
-        calls.clear()
-        patch_linear_flux(law, A2, g, 0.0, data)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+    for law in (_VARYING_LAW, _CONSTANT_LAW):
+        counts = []
+        for nt in (8, 16):
+            g = build_grid(2, 1 / 16, 1 / nt, 1.0)
+            data = random_bump_dictionary(g, count=2, seed=1)
+            calls.clear()
+            patch_linear_flux(law, A2, g, 0.0, data)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]

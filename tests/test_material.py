@@ -178,6 +178,44 @@ def test_admissible_kappa_cap():
     assert check_admissible(loose, check_kappa=True).checks["rho_dt_cap"][0]
 
 
+def _meshgrid_admissible(law, s_range, T, samples, check_kappa):
+    """check_admissible's checks evaluated on two full meshgrid arrays."""
+    t = np.linspace(0.0, T, samples)
+    s = np.linspace(s_range[0], s_range[1], samples)
+    tt, ss = np.meshgrid(t, s, indexing="ij")
+    margins = {"gamma_floor": law.gamma(tt, ss) - law.m_floor,
+               "rho_floor": law.rho(tt, ss) - law.m_floor}
+    if check_kappa:
+        margins["rho_dt_cap"] = law.kappa_cap - law.rho.dt(tt, ss)
+    checks = {}
+    for name, margin in margins.items():
+        k = np.unravel_index(np.argmin(margin), margin.shape)
+        checks[name] = (bool(margin[k] >= 0.0), float(margin[k]),
+                        (float(tt[k]), float(ss[k])))
+    return checks
+
+
+@settings(max_examples=80, deadline=None)
+@given(gamma=_library_laws, rho=_library_laws, profile=_library_laws,
+       eps=st.sampled_from([0.0, 0.37, -1.3]), target=st.sampled_from(["gamma", "rho"]),
+       m_floor=st.sampled_from([1e-3, 0.5, 1.5]), kappa_cap=st.sampled_from([None, 0.2, 4.0]),
+       lam=st.floats(-1.0, 1.0), T=st.sampled_from([1.0, 2.5]),
+       samples=st.sampled_from([7, 256]), check_kappa=st.booleans())
+def test_admissible_report_equals_the_meshgrid_evaluation(gamma, rho, profile, eps, target,
+                                                          m_floor, kappa_cap, lam, T,
+                                                          samples, check_kappa):
+    # a t column against an s row gives the margins, worst values and worst
+    # points of the full meshgrid evaluation, bit for bit
+    law = perturb_law(make_law(gamma=gamma, rho=rho, m_floor=m_floor, kappa_cap=kappa_cap),
+                      eps, target, profile)
+    s_range = (lam - 1.0, lam + 1.0)
+    rep = check_admissible(law, s_range=s_range, T=T, samples=samples,
+                           check_kappa=check_kappa)
+    ref = _meshgrid_admissible(law, s_range, T, samples, check_kappa)
+    assert rep.checks == ref
+    assert rep.passed == all(ok for ok, _, _ in ref.values())
+
+
 def test_interior_max_interior_peak():
     law1 = make_law(rho=("trig_t", {"c0": 2.0, "c1": 0.5}))
     law2 = make_law(rho=("constant", {"c0": 2.0}))
