@@ -13,25 +13,27 @@ call over all time levels; nothing here is factorized.
 Fluxes, the dictionary and the data they pair with are pde.PatchField
 face arrays.  The probes and eta read (Lambda^1 - Lambda^2) g off
 patch_linear_flux, which solves the frozen problem for a stack of patch
-data in the sine basis and forms only the two planes next to the face,
-with each law evaluated once over all time levels, and the linearization
-check reads Lambda g off it too.  A law whose gamma(t_m, lambda) and
-rho(t_m, lambda) are equal at every level m >= 1 makes implicit Euler a
-time-invariant recursion per sine mode, so its planes are one FFT
-convolution in time with the step's impulse response (convolution
-quadrature); a law that varies in t steps the modes level by level.
-lambda_difference_flux, the full-field solve_linearized plus linear_flux
-on PatchField.boundary(), is the reference it is tested against; no
-subcommand calls either.  The boundary norms measure a PatchField on
-its face array, without forming it on all of dOmega.  The linearization
-check advances its data g/k for all k in one stacked pde.solve_forward.
+data in the sine basis and forms only the one face row the flux reads,
+4 P_0 - P_1 of the two node planes next to the face, with each law
+evaluated once over all time levels; the linearization check reads
+Lambda g off it too.  A law whose gamma(t_m, lambda) and rho(t_m, lambda)
+are equal at every level m >= 1 makes implicit Euler a time-invariant
+recursion per sine mode, so its face row is one FFT convolution in time
+with the step's impulse response (convolution quadrature); a law that
+varies in t steps the modes level by level.  lambda_difference_flux, the
+full-field solve_linearized plus linear_flux on PatchField.boundary(), is
+the reference it is tested against; no subcommand calls either.  The
+boundary norms measure a PatchField on its face array, without forming it
+on all of dOmega; the 2D spectral norm sums the half spectrum of a real
+FFT in time over the patch columns only.  The linearization check
+advances its data g/k for all k in one stacked pde.solve_forward.
 """
 
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from numpy.fft import fft2, fftfreq, irfft, rfft
+from numpy.fft import fft, fftfreq, irfft, rfft, rfftfreq
 from numpy.random import default_rng
 
 from .geometry import Grid, trapezoid_weights
@@ -195,15 +197,22 @@ class BoundaryNorm:
     dual uses inverse weights, so |<f,g>_L2| <= dual(f) * half(g).
     n=3: plain L2(Sigma) and flag "L2".
 
-    A PatchField is measured on its face array: the spectral kind scatters
-    it into its slots of the closed-curve samples, the L2 kind sums its
-    squares over the face.  A BoundaryField is walked around dOmega.  The
-    spectral weights and the face slots are built once, with the norm.
+    The samples are real and the weights even in both frequencies, so the
+    spectral kind sums over the half spectrum of an rfft in time, where
+    every row but the zero row and the Nyquist row (even nt) stands for
+    itself and its mirror and counts twice; an fft along arclength
+    completes it.  A PatchField is measured on its face array: the rfft
+    runs over its columns only, scattered into their slots of the
+    closed-curve half spectrum; the L2 kind sums its squares over the face.
+    A BoundaryField is walked around dOmega.  The half-spectrum weights,
+    the row multiplicities and the face slots are built once, with the
+    norm.
     """
 
     grid: Grid
     kind: str   # "spectral" or "L2"
     weights: np.ndarray = dc_field(init=False, default=None, repr=False, compare=False)
+    scale: np.ndarray = dc_field(init=False, default=None, repr=False, compare=False)
     slots: tuple = dc_field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -213,8 +222,14 @@ class BoundaryNorm:
         n_t, n_s = grid.nt, 4 * grid.n_cells
         ds = 4.0 / n_s
         xi_s = 2.0 * math.pi * np.abs(fftfreq(n_s, d=ds))
-        xi_t = 2.0 * math.pi * np.abs(fftfreq(n_t, d=grid.T / n_t))
+        xi_t = 2.0 * math.pi * rfftfreq(n_t, d=grid.T / n_t)
         self.weights = (1.0 + xi_s)[None, :] + (1.0 + xi_t)[:, None]
+        # row multiplicity of the half spectrum times the DFT normalization
+        mult = np.full((xi_t.size, 1), 2.0)
+        mult[0] = 1.0
+        if n_t % 2 == 0:
+            mult[-1] = 1.0
+        self.scale = mult * (grid.dt * ds / (n_t * n_s))
         # walk face node ids around the curve: (curve slots, face nodes) on S
         ids = np.full((1,) + grid.shape, -1)
         ids[(0,) + grid.face_node_selector(grid.patch_axis, grid.patch_side)] = \
@@ -244,12 +259,11 @@ class BoundaryNorm:
                              grid)
         if patch:
             slot, node = self.slots
-            samples = np.zeros(self.weights.shape)
-            samples[:, slot] = field.values[:-1, node]
+            half = np.zeros(self.weights.shape, dtype=complex)
+            half[:, slot] = rfft(field.values[:-1, node], axis=0)
         else:
-            samples = _closed_curve_samples(field.values, grid)[:-1]
-        n_t, n_s = samples.shape
-        p = np.abs(fft2(samples) * math.sqrt(grid.dt * (4.0 / n_s) / (n_t * n_s))) ** 2
+            half = rfft(_closed_curve_samples(field.values, grid)[:-1], axis=0)
+        p = np.abs(fft(half, axis=1)) ** 2 * self.scale
         return math.sqrt(float(weigh(p, self.weights).sum()))
 
 
@@ -312,51 +326,51 @@ def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
     return PatchField(values=f1.values - f2.values, grid=grid)
 
 
-def _planes_by_steps(src, eig, col, rows, r, gam, w):
-    """The two planes next to the face in tangential modes, (B, nt+1, 2,
+def _planes_by_steps(src, eig, col, row, r, gam, w):
+    """The face row of the interior box in tangential modes, (B, nt+1,
     *tang), by implicit Euler: every sine mode of the interior box advanced
     one level at a time,
 
         s_m = (r_m s_{m-1} + w_m src_m col) / (r_m + gam_m eig),
 
-    with r = rho/dt, gam and w = gam a_dd / h^2 given over the levels.
-    The mode state is updated in place through one load buffer; both are
-    released on return, before the caller's face reconstruction."""
+    with r = rho/dt, gam and w = gam a_dd / h^2 given over the levels, and
+    the row applied along the normal modes.  The mode state is updated in
+    place through one load buffer; both are released on return, before the
+    caller's face reconstruction."""
     B, nt = src.shape[0], src.shape[1] - 1
     state = np.zeros((B,) + eig.shape)
     load = np.empty_like(state)
-    near = np.zeros((B, nt + 1, 2) + eig.shape[1:])
+    near = np.zeros((B, nt + 1) + eig.shape[1:])
     for m in range(1, nt + 1):
         state *= r[m]
         np.multiply(w[m] * src[:, m, None], col, out=load)
         state += load
         state /= r[m] + gam[m] * eig
-        near[:, m] = (rows @ state.reshape(B, len(col), -1)).reshape((B,) + near.shape[2:])
+        near[:, m] = (row @ state.reshape(B, len(col), -1)).reshape((B,) + near.shape[2:])
     return near
 
 
-def _planes_by_convolution(src, eig, col, rows, r, gam, w):
-    """The planes of _planes_by_steps when r, gam and w are constant over
+def _planes_by_convolution(src, eig, col, row, r, gam, w):
+    """The face row of _planes_by_steps when r, gam and w are constant over
     the levels m >= 1 (level 1 is read).  Each mode then follows
     s_m = a s_{m-1} + b src_m with a = r / (r + gam eig) and
-    b = w col / (r + gam eig), so the planes are the causal convolution of
-    src with the kernel H[n] = rows (b a^n), n = 0 .. nt-1; zero-padded to
-    2 nt, the FFT product is that linear convolution, with no wrap-around.
-    H is built by nt small matmuls, and the data are transformed one at a
-    time, so no spectrum is larger than the mode state of the steps."""
+    b = w col / (r + gam eig), so the row is the causal convolution of src
+    with the kernel H[n] = row (b a^n), n = 0 .. nt-1; zero-padded to 2 nt,
+    the FFT product is that linear convolution, with no wrap-around.  H is
+    built by nt small matmuls, and the data are transformed one at a time,
+    so no spectrum is larger than the mode state of the steps."""
     B, nt = src.shape[0], src.shape[1] - 1
     den = r[1] + gam[1] * eig
     a = r[1] / den
     pw = w[1] * col / den
-    H = np.empty((nt, 2) + eig.shape[1:])
+    H = np.empty((nt,) + eig.shape[1:])
     for n in range(nt):
-        H[n] = (rows @ pw.reshape(len(col), -1)).reshape(H.shape[1:])
+        H[n] = (row @ pw.reshape(len(col), -1)).reshape(H.shape[1:])
         pw *= a
     spec = rfft(H, 2 * nt, axis=0)
-    near = np.zeros((B, nt + 1, 2) + eig.shape[1:])
+    near = np.zeros((B, nt + 1) + eig.shape[1:])
     for b in range(B):
-        near[b, 1:] = irfft(spec * rfft(src[b, 1:], 2 * nt, axis=0)[:, None],
-                            2 * nt, axis=0)[:nt]
+        near[b, 1:] = irfft(spec * rfft(src[b, 1:], 2 * nt, axis=0), 2 * nt, axis=0)[:nt]
     return near
 
 
@@ -366,20 +380,22 @@ def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
 
     Same numbers as linear_flux(solve_linearized(g.boundary())) datum by
     datum, but the frozen problem is solved in the sine basis of the
-    interior box and only the two node planes next to the face are ever
+    interior box and only what the face reconstruction reads is ever
     formed.  For data on the face, K g is -(a_dd / h^2) g_face on the
     interior plane p next to it, whose DST-I along the normal is
     2 sin(pi k p / N); each implicit Euler step is then one elementwise
-    update per mode.  When gamma(t_m, lam) and rho(t_m, lam) are the same
-    at every level m >= 1 (a law constant in t), that update is the same
-    linear map at every step, so the planes are exactly the causal
-    convolution of the data with the step's impulse response, one
-    zero-padded FFT product in time (_planes_by_convolution; the paths
-    differ by rounding only); otherwise the modes are stepped level by
-    level (_planes_by_steps).  The planes come back through the
-    inverse-DST rows sin(pi k j / N) / N along the normal and one
-    tangential inverse DST.  Returns (len(data), nt+1, *face_shape) flux
-    values, zero off S: row b is the PatchField values of data[b].
+    update per mode.  The one-sided normal derivative reads the two planes
+    P_0, P_1 next to the face only as 4 P_0 - P_1, so that combination is
+    one face row (4 sin(pi k p_0 / N) - sin(pi k p_1 / N)) / N applied
+    along the normal modes, and one tangential inverse DST brings it back.
+    When gamma(t_m, lam) and rho(t_m, lam) are the same at every level
+    m >= 1 (a law constant in t), the update is the same linear map at
+    every step, so the row is exactly the causal convolution of the data
+    with the step's impulse response, one zero-padded FFT product in time
+    (_planes_by_convolution; the paths differ by rounding only); otherwise
+    the modes are stepped level by level (_planes_by_steps).  Returns
+    (len(data), nt+1, *face_shape) flux values, zero off S: row b is the
+    PatchField values of data[b].
     """
     d, side = grid.patch_axis, grid.patch_side
     for g in data:
@@ -395,22 +411,19 @@ def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
     # normal modes first, then the tangential ones in face order
     eig = np.moveaxis(eig, d, 0)
     k = np.arange(1, N)
-    planes = (1, 2) if side == 0 else (N - 1, N - 2)  # p = planes[0]
-    col = (2.0 * np.sin(np.pi * k * planes[0] / N)).reshape((-1,) + (1,) * (grid.dim - 1))
-    rows = np.sin(np.pi * np.outer(planes, k) / N) / N
+    p0, p1 = (1, 2) if side == 0 else (N - 1, N - 2)
+    col = (2.0 * np.sin(np.pi * k * p0 / N)).reshape((-1,) + (1,) * (grid.dim - 1))
+    row = (4.0 * np.sin(np.pi * k * p0 / N) - np.sin(np.pi * k * p1 / N)) / N
     constant_in_t = np.all(gam[1:] == gam[1]) and np.all(rho[1:] == rho[1])
-    near_planes = _planes_by_convolution if constant_in_t else _planes_by_steps
-    near = near_planes(src, eig, col, rows, rho / dt, gam, gam * a_dd / h ** 2)
+    face_row = _planes_by_convolution if constant_in_t else _planes_by_steps
+    near = face_row(src, eig, col, row, rho / dt, gam, gam * a_dd / h ** 2)
     # the face reconstruction is where a call's memory peaks: nothing it
     # does not read is held through it, and it works in place
     del src
-    P = np.zeros((len(data), grid.nt + 1, 2) + faces.shape[2:])
-    P[inner] = dst1(near, basis)
-    del near
-    # gamma a_dd (-inward) with inward = (-3 f + 4 P_0 - P_1) / (2h)
-    out = -3.0 * faces
-    out += 4.0 * P[:, :, 0]
-    out -= P[:, :, 1]
+    # gamma a_dd (-inward) with inward = (-3 f + (4 P_0 - P_1)) / (2h)
+    out = faces  # np.stack made it this call's own copy
+    out *= -3.0
+    out[inner] += dst1(near, basis)
     out /= 2.0 * h
     out *= -a_dd
     out *= gam.reshape((1, -1) + (1,) * (grid.dim - 1))

@@ -21,8 +21,11 @@ substructuring (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
 1971; Bjorstad & Widlund, SIAM J. Numer. Anal. 23, 1986): each box is
 eliminated by the DST-I solver of pde, and the Gamma x Gamma Schur
 complement, dense and closed-form in the tangential sine bases, is checked
-positive definite by numpy's Cholesky factor and inverted once.  Each
-corrector's residual is checked by the matrix-free stencil of pde.
+positive definite by numpy's Cholesky factor and inverted once.  A
+corrector solve takes a stack of traces: a rho probe solves the correctors
+of H and of its n first derivatives as one stack, with batched box solves
+and one matmul for the interface, and each member's residual is checked
+by the matrix-free stencil of pde.
 """
 
 import math
@@ -84,10 +87,6 @@ def fundamental_grad_H(x, y, A: MatrixField, conv: float = 1.0):
     return conv * (-w) / q[..., None]
 
 
-def fundamental_dj_H(x, y, A: MatrixField, j: int, conv: float = 1.0):
-    return fundamental_grad_H(x, y, A, conv)[..., j]
-
-
 # ---------------------------------------------------------------------------
 # corrector solves on Omega'
 
@@ -112,10 +111,10 @@ def _omega_prime_operator(grid: Grid, A: MatrixField):
     a unit mode kappa on Gamma takes on the node plane next to Gamma inside
     each box (phi_k, lambda_k its normal sine modes and eigenvalues, mu_kappa
     the tangential ones).  S is checked positive definite by its Cholesky
-    factorization and inverted once, so each interface solve is one matvec.
+    factorization and inverted once, so each interface solve is one matmul.
     Returns that inverse, the sine_basis of each box for its DST-I solves,
-    and the Omega' interior mask on which the residual check applies the
-    matrix-free stencil K = -div(A grad .).
+    and the Omega' interior mask, raveled over the interior box, on which
+    the residual check applies the matrix-free stencil K = -div(A grad .).
     """
     if not A.is_diagonal:
         raise SingularError("correctors support constant diagonal A only")
@@ -140,31 +139,37 @@ def _omega_prime_operator(grid: Grid, A: MatrixField):
     interior = grid.omega_prime_interior_mask()
     return {"schur": np.linalg.inv(S),
             "bases": tuple(sine_basis([L] + lengths) for _, L, lengths in (box, slab)),
-            "interior": interior[(slice(1, -1),) * grid.dim],
+            "interior": interior[(slice(1, -1),) * grid.dim].ravel(),
             "boundary": grid.omega_prime_mask() & ~interior}
 
 
 def _omega_prime_residual(op, A: MatrixField, h: float, full: np.ndarray) -> np.ndarray:
     """-div(A grad full) at the Omega' interior nodes: the stencil K applied
-    matrix-free (pde._diffusion with gamma = 1)."""
-    return -_diffusion(A.A, h, np.broadcast_to(1.0, full.shape), full)[op["interior"]]
+    matrix-free (pde._diffusion with gamma = 1); leading axes of full
+    beyond the grid's are a batch."""
+    r = _diffusion(A.A, h, np.broadcast_to(1.0, full.shape), full)
+    return -r.reshape(r.shape[:r.ndim - A.dim] + (-1,)).compress(op["interior"], axis=-1)
 
 
 def _patch_first(grid: Grid, full: np.ndarray) -> np.ndarray:
-    """View of an Omega'-box array with the patch axis first and the
-    extrusion at its low end: index pad is the patch face, the slab lies
-    below it and the unit box above."""
-    v = np.moveaxis(full, grid.patch_axis, 0)
-    return v if grid.patch_side == 0 else v[::-1]
+    """View of a stack of Omega'-box arrays, (K, *box), with the patch axis
+    after the stack axis and the extrusion at its low end: index pad is the
+    patch face, the slab lies below it and the unit box above."""
+    v = np.moveaxis(full, 1 + grid.patch_axis, 1)
+    return v if grid.patch_side == 0 else v[:, ::-1]
 
 
 def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
     """Solve -div(A grad v) = 0 on Omega' with Dirichlet data on dOmega'.
 
-    boundary_trace is a callable on physical coordinates (arrays of points
-    accepted).  Returns {"field": v} with v over the Omega' bounding box
-    (zero outside the domain).  Each solve is two box solves with v = 0 on
-    Gamma, one interface solve and two box solves with Gamma filled in.
+    boundary_trace is a callable on physical coordinates, an array of
+    points (npts, n); it returns (npts,) values, or (K, npts) for K traces
+    solved as one stack.  Returns {"field": v} with v over the Omega'
+    bounding box (zero outside the domain), (K, *box) for a stack.  A solve
+    is two batched box solves with v = 0 on Gamma, one interface solve (one
+    matmul with the inverse Schur complement for the whole stack) and two
+    batched box solves with Gamma filled in.  The non-finite check and the
+    residual check apply to each member of the stack.
     """
     op = _omega_prime_operator(grid, A) if op is None else op
     bidx = np.nonzero(op["boundary"])
@@ -172,8 +177,9 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
     bvals = np.asarray(boundary_trace(coords), dtype=float)
     if not np.all(np.isfinite(bvals)):
         raise SingularError("corrector trace is not finite on dOmega'")
-    full = np.zeros(op["boundary"].shape)
-    full[bidx] = bvals
+    stack = bvals.reshape(-1, bvals.shape[-1])
+    full = np.zeros((len(stack),) + op["boundary"].shape)
+    full[(slice(None),) + bidx] = stack
     rhs = -_omega_prime_residual(op, A, grid.h, full)
 
     h, pad = grid.h, grid.pad
@@ -181,24 +187,25 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
     A_n = np.diag(a)
     v = _patch_first(grid, full)
     tang = tuple(slice(lo, hi + 1) for lo, hi in zip(grid.patch_lo, grid.patch_hi))
-    parts = (v[pad:], v[(slice(0, pad + 1),) + tang])  # unit box, slab
+    parts = (v[:, pad:], v[(slice(None), slice(0, pad + 1)) + tang])  # unit box, slab
     for part, basis in zip(parts, op["bases"]):
         dirichlet_solve(part, A_n, h, basis)
     # the stencil rows of Gamma with v = 0 on Gamma give the interface load
-    load = (a[0] / h ** 2) * (v[(pad + 1,) + tang] + v[(pad - 1,) + tang])
+    face = (slice(None), pad) + tang
+    load = (a[0] / h ** 2) * (v[(slice(None), pad + 1) + tang] + v[(slice(None), pad - 1) + tang])
     for e, (lo, hi) in enumerate(zip(grid.patch_lo, grid.patch_hi), start=1):
         for sgn in (-1, 1):
-            near = list((pad,) + tang)
-            near[e] = slice(lo + sgn, hi + 1 + sgn)
+            near = list(face)
+            near[1 + e] = slice(lo + sgn, hi + 1 + sgn)
             load += (a[e] / h ** 2) * v[tuple(near)]
-    v[(pad,) + tang] = (op["schur"] @ load.ravel()).reshape(load.shape)
+    v[face] = (load.reshape(len(stack), -1) @ op["schur"].T).reshape(load.shape)
     for part, basis in zip(parts, op["bases"]):
         dirichlet_solve(part, A_n, h, basis)
 
-    resid = _omega_prime_residual(op, A, h, full)
-    if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        raise SingularError("corrector linear solve did not converge")
-    return {"field": full}
+    for resid, b in zip(_omega_prime_residual(op, A, h, full), rhs):
+        if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(b)):
+            raise SingularError("corrector linear solve did not converge")
+    return {"field": full.reshape(bvals.shape[:-1] + full.shape[1:])}
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +369,11 @@ class SingularBasis:
 
 def build_basis(grid: Grid, geom: ProbeGeometry, A: MatrixField,
                 conv: float = 1.0, kind: str = "gamma", op=None) -> SingularBasis:
-    """Evaluate the singular fields for one probe and solve its correctors."""
+    """Evaluate the singular fields for one probe and solve its correctors.
+
+    H and, for rho probes, grad H are evaluated once on the grid and once
+    on dOmega' (the trace), and the corrector of H and those of its n first
+    derivatives are one stacked solve_corrector call."""
     if kind == "rho":
         if grid.dim < 3:
             raise SingularError("rho probes need n >= 3")
@@ -372,19 +383,21 @@ def build_basis(grid: Grid, geom: ProbeGeometry, A: MatrixField,
     coords = np.stack(grid.node_coords(), axis=-1)
     H = fundamental_H(coords, y, A, conv=conv)
     op = _omega_prime_operator(grid, A) if op is None else op
-    vres = solve_corrector(grid, lambda x: fundamental_H(x, y, A, conv=conv), A, op=op)
-    v_omega = vres["field"][grid.omega_slice()]
 
+    def trace(x):
+        """H, and for rho probes its n first derivatives, stacked."""
+        vals = [fundamental_H(x, y, A, conv=conv)]
+        if kind == "rho":
+            vals.extend(np.moveaxis(fundamental_grad_H(x, y, A, conv=conv), -1, 0))
+        return np.stack(vals)
+
+    v = solve_corrector(grid, trace, A, op=op)["field"][(slice(None),) + grid.omega_slice()]
     djH, vj = None, None
     if kind == "rho":
-        djH, vj = [], []
-        for j in range(grid.dim):
-            djH.append(fundamental_dj_H(coords, y, A, j, conv=conv))
-            res = solve_corrector(
-                grid, lambda x, jj=j: fundamental_dj_H(x, y, A, jj, conv=conv), A, op=op)
-            vj.append(res["field"][grid.omega_slice()])
+        djH = list(np.moveaxis(fundamental_grad_H(coords, y, A, conv=conv), -1, 0))
+        vj = list(v[1:])
     return SingularBasis(geom=geom, A=A, conv=conv, kind=kind, H_omega=H,
-                         v_omega=v_omega, djH_omega=djH, vj_omega=vj)
+                         v_omega=v[0], djH_omega=djH, vj_omega=vj)
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,22 @@ prefix = rho
 """
 
 
+def test_probe_rho_solves_one_corrector_stack_per_probe(tmp_path, monkeypatch):
+    # H and its n first derivatives share one stacked Omega' corrector solve
+    import dnprobe.singular as singular
+    real, calls = singular.solve_corrector, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(singular, "solve_corrector", counted)
+    p = tmp_path / "exp.ini"
+    p.write_text(RHO3D_SMALL.format(out=tmp_path / "out"))
+    assert main(["probe-rho", "-c", str(p)]) == 0
+    assert len(calls) == len(load_config(str(p)).tau_list) == 2
+
+
 def test_probes_and_stability_measure_patch_data_on_the_face(tmp_path, monkeypatch):
     # the boundary norms read PatchField face arrays (the 2D spectral and the
     # 3D L2 kind): no subcommand scatters patch data onto all of dOmega

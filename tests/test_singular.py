@@ -8,16 +8,20 @@ from scipy import integrate
 from scipy.sparse.linalg import spsolve
 
 from dnprobe.geometry import FACE_NAMES, build_grid, exterior_point
-from dnprobe.material import make_matrix
+from dnprobe.material import MatrixField, make_matrix
 from dnprobe.pde import stiffness
 from dnprobe.singular import (SingularError, _omega_prime_operator, _omega_prime_residual,
                               a_tau_value, base_bump, build_basis, fundamental_H,
-                              fundamental_dj_H, fundamental_grad_H, grad_H_energy,
+                              fundamental_grad_H, grad_H_energy,
                               h_norms_oracle, make_cutoffs, mollifier_gap,
                               solve_corrector)
 
 A2 = make_matrix(np.eye(2))
 A3 = make_matrix(np.eye(3))
+
+
+def fundamental_dj_H(x, y, A: MatrixField, j: int, conv: float = 1.0):
+    return fundamental_grad_H(x, y, A, conv)[..., j]
 
 
 # --- fundamental solution ---------------------------------------------------
@@ -192,6 +196,40 @@ def test_corrupted_interface_fails_the_residual_check(dim):
     bad = dict(op, schur=op["schur"] * (1.0 + 1e-6))
     with pytest.raises(SingularError, match="^corrector linear solve did not converge$"):
         solve_corrector(g, trace, A, op=bad)
+    # a stack with a zero member, which the corrupted solve still gets right
+    stacked = lambda x: np.stack([0.0 * x[..., 0], trace(x)])
+    solve_corrector(g, stacked, A, op=op)
+    with pytest.raises(SingularError, match="^corrector linear solve did not converge$"):
+        solve_corrector(g, stacked, A, op=bad)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_corrector_equals_the_one_trace_solves(dim):
+    # K traces in one call give the K one-trace solves, member by member
+    g = build_grid(dim, 1 / 8, 1 / 8, 1.0, pad=4)
+    A = make_matrix(np.diag([1.0, 0.6, 1.4][:dim]))
+    y = np.r_[-2.0, [0.5] * (dim - 1)]
+    traces = [lambda x: fundamental_H(x, y, A), lambda x: np.sin(3.0 * x.sum(axis=-1))]
+    traces += [lambda x, j=j: fundamental_dj_H(x, y, A, j) for j in range(dim)]
+    op = _omega_prime_operator(g, A)
+    stacked = solve_corrector(g, lambda x: np.stack([t(x) for t in traces]), A, op=op)["field"]
+    assert stacked.shape == (len(traces),) + op["boundary"].shape
+    for trace, v in zip(traces, stacked):
+        one = solve_corrector(g, trace, A, op=op)["field"]
+        assert one.shape == op["boundary"].shape
+        assert np.abs(v - one).max() <= 1e-14 * np.abs(one).max()
+
+
+def test_stacked_corrector_rejects_one_nonfinite_member():
+    g = build_grid(2, 1 / 8, 1 / 8, 1.0, pad=4)
+
+    def trace(x):
+        vals = np.stack([x[..., 0], x[..., 1], 1.0 + 0.0 * x[..., 0]])
+        vals[1, 3] = np.nan
+        return vals
+
+    with pytest.raises(SingularError, match="not finite"):
+        solve_corrector(g, trace, A2)
 
 
 # --- cutoffs ----------------------------------------------------------------
