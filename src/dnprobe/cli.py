@@ -32,8 +32,7 @@ from .geometry import GridError, build_grid
 from .material import MaterialError, make_law
 from .singular import SingularError, _omega_prime_operator
 from .pde import PatchField, PDEError, mms_problem, solve_forward
-from .dnmap import (linearization_check, make_norm, nonlinear_flux,
-                    DNMapError)
+from .dnmap import level_flux, linearization_check, make_norm, DNMapError
 from .reconstruct import (ProbeSpec, ReconstructError, gamma_probe_data,
                           point_recovery, recover_gamma_point, recover_rho_point,
                           stability_experiment, tau_sweep)
@@ -117,9 +116,9 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
     else:
         face_shape = grid.patch_support_mask().shape
         g = PatchField(values=np.zeros((grid.nt + 1,) + face_shape), grid=grid)
-    u = solve_forward(cfg.law1, cfg.A, grid, cfg.lam, g)
-    _report_newton(args, "forward", u.newton)
-    flux = nonlinear_flux(u, cfg.law1, cfg.A, grid)
+    flux = solve_forward(cfg.law1, cfg.A, grid, cfg.lam, g,
+                         keep=level_flux(cfg.law1, cfg.A, grid))
+    _report_newton(args, "forward", flux.newton)
     ids = np.flatnonzero(grid.patch_support_mask().ravel())
     meta = _meta(cfg)
 

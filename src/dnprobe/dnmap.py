@@ -3,7 +3,8 @@
 The nonlinear map N sends a boundary datum g to the heat flux
 gamma(t, u) (A grad u . nu) on the patch S; its linearization at the
 background state is Lambda g = gamma(t, lambda) (A grad w . nu).  This
-module extracts both fluxes from solved fields, computes the duality
+module extracts both fluxes from solved fields (level_flux lets a
+forward solve extract N g level by level), computes the duality
 pairing two ways (direct surface quadrature and the weak form with an
 interior lifting), provides desk-scale stand-ins for the H^{1/2,1/2}
 boundary norms, and assembles the operator-norm surrogate eta used by the
@@ -26,7 +27,9 @@ the reference it is tested against; no subcommand calls either.  The
 boundary norms measure a PatchField on its face array, without forming it
 on all of dOmega; the 2D spectral norm sums the half spectrum of a real
 FFT in time over the patch columns only.  The linearization check
-advances its data g/k for all k in one stacked pde.solve_forward.
+advances its data g/k for all k in one stacked pde.solve_forward whose
+keep is level_flux: the nonlinear flux of each level as it converges,
+so no solution history is formed.
 """
 
 import math
@@ -82,12 +85,14 @@ def _face_conormal(field: np.ndarray, grid: Grid, A: MatrixField) -> np.ndarray:
     return out
 
 
-def _patch_flux(field: SpaceTimeField, gamma, grid: Grid, A: MatrixField) -> PatchField:
-    """gamma (A grad u . nu) on S at every time level, one evaluation over
-    the (nt+1, *shape) history; gamma broadcasts against its face arrays."""
-    vals = gamma * _face_conormal(field.values, grid, A)
-    vals[:, ~grid.patch_support_mask()] = 0.0
-    return PatchField(values=vals, grid=grid)
+def _patch_flux(values: np.ndarray, gamma, grid: Grid, A: MatrixField) -> np.ndarray:
+    """gamma (A grad u . nu) on S, zero off S, of node arrays whose last
+    grid.dim axes are space, in one evaluation: the time levels of a
+    history or a stack of levels lead; gamma broadcasts against the face
+    arrays."""
+    vals = gamma * _face_conormal(values, grid, A)
+    vals[..., ~grid.patch_support_mask()] = 0.0
+    return vals
 
 
 def _face_times(grid: Grid) -> np.ndarray:
@@ -99,13 +104,24 @@ def nonlinear_flux(u: SpaceTimeField, law: MaterialLaw, A: MatrixField,
                    grid: Grid) -> PatchField:
     """DN output gamma(t, u) (A grad u . nu) on S at every time level."""
     face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
-    return _patch_flux(u, law.gamma(_face_times(grid), u.values[face]), grid, A)
+    vals = _patch_flux(u.values, law.gamma(_face_times(grid), u.values[face]), grid, A)
+    return PatchField(values=vals, grid=grid)
+
+
+def level_flux(law: MaterialLaw, A: MatrixField, grid: Grid):
+    """The keep of pde.solve_forward that makes it the DN map: each
+    converged level's gamma(t_m, u) (A grad u . nu) on S, nonlinear_flux's
+    arithmetic on a (B, *grid.shape) stack of levels, so the values of a
+    solve are its PatchField values and no history is formed."""
+    face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
+    return lambda t, levels: _patch_flux(levels, law.gamma(t, levels[face]), grid, A)
 
 
 def linear_flux(w: SpaceTimeField, law: MaterialLaw, A: MatrixField,
                 grid: Grid, lam: float) -> PatchField:
     """Linearized DN output gamma(t, lambda) (A grad w . nu) on S."""
-    return _patch_flux(w, law.gamma(_face_times(grid), lam), grid, A)
+    vals = _patch_flux(w.values, law.gamma(_face_times(grid), lam), grid, A)
+    return PatchField(values=vals, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +312,23 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
     """Frechet-derivative decay table d_k = ||k N(g/k) - Lambda g||.
 
     Lambda g comes from patch_linear_flux.  The data g/k for every k are
-    advanced in one stacked solve_forward; a datum whose Newton solve
-    diverges leaves the stack and its row is flagged instead of raising.
-    "newton" holds the solver counts of the row's datum.
+    advanced in one stacked solve_forward that keeps each level's
+    level_flux only; a datum whose Newton solve diverges leaves the stack
+    and its row is flagged instead of raising.  "newton" holds the solver
+    counts of the row's datum.
     """
     lam_flux = patch_linear_flux(law, A, grid, lam, [g])[0]
     scaled = [PatchField(values=g.values / k, grid=grid) for k in k_list]
     rows = []
-    for k, u in zip(k_list, solve_forward(law, A, grid, lam, scaled)):
-        if isinstance(u, PDEError):
-            rows.append({"k": k, "d_k": float("nan"), "ok": False, "why": str(u),
+    for k, nf in zip(k_list, solve_forward(law, A, grid, lam, scaled,
+                                           keep=level_flux(law, A, grid))):
+        if isinstance(nf, PDEError):
+            rows.append({"k": k, "d_k": float("nan"), "ok": False, "why": str(nf),
                          "newton": None})
             continue
-        nf = nonlinear_flux(u, law, A, grid)
         diff = PatchField(values=k * nf.values - lam_flux, grid=grid)
         rows.append({"k": k, "d_k": flux_l2_st(diff, grid), "ok": True, "why": "",
-                     "newton": u.newton})
+                     "newton": nf.newton})
     return rows
 
 

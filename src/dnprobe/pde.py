@@ -25,8 +25,13 @@ one loop over time steps and iterations: each datum keeps its own
 convergence, chord and counts, the data on the frozen chord share one
 DST-I pair over the trailing axes, and a datum with a factorized Jacobian
 solves with it alone.  A datum that diverges leaves the stack with its
-own PDEError; the others continue.  linearization_check in dnmap solves
-all of its k-scaled data this way.
+own PDEError; the others continue.  The loop holds only the level being
+solved and the one before it, and hands each converged level of the
+stack to a keep function: by default the level itself, so each datum's
+values are its (nt+1, *shape) history, while the DN map (the forward
+subcommand, and linearization_check in dnmap for all of its k-scaled
+data) keeps only the patch flux of each level, dnmap.level_flux, so its
+memory is that of a few levels, not of nt+1 of them per datum.
 
 The linearized problem freezes both coefficients at the background value
 s = lambda.  For diagonal A the type-I discrete sine transform
@@ -54,15 +59,16 @@ frozen solves take BoundaryField node arrays on all of dOmega;
 PatchField.boundary() is that conversion, for those reference solves and
 the tests: no subcommand calls it, and the boundary norms of dnmap read
 the face array itself.  solve_forward takes either kind and writes one
-level at a time onto its iterate (dirichlet_level), so patch data never
-become histories on all of dOmega.  Every frozen solve reads
+level of the data at a time onto its iterate (dirichlet_level), so patch
+data never become histories on all of dOmega.  Every frozen solve reads
 gamma(t_m, lambda) and rho(t_m, lambda) from arrays over grid.times
 (_frozen_setup), one law evaluation each per solve.
 
 Spatial discretization is the standard second-order stencil with
 face-averaged diffusion coefficients on the diagonal of A, applied
 matrix-free by _diffusion (the forward residual, and with gamma = 1 the
-Omega' residual check in singular).  stiffness() assembles its constant
+Omega' residual check in singular): per axis one face-flux product and
+one difference of it.  stiffness() assembles its constant
 form on a node mask as a scipy sparse matrix, importing scipy.sparse
 inside; only the full-field reference solves (solve_linearized,
 solve_adjoint) and the tests use it.  The forward solver also takes
@@ -107,9 +113,10 @@ __getattr__ = _lazy_splu(globals())
 
 @dataclass
 class SpaceTimeField:
-    """Scalar field on all Omega-closure nodes at every time level."""
+    """A solve's values at every time level: the scalar field on all
+    Omega-closure nodes, or what a keep of solve_forward kept of it."""
 
-    values: np.ndarray  # (nt+1, *grid.shape)
+    values: np.ndarray  # (nt+1, *grid.shape), or (nt+1, *kept shape)
     grid: Grid
     newton: dict | None = None  # solver counts, set by solve_forward
 
@@ -311,16 +318,18 @@ def dst1(x: np.ndarray, basis: list) -> np.ndarray:
     return x
 
 
-def dirichlet_solve(u: np.ndarray, A: np.ndarray, h: float, basis=None) -> np.ndarray:
+def dirichlet_solve(u: np.ndarray, A: np.ndarray, h: float, box=None) -> np.ndarray:
     """Overwrite the interior of the node box u (its last A.shape[0] axes;
     leading axes are a batch) with the solution of -div(A grad v) = 0 whose
     Dirichlet data are the boundary values of u, by one forward and one
-    inverse DST-I.  Constant diagonal A; basis is the box's sine_basis,
-    built here when not given.  Returns u."""
+    inverse DST-I.  Constant diagonal A; box is the box's (sine_basis,
+    box_spectrum), built here when not given.  Returns u."""
     a = _diagonal(A)
     n = a.size
-    lengths = [m - 1 for m in u.shape[-n:]]
-    basis = sine_basis(lengths) if basis is None else basis
+    if box is None:
+        lengths = [m - 1 for m in u.shape[-n:]]
+        box = (sine_basis(lengths), box_spectrum(a, h, lengths))
+    basis, eig = box
     inner = (Ellipsis,) + (slice(1, -1),) * n
     rhs = np.zeros(u[inner].shape)
     for ax in range(n):
@@ -330,7 +339,7 @@ def dirichlet_solve(u: np.ndarray, A: np.ndarray, h: float, basis=None) -> np.nd
             near = [slice(None)] * n
             near[ax] = end
             rhs[(Ellipsis,) + tuple(near)] += (a[ax] / h ** 2) * u[(Ellipsis,) + tuple(plane)]
-    u[inner] = dst1(dst1(rhs, basis) / box_spectrum(a, h, lengths), basis)
+    u[inner] = dst1(dst1(rhs, basis) / eig, basis)
     return u
 
 
@@ -350,9 +359,14 @@ def _diffusion(A: np.ndarray, h: float, gamma_vals: np.ndarray, u: np.ndarray):
     for a in range(dim):
         box = (Ellipsis,) + tuple(slice(None) if c == a else slice(1, -1)
                                   for c in range(dim))
-        ua, ga, ax = u[box], gamma_vals[box], lead + a
-        face = ga[_along(ax, slice(1, None))] + ga[_along(ax, slice(None, -1))]
-        out += (0.5 * A[a, a] / h ** 2) * np.diff(face * np.diff(ua, axis=ax), axis=ax)
+        ua, ga = u[box], gamma_vals[box]
+        hi, lo = _along(lead + a, slice(1, None)), _along(lead + a, slice(None, -1))
+        # face flux (gamma_i + gamma_{i+1}) (u_{i+1} - u_i), then its difference
+        flux = ga[hi] + ga[lo]
+        flux *= ua[hi] - ua[lo]
+        step = flux[hi] - flux[lo]
+        step *= 0.5 * A[a, a] / h ** 2
+        out += step
     for a in range(dim):
         for b in range(dim):
             if a == b or A[a, b] == 0.0:
@@ -423,7 +437,7 @@ def _forward_jacobian(grid: Grid, A: np.ndarray, law, t: float, u: np.ndarray,
 
 def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
                   source=None, newton_tol: float = NEWTON_TOL,
-                  newton_cap: int = NEWTON_CAP):
+                  newton_cap: int = NEWTON_CAP, keep=None):
     """Implicit-Euler / chord-Newton solve of the quasilinear problem.
 
     g is one datum, a BoundaryField on all of dOmega or a PatchField on S,
@@ -440,6 +454,13 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     the operational smallness radius of the background state.  Each
     field's `newton` records time steps, iterations, factorizations and
     the largest final residual.
+
+    Each converged level is handed to keep(t_m, levels), levels the
+    (B', *grid.shape) stack of the B' data still advancing at t_m, and
+    each datum's values are the (nt+1, ...) array of what keep returned
+    for it, level by level.  By default keep returns the levels, and the
+    values are the field's history; a keep that reduces each level (the
+    patch flux of dnmap.level_flux) solves without forming any history.
     """
     data = g if isinstance(g, list) else [g]
     B, dim, dt, times = len(data), grid.dim, grid.dt, grid.times
@@ -458,8 +479,12 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     if diagonal:
         eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
 
-    u = [np.empty((grid.nt + 1,) + grid.shape) for _ in range(B)]  # per-datum histories
+    keep = (lambda t, levels: levels) if keep is None else keep
     cur = np.full((B,) + grid.shape, float(lam))  # the level being solved
+    kept = keep(times[0], cur)
+    out = [np.empty((grid.nt + 1,) + kept.shape[1:]) for _ in range(B)]
+    for b in range(B):
+        out[b][0] = kept[b]
     lus = [None] * B  # None while on the frozen chord
     iterations, factorizations, worst = [0] * B, [0] * B, [0.0] * B
     for m in range(1, grid.nt + 1):
@@ -467,7 +492,6 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
         todo = [b for b in range(B) if errors[b] is None]
         prev = cur.copy()
         for b in todo:
-            u[b][m - 1] = prev[b]
             data[b].dirichlet_level(m, lam, cur[b])
         cur[stack_inner] = prev[stack_inner]
         if diagonal:
@@ -479,8 +503,10 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
             # while every datum iterates, c is a view of cur; else a copy
             sel = slice(None) if len(todo) == B else todo
             c, p = cur[sel], prev[sel]
-            res = (law.rho(t, c[stack_inner]) * (c[stack_inner] - p[stack_inner]) / dt
-                   - _diffusion(A.A, grid.h, law.gamma(t, c), c))
+            res = c[stack_inner] - p[stack_inner]
+            res *= law.rho(t, c[stack_inner])
+            res /= dt
+            res -= _diffusion(A.A, grid.h, law.gamma(t, c), c)
             if source is not None:
                 res -= source[m][inner]
             flat = res.reshape(len(todo), -1)
@@ -517,18 +543,21 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
         for b in todo:
             errors[b] = PDEError("outside operational smallness radius "
                                  f"(Newton cap {newton_cap} hit at t={t:g})")
-    for b in range(B):
-        u[b][-1] = cur[b]
-    out = [SpaceTimeField(values=u[b], grid=grid,
-                          newton={"steps": grid.nt, "iterations": iterations[b],
-                                  "factorizations": factorizations[b],
-                                  "max_residual": worst[b]})
-           if errors[b] is None else errors[b] for b in range(B)]
+        done = [b for b in range(B) if errors[b] is None]
+        if done:
+            kept = keep(t, cur if len(done) == B else cur[done])
+            for j, b in enumerate(done):
+                out[b][m] = kept[j]
+    fields = [SpaceTimeField(values=out[b], grid=grid,
+                             newton={"steps": grid.nt, "iterations": iterations[b],
+                                     "factorizations": factorizations[b],
+                                     "max_residual": worst[b]})
+              if errors[b] is None else errors[b] for b in range(B)]
     if isinstance(g, list):
-        return out
+        return fields
     if errors[0] is not None:
         raise errors[0]
-    return out[0]
+    return fields[0]
 
 
 def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):

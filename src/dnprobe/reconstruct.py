@@ -12,7 +12,6 @@ stability-rate experiments live here too.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,7 @@ def _map(fn, items):
     n = worker_count()
     if n == 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # only a pool pays its import
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
 

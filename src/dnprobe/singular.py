@@ -112,9 +112,11 @@ def _omega_prime_operator(grid: Grid, A: MatrixField):
     each box (phi_k, lambda_k its normal sine modes and eigenvalues, mu_kappa
     the tangential ones).  S is checked positive definite by its Cholesky
     factorization and inverted once, so each interface solve is one matmul.
-    Returns that inverse, the sine_basis of each box for its DST-I solves,
-    and the Omega' interior mask, raveled over the interior box, on which
-    the residual check applies the matrix-free stencil K = -div(A grad .).
+    Returns that inverse; per box its sine_basis and box_spectrum, the
+    DST-I solves' set-up; the Omega' interior mask, raveled over the
+    interior box, on which the residual check applies the matrix-free
+    stencil K = -div(A grad .); and the dOmega' node indices with their
+    coordinates, where a corrector's trace is sampled.
     """
     if not A.is_diagonal:
         raise SingularError("correctors support constant diagonal A only")
@@ -137,10 +139,15 @@ def _omega_prime_operator(grid: Grid, A: MatrixField):
         S -= (a[0] / h ** 2) ** 2 * (Q * g.ravel()) @ Q.T
     np.linalg.cholesky(S)  # raises LinAlgError unless S is SPD
     interior = grid.omega_prime_interior_mask()
+    boundary = grid.omega_prime_mask() & ~interior
+    bidx = np.nonzero(boundary)
     return {"schur": np.linalg.inv(S),
-            "bases": tuple(sine_basis([L] + lengths) for _, L, lengths in (box, slab)),
+            "boxes": tuple((sine_basis([L] + lengths), box_spectrum(a, h, [L] + lengths))
+                           for _, L, lengths in (box, slab)),
             "interior": interior[(slice(1, -1),) * grid.dim].ravel(),
-            "boundary": grid.omega_prime_mask() & ~interior}
+            "boundary": boundary, "bidx": bidx,
+            "coords": np.stack([grid.extended_axis_nodes(e)[bidx[e]]
+                                for e in range(grid.dim)], axis=-1)}
 
 
 def _omega_prime_residual(op, A: MatrixField, h: float, full: np.ndarray) -> np.ndarray:
@@ -172,14 +179,12 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
     residual check apply to each member of the stack.
     """
     op = _omega_prime_operator(grid, A) if op is None else op
-    bidx = np.nonzero(op["boundary"])
-    coords = np.stack([grid.extended_axis_nodes(a)[bidx[a]] for a in range(grid.dim)], axis=-1)
-    bvals = np.asarray(boundary_trace(coords), dtype=float)
+    bvals = np.asarray(boundary_trace(op["coords"]), dtype=float)
     if not np.all(np.isfinite(bvals)):
         raise SingularError("corrector trace is not finite on dOmega'")
     stack = bvals.reshape(-1, bvals.shape[-1])
     full = np.zeros((len(stack),) + op["boundary"].shape)
-    full[(slice(None),) + bidx] = stack
+    full[(slice(None),) + op["bidx"]] = stack
     rhs = -_omega_prime_residual(op, A, grid.h, full)
 
     h, pad = grid.h, grid.pad
@@ -188,8 +193,8 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
     v = _patch_first(grid, full)
     tang = tuple(slice(lo, hi + 1) for lo, hi in zip(grid.patch_lo, grid.patch_hi))
     parts = (v[:, pad:], v[(slice(None), slice(0, pad + 1)) + tang])  # unit box, slab
-    for part, basis in zip(parts, op["bases"]):
-        dirichlet_solve(part, A_n, h, basis)
+    for part, box in zip(parts, op["boxes"]):
+        dirichlet_solve(part, A_n, h, box)
     # the stencil rows of Gamma with v = 0 on Gamma give the interface load
     face = (slice(None), pad) + tang
     load = (a[0] / h ** 2) * (v[(slice(None), pad + 1) + tang] + v[(slice(None), pad - 1) + tang])
@@ -199,8 +204,8 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
             near[1 + e] = slice(lo + sgn, hi + 1 + sgn)
             load += (a[e] / h ** 2) * v[tuple(near)]
     v[face] = (load.reshape(len(stack), -1) @ op["schur"].T).reshape(load.shape)
-    for part, basis in zip(parts, op["bases"]):
-        dirichlet_solve(part, A_n, h, basis)
+    for part, box in zip(parts, op["boxes"]):
+        dirichlet_solve(part, A_n, h, box)
 
     for resid, b in zip(_omega_prime_residual(op, A, h, full), rhs):
         if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(b)):

@@ -385,13 +385,17 @@ def _python(code: str, *args) -> str:
 
 def test_cli_and_subcommands_that_factorize_nothing_load_no_scipy(cfg_path):
     # DST-I, the Omega' Schur solve, quadrature and root finding run on
-    # numpy alone; scipy is for the Newton Jacobian's sparse LU only
-    code = ("import contextlib, io, sys, dnprobe.cli as cli\n"
+    # numpy alone; scipy is for the Newton Jacobian's sparse LU only; at one
+    # worker no thread pool is imported either
+    code = ("import contextlib, io, os, sys\n"
+            "os.environ['DNPROBE_WORKERS'] = '1'\n"
+            "import dnprobe.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rcs = [cli.main([c, '-c', sys.argv[1]]) for c in ('probe-gamma', "
             "'stability', 'forward', 'linearize-check', 'report')]\n"
-            "print(rcs, sorted(m for m in sys.modules if m.startswith('scipy')))")
-    assert _python(code, cfg_path).strip() == "[0, 0, 0, 0, 0] []"
+            "print(rcs, sorted(m for m in sys.modules if m.startswith('scipy')), "
+            "'concurrent.futures' in sys.modules)")
+    assert _python(code, cfg_path).strip() == "[0, 0, 0, 0, 0] [] False"
 
 
 def test_a_factorizing_forward_solve_loads_splu_through_the_module():

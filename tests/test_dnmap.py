@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -386,6 +387,24 @@ def test_linearization_check_flags_a_diverging_row_and_keeps_the_rest():
         diff = k * nonlinear_flux(u, law, A2, g).values - lam_flux
         assert row["ok"] and row["newton"] == u.newton
         assert row["d_k"] == flux_l2_st(PatchField(values=diff, grid=g), g)
+
+
+def test_linearization_check_forms_no_history():
+    # the four k-scaled data keep each level's flux only: numpy reports its
+    # buffers to tracemalloc, and the traced peak stays below the bytes of
+    # their four (nt+1, *shape) histories
+    g = _grid(nt=64)
+    gb = _on_patch(g, _datum)
+    law = make_law(gamma=("constant", {"c0": 1.02}))
+    ks = [4, 8, 16, 32]
+    tracemalloc.start()
+    try:
+        rows = linearization_check(law, A2, g, 0.0, gb, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r["ok"] for r in rows)
+    assert peak < len(ks) * (g.nt + 1) * (g.n_cells + 1) ** 2 * 8
 
 
 def test_difference_flux_vanishes_for_equal_laws():

@@ -9,7 +9,8 @@ from scipy.sparse import identity
 from scipy.sparse.linalg import splu, spsolve
 
 from dnprobe import pde
-from dnprobe.dnmap import lambda_difference_flux, lift_terminal_zero
+from dnprobe.dnmap import (lambda_difference_flux, level_flux, lift_terminal_zero,
+                           nonlinear_flux)
 from dnprobe.geometry import build_grid
 from dnprobe.material import make_law, make_matrix, perturb_law
 from dnprobe.pde import (BoundaryField, PatchField, PDEError, box_spectrum,
@@ -636,6 +637,19 @@ def _stack_data(grid, amplitudes, on_patch):
             for a, p in zip(amplitudes, on_patch)]
 
 
+def _assert_streamed_flux_is_the_history_flux(law, A, grid, lam, data, stacked, **kw):
+    # the same stack, keeping each level's flux only: nonlinear_flux of the
+    # collected history bit for bit, the same Newton record or PDEError
+    streamed = solve_forward(law, A, grid, lam, data, keep=level_flux(law, A, grid), **kw)
+    assert len(streamed) == len(stacked)
+    for got, flux in zip(stacked, streamed):
+        if isinstance(got, PDEError):
+            assert isinstance(flux, PDEError) and str(flux) == str(got)
+            continue
+        assert flux.newton == got.newton
+        assert np.array_equal(flux.values, nonlinear_flux(got, law, A, grid).values)
+
+
 def _assert_stack_matches_single_solves(law, A, grid, lam, data):
     stacked = solve_forward(law, A, grid, lam, data)
     assert len(stacked) == len(data)
@@ -647,6 +661,7 @@ def _assert_stack_matches_single_solves(law, A, grid, lam, data):
             continue
         assert got.newton == ref.newton
         assert np.abs(got.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
+    _assert_streamed_flux_is_the_history_flux(law, A, grid, lam, data, stacked)
     return stacked
 
 
@@ -658,7 +673,8 @@ def _assert_stack_matches_single_solves(law, A, grid, lam, data):
                      max_size=4))
 def test_stacked_forward_equals_single_solves_property(case, gamma, rho, lam, data):
     # one loop over a stack of data: each datum gets the field and the Newton
-    # record of its own solve, whatever chord the others are on
+    # record of its own solve, whatever chord the others are on, and keeping
+    # each level's flux only gives the flux of that field
     grid, A = _STACK_CASES[case]
     A = make_matrix(A)
     amplitudes, on_patch = zip(*data)
@@ -676,7 +692,8 @@ def test_stack_mixes_frozen_and_jacobian_chords():
 
 
 def test_stack_isolates_a_failing_datum():
-    # the large datum hits the Newton cap; the small one finishes unchanged
+    # the large datum hits the Newton cap; the small one finishes unchanged,
+    # also when only each level's flux is kept
     g = build_grid(2, 1 / 8, 1 / 8, 1.0)
     law = make_law(gamma=("poly_s", {"c0": 0.05, "c2": 1.0}), m_floor=1e-4)
     big, small = (boundary_field_from_callable(
@@ -689,3 +706,5 @@ def test_stack_isolates_a_failing_datum():
     ref = solve_forward(law, A2, g, 0.0, small, newton_cap=12)
     assert got[1].newton == ref.newton
     assert np.array_equal(got[1].values, ref.values)
+    _assert_streamed_flux_is_the_history_flux(law, A2, g, 0.0, [big, small], got,
+                                              newton_cap=12)
