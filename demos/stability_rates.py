@@ -27,9 +27,9 @@ family = [(eps, (perturb_law(base, eps, "gamma"), base))
 op = _omega_prime_operator(grid, A)
 probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.125, kind="gamma",
                   a_rule="power", r=0.5)
+recover = point_recovery(A, grid, 0.0, [probe], op=op)  # built once for every eps
 table = stability_experiment(
-    family, "gamma", A, grid, 0.0,
-    point_recovery("gamma", A, grid, 0.0, probe, op=op),
+    family, "gamma", A, grid, 0.0, lambda pair: recover(pair)[0],
     dict_seed=3, dict_size=8)
 
 print("conductivity target (norm:", table.norm_flag + ")")
@@ -48,9 +48,9 @@ family3 = [(eps, (perturb_law(base3, eps, "rho", prof), base3))
            for eps in (0.1, 0.2)]
 op3 = _omega_prime_operator(grid3, A3)
 probe3 = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.125, kind="rho", r=0.25)
+recover3 = point_recovery(A3, grid3, 0.0, [probe3], op=op3)
 table3 = stability_experiment(
-    family3, "rho", A3, grid3, 0.0,
-    point_recovery("rho", A3, grid3, 0.0, probe3, op=op3),
+    family3, "rho", A3, grid3, 0.0, lambda pair: recover3(pair)[0],
     dict_seed=0, dict_size=16)
 
 print("heat-capacity target (norm:", table3.norm_flag + ")")

@@ -12,8 +12,8 @@ Subcommands:
   report           summarize the JSON reports found in the output dir
 
 All file writes are atomic (tmp file + rename) and embed the config hash
-and the active boundary-norm flag.  DNPROBE_WORKERS bounds the worker
-pool used for sweep points.
+and the active boundary-norm flag.  A tau sweep builds all of its probes
+together: one stacked corrector solve and one frozen solve per law.
 """
 
 import argparse
@@ -33,8 +33,7 @@ from .material import MaterialError, make_law
 from .singular import SingularError, _omega_prime_operator
 from .pde import PatchField, PDEError, mms_problem, solve_forward
 from .dnmap import level_flux, linearization_check, make_norm, DNMapError
-from .reconstruct import (ProbeSpec, ReconstructError, gamma_probe_data,
-                          point_recovery, recover_gamma_point, recover_rho_point,
+from .reconstruct import (ProbeSpec, ReconstructError, point_recovery, probe_data,
                           stability_experiment, tau_sweep)
 
 _ERRORS = (GridError, MaterialError, SingularError, PDEError, DNMapError,
@@ -112,7 +111,7 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
         return _forward_mms(cfg, args)
     grid = cfg.grid
     if cfg.tau_list and cfg.probe_kind == "gamma":
-        g, _, _ = gamma_probe_data(grid, cfg.A, _probe_spec(cfg, min(cfg.tau_list)))
+        [([(g, _)], _)] = probe_data(grid, cfg.A, [_probe_spec(cfg, min(cfg.tau_list))])
     else:
         face_shape = grid.patch_support_mask().shape
         g = PatchField(values=np.zeros((grid.nt + 1,) + face_shape), grid=grid)
@@ -213,7 +212,7 @@ def _forward_mms(cfg: ExperimentConfig, args) -> int:
 
 def cmd_linearize_check(cfg: ExperimentConfig, args) -> int:
     grid = cfg.grid
-    g, _, _ = gamma_probe_data(grid, cfg.A, _probe_spec(cfg, min(cfg.tau_list), "gamma"))
+    [([(g, _)], _)] = probe_data(grid, cfg.A, [_probe_spec(cfg, min(cfg.tau_list), "gamma")])
     rows = linearization_check(cfg.law1, cfg.A, grid, cfg.lam, g, cfg.k_list)
     out = [(r["k"], f"{r['d_k']:.12e}", r["ok"], r["why"]) for r in rows]
     _write_csv(_out(cfg, "linearize.csv"), _meta(cfg), ["k", "d_k", "ok", "note"], out)
@@ -228,15 +227,11 @@ def _sweep_cmd(cfg: ExperimentConfig, target: str) -> int:
     norm = make_norm(grid, cfg.norm_kind)
     pair = (cfg.law1, cfg.law2)
     op = _omega_prime_operator(grid, cfg.A)
-    if target == "gamma":
-        ref = float(cfg.law1.gamma(cfg.t0, cfg.lam) - cfg.law2.gamma(cfg.t0, cfg.lam))
-        rec = lambda tau: recover_gamma_point(pair, cfg.A, grid, cfg.lam,
-                                              _probe_spec(cfg, tau, "gamma"), op=op)
-    else:
-        ref = float(cfg.law1.rho(cfg.t0, cfg.lam) - cfg.law2.rho(cfg.t0, cfg.lam))
-        rec = lambda tau: recover_rho_point(pair, grid, cfg.lam,
-                                            _probe_spec(cfg, tau, "rho"),
-                                            A=cfg.A, op=op)
+    ref = float(getattr(cfg.law1, target)(cfg.t0, cfg.lam)
+                - getattr(cfg.law2, target)(cfg.t0, cfg.lam))
+    rec = lambda taus: point_recovery(cfg.A, grid, cfg.lam,
+                                      [_probe_spec(cfg, tau, target) for tau in taus],
+                                      op=op)(pair)
     report = tau_sweep(rec, cfg.tau_list, target=target, point=(cfg.t0, cfg.lam),
                        reference=ref, norm_flag=norm.flag)
     rows = [(target, cfg.t0, cfg.lam, f"{tau:.6g}", f"{est:.12e}")
@@ -271,10 +266,10 @@ def cmd_stability(cfg: ExperimentConfig, args) -> int:
     target = cfg.perturb_target
     norm = make_norm(grid, cfg.norm_kind)
     tau = min(cfg.tau_list)
-    rec = point_recovery(target, cfg.A, grid, cfg.lam, _probe_spec(cfg, tau, target),
+    rec = point_recovery(cfg.A, grid, cfg.lam, [_probe_spec(cfg, tau, target)],
                          op=_omega_prime_operator(grid, cfg.A))
     table = stability_experiment(cfg.law_family(), target, cfg.A, grid, cfg.lam,
-                                 rec, dict_seed=cfg.dict_seed,
+                                 lambda pair: rec(pair)[0], dict_seed=cfg.dict_seed,
                                  dict_size=cfg.dict_size, norm=norm)
     rows = [(r.eps, f"{r.eta:.12e}", f"{r.true_diff:.12e}",
              f"{r.recovered:.12e}", r.ok, r.why) for r in table.rows]

@@ -193,7 +193,10 @@ class ExperimentConfig:
         perturb_target = rho); a tau sweep needs two distinct taus; a
         stability table needs a nonzero eps.  Every probe the subcommand
         builds must pass the placement predicates of exterior_point and
-        the cutoff-support predicates of make_cutoffs.
+        the cutoff-support predicates of make_cutoffs.  Rho probes also
+        need gamma1(t, lambda) = gamma2(t, lambda) at the time levels inside
+        the support of their plateau cutoff chi, where the rho estimate
+        would otherwise read the conductivity difference.
         """
         rho = command == "probe-rho" or (command == "stability"
                                          and self.perturb_target == "rho")
@@ -216,13 +219,23 @@ class ExperimentConfig:
             return
         if not self.tau_list:
             raise ConfigError(f"probe_tau fails: {command} needs a tau, tau_list is empty")
+        times = self.grid.times
+        in_chi = np.zeros(times.shape, dtype=bool)
         for tau in self.tau_list if command.startswith("probe-") else [min(self.tau_list)]:
             try:
                 geom = exterior_point(self.grid, self.x0, tau, self.t0)
-                make_cutoffs(self.t0, tau, kind, self.grid, r=self.probe_r,
-                             tau0=geom.tau0, shape=self.bump_shape, a_rule=self.a_rule)
+                cut = make_cutoffs(self.t0, tau, kind, self.grid, r=self.probe_r,
+                                   tau0=geom.tau0, shape=self.bump_shape, a_rule=self.a_rule)
             except (GridError, SingularError) as exc:
                 raise ConfigError(f"{exc} ({command}, tau = {tau:g})") from None
+            in_chi |= cut.chi(times) > 0.0
+        if rho:
+            t = times[in_chi]
+            gap = np.abs(self.law1.gamma(t, self.lam) - self.law2.gamma(t, self.lam))
+            if gap.any():
+                raise ConfigError(f"rho_equal_gamma fails: rho probes need gamma1 = gamma2 "
+                                  f"on supp chi, |gamma1 - gamma2| = {gap.max():.3g} "
+                                  f"at t = {t[gap.argmax()]:.3g}")
 
     def law_family(self):
         """eps-indexed pairs (perturbed law1-side, law2) for stability runs."""

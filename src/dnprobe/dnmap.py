@@ -138,10 +138,7 @@ def surface_pairing(flux: PatchField, h: PatchField, grid: Grid) -> float:
 
 def flux_l2_st(flux: PatchField, grid: Grid) -> float:
     """L2(S x (0,T)) norm of patch values."""
-    W = trapezoid_weights(flux.values.shape[1:], grid.h)
-    wt = trapezoid_weights(grid.times.shape, grid.dt)
-    per_level = (flux.values ** 2 * W).reshape(grid.nt + 1, -1).sum(axis=1)
-    return math.sqrt(float((per_level * wt).sum()))
+    return math.sqrt(surface_pairing(flux, flux, grid))
 
 
 # ---------------------------------------------------------------------------

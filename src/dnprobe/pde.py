@@ -204,9 +204,10 @@ def boundary_field_from_callable(grid: Grid, fn) -> BoundaryField:
     return BoundaryField(values=vals, grid=grid)
 
 
-def probe_boundary_field(grid: Grid, time_profile, spatial: np.ndarray,
+def probe_boundary_field(grid: Grid, profile, spatial: np.ndarray,
                          tol: float = 1e-7) -> PatchField:
-    """Patch datum time_profile(t) * spatial(x) on S.
+    """Patch datum profile(t) * spatial(x) on S, profile given by its
+    values at grid.times.
 
     spatial is a full node array (e.g. H - v_tau); it must vanish on
     dOmega \\ S up to tol relative to its peak, or the probe construction
@@ -221,9 +222,8 @@ def probe_boundary_field(grid: Grid, time_profile, spatial: np.ndarray,
     leak = np.abs(spatial[off_patch]).max()
     if peak > 0.0 and leak > tol * peak:
         raise PDEError(f"probe support leaks off the patch: {leak:.3e} vs peak {peak:.3e}")
-    prof = np.asarray(time_profile(grid.times), dtype=float)
     vals = np.zeros((grid.nt + 1,) + support.shape)
-    vals[:, support] = prof[:, None] * spatial[face][support][None, :]
+    vals[:, support] = np.asarray(profile, dtype=float)[:, None] * spatial[face][support][None, :]
     return PatchField(values=vals, grid=grid)
 
 

@@ -11,7 +11,6 @@ the known reference law.  tau-sweeps, power-law extrapolation, and the
 stability-rate experiments live here too.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,22 +25,6 @@ from .dnmap import (eta_surrogate, make_norm, patch_linear_flux,
 
 class ReconstructError(RuntimeError):
     pass
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("DNPROBE_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    n = worker_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor  # only a pool pays its import
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -79,18 +62,47 @@ class ReconstructionReport:
 
 
 # ---------------------------------------------------------------------------
-# gamma recovery
+# probes and pointwise recovery
 
 
-def gamma_probe_data(grid: Grid, A: MatrixField, probe: ProbeSpec, op=None):
-    """(patch datum g_tau, basis, cutoffs) for one gamma probe."""
-    geom = exterior_point(grid, probe.x0, probe.tau, probe.t0)
-    cut = make_cutoffs(probe.t0, probe.tau, "gamma", grid, r=probe.r,
-                       tau0=geom.tau0, shape=probe.shape, a_rule=probe.a_rule)
-    basis = build_basis(grid, geom, A, conv=probe.conv, kind="gamma", op=op)
-    spatial = basis.H_omega - basis.v_omega
-    g = probe_boundary_field(grid, cut.phi_tau, spatial)
-    return g, basis, cut
+def probe_data(grid: Grid, A: MatrixField, probes, op=None):
+    """Boundary data and H energy of probes of one kind, built together.
+
+    Returns one (pairs, energy) per probe.  pairs is [(g, g)] for a gamma
+    probe, g = phi_tau (H - v), and [(g_j, gbar_j) for each axis j] for a
+    rho probe, g_j = chi Phi_tau (d_j H - v_j) and gbar_j = phi_tau
+    (d_j H - v_j); energy is the gradient energy of H that the probe's
+    pairings are divided by.  The correctors of all the probes are one
+    stacked solve (build_basis).
+    """
+    if len({(p.kind, p.conv) for p in probes}) != 1:
+        raise ReconstructError("probes built together need one kind and one conv")
+    kind = probes[0].kind
+    if kind == "rho" and grid.dim < 3:
+        raise ReconstructError("rho probes need n >= 3")
+    if kind == "rho" and not A.is_identity:
+        raise ReconstructError("rho probes are restricted to A = Id")
+    geoms = [exterior_point(grid, p.x0, p.tau, p.t0) for p in probes]
+    cuts = [make_cutoffs(p.t0, p.tau, kind, grid, r=p.r, tau0=geom.tau0,
+                         shape=p.shape, a_rule=p.a_rule)
+            for p, geom in zip(probes, geoms)]
+    bases = build_basis(grid, geoms, A, conv=probes[0].conv, kind=kind, op=op)
+    out = []
+    for basis, cut in zip(bases, cuts):
+        energy = grad_H_energy(basis, grid)
+        if energy <= 1e-14:
+            raise ReconstructError("singular-basis energy underflow")
+        phi = cut.phi_tau(grid.times)
+        if kind == "gamma":
+            g = probe_boundary_field(grid, phi, basis.H_omega - basis.v_omega)
+            pairs = [(g, g)]
+        else:
+            chi_Phi = cut.chi(grid.times) * cut.Phi_tau(grid.times)
+            pairs = [(probe_boundary_field(grid, chi_Phi, spatial),
+                      probe_boundary_field(grid, phi, spatial))
+                     for spatial in map(np.subtract, basis.djH_omega, basis.vj_omega)]
+        out.append((pairs, energy))
+    return out
 
 
 def recover_gamma_point(pair, A: MatrixField, grid: Grid, lam: float,
@@ -98,33 +110,7 @@ def recover_gamma_point(pair, A: MatrixField, grid: Grid, lam: float,
     """Estimate of gamma^1(t0, lambda) - gamma^2(t0, lambda)."""
     if probe.kind != "gamma":
         raise ReconstructError("gamma recovery needs a gamma-kind probe")
-    return point_recovery("gamma", A, grid, lam, probe, op=op)(pair)
-
-
-# ---------------------------------------------------------------------------
-# rho recovery
-
-
-def rho_probe_data(grid: Grid, probe: ProbeSpec, A: MatrixField, op=None):
-    """Derivative-probe data for rho recovery.
-
-    Returns (list of (g_j, gbar_j) per axis, basis, cutoffs).
-    """
-    if grid.dim < 3:
-        raise ReconstructError("rho probes need n >= 3")
-    if not A.is_identity:
-        raise ReconstructError("rho probes are restricted to A = Id")
-    geom = exterior_point(grid, probe.x0, probe.tau, probe.t0)
-    cut = make_cutoffs(probe.t0, probe.tau, "rho", grid, r=probe.r,
-                       tau0=geom.tau0, shape=probe.shape, a_rule=probe.a_rule)
-    basis = build_basis(grid, geom, A, conv=probe.conv, kind="rho", op=op)
-    fam = []
-    for j in range(grid.dim):
-        spatial = basis.djH_omega[j] - basis.vj_omega[j]
-        g_j = probe_boundary_field(grid, lambda t: cut.chi(t) * cut.Phi_tau(t), spatial)
-        gbar_j = probe_boundary_field(grid, cut.phi_tau, spatial)
-        fam.append((g_j, gbar_j))
-    return fam, basis, cut
+    return point_recovery(A, grid, lam, [probe], op=op)(pair)[0]
 
 
 def recover_rho_point(pair, grid: Grid, lam: float, probe: ProbeSpec,
@@ -134,43 +120,42 @@ def recover_rho_point(pair, grid: Grid, lam: float, probe: ProbeSpec,
     Assumes gamma^1 = gamma^2, so the conductivity cross term of the rho
     identity vanishes identically.
     """
+    if probe.kind != "rho":
+        raise ReconstructError("rho recovery needs a rho-kind probe")
     A = make_matrix(np.eye(grid.dim)) if A is None else A
-    return point_recovery("rho", A, grid, lam, probe, op=op)(pair)
+    return point_recovery(A, grid, lam, [probe], op=op)(pair)[0]
 
 
-def point_recovery(kind: str, A: MatrixField, grid: Grid, lam: float,
-                   probe: ProbeSpec, op=None):
-    """law_pair -> recovered kind difference at one probe.
+def point_recovery(A: MatrixField, grid: Grid, lam: float, probes, op=None):
+    """law_pair -> recovered differences at the probes, one per probe.
 
-    The pairing <(Lambda^1 - Lambda^2) g, gbar> summed over the probe's data
-    (g = gbar for gamma; g_j, gbar_j per axis for rho), divided by the
-    gradient energy of H.  The probe and its energy are built on the first
-    call and each reference law's response is solved once, so a sweep over
-    law pairs (stability_experiment) pays for them once.
+    The probes share one kind, which sets the target.  Each probe's
+    pairing <(Lambda^1 - Lambda^2) g, gbar>, summed over its data (g = gbar
+    for gamma; g_j, gbar_j per axis for rho), is divided by its gradient
+    energy of H.  The probes and their energies are built together on the
+    first call, so a failure there fails that call only.  All their data go
+    through one patch_linear_flux call per law, and each reference law's
+    response is solved once, so a sweep over law pairs
+    (stability_experiment) pays for it once.
     """
-    fam, energy, reference = None, None, {}
+    built, reference = None, {}
 
     def recover(pair):
-        nonlocal fam, energy
-        if fam is None:
-            if kind == "gamma":
-                g, basis, _ = gamma_probe_data(grid, A, probe, op=op)
-                pairs = [(g, g)]
-            else:
-                pairs, basis, _ = rho_probe_data(grid, probe, A, op=op)
-            energy = grad_H_energy(basis, grid)
-            if energy <= 1e-14:
-                raise ReconstructError("singular-basis energy underflow")
-            fam = pairs
-        data = [g for g, _ in fam]
+        nonlocal built
+        if built is None:
+            built = probe_data(grid, A, probes, op=op)
+        data = [g for pairs, _ in built for g, _ in pairs]
         law1, law2 = pair
         if law2 not in reference:
             reference[law2] = patch_linear_flux(law2, A, grid, lam, data)
-        total = 0.0
-        for diff, (_, gbar) in zip(patch_linear_flux(law1, A, grid, lam, data)
-                                   - reference[law2], fam):
-            total += surface_pairing(PatchField(values=diff, grid=grid), gbar, grid)
-        return total / energy
+        diffs = iter(patch_linear_flux(law1, A, grid, lam, data) - reference[law2])
+        estimates = []
+        for pairs, energy in built:
+            total = 0.0
+            for (_, gbar), diff in zip(pairs, diffs):
+                total += surface_pairing(PatchField(values=diff, grid=grid), gbar, grid)
+            estimates.append(total / energy)
+        return estimates
 
     return recover
 
@@ -207,14 +192,14 @@ def tau_sweep(recover, tau_list, target: str = "gamma", point=(None, None),
               reference: float = None, norm_flag: str = "") -> ReconstructionReport:
     """Run a recovery callable over a decreasing tau sequence and fit rates.
 
-    recover: tau -> estimate.  Extrapolation uses the e_inf + c tau^p model
+    recover: the sorted taus -> their estimates, in one call.  Extrapolation uses the e_inf + c tau^p model
     on the last three points and is skipped (finest raw value reported)
     when the sequence is non-monotone or not power-like.
     """
     taus = sorted(set(float(t) for t in tau_list), reverse=True)
     if len(taus) < 2:
         raise ReconstructError("tau sweep needs at least two distinct values")
-    estimates = _map(recover, taus)
+    estimates = list(recover(taus))
     notes = []
     if len(taus) >= 3:
         e_inf, p = _fit_extrapolation(taus, estimates)

@@ -22,10 +22,10 @@ substructuring (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
 eliminated by the DST-I solver of pde, and the Gamma x Gamma Schur
 complement, dense and closed-form in the tangential sine bases, is checked
 positive definite by numpy's Cholesky factor and inverted once.  A
-corrector solve takes a stack of traces: a rho probe solves the correctors
-of H and of its n first derivatives as one stack, with batched box solves
-and one matmul for the interface, and each member's residual is checked
-by the matrix-free stencil of pde.
+corrector solve takes a stack of traces: the probes of a tau sweep solve
+the correctors of their H, and for rho probes of its n first derivatives,
+as one stack, with batched box solves and one matmul for the interface,
+and each member's residual is checked by the matrix-free stencil of pde.
 """
 
 import math
@@ -34,7 +34,7 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import Grid, ProbeGeometry, trapezoid_weights
+from .geometry import Grid, trapezoid_weights
 from .material import MatrixField
 from .pde import (_diffusion, _lazy_splu, box_spectrum, dirichlet_solve, sine_basis,
                   sine_rows)
@@ -362,47 +362,49 @@ class SingularBasis:
     """Grid evaluations of H (and, for rho probes, its first derivatives)
     together with the matching correctors on Omega'."""
 
-    geom: ProbeGeometry
     A: MatrixField
-    conv: float
-    kind: str
     H_omega: np.ndarray          # H(., y_tau) on closure-of-Omega nodes
     v_omega: np.ndarray          # corrector restricted to Omega nodes
     djH_omega: list = None       # d_j H on Omega nodes, j = 0..n-1 (rho kind)
     vj_omega: list = None
 
 
-def build_basis(grid: Grid, geom: ProbeGeometry, A: MatrixField,
-                conv: float = 1.0, kind: str = "gamma", op=None) -> SingularBasis:
-    """Evaluate the singular fields for one probe and solve its correctors.
+def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
+                kind: str = "gamma", op=None) -> list:
+    """Evaluate the singular fields of the probes at geoms and solve their
+    correctors; one SingularBasis per geometry.
 
-    H and, for rho probes, grad H are evaluated once on the grid and once
-    on dOmega' (the trace), and the corrector of H and those of its n first
-    derivatives are one stacked solve_corrector call."""
+    H and, for rho probes, grad H are evaluated once per probe on the grid
+    and once on dOmega' (the trace), and the correctors of every probe's H
+    and of its n first derivatives are one stacked solve_corrector call."""
     if kind == "rho":
         if grid.dim < 3:
             raise SingularError("rho probes need n >= 3")
         if not A.is_identity:
             raise SingularError("rho probes are restricted to A = Id")
-    y = np.asarray(geom.y_tau)
+    ys = [np.asarray(geom.y_tau) for geom in geoms]
     coords = np.stack(grid.node_coords(), axis=-1)
-    H = fundamental_H(coords, y, A, conv=conv)
     op = _omega_prime_operator(grid, A) if op is None else op
 
     def trace(x):
-        """H, and for rho probes its n first derivatives, stacked."""
-        vals = [fundamental_H(x, y, A, conv=conv)]
-        if kind == "rho":
-            vals.extend(np.moveaxis(fundamental_grad_H(x, y, A, conv=conv), -1, 0))
+        """Per probe: H, and for rho probes its n first derivatives."""
+        vals = []
+        for y in ys:
+            vals.append(fundamental_H(x, y, A, conv=conv))
+            if kind == "rho":
+                vals.extend(np.moveaxis(fundamental_grad_H(x, y, A, conv=conv), -1, 0))
         return np.stack(vals)
 
     v = solve_corrector(grid, trace, A, op=op)["field"][(slice(None),) + grid.omega_slice()]
-    djH, vj = None, None
-    if kind == "rho":
-        djH = list(np.moveaxis(fundamental_grad_H(coords, y, A, conv=conv), -1, 0))
-        vj = list(v[1:])
-    return SingularBasis(geom=geom, A=A, conv=conv, kind=kind, H_omega=H,
-                         v_omega=v[0], djH_omega=djH, vj_omega=vj)
+    bases = []
+    for y, vy in zip(ys, np.split(v, len(ys))):
+        djH, vj = None, None
+        if kind == "rho":
+            djH = list(np.moveaxis(fundamental_grad_H(coords, y, A, conv=conv), -1, 0))
+            vj = list(vy[1:])
+        bases.append(SingularBasis(A=A, H_omega=fundamental_H(coords, y, A, conv=conv),
+                                   v_omega=vy[0], djH_omega=djH, vj_omega=vj))
+    return bases
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dnprobe.material import (check_interior_max, make_law, make_matrix,
                               perturb_law)
 from dnprobe.pde import (boundary_field_from_callable, mms_problem,
                          solve_forward, solve_linearized)
-from dnprobe.reconstruct import (ProbeSpec, gamma_probe_data,
+from dnprobe.reconstruct import (ProbeSpec, point_recovery, probe_data,
                                  recover_gamma_point, recover_rho_point,
                                  stability_experiment, tau_sweep)
 from dnprobe.singular import (_omega_prime_operator, h_norms_oracle,
@@ -106,7 +106,7 @@ def test_02_frechet_derivative_decay():
     g = build_grid(2, 1 / 32, 1 / 32, 1.0, pad=16)
     probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.15, kind="gamma",
                       a_rule="power", r=0.5)
-    gb, _, _ = gamma_probe_data(g, A2, probe)
+    [([(gb, _)], _)] = probe_data(g, A2, [probe])
     law = make_law(gamma=("poly_s", {"c0": 1.0, "c2": 1.0}))
     rows = linearization_check(law, A2, g, 0.5, gb, [4, 8, 16, 32])
     d = {r["k"]: r["d_k"] for r in rows}
@@ -189,7 +189,7 @@ def test_06_gamma_recovery_constant_contrast():
     probe = lambda tau: ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau,
                                   kind="gamma", a_rule="power", r=0.5)
     rep = tau_sweep(
-        lambda tau: recover_gamma_point((law1, law2), A2, g, 0.0, probe(tau), op=op),
+        lambda taus: point_recovery(A2, g, 0.0, list(map(probe, taus)), op=op)((law1, law2)),
         [0.2, 0.15, 0.1, 0.07, 0.05], target="gamma", point=(0.5, 0.0),
         reference=0.02)
     finest_err = abs(rep.raw_estimates[-1] - 0.02) / 0.02
@@ -241,7 +241,7 @@ def test_08_rho_recovery_and_holder_bound():
     probe = lambda tau: ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=tau,
                                   kind="rho", r=0.25)
     rep = tau_sweep(
-        lambda tau: recover_rho_point((law1, base), g, 0.0, probe(tau), A=A3, op=op),
+        lambda taus: point_recovery(A3, g, 0.0, list(map(probe, taus)), op=op)((law1, base)),
         [0.2, 0.175, 0.15, 0.125], target="rho", point=(1.25, 0.0), reference=eps)
     value = base.rho(1.25, 0.0) + rep.raw_estimates[-1]
     ref = float(law1.rho(1.25, 0.0))

@@ -8,6 +8,7 @@ import pytest
 
 from dnprobe.cli import main
 from dnprobe.config import load_config
+from dnprobe.reconstruct import ProbeSpec, recover_gamma_point, recover_rho_point
 
 GAMMA_CFG = """
 [grid]
@@ -228,21 +229,13 @@ def test_verbose_forward_reports_newton_counts_on_stderr(cfg_path, capsys):
     assert loud.out == quiet.out
 
 
-def test_forward_and_linearize_outputs_do_not_depend_on_worker_count(
-        cfg_path, tmp_path, capsys, monkeypatch):
-    # both subcommands run one forward solve each, the k-scaled data of
-    # linearize-check as one stack; -v keeps one line of counts per k
-    outputs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("DNPROBE_WORKERS", workers)
-        assert main(["forward", "-c", cfg_path]) == 0
-        assert main(["linearize-check", "-v", "-c", cfg_path]) == 0
-        err = capsys.readouterr().err
-        outputs.append({name: (tmp_path / "out" / name).read_bytes()
-                        for name in ("demo_flux.csv", "demo_linearize.csv")})
-        for k in (4, 8):
-            assert f"forward k={k}: steps 16 iterations 14 factorizations 0 " in err
-    assert outputs[0] == outputs[1]
+def test_verbose_linearize_check_reports_counts_per_k(cfg_path, capsys):
+    # the k-scaled data of linearize-check are one stacked forward solve;
+    # -v keeps one line of counts per k
+    assert main(["linearize-check", "-v", "-c", cfg_path]) == 0
+    err = capsys.readouterr().err
+    for k in (4, 8):
+        assert f"forward k={k}: steps 16 iterations 14 factorizations 0 " in err
 
 
 # --- paper hypotheses a subcommand needs, rejected before any solve ----------
@@ -275,6 +268,13 @@ def test_rho_probes_on_two_dimensions_exit_2(tmp_path, capsys, command):
 def test_rho_probes_with_anisotropic_matrix_exit_2(tmp_path, capsys, command):
     text = RHO3D.replace("[material]\n", "[material]\na_diag = 1,1,2\n")
     _exits_2_naming(tmp_path, capsys, text, command, "rho_identity_A")
+
+
+@pytest.mark.parametrize("command", ["probe-rho", "stability"])
+def test_rho_probes_with_unequal_conductivities_exit_2(tmp_path, capsys, command):
+    # gamma1 - gamma2 leaks into the rho estimate on supp chi
+    text = RHO3D_SMALL.replace("[material]\n", "[material]\ngamma1 = constant:c0=1.05\n")
+    _exits_2_naming(tmp_path, capsys, text, command, "rho_equal_gamma")
 
 
 @pytest.mark.parametrize("command", ["probe-gamma", "probe-rho"])
@@ -385,10 +385,9 @@ def _python(code: str, *args) -> str:
 
 def test_cli_and_subcommands_that_factorize_nothing_load_no_scipy(cfg_path):
     # DST-I, the Omega' Schur solve, quadrature and root finding run on
-    # numpy alone; scipy is for the Newton Jacobian's sparse LU only; at one
-    # worker no thread pool is imported either
-    code = ("import contextlib, io, os, sys\n"
-            "os.environ['DNPROBE_WORKERS'] = '1'\n"
+    # numpy alone; scipy is for the Newton Jacobian's sparse LU only; no
+    # thread pool is imported either
+    code = ("import contextlib, io, sys\n"
             "import dnprobe.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rcs = [cli.main([c, '-c', sys.argv[1]]) for c in ('probe-gamma', "
@@ -501,20 +500,46 @@ prefix = rho
 """
 
 
-def test_probe_rho_solves_one_corrector_stack_per_probe(tmp_path, monkeypatch):
-    # H and its n first derivatives share one stacked Omega' corrector solve
+@pytest.mark.parametrize("command, text", [("probe-gamma", GAMMA_CFG),
+                                           ("probe-rho", RHO3D_SMALL)],
+                         ids=["probe-gamma", "probe-rho"])
+def test_probe_sweeps_solve_one_corrector_stack_and_one_flux_per_law(
+        tmp_path, monkeypatch, command, text):
+    # every probe of the sweep, with H and for rho its n first derivatives,
+    # shares one stacked Omega' corrector solve and one frozen solve per law;
+    # the estimates are those of the probes recovered one at a time
+    import dnprobe.reconstruct as reconstruct
     import dnprobe.singular as singular
-    real, calls = singular.solve_corrector, []
+    real_corrector, real_flux = singular.solve_corrector, reconstruct.patch_linear_flux
+    correctors, fluxes = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted_corrector(*args, **kwargs):
+        correctors.append(1)
+        return real_corrector(*args, **kwargs)
 
-    monkeypatch.setattr(singular, "solve_corrector", counted)
+    def counted_flux(law, *args):
+        fluxes.append(law)
+        return real_flux(law, *args)
+
+    monkeypatch.setattr(singular, "solve_corrector", counted_corrector)
+    monkeypatch.setattr(reconstruct, "patch_linear_flux", counted_flux)
     p = tmp_path / "exp.ini"
-    p.write_text(RHO3D_SMALL.format(out=tmp_path / "out"))
-    assert main(["probe-rho", "-c", str(p)]) == 0
-    assert len(calls) == len(load_config(str(p)).tau_list) == 2
+    p.write_text(text.format(out=tmp_path / "out"))
+    assert main([command, "-c", str(p)]) == 0
+    cfg = load_config(str(p))
+    assert len(correctors) == 1
+    assert fluxes == [cfg.law2, cfg.law1]
+    monkeypatch.undo()
+    target = command.split("-")[1]
+    with open(tmp_path / "out" / f"{cfg.prefix}_{target}_report.json") as fh:
+        rep = json.load(fh)
+    pair = (cfg.law1, cfg.law2)
+    for tau, est in zip(rep["tau_sequence"], rep["raw_estimates"]):
+        probe = ProbeSpec(x0=cfg.x0, t0=cfg.t0, tau=tau, kind=target, r=cfg.probe_r,
+                          a_rule=cfg.a_rule, shape=cfg.bump_shape, conv=cfg.conv)
+        one = (recover_gamma_point(pair, cfg.A, cfg.grid, cfg.lam, probe) if target == "gamma"
+               else recover_rho_point(pair, cfg.grid, cfg.lam, probe, A=cfg.A))
+        assert abs(est - one) <= 1e-12 * abs(one)
 
 
 def test_probes_and_stability_measure_patch_data_on_the_face(tmp_path, monkeypatch):

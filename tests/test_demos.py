@@ -15,7 +15,7 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
                             "one-sided Holder bound holds on every row: True"]),
 ])
 def test_demo_runs(script, lines):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), DNPROBE_WORKERS="1")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr

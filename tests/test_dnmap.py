@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
@@ -21,7 +21,7 @@ from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField,
                          boundary_field_from_callable, constant_stiffness,
                          solve_forward, solve_linearized)
 from dnprobe.reconstruct import ProbeSpec, recover_rho_point
-from test_pde import _laws
+from test_pde import _NO_SHRINK, _laws
 
 A2 = make_matrix(np.eye(2))
 
@@ -476,10 +476,6 @@ def _assert_patch_flux_matches_full_field(case, law1, law2, lam, seed):
         ref = lambda_difference_flux((law1, law2), A, g, lam, datum.boundary()).values
         assert np.abs(diff - ref).max() <= 1e-11 * scale
 
-
-# each example solves the full-field reference, so a failure is reported
-# as found: shrinking it would take minutes and hundreds of MiB
-_NO_SHRINK = [p for p in Phase if p is not Phase.shrink]
 
 
 @pytest.mark.parametrize("case", sorted(_PATCH_CASES))

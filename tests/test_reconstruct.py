@@ -11,7 +11,7 @@ from dnprobe.material import make_law, make_matrix, perturb_law
 from dnprobe.reconstruct import (ProbeSpec, ReconstructError,
                                  ReconstructionReport, recover_gamma_point,
                                  recover_rho_point, stability_experiment,
-                                 tau_sweep, worker_count)
+                                 tau_sweep)
 
 A2 = make_matrix(np.eye(2))
 
@@ -36,13 +36,6 @@ def test_report_rejects_nonfinite():
                              tau_sequence=[0.2, 0.1],
                              raw_estimates=[1.0, float("nan")],
                              extrapolated_value=1.0)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("DNPROBE_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("DNPROBE_WORKERS", "junk")
-    assert worker_count() == 1
 
 
 def test_recover_gamma_requires_gamma_probe():
@@ -88,11 +81,11 @@ def test_recover_rho_dimension_guard():
 
 def test_probe_data_live_on_the_patch_face():
     g2 = build_grid(2, 1 / 16, 1 / 16, 1.0, pad=10)
-    gb, _, _ = reconstruct.gamma_probe_data(g2, A2, _gamma_probe(g2, 0.15))
+    [([(gb, _)], _)] = reconstruct.probe_data(g2, A2, [_gamma_probe(g2, 0.15)])
     assert gb.values.shape == (g2.nt + 1,) + g2.patch_support_mask().shape
     g3 = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
     probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
-    fam, _, _ = reconstruct.rho_probe_data(g3, probe, make_matrix(np.eye(3)))
+    [(fam, _)] = reconstruct.probe_data(g3, make_matrix(np.eye(3)), [probe])
     assert len(fam) == 3
     for datum in (d for pair in fam for d in pair):
         assert datum.values.shape == (g3.nt + 1,) + g3.patch_support_mask().shape
@@ -108,7 +101,7 @@ def test_recover_rho_equal_laws_is_zero():
 
 def test_tau_sweep_extrapolates_power_decay():
     # synthetic recovery e(tau) = 0.7 + 0.3 tau^1.5 recovers e_inf and the rate
-    rep = tau_sweep(lambda tau: 0.7 + 0.3 * tau ** 1.5,
+    rep = tau_sweep(lambda taus: [0.7 + 0.3 * tau ** 1.5 for tau in taus],
                     [0.4, 0.2, 0.1, 0.05], target="gamma",
                     point=(0.5, 0.0), reference=0.7)
     assert rep.extrapolated_value == pytest.approx(0.7, abs=1e-10)
@@ -117,7 +110,7 @@ def test_tau_sweep_extrapolates_power_decay():
 
 def test_tau_sweep_skips_non_power_trend():
     vals = {0.4: 1.0, 0.2: 2.0, 0.1: 1.5}  # non-monotone, no power fit
-    rep = tau_sweep(lambda tau: vals[tau], [0.4, 0.2, 0.1],
+    rep = tau_sweep(lambda taus: [vals[tau] for tau in taus], [0.4, 0.2, 0.1],
                     target="gamma", point=(0.5, 0.0))
     assert "skipped" in rep.notes
     assert rep.extrapolated_value == pytest.approx(1.5)
@@ -125,18 +118,19 @@ def test_tau_sweep_skips_non_power_trend():
 
 def test_tau_sweep_needs_two_points():
     with pytest.raises(ReconstructError):
-        tau_sweep(lambda tau: tau, [0.1], target="gamma")
+        tau_sweep(lambda taus: taus, [0.1], target="gamma")
 
 
 def test_tau_sweep_orders_input():
     seen = []
 
-    def rec(tau):
-        seen.append(tau)
-        return 1.0 + tau
+    def rec(taus):
+        seen.append(taus)
+        return [1.0 + tau for tau in taus]
 
-    tau_sweep(rec, [0.05, 0.2, 0.1], target="gamma")
-    assert seen == sorted(seen, reverse=True)
+    rep = tau_sweep(rec, [0.05, 0.2, 0.1], target="gamma")
+    assert seen == [[0.2, 0.1, 0.05]]  # one call, on the decreasing taus
+    assert rep.raw_estimates == [1.0 + tau for tau in (0.2, 0.1, 0.05)]
 
 
 def test_stability_gamma_linear_slope():

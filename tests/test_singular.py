@@ -349,7 +349,7 @@ def _basis(grid, tau, A, kind="gamma"):
     x0 = [0.5] * grid.dim
     x0[grid.patch_axis] = grid.patch_face_value()
     geom = exterior_point(grid, tuple(x0), tau, t0=0.5)
-    return build_basis(grid, geom, A, kind=kind)
+    return build_basis(grid, [geom], A, kind=kind)[0]
 
 
 def test_probe_trace_vanishes_off_patch():
