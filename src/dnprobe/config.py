@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import GridError, build_grid, exterior_point
 from .material import (check_admissible, check_interior_max, make_law,
                        make_matrix, perturb_law)
+from .reconstruct import ReconstructError, require_equal_gamma
 from .singular import BUMP_SKEW, SingularError, make_cutoffs
 
 
@@ -219,23 +220,20 @@ class ExperimentConfig:
             return
         if not self.tau_list:
             raise ConfigError(f"probe_tau fails: {command} needs a tau, tau_list is empty")
-        times = self.grid.times
-        in_chi = np.zeros(times.shape, dtype=bool)
+        cuts = []
         for tau in self.tau_list if command.startswith("probe-") else [min(self.tau_list)]:
             try:
                 geom = exterior_point(self.grid, self.x0, tau, self.t0)
-                cut = make_cutoffs(self.t0, tau, kind, self.grid, r=self.probe_r,
-                                   tau0=geom.tau0, shape=self.bump_shape, a_rule=self.a_rule)
+                cuts.append(make_cutoffs(self.t0, tau, kind, self.grid, r=self.probe_r,
+                                         tau0=geom.tau0, shape=self.bump_shape,
+                                         a_rule=self.a_rule))
             except (GridError, SingularError) as exc:
                 raise ConfigError(f"{exc} ({command}, tau = {tau:g})") from None
-            in_chi |= cut.chi(times) > 0.0
         if rho:
-            t = times[in_chi]
-            gap = np.abs(self.law1.gamma(t, self.lam) - self.law2.gamma(t, self.lam))
-            if gap.any():
-                raise ConfigError(f"rho_equal_gamma fails: rho probes need gamma1 = gamma2 "
-                                  f"on supp chi, |gamma1 - gamma2| = {gap.max():.3g} "
-                                  f"at t = {t[gap.argmax()]:.3g}")
+            try:
+                require_equal_gamma((self.law1, self.law2), self.lam, self.grid.times, cuts)
+            except ReconstructError as exc:
+                raise ConfigError(str(exc)) from None
 
     def law_family(self):
         """eps-indexed pairs (perturbed law1-side, law2) for stability runs."""

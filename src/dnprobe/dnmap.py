@@ -17,7 +17,12 @@ patch_linear_flux, which solves the frozen problem for a stack of patch
 data in the sine basis and forms only the one face row the flux reads,
 4 P_0 - P_1 of the two node planes next to the face, with each law
 evaluated once over all time levels; the linearization check reads
-Lambda g off it too.  A law whose gamma(t_m, lambda) and rho(t_m, lambda)
+Lambda g off it too.  Probe and dictionary data are profile(t) * face(x)
+and keep both factors (PatchField.product), so a call runs the frozen
+recurrence once per time profile its data share, at unit amplitude in
+every tangential mode, and scales that row by each datum's face modes:
+the n data of a rho probe share one solve, and so do the dictionary data
+of one k.  A law whose gamma(t_m, lambda) and rho(t_m, lambda)
 are equal at every level m >= 1 makes implicit Euler a time-invariant
 recursion per sine mode, so its face row is one FFT convolution in time
 with the step's impulse response (convolution quadrature); a law that
@@ -29,7 +34,9 @@ on all of dOmega; the 2D spectral norm sums the half spectrum of a real
 FFT in time over the patch columns only.  The linearization check
 advances its data g/k for all k in one stacked pde.solve_forward whose
 keep is level_flux: the nonlinear flux of each level as it converges,
-so no solution history is formed.
+so no solution history is formed; the stencil the flux reads (node
+planes, cross terms, support mask) is built once per solve, not per
+level.
 """
 
 import math
@@ -54,45 +61,47 @@ class DNMapError(RuntimeError):
     pass
 
 
-def _face_normal_derivative(field: np.ndarray, grid: Grid) -> np.ndarray:
-    """Outward normal derivative on the patch face, 3-point one-sided.
+class _FluxStencil:
+    """What the patch flux reads of a node array, for one grid and A, built
+    once: the three node planes next to the patch face along the normal,
+    the nonzero cross terms A_de, and the face nodes off S.  Leading axes
+    of a node array beyond the grid.dim space axes are a batch."""
 
-    field is a node array whose last grid.dim axes are space; leading axes
-    are a batch.  Exact for fields affine in the normal coordinate.
-    """
-    d, side = grid.patch_axis, grid.patch_side
-    h = grid.h
-    sl = lambda k: (Ellipsis,) + tuple(slice(None) if a != d else k for a in range(grid.dim))
-    if side == 0:
-        inward = (-3.0 * field[sl(0)] + 4.0 * field[sl(1)] - field[sl(2)]) / (2.0 * h)
-        return -inward  # nu = -e_d
-    inward = (-3.0 * field[sl(-1)] + 4.0 * field[sl(-2)] - field[sl(-3)]) / (2.0 * h)
-    return -inward      # derivative along -e_d; nu = +e_d
+    def __init__(self, grid: Grid, A: MatrixField):
+        d = grid.patch_axis
+        ends = (0, 1, 2) if grid.patch_side == 0 else (-1, -2, -3)
+        self.planes = [(Ellipsis,) + tuple(k if a == d else slice(None)
+                                           for a in range(grid.dim)) for k in ends]
+        nu_d = -1.0 if grid.patch_side == 0 else 1.0
+        self.a_dd, self.h = A.A[d, d], grid.h
+        self.cross = [(k - (grid.dim - 1), nu_d * A.A[d, e])
+                      for k, e in enumerate(grid.tangential_axes) if A.A[d, e] != 0.0]
+        self.off = ~grid.patch_support_mask()
+
+    def conormal(self, field: np.ndarray) -> np.ndarray:
+        """A grad(field) . nu on the patch face: the outward normal
+        derivative 3-point one-sided (exact for fields affine in the normal
+        coordinate), tangential derivatives of the cross terms by
+        np.gradient along the face."""
+        f0, f1, f2 = (field[p] for p in self.planes)
+        inward = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * self.h)
+        out = self.a_dd * -inward  # the inward derivative is -nu_d d_d(field)
+        for axis, coeff in self.cross:
+            out = out + coeff * np.gradient(f0, self.h, axis=axis, edge_order=2)
+        return out
+
+    def flux(self, values: np.ndarray, gamma) -> np.ndarray:
+        """gamma (A grad u . nu) on S, zero off S, in one evaluation: the
+        time levels of a history or a stack of levels lead; gamma
+        broadcasts against the face arrays."""
+        vals = gamma * self.conormal(values)
+        vals[..., self.off] = 0.0
+        return vals
 
 
 def _face_conormal(field: np.ndarray, grid: Grid, A: MatrixField) -> np.ndarray:
-    """A grad(field) . nu on the patch face; leading axes of field beyond
-    the grid.dim space axes are a batch."""
-    d = grid.patch_axis
-    nu_d = -1.0 if grid.patch_side == 0 else 1.0
-    dn = _face_normal_derivative(field, grid)  # = nu_d * d_d(field)
-    out = A.A[d, d] * dn
-    face = field[(Ellipsis,) + grid.face_node_selector(d, grid.patch_side)]
-    for k, e in enumerate(grid.tangential_axes):
-        if A.A[d, e] != 0.0:
-            out = out + nu_d * A.A[d, e] * np.gradient(face, grid.h, axis=k - (grid.dim - 1),
-                                                       edge_order=2)
-    return out
-
-
-def _patch_flux(values: np.ndarray, gamma, grid: Grid, A: MatrixField) -> np.ndarray:
-    """gamma (A grad u . nu) on S, zero off S, of node arrays whose last
-    grid.dim axes are space, in one evaluation: the time levels of a
-    history or a stack of levels lead; gamma broadcasts against the face
-    arrays."""
-    vals = gamma * _face_conormal(values, grid, A)
-    vals[..., ~grid.patch_support_mask()] = 0.0
-    return vals
+    """A grad(field) . nu on the patch face."""
+    return _FluxStencil(grid, A).conormal(field)
 
 
 def _face_times(grid: Grid) -> np.ndarray:
@@ -103,8 +112,8 @@ def _face_times(grid: Grid) -> np.ndarray:
 def nonlinear_flux(u: SpaceTimeField, law: MaterialLaw, A: MatrixField,
                    grid: Grid) -> PatchField:
     """DN output gamma(t, u) (A grad u . nu) on S at every time level."""
-    face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
-    vals = _patch_flux(u.values, law.gamma(_face_times(grid), u.values[face]), grid, A)
+    stencil = _FluxStencil(grid, A)
+    vals = stencil.flux(u.values, law.gamma(_face_times(grid), u.values[stencil.planes[0]]))
     return PatchField(values=vals, grid=grid)
 
 
@@ -112,15 +121,17 @@ def level_flux(law: MaterialLaw, A: MatrixField, grid: Grid):
     """The keep of pde.solve_forward that makes it the DN map: each
     converged level's gamma(t_m, u) (A grad u . nu) on S, nonlinear_flux's
     arithmetic on a (B, *grid.shape) stack of levels, so the values of a
-    solve are its PatchField values and no history is formed."""
-    face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
-    return lambda t, levels: _patch_flux(levels, law.gamma(t, levels[face]), grid, A)
+    solve are its PatchField values and no history is formed.  The
+    stencil (planes, cross terms, mask) is built once, not per level."""
+    stencil = _FluxStencil(grid, A)
+    face = stencil.planes[0]
+    return lambda t, levels: stencil.flux(levels, law.gamma(t, levels[face]))
 
 
 def linear_flux(w: SpaceTimeField, law: MaterialLaw, A: MatrixField,
                 grid: Grid, lam: float) -> PatchField:
     """Linearized DN output gamma(t, lambda) (A grad w . nu) on S."""
-    vals = _patch_flux(w.values, law.gamma(_face_times(grid), lam), grid, A)
+    vals = _FluxStencil(grid, A).flux(w.values, law.gamma(_face_times(grid), lam))
     return PatchField(values=vals, grid=grid)
 
 
@@ -342,8 +353,8 @@ def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
 
 def _planes_by_steps(src, eig, col, row, r, gam, w):
     """The face row of the interior box in tangential modes, (B, nt+1,
-    *tang), by implicit Euler: every sine mode of the interior box advanced
-    one level at a time,
+    *tang) for the B source rows src (_recurrence_rows), by implicit Euler:
+    every sine mode of the interior box advanced one level at a time,
 
         s_m = (r_m s_{m-1} + w_m src_m col) / (r_m + gam_m eig),
 
@@ -371,8 +382,9 @@ def _planes_by_convolution(src, eig, col, row, r, gam, w):
     b = w col / (r + gam eig), so the row is the causal convolution of src
     with the kernel H[n] = row (b a^n), n = 0 .. nt-1; zero-padded to 2 nt,
     the FFT product is that linear convolution, with no wrap-around.  H is
-    built by nt small matmuls, and the data are transformed one at a time,
-    so no spectrum is larger than the mode state of the steps."""
+    built by nt small matmuls, and the source rows are transformed one at a
+    time (one profile at a time, or one datum without factors), so no
+    spectrum is larger than the mode state of the steps."""
     B, nt = src.shape[0], src.shape[1] - 1
     den = r[1] + gam[1] * eig
     a = r[1] / den
@@ -386,6 +398,32 @@ def _planes_by_convolution(src, eig, col, row, r, gam, w):
     for b in range(B):
         near[b, 1:] = irfft(spec * rfft(src[b, 1:], 2 * nt, axis=0), 2 * nt, axis=0)[:nt]
     return near
+
+
+def _recurrence_rows(data, faces, inner, basis):
+    """The rows a call hands the plane helpers, (R, nt+1, *tang) tangential
+    modes, the row of each datum and the number of shared rows, which come
+    first.  Data that keep their factors and whose profile another datum of
+    the call shares (equal values, compared by their bytes) share one row:
+    the profile at unit amplitude in every tangential mode.  Every other
+    datum is its own row, the tangential DST-I of its values (faces, level
+    0 already zeroed), as when there is nothing to share."""
+    keys = [None if g.profile is None else g.profile.tobytes() for g in data]
+    shared = {k: g.profile for k, g in zip(keys, data) if k is not None and keys.count(k) > 1}
+    order = list(shared)
+    own = [b for b, k in enumerate(keys) if k not in shared]
+    row_of = [order.index(k) if k in shared else len(order) + own.index(b)
+              for b, k in enumerate(keys)]
+    parts = []
+    if shared:
+        unit = np.empty((len(shared), faces.shape[1]) + tuple(len(q) for q in basis))
+        unit[...] = np.reshape(list(shared.values()), unit.shape[:2] + (1,) * len(basis))
+        unit[:, 0] = 0.0  # as solve_linearized's w(0) = 0
+        parts.append(unit)
+    if own:
+        parts.append(dst1(faces[inner] if len(own) == len(data) else faces[own][inner],
+                          basis))
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)), row_of, len(shared)
 
 
 def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
@@ -402,14 +440,21 @@ def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
     P_0, P_1 next to the face only as 4 P_0 - P_1, so that combination is
     one face row (4 sin(pi k p_0 / N) - sin(pi k p_1 / N)) / N applied
     along the normal modes, and one tangential inverse DST brings it back.
-    When gamma(t_m, lam) and rho(t_m, lam) are the same at every level
-    m >= 1 (a law constant in t), the update is the same linear map at
-    every step, so the row is exactly the causal convolution of the data
-    with the step's impulse response, one zero-padded FFT product in time
-    (_planes_by_convolution; the paths differ by rounding only); otherwise
-    the modes are stepped level by level (_planes_by_steps).  Returns
-    (len(data), nt+1, *face_shape) flux values, zero off S: row b is the
-    PatchField values of data[b].
+    The frozen problem is linear and acts mode by mode, so a datum
+    profile(t) * face(x) that keeps its factors (probes, dictionary) has as
+    face row the row of its profile at unit amplitude in every tangential
+    mode times the tangential DST-I of its face: the recurrence runs once
+    per profile the call's data share, however many data share it, and
+    once for every other datum, on its values as when nothing is shared
+    (_recurrence_rows; a rho probe's n data share one profile, dictionary
+    data of one k share theirs).  When gamma(t_m, lam) and rho(t_m, lam) are the
+    same at every level m >= 1 (a law constant in t), the update is the
+    same linear map at every step, so the row is exactly the causal
+    convolution of its source with the step's impulse response, one
+    zero-padded FFT product in time (_planes_by_convolution; the paths
+    differ by rounding only); otherwise the modes are stepped level by
+    level (_planes_by_steps).  Returns (len(data), nt+1, *face_shape) flux
+    values, zero off S: row b is the PatchField values of data[b].
     """
     d, side = grid.patch_axis, grid.patch_side
     for g in data:
@@ -421,7 +466,7 @@ def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
     faces = np.stack([g.values for g in data])  # (B, nt+1, *face_shape)
     faces[:, 0] = 0.0  # as solve_linearized's w(0) = 0
     inner = (Ellipsis,) + (slice(1, -1),) * (grid.dim - 1)
-    src = dst1(faces[inner], basis)
+    src, row_of, n_shared = _recurrence_rows(data, faces, inner, basis)
     # normal modes first, then the tangential ones in face order
     eig = np.moveaxis(eig, d, 0)
     k = np.arange(1, N)
@@ -430,14 +475,19 @@ def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
     row = (4.0 * np.sin(np.pi * k * p0 / N) - np.sin(np.pi * k * p1 / N)) / N
     constant_in_t = np.all(gam[1:] == gam[1]) and np.all(rho[1:] == rho[1])
     face_row = _planes_by_convolution if constant_in_t else _planes_by_steps
-    near = face_row(src, eig, col, row, rho / dt, gam, gam * a_dd / h ** 2)
-    # the face reconstruction is where a call's memory peaks: nothing it
-    # does not read is held through it, and it works in place
+    rows = face_row(src, eig, col, row, rho / dt, gam, gam * a_dd / h ** 2)
     del src
-    # gamma a_dd (-inward) with inward = (-3 f + (4 P_0 - P_1)) / (2h)
+    # gamma a_dd (-inward) with inward = (-3 f + (4 P_0 - P_1)) / (2h).  The
+    # face reconstruction is where a call's memory peaks: it works in place
+    # and datum by datum, so a datum's face row (its own row, or its
+    # profile's row times the tangential modes of its face) and its inverse
+    # DST exist one at a time
     out = faces  # np.stack made it this call's own copy
     out *= -3.0
-    out[inner] += dst1(near, basis)
+    for b, (g, i) in enumerate(zip(data, row_of)):
+        near = rows[i] * dst1(g.face[inner], basis) if i < n_shared else rows[i]
+        out[b][inner] += dst1(near, basis)
+    del rows
     out /= 2.0 * h
     out *= -a_dd
     out *= gam.reshape((1, -1) + (1,) * (grid.dim - 1))
@@ -449,7 +499,9 @@ def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
     """Smooth random boundary data supported in S x (0,T).
 
     Space: Gaussian bump in the patch tangential coordinates, clipped by a
-    smooth patch window; time: sine arch vanishing at both endpoints.
+    smooth patch window; time: sine arch sin^2(pi k t / T), k in {1, 2, 3},
+    vanishing at both endpoints.  Each datum keeps the two factors
+    (PatchField.product), so data of one k share their frozen solve.
     """
     rng = default_rng(seed)
     smask = grid.patch_support_mask()
@@ -472,8 +524,7 @@ def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
         mode = rng.integers(1, 4)
         prof = np.sin(np.pi * mode * times / grid.T) ** 2
         prof[0] = prof[-1] = 0.0  # exact, not sin(pi*k) roundoff
-        vals = prof.reshape((-1,) + (1,) * (grid.dim - 1)) * space[None]
-        out.append(PatchField(values=vals, grid=grid))
+        out.append(PatchField.product(prof, space, grid))
     return out
 
 

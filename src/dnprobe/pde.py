@@ -54,7 +54,10 @@ corrector in singular use it, so the forward Jacobian, once the frozen
 chord step stalls, is the only matrix factorized.
 
 Data on the measurement patch S x (0, T) -- probes, dictionary data and
-every flux -- are PatchField face arrays, zero off S.  The full-field
+every flux -- are PatchField face arrays, zero off S.  Probes and
+dictionary data are a time profile times a face array and keep both
+factors (PatchField.product), so dnmap.patch_linear_flux solves the
+frozen problem once per profile its data share.  The full-field
 frozen solves take BoundaryField node arrays on all of dOmega;
 PatchField.boundary() is that conversion, for those reference solves and
 the tests: no subcommand calls it, and the boundary norms of dnmap read
@@ -78,7 +81,7 @@ manufactured-solution studies.
 """
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -156,10 +159,33 @@ class BoundaryField(_TimeLevels):
 @dataclass
 class PatchField(_TimeLevels):
     """Values on the patch face at every time level, zero off S: the probe
-    and dictionary data and every flux."""
+    and dictionary data and every flux.
+
+    Data built as profile(t) * face(x) (PatchField.product: the probes and
+    the dictionary) also keep the two factors, the (nt+1,) profile over
+    grid.times and the face_shape face array, zero off S; values is their
+    product, formed once by product, so the two cannot disagree.  Any
+    other PatchField (fluxes, differences, scaled data) has neither.
+    """
 
     values: np.ndarray  # (nt+1, *face_shape), axes as patch_support_mask
     grid: Grid
+    profile: np.ndarray = dc_field(default=None, init=False, repr=False, compare=False)
+    face: np.ndarray = dc_field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def product(cls, profile, face: np.ndarray, grid: Grid) -> "PatchField":
+        """The datum profile(t) * face(x) on S, with its factors kept:
+        profile is given by its values at grid.times, face is a face_shape
+        array whose values off S are dropped."""
+        support = grid.patch_support_mask()
+        profile = np.asarray(profile, dtype=float)
+        face = np.where(support, face, 0.0)
+        values = np.zeros((grid.nt + 1,) + support.shape)
+        values[:, support] = profile[:, None] * face[support][None, :]
+        out = cls(values=values, grid=grid)
+        out.profile, out.face = profile, face
+        return out
 
     def __post_init__(self):
         support = self.grid.patch_support_mask()
@@ -207,7 +233,7 @@ def boundary_field_from_callable(grid: Grid, fn) -> BoundaryField:
 def probe_boundary_field(grid: Grid, profile, spatial: np.ndarray,
                          tol: float = 1e-7) -> PatchField:
     """Patch datum profile(t) * spatial(x) on S, profile given by its
-    values at grid.times.
+    values at grid.times; the datum keeps both factors (PatchField.product).
 
     spatial is a full node array (e.g. H - v_tau); it must vanish on
     dOmega \\ S up to tol relative to its peak, or the probe construction
@@ -222,9 +248,7 @@ def probe_boundary_field(grid: Grid, profile, spatial: np.ndarray,
     leak = np.abs(spatial[off_patch]).max()
     if peak > 0.0 and leak > tol * peak:
         raise PDEError(f"probe support leaks off the patch: {leak:.3e} vs peak {peak:.3e}")
-    vals = np.zeros((grid.nt + 1,) + support.shape)
-    vals[:, support] = np.asarray(profile, dtype=float)[:, None] * spatial[face][support][None, :]
-    return PatchField(values=vals, grid=grid)
+    return PatchField.product(profile, spatial[face], grid)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,27 @@ class ReconstructionReport:
 # probes and pointwise recovery
 
 
+def _cutoffs(grid: Grid, probes):
+    """The probes' geometries and their cutoff sets."""
+    geoms = [exterior_point(grid, p.x0, p.tau, p.t0) for p in probes]
+    return geoms, [make_cutoffs(p.t0, p.tau, p.kind, grid, r=p.r, tau0=geom.tau0,
+                                shape=p.shape, a_rule=p.a_rule)
+                   for p, geom in zip(probes, geoms)]
+
+
+def require_equal_gamma(pair, lam: float, times: np.ndarray, cuts):
+    """Reject a law pair for rho probes whose conductivities differ,
+    gamma1(t, lambda) != gamma2(t, lambda), at a level of times inside
+    supp chi of any of the cutoff sets cuts: the rho estimate assumes
+    gamma1 = gamma2 there and would read the conductivity difference."""
+    t = times[np.logical_or.reduce([cut.chi(times) > 0.0 for cut in cuts])]
+    gap = np.abs(pair[0].gamma(t, lam) - pair[1].gamma(t, lam))
+    if gap.any():
+        raise ReconstructError(f"rho_equal_gamma fails: rho probes need gamma1 = gamma2 "
+                               f"on supp chi, |gamma1 - gamma2| = {gap.max():.3g} "
+                               f"at t = {t[gap.argmax()]:.3g}")
+
+
 def probe_data(grid: Grid, A: MatrixField, probes, op=None):
     """Boundary data and H energy of probes of one kind, built together.
 
@@ -82,10 +103,7 @@ def probe_data(grid: Grid, A: MatrixField, probes, op=None):
         raise ReconstructError("rho probes need n >= 3")
     if kind == "rho" and not A.is_identity:
         raise ReconstructError("rho probes are restricted to A = Id")
-    geoms = [exterior_point(grid, p.x0, p.tau, p.t0) for p in probes]
-    cuts = [make_cutoffs(p.t0, p.tau, kind, grid, r=p.r, tau0=geom.tau0,
-                         shape=p.shape, a_rule=p.a_rule)
-            for p, geom in zip(probes, geoms)]
+    geoms, cuts = _cutoffs(grid, probes)
     bases = build_basis(grid, geoms, A, conv=probes[0].conv, kind=kind, op=op)
     out = []
     for basis, cut in zip(bases, cuts):
@@ -117,8 +135,9 @@ def recover_rho_point(pair, grid: Grid, lam: float, probe: ProbeSpec,
                       A: MatrixField = None, op=None) -> float:
     """Estimate of rho^1(t0, lambda) - rho^2(t0, lambda), n >= 3, A = Id.
 
-    Assumes gamma^1 = gamma^2, so the conductivity cross term of the rho
-    identity vanishes identically.
+    Needs gamma^1 = gamma^2 on supp chi, so the conductivity cross term of
+    the rho identity vanishes identically; point_recovery raises
+    ReconstructError naming rho_equal_gamma otherwise.
     """
     if probe.kind != "rho":
         raise ReconstructError("rho recovery needs a rho-kind probe")
@@ -136,7 +155,9 @@ def point_recovery(A: MatrixField, grid: Grid, lam: float, probes, op=None):
     first call, so a failure there fails that call only.  All their data go
     through one patch_linear_flux call per law, and each reference law's
     response is solved once, so a sweep over law pairs
-    (stability_experiment) pays for it once.
+    (stability_experiment) pays for it once.  For rho probes a pair whose
+    conductivities differ on supp chi of any probe is rejected before its
+    frozen solves (require_equal_gamma).
     """
     built, reference = None, {}
 
@@ -144,6 +165,8 @@ def point_recovery(A: MatrixField, grid: Grid, lam: float, probes, op=None):
         nonlocal built
         if built is None:
             built = probe_data(grid, A, probes, op=op)
+        if probes[0].kind == "rho":
+            require_equal_gamma(pair, lam, grid.times, _cutoffs(grid, probes)[1])
         data = [g for pairs, _ in built for g, _ in pairs]
         law1, law2 = pair
         if law2 not in reference:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from dnprobe import dnmap, pde, singular
+from dnprobe import dnmap, pde, reconstruct, singular
 from dnprobe.dnmap import (DNMapError, eta_surrogate, flux_l2_st,
                            lambda_difference_flux, lift_terminal_zero,
                            linear_flux, linearization_check, make_norm,
@@ -617,3 +617,134 @@ def test_patch_flux_evaluates_each_law_once_per_call(monkeypatch):
             patch_linear_flux(law, A2, g, 0.0, data)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+# --- data that keep their factors share their frozen solve --------------------
+
+
+def _dictionary_as_one_product(grid, count, seed):
+    """random_bump_dictionary's values formed as one broadcast product of
+    the time arch and the windowed bump, with no factors kept: the values
+    the factored data must equal byte for byte."""
+    rng = np.random.default_rng(seed)
+    smask = grid.patch_support_mask()
+    ax = grid.axis_nodes()
+    tang = np.meshgrid(*([ax] * (grid.dim - 1)), indexing="ij")
+    lo, hi = np.array(grid.patch_lo) * grid.h, np.array(grid.patch_hi) * grid.h
+    window = np.ones_like(tang[0])
+    for k in range(grid.dim - 1):
+        window = window * np.sin(np.pi * np.clip((tang[k] - lo[k]) / (hi[k] - lo[k]), 0, 1))
+    out = []
+    for _ in range(count):
+        c = lo + rng.uniform(0.25, 0.75, size=grid.dim - 1) * (hi - lo)
+        wdt = rng.uniform(0.1, 0.3) * (hi - lo).min()
+        r2 = sum((tang[k] - c[k]) ** 2 for k in range(grid.dim - 1))
+        space = np.exp(-r2 / (2 * wdt ** 2)) * window
+        space[~smask] = 0.0
+        prof = np.sin(np.pi * rng.integers(1, 4) * grid.times / grid.T) ** 2
+        prof[0] = prof[-1] = 0.0
+        out.append(prof.reshape((-1,) + (1,) * (grid.dim - 1)) * space[None])
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_PATCH_CASES))
+def test_factored_data_values_are_the_products_byte_for_byte(case):
+    g, _ = _PATCH_CASES[case]
+    support = g.patch_support_mask()
+    d = random_bump_dictionary(g, count=6, seed=4)
+    for datum, ref in zip(d, _dictionary_as_one_product(g, 6, 4)):
+        assert datum.values.tobytes() == ref.tobytes()
+        assert datum.profile.shape == (g.nt + 1,) and datum.face.shape == support.shape
+    # a probe datum, with a spatial field that leaks off S within the guard
+    rng = np.random.default_rng(9)
+    face = g.face_node_selector(g.patch_axis, g.patch_side)
+    spatial = np.zeros(g.shape)
+    spatial[face] = rng.standard_normal(support.shape) * np.where(support, 1.0, 1e-9)
+    profile = rng.standard_normal(g.nt + 1)
+    profile[0] = 0.0
+    datum = pde.probe_boundary_field(g, profile, spatial)
+    ref = np.zeros((g.nt + 1,) + support.shape)
+    ref[:, support] = profile[:, None] * spatial[face][support][None, :]
+    assert datum.values.tobytes() == ref.tobytes()
+    assert not datum.face[~support].any()  # what leaks off S is dropped
+    # data formed from values alone keep no factors
+    assert PatchField(values=datum.values, grid=g).profile is None
+
+
+def _count_rows(mp):
+    """Record the rows (source rows) each plane helper receives."""
+    rows = []
+
+    def counted(name, real):
+        def helper(src, *args):
+            rows.append((name, src.shape[0]))
+            return real(src, *args)
+        return helper
+
+    for name in ("_planes_by_steps", "_planes_by_convolution"):
+        mp.setattr(dnmap, name, counted(name, getattr(dnmap, name)))
+    return rows
+
+
+@pytest.mark.parametrize("case", sorted(_PATCH_CASES))
+@settings(max_examples=8, deadline=None, phases=_NO_SHRINK)
+@given(groups=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+       n_plain=st.integers(0, 2), lam=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 16))
+def test_shared_profiles_give_the_flux_of_their_values_property(case, groups, n_plain,
+                                                                lam, seed):
+    # factored data of one profile (equal values, not the same array)
+    # share one recurrence row, singletons and data without factors are
+    # their own rows, in any order; row by row the flux is that of the same
+    # values with the factors dropped, convolved and stepped
+    g, A = _PATCH_CASES[case]
+    rng = np.random.default_rng(seed)
+    support = g.patch_support_mask()
+    profiles = rng.standard_normal((4, g.nt + 1))
+    profiles[:, 0] = 0.0
+    data = [PatchField.product(profiles[i].copy(), rng.standard_normal(support.shape), g)
+            for i in groups]
+    for _ in range(n_plain):
+        vals = rng.standard_normal((g.nt + 1,) + support.shape) * support
+        vals[0] = 0.0
+        data.append(PatchField(values=vals, grid=g))
+    data = [data[b] for b in rng.permutation(len(data))]
+    plain = [PatchField(values=datum.values, grid=g) for datum in data]
+    shared = {i for i in groups if groups.count(i) > 1}
+    expected = len(shared) + sum(i not in shared for i in groups) + n_plain
+    for law, helper in ((_CONSTANT_LAW, "_planes_by_convolution"),
+                        (_VARYING_LAW, "_planes_by_steps")):
+        with pytest.MonkeyPatch.context() as mp:
+            rows = _count_rows(mp)
+            got = patch_linear_flux(law, A, g, lam, data)
+        assert rows == [(helper, expected)]
+        ref = patch_linear_flux(law, A, g, lam, plain)
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_probes_and_dictionary_solve_one_row_per_shared_profile(monkeypatch):
+    # on the benchmark grids: the 16-datum dictionary one row per distinct
+    # mode k, a 4-tau rho sweep one row per probe (its 3 data share chi
+    # Phi_tau), a 5-tau gamma sweep one row per probe (nothing to share)
+    rows = _count_rows(monkeypatch)
+    g3 = build_grid(3, 1 / 16, 0.0625, 2.5, pad=8)
+    A3 = make_matrix(np.eye(3))
+    d = random_bump_dictionary(g3, count=16, seed=0)
+    modes = {datum.profile.tobytes() for datum in d}
+    assert len(modes) == 3
+    patch_linear_flux(_VARYING_LAW, A3, g3, 0.0, d)
+    patch_linear_flux(_CONSTANT_LAW, A3, g3, 0.0, d)
+    assert rows == [("_planes_by_steps", 3), ("_planes_by_convolution", 3)]
+    rows.clear()
+    varying_rho = make_law(rho=("trig_t", {"c0": 1.0, "c1": 0.2, "freq": 0.2}))
+    rho_probes = [ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=tau, kind="rho", r=0.25)
+                  for tau in (0.2, 0.175, 0.15, 0.125)]
+    reconstruct.point_recovery(A3, g3, 0.0, rho_probes)((varying_rho, make_law()))
+    assert rows == [("_planes_by_convolution", 4), ("_planes_by_steps", 4)]
+    rows.clear()
+    g2 = build_grid(2, 1 / 64, 1 / 64, 1.0, pad=52)
+    gamma_probes = [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau, kind="gamma", a_rule="power",
+                              r=0.5) for tau in (0.2, 0.15, 0.1, 0.07, 0.05)]
+    reconstruct.point_recovery(A2, g2, 0.0, gamma_probes)(
+        (make_law(gamma=("constant", {"c0": 1.02})), make_law()))
+    assert rows == [("_planes_by_convolution", 5)] * 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -77,6 +79,31 @@ def test_recover_rho_dimension_guard():
     probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.15, kind="rho")
     with pytest.raises(ReconstructError):
         recover_rho_point((law, law), g, 0.0, probe)
+
+
+def test_rho_recovery_rejects_unequal_conductivities_before_its_frozen_solves(monkeypatch):
+    # the rho estimate reads gamma1 - gamma2 on supp chi as a rho difference:
+    # a library caller gets the error the CLI's check_command gives, and no
+    # frozen solve runs; equal conductivities still recover
+    g3 = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
+    probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
+    real, solved = reconstruct.patch_linear_flux, []
+
+    def counted(law, *args):
+        solved.append(law)
+        return real(law, *args)
+
+    monkeypatch.setattr(reconstruct, "patch_linear_flux", counted)
+    base = make_law()
+    with pytest.raises(ReconstructError, match="rho_equal_gamma"):
+        recover_rho_point((make_law(gamma=("constant", {"c0": 1.05})), base), g3, 0.0, probe)
+    with pytest.raises(ReconstructError, match="rho_equal_gamma"):
+        reconstruct.point_recovery(make_matrix(np.eye(3)), g3, 0.0, [probe, replace(
+            probe, tau=0.25)])((make_law(gamma=("trig_t", {"c0": 1.0, "c1": 0.01})), base))
+    assert solved == []
+    rho1 = make_law(rho=("constant", {"c0": 1.2}))
+    assert recover_rho_point((rho1, base), g3, 0.0, probe) > 0.0
+    assert solved == [base, rho1]
 
 
 def test_probe_data_live_on_the_patch_face():
