@@ -15,7 +15,6 @@ import numpy as np
 from dnprobe import build_grid, make_law, tau_sweep
 from dnprobe.material import make_matrix
 from dnprobe.reconstruct import ProbeSpec, point_recovery
-from dnprobe.singular import _omega_prime_operator
 
 CONTRAST = 0.02
 
@@ -24,14 +23,12 @@ A = make_matrix(np.eye(2))
 law1 = make_law(gamma=("constant", {"c0": 1.0 + CONTRAST}), label="warm")
 law2 = make_law(gamma=("constant", {"c0": 1.0}), label="reference")
 
-op = _omega_prime_operator(grid, A)  # Omega' interface factor
-
 
 def recover(taus):
     """All probes of the sweep built and solved together."""
     probes = [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau, kind="gamma",
                         a_rule="power", r=0.5) for tau in taus]
-    return point_recovery(A, grid, 0.0, probes, op=op)((law1, law2))
+    return point_recovery(A, grid, 0.0, probes)((law1, law2))
 
 
 report = tau_sweep(recover, [0.2, 0.15, 0.1, 0.07, 0.05], target="gamma",

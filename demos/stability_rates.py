@@ -15,7 +15,6 @@ import numpy as np
 from dnprobe import build_grid, make_law, stability_experiment
 from dnprobe.material import make_matrix, perturb_law
 from dnprobe.reconstruct import ProbeSpec, point_recovery
-from dnprobe.singular import _omega_prime_operator
 
 # --- conductivity: Lipschitz slope -----------------------------------------
 
@@ -24,10 +23,9 @@ A = make_matrix(np.eye(2))
 base = make_law(gamma=("constant", {"c0": 2.0}))
 family = [(eps, (perturb_law(base, eps, "gamma"), base))
           for eps in (0.01, 0.02, 0.04)]
-op = _omega_prime_operator(grid, A)
 probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.125, kind="gamma",
                   a_rule="power", r=0.5)
-recover = point_recovery(A, grid, 0.0, [probe], op=op)  # built once for every eps
+recover = point_recovery(A, grid, 0.0, [probe])  # built once for every eps
 table = stability_experiment(
     family, "gamma", A, grid, 0.0, lambda pair: recover(pair)[0],
     dict_seed=3, dict_size=8)
@@ -46,9 +44,8 @@ base3 = make_law(rho=("constant", {"c0": 1.0}))
 prof = ("trig_t", {"c0": 0.0, "c1": 1.0, "freq": 0.2})  # peaks at t = 1.25
 family3 = [(eps, (perturb_law(base3, eps, "rho", prof), base3))
            for eps in (0.1, 0.2)]
-op3 = _omega_prime_operator(grid3, A3)
 probe3 = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.125, kind="rho", r=0.25)
-recover3 = point_recovery(A3, grid3, 0.0, [probe3], op=op3)
+recover3 = point_recovery(A3, grid3, 0.0, [probe3])
 table3 = stability_experiment(
     family3, "rho", A3, grid3, 0.0, lambda pair: recover3(pair)[0],
     dict_seed=0, dict_size=16)

@@ -30,7 +30,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .geometry import GridError, build_grid
 from .material import MaterialError, make_law
-from .singular import SingularError, _omega_prime_operator
+from .singular import SingularError
 from .pde import PatchField, PDEError, mms_problem, solve_forward
 from .dnmap import level_flux, linearization_check, make_norm, DNMapError
 from .reconstruct import (ProbeSpec, ReconstructError, point_recovery, probe_data,
@@ -162,24 +162,9 @@ def _forward_mms(cfg: ExperimentConfig, args) -> int:
                 grads.append(t * g)
             return grads
 
-        def exact_hess(t, X):
-            H = []
-            for a in range(grid.dim):
-                row = []
-                for b in range(grid.dim):
-                    if a == b:
-                        e = -np.pi ** 2 * spatial_exact(t, X)
-                    else:
-                        e = np.pi ** 2 * np.cos(np.pi * X[..., a]) * np.cos(np.pi * X[..., b])
-                        for c in range(grid.dim):
-                            if c not in (a, b):
-                                e = e * np.sin(np.pi * X[..., c])
-                    row.append(t * e)
-                H.append(row)
-            return H
-
+        exact_d2 = lambda t, X: [t * (-np.pi ** 2 * spatial_exact(t, X))] * grid.dim
         g, src, ex = mms_problem(grid, cfg.law1, cfg.A, lam, exact, exact_dt,
-                                 exact_grad, exact_hess)
+                                 exact_grad, exact_d2)
         u = solve_forward(cfg.law1, cfg.A, grid, lam, g, source=src)
         _report_newton(args, f"mms space h={h:g} dt={dt:g}", u.newton)
         return float(np.abs(u.values - ex).max())
@@ -192,9 +177,9 @@ def _forward_mms(cfg: ExperimentConfig, args) -> int:
         exact = lambda t, X: lam + np.sin(0.9 * t) * sx(X)
         exact_dt = lambda t, X: 0.9 * np.cos(0.9 * t) * sx(X)
         exact_grad = lambda t, X: [np.sin(0.9 * t) + 0.0 * X[..., 0]] * grid.dim
-        exact_hess = lambda t, X: [[0.0 * X[..., 0]] * grid.dim] * grid.dim
+        exact_d2 = lambda t, X: [0.0 * X[..., 0]] * grid.dim
         g, src, ex = mms_problem(grid, cfg.law1, cfg.A, lam, exact, exact_dt,
-                                 exact_grad, exact_hess)
+                                 exact_grad, exact_d2)
         u = solve_forward(cfg.law1, cfg.A, grid, lam, g, source=src)
         _report_newton(args, f"mms time h={h:g} dt={dt:g}", u.newton)
         return float(np.abs(u.values - ex).max())
@@ -226,12 +211,10 @@ def _sweep_cmd(cfg: ExperimentConfig, target: str) -> int:
     grid = cfg.grid
     norm = make_norm(grid, cfg.norm_kind)
     pair = (cfg.law1, cfg.law2)
-    op = _omega_prime_operator(grid, cfg.A)
     ref = float(getattr(cfg.law1, target)(cfg.t0, cfg.lam)
                 - getattr(cfg.law2, target)(cfg.t0, cfg.lam))
     rec = lambda taus: point_recovery(cfg.A, grid, cfg.lam,
-                                      [_probe_spec(cfg, tau, target) for tau in taus],
-                                      op=op)(pair)
+                                      [_probe_spec(cfg, tau, target) for tau in taus])(pair)
     report = tau_sweep(rec, cfg.tau_list, target=target, point=(cfg.t0, cfg.lam),
                        reference=ref, norm_flag=norm.flag)
     rows = [(target, cfg.t0, cfg.lam, f"{tau:.6g}", f"{est:.12e}")
@@ -266,8 +249,7 @@ def cmd_stability(cfg: ExperimentConfig, args) -> int:
     target = cfg.perturb_target
     norm = make_norm(grid, cfg.norm_kind)
     tau = min(cfg.tau_list)
-    rec = point_recovery(cfg.A, grid, cfg.lam, [_probe_spec(cfg, tau, target)],
-                         op=_omega_prime_operator(grid, cfg.A))
+    rec = point_recovery(cfg.A, grid, cfg.lam, [_probe_spec(cfg, tau, target)])
     table = stability_experiment(cfg.law_family(), target, cfg.A, grid, cfg.lam,
                                  lambda pair: rec(pair)[0], dict_seed=cfg.dict_seed,
                                  dict_size=cfg.dict_size, norm=norm)
@@ -292,12 +274,26 @@ def cmd_stability(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_report(cfg: ExperimentConfig, args) -> int:
-    found = 0
-    for name in sorted(os.listdir(cfg.out_dir or ".")):
+    """Summarize the prefix's JSON reports; a report that cannot be read as
+    a JSON object is named on stderr and makes the exit status 1."""
+    try:
+        names = sorted(os.listdir(cfg.out_dir or "."))
+    except FileNotFoundError:
+        names = []
+    found, status = 0, 0
+    for name in names:
         if not (name.startswith(cfg.prefix + "_") and name.endswith(".json")):
             continue
-        with open(os.path.join(cfg.out_dir, name)) as fh:
-            data = json.load(fh)
+        path = os.path.join(cfg.out_dir, name)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError(f"not a JSON object but a {type(data).__name__}")
+        except (OSError, ValueError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            status = 1
+            continue
         found += 1
         print(f"== {name} (config {data.get('config_hash', '?')}, "
               f"norm {data.get('norm', data.get('norm_flag', '?'))})")
@@ -305,9 +301,9 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
                     "fitted_rate", "fitted_slope", "holder_ok", "notes"):
             if data.get(key) not in (None, ""):
                 print(f"   {key}: {data[key]}")
-    if not found:
+    if not found and not status:
         print("no reports found")
-    return 0
+    return status
 
 
 _COMMANDS = {

@@ -63,21 +63,25 @@ _CHOICES = {
 }
 
 
-def _parse_law_spec(spec: str):
-    """'name:k=v:k=v' -> (name, {k: float})."""
+def _parse_law_spec(material: dict, key: str):
+    """[material] key = 'name:k=v:k=v' -> (name, {k: float})."""
+    spec = material[key]
+    where = f"[material] {key} = {spec!r}"
     parts = spec.split(":")
     name = parts[0].strip()
     params = {}
     for p in parts[1:]:
         if "=" not in p:
-            raise ConfigError(f"malformed law parameter {p!r} in {spec!r}")
+            raise ConfigError(f"malformed law parameter {p!r} in {where}")
         k, v = p.split("=", 1)
         v = v.strip()
         try:
-            params[k.strip()] = math.pi / 2 if v == "pi/2" else \
-                math.pi if v == "pi" else float(v)
+            x = math.pi / 2 if v == "pi/2" else math.pi if v == "pi" else float(v)
         except ValueError:
-            raise ConfigError(f"non-numeric law parameter {p!r}") from None
+            raise ConfigError(f"non-numeric law parameter {p!r} in {where}") from None
+        if not math.isfinite(x):
+            raise ConfigError(f"non-finite law parameter {p!r} in {where}")
+        params[k.strip()] = x
     return name, params
 
 
@@ -95,6 +99,14 @@ def _intervals(text: str):
     return [(float(lo), float(hi)) for lo, hi in pairs] if text else None
 
 
+def _non_finite(value) -> bool:
+    """Whether a parsed value (a number, None, or a list of numbers or of
+    pairs) holds a NaN or an infinity."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    return isinstance(value, (list, tuple)) and any(map(_non_finite, value))
+
+
 class ExperimentConfig:
     """Resolved, validated experiment options plus derived objects."""
 
@@ -107,10 +119,13 @@ class ExperimentConfig:
 
         def parse(section, key, conv):
             try:
-                return conv(raw[section][key])
+                value = conv(raw[section][key])
             except ValueError:
                 raise ConfigError(f"malformed value for [{section}] {key}: "
                                   f"{raw[section][key]!r}") from None
+            if _non_finite(value):
+                raise ConfigError(f"[{section}] {key} = {raw[section][key]!r} is not finite")
+            return value
 
         self.grid = build_grid(parse("grid", "dim", int), parse("grid", "h", float),
                                parse("grid", "dt", float), parse("grid", "t_final", float),
@@ -126,14 +141,14 @@ class ExperimentConfig:
         self.lam = parse("material", "lambda", float)
         kcap = parse("material", "kappa_cap", lambda v: float(v) if v else None)
         m_floor = parse("material", "m_floor", float)
-        self.law1 = make_law(gamma=_parse_law_spec(m["gamma1"]),
-                             rho=_parse_law_spec(m["rho1"]),
+        self.law1 = make_law(gamma=_parse_law_spec(m, "gamma1"),
+                             rho=_parse_law_spec(m, "rho1"),
                              m_floor=m_floor, kappa_cap=kcap, label="law1")
-        self.law2 = make_law(gamma=_parse_law_spec(m["gamma2"]),
-                             rho=_parse_law_spec(m["rho2"]),
+        self.law2 = make_law(gamma=_parse_law_spec(m, "gamma2"),
+                             rho=_parse_law_spec(m, "rho2"),
                              m_floor=m_floor, kappa_cap=kcap, label="law2")
         self.perturb_target = m["perturb_target"]
-        self.perturb_profile = _parse_law_spec(m["perturb_profile"])
+        self.perturb_profile = _parse_law_spec(m, "perturb_profile")
 
         p = raw["probe"]
         x0 = parse("probe", "x0", _floats)
@@ -153,6 +168,8 @@ class ExperimentConfig:
         if self.norm_kind == "spectral" and self.grid.dim != 2:
             raise ConfigError(f"[norms] kind = 'spectral' needs dim = 2, not {self.grid.dim}")
         self.dict_seed = parse("norms", "dict_seed", int)
+        if self.dict_seed < 0:
+            raise ConfigError(f"[norms] dict_seed = {self.dict_seed} must be at least 0")
         self.dict_size = parse("norms", "dict_size", int)
         if self.dict_size < 1:
             raise ConfigError(f"[norms] dict_size = {self.dict_size} must be at least 1")

@@ -35,8 +35,7 @@ FFT in time over the patch columns only.  The linearization check
 advances its data g/k for all k in one stacked pde.solve_forward whose
 keep is level_flux: the nonlinear flux of each level as it converges,
 so no solution history is formed; the stencil the flux reads (node
-planes, cross terms, support mask) is built once per solve, not per
-level.
+planes and support mask) is built once per solve, not per level.
 """
 
 import math
@@ -64,31 +63,25 @@ class DNMapError(RuntimeError):
 class _FluxStencil:
     """What the patch flux reads of a node array, for one grid and A, built
     once: the three node planes next to the patch face along the normal,
-    the nonzero cross terms A_de, and the face nodes off S.  Leading axes
-    of a node array beyond the grid.dim space axes are a batch."""
+    A_dd, and the face nodes off S.  A is diagonal, so A grad u . nu is
+    A_dd times the normal derivative.  Leading axes of a node array beyond
+    the grid.dim space axes are a batch."""
 
     def __init__(self, grid: Grid, A: MatrixField):
         d = grid.patch_axis
         ends = (0, 1, 2) if grid.patch_side == 0 else (-1, -2, -3)
         self.planes = [(Ellipsis,) + tuple(k if a == d else slice(None)
                                            for a in range(grid.dim)) for k in ends]
-        nu_d = -1.0 if grid.patch_side == 0 else 1.0
         self.a_dd, self.h = A.A[d, d], grid.h
-        self.cross = [(k - (grid.dim - 1), nu_d * A.A[d, e])
-                      for k, e in enumerate(grid.tangential_axes) if A.A[d, e] != 0.0]
         self.off = ~grid.patch_support_mask()
 
     def conormal(self, field: np.ndarray) -> np.ndarray:
         """A grad(field) . nu on the patch face: the outward normal
         derivative 3-point one-sided (exact for fields affine in the normal
-        coordinate), tangential derivatives of the cross terms by
-        np.gradient along the face."""
+        coordinate)."""
         f0, f1, f2 = (field[p] for p in self.planes)
         inward = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * self.h)
-        out = self.a_dd * -inward  # the inward derivative is -nu_d d_d(field)
-        for axis, coeff in self.cross:
-            out = out + coeff * np.gradient(f0, self.h, axis=axis, edge_order=2)
-        return out
+        return self.a_dd * -inward  # the inward derivative is -nu_d d_d(field)
 
     def flux(self, values: np.ndarray, gamma) -> np.ndarray:
         """gamma (A grad u . nu) on S, zero off S, in one evaluation: the
@@ -122,7 +115,7 @@ def level_flux(law: MaterialLaw, A: MatrixField, grid: Grid):
     converged level's gamma(t_m, u) (A grad u . nu) on S, nonlinear_flux's
     arithmetic on a (B, *grid.shape) stack of levels, so the values of a
     solve are its PatchField values and no history is formed.  The
-    stencil (planes, cross terms, mask) is built once, not per level."""
+    stencil (planes, mask) is built once, not per level."""
     stencil = _FluxStencil(grid, A)
     face = stencil.planes[0]
     return lambda t, levels: stencil.flux(levels, law.gamma(t, levels[face]))
@@ -184,9 +177,7 @@ def weak_pairing(w: SpaceTimeField, h: BoundaryField, law: MaterialLaw,
         gE = np.gradient(E[m], grid.h, edge_order=2)
         grad_term = np.zeros(grid.shape)
         for a in range(grid.dim):
-            for b in range(grid.dim):
-                if A.A[a, b] != 0.0:
-                    grad_term += A.A[a, b] * gw[a] * gE[b]
+            grad_term += A.A[a, a] * gw[a] * gE[a]
         integrand = (-drho[m] * w.values[m] * E[m]
                      - rho[m] * w.values[m] * dE[m]
                      + gam[m] * grad_term)

@@ -37,7 +37,7 @@ class Grid:
     The patch S is a node-closed rectangle on one face of Omega; its
     tangential extent is given by inclusive node-index bounds.  ``pad`` is
     the number of cells by which Omega' extends beyond the patch face.
-    Immutable after construction and safe to share between workers.
+    Immutable after construction.
     """
 
     dim: int

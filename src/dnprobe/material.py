@@ -21,7 +21,7 @@ class MaterialError(ValueError):
 
 @dataclass(frozen=True)
 class MatrixField:
-    """Constant symmetric elliptic coefficient matrix A."""
+    """Constant diagonal elliptic coefficient matrix A (make_matrix)."""
 
     A: np.ndarray
     ellipticity_c: float
@@ -31,16 +31,14 @@ class MatrixField:
         return self.A.shape[0]
 
     @property
-    def is_diagonal(self) -> bool:
-        return bool(np.all(self.A == np.diag(np.diagonal(self.A))))
-
-    @property
     def is_identity(self) -> bool:
         return bool(np.allclose(self.A, np.eye(self.dim), atol=0.0))
 
 
 def make_matrix(A) -> MatrixField:
-    """Validate squareness, symmetry and ellipticity, and wrap A."""
+    """Validate squareness, symmetry, ellipticity and diagonality, and wrap
+    A.  Every solver diagonalizes its operator by DST-I, so an off-diagonal
+    A is refused here and no solver needs a guard of its own."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise MaterialError("A must be a square matrix")
@@ -49,6 +47,8 @@ def make_matrix(A) -> MatrixField:
     c = float(np.linalg.eigvalsh(A).min())
     if c <= 0.0:
         raise MaterialError(f"A is not elliptic (min eigenvalue {c})")
+    if np.any(A != np.diag(np.diagonal(A))):
+        raise MaterialError("A must be diagonal: the solvers have no cross-term stencils")
     return MatrixField(A=A, ellipticity_c=c)
 
 

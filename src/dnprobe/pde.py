@@ -7,18 +7,17 @@ The forward problem
 
 is advanced by implicit Euler with a chord-Newton iteration per step
 (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
-ch. 5).  For diagonal A the first chord matrix is the frozen operator at
-the step's own time, rho(t_m, lambda)/dt + gamma(t_m, lambda) K, applied
-by one DST-I pair: small data keep u near lambda, so it is nearly the
-Jacobian, and for u-independent laws it is the Jacobian, so such solves
-factorize nothing and the chord step is the Newton step.  When a step
-fails to cut the max-norm residual to CHORD_RATE of the previous one, the
-analytic Jacobian (closed-form s-derivatives carried by the MaterialLaw)
-is factorized by sparse LU at the current iterate, and that factorization
-is reused across iterations and time steps until the next such failure.
-Off-diagonal A has no frozen DST step and factorizes the Jacobian at the
-first iteration.  That LU is the only use of scipy on a subcommand's
-path: splu is a module attribute resolved on first access, so
+ch. 5).  Every datum starts on the frozen operator at the step's own time,
+rho(t_m, lambda)/dt + gamma(t_m, lambda) K, applied by one DST-I pair:
+small data keep u near lambda, so it is nearly the Jacobian, and for
+u-independent laws it is the Jacobian, so such solves factorize nothing
+and the chord step is the Newton step.  When a step fails to cut the
+max-norm residual to CHORD_RATE of the previous one, the analytic
+Jacobian (closed-form s-derivatives carried by the MaterialLaw) is
+factorized by sparse LU at the current iterate, and that factorization is
+reused across iterations and time steps until the next such failure.
+That stall fallback is the only use of scipy on a subcommand's path:
+splu is a module attribute resolved on first access, so
 scipy.sparse.linalg loads only when a Jacobian is factorized.
 solve_forward advances a list of data as one stack, in
 one loop over time steps and iterations: each datum keeps its own
@@ -34,22 +33,20 @@ data) keeps only the patch flux of each level, dnmap.level_flux, so its
 memory is that of a few levels, not of nt+1 of them per datum.
 
 The linearized problem freezes both coefficients at the background value
-s = lambda.  For diagonal A the type-I discrete sine transform
-diagonalizes the frozen operator on the interior box, so each step is one
-forward and one inverse DST-I (Buzbee, Golub & Nielson, SIAM J. Numer.
-Anal. 7, 1970); the adjoint problem is the same operator stepped
-backward from a zero terminal state.  dst1 is that transform in its
-orthonormal form, which is its own inverse: dense sine matrices, one per
-axis (sine_basis, built per operator next to box_spectrum), applied with
-@ on contiguous trailing axes, one code path for every shape.  Frozen
-solves and the stiffness matrix K they couple the boundary through
-require diagonal A.  No
-subcommand calls solve_linearized: the probes, eta and the linearization
-check take Lambda g from dnmap.patch_linear_flux, which solves the same
-steps in the sine basis for data on the patch face, and the full-field
-solve here is its reference.  dirichlet_solve is the same
-transform for the steady problem on any rectangular box with Dirichlet
-data: the harmonic lifting of dnmap and both boxes of the Omega'
+s = lambda.  A is diagonal (material.make_matrix refuses any other), so
+the type-I discrete sine transform diagonalizes the frozen operator on
+the interior box and each step is one forward and one inverse DST-I
+(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970); the adjoint
+problem is the same operator stepped backward from a zero terminal state.
+dst1 is that transform in its orthonormal form, which is its own inverse:
+dense sine matrices, one per axis (sine_basis, built per operator next to
+box_spectrum), applied with @ on contiguous trailing axes, one code path
+for every shape.  No subcommand calls solve_linearized: the probes, eta
+and the linearization check take Lambda g from dnmap.patch_linear_flux,
+which solves the same steps in the sine basis for data on the patch face,
+and the full-field solve here is its reference.  dirichlet_solve is the
+same transform for the steady problem on any rectangular box with
+Dirichlet data: the harmonic lifting of dnmap and both boxes of the Omega'
 corrector in singular use it, so the forward Jacobian, once the frozen
 chord step stalls, is the only matrix factorized.
 
@@ -68,15 +65,13 @@ gamma(t_m, lambda) and rho(t_m, lambda) from arrays over grid.times
 (_frozen_setup), one law evaluation each per solve.
 
 Spatial discretization is the standard second-order stencil with
-face-averaged diffusion coefficients on the diagonal of A, applied
+face-averaged diffusion coefficients times the diagonal of A, applied
 matrix-free by _diffusion (the forward residual, and with gamma = 1 the
 Omega' residual check in singular): per axis one face-flux product and
 one difference of it.  stiffness() assembles its constant
 form on a node mask as a scipy sparse matrix, importing scipy.sparse
 inside; only the full-field reference solves (solve_linearized,
-solve_adjoint) and the tests use it.  The forward solver also takes
-off-diagonal (cross) terms, by centered differences with the coefficient
-frozen in the Jacobian.  The source term exists only for
+solve_adjoint) and the tests use it.  The source term exists only for
 manufactured-solution studies.
 """
 
@@ -282,18 +277,8 @@ def stiffness(interior, A: np.ndarray, h: float):
     return K, flat_int
 
 
-def _diagonal(A: np.ndarray) -> np.ndarray:
-    if np.any(A != np.diag(np.diagonal(A))):
-        raise PDEError("frozen-coefficient operators need a diagonal A")
-    return np.diagonal(A)
-
-
 def constant_stiffness(grid: Grid, A: np.ndarray):
-    """Rows of K = -div(A grad .) for interior nodes, columns over all nodes.
-
-    Constant diagonal coefficient; raises PDEError for off-diagonal A.
-    """
-    _diagonal(A)
+    """Rows of K = -div(A grad .) for interior nodes, columns over all nodes."""
     return stiffness(interior_mask(grid), A, grid.h)
 
 
@@ -348,7 +333,7 @@ def dirichlet_solve(u: np.ndarray, A: np.ndarray, h: float, box=None) -> np.ndar
     Dirichlet data are the boundary values of u, by one forward and one
     inverse DST-I.  Constant diagonal A; box is the box's (sine_basis,
     box_spectrum), built here when not given.  Returns u."""
-    a = _diagonal(A)
+    a = np.diagonal(A)
     n = a.size
     if box is None:
         lengths = [m - 1 for m in u.shape[-n:]]
@@ -374,9 +359,9 @@ def _along(axis: int, sl: slice):
 
 def _diffusion(A: np.ndarray, h: float, gamma_vals: np.ndarray, u: np.ndarray):
     """div(gamma A grad u) at the interior nodes of the node arrays u and
-    gamma_vals (interior-box array out): face-averaged gamma on the diagonal
-    of A, centered differences for cross terms.  The last A.shape[0] axes
-    are space; leading axes are a batch."""
+    gamma_vals (interior-box array out): face-averaged gamma times the
+    diagonal of A.  The last A.shape[0] axes are space; leading axes are a
+    batch."""
     dim = A.shape[0]
     lead = u.ndim - dim
     out = np.zeros(u.shape[:lead] + tuple(n - 2 for n in u.shape[lead:]))
@@ -391,18 +376,6 @@ def _diffusion(A: np.ndarray, h: float, gamma_vals: np.ndarray, u: np.ndarray):
         step = flux[hi] - flux[lo]
         step *= 0.5 * A[a, a] / h ** 2
         out += step
-    for a in range(dim):
-        for b in range(dim):
-            if a == b or A[a, b] == 0.0:
-                continue
-            # d_a(gamma a_ab d_b u): both axes over all nodes, the rest interior
-            box = (Ellipsis,) + tuple(slice(None) if c in (a, b) else slice(1, -1)
-                                      for c in range(dim))
-            ub, gb, ax, bx = u[box], gamma_vals[box], lead + a, lead + b
-            flux = gb[_along(bx, slice(1, -1))] * (ub[_along(bx, slice(2, None))]
-                                                    - ub[_along(bx, slice(None, -2))])
-            out += (A[a, b] / (4 * h ** 2)) * (flux[_along(ax, slice(2, None))]
-                                                - flux[_along(ax, slice(None, -2))])
     return out
 
 
@@ -433,19 +406,6 @@ def _forward_jacobian(grid: Grid, A: np.ndarray, law, t: float, u: np.ndarray,
             rows.append(loc[inn])
             cols.append(red[nb[inn]])
             vals.append((A[a, a] * (-face - 0.5 * gsf[nb] * (uf[nb] - uf[flat_int])) / h2)[inn])
-    # cross terms: coefficient frozen (gamma treated as constant in u)
-    for a in range(grid.dim):
-        for b in range(grid.dim):
-            if a == b or A[a, b] == 0.0:
-                continue
-            for sa in (-1, 1):
-                ga = gf[flat_int + sa * strides[a]]
-                for sb in (-1, 1):
-                    nb = flat_int + sa * strides[a] + sb * strides[b]
-                    inn = red[nb] >= 0
-                    rows.append(loc[inn])
-                    cols.append(red[nb[inn]])
-                    vals.append((-A[a, b] * sa * sb * ga / (4.0 * h2))[inn])
     rows.append(loc)
     cols.append(loc)
     vals.append(diag)
@@ -471,9 +431,9 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     PDEError that stopped it alone, and the other data continue.  Each
     datum keeps its own chord (see the module docstring): data on the
     frozen chord share one DST-I pair per iteration, and a datum whose
-    chord stalls, or any datum for non-diagonal A, factorizes and solves
-    its own Jacobian.  source, if given, is an array (nt+1, *shape) added
-    to the right side of every datum (manufactured-solution studies only).
+    chord stalls factorizes and solves its own Jacobian.  source, if
+    given, is an array (nt+1, *shape) added to the right side of every
+    datum (manufactured-solution studies only).
     Newton divergence is reported as the boundary amplitude lying outside
     the operational smallness radius of the background state.  Each
     field's `newton` records time steps, iterations, factorizations and
@@ -499,9 +459,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     flat_int = np.flatnonzero(interior_mask(grid).ravel())
     red = -np.ones(int(np.prod(grid.shape)), dtype=np.int64)
     red[flat_int] = np.arange(flat_int.size)
-    diagonal = A.is_diagonal
-    if diagonal:
-        eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
+    eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
 
     keep = (lambda t, levels: levels) if keep is None else keep
     cur = np.full((B,) + grid.shape, float(lam))  # the level being solved
@@ -518,8 +476,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
         for b in todo:
             data[b].dirichlet_level(m, lam, cur[b])
         cur[stack_inner] = prev[stack_inner]
-        if diagonal:
-            rho_dt, gam_t = rho[m] / dt, gam[m]
+        rho_dt, gam_t = rho[m] / dt, gam[m]
         last = [None] * B
         for _ in range(newton_cap):
             if not todo:
@@ -545,8 +502,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
                 if norms[j] <= newton_tol:
                     worst[b] = max(worst[b], float(norms[j]))
                     continue
-                stalled = last[b] is not None and norms[j] > CHORD_RATE * last[b]
-                if stalled or (lus[b] is None and not diagonal):
+                if last[b] is not None and norms[j] > CHORD_RATE * last[b]:
                     # splu through the module attribute: a rebinding is what runs
                     splu = sys.modules[__name__].splu
                     lus[b] = splu(_forward_jacobian(grid, A.A, law, t, c[j], p[j],
@@ -589,7 +545,7 @@ def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):
     box's sine_basis, and the frozen coefficients gamma(t_m, lam) and
     rho(t_m, lam) as arrays over grid.times, one law evaluation each."""
     lengths = (grid.n_cells,) * grid.dim
-    eig = box_spectrum(_diagonal(A.A), grid.h, lengths)
+    eig = box_spectrum(np.diagonal(A.A), grid.h, lengths)
     times = grid.times
     return eig, sine_basis(lengths), law.gamma(times, lam), law.rho(times, lam)
 
@@ -647,11 +603,12 @@ def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
 
 
 def mms_problem(grid: Grid, law, A: MatrixField, lam: float, exact, exact_dt,
-                exact_grad, exact_hess):
+                exact_grad, exact_d2):
     """Source + boundary data making `exact` solve the continuous problem.
 
     exact(t, X) -> field; exact_dt likewise; exact_grad(t, X) -> list of
-    first partials; exact_hess(t, X) -> matrix [d_a d_b u] as nested lists.
+    first partials d_a u; exact_d2(t, X) -> list of second partials
+    d_a^2 u (A is diagonal, so no mixed partial enters).
     Returns (g: BoundaryField, source array, exact field array).
     """
     coords = np.stack(grid.node_coords(), axis=-1)
@@ -666,14 +623,11 @@ def mms_problem(grid: Grid, law, A: MatrixField, lam: float, exact, exact_dt,
         gvals[m][bmask] = (u - lam)[bmask]
         ut = np.asarray(exact_dt(t, coords), dtype=float)
         gradu = exact_grad(t, coords)
-        hess = exact_hess(t, coords)
+        d2 = exact_d2(t, coords)
         gam = law.gamma(t, u)
         gam_s = law.gamma.ds(t, u)
         div = np.zeros(grid.shape)
         for a in range(grid.dim):
-            for b in range(grid.dim):
-                if A.A[a, b] == 0.0:
-                    continue
-                div += A.A[a, b] * (gam_s * gradu[a] * gradu[b] + gam * hess[a][b])
+            div += A.A[a, a] * (gam_s * gradu[a] * gradu[a] + gam * d2[a])
         src[m] = law.rho(t, u) * ut - div
     return BoundaryField(values=gvals, grid=grid), src, ex

@@ -86,7 +86,7 @@ def require_equal_gamma(pair, lam: float, times: np.ndarray, cuts):
                                f"at t = {t[gap.argmax()]:.3g}")
 
 
-def probe_data(grid: Grid, A: MatrixField, probes, op=None):
+def probe_data(grid: Grid, A: MatrixField, probes):
     """Boundary data and H energy of probes of one kind, built together.
 
     Returns one (pairs, energy) per probe.  pairs is [(g, g)] for a gamma
@@ -104,7 +104,7 @@ def probe_data(grid: Grid, A: MatrixField, probes, op=None):
     if kind == "rho" and not A.is_identity:
         raise ReconstructError("rho probes are restricted to A = Id")
     geoms, cuts = _cutoffs(grid, probes)
-    bases = build_basis(grid, geoms, A, conv=probes[0].conv, kind=kind, op=op)
+    bases = build_basis(grid, geoms, A, conv=probes[0].conv, kind=kind)
     out = []
     for basis, cut in zip(bases, cuts):
         energy = grad_H_energy(basis, grid)
@@ -124,15 +124,15 @@ def probe_data(grid: Grid, A: MatrixField, probes, op=None):
 
 
 def recover_gamma_point(pair, A: MatrixField, grid: Grid, lam: float,
-                        probe: ProbeSpec, op=None) -> float:
+                        probe: ProbeSpec) -> float:
     """Estimate of gamma^1(t0, lambda) - gamma^2(t0, lambda)."""
     if probe.kind != "gamma":
         raise ReconstructError("gamma recovery needs a gamma-kind probe")
-    return point_recovery(A, grid, lam, [probe], op=op)(pair)[0]
+    return point_recovery(A, grid, lam, [probe])(pair)[0]
 
 
 def recover_rho_point(pair, grid: Grid, lam: float, probe: ProbeSpec,
-                      A: MatrixField = None, op=None) -> float:
+                      A: MatrixField = None) -> float:
     """Estimate of rho^1(t0, lambda) - rho^2(t0, lambda), n >= 3, A = Id.
 
     Needs gamma^1 = gamma^2 on supp chi, so the conductivity cross term of
@@ -142,10 +142,10 @@ def recover_rho_point(pair, grid: Grid, lam: float, probe: ProbeSpec,
     if probe.kind != "rho":
         raise ReconstructError("rho recovery needs a rho-kind probe")
     A = make_matrix(np.eye(grid.dim)) if A is None else A
-    return point_recovery(A, grid, lam, [probe], op=op)(pair)[0]
+    return point_recovery(A, grid, lam, [probe])(pair)[0]
 
 
-def point_recovery(A: MatrixField, grid: Grid, lam: float, probes, op=None):
+def point_recovery(A: MatrixField, grid: Grid, lam: float, probes):
     """law_pair -> recovered differences at the probes, one per probe.
 
     The probes share one kind, which sets the target.  Each probe's
@@ -164,7 +164,7 @@ def point_recovery(A: MatrixField, grid: Grid, lam: float, probes, op=None):
     def recover(pair):
         nonlocal built
         if built is None:
-            built = probe_data(grid, A, probes, op=op)
+            built = probe_data(grid, A, probes)
         if probes[0].kind == "rho":
             require_equal_gamma(pair, lam, grid.times, _cutoffs(grid, probes)[1])
         data = [g for pairs, _ in built for g, _ in pairs]

@@ -91,7 +91,7 @@ def fundamental_grad_H(x, y, A: MatrixField, conv: float = 1.0):
 # corrector solves on Omega'
 
 
-def _patch_first_diagonal(grid: Grid, A: MatrixField) -> np.ndarray:
+def _diag_patch_first(grid: Grid, A: MatrixField) -> np.ndarray:
     return np.diagonal(A.A)[[grid.patch_axis, *grid.tangential_axes]]
 
 
@@ -118,10 +118,8 @@ def _omega_prime_operator(grid: Grid, A: MatrixField):
     stencil K = -div(A grad .); and the dOmega' node indices with their
     coordinates, where a corrector's trace is sampled.
     """
-    if not A.is_diagonal:
-        raise SingularError("correctors support constant diagonal A only")
     h, N, pad = grid.h, grid.n_cells, grid.pad
-    a = _patch_first_diagonal(grid, A)
+    a = _diag_patch_first(grid, A)
     nodes = [np.arange(lo, hi + 1) for lo, hi in zip(grid.patch_lo, grid.patch_hi)]
     eyes = [np.eye(j.size) for j in nodes]
     S = (2.0 * a.sum() / h ** 2) * reduce(np.kron, eyes)
@@ -188,7 +186,7 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
     rhs = -_omega_prime_residual(op, A, grid.h, full)
 
     h, pad = grid.h, grid.pad
-    a = _patch_first_diagonal(grid, A)
+    a = _diag_patch_first(grid, A)
     A_n = np.diag(a)
     v = _patch_first(grid, full)
     tang = tuple(slice(lo, hi + 1) for lo, hi in zip(grid.patch_lo, grid.patch_hi))
@@ -370,7 +368,7 @@ class SingularBasis:
 
 
 def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
-                kind: str = "gamma", op=None) -> list:
+                kind: str = "gamma") -> list:
     """Evaluate the singular fields of the probes at geoms and solve their
     correctors; one SingularBasis per geometry.
 
@@ -384,7 +382,6 @@ def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
             raise SingularError("rho probes are restricted to A = Id")
     ys = [np.asarray(geom.y_tau) for geom in geoms]
     coords = np.stack(grid.node_coords(), axis=-1)
-    op = _omega_prime_operator(grid, A) if op is None else op
 
     def trace(x):
         """Per probe: H, and for rho probes its n first derivatives."""
@@ -395,7 +392,7 @@ def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
                 vals.extend(np.moveaxis(fundamental_grad_H(x, y, A, conv=conv), -1, 0))
         return np.stack(vals)
 
-    v = solve_corrector(grid, trace, A, op=op)["field"][(slice(None),) + grid.omega_slice()]
+    v = solve_corrector(grid, trace, A)["field"][(slice(None),) + grid.omega_slice()]
     bases = []
     for y, vy in zip(ys, np.split(v, len(ys))):
         djH, vj = None, None
@@ -422,9 +419,7 @@ def grad_H_energy(basis: SingularBasis, grid: Grid) -> float:
     W = trapezoid_weights(H.shape, grid.h)
     total = 0.0
     for d in range(grid.dim):
-        for e in range(grid.dim):
-            if A[d, e] != 0.0:
-                total += A[d, e] * float((grads[d] * grads[e] * W).sum())
+        total += A[d, d] * float((grads[d] * grads[d] * W).sum())
     return total
 
 

@@ -23,8 +23,7 @@ from dnprobe.pde import (boundary_field_from_callable, mms_problem,
 from dnprobe.reconstruct import (ProbeSpec, point_recovery, probe_data,
                                  recover_gamma_point, recover_rho_point,
                                  stability_experiment, tau_sweep)
-from dnprobe.singular import (_omega_prime_operator, h_norms_oracle,
-                              make_cutoffs, mollifier_gap)
+from dnprobe.singular import h_norms_oracle, make_cutoffs, mollifier_gap
 
 A2 = make_matrix(np.eye(2))
 A3 = make_matrix(np.eye(3))
@@ -47,11 +46,9 @@ def _mms_fields_2d(lam=0.1):
         return [0.2 * t * np.pi * np.cos(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),
                 0.2 * t * np.pi * np.sin(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1])]
 
-    def sp_hess(t, x):
-        s0, s1 = np.sin(np.pi * x[..., 0]), np.sin(np.pi * x[..., 1])
-        c0, c1 = np.cos(np.pi * x[..., 0]), np.cos(np.pi * x[..., 1])
+    def sp_d2(t, x):
         pp = 0.2 * t * np.pi ** 2
-        return [[-pp * s0 * s1, pp * c0 * c1], [pp * c0 * c1, -pp * s0 * s1]]
+        return [-pp * np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])] * 2
 
     def tm(t, x):
         return np.sin(0.9 * t) * (x[..., 0] + x[..., 1])
@@ -62,17 +59,17 @@ def _mms_fields_2d(lam=0.1):
     def tm_grad(t, x):
         return [np.sin(0.9 * t) + 0.0 * x[..., 0]] * 2
 
-    def tm_hess(t, x):
-        return [[0.0 * x[..., 0]] * 2] * 2
+    def tm_d2(t, x):
+        return [0.0 * x[..., 0]] * 2
 
-    return (sp, sp_dt, sp_grad, sp_hess), (tm, tm_dt, tm_grad, tm_hess)
+    return (sp, sp_dt, sp_grad, sp_d2), (tm, tm_dt, tm_grad, tm_d2)
 
 
 def test_01_solver_convergence_orders():
     # manufactured solutions: a time-linear field isolates the spatial
     # error (implicit Euler is exact on it) and a space-affine field
     # isolates the temporal error (the stencils are exact on it)
-    (sp, sp_dt, sp_grad, sp_hess), (tm, tm_dt, tm_grad, tm_hess) = _mms_fields_2d()
+    (sp, sp_dt, sp_grad, sp_d2), (tm, tm_dt, tm_grad, tm_d2) = _mms_fields_2d()
     laws = [make_law(label="unit"),
             make_law(gamma=("poly_s", {"c0": 1.0, "c2": 1.0}), label="quadratic")]
     ok = True
@@ -82,14 +79,14 @@ def test_01_solver_convergence_orders():
         errs = []
         for nh in (16, 32):
             g = build_grid(2, 1 / nh, 1 / 16, 1.0)
-            gb, src, ex = mms_problem(g, law, A2, 0.1, sp, sp_dt, sp_grad, sp_hess)
+            gb, src, ex = mms_problem(g, law, A2, 0.1, sp, sp_dt, sp_grad, sp_d2)
             u = solve_forward(law, A2, g, 0.1, gb, source=src)
             errs.append(np.abs(u.values - ex).max())
         p_space = math.log2(errs[0] / errs[1])
         errs = []
         for nt in (16, 32):
             g = build_grid(2, 1 / 8, 1 / nt, 1.0)
-            gb, src, ex = mms_problem(g, law, A2, 0.0, tm, tm_dt, tm_grad, tm_hess)
+            gb, src, ex = mms_problem(g, law, A2, 0.0, tm, tm_dt, tm_grad, tm_d2)
             u = solve_forward(law, A2, g, 0.0, gb, source=src)
             errs.append(np.abs(u.values - ex).max())
         p_time = math.log2(errs[0] / errs[1])
@@ -185,15 +182,14 @@ def test_06_gamma_recovery_constant_contrast():
     g = build_grid(2, 1 / 64, 1 / 64, 1.0, pad=52)
     law1 = make_law(gamma=("constant", {"c0": 1.02}))
     law2 = make_law(gamma=("constant", {"c0": 1.0}))
-    op = _omega_prime_operator(g, A2)
     probe = lambda tau: ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau,
                                   kind="gamma", a_rule="power", r=0.5)
     rep = tau_sweep(
-        lambda taus: point_recovery(A2, g, 0.0, list(map(probe, taus)), op=op)((law1, law2)),
+        lambda taus: point_recovery(A2, g, 0.0, list(map(probe, taus)))((law1, law2)),
         [0.2, 0.15, 0.1, 0.07, 0.05], target="gamma", point=(0.5, 0.0),
         reference=0.02)
     finest_err = abs(rep.raw_estimates[-1] - 0.02) / 0.02
-    control = abs(recover_gamma_point((law2, law2), A2, g, 0.0, probe(0.05), op=op))
+    control = abs(recover_gamma_point((law2, law2), A2, g, 0.0, probe(0.05)))
     elapsed = time.time() - start
     ok = (finest_err <= 0.20 and rep.fitted_rate >= 0.3
           and control <= 10.0 * SOLVER_TOL and elapsed < 600.0)
@@ -211,12 +207,11 @@ def test_07_lipschitz_stability_slope():
     base = make_law(gamma=("constant", {"c0": 2.0}))
     family = [(eps, (perturb_law(base, eps, "gamma"), base))
               for eps in (0.01, 0.02, 0.04)]
-    op = _omega_prime_operator(g, A2)
     probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.125, kind="gamma",
                       a_rule="power", r=0.5)
     table = stability_experiment(
         family, "gamma", A2, g, 0.0,
-        lambda pair: recover_gamma_point(pair, A2, g, 0.0, probe, op=op),
+        lambda pair: recover_gamma_point(pair, A2, g, 0.0, probe),
         dict_seed=3, dict_size=8)
     slope = table.fitted_slope
     ok = all(r.ok for r in table.rows) and 0.8 <= slope <= 1.2
@@ -237,11 +232,10 @@ def test_08_rho_recovery_and_holder_bound():
     law1 = perturb_law(base, eps, "rho", prof)
     imax = check_interior_max((law1, base), 0.0, np.linspace(0.0, 2.5, 401))
     assert imax.interior and not imax.degenerate_zero
-    op = _omega_prime_operator(g, A3)
     probe = lambda tau: ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=tau,
                                   kind="rho", r=0.25)
     rep = tau_sweep(
-        lambda taus: point_recovery(A3, g, 0.0, list(map(probe, taus)), op=op)((law1, base)),
+        lambda taus: point_recovery(A3, g, 0.0, list(map(probe, taus)))((law1, base)),
         [0.2, 0.175, 0.15, 0.125], target="rho", point=(1.25, 0.0), reference=eps)
     value = base.rho(1.25, 0.0) + rep.raw_estimates[-1]
     ref = float(law1.rho(1.25, 0.0))
@@ -249,7 +243,7 @@ def test_08_rho_recovery_and_holder_bound():
     family = [(e, (perturb_law(base, e, "rho", prof), base)) for e in (0.1, 0.2)]
     table = stability_experiment(
         family, "rho", A3, g, 0.0,
-        lambda pair: recover_rho_point(pair, g, 0.0, probe(0.125), A=A3, op=op),
+        lambda pair: recover_rho_point(pair, g, 0.0, probe(0.125), A=A3),
         dict_seed=0, dict_size=16)
     elapsed = time.time() - start
     ok = (value_err <= 0.30 and table.holder_ok
@@ -291,12 +285,11 @@ def test_10_convention_invariance():
     g = build_grid(2, 1 / 32, 1 / 32, 1.0, pad=16)
     law1 = make_law(gamma=("constant", {"c0": 1.05}))
     law2 = make_law(gamma=("constant", {"c0": 1.0}))
-    op = _omega_prime_operator(g, A2)
     vals = []
     for conv in (1.0, 10.0):
         probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.125, kind="gamma",
                           a_rule="power", r=0.5, conv=conv)
-        vals.append(recover_gamma_point((law1, law2), A2, g, 0.0, probe, op=op))
+        vals.append(recover_gamma_point((law1, law2), A2, g, 0.0, probe))
     rel = abs(vals[1] - vals[0]) / abs(vals[0])
     ok = rel <= 1e-10
     _line("convention invariance", ok,

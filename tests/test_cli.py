@@ -172,6 +172,28 @@ def test_report_empty_dir(cfg_path, tmp_path, capsys):
     assert "no reports" in capsys.readouterr().out
 
 
+def test_report_without_an_output_dir_finds_nothing(cfg_path, tmp_path, capsys):
+    assert not (tmp_path / "out").exists()
+    assert main(["report", "-c", cfg_path]) == 0
+    captured = capsys.readouterr()
+    assert "no reports found" in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("text, why", [('{"target": "gam', "line 1"),
+                                       ("[]", "not a JSON object but a list")],
+                         ids=["truncated", "list"])
+def test_report_names_a_report_it_cannot_read(cfg_path, tmp_path, capsys, text, why):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "demo_bad.json").write_text(text)
+    (out / "demo_good.json").write_text('{"target": "gamma"}')
+    assert main(["report", "-c", cfg_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {out / 'demo_bad.json'}: ")
+    assert why in captured.err and "Traceback" not in captured.err
+    assert "demo_good.json" in captured.out and "no reports" not in captured.out
+
+
 def test_infeasible_probe_exits_2(tmp_path, capsys):
     # tau below the 2h resolution guard is rejected by name before any solve
     p = tmp_path / "exp.ini"
@@ -364,6 +386,43 @@ def test_value_outside_its_set_exits_2(tmp_path, capsys, command, text, named):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, text, named", [
+    ("forward", _set("h = 0.0625", "h = nan"), "[grid] h = 'nan' is not finite"),
+    ("forward", _set("dt = 0.0625", "dt = nan"), "[grid] dt = 'nan' is not finite"),
+    ("forward", _set("[grid]\n", "[grid]\nt_final = inf\n"), "[grid] t_final = 'inf'"),
+    ("forward", _set("pad = 12", "pad = 12\npatch_interval = 0.25:inf"),
+     "[grid] patch_interval"),
+    ("probe-gamma", _set("[material]\n", "[material]\nlambda = nan\n"),
+     "[material] lambda = 'nan' is not finite"),
+    ("probe-gamma", _set("tau_list = 0.2,0.15,0.125", "tau_list = 0.2,0.15,nan"),
+     "[sweep] tau_list"),
+    ("probe-gamma", _set("[probe]\n", "[probe]\nx0 = 0,inf\n"), "[probe] x0"),
+    ("forward", _set("gamma1 = constant:c0=1.02", "gamma1 = constant:c0=nan"),
+     "non-finite law parameter 'c0=nan' in [material] gamma1"),
+    ("stability", _set("[material]\n", "[material]\nperturb_profile = trig_t:c1=-inf\n"),
+     "non-finite law parameter 'c1=-inf' in [material] perturb_profile"),
+], ids=["h", "dt", "t-final", "interval", "lambda", "float-list", "x0", "law-spec",
+        "perturb-profile"])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, command, text, named):
+    # NaN and infinity parse as floats: each is refused by name at load,
+    # before a solve, a traceback or a bare NaN in a JSON report
+    p = tmp_path / "exp.ini"
+    p.write_text(text.format(out=tmp_path / "out"))
+    assert main([command, "-c", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_dict_seed_exits_2_before_any_solve(tmp_path, capsys):
+    p = tmp_path / "exp.ini"
+    p.write_text(_set("dict_size = 2", "dict_size = 2\ndict_seed = -1")
+                 .format(out=tmp_path / "out"))
+    assert main(["stability", "-c", str(p)]) == 2
+    assert "[norms] dict_seed = -1 must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bump_shapes_come_from_the_skew_table(tmp_path):
     from dnprobe.singular import BUMP_SKEW
     for shape in BUMP_SKEW:
@@ -456,16 +515,31 @@ def test_forward_prints_the_row_count_it_writes(cfg_path, tmp_path, capsys):
     assert f"({len(body)} rows)" in capsys.readouterr().out
 
 
-def test_benchmark_tracer_installs_on_the_package():
+def test_benchmark_tracer_installs_on_the_package(cfg_path):
     # perfbench/spans.py wraps package functions and splu bindings by name;
-    # a rename in src must fail here, not only under --trace 1
+    # a rename in src must fail here, not only under --trace 1.  Installed
+    # after `import dnprobe.cli`, as perfbench/child.py does, the tracer
+    # must also see the layers the subcommands reach, the Omega' operator
+    # built inside the corrector solve included
     root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dnprobe.cli, spans; "
-            "spans.install(spans.Tracer())")
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    out = subprocess.run([sys.executable, "-c", code, os.path.join(root, "perfbench")],
-                         env=env, capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
+    code = ("import contextlib, io, json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import dnprobe.cli as cli\n"
+            "import spans\n"
+            "tracer = spans.Tracer()\n"
+            "spans.install(tracer)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rcs = [cli.main([c, '-c', sys.argv[2]]) for c in ('forward', 'probe-gamma', "
+            "'stability')]\n"
+            "print(json.dumps([rcs, spans.layer_metrics(tracer.export())]))")
+    [rcs, metrics] = json.loads(_python(code, os.path.join(root, "perfbench"), cfg_path))
+    assert rcs == [0, 0, 0]
+    assert metrics["pde.forward_calls"] == 1
+    assert metrics["singular.corrector_calls"] == 3  # one probe build per subcommand
+    for layer in ("config.load_s", "singular.operator_s", "singular.basis_s",
+                  "singular.energy_s", "dnmap.pairing_s", "dnmap.norm_s",
+                  "dnmap.dictionary_s", "dnmap.eta_s", "cli.write_s", "cli.bytes_written"):
+        assert metrics[layer] > 0, layer
 
 
 RHO3D_SMALL = """

@@ -10,24 +10,33 @@ from dnprobe.material import (MaterialError, check_admissible,
 
 def test_matrix_identity_flags():
     A = make_matrix(np.eye(3))
-    assert A.is_identity and A.is_diagonal
+    assert A.is_identity
     assert A.ellipticity_c == pytest.approx(1.0)
 
 
 def test_matrix_anisotropic():
     A = make_matrix(np.diag([2.0, 0.5]))
-    assert A.is_diagonal and not A.is_identity
+    assert not A.is_identity
     assert A.ellipticity_c == pytest.approx(0.5)
 
 
 def test_matrix_rejects_asymmetric():
-    with pytest.raises(MaterialError):
+    with pytest.raises(MaterialError, match="A must be symmetric"):
         make_matrix([[1.0, 0.3], [0.0, 1.0]])
 
 
 def test_matrix_rejects_indefinite():
-    with pytest.raises(MaterialError):
+    with pytest.raises(MaterialError, match="A is not elliptic"):
         make_matrix([[1.0, 2.0], [2.0, 1.0]])
+
+
+def test_matrix_rejects_off_diagonal():
+    # symmetric and elliptic, but no solver has cross-term stencils
+    for A in ([[2.0, 0.3], [0.3, 1.0]],
+              [[1.0, 0.2, 0.0], [0.2, 0.6, -0.1], [0.0, -0.1, 1.4]]):
+        assert np.linalg.eigvalsh(A).min() > 0.0
+        with pytest.raises(MaterialError, match="A must be diagonal"):
+            make_matrix(A)
 
 
 def test_unknown_law_name():
