@@ -103,7 +103,9 @@ class Coefficient:
     float, compare by value and hash, so laws built from the same spec are
     interchangeable.  Evaluation broadcasts t against s: each formula
     sees them as given, so a scalar t stays scalar, and only the sum is
-    broadcast to the common shape, as a read-only view.
+    broadcast to the common shape, as a read-only view.  varies_in_s is
+    False when no term depends on s; the forward residual then evaluates
+    it once per time level, not per node.
     """
 
     terms: tuple
@@ -118,6 +120,12 @@ class Coefficient:
             out = term if out is None else out + term
         shape = np.broadcast(t, s).shape
         return out if np.shape(out) == shape else np.broadcast_to(out, shape)
+
+    @property
+    def varies_in_s(self) -> bool:
+        """False when every term's d/ds is _zero: the value is then a
+        function of t alone, and a scalar t gives it as a 0-d array."""
+        return any(_LIBRARY[name][3] is not _zero for _, name, _ in self.terms)
 
     def __call__(self, t, s):
         return self._eval(1, t, s)

@@ -24,9 +24,18 @@ one loop over time steps and iterations: each datum keeps its own
 convergence, chord and counts, the data on the frozen chord share one
 DST-I pair over the trailing axes, and a datum with a factorized Jacobian
 solves with it alone.  A datum that diverges leaves the stack with its
-own PDEError; the others continue.  The loop holds only the level being
-solved and the one before it, and hands each converged level of the
-stack to a keep function: by default the level itself, so each datum's
+own PDEError; the others continue.  A chord iteration costs its
+residual stencil, one max-norm reduction (it propagates NaN and +-inf,
+so it is the finiteness test too) and its DST-I pair: a coefficient
+that does not vary in s (Coefficient.varies_in_s) enters the residual
+as its value at the level, one scalar-t evaluation per level, and
+_diffusion takes such a gamma as a scalar; a law that varies in s is
+evaluated on the iterate at every iteration.  The loop holds only the
+level being solved and the one before it, in two buffers: each level
+copies the stack once into the previous-level buffer, and the data
+(dirichlet_level) write the boundary nodes only, so the interior starts
+from the previous level's values.  Each converged level of the stack
+goes to a keep function: by default the level itself, so each datum's
 values are its (nt+1, *shape) history, while the DN map (the forward
 subcommand, and linearization_check in dnmap for all of its k-scaled
 data) keeps only the patch flux of each level, dnmap.level_flux, so its
@@ -66,9 +75,11 @@ gamma(t_m, lambda) and rho(t_m, lambda) from arrays over grid.times
 
 Spatial discretization is the standard second-order stencil with
 face-averaged diffusion coefficients times the diagonal of A, applied
-matrix-free by _diffusion (the forward residual, and with gamma = 1 the
-Omega' residual check in singular): per axis one face-flux product and
-one difference of it.  stiffness() assembles its constant
+matrix-free by _diffusion (the forward residual, and with the scalar
+gamma = 1 the Omega' residual check in singular): per axis one
+face-flux product and one difference of it.  A scalar gamma skips the
+face average: (gamma + gamma)/2 is gamma, and the scalar branch equals
+the node-array branch bit for bit.  stiffness() assembles its constant
 form on a node mask as a scipy sparse matrix, importing scipy.sparse
 inside; only the full-field reference solves (solve_linearized,
 solve_adjoint) and the tests use it.  The source term exists only for
@@ -147,8 +158,13 @@ class BoundaryField(_TimeLevels):
             raise PDEError("boundary data carries interior values")
 
     def dirichlet_level(self, m: int, lam: float, out: np.ndarray):
-        """Write lam + the data of level m onto the node array out."""
-        np.add(lam, self.values[m], out=out)
+        """Write lam + the data of level m onto the 2 dim faces of the node
+        array out; its interior nodes are left as they are."""
+        level = self.values[m]
+        for a in range(self.grid.dim):
+            for side in (0, 1):
+                face = self.grid.face_node_selector(a, side)
+                np.add(lam, level[face], out=out[face])
 
 
 @dataclass
@@ -191,11 +207,14 @@ class PatchField(_TimeLevels):
             raise PDEError("patch data carries values off S")
 
     def dirichlet_level(self, m: int, lam: float, out: np.ndarray):
-        """Write lam + the data of level m onto the node array out: one
-        level of boundary(), with no history on all of dOmega formed."""
+        """Write lam + the data of level m onto the patch face of the node
+        array out: one level of boundary(), with no history on all of
+        dOmega formed.  The data vanish on the rest of dOmega, whose nodes
+        of out must hold lam already (solve_forward's iterate does from
+        its start); those and the interior nodes are left as they are."""
         grid = self.grid
-        out[...] = lam
-        out[grid.face_node_selector(grid.patch_axis, grid.patch_side)] = lam + self.values[m]
+        face = grid.face_node_selector(grid.patch_axis, grid.patch_side)
+        np.add(lam, self.values[m], out=out[face])
 
     def boundary(self) -> BoundaryField:
         """The same data as Dirichlet data on all of dOmega."""
@@ -357,25 +376,40 @@ def _along(axis: int, sl: slice):
     return (slice(None),) * axis + (sl,)
 
 
-def _diffusion(A: np.ndarray, h: float, gamma_vals: np.ndarray, u: np.ndarray):
-    """div(gamma A grad u) at the interior nodes of the node arrays u and
-    gamma_vals (interior-box array out): face-averaged gamma times the
-    diagonal of A.  The last A.shape[0] axes are space; leading axes are a
-    batch."""
+def _diffusion(A: np.ndarray, h: float, gamma, u: np.ndarray):
+    """div(gamma A grad u) at the interior nodes of the node array u
+    (interior-box array out): per axis a face flux, its difference, and
+    the diagonal of A.  gamma is a node array like u, averaged onto the
+    faces, or a scalar (a float or 0-d array: a coefficient constant in
+    space).  The array branch forms the flux (gamma_i + gamma_{i+1})
+    (u_{i+1} - u_i) and scales its difference by 0.5 A_aa / h^2; the
+    scalar branch forms (u_{i+1} - u_i) gamma and scales by A_aa / h^2.
+    For a constant gamma the two are equal bit for bit: gamma + gamma is
+    2 gamma, and scaling by 2 or 1/2 is exact.  The last A.shape[0] axes
+    are space; leading axes are a batch."""
     dim = A.shape[0]
     lead = u.ndim - dim
-    out = np.zeros(u.shape[:lead] + tuple(n - 2 for n in u.shape[lead:]))
+    scalar = np.ndim(gamma) == 0
+    out = None
     for a in range(dim):
         box = (Ellipsis,) + tuple(slice(None) if c == a else slice(1, -1)
                                   for c in range(dim))
-        ua, ga = u[box], gamma_vals[box]
+        ua = u[box]
         hi, lo = _along(lead + a, slice(1, None)), _along(lead + a, slice(None, -1))
-        # face flux (gamma_i + gamma_{i+1}) (u_{i+1} - u_i), then its difference
-        flux = ga[hi] + ga[lo]
-        flux *= ua[hi] - ua[lo]
+        flux = ua[hi] - ua[lo]
+        if scalar:
+            flux *= gamma
+            scale = A[a, a] / h ** 2
+        else:
+            ga = gamma[box]
+            flux *= ga[hi] + ga[lo]
+            scale = 0.5 * A[a, a] / h ** 2
         step = flux[hi] - flux[lo]
-        step *= 0.5 * A[a, a] / h ** 2
-        out += step
+        step *= scale
+        if out is None:
+            out = step
+        else:
+            out += step
     return out
 
 
@@ -463,6 +497,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
 
     keep = (lambda t, levels: levels) if keep is None else keep
     cur = np.full((B,) + grid.shape, float(lam))  # the level being solved
+    prev = np.empty_like(cur)  # and the one before it
     kept = keep(times[0], cur)
     out = [np.empty((grid.nt + 1,) + kept.shape[1:]) for _ in range(B)]
     for b in range(B):
@@ -472,11 +507,16 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     for m in range(1, grid.nt + 1):
         t = times[m]
         todo = [b for b in range(B) if errors[b] is None]
-        prev = cur.copy()
-        for b in todo:
+        np.copyto(prev, cur)
+        for b in todo:  # boundary nodes only: the interior starts from prev
             data[b].dirichlet_level(m, lam, cur[b])
-        cur[stack_inner] = prev[stack_inner]
         rho_dt, gam_t = rho[m] / dt, gam[m]
+        # a coefficient that does not vary in s enters the residual as its
+        # value at this level, one scalar-t evaluation: the value the
+        # broadcast evaluation repeats at every node (gam and rho above are
+        # a vectorized evaluation, whose sin may differ by an ulp)
+        gam_m = None if law.gamma.varies_in_s else law.gamma(t, lam)
+        rho_m = None if law.rho.varies_in_s else law.rho(t, lam)
         last = [None] * B
         for _ in range(newton_cap):
             if not todo:
@@ -485,14 +525,14 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
             sel = slice(None) if len(todo) == B else todo
             c, p = cur[sel], prev[sel]
             res = c[stack_inner] - p[stack_inner]
-            res *= law.rho(t, c[stack_inner])
+            res *= law.rho(t, c[stack_inner]) if rho_m is None else rho_m
             res /= dt
-            res -= _diffusion(A.A, grid.h, law.gamma(t, c), c)
+            res -= _diffusion(A.A, grid.h, law.gamma(t, c) if gam_m is None else gam_m, c)
             if source is not None:
                 res -= source[m][inner]
-            flat = res.reshape(len(todo), -1)
-            finite = np.isfinite(flat).all(axis=1)
-            norms = np.abs(flat).max(axis=1)
+            # the max-norm propagates NaN and +-inf: one pass tests both
+            norms = np.abs(res.reshape(len(todo), -1)).max(axis=1)
+            finite = np.isfinite(norms)
             chord, solved, going = [], [], []
             for j, b in enumerate(todo):
                 if not finite[j]:

@@ -152,7 +152,7 @@ def _omega_prime_residual(op, A: MatrixField, h: float, full: np.ndarray) -> np.
     """-div(A grad full) at the Omega' interior nodes: the stencil K applied
     matrix-free (pde._diffusion with gamma = 1); leading axes of full
     beyond the grid's are a batch."""
-    r = _diffusion(A.A, h, np.broadcast_to(1.0, full.shape), full)
+    r = _diffusion(A.A, h, 1.0, full)
     return -r.reshape(r.shape[:r.ndim - A.dim] + (-1,)).compress(op["interior"], axis=-1)
 
 

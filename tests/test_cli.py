@@ -1,13 +1,17 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from dnprobe import cli
 from dnprobe.cli import main
 from dnprobe.config import load_config
+from dnprobe.pde import SpaceTimeField
 from dnprobe.reconstruct import ProbeSpec, recover_gamma_point, recover_rho_point
 
 GAMMA_CFG = """
@@ -84,6 +88,27 @@ def test_forward_writes_flux_csv(cfg_path, tmp_path):
     meta, header, body = _read_csv(path)
     assert "config_hash" in meta and "norm" in meta and "version" in meta
     assert len(body) > 0
+
+
+def test_forward_csv_is_what_csv_writer_writes(cfg_path, tmp_path, monkeypatch):
+    # the flux rows are joined by hand, a level at a time: the file must be
+    # byte for byte the one csv.writer writes for the same rows
+    cfg = load_config(cfg_path)
+    grid = cfg.grid
+    rng = np.random.default_rng(5)
+    shape = (grid.nt + 1,) + grid.patch_support_mask().shape
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-120, 120, shape)
+    values[1] = 0.0
+    values[2, ::2] = -0.0
+    monkeypatch.setattr(cli, "solve_forward",
+                        lambda *args, **kw: SpaceTimeField(values=values, grid=grid))
+    assert main(["forward", "-c", cfg_path]) == 0
+    ids = np.flatnonzero(grid.patch_support_mask().ravel())
+    buf = io.StringIO(newline="")
+    cli._csv_header(buf, cli._meta(cfg), ["face_node_id", "t", "flux"]).writerows(
+        (i, f"{t:.10g}", f"{v:.12e}")
+        for t, level in zip(grid.times, values) for i, v in zip(ids, level.ravel()[ids]))
+    assert (tmp_path / "out" / "demo_flux.csv").read_bytes() == buf.getvalue().encode()
 
 
 def test_forward_is_deterministic(cfg_path, tmp_path):

@@ -225,6 +225,30 @@ def test_admissible_report_equals_the_meshgrid_evaluation(gamma, rho, profile, e
     assert rep.passed == all(ok for ok, _, _ in ref.values())
 
 
+_T_ONLY = [("constant", {"c0": 2.0}), ("affine_t", {"c0": 1.0, "c1": 0.5}),
+           ("trig_t", {"c0": 2.0, "c1": 0.5, "freq": 1.5})]
+_S_TERMS = [("poly_s", {"c0": 1.0, "c1": 0.3}), ("gauss_s", {"c0": 1.0, "c1": 0.5})]
+
+
+def test_varies_in_s_follows_the_library_terms():
+    # False while every term's d/ds is _zero, True once one term has s
+    for spec in _T_ONLY:
+        c = coefficient(*spec)
+        assert not c.varies_in_s and not (-0.3 * c).varies_in_s
+    t_sum = coefficient(*_T_ONLY[0]) + 0.4 * coefficient(*_T_ONLY[2])
+    assert not (t_sum + coefficient(*_T_ONLY[1])).varies_in_s
+    for spec in _S_TERMS:
+        assert coefficient(*spec).varies_in_s
+        assert (t_sum + 0.0 * coefficient(*spec)).varies_in_s
+    for profile in _T_ONLY:
+        for target in ("gamma", "rho"):
+            law = perturb_law(make_law(gamma=_T_ONLY[1], rho=_T_ONLY[2]), 0.2, target, profile)
+            assert not law.gamma.varies_in_s and not law.rho.varies_in_s
+    for profile in _S_TERMS:
+        law = perturb_law(make_law(gamma=_T_ONLY[1], rho=_T_ONLY[2]), 0.2, "rho", profile)
+        assert law.rho.varies_in_s and not law.gamma.varies_in_s
+
+
 def test_interior_max_interior_peak():
     law1 = make_law(rho=("trig_t", {"c0": 2.0, "c1": 0.5}))
     law2 = make_law(rho=("constant", {"c0": 2.0}))

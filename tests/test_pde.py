@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.sparse.linalg import splu, spsolve
 from dnprobe import pde
 from dnprobe.dnmap import lambda_difference_flux, level_flux, nonlinear_flux
 from dnprobe.geometry import build_grid
-from dnprobe.material import make_law, make_matrix, perturb_law
+from dnprobe.material import Coefficient, make_law, make_matrix, perturb_law
 from dnprobe.pde import (BoundaryField, PatchField, PDEError, box_spectrum,
                          boundary_field_from_callable, constant_stiffness,
                          dirichlet_solve, dst1, interior_mask, mms_problem,
@@ -663,3 +664,148 @@ def test_stack_isolates_a_failing_datum():
     assert np.array_equal(got[1].values, ref.values)
     _assert_streamed_flux_is_the_history_flux(law, A2, g, 0.0, [big, small], got,
                                               newton_cap=12)
+
+
+# --- what the chord loop keeps of each level ---------------------------------
+
+@pytest.mark.parametrize("case", sorted(_RESIDUAL_CASES))
+@settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
+@given(gam=st.floats(1e-3, 1e3), batch=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_scalar_gamma_diffusion_equals_the_node_array_property(case, gam, batch, seed):
+    # (gamma + gamma) d times 0.5 a/h^2 is d gamma times a/h^2 bit for bit:
+    # scaling by 2 or 1/2 is exact; the leading axis is a batch
+    grid, A = _RESIDUAL_CASES[case]
+    u = np.random.default_rng(seed).standard_normal((batch,) + grid.shape)
+    ref = pde._diffusion(A, grid.h, np.full(u.shape, gam), u)
+    assert np.array_equal(pde._diffusion(A, grid.h, gam, u), ref)
+    assert np.array_equal(pde._diffusion(A, grid.h, np.asarray(gam), u), ref)
+
+
+def _level_data(grid):
+    """A BoundaryField and a PatchField, each nonzero on its boundary nodes."""
+    full = boundary_field_from_callable(
+        grid, lambda t, x: _datum(t, x) * (1.0 + x[..., -1] ** 2) + t * x[..., 0])
+    face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
+    return full, PatchField(values=full.values[face] * grid.patch_support_mask(), grid=grid)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dirichlet_levels_write_boundary_nodes_only(dim):
+    grid = build_grid(dim, 1 / 6, 1 / 6, 1.0)
+    imask = interior_mask(grid)
+    m, lam = 3, 0.4
+    for datum in _level_data(grid):
+        out = np.random.default_rng(dim).standard_normal(grid.shape)
+        before = out.copy()
+        datum.dirichlet_level(m, lam, out)
+        assert np.array_equal(out[imask], before[imask])
+        written = lam + datum.values[m]
+        if isinstance(datum, PatchField):
+            # the patch face alone: the other boundary nodes keep what out held
+            face = grid.face_node_selector(grid.patch_axis, grid.patch_side)
+            assert np.array_equal(out[face], written)
+            rest = ~imask
+            rest[face] = False
+            assert np.array_equal(out[rest], before[rest])
+        else:
+            assert np.array_equal(out[~imask], written[~imask])
+
+
+def test_each_level_starts_from_the_previous_interior(monkeypatch):
+    # the first residual of level m reads the data of level m on dOmega and
+    # the converged level m-1 inside, for every datum of a stack
+    grid = build_grid(2, 1 / 8, 1 / 8, 1.0)
+    law = _NEWTON_LAWS["poly_s"]
+    lam = 0.3
+    data = list(_level_data(grid))
+    levels, firsts = [], []
+    real = pde._diffusion
+
+    def spy(A, h, gamma, u):
+        if len(firsts) < len(levels):  # the first residual after a kept level
+            firsts.append(u.copy())
+        return real(A, h, gamma, u)
+
+    def keep(t, stack):
+        levels.append(stack.copy())
+        return stack
+
+    monkeypatch.setattr(pde, "_diffusion", spy)
+    solve_forward(law, A2, grid, lam, data, keep=keep)
+    imask = interior_mask(grid)
+    assert len(firsts) == len(levels) - 1 == grid.nt
+    for m in range(1, grid.nt + 1):
+        first = firsts[m - 1]
+        for b, datum in enumerate(data):
+            full = datum.boundary() if isinstance(datum, PatchField) else datum
+            assert np.array_equal(first[b][imask], levels[m - 1][b][imask])
+            assert np.array_equal(first[b][~imask], lam + full.values[m][~imask])
+
+
+@pytest.mark.parametrize("kind", ["boundary", "patch"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_datum_level_is_reported_at_its_time(kind, bad):
+    # the level that carries the NaN or inf stops its datum with the error
+    # naming t; inside a stack the other data finish as if alone
+    grid = build_grid(2, 1 / 8, 1 / 8, 1.0)
+    law = make_law(gamma=("poly_s", {"c0": 1.0, "c1": 0.2}),
+                   rho=("constant", {"c0": 1.5}))
+    full, patch = _level_data(grid)
+    good = full if kind == "boundary" else patch
+    vals = good.values.copy()
+    m = 3
+    vals[m][np.unravel_index(np.argmax(np.abs(vals[m])), vals[m].shape)] = bad
+    datum = type(good)(values=vals, grid=grid)
+    msg = f"non-finite residual at t={grid.times[m]:g})"
+    # inf - inf and 0 * inf warn on the way; the loop's own check is tested
+    with np.errstate(invalid="ignore"), pytest.raises(PDEError, match=re.escape(msg)):
+        solve_forward(law, A2, grid, 0.1, datum)
+    with np.errstate(invalid="ignore"):
+        got = solve_forward(law, A2, grid, 0.1, [good, datum, good])
+    assert isinstance(got[1], PDEError) and msg in str(got[1])
+    ref = solve_forward(law, A2, grid, 0.1, good)
+    for u in (got[0], got[2]):
+        assert u.newton == ref.newton
+        assert np.array_equal(u.values, ref.values)
+
+
+def _counted_evaluations(monkeypatch, law):
+    """Count law.gamma(...) and law.rho(...) calls by wrapping
+    Coefficient.__call__; gamma and rho must differ as values."""
+    assert law.gamma != law.rho
+    counts = {"gamma": 0, "rho": 0}
+    real = Coefficient.__call__
+
+    def counted(self, t, s):
+        for name in counts:
+            if self == getattr(law, name):
+                counts[name] += 1
+        return real(self, t, s)
+
+    monkeypatch.setattr(Coefficient, "__call__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("gamma,rho", [
+    (("constant", {"c0": 2.0}), ("trig_t", {"c0": 1.5, "c1": 0.3})),
+    (("affine_t", {"c0": 1.0, "c1": 0.5}), ("constant", {"c0": 0.8})),
+    (("poly_s", {"c0": 1.0, "c1": 0.3}), ("trig_t", {"c0": 1.5, "c1": 0.3})),
+    (("constant", {"c0": 2.0}), ("gauss_s", {"c0": 1.0, "c1": 0.2, "w": 0.7})),
+    (("poly_s", {"c0": 1.0, "c2": 0.5}), ("gauss_s", {"c0": 1.0, "c1": 0.2, "w": 0.7})),
+])
+def test_forward_evaluates_each_coefficient_once_per_level_or_iteration(monkeypatch,
+                                                                        gamma, rho):
+    # once over grid.times for the frozen chord; then a coefficient that
+    # does not vary in s once per level, and one that does once per
+    # residual: per level, its iterations plus the converged check
+    law = make_law(gamma=gamma, rho=rho)
+    grid = build_grid(2, 1 / 8, 1 / 8, 1.0)
+    gb = boundary_field_from_callable(grid, lambda t, x: 0.3 * _datum(t, x))
+    counts = _counted_evaluations(monkeypatch, law)
+    u = solve_forward(law, A2, grid, 0.2, gb)
+    assert u.newton["factorizations"] == 0
+    residuals = u.newton["iterations"] + grid.nt
+    assert residuals >= 2 * grid.nt  # so once per residual is not once per level
+    for name in counts:
+        varies = getattr(law, name).varies_in_s
+        assert counts[name] == 1 + (residuals if varies else grid.nt)
