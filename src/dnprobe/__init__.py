@@ -13,14 +13,13 @@ from .geometry import Grid, GridError, ProbeGeometry, build_grid, exterior_point
 from .material import (MaterialError, MaterialLaw, MatrixField, check_admissible,
                        check_interior_max, make_law, make_matrix, perturb_law)
 from .singular import (CutoffSet, SingularBasis, SingularError, a_tau_value,
-                       base_bump, build_basis, fundamental_H, grad_H_energy,
-                       make_cutoffs, mollifier_gap, solve_corrector)
+                       build_basis, fundamental_H, grad_H_energy, make_cutoffs,
+                       solve_corrector)
 from .pde import (BoundaryField, PatchField, PDEError, SpaceTimeField,
-                  solve_adjoint, solve_forward, solve_linearized)
+                  solve_forward, solve_linearized)
 from .dnmap import (BoundaryNorm, DNMapError, eta_surrogate,
                     linear_flux, linearization_check, make_norm,
-                    nonlinear_flux, patch_linear_flux, surface_pairing,
-                    weak_pairing)
+                    nonlinear_flux, patch_linear_flux, surface_pairing)
 from .reconstruct import (ProbeSpec, ReconstructError, ReconstructionReport,
                           StabilityTable, recover_gamma_point,
                           recover_rho_point, stability_experiment, tau_sweep)

@@ -75,7 +75,9 @@ def _finite_or_none(x):
 
 
 def _write_json(path, payload: dict):
-    _atomic_write(path, lambda fh: json.dump(payload, fh, indent=2, sort_keys=True))
+    """Strict JSON: a NaN or infinity fails the write, leaving no file."""
+    _atomic_write(path, lambda fh: json.dump(payload, fh, indent=2, sort_keys=True,
+                                             allow_nan=False))
 
 
 def _meta(cfg: ExperimentConfig):

@@ -141,6 +141,8 @@ class ExperimentConfig:
         self.lam = parse("material", "lambda", float)
         kcap = parse("material", "kappa_cap", lambda v: float(v) if v else None)
         m_floor = parse("material", "m_floor", float)
+        if m_floor <= 0.0:
+            raise ConfigError(f"[material] m_floor = {m['m_floor']} must be positive")
         self.law1 = make_law(gamma=_parse_law_spec(m, "gamma1"),
                              rho=_parse_law_spec(m, "rho1"),
                              m_floor=m_floor, kappa_cap=kcap, label="law1")
@@ -162,6 +164,8 @@ class ExperimentConfig:
         self.a_rule = p["a_rule"] or None
         self.bump_shape = p["shape"]
         self.conv = parse("probe", "conv", float)
+        if self.conv == 0.0:
+            raise ConfigError(f"[probe] conv = {p['conv']} must be nonzero")
 
         n = raw["norms"]
         self.norm_kind = None if n["kind"] == "auto" else n["kind"]

@@ -5,11 +5,11 @@ gamma(t, u) (A grad u . nu) on the patch S; its linearization at the
 background state is Lambda g = gamma(t, lambda) (A grad w . nu).  This
 module extracts both fluxes from solved fields (level_flux lets a
 forward solve extract N g level by level), computes the duality
-pairing two ways (direct surface quadrature and the weak form with an
-interior lifting), provides desk-scale stand-ins for the H^{1/2,1/2}
-boundary norms, and assembles the operator-norm surrogate eta used by the
-stability experiments.  The lifting is the DST-I box solve of pde, one
-call over all time levels; nothing here is factorized.
+pairing by surface quadrature, provides desk-scale stand-ins for the
+H^{1/2,1/2} boundary norms, and assembles the operator-norm surrogate eta
+used by the stability experiments; nothing here is factorized.  The weak
+form of the pairing, through an interior lifting, is a reference the
+tests check surface_pairing against (tests/reference.py).
 
 Fluxes, the dictionary and the data they pair with are pde.PatchField
 face arrays.  The probes and eta read (Lambda^1 - Lambda^2) g off
@@ -26,9 +26,9 @@ of one k.  A law whose gamma(t_m, lambda) and rho(t_m, lambda)
 are equal at every level m >= 1 makes implicit Euler a time-invariant
 recursion per sine mode, so its face row is one FFT convolution in time
 with the step's impulse response (convolution quadrature); a law that
-varies in t steps the modes level by level.  lambda_difference_flux, the
-full-field solve_linearized plus linear_flux on PatchField.boundary(), is
-the reference it is tested against; no subcommand calls either.  The
+varies in t steps the modes level by level.  The full-field
+solve_linearized plus linear_flux on PatchField.boundary() is the
+reference it is tested against; no subcommand calls either.  The
 boundary norms measure a PatchField on its face array, without forming it
 on all of dOmega; the 2D spectral norm sums the half spectrum of a real
 FFT in time over the patch columns only.  The linearization check
@@ -47,9 +47,8 @@ from numpy.random import default_rng
 
 from .geometry import Grid, trapezoid_weights
 from .material import MaterialLaw, MatrixField
-from .pde import (BoundaryField, PatchField, SpaceTimeField, _frozen_setup, _lazy_splu,
-                  dirichlet_solve, dst1, interior_mask, solve_forward, solve_linearized,
-                  PDEError)
+from .pde import (PatchField, SpaceTimeField, _frozen_setup, _lazy_splu, dst1,
+                  interior_mask, solve_forward, PDEError)
 
 # nothing here factorizes: perfbench/spans.py SPLU_MODULES is the only
 # reader of dnmap.splu
@@ -90,11 +89,6 @@ class _FluxStencil:
         vals = gamma * self.conormal(values)
         vals[..., self.off] = 0.0
         return vals
-
-
-def _face_conormal(field: np.ndarray, grid: Grid, A: MatrixField) -> np.ndarray:
-    """A grad(field) . nu on the patch face."""
-    return _FluxStencil(grid, A).conormal(field)
 
 
 def _face_times(grid: Grid) -> np.ndarray:
@@ -143,46 +137,6 @@ def surface_pairing(flux: PatchField, h: PatchField, grid: Grid) -> float:
 def flux_l2_st(flux: PatchField, grid: Grid) -> float:
     """L2(S x (0,T)) norm of patch values."""
     return math.sqrt(surface_pairing(flux, flux, grid))
-
-
-# ---------------------------------------------------------------------------
-# weak pairing via interior lifting
-
-
-def lift_terminal_zero(h: BoundaryField, grid: Grid, A: MatrixField) -> np.ndarray:
-    """E_T h: slice-wise A-harmonic extension into Omega (diagonal A), all
-    time levels in one DST-I box solve; zero at t=T inherited from h."""
-    h.check_compatible("end")
-    return dirichlet_solve(h.values.copy(), A.A, grid.h)
-
-
-def weak_pairing(w: SpaceTimeField, h: BoundaryField, law: MaterialLaw,
-                 A: MatrixField, grid: Grid, lam: float) -> float:
-    """<Lambda g, h> through the interior identity with lifting E_T h.
-
-    Computes int_Q (-d_t rho_lam w E - rho_lam w d_t E + gamma_lam
-    A grad w . grad E); h must vanish at t = T.
-    """
-    E = lift_terminal_zero(h, grid, A)
-    times = grid.times
-    rho = np.array([float(law.rho(t, lam)) for t in times])
-    drho = np.array([float(law.rho.dt(t, lam)) for t in times])
-    gam = np.array([float(law.gamma(t, lam)) for t in times])
-    dE = np.gradient(E, grid.dt, axis=0, edge_order=2)
-    W = trapezoid_weights(grid.shape, grid.h)
-    wt = trapezoid_weights(grid.times.shape, grid.dt)
-    total = 0.0
-    for m in range(grid.nt + 1):
-        gw = np.gradient(w.values[m], grid.h, edge_order=2)
-        gE = np.gradient(E[m], grid.h, edge_order=2)
-        grad_term = np.zeros(grid.shape)
-        for a in range(grid.dim):
-            grad_term += A.A[a, a] * gw[a] * gE[a]
-        integrand = (-drho[m] * w.values[m] * E[m]
-                     - rho[m] * w.values[m] * dE[m]
-                     + gam[m] * grad_term)
-        total += wt[m] * float((integrand * W).sum())
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +283,6 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
         rows.append({"k": k, "d_k": flux_l2_st(diff, grid), "ok": True, "why": "",
                      "newton": nf.newton})
     return rows
-
-
-def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
-                           g: BoundaryField) -> PatchField:
-    """(Lambda^1 - Lambda^2) g on S by two full-field frozen solves."""
-    law1, law2 = law_pair
-    w1 = solve_linearized(law1, A, grid, lam, g)
-    w2 = solve_linearized(law2, A, grid, lam, g)
-    f1 = linear_flux(w1, law1, A, grid, lam)
-    f2 = linear_flux(w2, law2, A, grid, lam)
-    return PatchField(values=f1.values - f2.values, grid=grid)
 
 
 def _planes_by_steps(src, eig, col, row, r, gam, w):

@@ -16,7 +16,7 @@ max-norm residual to CHORD_RATE of the previous one, the analytic
 Jacobian (closed-form s-derivatives carried by the MaterialLaw) is
 factorized by sparse LU at the current iterate, and that factorization is
 reused across iterations and time steps until the next such failure.
-That stall fallback is the only use of scipy on a subcommand's path:
+That stall fallback is the only use of scipy in the package:
 splu is a module attribute resolved on first access, so
 scipy.sparse.linalg loads only when a Jacobian is factorized.
 solve_forward advances a list of data as one stack, in
@@ -45,19 +45,19 @@ The linearized problem freezes both coefficients at the background value
 s = lambda.  A is diagonal (material.make_matrix refuses any other), so
 the type-I discrete sine transform diagonalizes the frozen operator on
 the interior box and each step is one forward and one inverse DST-I
-(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970); the adjoint
-problem is the same operator stepped backward from a zero terminal state.
+(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).
 dst1 is that transform in its orthonormal form, which is its own inverse:
 dense sine matrices, one per axis (sine_basis, built per operator next to
 box_spectrum), applied with @ on contiguous trailing axes, one code path
 for every shape.  No subcommand calls solve_linearized: the probes, eta
 and the linearization check take Lambda g from dnmap.patch_linear_flux,
 which solves the same steps in the sine basis for data on the patch face,
-and the full-field solve here is its reference.  dirichlet_solve is the
-same transform for the steady problem on any rectangular box with
-Dirichlet data: the harmonic lifting of dnmap and both boxes of the Omega'
-corrector in singular use it, so the forward Jacobian, once the frozen
-chord step stalls, is the only matrix factorized.
+and the full-field solve here is its reference (the tests' adjoint solve
+steps the same operator backward).  dirichlet_solve is the same transform
+for the steady problem on any rectangular box with Dirichlet data: both
+boxes of the Omega' corrector in singular use it, so the forward
+Jacobian, once the frozen chord step stalls, is the only matrix
+factorized.
 
 Data on the measurement patch S x (0, T) -- probes, dictionary data and
 every flux -- are PatchField face arrays, zero off S.  Probes and
@@ -76,14 +76,13 @@ gamma(t_m, lambda) and rho(t_m, lambda) from arrays over grid.times
 Spatial discretization is the standard second-order stencil with
 face-averaged diffusion coefficients times the diagonal of A, applied
 matrix-free by _diffusion (the forward residual, and with the scalar
-gamma = 1 the Omega' residual check in singular): per axis one
-face-flux product and one difference of it.  A scalar gamma skips the
-face average: (gamma + gamma)/2 is gamma, and the scalar branch equals
-the node-array branch bit for bit.  stiffness() assembles its constant
-form on a node mask as a scipy sparse matrix, importing scipy.sparse
-inside; only the full-field reference solves (solve_linearized,
-solve_adjoint) and the tests use it.  The source term exists only for
-manufactured-solution studies.
+gamma = 1 the Omega' residual check in singular and the boundary load
+-K g of solve_linearized): per axis one face-flux product and one
+difference of it.  A scalar gamma skips the face average:
+(gamma + gamma)/2 is gamma, and the scalar branch equals the node-array
+branch bit for bit.  No sparse matrix but the forward Jacobian is
+assembled.  The source term exists only for manufactured-solution
+studies.
 """
 
 import sys
@@ -233,17 +232,6 @@ def interior_mask(grid: Grid):
     return m
 
 
-def boundary_field_from_callable(grid: Grid, fn) -> BoundaryField:
-    """Sample fn(t, X) (X a stack of coordinate arrays) on boundary nodes."""
-    coords = np.stack(grid.node_coords(), axis=-1)
-    bmask = ~interior_mask(grid)
-    vals = np.zeros((grid.nt + 1,) + grid.shape)
-    for m, t in enumerate(grid.times):
-        full = np.asarray(fn(t, coords), dtype=float)
-        vals[m][bmask] = full[bmask]
-    return BoundaryField(values=vals, grid=grid)
-
-
 def probe_boundary_field(grid: Grid, profile, spatial: np.ndarray,
                          tol: float = 1e-7) -> PatchField:
     """Patch datum profile(t) * spatial(x) on S, profile given by its
@@ -271,34 +259,6 @@ def probe_boundary_field(grid: Grid, profile, spatial: np.ndarray,
 
 def _flat_strides(shape):
     return [int(np.prod(shape[a + 1:])) for a in range(len(shape))]
-
-
-def stiffness(interior, A: np.ndarray, h: float):
-    """(K, flat indices of the True nodes of the mask interior): rows of
-    K = -div(A grad .) (constant diagonal A, 2n+1 points, spacing h) at
-    those nodes, columns over all nodes, whose box must hold each stencil."""
-    shape = interior.shape
-    strides = _flat_strides(shape)
-    flat_int = np.flatnonzero(interior.ravel())
-    n_int = flat_int.size
-    h2 = h ** 2
-    loc = np.arange(n_int)
-
-    rows, cols, vals = [loc], [flat_int], [np.full(n_int, 2.0 * np.trace(A) / h2)]
-    for a in range(len(shape)):
-        for sgn in (-1, 1):
-            rows.append(loc)
-            cols.append(flat_int + sgn * strides[a])
-            vals.append(np.full(n_int, -A[a, a] / h2))
-    from scipy.sparse import coo_matrix
-    K = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(n_int, interior.size)).tocsc()
-    return K, flat_int
-
-
-def constant_stiffness(grid: Grid, A: np.ndarray):
-    """Rows of K = -div(A grad .) for interior nodes, columns over all nodes."""
-    return stiffness(interior_mask(grid), A, grid.h)
 
 
 def box_spectrum(a_diag, h: float, lengths) -> np.ndarray:
@@ -601,39 +561,16 @@ def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryFie
     """Linear solve with coefficients frozen at the background s = lambda."""
     g.check_compatible("start")
     eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
-    K, _ = constant_stiffness(grid, A.A)
     inner = (slice(1, -1),) * grid.dim
     dt = grid.dt
     w = g.values.copy()
     w[0] = 0.0  # g(0) vanishes only to check_compatible's tolerance
     for m in range(1, grid.nt + 1):
+        # the boundary load -K g_m by the matrix-free stencil, g_m zero inside
         rhs = (rho[m] / dt) * w[m - 1][inner] \
-            - gam[m] * (K @ g.values[m].ravel()).reshape(eig.shape)
+            + gam[m] * _diffusion(A.A, grid.h, 1.0, g.values[m])
         if source is not None:
             rhs = rhs + source[m][inner]
-        w[m][inner] = _frozen_step(eig, basis, rho[m] / dt, gam[m], rhs)
-    return SpaceTimeField(values=w, grid=grid)
-
-
-def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
-                  gbar: BoundaryField) -> SpaceTimeField:
-    """Backward solve of -d_t(rho_lam wbar) - gamma_lam div(A grad wbar) = 0.
-
-    Terminal state is zero; gbar must vanish at t = T.  It is the discrete
-    adjoint of solve_linearized: for W = solve_linearized(g), g(0) = 0,
-    sum_m gamma(t_m) (K g_m) . wbar_m = sum_m gamma(t_m) W_m . (K gbar_m)
-    over interior nodes and m = 1..nt-1, to rounding.
-    """
-    gbar.check_compatible("end")
-    eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
-    K, _ = constant_stiffness(grid, A.A)
-    inner = (slice(1, -1),) * grid.dim
-    dt = grid.dt
-    w = gbar.values.copy()
-    w[-1] = 0.0  # likewise gbar(T)
-    for m in range(grid.nt - 1, -1, -1):
-        rhs = (rho[m + 1] / dt) * w[m + 1][inner] \
-            - gam[m] * (K @ gbar.values[m].ravel()).reshape(eig.shape)
         w[m][inner] = _frozen_step(eig, basis, rho[m] / dt, gam[m], rhs)
     return SpaceTimeField(values=w, grid=grid)
 

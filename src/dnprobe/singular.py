@@ -26,6 +26,11 @@ corrector solve takes a stack of traces: the probes of a tau sweep solve
 the correctors of their H, and for rho probes of its n first derivatives,
 as one stack, with batched box solves and one matmul for the interface,
 and each member's residual is checked by the matrix-free stencil of pde.
+
+grad_H_energy is the one energy quadrature on the grid.  The oracles the
+tau-scaling experiments are tested against (fine and tan-substituted
+quadratures of the norms of H) and the concentration defect of a cutoff
+live with the tests, in tests/reference.py.
 """
 
 import math
@@ -244,12 +249,6 @@ def _bump_normalization(shape: str) -> float:
     return 1.0 / math.sqrt(float((w * _raw_bump(s, shape) ** 2).sum()))
 
 
-def base_bump(shape: str = "symmetric"):
-    """Smooth compactly supported bump on [-1, 1] with unit L2 norm."""
-    c = _bump_normalization(shape)
-    return lambda s: c * np.asarray(_raw_bump(s, shape))
-
-
 def a_tau_value(tau: float, kind: str, r: float = 0.25, a_rule: str = None) -> float:
     """Cutoff scale a_tau: |ln tau|^{1/16} for gamma probes, tau^{-r} for rho.
 
@@ -346,11 +345,6 @@ def make_cutoffs(t0: float, tau: float, kind: str, grid: Grid, r: float = 0.25,
                      norm=_bump_normalization(shape), half=half, ramp=ramp)
 
 
-def mollifier_gap(cut: CutoffSet, f) -> float:
-    """|integral of phi_tau^2 f - f(t0)|, the concentration defect."""
-    return abs(cut.moment(f) - f(cut.t0))
-
-
 # ---------------------------------------------------------------------------
 # singular basis on the grid
 
@@ -421,79 +415,3 @@ def grad_H_energy(basis: SingularBasis, grid: Grid) -> float:
     for d in range(grid.dim):
         total += A[d, d] * float((grads[d] * grads[d] * W).sum())
     return total
-
-
-def grad_h_energy_fine(y, A: MatrixField, dim: int, N: int, conv: float = 1.0,
-                       chunk: int = 64) -> float:
-    """Fine-resolution energy quadrature, streamed in slabs along axis 0.
-
-    Used as the independent oracle for the tau-scaling experiments, where
-    N is far beyond what a PDE grid needs.
-    """
-    h = 1.0 / N
-    ax = np.linspace(0.0, 1.0, N + 1)
-    w1 = trapezoid_weights((N + 1,), 1.0)
-    Wt = trapezoid_weights((N + 1,) * (dim - 1), 1.0)  # tangential, unit spacing
-    total = 0.0
-    tang = np.meshgrid(*([ax] * (dim - 1)), indexing="ij")
-    for start in range(0, N + 1, chunk):
-        stop = min(N + 1, start + chunk)
-        lo = max(0, start - 1)
-        hi = min(N + 1, stop + 1)
-        pts = np.empty((hi - lo,) + tang[0].shape + (dim,))
-        pts[..., 0] = ax[lo:hi].reshape((-1,) + (1,) * (dim - 1))
-        for a in range(1, dim):
-            pts[..., a] = tang[a - 1]
-        G = fundamental_grad_H(pts, y, A, conv=conv)
-        quad = np.einsum("...i,ij,...j->...", G, A.A, G)
-        sel = slice(start - lo, start - lo + (stop - start))
-        block = quad[sel] * Wt
-        total += float((block.sum(axis=tuple(range(1, dim)))
-                        * w1[start:stop]).sum()) * h ** dim
-    return total
-
-
-def h_norms_oracle(tau: float, dim: int, n_nodes: int = 192) -> dict:
-    """High-accuracy ||H||^2, ||grad H||^2 over the unit box, A = Id.
-
-    The pole sits at distance tau outside the center of one face.  Each
-    axis is tan-substituted around the pole so the quadrature resolution
-    tracks tau; accuracy is then uniform down to very small tau, far past
-    what a PDE grid can afford.  Returns {"l2_H_sq", "energy"}.
-    """
-    if tau <= 0.0:
-        raise SingularError("tau must be positive")
-    # normal axis: distance a in (tau, 1 + tau); tangential: s in (-1/2, 1/2)
-    def mapped(lo, hi):
-        t_lo, t_hi = math.atan(lo / tau), math.atan(hi / tau)
-        th = np.linspace(t_lo, t_hi, n_nodes)
-        w = trapezoid_weights(th.shape, th[1] - th[0])
-        x = tau * np.tan(th)
-        jac = tau / np.cos(th) ** 2
-        return x, w * jac
-
-    a, wa = mapped(tau, 1.0 + tau)
-    s, ws = mapped(-0.5, 0.5)
-    if dim == 3:
-        r2 = (a[:, None, None] ** 2 + s[None, :, None] ** 2 + s[None, None, :] ** 2)
-        W = wa[:, None, None] * ws[None, :, None] * ws[None, None, :]
-        l2 = float((r2 ** -1 * W).sum())          # H = r^{-1}, H^2 = r^{-2}
-        en = float((r2 ** -2 * W).sum())          # |grad H|^2 = r^{-4}
-        return {"l2_H_sq": l2, "energy": en}
-    r2 = a[:, None] ** 2 + s[None, :] ** 2
-    W = wa[:, None] * ws[None, :]
-    l2 = float((0.25 * np.log(r2) ** 2 * W).sum())  # H = -ln r
-    en = float((r2 ** -1 * W).sum())                # |grad H|^2 = r^{-2}
-    return {"l2_H_sq": l2, "energy": en}
-
-
-def l2_norms_H(y, A: MatrixField, dim: int, N: int, conv: float = 1.0):
-    """(||H||_L2(Omega), ||grad H||_L2(Omega)) by fine trapezoid quadrature."""
-    h = 1.0 / N
-    ax = np.linspace(0.0, 1.0, N + 1)
-    pts = np.stack(np.meshgrid(*([ax] * dim), indexing="ij"), axis=-1)
-    H = fundamental_H(pts, y, A, conv=conv)
-    G = fundamental_grad_H(pts, y, A, conv=conv)
-    W = trapezoid_weights(H.shape, h)
-    return (math.sqrt(float((H ** 2 * W).sum())),
-            math.sqrt(float(((G ** 2).sum(axis=-1) * W).sum())))

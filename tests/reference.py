@@ -1,0 +1,251 @@
+"""Reference computations the tests check the package against.
+
+No subcommand or demo calls any of these; each is an independent route to
+a quantity the pipeline computes another way, or an oracle for one:
+
+- full-field boundary data (boundary_field_from_callable) and the sparse
+  stiffness K = -div(A grad .) (stiffness, constant_stiffness), against
+  which the matrix-free stencil of pde._diffusion is tested;
+- the backward adjoint solve (solve_adjoint), the discrete adjoint of
+  pde.solve_linearized, for the adjoint relation and the interior form of
+  the DN-difference pairing;
+- the one-sided conormal (_face_conormal), the harmonic lifting
+  (lift_terminal_zero) and the weak (interior-identity) pairing
+  (weak_pairing), against surface_pairing of the patch flux;
+- (Lambda^1 - Lambda^2) g by two full-field frozen solves
+  (lambda_difference_flux), against dnmap.patch_linear_flux;
+- the unit-L2 time bump (base_bump) and the concentration defect of a
+  cutoff (mollifier_gap);
+- fine and tan-substituted quadratures of the singular field's norms
+  (grad_h_energy_fine, h_norms_oracle, l2_norms_H), the oracles of the
+  tau-scaling experiments.
+
+Tests import them from here (``from reference import ...``), as they
+import helpers of sibling test modules.
+"""
+
+import math
+
+import numpy as np
+
+from dnprobe.dnmap import _FluxStencil, linear_flux
+from dnprobe.geometry import Grid, trapezoid_weights
+from dnprobe.material import MaterialLaw, MatrixField
+from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField, _flat_strides,
+                         _frozen_setup, _frozen_step, dirichlet_solve, interior_mask,
+                         solve_linearized)
+from dnprobe.singular import (CutoffSet, SingularError, _bump_normalization, _raw_bump,
+                              fundamental_grad_H, fundamental_H)
+
+
+# ---------------------------------------------------------------------------
+# pde: full-field data, sparse stiffness, the adjoint solve
+
+
+def boundary_field_from_callable(grid: Grid, fn) -> BoundaryField:
+    """Sample fn(t, X) (X a stack of coordinate arrays) on boundary nodes."""
+    coords = np.stack(grid.node_coords(), axis=-1)
+    bmask = ~interior_mask(grid)
+    vals = np.zeros((grid.nt + 1,) + grid.shape)
+    for m, t in enumerate(grid.times):
+        full = np.asarray(fn(t, coords), dtype=float)
+        vals[m][bmask] = full[bmask]
+    return BoundaryField(values=vals, grid=grid)
+
+
+def stiffness(interior, A: np.ndarray, h: float):
+    """(K, flat indices of the True nodes of the mask interior): rows of
+    K = -div(A grad .) (constant diagonal A, 2n+1 points, spacing h) at
+    those nodes, columns over all nodes, whose box must hold each stencil."""
+    shape = interior.shape
+    strides = _flat_strides(shape)
+    flat_int = np.flatnonzero(interior.ravel())
+    n_int = flat_int.size
+    h2 = h ** 2
+    loc = np.arange(n_int)
+
+    rows, cols, vals = [loc], [flat_int], [np.full(n_int, 2.0 * np.trace(A) / h2)]
+    for a in range(len(shape)):
+        for sgn in (-1, 1):
+            rows.append(loc)
+            cols.append(flat_int + sgn * strides[a])
+            vals.append(np.full(n_int, -A[a, a] / h2))
+    from scipy.sparse import coo_matrix
+    K = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(n_int, interior.size)).tocsc()
+    return K, flat_int
+
+
+def constant_stiffness(grid: Grid, A: np.ndarray):
+    """Rows of K = -div(A grad .) for interior nodes, columns over all nodes."""
+    return stiffness(interior_mask(grid), A, grid.h)
+
+
+def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
+                  gbar: BoundaryField) -> SpaceTimeField:
+    """Backward solve of -d_t(rho_lam wbar) - gamma_lam div(A grad wbar) = 0.
+
+    Terminal state is zero; gbar must vanish at t = T.  It is the discrete
+    adjoint of solve_linearized: for W = solve_linearized(g), g(0) = 0,
+    sum_m gamma(t_m) (K g_m) . wbar_m = sum_m gamma(t_m) W_m . (K gbar_m)
+    over interior nodes and m = 1..nt-1, to rounding.
+    """
+    gbar.check_compatible("end")
+    eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
+    K, _ = constant_stiffness(grid, A.A)
+    inner = (slice(1, -1),) * grid.dim
+    dt = grid.dt
+    w = gbar.values.copy()
+    w[-1] = 0.0  # likewise gbar(T)
+    for m in range(grid.nt - 1, -1, -1):
+        rhs = (rho[m + 1] / dt) * w[m + 1][inner] \
+            - gam[m] * (K @ gbar.values[m].ravel()).reshape(eig.shape)
+        w[m][inner] = _frozen_step(eig, basis, rho[m] / dt, gam[m], rhs)
+    return SpaceTimeField(values=w, grid=grid)
+
+
+# ---------------------------------------------------------------------------
+# dnmap: conormal, weak pairing, full-field DN difference
+
+
+def _face_conormal(field: np.ndarray, grid: Grid, A: MatrixField) -> np.ndarray:
+    """A grad(field) . nu on the patch face."""
+    return _FluxStencil(grid, A).conormal(field)
+
+
+def lift_terminal_zero(h: BoundaryField, grid: Grid, A: MatrixField) -> np.ndarray:
+    """E_T h: slice-wise A-harmonic extension into Omega (diagonal A), all
+    time levels in one DST-I box solve; zero at t=T inherited from h."""
+    h.check_compatible("end")
+    return dirichlet_solve(h.values.copy(), A.A, grid.h)
+
+
+def weak_pairing(w: SpaceTimeField, h: BoundaryField, law: MaterialLaw,
+                 A: MatrixField, grid: Grid, lam: float) -> float:
+    """<Lambda g, h> through the interior identity with lifting E_T h.
+
+    Computes int_Q (-d_t rho_lam w E - rho_lam w d_t E + gamma_lam
+    A grad w . grad E); h must vanish at t = T.
+    """
+    E = lift_terminal_zero(h, grid, A)
+    times = grid.times
+    rho = np.array([float(law.rho(t, lam)) for t in times])
+    drho = np.array([float(law.rho.dt(t, lam)) for t in times])
+    gam = np.array([float(law.gamma(t, lam)) for t in times])
+    dE = np.gradient(E, grid.dt, axis=0, edge_order=2)
+    W = trapezoid_weights(grid.shape, grid.h)
+    wt = trapezoid_weights(grid.times.shape, grid.dt)
+    total = 0.0
+    for m in range(grid.nt + 1):
+        gw = np.gradient(w.values[m], grid.h, edge_order=2)
+        gE = np.gradient(E[m], grid.h, edge_order=2)
+        grad_term = np.zeros(grid.shape)
+        for a in range(grid.dim):
+            grad_term += A.A[a, a] * gw[a] * gE[a]
+        integrand = (-drho[m] * w.values[m] * E[m]
+                     - rho[m] * w.values[m] * dE[m]
+                     + gam[m] * grad_term)
+        total += wt[m] * float((integrand * W).sum())
+    return total
+
+
+def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
+                           g: BoundaryField) -> PatchField:
+    """(Lambda^1 - Lambda^2) g on S by two full-field frozen solves."""
+    law1, law2 = law_pair
+    w1 = solve_linearized(law1, A, grid, lam, g)
+    w2 = solve_linearized(law2, A, grid, lam, g)
+    f1 = linear_flux(w1, law1, A, grid, lam)
+    f2 = linear_flux(w2, law2, A, grid, lam)
+    return PatchField(values=f1.values - f2.values, grid=grid)
+
+
+# ---------------------------------------------------------------------------
+# singular: bump, concentration defect, norm oracles
+
+
+def base_bump(shape: str = "symmetric"):
+    """Smooth compactly supported bump on [-1, 1] with unit L2 norm."""
+    c = _bump_normalization(shape)
+    return lambda s: c * np.asarray(_raw_bump(s, shape))
+
+
+def mollifier_gap(cut: CutoffSet, f) -> float:
+    """|integral of phi_tau^2 f - f(t0)|, the concentration defect."""
+    return abs(cut.moment(f) - f(cut.t0))
+
+
+def grad_h_energy_fine(y, A: MatrixField, dim: int, N: int, conv: float = 1.0,
+                       chunk: int = 64) -> float:
+    """Fine-resolution energy quadrature, streamed in slabs along axis 0.
+
+    Used as the independent oracle for the tau-scaling experiments, where
+    N is far beyond what a PDE grid needs.
+    """
+    h = 1.0 / N
+    ax = np.linspace(0.0, 1.0, N + 1)
+    w1 = trapezoid_weights((N + 1,), 1.0)
+    Wt = trapezoid_weights((N + 1,) * (dim - 1), 1.0)  # tangential, unit spacing
+    total = 0.0
+    tang = np.meshgrid(*([ax] * (dim - 1)), indexing="ij")
+    for start in range(0, N + 1, chunk):
+        stop = min(N + 1, start + chunk)
+        lo = max(0, start - 1)
+        hi = min(N + 1, stop + 1)
+        pts = np.empty((hi - lo,) + tang[0].shape + (dim,))
+        pts[..., 0] = ax[lo:hi].reshape((-1,) + (1,) * (dim - 1))
+        for a in range(1, dim):
+            pts[..., a] = tang[a - 1]
+        G = fundamental_grad_H(pts, y, A, conv=conv)
+        quad = np.einsum("...i,ij,...j->...", G, A.A, G)
+        sel = slice(start - lo, start - lo + (stop - start))
+        block = quad[sel] * Wt
+        total += float((block.sum(axis=tuple(range(1, dim)))
+                        * w1[start:stop]).sum()) * h ** dim
+    return total
+
+
+def h_norms_oracle(tau: float, dim: int, n_nodes: int = 192) -> dict:
+    """High-accuracy ||H||^2, ||grad H||^2 over the unit box, A = Id.
+
+    The pole sits at distance tau outside the center of one face.  Each
+    axis is tan-substituted around the pole so the quadrature resolution
+    tracks tau; accuracy is then uniform down to very small tau, far past
+    what a PDE grid can afford.  Returns {"l2_H_sq", "energy"}.
+    """
+    if tau <= 0.0:
+        raise SingularError("tau must be positive")
+    # normal axis: distance a in (tau, 1 + tau); tangential: s in (-1/2, 1/2)
+    def mapped(lo, hi):
+        t_lo, t_hi = math.atan(lo / tau), math.atan(hi / tau)
+        th = np.linspace(t_lo, t_hi, n_nodes)
+        w = trapezoid_weights(th.shape, th[1] - th[0])
+        x = tau * np.tan(th)
+        jac = tau / np.cos(th) ** 2
+        return x, w * jac
+
+    a, wa = mapped(tau, 1.0 + tau)
+    s, ws = mapped(-0.5, 0.5)
+    if dim == 3:
+        r2 = (a[:, None, None] ** 2 + s[None, :, None] ** 2 + s[None, None, :] ** 2)
+        W = wa[:, None, None] * ws[None, :, None] * ws[None, None, :]
+        l2 = float((r2 ** -1 * W).sum())          # H = r^{-1}, H^2 = r^{-2}
+        en = float((r2 ** -2 * W).sum())          # |grad H|^2 = r^{-4}
+        return {"l2_H_sq": l2, "energy": en}
+    r2 = a[:, None] ** 2 + s[None, :] ** 2
+    W = wa[:, None] * ws[None, :]
+    l2 = float((0.25 * np.log(r2) ** 2 * W).sum())  # H = -ln r
+    en = float((r2 ** -1 * W).sum())                # |grad H|^2 = r^{-2}
+    return {"l2_H_sq": l2, "energy": en}
+
+
+def l2_norms_H(y, A: MatrixField, dim: int, N: int, conv: float = 1.0):
+    """(||H||_L2(Omega), ||grad H||_L2(Omega)) by fine trapezoid quadrature."""
+    h = 1.0 / N
+    ax = np.linspace(0.0, 1.0, N + 1)
+    pts = np.stack(np.meshgrid(*([ax] * dim), indexing="ij"), axis=-1)
+    H = fundamental_H(pts, y, A, conv=conv)
+    G = fundamental_grad_H(pts, y, A, conv=conv)
+    W = trapezoid_weights(H.shape, h)
+    return (math.sqrt(float((H ** 2 * W).sum())),
+            math.sqrt(float(((G ** 2).sum(axis=-1) * W).sum())))

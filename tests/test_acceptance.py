@@ -12,18 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from dnprobe.dnmap import (lift_terminal_zero, linear_flux,
-                           linearization_check, random_bump_dictionary,
-                           surface_pairing, weak_pairing)
+from dnprobe.dnmap import (linear_flux, linearization_check,
+                           random_bump_dictionary, surface_pairing)
 from dnprobe.geometry import build_grid
 from dnprobe.material import (check_interior_max, make_law, make_matrix,
                               perturb_law)
-from dnprobe.pde import (boundary_field_from_callable, mms_problem,
-                         solve_forward, solve_linearized)
+from dnprobe.pde import mms_problem, solve_forward, solve_linearized
 from dnprobe.reconstruct import (ProbeSpec, point_recovery, probe_data,
                                  recover_gamma_point, recover_rho_point,
                                  stability_experiment, tau_sweep)
-from dnprobe.singular import h_norms_oracle, make_cutoffs, mollifier_gap
+from dnprobe.singular import make_cutoffs
+from reference import h_norms_oracle, lift_terminal_zero, mollifier_gap, weak_pairing
 
 A2 = make_matrix(np.eye(2))
 A3 = make_matrix(np.eye(3))

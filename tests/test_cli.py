@@ -182,6 +182,15 @@ def test_stability_failed_row_is_strict_json(cfg_path, tmp_path, monkeypatch):
     assert good["ok"] and good["eta"] > 0.0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_json_value_fails_the_write(tmp_path, bad):
+    # JSON has no NaN or infinity: the write refuses it and leaves no file
+    path = tmp_path / "out" / "demo_gamma_report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(str(path), {"raw_estimates": [0.01, bad]})
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_report_summarizes_outputs(cfg_path, tmp_path, capsys):
     main(["probe-gamma", "-c", cfg_path])
     capsys.readouterr()
@@ -448,6 +457,27 @@ def test_negative_dict_seed_exits_2_before_any_solve(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("floor", ["-1", "0"])
+def test_non_positive_floor_exits_2_before_any_solve(tmp_path, capsys, floor):
+    # a floor at or below zero would let gamma1 = -0.5 through to a forward
+    # solve that diverges; the floor itself is refused by name
+    p = tmp_path / "exp.ini"
+    p.write_text(_set("gamma1 = constant:c0=1.02", f"gamma1 = constant:c0=-0.5\nm_floor = {floor}")
+                 .format(out=tmp_path / "out"))
+    assert main(["forward", "-c", str(p)]) == 2
+    assert f"[material] m_floor = {floor} must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_convention_constant_exits_2_before_any_solve(tmp_path, capsys):
+    # conv = 0 zeroes every singular field, and the energies it divides by
+    p = tmp_path / "exp.ini"
+    p.write_text(_set("[probe]\n", "[probe]\nconv = 0\n").format(out=tmp_path / "out"))
+    assert main(["probe-gamma", "-c", str(p)]) == 2
+    assert "[probe] conv = 0 must be nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bump_shapes_come_from_the_skew_table(tmp_path):
     from dnprobe.singular import BUMP_SKEW
     for shape in BUMP_SKEW:
@@ -492,7 +522,10 @@ from dnprobe.material import make_law, make_matrix
 import numpy as np
 g = build_grid(2, 1 / 16, 1 / 16, 1.0)
 law = make_law(gamma=("poly_s", {"c0": 1.0, "c1": 0.5, "c2": 0.5}))
-gb = pde.boundary_field_from_callable(g, lambda t, x: 2.0 * t * x[..., 0])
+# 2 t x_0 on dOmega, built here: the child has no tests/ on its path
+x = g.node_coords()[0]
+gb = pde.BoundaryField(values=2.0 * g.times[:, None, None] * x * ~pde.interior_mask(g),
+                       grid=g)
 solve = lambda: pde.solve_forward(law, make_matrix(np.eye(2)), g, 0.0, gb).newton
 before = sorted(m for m in sys.modules if m.startswith("scipy"))
 first = solve()

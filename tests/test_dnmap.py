@@ -10,17 +10,17 @@ from scipy.sparse.linalg import spsolve
 
 from dnprobe import dnmap, pde, reconstruct, singular
 from dnprobe.dnmap import (DNMapError, eta_surrogate, flux_l2_st,
-                           lambda_difference_flux, lift_terminal_zero,
                            linear_flux, linearization_check, make_norm,
                            nonlinear_flux, patch_linear_flux,
-                           random_bump_dictionary, surface_pairing,
-                           weak_pairing)
-from dnprobe.geometry import build_grid
+                           random_bump_dictionary, surface_pairing)
+from dnprobe.geometry import build_grid, trapezoid_weights
 from dnprobe.material import Coefficient, coefficient, make_law, make_matrix
 from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField,
-                         boundary_field_from_callable, constant_stiffness,
                          solve_forward, solve_linearized)
 from dnprobe.reconstruct import ProbeSpec, recover_rho_point
+from reference import (_face_conormal, boundary_field_from_callable, constant_stiffness,
+                       lambda_difference_flux, lift_terminal_zero, solve_adjoint,
+                       weak_pairing)
 from test_pde import _NO_SHRINK, _laws
 
 A2 = make_matrix(np.eye(2))
@@ -110,7 +110,7 @@ def test_flux_over_the_history_equals_level_by_level(case):
     smask = g.patch_support_mask()
     fluxes = (nonlinear_flux(u, law, A, g).values, linear_flux(u, law, A, g, 0.3).values)
     for m, t in enumerate(g.times):
-        con = dnmap._face_conormal(u.values[m], g, A)
+        con = _face_conormal(u.values[m], g, A)
         for got, gam in zip(fluxes, (law.gamma(t, u.values[m][face_sel]), law.gamma(t, 0.3))):
             ref = np.where(smask, gam * con, 0.0)
             assert np.abs(got[m] - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -483,6 +483,49 @@ def _assert_patch_flux_matches_full_field(case, law1, law2, lam, seed):
        seed=st.integers(0, 2 ** 16))
 def test_patch_flux_matches_full_field_property(case, law1, law2, lam, seed):
     _assert_patch_flux_matches_full_field(case, law1, law2, lam, seed)
+
+
+def _interior_form(law_pair, A, g, lam, datum, test):
+    """int_Q (gamma1 - gamma2)(t, lam) A grad w . grad v + (rho1 - rho2)(t, lam)
+    d_t w v, w = solve_linearized(law1, datum), v = solve_adjoint(law2, test),
+    and the same integral of the integrand's absolute value.  Space: centered
+    gradients and the trapezoid rule.  Time: the backward difference of w and
+    the sum over levels m = 1..nt, the form in which the implicit-Euler steps
+    of w and v satisfy the identity exactly."""
+    law1, law2 = law_pair
+    w = solve_linearized(law1, A, g, lam, datum.boundary()).values
+    v = solve_adjoint(law2, A, g, lam, test.boundary()).values
+    dgam = law1.gamma(g.times, lam) - law2.gamma(g.times, lam)
+    drho = law1.rho(g.times, lam) - law2.rho(g.times, lam)
+    W = trapezoid_weights(g.shape, g.h)
+    total = scale = 0.0
+    for m in range(1, g.nt + 1):
+        gw, gv = np.gradient(w[m], g.h, edge_order=2), np.gradient(v[m], g.h, edge_order=2)
+        grad = sum(A.A[a, a] * gw[a] * gv[a] for a in range(g.dim))
+        f = (dgam[m] * g.dt * grad + drho[m] * (w[m] - w[m - 1]) * v[m]) * W
+        total += float(f.sum())
+        scale += float(np.abs(f).sum())
+    return total, scale
+
+
+@pytest.mark.parametrize("case", ["2d-left", "2d-right"])
+@settings(max_examples=25, deadline=None, phases=_NO_SHRINK)
+@given(law1=_laws, law2=_laws, lam=st.floats(-1.0, 1.0), seed=st.integers(0, 2 ** 16))
+def test_dn_difference_pairing_has_the_interior_form_property(case, law1, law2, lam, seed):
+    # <(Lambda^1 - Lambda^2) g, h> = int_Q (gamma1 - gamma2) A grad w1 . grad v
+    #                                      + (rho1 - rho2) d_t w1 v,
+    # w1 the frozen solution of law1 with data g, v the adjoint solution of
+    # law2 with data h, h(T) = 0.  The error is spatial (the one-sided face
+    # flux, the gradient quadrature): refining dt alone barely moves it,
+    # halving h cuts it 2-5x.  Measured at h = dt = 1/16, A = diag(2, 0.5)
+    # (a_dd = 2), 300 random examples per face: at most 0.18 (h + dt) scale;
+    # with a_dd = 0.5 the same grid reaches 3.3 (h + dt) scale.
+    g, A = _PATCH_CASES[case]
+    datum, test = random_bump_dictionary(g, count=2, seed=seed)
+    diff = patch_linear_flux(law1, A, g, lam, [datum]) - patch_linear_flux(law2, A, g, lam, [datum])
+    lhs = surface_pairing(PatchField(values=diff[0], grid=g), test, g)
+    rhs, scale = _interior_form((law1, law2), A, g, lam, datum, test)
+    assert abs(lhs - rhs) <= 0.5 * (g.h + g.dt) * scale
 
 
 # coefficient specs whose value does not depend on t, so a law built from

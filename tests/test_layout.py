@@ -1,0 +1,94 @@
+"""The package is the pipeline: a static check of src/dnprobe.
+
+Every top-level function of the package has a caller in the package or in
+demos/; test-only references live in tests/reference.py.  scipy appears in
+the package only where the Newton stall fallback factorizes a Jacobian.
+"""
+
+import ast
+import os
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+SRC = os.path.join(ROOT, "src", "dnprobe")
+
+# bound by perfbench/spans.py, which times them; they leave the package
+# together with that binding (ROADMAP item 1)
+SPANS_BOUND = {"solve_linearized", "linear_flux", "nonlinear_flux",
+               "recover_gamma_point", "recover_rho_point"}
+
+# (module, top-level function) where scipy may be named: the lazy splu
+# binding and the Jacobian it factorizes
+SCIPY_SITES = {("pde", "_lazy_splu"), ("pde", "_forward_jacobian")}
+
+
+def _modules():
+    """{module name: parsed tree} of the package sources."""
+    out = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                out[name[:-3]] = ast.parse(fh.read())
+    return out
+
+
+def _top_level(tree):
+    """(top-level statement, its function name or None) of a module."""
+    for stmt in tree.body:
+        yield stmt, stmt.name if isinstance(stmt, ast.FunctionDef) else None
+
+
+def _names(node):
+    """Identifiers a subtree reads: bare names, attributes and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def _demo_names():
+    found = set()
+    demos = os.path.join(ROOT, "demos")
+    for name in os.listdir(demos):
+        if name.endswith(".py"):
+            with open(os.path.join(demos, name)) as fh:
+                found.update(_names(ast.parse(fh.read())))
+    return found
+
+
+def test_every_top_level_function_has_a_caller_in_src_or_demos():
+    modules = _modules()
+    defined = [(mod, name) for mod, tree in modules.items()
+               for _, name in _top_level(tree) if name is not None]
+    used = _demo_names()
+    for mod, tree in modules.items():
+        for stmt, name in _top_level(tree):
+            # a function's own body is not a caller of it; an import is
+            # not a call either (__init__ re-exports)
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                used.update(n for n in _names(stmt) if n != name)
+    orphans = sorted(f"{mod}.{name}" for mod, name in defined
+                     if name not in used and name not in SPANS_BOUND)
+    assert orphans == [], f"no caller in src or demos/: {orphans}"
+
+
+def test_the_spans_allowlist_names_package_functions():
+    defined = {name for tree in _modules().values()
+               for _, name in _top_level(tree) if name is not None}
+    assert SPANS_BOUND <= defined
+
+
+def test_scipy_is_named_only_by_the_newton_fallback():
+    sites = set()
+    for mod, tree in _modules().items():
+        for stmt, name in _top_level(tree):
+            modules = [n for n in _names(stmt) if n == "scipy" or n.startswith("scipy.")]
+            modules += [sub.module for sub in ast.walk(stmt)
+                        if isinstance(sub, ast.ImportFrom) and sub.module
+                        and sub.module.split(".")[0] == "scipy"]
+            if modules:
+                sites.add((mod, name))
+    assert sites <= SCIPY_SITES, f"scipy outside the Newton fallback: {sorted(sites - SCIPY_SITES)}"
+    assert sites, "the Newton fallback no longer names scipy: update SCIPY_SITES"

@@ -10,14 +10,15 @@ from scipy.sparse import identity
 from scipy.sparse.linalg import splu, spsolve
 
 from dnprobe import pde
-from dnprobe.dnmap import lambda_difference_flux, level_flux, nonlinear_flux
+from dnprobe.dnmap import level_flux, nonlinear_flux
 from dnprobe.geometry import build_grid
 from dnprobe.material import Coefficient, make_law, make_matrix, perturb_law
 from dnprobe.pde import (BoundaryField, PatchField, PDEError, box_spectrum,
-                         boundary_field_from_callable, constant_stiffness,
                          dirichlet_solve, dst1, interior_mask, mms_problem,
-                         probe_boundary_field, sine_basis, solve_adjoint, solve_forward,
-                         solve_linearized, stiffness)
+                         probe_boundary_field, sine_basis, solve_forward,
+                         solve_linearized)
+from reference import (boundary_field_from_callable, constant_stiffness,
+                       lambda_difference_flux, solve_adjoint, stiffness)
 from test_material import _library_laws
 
 A2 = make_matrix(np.eye(2))
@@ -543,6 +544,20 @@ def test_slice_diffusion_matches_roll_reference(case, seed):
     ref = _roll_diffusion(grid, A, gam, u)[(slice(1, -1),) * grid.dim]
     out = pde._diffusion(A, grid.h, gam, u)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", sorted(_RESIDUAL_CASES))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_stencil_boundary_load_is_the_sparse_one(case, seed):
+    # solve_linearized's load: the unit-gamma stencil on data that vanish
+    # inside is -K g of the sparse stiffness, to rounding
+    grid, A = _RESIDUAL_CASES[case]
+    g = np.random.default_rng(seed).standard_normal(grid.shape) * ~interior_mask(grid)
+    out = pde._diffusion(A, grid.h, 1.0, g)
+    K, _ = constant_stiffness(grid, A)
+    ref = -(K @ g.ravel()).reshape(out.shape)
+    assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 _t_law = st.one_of(

@@ -9,12 +9,12 @@ from scipy.sparse.linalg import spsolve
 
 from dnprobe.geometry import FACE_NAMES, build_grid, exterior_point
 from dnprobe.material import MatrixField, make_matrix
-from dnprobe.pde import stiffness
 from dnprobe.singular import (SingularError, _omega_prime_operator, _omega_prime_residual,
-                              a_tau_value, base_bump, build_basis, fundamental_H,
-                              fundamental_grad_H, grad_H_energy,
-                              h_norms_oracle, make_cutoffs, mollifier_gap,
+                              a_tau_value, build_basis, fundamental_H,
+                              fundamental_grad_H, grad_H_energy, make_cutoffs,
                               solve_corrector)
+from reference import (base_bump, grad_h_energy_fine, h_norms_oracle, l2_norms_H,
+                       mollifier_gap, stiffness)
 
 A2 = make_matrix(np.eye(2))
 A3 = make_matrix(np.eye(3))
@@ -387,7 +387,6 @@ def test_rho_basis_carries_derivative_fields():
 
 def test_h_norms_oracle_matches_grid_quadrature():
     # moderate tau, coarse brute-force check of the tan-substituted oracle
-    from dnprobe.singular import grad_h_energy_fine, l2_norms_H
     tau = 0.25
     y = np.array([-tau, 0.5, 0.5])  # the oracle pins the pole at a face center
     ora = h_norms_oracle(tau, 3)
