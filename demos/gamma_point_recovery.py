@@ -28,7 +28,7 @@ def recover(taus):
     """All probes of the sweep built and solved together."""
     probes = [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau, kind="gamma",
                         a_rule="power", r=0.5) for tau in taus]
-    return point_recovery(A, grid, 0.0, probes)((law1, law2))
+    return point_recovery((law1, law2), A, grid, 0.0, probes)
 
 
 report = tau_sweep(recover, [0.2, 0.15, 0.1, 0.07, 0.05], target="gamma",

@@ -12,8 +12,8 @@ Subcommands:
   report           summarize the JSON reports found in the output dir
 
 All file writes are atomic (tmp file + rename) and embed the config hash
-and the active boundary-norm flag.  A tau sweep builds all of its probes
-together: one stacked corrector solve and one frozen solve per law.
+and the active boundary-norm flag.  A probe or stability command makes
+one stacked corrector solve and one frozen solve call for all its laws.
 """
 
 import argparse
@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .geometry import GridError, build_grid
-from .material import MaterialError, make_law
+from .material import MaterialError
 from .singular import SingularError
 from .pde import PatchField, PDEError, mms_problem, solve_forward
 from .dnmap import level_flux, linearization_check, make_norm, DNMapError
@@ -80,9 +80,8 @@ def _write_json(path, payload: dict):
                                              allow_nan=False))
 
 
-def _meta(cfg: ExperimentConfig):
-    norm = make_norm(cfg.grid, cfg.norm_kind)
-    return {"config_hash": cfg.hash, "norm": norm.flag,
+def _meta(cfg: ExperimentConfig, norm_flag: str):
+    return {"config_hash": cfg.hash, "norm": norm_flag,
             "seed": cfg.seed, "version": __version__}
 
 
@@ -113,7 +112,8 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
         return _forward_mms(cfg, args)
     grid = cfg.grid
     if cfg.tau_list and cfg.probe_kind == "gamma":
-        [([(g, _)], _)] = probe_data(grid, cfg.A, [_probe_spec(cfg, min(cfg.tau_list))])
+        [([(g, _)], _)] = probe_data(grid, cfg.A, [_probe_spec(cfg, min(cfg.tau_list))],
+                                      lam=cfg.lam)
     else:
         face_shape = grid.patch_support_mask().shape
         g = PatchField(values=np.zeros((grid.nt + 1,) + face_shape), grid=grid)
@@ -121,7 +121,7 @@ def cmd_forward(cfg: ExperimentConfig, args) -> int:
                          keep=level_flux(cfg.law1, cfg.A, grid))
     _report_newton(args, "forward", flux.newton)
     ids = np.flatnonzero(grid.patch_support_mask().ravel())
-    meta = _meta(cfg)
+    meta = _meta(cfg, make_norm(grid, cfg.norm_kind).flag)
 
     def write(fh):  # one level at a time, not held: a list of all rows costs a full GC
         _csv_header(fh, meta, ["face_node_id", "t", "flux"])
@@ -200,10 +200,12 @@ def _forward_mms(cfg: ExperimentConfig, args) -> int:
 
 def cmd_linearize_check(cfg: ExperimentConfig, args) -> int:
     grid = cfg.grid
-    [([(g, _)], _)] = probe_data(grid, cfg.A, [_probe_spec(cfg, min(cfg.tau_list), "gamma")])
+    [([(g, _)], _)] = probe_data(grid, cfg.A, [_probe_spec(cfg, min(cfg.tau_list), "gamma")],
+                                  lam=cfg.lam)
     rows = linearization_check(cfg.law1, cfg.A, grid, cfg.lam, g, cfg.k_list)
     out = [(r["k"], f"{r['d_k']:.12e}", r["ok"], r["why"]) for r in rows]
-    _write_csv(_out(cfg, "linearize.csv"), _meta(cfg), ["k", "d_k", "ok", "note"], out)
+    _write_csv(_out(cfg, "linearize.csv"), _meta(cfg, make_norm(grid, cfg.norm_kind).flag),
+               ["k", "d_k", "ok", "note"], out)
     for r in rows:
         print(f"k={r['k']:<6d} d_k={r['d_k']:.6e} ok={r['ok']}")
         _report_newton(args, f"forward k={r['k']}", r["newton"])
@@ -216,22 +218,22 @@ def _sweep_cmd(cfg: ExperimentConfig, target: str) -> int:
     pair = (cfg.law1, cfg.law2)
     ref = float(getattr(cfg.law1, target)(cfg.t0, cfg.lam)
                 - getattr(cfg.law2, target)(cfg.t0, cfg.lam))
-    rec = lambda taus: point_recovery(cfg.A, grid, cfg.lam,
-                                      [_probe_spec(cfg, tau, target) for tau in taus])(pair)
+    rec = lambda taus: point_recovery(pair, cfg.A, grid, cfg.lam,
+                                      [_probe_spec(cfg, tau, target) for tau in taus])
     report = tau_sweep(rec, cfg.tau_list, target=target, point=(cfg.t0, cfg.lam),
                        reference=ref, norm_flag=norm.flag)
     rows = [(target, cfg.t0, cfg.lam, f"{tau:.6g}", f"{est:.12e}")
             for tau, est in zip(report.tau_sequence, report.raw_estimates)]
-    _write_csv(_out(cfg, f"{target}_sweep.csv"), _meta(cfg),
+    _write_csv(_out(cfg, f"{target}_sweep.csv"), _meta(cfg, norm.flag),
                ["target", "t0", "lambda", "tau", "estimate"], rows)
     payload = {"target": target, "point": [cfg.t0, cfg.lam],
                "tau_sequence": report.tau_sequence,
-               "raw_estimates": report.raw_estimates,
-               "extrapolated_value": report.extrapolated_value,
-               "reference_value": report.reference_value,
-               "fitted_rate": report.fitted_rate,
+               "raw_estimates": report.raw_estimates,  # finite: the report checks them
+               "extrapolated_value": _finite_or_none(report.extrapolated_value),
+               "reference_value": _finite_or_none(report.reference_value),
+               "fitted_rate": _finite_or_none(report.fitted_rate),
                "norm_flag": report.norm_flag, "notes": report.notes}
-    payload.update(_meta(cfg))
+    payload.update(_meta(cfg, norm.flag))
     _write_json(_out(cfg, f"{target}_report.json"), payload)
     print(f"{target} at (t0={cfg.t0}, lambda={cfg.lam}): "
           f"extrapolated {report.extrapolated_value:.6g} "
@@ -252,13 +254,12 @@ def cmd_stability(cfg: ExperimentConfig, args) -> int:
     target = cfg.perturb_target
     norm = make_norm(grid, cfg.norm_kind)
     tau = min(cfg.tau_list)
-    rec = point_recovery(cfg.A, grid, cfg.lam, [_probe_spec(cfg, tau, target)])
     table = stability_experiment(cfg.law_family(), target, cfg.A, grid, cfg.lam,
-                                 lambda pair: rec(pair)[0], dict_seed=cfg.dict_seed,
+                                 _probe_spec(cfg, tau, target), dict_seed=cfg.dict_seed,
                                  dict_size=cfg.dict_size, norm=norm)
     rows = [(r.eps, f"{r.eta:.12e}", f"{r.true_diff:.12e}",
              f"{r.recovered:.12e}", r.ok, r.why) for r in table.rows]
-    _write_csv(_out(cfg, "stability.csv"), _meta(cfg),
+    _write_csv(_out(cfg, "stability.csv"), _meta(cfg, norm.flag),
                ["eps", "eta", "true_diff", "recovered", "ok", "note"], rows)
     payload = {"target": target,
                "rows": [{k: _finite_or_none(v) for k, v in vars(r).items()}
@@ -267,7 +268,7 @@ def cmd_stability(cfg: ExperimentConfig, args) -> int:
                "holder_constant": _finite_or_none(table.holder_constant),
                "holder_ok": table.holder_ok,
                "norm_flag": table.norm_flag}
-    payload.update(_meta(cfg))
+    payload.update(_meta(cfg, norm.flag))
     _write_json(_out(cfg, "stability_report.json"), payload)
     if table.fitted_slope is not None:
         print(f"fitted slope (true diff vs eta): {table.fitted_slope:.4f}")

@@ -12,26 +12,17 @@ form of the pairing, through an interior lifting, is a reference the
 tests check surface_pairing against (tests/reference.py).
 
 Fluxes, the dictionary and the data they pair with are pde.PatchField
-face arrays.  The probes and eta read (Lambda^1 - Lambda^2) g off
-patch_linear_flux, which solves the frozen problem for a stack of patch
-data in the sine basis and forms only the one face row the flux reads,
-4 P_0 - P_1 of the two node planes next to the face, with each law
-evaluated once over all time levels; the linearization check reads
-Lambda g off it too.  Probe and dictionary data are profile(t) * face(x)
-and keep both factors (PatchField.product), so a call runs the frozen
-recurrence once per time profile its data share, at unit amplitude in
-every tangential mode, and scales that row by each datum's face modes:
-the n data of a rho probe share one solve, and so do the dictionary data
-of one k.  A law whose gamma(t_m, lambda) and rho(t_m, lambda)
-are equal at every level m >= 1 makes implicit Euler a time-invariant
-recursion per sine mode, so its face row is one FFT convolution in time
-with the step's impulse response (convolution quadrature); a law that
-varies in t steps the modes level by level.  The full-field
-solve_linearized plus linear_flux on PatchField.boundary() is the
-reference it is tested against; no subcommand calls either.  The
-boundary norms measure a PatchField on its face array, without forming it
-on all of dOmega; the 2D spectral norm sums the half spectrum of a real
-FFT in time over the patch columns only.  The linearization check
+face arrays.  The probes, eta and the linearization check read Lambda g
+off patch_linear_flux, which solves the frozen problem in the sine basis
+for a list of laws or law pairs and a stack of patch data at once and
+forms only the face row the flux reads; a probe or stability command
+makes one such call on its law pairs and all of its data, and
+eta_surrogate measures the flux differences it is handed.  The
+full-field solve_linearized plus linear_flux on PatchField.boundary() is
+the reference it is tested against; no subcommand calls either.  The
+boundary norms measure a PatchField on its face array, without forming
+it on all of dOmega; the 2D spectral norm sums the half spectrum of a
+real FFT in time over the patch columns only.  The linearization check
 advances its data g/k for all k in one stacked pde.solve_forward whose
 keep is level_flux: the nonlinear flux of each level as it converges,
 so no solution history is formed; the stencil the flux reads (node
@@ -270,7 +261,7 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
     and its row is flagged instead of raising.  "newton" holds the solver
     counts of the row's datum.
     """
-    lam_flux = patch_linear_flux(law, A, grid, lam, [g])[0]
+    [[lam_flux]] = patch_linear_flux([law], A, grid, lam, [g])
     scaled = [PatchField(values=g.values / k, grid=grid) for k in k_list]
     rows = []
     for k, nf in zip(k_list, solve_forward(law, A, grid, lam, scaled,
@@ -286,62 +277,66 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
 
 
 def _planes_by_steps(src, eig, col, row, r, gam, w):
-    """The face row of the interior box in tangential modes, (B, nt+1,
-    *tang) for the B source rows src (_recurrence_rows), by implicit Euler:
-    every sine mode of the interior box advanced one level at a time,
+    """The face row of the interior box in tangential modes, (L, R, nt+1,
+    *tang) for the R source rows src (_recurrence_rows) and L laws, by
+    implicit Euler: every sine mode of the interior box advanced one level
+    at a time,
 
         s_m = (r_m s_{m-1} + w_m src_m col) / (r_m + gam_m eig),
 
-    with r = rho/dt, gam and w = gam a_dd / h^2 given over the levels, and
-    the row applied along the normal modes.  The mode state is updated in
-    place through one load buffer; both are released on return, before the
-    caller's face reconstruction."""
-    B, nt = src.shape[0], src.shape[1] - 1
-    state = np.zeros((B,) + eig.shape)
+    with r = rho/dt, gam and w = gam a_dd / h^2 per law and level, (L,
+    nt+1), and the row applied along the normal modes.  The mode state of
+    all laws is updated in place through one load buffer, freed on return."""
+    (L, levels), R = r.shape, src.shape[0]
+    r, gam, w = (c.T.reshape((levels, L, 1) + (1,) * eig.ndim) for c in (r, gam, w))
+    state = np.zeros((L, R) + eig.shape)
     load = np.empty_like(state)
-    near = np.zeros((B, nt + 1) + eig.shape[1:])
-    for m in range(1, nt + 1):
+    near = np.zeros((L, R, levels) + eig.shape[1:])
+    for m in range(1, levels):
         state *= r[m]
         np.multiply(w[m] * src[:, m, None], col, out=load)
         state += load
         state /= r[m] + gam[m] * eig
-        near[:, m] = (row @ state.reshape(B, len(col), -1)).reshape((B,) + near.shape[2:])
+        near[:, :, m] = (row @ state.reshape(L * R, len(col), -1)).reshape(near[:, :, m].shape)
     return near
 
 
 def _planes_by_convolution(src, eig, col, row, r, gam, w):
-    """The face row of _planes_by_steps when r, gam and w are constant over
-    the levels m >= 1 (level 1 is read).  Each mode then follows
-    s_m = a s_{m-1} + b src_m with a = r / (r + gam eig) and
+    """The face row of _planes_by_steps when each law's r, gam and w are
+    constant over the levels m >= 1 (level 1 is read).  Each mode then
+    follows s_m = a s_{m-1} + b src_m with a = r / (r + gam eig) and
     b = w col / (r + gam eig), so the row is the causal convolution of src
-    with the kernel H[n] = row (b a^n), n = 0 .. nt-1; zero-padded to 2 nt,
-    the FFT product is that linear convolution, with no wrap-around.  H is
-    built by nt small matmuls, and the source rows are transformed one at a
-    time (one profile at a time, or one datum without factors), so no
-    spectrum is larger than the mode state of the steps."""
-    B, nt = src.shape[0], src.shape[1] - 1
-    den = r[1] + gam[1] * eig
-    a = r[1] / den
-    pw = w[1] * col / den
+    with the law's kernel H[n] = row (b a^n), n = 0 .. nt-1; zero-padded to
+    2 nt, the FFT product is that linear convolution, with no wrap-around.
+    Each law's H is built by nt small matmuls and kept as its spectrum;
+    each source row is transformed once, then multiplied by every one."""
+    (L, levels), R, nt = r.shape, src.shape[0], src.shape[1] - 1
+    spec = np.empty((L, nt + 1) + eig.shape[1:], dtype=complex)
     H = np.empty((nt,) + eig.shape[1:])
-    for n in range(nt):
-        H[n] = (row @ pw.reshape(len(col), -1)).reshape(H.shape[1:])
-        pw *= a
-    spec = rfft(H, 2 * nt, axis=0)
-    near = np.zeros((B, nt + 1) + eig.shape[1:])
-    for b in range(B):
-        near[b, 1:] = irfft(spec * rfft(src[b, 1:], 2 * nt, axis=0), 2 * nt, axis=0)[:nt]
+    for i in range(L):
+        den = r[i, 1] + gam[i, 1] * eig
+        a = r[i, 1] / den
+        pw = w[i, 1] * col / den
+        for n in range(nt):
+            H[n] = (row @ pw.reshape(len(col), -1)).reshape(H.shape[1:])
+            pw *= a
+        spec[i] = rfft(H, 2 * nt, axis=0)
+    near = np.zeros((L, R, levels) + eig.shape[1:])
+    for b in range(R):
+        source = rfft(src[b, 1:], 2 * nt, axis=0)
+        for i in range(L):
+            near[i, b, 1:] = irfft(spec[i] * source, 2 * nt, axis=0)[:nt]
     return near
 
 
-def _recurrence_rows(data, faces, inner, basis):
+def _recurrence_rows(data, inner, basis):
     """The rows a call hands the plane helpers, (R, nt+1, *tang) tangential
     modes, the row of each datum and the number of shared rows, which come
     first.  Data that keep their factors and whose profile another datum of
     the call shares (equal values, compared by their bytes) share one row:
     the profile at unit amplitude in every tangential mode.  Every other
-    datum is its own row, the tangential DST-I of its values (faces, level
-    0 already zeroed), as when there is nothing to share."""
+    datum is its own row, the tangential DST-I of its values (level 0
+    zeroed), as when there is nothing to share."""
     keys = [None if g.profile is None else g.profile.tobytes() for g in data]
     shared = {k: g.profile for k, g in zip(keys, data) if k is not None and keys.count(k) > 1}
     order = list(shared)
@@ -350,83 +345,101 @@ def _recurrence_rows(data, faces, inner, basis):
               for b, k in enumerate(keys)]
     parts = []
     if shared:
-        unit = np.empty((len(shared), faces.shape[1]) + tuple(len(q) for q in basis))
+        unit = np.empty((len(shared), data[0].values.shape[0]) + tuple(len(q) for q in basis))
         unit[...] = np.reshape(list(shared.values()), unit.shape[:2] + (1,) * len(basis))
         unit[:, 0] = 0.0  # as solve_linearized's w(0) = 0
         parts.append(unit)
     if own:
-        parts.append(dst1(faces[inner] if len(own) == len(data) else faces[own][inner],
-                          basis))
+        faces = np.stack([data[b].values for b in own])
+        faces[:, 0] = 0.0
+        parts.append(dst1(faces[inner], basis))
     return (parts[0] if len(parts) == 1 else np.concatenate(parts)), row_of, len(shared)
 
 
-def patch_linear_flux(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float,
-                      data: list) -> np.ndarray:
-    """Lambda g on S for a list of patch data (PatchField).
+def patch_linear_flux(laws, A: MatrixField, grid: Grid, lam: float, data: list):
+    """Lambda g on S for each entry of laws and each patch datum g of data
+    (PatchField): an iterator over the entries, in order, of (len(data),
+    nt+1, *face_shape) flux values, zero off S, row b for data[b].  An
+    entry is a law, or a pair (law1, law2) giving (Lambda^1 - Lambda^2) g.
 
-    Same numbers as linear_flux(solve_linearized(g.boundary())) datum by
-    datum, but the frozen problem is solved in the sine basis of the
-    interior box and only what the face reconstruction reads is ever
-    formed.  For data on the face, K g is -(a_dd / h^2) g_face on the
-    interior plane p next to it, whose DST-I along the normal is
-    2 sin(pi k p / N); each implicit Euler step is then one elementwise
-    update per mode.  The one-sided normal derivative reads the two planes
-    P_0, P_1 next to the face only as 4 P_0 - P_1, so that combination is
-    one face row (4 sin(pi k p_0 / N) - sin(pi k p_1 / N)) / N applied
-    along the normal modes, and one tangential inverse DST brings it back.
-    The frozen problem is linear and acts mode by mode, so a datum
-    profile(t) * face(x) that keeps its factors (probes, dictionary) has as
-    face row the row of its profile at unit amplitude in every tangential
-    mode times the tangential DST-I of its face: the recurrence runs once
-    per profile the call's data share, however many data share it, and
-    once for every other datum, on its values as when nothing is shared
-    (_recurrence_rows; a rho probe's n data share one profile, dictionary
-    data of one k share theirs).  When gamma(t_m, lam) and rho(t_m, lam) are the
-    same at every level m >= 1 (a law constant in t), the update is the
-    same linear map at every step, so the row is exactly the causal
-    convolution of its source with the step's impulse response, one
-    zero-padded FFT product in time (_planes_by_convolution; the paths
-    differ by rounding only); otherwise the modes are stepped level by
-    level (_planes_by_steps).  Returns (len(data), nt+1, *face_shape) flux
-    values, zero off S: row b is the PatchField values of data[b].
+    Same numbers as linear_flux(solve_linearized(g.boundary())), but solved
+    in the sine basis of the interior box, forming only what the face
+    reconstruction reads.  For data on the face, K g is -(a_dd / h^2)
+    g_face on the interior plane p next to it, whose DST-I along the normal
+    is 2 sin(pi k p / N), so an implicit Euler step is one elementwise
+    update per mode.  The one-sided normal derivative reads the planes P_0,
+    P_1 next to the face only as 4 P_0 - P_1: one face row
+    (4 sin(pi k p_0 / N) - sin(pi k p_1 / N)) / N along the normal modes,
+    then one tangential inverse DST.  The problem is linear and acts mode
+    by mode, so data profile(t) * face(x) that keep their factors and share
+    a profile share one recurrence row at unit amplitude in every
+    tangential mode, scaled by each face's DST-I; every other datum is its
+    own row (_recurrence_rows).  The rows are built once per call, the
+    distinct laws a leading axis: a law whose gamma(t_m, lam) and
+    rho(t_m, lam) are equal at every level m >= 1 steps by one linear map,
+    so its row is a causal convolution with the step's impulse response
+    (_planes_by_convolution; the paths differ by rounding only), and the
+    other laws are stepped level by level together (_planes_by_steps).
+    The iterator holds these mode-space rows and forms an entry's flux when
+    it is reached, a pair's second law one datum at a time, subtracted in
+    place: a caller that drops each entry's values before taking the next
+    holds one flux at a time.
     """
     d, side = grid.patch_axis, grid.patch_side
     for g in data:
         g.check_compatible("start")
-    eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
+    entries = [entry if isinstance(entry, tuple) else (entry,) for entry in laws]
+    distinct = list(dict.fromkeys(law for entry in entries for law in entry))
+    eig, basis, gam, rho = _frozen_setup(distinct, A, grid, lam)
     basis = [basis[e] for e in grid.tangential_axes]
     N, h, dt = grid.n_cells, grid.h, grid.dt
     a_dd = A.A[d, d]
-    faces = np.stack([g.values for g in data])  # (B, nt+1, *face_shape)
-    faces[:, 0] = 0.0  # as solve_linearized's w(0) = 0
     inner = (Ellipsis,) + (slice(1, -1),) * (grid.dim - 1)
-    src, row_of, n_shared = _recurrence_rows(data, faces, inner, basis)
+    src, row_of, n_shared = _recurrence_rows(data, inner, basis)
     # normal modes first, then the tangential ones in face order
     eig = np.moveaxis(eig, d, 0)
     k = np.arange(1, N)
     p0, p1 = (1, 2) if side == 0 else (N - 1, N - 2)
     col = (2.0 * np.sin(np.pi * k * p0 / N)).reshape((-1,) + (1,) * (grid.dim - 1))
     row = (4.0 * np.sin(np.pi * k * p0 / N) - np.sin(np.pi * k * p1 / N)) / N
-    constant_in_t = np.all(gam[1:] == gam[1]) and np.all(rho[1:] == rho[1])
-    face_row = _planes_by_convolution if constant_in_t else _planes_by_steps
-    rows = face_row(src, eig, col, row, rho / dt, gam, gam * a_dd / h ** 2)
+    r, w = rho / dt, gam * a_dd / h ** 2
+    constant_in_t = np.all((gam[:, 1:] == gam[:, 1:2]) & (rho[:, 1:] == rho[:, 1:2]), axis=1)
+    rows = [None] * len(distinct)  # each law's face rows, (R, nt+1, *tang)
+    for face_row, on in ((_planes_by_convolution, constant_in_t),
+                         (_planes_by_steps, ~constant_in_t)):
+        if on.any():
+            for i, near in zip(np.flatnonzero(on), face_row(src, eig, col, row, r[on],
+                                                             gam[on], w[on])):
+                rows[i] = near
     del src
-    # gamma a_dd (-inward) with inward = (-3 f + (4 P_0 - P_1)) / (2h).  The
-    # face reconstruction is where a call's memory peaks: it works in place
-    # and datum by datum, so a datum's face row (its own row, or its
-    # profile's row times the tangential modes of its face) and its inverse
-    # DST exist one at a time
-    out = faces  # np.stack made it this call's own copy
-    out *= -3.0
-    for b, (g, i) in enumerate(zip(data, row_of)):
-        near = rows[i] * dst1(g.face[inner], basis) if i < n_shared else rows[i]
-        out[b][inner] += dst1(near, basis)
-    del rows
-    out /= 2.0 * h
-    out *= -a_dd
-    out *= gam.reshape((1, -1) + (1,) * (grid.dim - 1))
-    out[:, :, ~grid.patch_support_mask()] = 0.0
-    return out
+    modes = [dst1(g.face[inner], basis) if i < n_shared else None
+             for g, i in zip(data, row_of)]
+
+    def form(i, bs):
+        # gamma a_dd (-inward) with inward = (-3 f + (4 P_0 - P_1)) / (2h),
+        # in place and datum by datum: one datum's face row (its own, or
+        # its profile's times its face modes) and inverse DST at a time
+        out = np.stack([data[b].values for b in bs])  # (len(bs), nt+1, *face_shape)
+        out[:, 0] = 0.0  # as solve_linearized's w(0) = 0
+        out *= -3.0
+        for o, b in zip(out, bs):
+            j = row_of[b]
+            o[inner] += dst1(rows[i][j] * modes[b] if j < n_shared else rows[i][j], basis)
+        out /= 2.0 * h
+        out *= -a_dd
+        out *= gam[i].reshape((1, -1) + (1,) * (grid.dim - 1))
+        out[:, :, ~grid.patch_support_mask()] = 0.0
+        return out
+
+    def flux(entry):
+        i, *minus = map(distinct.index, entry)
+        out = form(i, range(len(data)))
+        for j in minus:
+            for b in range(len(data)):
+                out[b] -= form(j, [b])[0]
+        return out
+
+    return map(flux, entries)
 
 
 def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
@@ -462,29 +475,19 @@ def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
     return out
 
 
-def eta_surrogate(law_pair, A: MatrixField, grid: Grid, lam: float,
-                  dictionary: list, norm: BoundaryNorm = None,
-                  reference: np.ndarray = None, half_norms: list = None) -> float:
+def eta_surrogate(diffs, half_norms, norm: BoundaryNorm) -> float:
     """Dictionary maximum of ||(Lambda^1-Lambda^2) g||_dual / ||g||_half.
 
-    A lower bound of the operator norm; acceptance fits use it on both
-    sides of every relation, so the bias is consistent.  reference, if
-    given, is patch_linear_flux of the second law on the dictionary, and
-    half_norms, if given, is norm.half of each datum, so a caller sweeping
-    the first law solves the second and measures the data only once.
+    diffs holds (Lambda^1 - Lambda^2) g of each dictionary datum g (two
+    laws' patch_linear_flux rows) and half_norms holds norm.half(g).  A
+    lower bound of the operator norm; acceptance fits use it on both sides
+    of every relation, so the bias is consistent.
     """
-    if not dictionary:
+    if not half_norms:
         raise DNMapError("eta surrogate needs a nonempty dictionary")
-    norm = make_norm(grid) if norm is None else norm
-    law1, law2 = law_pair
-    if reference is None:
-        reference = patch_linear_flux(law2, A, grid, lam, dictionary)
-    if half_norms is None:
-        half_norms = [norm.half(g) for g in dictionary]
-    diffs = patch_linear_flux(law1, A, grid, lam, dictionary) - reference
     best = 0.0
     for denom, diff in zip(half_norms, diffs):
         if denom == 0.0:
             continue
-        best = max(best, norm.dual(PatchField(values=diff, grid=grid)) / denom)
+        best = max(best, norm.dual(PatchField(values=diff, grid=norm.grid)) / denom)
     return best

@@ -453,7 +453,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     flat_int = np.flatnonzero(interior_mask(grid).ravel())
     red = -np.ones(int(np.prod(grid.shape)), dtype=np.int64)
     red[flat_int] = np.arange(flat_int.size)
-    eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
+    eig, basis, [gam], [rho] = _frozen_setup([law], A, grid, lam)
 
     keep = (lambda t, levels: levels) if keep is None else keep
     cur = np.full((B,) + grid.shape, float(lam))  # the level being solved
@@ -540,14 +540,14 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     return fields[0]
 
 
-def _frozen_setup(law, A: MatrixField, grid: Grid, lam: float):
+def _frozen_setup(laws, A: MatrixField, grid: Grid, lam: float):
     """The DST-I spectrum of K on the interior box (box_spectrum), the
-    box's sine_basis, and the frozen coefficients gamma(t_m, lam) and
-    rho(t_m, lam) as arrays over grid.times, one law evaluation each."""
+    box's sine_basis, and the frozen gamma(t_m, lam) and rho(t_m, lam) of
+    each law over grid.times, (len(laws), nt+1), one evaluation each."""
     lengths = (grid.n_cells,) * grid.dim
     eig = box_spectrum(np.diagonal(A.A), grid.h, lengths)
-    times = grid.times
-    return eig, sine_basis(lengths), law.gamma(times, lam), law.rho(times, lam)
+    return (eig, sine_basis(lengths), np.array([law.gamma(grid.times, lam) for law in laws]),
+            np.array([law.rho(grid.times, lam) for law in laws]))
 
 
 def _frozen_step(eig, basis, rho_over_dt: float, gam: float, rhs: np.ndarray):
@@ -560,7 +560,7 @@ def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryFie
                      source=None) -> SpaceTimeField:
     """Linear solve with coefficients frozen at the background s = lambda."""
     g.check_compatible("start")
-    eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
+    eig, basis, [gam], [rho] = _frozen_setup([law], A, grid, lam)
     inner = (slice(1, -1),) * grid.dim
     dt = grid.dt
     w = g.values.copy()

@@ -8,7 +8,8 @@ where g_tau is the singular probe concentrated at (x0, t0); the rho value
 uses the derivative probes g_{j,tau}, gbar_{j,tau} summed over axes.  Both
 recover coefficient *differences*; absolute values are differences plus
 the known reference law.  tau-sweeps, power-law extrapolation, and the
-stability-rate experiments live here too.
+stability-rate experiments live here too.  A point recovery and a
+stability experiment each make one dnmap.patch_linear_flux call.
 """
 
 from dataclasses import dataclass
@@ -65,14 +66,6 @@ class ReconstructionReport:
 # probes and pointwise recovery
 
 
-def _cutoffs(grid: Grid, probes):
-    """The probes' geometries and their cutoff sets."""
-    geoms = [exterior_point(grid, p.x0, p.tau, p.t0) for p in probes]
-    return geoms, [make_cutoffs(p.t0, p.tau, p.kind, grid, r=p.r, tau0=geom.tau0,
-                                shape=p.shape, a_rule=p.a_rule)
-                   for p, geom in zip(probes, geoms)]
-
-
 def require_equal_gamma(pair, lam: float, times: np.ndarray, cuts):
     """Reject a law pair for rho probes whose conductivities differ,
     gamma1(t, lambda) != gamma2(t, lambda), at a level of times inside
@@ -86,7 +79,7 @@ def require_equal_gamma(pair, lam: float, times: np.ndarray, cuts):
                                f"at t = {t[gap.argmax()]:.3g}")
 
 
-def probe_data(grid: Grid, A: MatrixField, probes):
+def probe_data(grid: Grid, A: MatrixField, probes, law_pairs=(), *, lam: float):
     """Boundary data and H energy of probes of one kind, built together.
 
     Returns one (pairs, energy) per probe.  pairs is [(g, g)] for a gamma
@@ -94,7 +87,9 @@ def probe_data(grid: Grid, A: MatrixField, probes):
     rho probe, g_j = chi Phi_tau (d_j H - v_j) and gbar_j = phi_tau
     (d_j H - v_j); energy is the gradient energy of H that the probe's
     pairings are divided by.  The correctors of all the probes are one
-    stacked solve (build_basis).
+    stacked solve (build_basis).  Rho probes first reject each of the law
+    pairs to be read at lam whose conductivities differ on supp chi of any
+    probe (require_equal_gamma), before any solve.
     """
     if len({(p.kind, p.conv) for p in probes}) != 1:
         raise ReconstructError("probes built together need one kind and one conv")
@@ -103,7 +98,12 @@ def probe_data(grid: Grid, A: MatrixField, probes):
         raise ReconstructError("rho probes need n >= 3")
     if kind == "rho" and not A.is_identity:
         raise ReconstructError("rho probes are restricted to A = Id")
-    geoms, cuts = _cutoffs(grid, probes)
+    geoms = [exterior_point(grid, p.x0, p.tau, p.t0) for p in probes]
+    cuts = [make_cutoffs(p.t0, p.tau, p.kind, grid, r=p.r, tau0=geom.tau0, shape=p.shape,
+                         a_rule=p.a_rule) for p, geom in zip(probes, geoms)]
+    if kind == "rho":
+        for pair in law_pairs:
+            require_equal_gamma(pair, lam, grid.times, cuts)
     bases = build_basis(grid, geoms, A, conv=probes[0].conv, kind=kind)
     out = []
     for basis, cut in zip(bases, cuts):
@@ -128,7 +128,7 @@ def recover_gamma_point(pair, A: MatrixField, grid: Grid, lam: float,
     """Estimate of gamma^1(t0, lambda) - gamma^2(t0, lambda)."""
     if probe.kind != "gamma":
         raise ReconstructError("gamma recovery needs a gamma-kind probe")
-    return point_recovery(A, grid, lam, [probe])(pair)[0]
+    return point_recovery(pair, A, grid, lam, [probe])[0]
 
 
 def recover_rho_point(pair, grid: Grid, lam: float, probe: ProbeSpec,
@@ -142,45 +142,32 @@ def recover_rho_point(pair, grid: Grid, lam: float, probe: ProbeSpec,
     if probe.kind != "rho":
         raise ReconstructError("rho recovery needs a rho-kind probe")
     A = make_matrix(np.eye(grid.dim)) if A is None else A
-    return point_recovery(A, grid, lam, [probe])(pair)[0]
+    return point_recovery(pair, A, grid, lam, [probe])[0]
 
 
-def point_recovery(A: MatrixField, grid: Grid, lam: float, probes):
-    """law_pair -> recovered differences at the probes, one per probe.
+def _estimates(built, diffs, grid: Grid) -> list:
+    """Each probe's pairing <diff, gbar> summed over its data, over its
+    energy of H; diffs: (Lambda^1 - Lambda^2) g of built's data g in order."""
+    diffs = iter(diffs)
+    return [sum(surface_pairing(PatchField(values=diff, grid=grid), gbar, grid)
+                for (_, gbar), diff in zip(pairs, diffs)) / energy
+            for pairs, energy in built]
 
-    The probes share one kind, which sets the target.  Each probe's
-    pairing <(Lambda^1 - Lambda^2) g, gbar>, summed over its data (g = gbar
-    for gamma; g_j, gbar_j per axis for rho), is divided by its gradient
-    energy of H.  The probes and their energies are built together on the
-    first call, so a failure there fails that call only.  All their data go
-    through one patch_linear_flux call per law, and each reference law's
-    response is solved once, so a sweep over law pairs
-    (stability_experiment) pays for it once.  For rho probes a pair whose
-    conductivities differ on supp chi of any probe is rejected before its
-    frozen solves (require_equal_gamma).
+
+def point_recovery(pair, A: MatrixField, grid: Grid, lam: float, probes) -> list:
+    """Recovered differences of the law pair at the probes, one per probe.
+
+    The probes share one kind, which sets the target, and are built
+    together (probe_data).  Each probe's pairing <(Lambda^1 - Lambda^2) g,
+    gbar>, summed over its data (g = gbar for gamma; g_j, gbar_j per axis
+    for rho), is divided by its gradient energy of H.  All their data go
+    through one patch_linear_flux call on the pair; for rho probes a pair
+    whose conductivities differ on supp chi is rejected before it
+    (require_equal_gamma).
     """
-    built, reference = None, {}
-
-    def recover(pair):
-        nonlocal built
-        if built is None:
-            built = probe_data(grid, A, probes)
-        if probes[0].kind == "rho":
-            require_equal_gamma(pair, lam, grid.times, _cutoffs(grid, probes)[1])
-        data = [g for pairs, _ in built for g, _ in pairs]
-        law1, law2 = pair
-        if law2 not in reference:
-            reference[law2] = patch_linear_flux(law2, A, grid, lam, data)
-        diffs = iter(patch_linear_flux(law1, A, grid, lam, data) - reference[law2])
-        estimates = []
-        for pairs, energy in built:
-            total = 0.0
-            for (_, gbar), diff in zip(pairs, diffs):
-                total += surface_pairing(PatchField(values=diff, grid=grid), gbar, grid)
-            estimates.append(total / energy)
-        return estimates
-
-    return recover
+    built = probe_data(grid, A, probes, [pair], lam=lam)
+    [diff] = patch_linear_flux([pair], A, grid, lam, [g for pairs, _ in built for g, _ in pairs])
+    return _estimates(built, diff, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -292,41 +279,50 @@ def _sup_coeff_difference(pair, lam: float, T: float, target: str,
 
 
 def stability_experiment(family, target: str, A: MatrixField, grid: Grid,
-                         lam: float, recover, dict_seed: int = 0,
+                         lam: float, probe: ProbeSpec, dict_seed: int = 0,
                          dict_size: int = 16, norm=None) -> StabilityTable:
     """Rate table over an eps-indexed family of law pairs.
 
-    family: list of (eps, (law1, law2)).  recover: law_pair -> recovered
-    difference at the probed point.  For the gamma target the table gets a
-    log-log slope of true difference vs eta; for rho a one-sided check of
-    diff <= C * eta^{1/9} with C calibrated at the largest eps.
+    family: list of (eps, (law1, law2)).  A row's eta is the dictionary
+    surrogate of its pair, and its recovered value is read at the probe.
+    One patch_linear_flux call on the dictionary and probe data takes every
+    row's pair, so each distinct law is solved once, and forms one row's
+    difference at a time, dropped before the next is formed.  A PDEError or
+    SingularError fails the rows it reaches, not the run.  For the gamma
+    target the table gets a log-log slope of true difference vs eta; for
+    rho a one-sided check of diff <= C * eta^{1/9} with C calibrated at the
+    largest eps.
     """
     norm = make_norm(grid) if norm is None else norm
     dictionary = random_bump_dictionary(grid, dict_size, seed=dict_seed)
     half_norms = [norm.half(g) for g in dictionary]
-    responses = {}  # reference law -> its dictionary response, solved once
+    pairs = [pair for eps, pair in family if eps != 0.0]
+    n, failure = len(dictionary), None
+    try:
+        if pairs:
+            built = probe_data(grid, A, [probe], pairs, lam=lam)
+            diffs = patch_linear_flux(pairs, A, grid, lam,
+                                      dictionary + [g for g, _ in built[0][0]])
+    except (PDEError, SingularError) as exc:
+        failure = exc
     rows = []
     for eps, pair in family:
         if eps == 0.0:
-            rows.append(StabilityRow(eps=0.0, eta=0.0, true_diff=0.0,
-                                     recovered=0.0, ok=True,
+            rows.append(StabilityRow(eps=0.0, eta=0.0, true_diff=0.0, recovered=0.0,
                                      why="zero row excluded from fits"))
             continue
         try:
-            if pair[1] not in responses:
-                responses[pair[1]] = patch_linear_flux(pair[1], A, grid, lam, dictionary)
-            eta = eta_surrogate(pair, A, grid, lam, dictionary, norm=norm,
-                                reference=responses[pair[1]], half_norms=half_norms)
-            rec = recover(pair)
+            if failure is not None:
+                raise failure
+            diff = next(diffs)  # (Lambda^1 - Lambda^2) g of the row's pair
+            rows.append(StabilityRow(eps=eps, eta=eta_surrogate(diff[:n], half_norms, norm),
+                                     true_diff=_sup_coeff_difference(pair, lam, grid.T, target),
+                                     recovered=_estimates(built, diff[n:], grid)[0]))
         except (PDEError, SingularError) as exc:
-            rows.append(StabilityRow(eps=eps, eta=float("nan"),
-                                     true_diff=float("nan"),
-                                     recovered=float("nan"), ok=False,
+            nan = float("nan")
+            rows.append(StabilityRow(eps=eps, eta=nan, true_diff=nan, recovered=nan, ok=False,
                                      why=str(exc)))
-            continue
-        rows.append(StabilityRow(eps=eps, eta=eta,
-                                 true_diff=_sup_coeff_difference(pair, lam, grid.T, target),
-                                 recovered=rec))
+        diff = None  # dropped before the next row's difference is formed
     good = [r for r in rows if r.ok and r.eps > 0.0]
     table = StabilityTable(target=target, rows=rows, norm_flag=norm.flag)
     if len(good) >= 2 and target == "gamma":

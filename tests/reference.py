@@ -91,7 +91,7 @@ def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
     over interior nodes and m = 1..nt-1, to rounding.
     """
     gbar.check_compatible("end")
-    eig, basis, gam, rho = _frozen_setup(law, A, grid, lam)
+    eig, basis, [gam], [rho] = _frozen_setup([law], A, grid, lam)
     K, _ = constant_stiffness(grid, A.A)
     inner = (slice(1, -1),) * grid.dim
     dt = grid.dt

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -105,7 +106,8 @@ def test_forward_csv_is_what_csv_writer_writes(cfg_path, tmp_path, monkeypatch):
     assert main(["forward", "-c", cfg_path]) == 0
     ids = np.flatnonzero(grid.patch_support_mask().ravel())
     buf = io.StringIO(newline="")
-    cli._csv_header(buf, cli._meta(cfg), ["face_node_id", "t", "flux"]).writerows(
+    meta = cli._meta(cfg, cli.make_norm(grid, cfg.norm_kind).flag)
+    cli._csv_header(buf, meta, ["face_node_id", "t", "flux"]).writerows(
         (i, f"{t:.10g}", f"{v:.12e}")
         for t, level in zip(grid.times, values) for i, v in zip(ids, level.ravel()[ids]))
     assert (tmp_path / "out" / "demo_flux.csv").read_bytes() == buf.getvalue().encode()
@@ -180,6 +182,29 @@ def test_stability_failed_row_is_strict_json(cfg_path, tmp_path, monkeypatch):
     assert not failed["ok"] and "injected" in failed["why"]
     assert failed["eta"] is None and failed["recovered"] is None
     assert good["ok"] and good["eta"] > 0.0
+
+
+@pytest.mark.parametrize("field", ["fitted_rate", "extrapolated_value"])
+def test_sweep_with_a_non_finite_fit_is_strict_json(cfg_path, tmp_path, monkeypatch, field):
+    # a non-finite fitted rate or extrapolated value is written as null,
+    # and the command still succeeds
+    real = cli.tau_sweep
+
+    def nan_fit(*args, **kwargs):
+        report = real(*args, **kwargs)
+        setattr(report, field, float("nan"))
+        return report
+
+    monkeypatch.setattr(cli, "tau_sweep", nan_fit)
+    assert main(["probe-gamma", "-c", cfg_path]) == 0
+
+    def reject(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    with open(tmp_path / "out" / "demo_gamma_report.json") as fh:
+        rep = json.load(fh, parse_constant=reject)
+    assert rep[field] is None
+    assert all(math.isfinite(e) for e in rep["raw_estimates"])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -541,8 +566,8 @@ print(before, loaded, first == second, first["factorizations"], len(calls))
 
 
 def test_stability_builds_its_probe_once(tmp_path, monkeypatch):
-    # three eps: one eta solve per eps, the reference dictionary once, the
-    # probe once and its reference response once
+    # three eps: the probe is built once, and one frozen call solves every
+    # eps's law pair on the dictionary and the probe
     import dnprobe.dnmap as dnmap
     import dnprobe.reconstruct as reconstruct
     real_flux, real_basis = reconstruct.patch_linear_flux, reconstruct.build_basis
@@ -564,7 +589,7 @@ def test_stability_builds_its_probe_once(tmp_path, monkeypatch):
                  .format(out=tmp_path / "out"))
     assert main(["stability", "-c", str(p)]) == 0
     assert len(built) == 1
-    assert len(solved) == 3 + 1 + 3 + 1
+    assert len(solved) == 1
 
 
 def test_forward_prints_the_row_count_it_writes(cfg_path, tmp_path, capsys):
@@ -638,8 +663,8 @@ prefix = rho
 def test_probe_sweeps_solve_one_corrector_stack_and_one_flux_per_law(
         tmp_path, monkeypatch, command, text):
     # every probe of the sweep, with H and for rho its n first derivatives,
-    # shares one stacked Omega' corrector solve and one frozen solve per law;
-    # the estimates are those of the probes recovered one at a time
+    # shares one stacked Omega' corrector solve and one frozen call on the
+    # law pair; the estimates are those of the probes recovered one at a time
     import dnprobe.reconstruct as reconstruct
     import dnprobe.singular as singular
     real_corrector, real_flux = singular.solve_corrector, reconstruct.patch_linear_flux
@@ -649,9 +674,9 @@ def test_probe_sweeps_solve_one_corrector_stack_and_one_flux_per_law(
         correctors.append(1)
         return real_corrector(*args, **kwargs)
 
-    def counted_flux(law, *args):
-        fluxes.append(law)
-        return real_flux(law, *args)
+    def counted_flux(laws, *args):
+        fluxes.append(list(laws))
+        return real_flux(laws, *args)
 
     monkeypatch.setattr(singular, "solve_corrector", counted_corrector)
     monkeypatch.setattr(reconstruct, "patch_linear_flux", counted_flux)
@@ -660,7 +685,7 @@ def test_probe_sweeps_solve_one_corrector_stack_and_one_flux_per_law(
     assert main([command, "-c", str(p)]) == 0
     cfg = load_config(str(p))
     assert len(correctors) == 1
-    assert fluxes == [cfg.law2, cfg.law1]
+    assert fluxes == [[(cfg.law1, cfg.law2)]]
     monkeypatch.undo()
     target = command.split("-")[1]
     with open(tmp_path / "out" / f"{cfg.prefix}_{target}_report.json") as fh:

@@ -379,7 +379,7 @@ def test_linearization_check_flags_a_diverging_row_and_keeps_the_rest():
     assert rows[0]["ok"] is False and rows[0]["newton"] is None
     assert rows[0]["why"] == ("outside operational smallness radius "
                               "(Newton cap 25 hit at t=0.25)")
-    lam_flux = patch_linear_flux(law, A2, g, 0.0, [gb])[0]
+    [[lam_flux]] = patch_linear_flux([law], A2, g, 0.0, [gb])
     for row in rows[1:]:
         k = row["k"]
         u = solve_forward(law, A2, g, 0.0, PatchField(values=gb.values / k, grid=g))
@@ -424,6 +424,13 @@ def test_dictionary_is_deterministic_and_supported():
         assert np.abs(a.values[0]).max() == 0.0  # compatible at t=0
 
 
+def _eta(pair, A, g, dictionary):
+    """eta_surrogate of a law pair on a dictionary, from one frozen call."""
+    norm = make_norm(g)
+    [diff] = patch_linear_flux([pair], A, g, 0.0, dictionary)
+    return eta_surrogate(diff, [norm.half(datum) for datum in dictionary], norm)
+
+
 def test_eta_surrogate_scales_with_contrast():
     g = _grid(8, 8)
     base = make_law(gamma=("constant", {"c0": 2.0}))
@@ -431,11 +438,11 @@ def test_eta_surrogate_scales_with_contrast():
     etas = []
     for eps in (0.05, 0.1, 0.2):
         other = make_law(gamma=("constant", {"c0": 2.0 + eps}))
-        etas.append(eta_surrogate((base, other), A2, g, 0.0, d))
+        etas.append(_eta((base, other), A2, g, d))
     assert etas[0] < etas[1] < etas[2]
     # the frozen map is linear in the coefficient difference here
     assert etas[2] / etas[1] == pytest.approx(2.0, rel=0.1)
-    assert eta_surrogate((base, base), A2, g, 0.0, d) == 0.0
+    assert _eta((base, base), A2, g, d) == 0.0
 
 
 def test_eta_surrogate_monotone_in_dictionary():
@@ -443,15 +450,15 @@ def test_eta_surrogate_monotone_in_dictionary():
     base = make_law(gamma=("constant", {"c0": 2.0}))
     other = make_law(gamma=("trig_t", {"c0": 2.0, "c1": 0.2}))
     d = random_bump_dictionary(g, count=6, seed=3)
-    small = eta_surrogate((base, other), A2, g, 0.0, d[:2])
-    full = eta_surrogate((base, other), A2, g, 0.0, d)
+    small = _eta((base, other), A2, g, d[:2])
+    full = _eta((base, other), A2, g, d)
     assert full >= small
 
 
 def test_eta_surrogate_empty_dictionary():
     g = _grid(8, 8)
     with pytest.raises(DNMapError):
-        eta_surrogate((make_law(), make_law()), A2, g, 0.0, [])
+        eta_surrogate(np.zeros((0, g.nt + 1, g.n_cells + 1)), [], make_norm(g))
 
 
 # --- the patch path against the full-field reference -------------------------
@@ -468,8 +475,7 @@ _PATCH_CASES = {
 def _assert_patch_flux_matches_full_field(case, law1, law2, lam, seed):
     g, A = _PATCH_CASES[case]
     data = random_bump_dictionary(g, count=3, seed=seed)
-    f1 = patch_linear_flux(law1, A, g, lam, data)
-    f2 = patch_linear_flux(law2, A, g, lam, data)
+    f1, f2 = patch_linear_flux([law1, law2], A, g, lam, data)
     scale = max(np.abs(f1).max(), np.abs(f2).max())
     for datum, diff in zip(data, f1 - f2):
         ref = lambda_difference_flux((law1, law2), A, g, lam, datum.boundary()).values
@@ -522,8 +528,8 @@ def test_dn_difference_pairing_has_the_interior_form_property(case, law1, law2, 
     # with a_dd = 0.5 the same grid reaches 3.3 (h + dt) scale.
     g, A = _PATCH_CASES[case]
     datum, test = random_bump_dictionary(g, count=2, seed=seed)
-    diff = patch_linear_flux(law1, A, g, lam, [datum]) - patch_linear_flux(law2, A, g, lam, [datum])
-    lhs = surface_pairing(PatchField(values=diff[0], grid=g), test, g)
+    [[diff]] = patch_linear_flux([(law1, law2)], A, g, lam, [datum])
+    lhs = surface_pairing(PatchField(values=diff, grid=g), test, g)
     rhs, scale = _interior_form((law1, law2), A, g, lam, datum, test)
     assert abs(lhs - rhs) <= 0.5 * (g.h + g.dt) * scale
 
@@ -547,7 +553,7 @@ _laws_constant_in_t = st.builds(lambda gp, rp: make_law(gamma=gp, rho=rp),
 
 def _is_constant_in_t(law, case, lam):
     g, A = _PATCH_CASES[case]
-    _, _, gam, rho = pde._frozen_setup(law, A, g, lam)
+    _, _, [gam], [rho] = pde._frozen_setup([law], A, g, lam)
     return np.all(gam[1:] == gam[1]) and np.all(rho[1:] == rho[1])
 
 
@@ -568,6 +574,7 @@ _CONSTANT_LAW = make_law(gamma=("poly_s", {"c0": 1.5, "c1": 0.3}),
                          rho=("trig_t", {"c0": 2.0, "c1": 0.0, "freq": 0.7}))
 _VARYING_LAW = make_law(gamma=("trig_t", {"c0": 1.5, "c1": 0.2}),
                         rho=("affine_t", {"c1": 0.3}))
+_OTHER_CONSTANT_LAW = make_law(gamma=("constant", {"c0": 2.5}), rho=("constant", {"c0": 0.8}))
 
 
 _AGREE_CASES = dict(_PATCH_CASES, **{"2d-h64": (build_grid(2, 1 / 64, 1 / 64, 1.0), A2)})
@@ -583,32 +590,36 @@ def test_convolution_and_steps_agree_on_constant_coefficients(monkeypatch, case)
 
     def both(*args):
         near, ref = convolved(*args), stepped(*args)
-        assert near.shape == ref.shape == args[0].shape  # one face row per datum
+        # one face row per law and source row
+        assert near.shape == ref.shape == args[4].shape[:1] + args[0].shape
         gaps.append(np.abs(near - ref).max() / np.abs(ref).max())
         return near
 
     monkeypatch.setattr(dnmap, "_planes_by_convolution", both)
     data = random_bump_dictionary(g, count=3, seed=7)
-    patch_linear_flux(_CONSTANT_LAW, A, g, 0.4, data)
+    patch_linear_flux([_CONSTANT_LAW, _OTHER_CONSTANT_LAW], A, g, 0.4, data)
     assert len(gaps) == 1 and gaps[0] <= 1e-13
-    patch_linear_flux(_VARYING_LAW, A, g, 0.4, data)  # stepped, not convolved
+    patch_linear_flux([_VARYING_LAW], A, g, 0.4, data)  # stepped, not convolved
     assert len(gaps) == 1
 
 
 def _two_plane_reference(g, src, eig, col, r, gam, w):
     """P_0 and P_1, the two node planes next to the face in tangential
-    modes, by implicit Euler level by level through the two inverse-DST
-    rows sin(pi k p / N) / N of the planes p."""
+    modes, (L, B, nt+1, *tang) for the L laws of r, gam and w, by implicit
+    Euler law by law and level by level through the two inverse-DST rows
+    sin(pi k p / N) / N of the planes p."""
     N, k = g.n_cells, np.arange(1, g.n_cells)
     planes = (1, 2) if g.patch_side == 0 else (N - 1, N - 2)
     rows = np.sin(np.pi * np.outer(planes, k) / N) / N
     B, nt = src.shape[0], src.shape[1] - 1
-    state = np.zeros((B,) + eig.shape)
-    P = np.zeros((B, nt + 1, 2) + eig.shape[1:])
-    for m in range(1, nt + 1):
-        state = (r[m] * state + w[m] * src[:, m, None] * col) / (r[m] + gam[m] * eig)
-        P[:, m] = (rows @ state.reshape(B, N - 1, -1)).reshape(P[:, m].shape)
-    return P[:, :, 0], P[:, :, 1]
+    P = np.zeros((len(r), B, nt + 1, 2) + eig.shape[1:])
+    for i in range(len(r)):
+        state = np.zeros((B,) + eig.shape)
+        for m in range(1, nt + 1):
+            state = ((r[i, m] * state + w[i, m] * src[:, m, None] * col)
+                     / (r[i, m] + gam[i, m] * eig))
+            P[i, :, m] = (rows @ state.reshape(B, N - 1, -1)).reshape(P[i, :, m].shape)
+    return P[:, :, :, 0], P[:, :, :, 1]
 
 
 @pytest.mark.parametrize("case", sorted(_PATCH_CASES))
@@ -628,16 +639,45 @@ def test_face_row_is_four_p0_minus_p1(monkeypatch, case):
     monkeypatch.setattr(dnmap, "_planes_by_steps", recorded(steps))
     monkeypatch.setattr(dnmap, "_planes_by_convolution", recorded(convolved))
     data = random_bump_dictionary(g, count=3, seed=11)
-    patch_linear_flux(_CONSTANT_LAW, A, g, 0.4, data)  # convolved
-    patch_linear_flux(_VARYING_LAW, A, g, 0.4, data)   # stepped
+    # one call: the two constant laws convolved, the varying one stepped
+    patch_linear_flux([_CONSTANT_LAW, _VARYING_LAW, _OTHER_CONSTANT_LAW], A, g, 0.4, data)
     constant, varying = seen
     for helper, args in ((steps, constant), (convolved, constant), (steps, varying)):
         src, eig, col, row, r, gam, w = args
         P0, P1 = _two_plane_reference(g, src, eig, col, r, gam, w)
         ref = 4.0 * P0 - P1
         got = helper(*args)
-        assert got.shape == ref.shape == src.shape
+        assert got.shape == ref.shape == r.shape[:1] + src.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", sorted(_PATCH_CASES))
+def test_one_call_on_mixed_laws_equals_single_law_calls(monkeypatch, case):
+    # laws constant and varying in t in one call, on data with shared
+    # profiles, a singleton and a datum without factors: law by law, the
+    # flux of a call on that law alone, and a pair of laws the difference
+    # of their fluxes, bit for bit
+    g, A = _PATCH_CASES[case]
+    laws = [_VARYING_LAW, _CONSTANT_LAW, make_law(),
+            make_law(gamma=("trig_t", {"c0": 1.2, "c1": 0.3}),
+                     rho=("trig_t", {"c0": 1.0, "c1": 0.2, "freq": 0.4}))]
+    d = random_bump_dictionary(g, count=4, seed=11)
+    data = d + [PatchField(values=0.5 * d[0].values, grid=g)]
+    keys = [datum.profile.tobytes() for datum in d]
+    shared = {k for k in keys if keys.count(k) > 1}
+    singletons = sum(k not in shared for k in keys)
+    assert len(shared) >= 1 and singletons >= 1
+    rows = _count_rows(monkeypatch)
+    pairs = [(laws[2], laws[0]), (laws[1], laws[3])]
+    fluxes = list(patch_linear_flux(laws + pairs, A, g, 0.3, data))
+    expected = len(shared) + singletons + 1
+    assert rows == [("_planes_by_convolution", expected), ("_planes_by_steps", expected)]
+    assert np.array_equal(fluxes[4], fluxes[2] - fluxes[0])
+    assert np.array_equal(fluxes[5], fluxes[1] - fluxes[3])
+    for law, got in zip(laws, fluxes):
+        [ref] = patch_linear_flux([law], A, g, 0.3, data)
+        assert got.shape == (len(data), g.nt + 1) + g.patch_support_mask().shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_patch_flux_evaluates_each_law_once_per_call(monkeypatch):
@@ -656,7 +696,7 @@ def test_patch_flux_evaluates_each_law_once_per_call(monkeypatch):
             g = build_grid(2, 1 / 16, 1 / nt, 1.0)
             data = random_bump_dictionary(g, count=2, seed=1)
             calls.clear()
-            patch_linear_flux(law, A2, g, 0.0, data)
+            patch_linear_flux([law], A2, g, 0.0, data)
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
@@ -757,9 +797,9 @@ def test_shared_profiles_give_the_flux_of_their_values_property(case, groups, n_
                         (_VARYING_LAW, "_planes_by_steps")):
         with pytest.MonkeyPatch.context() as mp:
             rows = _count_rows(mp)
-            got = patch_linear_flux(law, A, g, lam, data)
+            [got] = patch_linear_flux([law], A, g, lam, data)
         assert rows == [(helper, expected)]
-        ref = patch_linear_flux(law, A, g, lam, plain)
+        [ref] = patch_linear_flux([law], A, g, lam, plain)
         for a, b in zip(got, ref):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -774,19 +814,18 @@ def test_probes_and_dictionary_solve_one_row_per_shared_profile(monkeypatch):
     d = random_bump_dictionary(g3, count=16, seed=0)
     modes = {datum.profile.tobytes() for datum in d}
     assert len(modes) == 3
-    patch_linear_flux(_VARYING_LAW, A3, g3, 0.0, d)
-    patch_linear_flux(_CONSTANT_LAW, A3, g3, 0.0, d)
-    assert rows == [("_planes_by_steps", 3), ("_planes_by_convolution", 3)]
+    patch_linear_flux([_VARYING_LAW, _CONSTANT_LAW], A3, g3, 0.0, d)
+    assert rows == [("_planes_by_convolution", 3), ("_planes_by_steps", 3)]
     rows.clear()
     varying_rho = make_law(rho=("trig_t", {"c0": 1.0, "c1": 0.2, "freq": 0.2}))
     rho_probes = [ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=tau, kind="rho", r=0.25)
                   for tau in (0.2, 0.175, 0.15, 0.125)]
-    reconstruct.point_recovery(A3, g3, 0.0, rho_probes)((varying_rho, make_law()))
+    reconstruct.point_recovery((varying_rho, make_law()), A3, g3, 0.0, rho_probes)
     assert rows == [("_planes_by_convolution", 4), ("_planes_by_steps", 4)]
     rows.clear()
     g2 = build_grid(2, 1 / 64, 1 / 64, 1.0, pad=52)
     gamma_probes = [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau, kind="gamma", a_rule="power",
                               r=0.5) for tau in (0.2, 0.15, 0.1, 0.07, 0.05)]
-    reconstruct.point_recovery(A2, g2, 0.0, gamma_probes)(
-        (make_law(gamma=("constant", {"c0": 1.02})), make_law()))
-    assert rows == [("_planes_by_convolution", 5)] * 2
+    reconstruct.point_recovery((make_law(gamma=("constant", {"c0": 1.02})), make_law()),
+                               A2, g2, 0.0, gamma_probes)
+    assert rows == [("_planes_by_convolution", 5)]  # both laws in one call

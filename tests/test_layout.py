@@ -1,7 +1,8 @@
 """The package is the pipeline: a static check of src/dnprobe.
 
 Every top-level function of the package has a caller in the package or in
-demos/; test-only references live in tests/reference.py.  scipy appears in
+demos/, and every name a module imports is read there; test-only
+references live in tests/reference.py.  scipy appears in
 the package only where the Newton stall fallback factorizes a Jacobian.
 """
 
@@ -72,6 +73,24 @@ def test_every_top_level_function_has_a_caller_in_src_or_demos():
     orphans = sorted(f"{mod}.{name}" for mod, name in defined
                      if name not in used and name not in SPANS_BOUND)
     assert orphans == [], f"no caller in src or demos/: {orphans}"
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # __init__ imports to re-export; every other module reads each name it
+    # imports, so an import without a use fails here
+    unread = []
+    for mod, tree in _modules().items():
+        if mod == "__init__":
+            continue
+        read = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append(f"{mod}: {bound}")
+    assert unread == [], f"imported but never read: {unread}"
 
 
 def test_the_spans_allowlist_names_package_functions():

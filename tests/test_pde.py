@@ -348,7 +348,7 @@ def test_frozen_coefficients_equal_the_per_level_evaluation(gamma, rho, profile,
     # one law evaluation over grid.times gives the scalar values of each level
     law = perturb_law(make_law(gamma=gamma, rho=rho), eps, target, profile)
     g = build_grid(2, 1 / 8, T / nt, T)
-    _, _, gam, rh = pde._frozen_setup(law, A2, g, lam)
+    _, _, [gam], [rh] = pde._frozen_setup([law], A2, g, lam)
     for frozen, coef in ((gam, law.gamma), (rh, law.rho)):
         assert frozen.shape == g.times.shape
         assert np.array_equal(frozen, [float(coef(t, lam)) for t in g.times])

@@ -89,30 +89,31 @@ def test_rho_recovery_rejects_unequal_conductivities_before_its_frozen_solves(mo
     probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
     real, solved = reconstruct.patch_linear_flux, []
 
-    def counted(law, *args):
-        solved.append(law)
-        return real(law, *args)
+    def counted(laws, *args):
+        solved.append(list(laws))
+        return real(laws, *args)
 
     monkeypatch.setattr(reconstruct, "patch_linear_flux", counted)
     base = make_law()
     with pytest.raises(ReconstructError, match="rho_equal_gamma"):
         recover_rho_point((make_law(gamma=("constant", {"c0": 1.05})), base), g3, 0.0, probe)
     with pytest.raises(ReconstructError, match="rho_equal_gamma"):
-        reconstruct.point_recovery(make_matrix(np.eye(3)), g3, 0.0, [probe, replace(
-            probe, tau=0.25)])((make_law(gamma=("trig_t", {"c0": 1.0, "c1": 0.01})), base))
+        reconstruct.point_recovery((make_law(gamma=("trig_t", {"c0": 1.0, "c1": 0.01})), base),
+                                   make_matrix(np.eye(3)), g3, 0.0,
+                                   [probe, replace(probe, tau=0.25)])
     assert solved == []
     rho1 = make_law(rho=("constant", {"c0": 1.2}))
     assert recover_rho_point((rho1, base), g3, 0.0, probe) > 0.0
-    assert solved == [base, rho1]
+    assert solved == [[(rho1, base)]]  # one call, on the pair
 
 
 def test_probe_data_live_on_the_patch_face():
     g2 = build_grid(2, 1 / 16, 1 / 16, 1.0, pad=10)
-    [([(gb, _)], _)] = reconstruct.probe_data(g2, A2, [_gamma_probe(g2, 0.15)])
+    [([(gb, _)], _)] = reconstruct.probe_data(g2, A2, [_gamma_probe(g2, 0.15)], lam=0.0)
     assert gb.values.shape == (g2.nt + 1,) + g2.patch_support_mask().shape
     g3 = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
     probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
-    [(fam, _)] = reconstruct.probe_data(g3, make_matrix(np.eye(3)), [probe])
+    [(fam, _)] = reconstruct.probe_data(g3, make_matrix(np.eye(3)), [probe], lam=0.0)
     assert len(fam) == 3
     for datum in (d for pair in fam for d in pair):
         assert datum.values.shape == (g3.nt + 1,) + g3.patch_support_mask().shape
@@ -166,34 +167,39 @@ def test_stability_gamma_linear_slope():
     family = [(eps, (perturb_law(base, eps, "gamma"), base))
               for eps in (0.01, 0.02, 0.04)]
     probe = _gamma_probe(g, 0.15)
-    table = stability_experiment(
-        family, "gamma", A2, g, 0.0,
-        lambda pair: recover_gamma_point(pair, A2, g, 0.0, probe),
-        dict_size=4, dict_seed=3)
+    table = stability_experiment(family, "gamma", A2, g, 0.0, probe, dict_size=4, dict_seed=3)
     assert all(r.ok for r in table.rows)
+    for r, (_, pair) in zip(table.rows, family):
+        one = recover_gamma_point(pair, A2, g, 0.0, probe)
+        assert abs(r.recovered - one) <= 1e-12 * abs(one)
     assert table.fitted_slope == pytest.approx(1.0, abs=0.05)
     etas = [r.eta for r in table.rows]
     assert etas == sorted(etas)  # eta grows with the perturbation size
 
 
+# a gamma probe on the coarse stability grids below
+_COARSE_PROBE = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.25, kind="gamma",
+                          a_rule="power", r=0.75)
+
+
 def test_stability_solves_the_reference_dictionary_once(monkeypatch):
+    # one frozen call on every eps's pair, so the reference law is solved
+    # once, on the dictionary and the probe datum together
     g = build_grid(2, 1 / 8, 1 / 8, 1.0, pad=6)
     base = make_law(gamma=("constant", {"c0": 2.0}))
     family = [(eps, (perturb_law(base, eps, "gamma"), base))
               for eps in (0.01, 0.02, 0.04)]
     real, solved = dnmap.patch_linear_flux, []
 
-    def counted(law, A, grid, lam, data):
-        solved.append((law, len(data)))
-        return real(law, A, grid, lam, data)
+    def counted(laws, A, grid, lam, data):
+        solved.append((list(laws), len(data)))
+        return real(laws, A, grid, lam, data)
 
     monkeypatch.setattr(dnmap, "patch_linear_flux", counted)
     monkeypatch.setattr(reconstruct, "patch_linear_flux", counted)
-    table = stability_experiment(family, "gamma", A2, g, 0.0, lambda pair: 0.0,
-                                 dict_size=4)
+    table = stability_experiment(family, "gamma", A2, g, 0.0, _COARSE_PROBE, dict_size=4)
     assert all(r.ok and r.eta > 0.0 for r in table.rows)
-    assert solved.count((base, 4)) == 1
-    assert len(solved) == 1 + len(family)
+    assert solved == [([pair for _, pair in family], 4 + 1)]
 
 
 def test_stability_measures_the_dictionary_once(monkeypatch):
@@ -207,15 +213,18 @@ def test_stability_measures_the_dictionary_once(monkeypatch):
         measured.append(1)
         return real(self, field)
 
-    reference = stability_experiment(family, "gamma", A2, g, 0.0, lambda pair: 0.0,
+    reference = stability_experiment(family, "gamma", A2, g, 0.0, _COARSE_PROBE,
                                      dict_size=4)
     monkeypatch.setattr(dnmap.BoundaryNorm, "half", counted)
-    table = stability_experiment(family, "gamma", A2, g, 0.0, lambda pair: 0.0,
-                                 dict_size=4)
+    table = stability_experiment(family, "gamma", A2, g, 0.0, _COARSE_PROBE, dict_size=4)
     assert len(measured) == 4  # once per datum, not once per datum and eps
     assert [r.eta for r in table.rows] == [r.eta for r in reference.rows]
+    monkeypatch.undo()
     d = dnmap.random_bump_dictionary(g, 4)
-    assert dnmap.eta_surrogate(family[0][1], A2, g, 0.0, d) == table.rows[0].eta
+    norm = dnmap.make_norm(g)
+    [diff] = dnmap.patch_linear_flux([family[0][1]], A2, g, 0.0, d)
+    eta = dnmap.eta_surrogate(diff, [norm.half(datum) for datum in d], norm)
+    assert eta == table.rows[0].eta
 
 
 def test_stability_zero_row_excluded():
@@ -224,12 +233,7 @@ def test_stability_zero_row_excluded():
     family = [(0.0, (base, base)),
               (0.02, (perturb_law(base, 0.02, "gamma"), base)),
               (0.04, (perturb_law(base, 0.04, "gamma"), base))]
-    probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.25, kind="gamma",
-                      a_rule="power", r=0.75)
-    table = stability_experiment(
-        family, "gamma", A2, g, 0.0,
-        lambda pair: recover_gamma_point(pair, A2, g, 0.0, probe),
-        dict_size=2)
+    table = stability_experiment(family, "gamma", A2, g, 0.0, _COARSE_PROBE, dict_size=2)
     assert table.rows[0].why.startswith("zero row")
     assert table.fitted_slope is not None
 
@@ -245,10 +249,7 @@ def test_stability_rho_holder_bound():
                      base))
               for eps in (0.1, 0.2)]
     probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho")
-    table = stability_experiment(
-        family, "rho", A3, g, 0.0,
-        lambda pair: recover_rho_point(pair, g, 0.0, probe),
-        dict_size=2)
+    table = stability_experiment(family, "rho", A3, g, 0.0, probe, dict_size=2)
     assert all(r.ok for r in table.rows)
     assert table.holder_ok
     assert table.holder_constant > 0.0
