@@ -14,19 +14,22 @@ tests check surface_pairing against (tests/reference.py).
 Fluxes, the dictionary and the data they pair with are pde.PatchField
 face arrays.  The probes, eta and the linearization check read Lambda g
 off patch_linear_flux, which solves the frozen problem in the sine basis
-for a list of laws or law pairs and a stack of patch data at once and
-forms only the face row the flux reads; a probe or stability command
-makes one such call on its law pairs and all of its data, and
-eta_surrogate measures the flux differences it is handed.  The
-full-field solve_linearized plus linear_flux on PatchField.boundary() is
-the reference it is tested against; no subcommand calls either.  The
-boundary norms measure a PatchField on its face array, without forming
-it on all of dOmega; the 2D spectral norm sums the half spectrum of a
-real FFT in time over the patch columns only.  The linearization check
-advances its data g/k for all k in one stacked pde.solve_forward whose
-keep is level_flux: the nonlinear flux of each level as it converges,
-so no solution history is formed; the stencil the flux reads (node
-planes and support mask) is built once per solve, not per level.
+for a list of laws or law pairs and a stack of patch data at once: every
+datum is profile x face (PatchField.product), one recurrence row per
+distinct profile, and an entry is a signed list of laws whose flux is
+formed in mode space, so a pair's difference costs one inverse DST per
+datum.  A probe or stability command makes one such call on its law
+pairs and all of its data, and eta_surrogate measures the flux
+differences it is handed.  The full-field solve_linearized plus
+linear_flux on PatchField.boundary() is the reference it is tested
+against; no subcommand calls either.  The boundary norms measure a
+PatchField on its face array, without forming it on all of dOmega; the
+2D spectral norm sums the half spectrum of a real FFT in time over the
+patch columns only.  The linearization check advances its data g/k for
+all k in one stacked pde.solve_forward whose keep is level_flux: the
+nonlinear flux of each level as it converges, so no solution history is
+formed; the stencil the flux reads (node planes and support mask) is
+built once per solve, not per level.
 """
 
 import math
@@ -255,11 +258,12 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
                         g: PatchField, k_list) -> list:
     """Frechet-derivative decay table d_k = ||k N(g/k) - Lambda g||.
 
-    Lambda g comes from patch_linear_flux.  The data g/k for every k are
-    advanced in one stacked solve_forward that keeps each level's
-    level_flux only; a datum whose Newton solve diverges leaves the stack
-    and its row is flagged instead of raising.  "newton" holds the solver
-    counts of the row's datum.
+    Lambda g comes from patch_linear_flux, so g is profile x face
+    (PatchField.product), as the subcommand's probe datum is.  The data g/k
+    for every k are advanced in one stacked solve_forward that keeps each
+    level's level_flux only; a datum whose Newton solve diverges leaves the
+    stack and its row is flagged instead of raising.  "newton" holds the
+    solver counts of the row's datum.
     """
     [[lam_flux]] = patch_linear_flux([law], A, grid, lam, [g])
     scaled = [PatchField(values=g.values / k, grid=grid) for k in k_list]
@@ -278,9 +282,9 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
 
 def _planes_by_steps(src, eig, col, row, r, gam, w):
     """The face row of the interior box in tangential modes, (L, R, nt+1,
-    *tang) for the R source rows src (_recurrence_rows) and L laws, by
-    implicit Euler: every sine mode of the interior box advanced one level
-    at a time,
+    *tang) for the R profile rows src of _recurrence_rows, whose singleton
+    tangential axes broadcast against eig, and L laws, by implicit Euler:
+    every sine mode of the interior box advanced one level at a time,
 
         s_m = (r_m s_{m-1} + w_m src_m col) / (r_m + gam_m eig),
 
@@ -309,7 +313,7 @@ def _planes_by_convolution(src, eig, col, row, r, gam, w):
     with the law's kernel H[n] = row (b a^n), n = 0 .. nt-1; zero-padded to
     2 nt, the FFT product is that linear convolution, with no wrap-around.
     Each law's H is built by nt small matmuls and kept as its spectrum;
-    each source row is transformed once, then multiplied by every one."""
+    each profile row is transformed once, then multiplied by every one."""
     (L, levels), R, nt = r.shape, src.shape[0], src.shape[1] - 1
     spec = np.empty((L, nt + 1) + eig.shape[1:], dtype=complex)
     H = np.empty((nt,) + eig.shape[1:])
@@ -329,38 +333,30 @@ def _planes_by_convolution(src, eig, col, row, r, gam, w):
     return near
 
 
-def _recurrence_rows(data, inner, basis):
-    """The rows a call hands the plane helpers, (R, nt+1, *tang) tangential
-    modes, the row of each datum and the number of shared rows, which come
-    first.  Data that keep their factors and whose profile another datum of
-    the call shares (equal values, compared by their bytes) share one row:
-    the profile at unit amplitude in every tangential mode.  Every other
-    datum is its own row, the tangential DST-I of its values (level 0
-    zeroed), as when there is nothing to share."""
-    keys = [None if g.profile is None else g.profile.tobytes() for g in data]
-    shared = {k: g.profile for k, g in zip(keys, data) if k is not None and keys.count(k) > 1}
-    order = list(shared)
-    own = [b for b, k in enumerate(keys) if k not in shared]
-    row_of = [order.index(k) if k in shared else len(order) + own.index(b)
-              for b, k in enumerate(keys)]
-    parts = []
-    if shared:
-        unit = np.empty((len(shared), data[0].values.shape[0]) + tuple(len(q) for q in basis))
-        unit[...] = np.reshape(list(shared.values()), unit.shape[:2] + (1,) * len(basis))
-        unit[:, 0] = 0.0  # as solve_linearized's w(0) = 0
-        parts.append(unit)
-    if own:
-        faces = np.stack([data[b].values for b in own])
-        faces[:, 0] = 0.0
-        parts.append(dst1(faces[inner], basis))
-    return (parts[0] if len(parts) == 1 else np.concatenate(parts)), row_of, len(shared)
+def _recurrence_rows(data, n_tang: int):
+    """The rows a call hands the plane helpers and the row of each datum.
+    Every datum is profile x face (PatchField.product); one row per
+    distinct profile (compared by its bytes, level 0 zeroed as
+    solve_linearized's w(0) = 0) at unit amplitude in every tangential
+    mode: (R, nt+1) with n_tang singleton tangential axes, which broadcast
+    against the spectrum, so the row is not formed over the modes.  A
+    datum without its factors is refused before anything is solved."""
+    if any(g.profile is None for g in data):
+        raise DNMapError("the frozen patch solve takes profile x face data, with the "
+                         "factors PatchField.product keeps")
+    zeroed = [np.concatenate(([0.0], g.profile[1:])) for g in data]
+    keys = [p.tobytes() for p in zeroed]
+    distinct = list(dict.fromkeys(keys))
+    rows = np.stack([zeroed[keys.index(k)] for k in distinct])
+    return rows.reshape(rows.shape + (1,) * n_tang), [distinct.index(k) for k in keys]
 
 
 def patch_linear_flux(laws, A: MatrixField, grid: Grid, lam: float, data: list):
     """Lambda g on S for each entry of laws and each patch datum g of data
-    (PatchField): an iterator over the entries, in order, of (len(data),
-    nt+1, *face_shape) flux values, zero off S, row b for data[b].  An
-    entry is a law, or a pair (law1, law2) giving (Lambda^1 - Lambda^2) g.
+    (PatchField.product): an iterator over the entries, in order, of
+    (len(data), nt+1, *face_shape) flux values, zero off S, row b for
+    data[b].  An entry is a law, or a pair (law1, law2) giving
+    (Lambda^1 - Lambda^2) g.
 
     Same numbers as linear_flux(solve_linearized(g.boundary())), but solved
     in the sine basis of the interior box, forming only what the face
@@ -371,23 +367,26 @@ def patch_linear_flux(laws, A: MatrixField, grid: Grid, lam: float, data: list):
     P_1 next to the face only as 4 P_0 - P_1: one face row
     (4 sin(pi k p_0 / N) - sin(pi k p_1 / N)) / N along the normal modes,
     then one tangential inverse DST.  The problem is linear and acts mode
-    by mode, so data profile(t) * face(x) that keep their factors and share
-    a profile share one recurrence row at unit amplitude in every
-    tangential mode, scaled by each face's DST-I; every other datum is its
-    own row (_recurrence_rows).  The rows are built once per call, the
-    distinct laws a leading axis: a law whose gamma(t_m, lam) and
-    rho(t_m, lam) are equal at every level m >= 1 steps by one linear map,
-    so its row is a causal convolution with the step's impulse response
-    (_planes_by_convolution; the paths differ by rounding only), and the
-    other laws are stepped level by level together (_planes_by_steps).
-    The iterator holds these mode-space rows and forms an entry's flux when
-    it is reached, a pair's second law one datum at a time, subtracted in
-    place: a caller that drops each entry's values before taking the next
-    holds one flux at a time.
+    by mode, so a datum profile(t) * face(x) is its profile's row at unit
+    amplitude in every tangential mode times the face's DST-I, and data of
+    one profile share the row (_recurrence_rows).  The rows are built once
+    per call, the distinct laws a leading axis: a law whose gamma(t_m, lam)
+    and rho(t_m, lam) are equal at every level m >= 1 steps by one linear
+    map, so its row is a causal convolution with the step's impulse
+    response (_planes_by_convolution; the paths differ by rounding only),
+    and the other laws are stepped level by level together
+    (_planes_by_steps).  An entry is a signed list of laws, [+law] or
+    [+law1, -law2]; its flux gamma a_dd (-inward), inward = (-3 g +
+    (4 P_0 - P_1)) / (2h), is formed in mode space in one pass over the
+    data, -a_dd / (2h) [sum +-gam_i (-3 g) + D(sum +-gam_i rows_i)], D one
+    inverse DST per datum.  The iterator holds the mode-space rows and
+    forms an entry when it is reached: a caller that drops each entry's
+    values before taking the next holds one flux at a time.
     """
     d, side = grid.patch_axis, grid.patch_side
     for g in data:
         g.check_compatible("start")
+    src, row_of = _recurrence_rows(data, grid.dim - 1)
     entries = [entry if isinstance(entry, tuple) else (entry,) for entry in laws]
     distinct = list(dict.fromkeys(law for entry in entries for law in entry))
     eig, basis, gam, rho = _frozen_setup(distinct, A, grid, lam)
@@ -395,7 +394,6 @@ def patch_linear_flux(laws, A: MatrixField, grid: Grid, lam: float, data: list):
     N, h, dt = grid.n_cells, grid.h, grid.dt
     a_dd = A.A[d, d]
     inner = (Ellipsis,) + (slice(1, -1),) * (grid.dim - 1)
-    src, row_of, n_shared = _recurrence_rows(data, inner, basis)
     # normal modes first, then the tangential ones in face order
     eig = np.moveaxis(eig, d, 0)
     k = np.arange(1, N)
@@ -411,32 +409,18 @@ def patch_linear_flux(laws, A: MatrixField, grid: Grid, lam: float, data: list):
             for i, near in zip(np.flatnonzero(on), face_row(src, eig, col, row, r[on],
                                                              gam[on], w[on])):
                 rows[i] = near
-    del src
-    modes = [dst1(g.face[inner], basis) if i < n_shared else None
-             for g, i in zip(data, row_of)]
-
-    def form(i, bs):
-        # gamma a_dd (-inward) with inward = (-3 f + (4 P_0 - P_1)) / (2h),
-        # in place and datum by datum: one datum's face row (its own, or
-        # its profile's times its face modes) and inverse DST at a time
-        out = np.stack([data[b].values for b in bs])  # (len(bs), nt+1, *face_shape)
-        out[:, 0] = 0.0  # as solve_linearized's w(0) = 0
-        out *= -3.0
-        for o, b in zip(out, bs):
-            j = row_of[b]
-            o[inner] += dst1(rows[i][j] * modes[b] if j < n_shared else rows[i][j], basis)
-        out /= 2.0 * h
-        out *= -a_dd
-        out *= gam[i].reshape((1, -1) + (1,) * (grid.dim - 1))
-        out[:, :, ~grid.patch_support_mask()] = 0.0
-        return out
+    modes = dst1(np.stack([g.face[inner] for g in data]), basis)
+    gam = gam.reshape(gam.shape + (1,) * (grid.dim - 1))  # levels against faces and modes
 
     def flux(entry):
-        i, *minus = map(distinct.index, entry)
-        out = form(i, range(len(data)))
-        for j in minus:
-            for b in range(len(data)):
-                out[b] -= form(j, [b])[0]
+        terms = [(s * gam[i], rows[i]) for s, i in zip((1.0, -1.0), map(distinct.index, entry))]
+        out = np.stack([g.values for g in data])  # (len(data), nt+1, *face_shape)
+        out[:, 0] = 0.0  # as solve_linearized's w(0) = 0
+        out *= -3.0 * sum(c for c, _ in terms)
+        for o, j, m in zip(out, row_of, modes):
+            o[inner] += dst1(sum(c * near[j] for c, near in terms) * m, basis)
+        out *= -a_dd / (2.0 * h)
+        out[:, :, ~grid.patch_support_mask()] = 0.0
         return out
 
     return map(flux, entries)

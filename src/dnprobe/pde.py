@@ -62,9 +62,9 @@ factorized.
 Data on the measurement patch S x (0, T) -- probes, dictionary data and
 every flux -- are PatchField face arrays, zero off S.  Probes and
 dictionary data are a time profile times a face array and keep both
-factors (PatchField.product), so dnmap.patch_linear_flux solves the
-frozen problem once per profile its data share.  The full-field
-frozen solves take BoundaryField node arrays on all of dOmega;
+factors (PatchField.product), the only data dnmap.patch_linear_flux
+takes; it solves the frozen problem once per distinct profile.  The
+full-field frozen solves take BoundaryField node arrays on all of dOmega;
 PatchField.boundary() is that conversion, for those reference solves and
 the tests: no subcommand calls it, and the boundary norms of dnmap read
 the face array itself.  solve_forward takes either kind and writes one
