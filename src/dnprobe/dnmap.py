@@ -466,6 +466,11 @@ def eta_surrogate(diffs, half_norms, norm: BoundaryNorm) -> float:
     laws' patch_linear_flux rows) and half_norms holds norm.half(g).  A
     lower bound of the operator norm; acceptance fits use it on both sides
     of every relation, so the bias is consistent.
+
+    In 3D the pairing of the DN difference is not resolved at h = 1/16:
+    on random dictionaries it still moves by about 2x between h = 1/16
+    and h = 1/24, so 3D eta values at h = 1/16 carry a resolution error of
+    that order.
     """
     if not half_norms:
         raise DNMapError("eta surrogate needs a nonempty dictionary")

@@ -1,6 +1,7 @@
 """Singular basis fields and calibrated time cutoffs for boundary probes.
 
-For a constant elliptic matrix A the field
+For a constant elliptic matrix A, diagonal by construction (make_matrix),
+the field
 
     H(x, y) = (A^{-1}(x-y) . (x-y))^{(2-n)/2}        (n >= 3)
     H(x, y) = -1/2 * ln(A^{-1}(x-y) . (x-y))          (n = 2)
@@ -20,12 +21,13 @@ glued along the patch-face nodes Gamma.  The corrector is solved by
 substructuring (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
 1971; Bjorstad & Widlund, SIAM J. Numer. Anal. 23, 1986): each box is
 eliminated by the DST-I solver of pde, and the Gamma x Gamma Schur
-complement, dense and closed-form in the tangential sine bases, is checked
-positive definite by numpy's Cholesky factor and inverted once.  A
-corrector solve takes a stack of traces: the probes of a tau sweep solve
-the correctors of their H, and for rho probes of its n first derivatives,
-as one stack, with batched box solves and one matmul for the interface,
-and each member's residual is checked by the matrix-free stencil of pde.
+complement, dense and closed-form in the tangential sine bases, is built
+from its per-axis factors and checked positive definite by numpy's
+Cholesky factor.  A corrector solve takes a stack of traces: the probes of
+a tau sweep solve the correctors of their H, and for rho probes of its n
+first derivatives, as one stack, with batched box solves and one linear
+solve of the Schur complement for the interface, and each member's
+residual is checked by the matrix-free stencil of pde.
 
 grad_H_energy is the one energy quadrature on the grid.  The oracles the
 tau-scaling experiments are tested against (fine and tan-substituted
@@ -35,7 +37,6 @@ live with the tests, in tests/reference.py.
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -58,19 +59,22 @@ class SingularError(ValueError):
 
 
 def _quadratic_form(x, y, A: MatrixField):
+    """(w, q) for d = x - y: w = A^{-1} d and q = w . d, by one division per
+    axis, A being diagonal by construction (make_matrix)."""
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    Ainv = np.linalg.inv(A.A)
-    return np.einsum("...i,ij,...j->...", d, Ainv, d)
+    w = d / np.diagonal(A.A)
+    return w, (w * d).sum(axis=-1)
 
 
 def fundamental_H(x, y, A: MatrixField, conv: float = 1.0):
     """Evaluate H(x, y); x may be an array of points (..., n).
 
-    Only constant A is supported (the variable-coefficient parametrix is
-    out of scope); x must stay away from y.
+    A is diagonal by construction (make_matrix) and constant (the
+    variable-coefficient parametrix is out of scope); x must stay away
+    from y.
     """
     n = A.dim
-    q = _quadratic_form(x, y, A)
+    _, q = _quadratic_form(x, y, A)
     if np.any(q <= 0.0):
         raise SingularError("fundamental solution evaluated at its pole")
     if n >= 3:
@@ -81,12 +85,9 @@ def fundamental_H(x, y, A: MatrixField, conv: float = 1.0):
 def fundamental_grad_H(x, y, A: MatrixField, conv: float = 1.0):
     """Analytic gradient of H(., y) at points x (..., n) -> (..., n)."""
     n = A.dim
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    Ainv = np.linalg.inv(A.A)
-    q = np.einsum("...i,ij,...j->...", d, Ainv, d)
+    w, q = _quadratic_form(x, y, A)  # w = A^{-1}(x - y)
     if np.any(q <= 0.0):
         raise SingularError("gradient evaluated at the pole")
-    w = d @ Ainv.T  # A^{-1}(x - y)
     if n >= 3:
         return conv * (2.0 - n) * q[..., None] ** (-n / 2.0) * w
     return conv * (-w) / q[..., None]
@@ -115,36 +116,55 @@ def _omega_prime_operator(grid: Grid, A: MatrixField):
     g(kappa) = sum_k phi_k(1)^2 / (a_dd lambda_k + mu_kappa) the value that
     a unit mode kappa on Gamma takes on the node plane next to Gamma inside
     each box (phi_k, lambda_k its normal sine modes and eigenvalues, mu_kappa
-    the tangential ones).  S is checked positive definite by its Cholesky
-    factorization and inverted once, so each interface solve is one matmul.
-    Returns that inverse; per box its sine_basis and box_spectrum, the
-    DST-I solves' set-up; the Omega' interior mask, raveled over the
-    interior box, on which the residual check applies the matrix-free
-    stencil K = -div(A grad .); and the dOmega' node indices with their
-    coordinates, where a corrector's trace is sampled.
+    the tangential ones).  S is built as a (*Gamma, *Gamma) tensor: the
+    stencil part by node index, and each box's Q g Q^T by contracting g
+    with the per-axis sine rows one axis at a time, so no Kronecker product
+    is formed.  A failed Cholesky factorization of S, the positive-definite
+    check, raises SingularError.  Returns S as a (|Gamma|, |Gamma|) matrix,
+    which solve_corrector factors and solves; per box its sine_basis and
+    box_spectrum, the DST-I solves' set-up; the Omega' interior mask,
+    raveled over the interior box, on which the residual check applies the
+    matrix-free stencil K = -div(A grad .); and the dOmega' node indices
+    with their coordinates, where a corrector's trace is sampled.
     """
     h, N, pad = grid.h, grid.n_cells, grid.pad
     a = _diag_patch_first(grid, A)
     nodes = [np.arange(lo, hi + 1) for lo, hi in zip(grid.patch_lo, grid.patch_hi)]
-    eyes = [np.eye(j.size) for j in nodes]
-    S = (2.0 * a.sum() / h ** 2) * reduce(np.kron, eyes)
-    for e, j in enumerate(nodes):
-        shift = np.eye(j.size, k=1) + np.eye(j.size, k=-1)
-        S -= (a[e + 1] / h ** 2) * reduce(np.kron, eyes[:e] + [shift] + eyes[e + 1:])
+    shape = tuple(j.size for j in nodes)
+    k = len(shape)
+    # S over (*Gamma, *Gamma); flat is its (|Gamma|, |Gamma|) matrix view,
+    # in which the stencil part goes in by node index
+    S = np.zeros(shape + shape)
+    flat = S.reshape(math.prod(shape), -1)
+    at = np.arange(len(flat)).reshape(shape)
+    flat[at, at] = 2.0 * a.sum() / h ** 2
+    for e in range(k):
+        along = np.moveaxis(at, e, 0)
+        flat[along[:-1], along[1:]] = flat[along[1:], along[:-1]] = -a[e + 1] / h ** 2
     # per box: tangential sine rows on Gamma, normal cells, tangential cells
-    box = ([sine_rows(j, N) for j in nodes], N, [N] * len(nodes))
+    box = ([sine_rows(j, N) for j in nodes], N, [N] * k)
     slab = ([sine_rows(j - j[0], j.size - 1) for j in nodes], pad,
             [j.size - 1 for j in nodes])
     for rows, L, lengths in (box, slab):
         g = np.tensordot(sine_rows([1], L)[0] ** 2,
                          1.0 / box_spectrum(a, h, [L] + lengths), axes=1)
-        Q = reduce(np.kron, rows)
-        S -= (a[0] / h ** 2) ** 2 * (Q * g.ravel()) @ Q.T
-    np.linalg.cholesky(S)  # raises LinAlgError unless S is SPD
+        # Q g Q^T, Q the Kronecker product of the rows, one axis at a time:
+        # the trailing mode axis by its scaled rows, then each leading one
+        # by its row products, which appends that axis' (node, node') pair
+        *lead, last = rows
+        g = (g[..., None, :] * last) @ last.T
+        for R in lead:
+            g = np.tensordot(g, R[:, None] * R, axes=(0, 2))
+        g = np.moveaxis(g, (0, 1), (-2, -1))  # pairs in axis order
+        S -= (a[0] / h ** 2) ** 2 * g.transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
+    try:
+        np.linalg.cholesky(flat)
+    except np.linalg.LinAlgError:
+        raise SingularError("Omega' Schur complement is not positive definite") from None
     interior = grid.omega_prime_interior_mask()
     boundary = grid.omega_prime_mask() & ~interior
     bidx = np.nonzero(boundary)
-    return {"schur": np.linalg.inv(S),
+    return {"schur": flat,
             "boxes": tuple((sine_basis([L] + lengths), box_spectrum(a, h, [L] + lengths))
                            for _, L, lengths in (box, slab)),
             "interior": interior[(slice(1, -1),) * grid.dim].ravel(),
@@ -177,9 +197,9 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
     solved as one stack.  Returns {"field": v} with v over the Omega'
     bounding box (zero outside the domain), (K, *box) for a stack.  A solve
     is two batched box solves with v = 0 on Gamma, one interface solve (one
-    matmul with the inverse Schur complement for the whole stack) and two
-    batched box solves with Gamma filled in.  The non-finite check and the
-    residual check apply to each member of the stack.
+    np.linalg.solve of the Schur complement for the whole stack's loads)
+    and two batched box solves with Gamma filled in.  The non-finite check
+    and the residual check apply to each member of the stack.
     """
     op = _omega_prime_operator(grid, A) if op is None else op
     bvals = np.asarray(boundary_trace(op["coords"]), dtype=float)
@@ -206,7 +226,7 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
             near = list(face)
             near[1 + e] = slice(lo + sgn, hi + 1 + sgn)
             load += (a[e] / h ** 2) * v[tuple(near)]
-    v[face] = (load.reshape(len(stack), -1) @ op["schur"].T).reshape(load.shape)
+    v[face] = np.linalg.solve(op["schur"], load.reshape(len(stack), -1).T).T.reshape(load.shape)
     for part, box in zip(parts, op["boxes"]):
         dirichlet_solve(part, A_n, h, box)
 

@@ -14,6 +14,12 @@ a quantity the pipeline computes another way, or an oracle for one:
   (weak_pairing), against surface_pairing of the patch flux;
 - (Lambda^1 - Lambda^2) g by two full-field frozen solves
   (lambda_difference_flux), against dnmap.patch_linear_flux;
+- the Omega' Schur complement built from dense Kronecker products
+  (schur_complement_dense), against _omega_prime_operator's assembly;
+- H and grad H through the general quadratic form, an explicit inverse of
+  A and einsum (fundamental_H_general, fundamental_grad_H_general),
+  against the diagonal-A evaluation of fundamental_H and
+  fundamental_grad_H;
 - the unit-L2 time bump (base_bump) and the concentration defect of a
   cutoff (mollifier_gap);
 - fine and tan-substituted quadratures of the singular field's norms
@@ -25,6 +31,7 @@ import helpers of sibling test modules.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -32,10 +39,11 @@ from dnprobe.dnmap import _FluxStencil, linear_flux
 from dnprobe.geometry import Grid, trapezoid_weights
 from dnprobe.material import MaterialLaw, MatrixField
 from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField, _flat_strides,
-                         _frozen_setup, _frozen_step, dirichlet_solve, interior_mask,
-                         solve_linearized)
-from dnprobe.singular import (CutoffSet, SingularError, _bump_normalization, _raw_bump,
-                              fundamental_grad_H, fundamental_H)
+                         _frozen_setup, _frozen_step, box_spectrum, dirichlet_solve,
+                         interior_mask, sine_rows, solve_linearized)
+from dnprobe.singular import (CutoffSet, SingularError, _bump_normalization,
+                              _diag_patch_first, _raw_bump, fundamental_grad_H,
+                              fundamental_H)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +169,56 @@ def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
 
 
 # ---------------------------------------------------------------------------
-# singular: bump, concentration defect, norm oracles
+# singular: dense Schur complement, general quadratic form, bump,
+# concentration defect, norm oracles
+
+
+def schur_complement_dense(grid: Grid, A: MatrixField) -> np.ndarray:
+    """The (|Gamma|, |Gamma|) Omega' Schur complement of
+    singular._omega_prime_operator, assembled from dense Kronecker products
+    of the per-axis identities, shifts and tangential sine rows."""
+    h, N, pad = grid.h, grid.n_cells, grid.pad
+    a = _diag_patch_first(grid, A)
+    nodes = [np.arange(lo, hi + 1) for lo, hi in zip(grid.patch_lo, grid.patch_hi)]
+    eyes = [np.eye(j.size) for j in nodes]
+    S = (2.0 * a.sum() / h ** 2) * reduce(np.kron, eyes)
+    for e, j in enumerate(nodes):
+        shift = np.eye(j.size, k=1) + np.eye(j.size, k=-1)
+        S -= (a[e + 1] / h ** 2) * reduce(np.kron, eyes[:e] + [shift] + eyes[e + 1:])
+    # per box: tangential sine rows on Gamma, normal cells, tangential cells
+    box = ([sine_rows(j, N) for j in nodes], N, [N] * len(nodes))
+    slab = ([sine_rows(j - j[0], j.size - 1) for j in nodes], pad,
+            [j.size - 1 for j in nodes])
+    for rows, L, lengths in (box, slab):
+        g = np.tensordot(sine_rows([1], L)[0] ** 2,
+                         1.0 / box_spectrum(a, h, [L] + lengths), axes=1)
+        Q = reduce(np.kron, rows)
+        S -= (a[0] / h ** 2) ** 2 * (Q * g.ravel()) @ Q.T
+    return S
+
+
+def _general_quadratic_form(x, y, A: MatrixField):
+    """(A^{-1} d, A^{-1} d . d) for d = x - y, by the explicit inverse."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    Ainv = np.linalg.inv(A.A)
+    return d @ Ainv.T, np.einsum("...i,ij,...j->...", d, Ainv, d)
+
+
+def fundamental_H_general(x, y, A: MatrixField, conv: float = 1.0):
+    """H(x, y) through the general quadratic form (A^{-1}(x-y) . (x-y))."""
+    _, q = _general_quadratic_form(x, y, A)
+    if A.dim >= 3:
+        return conv * q ** ((2.0 - A.dim) / 2.0)
+    return conv * (-0.5) * np.log(q)
+
+
+def fundamental_grad_H_general(x, y, A: MatrixField, conv: float = 1.0):
+    """grad H(., y) at x through the general quadratic form."""
+    n = A.dim
+    w, q = _general_quadratic_form(x, y, A)
+    if n >= 3:
+        return conv * (2.0 - n) * q[..., None] ** (-n / 2.0) * w
+    return conv * (-w) / q[..., None]
 
 
 def base_bump(shape: str = "symmetric"):

@@ -207,6 +207,19 @@ def test_sweep_with_a_non_finite_fit_is_strict_json(cfg_path, tmp_path, monkeypa
     assert all(math.isfinite(e) for e in rep["raw_estimates"])
 
 
+def test_a_failed_schur_check_exits_1_by_name(cfg_path, tmp_path, monkeypatch, capsys):
+    # the positive-definite check of the Omega' Schur complement fails:
+    # a named error line and exit 1, not numpy's LinAlgError traceback
+    def not_spd(S):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_spd)
+    assert main(["probe-gamma", "-c", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: Omega' Schur complement is not positive definite"
+    assert not (tmp_path / "out" / "demo_gamma_report.json").exists()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_a_non_finite_json_value_fails_the_write(tmp_path, bad):
     # JSON has no NaN or infinity: the write refuses it and leaves no file

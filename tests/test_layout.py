@@ -3,7 +3,9 @@
 Every top-level function of the package has a caller in the package or in
 demos/, and every name a module imports is read there; test-only
 references live in tests/reference.py.  scipy appears in
-the package only where the Newton stall fallback factorizes a Jacobian.
+the package only where the Newton stall fallback factorizes a Jacobian,
+and no module forms an explicit inverse with numpy.linalg.inv: a linear
+system is factored and solved.
 """
 
 import ast
@@ -111,3 +113,17 @@ def test_scipy_is_named_only_by_the_newton_fallback():
                 sites.add((mod, name))
     assert sites <= SCIPY_SITES, f"scipy outside the Newton fallback: {sorted(sites - SCIPY_SITES)}"
     assert sites, "the Newton fallback no longer names scipy: update SCIPY_SITES"
+
+
+def test_no_module_forms_an_explicit_inverse():
+    # np.linalg.inv, numpy.linalg.inv or an inv imported from numpy.linalg
+    sites = []
+    for mod, tree in _modules().items():
+        for sub in ast.walk(tree):
+            if (isinstance(sub, ast.Attribute) and sub.attr == "inv"
+                    and isinstance(sub.value, ast.Attribute) and sub.value.attr == "linalg"):
+                sites.append(f"{mod}:{sub.lineno}")
+            elif (isinstance(sub, ast.ImportFrom) and (sub.module or "").endswith("linalg")
+                    and any(alias.name == "inv" for alias in sub.names)):
+                sites.append(f"{mod}:{sub.lineno}")
+    assert sites == [], f"np.linalg.inv in src: {sites}"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.sparse.linalg import spsolve
@@ -13,8 +13,9 @@ from dnprobe.singular import (SingularError, _omega_prime_operator, _omega_prime
                               a_tau_value, build_basis, fundamental_H,
                               fundamental_grad_H, grad_H_energy, make_cutoffs,
                               solve_corrector)
-from reference import (base_bump, grad_h_energy_fine, h_norms_oracle, l2_norms_H,
-                       mollifier_gap, stiffness)
+from reference import (base_bump, fundamental_grad_H_general, fundamental_H_general,
+                       grad_h_energy_fine, h_norms_oracle, l2_norms_H, mollifier_gap,
+                       schur_complement_dense, stiffness)
 
 A2 = make_matrix(np.eye(2))
 A3 = make_matrix(np.eye(3))
@@ -62,6 +63,24 @@ def test_grad_h_matches_finite_differences():
         fd = (fundamental_H(x + e, y, Aan) - fundamental_H(x - e, y, Aan)) / (2 * eps)
         assert g[j] == pytest.approx(fd, rel=1e-6)
         assert fundamental_dj_H(x, y, Aan, j) == pytest.approx(g[j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3]), diag=st.lists(st.floats(0.2, 5.0), min_size=3, max_size=3),
+       pole=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       dist=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 16))
+def test_h_and_grad_h_match_the_general_quadratic_form_property(dim, diag, pole, dist, seed):
+    # the diagonal-A evaluation against A^{-1} by an explicit inverse and the
+    # quadratic form by einsum, relative to the peak over points in the box
+    A = make_matrix(np.diag(diag[:dim]))
+    y = np.array(pole[:dim])
+    y[0] = -dist  # outside the unit box, across its left face
+    x = np.random.default_rng(seed).random((40, dim))
+    for got, ref in ((fundamental_H(x, y, A, conv=1.7), fundamental_H_general(x, y, A, conv=1.7)),
+                     (fundamental_grad_H(x, y, A, conv=1.7),
+                      fundamental_grad_H_general(x, y, A, conv=1.7))):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _directional_laplacian(f, x, A, h=1e-4):
@@ -183,10 +202,26 @@ def test_omega_prime_residual_matches_the_assembled_stiffness_property(case):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=_omega_prime_cases())
+@example(case=(build_grid(3, 1 / 8, 1.0, 1.0, patch_interval=[(0.25, 0.75), (0.125, 0.5)],
+                          pad=5), make_matrix(np.diag([1.0, 0.6, 1.4])), 0))
+def test_schur_complement_matches_the_dense_kronecker_assembly_property(case):
+    # S assembled by index and by per-axis contractions against S from
+    # dense Kronecker products; every drawn patch is narrower than the face,
+    # so the slab's tangential sine basis differs from the box's
+    g, A, _ = case
+    S = _omega_prime_operator(g, A)["schur"]
+    ref = schur_complement_dense(g, A)
+    assert S.shape == ref.shape
+    assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_corrupted_interface_fails_the_residual_check(dim):
     # an interface solve that is off by 1e-6 relative must not pass: the
-    # residual check is what catches it
+    # residual check is what catches it.  The operator stores S itself, so
+    # scaling it scales the interface solution by 1 / (1 + 1e-6)
     g = build_grid(dim, 1 / 8, 1 / 8, 1.0, pad=4)
     A = make_matrix(np.diag([1.0, 0.6, 1.4][:dim]))
     y = np.r_[-2.0, [0.5] * (dim - 1)]
