@@ -100,7 +100,8 @@ def _report_newton(args, label: str, stats):
     if args.verbose and stats is not None:
         print(f"{label}: steps {stats['steps']} iterations {stats['iterations']} "
               f"factorizations {stats['factorizations']} "
-              f"max_residual {stats['max_residual']:.3e}", file=sys.stderr)
+              f"max_residual {stats['max_residual']:.3e} stencils {stats['stencils']}",
+              file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,22 @@ one loop over time steps and iterations: each datum keeps its own
 convergence, chord and counts, the data on the frozen chord share one
 DST-I pair over the trailing axes, and a datum with a factorized Jacobian
 solves with it alone.  A datum that diverges leaves the stack with its
-own PDEError; the others continue.  A chord iteration costs its
-residual stencil, one max-norm reduction (it propagates NaN and +-inf,
-so it is the finiteness test too) and its DST-I pair: a coefficient
-that does not vary in s (Coefficient.varies_in_s) enters the residual
-as its value at the level, one scalar-t evaluation per level, and
-_diffusion takes such a gamma as a scalar; a law that varies in s is
-evaluated on the iterate at every iteration.  The loop holds only the
-level being solved and the one before it, in two buffers: each level
+own PDEError; the others continue.  A chord iteration costs its DST-I
+pair, then the residual stencil of the new iterate and one max-norm
+reduction (it propagates NaN and +-inf, so it is the finiteness test
+too): a coefficient that does not vary in s (Coefficient.varies_in_s)
+enters the residual as its value at the level, one scalar-t evaluation
+per level, and _diffusion takes such a gamma as a scalar; a law that
+varies in s is evaluated on the iterate at every residual.  When gamma
+does not vary in s, a level's first residual applies no stencil: inside,
+the iterate is the converged level before, whose last residual applied
+the stencil already, and only the boundary values changed.  Each datum
+keeps the stencil of its last residual and the gamma it was scaled by,
+and the first residual is -gamma_m times that stencil over that gamma
+plus A_aa / h^2 times the change on the interior plane next to each
+face (_faces), minus the source: a level costs one stencil per
+iteration, and with a gamma that varies in s one more.  The loop holds
+only the level being solved and the one before it, in two buffers: each level
 copies the stack once into the previous-level buffer, and the data
 (dirichlet_level) write the boundary nodes only, so the interior starts
 from the previous level's values.  Each converged level of the stack
@@ -57,7 +65,9 @@ steps the same operator backward).  dirichlet_solve is the same transform
 for the steady problem on any rectangular box with Dirichlet data: both
 boxes of the Omega' corrector in singular use it, so the forward
 Jacobian, once the frozen chord step stalls, is the only matrix
-factorized.
+factorized.  Its load, dirichlet_load, is the unit stencil of the box's
+boundary values alone; the corrector reduces it to the scale of its
+residual check.
 
 Data on the measurement patch S x (0, T) -- probes, dictionary data and
 every flux -- are PatchField face arrays, zero off S.  Probes and
@@ -306,28 +316,47 @@ def dst1(x: np.ndarray, basis: list) -> np.ndarray:
     return x
 
 
-def dirichlet_solve(u: np.ndarray, A: np.ndarray, h: float, box=None) -> np.ndarray:
+def _faces(n: int):
+    """Per face of a node box (its last n axes; leading axes are a batch):
+    its axis, the index of its nodes next to interior nodes (the face's
+    edges excluded), and the index of the plane of interior-box nodes they
+    neighbour."""
+    for ax in range(n):
+        for end in (0, -1):
+            yield (ax, (Ellipsis,) + tuple(end if e == ax else slice(1, -1) for e in range(n)),
+                   (Ellipsis,) + tuple(end if e == ax else slice(None) for e in range(n)))
+
+
+def dirichlet_load(u: np.ndarray, A: np.ndarray, h: float) -> np.ndarray:
+    """The load of the boundary values of the node box u (its last
+    A.shape[0] axes; leading axes are a batch) on its interior nodes: on
+    the interior plane next to each face, A_aa / h^2 times the values on
+    that face (_faces).  It is the unit-gamma stencil of the boundary
+    values alone, so -div(A grad v) = 0 inside is K_int v = this load.
+    Constant diagonal A."""
+    n = A.shape[0]
+    rhs = np.zeros(u[(Ellipsis,) + (slice(1, -1),) * n].shape)
+    for ax, node, plane in _faces(n):
+        rhs[plane] += (A[ax, ax] / h ** 2) * u[node]
+    return rhs
+
+
+def dirichlet_solve(u: np.ndarray, A: np.ndarray, h: float, box=None,
+                    load=None) -> np.ndarray:
     """Overwrite the interior of the node box u (its last A.shape[0] axes;
     leading axes are a batch) with the solution of -div(A grad v) = 0 whose
     Dirichlet data are the boundary values of u, by one forward and one
     inverse DST-I.  Constant diagonal A; box is the box's (sine_basis,
-    box_spectrum), built here when not given.  Returns u."""
-    a = np.diagonal(A)
-    n = a.size
+    box_spectrum), built here when not given; load is dirichlet_load of u,
+    formed here when not given.  Returns u."""
+    n = A.shape[0]
     if box is None:
         lengths = [m - 1 for m in u.shape[-n:]]
-        box = (sine_basis(lengths), box_spectrum(a, h, lengths))
+        box = (sine_basis(lengths), box_spectrum(np.diagonal(A), h, lengths))
     basis, eig = box
-    inner = (Ellipsis,) + (slice(1, -1),) * n
-    rhs = np.zeros(u[inner].shape)
-    for ax in range(n):
-        for end in (0, -1):
-            plane = [slice(1, -1)] * n
-            plane[ax] = end
-            near = [slice(None)] * n
-            near[ax] = end
-            rhs[(Ellipsis,) + tuple(near)] += (a[ax] / h ** 2) * u[(Ellipsis,) + tuple(plane)]
-    u[inner] = dst1(dst1(rhs, basis) / eig, basis)
+    if load is None:
+        load = dirichlet_load(u, A, h)
+    u[(Ellipsis,) + (slice(1, -1),) * n] = dst1(dst1(load, basis) / eig, basis)
     return u
 
 
@@ -430,8 +459,11 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     datum (manufactured-solution studies only).
     Newton divergence is reported as the boundary amplitude lying outside
     the operational smallness radius of the background state.  Each
-    field's `newton` records time steps, iterations, factorizations and
-    the largest final residual.
+    field's `newton` records time steps, iterations, factorizations, the
+    largest final residual and the residual stencils its datum applied:
+    one per iteration when gamma does not vary in s, whose first residual
+    of a level is built from the stencil of the level before (see the
+    module docstring), and one more per level otherwise.
 
     Each converged level is handed to keep(t_m, levels), levels the
     (B', *grid.shape) stack of the B' data still advancing at t_m, and
@@ -463,7 +495,14 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     for b in range(B):
         out[b][0] = kept[b]
     lus = [None] * B  # None while on the frozen chord
-    iterations, factorizations, worst = [0] * B, [0] * B, [0.0] * B
+    iterations, factorizations, stencils = [0] * B, [0] * B, [0] * B
+    worst = [0.0] * B
+    if not law.gamma.varies_in_s:
+        # per datum, the stencil of its last residual as scale * the unit-gamma
+        # stencil, and that scale: the constant initial state's stencil is zero
+        stencil = np.zeros((B,) + tuple(n - 2 for n in grid.shape))
+        scale = np.ones((B,) + (1,) * dim)
+        faces = [(A.A[a, a] / grid.h ** 2, node, plane) for a, node, plane in _faces(dim)]
     for m in range(1, grid.nt + 1):
         t = times[m]
         todo = [b for b in range(B) if errors[b] is None]
@@ -478,18 +517,48 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
         gam_m = None if law.gamma.varies_in_s else law.gamma(t, lam)
         rho_m = None if law.rho.varies_in_s else law.rho(t, lam)
         last = [None] * B
-        for _ in range(newton_cap):
+        for it in range(newton_cap):
             if not todo:
                 break
             # while every datum iterates, c is a view of cur; else a copy
             sel = slice(None) if len(todo) == B else todo
             c, p = cur[sel], prev[sel]
-            res = c[stack_inner] - p[stack_inner]
-            res *= law.rho(t, c[stack_inner]) if rho_m is None else rho_m
-            res /= dt
-            res -= _diffusion(A.A, grid.h, law.gamma(t, c) if gam_m is None else gam_m, c)
-            if source is not None:
-                res -= source[m][inner]
+            if it == 0 and gam_m is not None:
+                # the level's first residual: c - p vanishes inside, so it is
+                # -gamma_m times the unit stencil of the converged level m-1
+                # plus the change of c on each face, next to that face
+                res = stencil if len(todo) == B else stencil[todo]
+                res /= scale[sel]
+                for weight, node, plane in faces:
+                    res[plane] += weight * (c[node] - p[node])
+                res *= -gam_m
+                scale[sel] = -gam_m
+                if len(todo) < B:
+                    stencil[todo] = res
+                if source is not None:
+                    res = res - source[m][inner]  # never into the kept stencil
+            else:
+                res = None  # drop the last residual, which may alias the stencil
+                if gam_m is not None and len(todo) == B:
+                    stencil = None  # every row is replaced below
+                # the stencil first: the one kept then takes the place of
+                # the one just dropped, and the heap does not grow
+                step = _diffusion(A.A, grid.h, law.gamma(t, c) if gam_m is None else gam_m, c)
+                res = c[stack_inner] - p[stack_inner]
+                res *= law.rho(t, c[stack_inner]) if rho_m is None else rho_m
+                res /= dt
+                res -= step
+                if gam_m is not None:
+                    if len(todo) == B:
+                        stencil = step
+                    else:
+                        stencil[todo] = step
+                    scale[sel] = gam_m
+                del step
+                for b in todo:
+                    stencils[b] += 1
+                if source is not None:
+                    res -= source[m][inner]
             # the max-norm propagates NaN and +-inf: one pass tests both
             norms = np.abs(res.reshape(len(todo), -1)).max(axis=1)
             finite = np.isfinite(norms)
@@ -531,7 +600,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     fields = [SpaceTimeField(values=out[b], grid=grid,
                              newton={"steps": grid.nt, "iterations": iterations[b],
                                      "factorizations": factorizations[b],
-                                     "max_residual": worst[b]})
+                                     "max_residual": worst[b], "stencils": stencils[b]})
               if errors[b] is None else errors[b] for b in range(B)]
     if isinstance(g, list):
         return fields

@@ -27,7 +27,9 @@ Cholesky factor.  A corrector solve takes a stack of traces: the probes of
 a tau sweep solve the correctors of their H, and for rho probes of its n
 first derivatives, as one stack, with batched box solves and one linear
 solve of the Schur complement for the interface, and each member's
-residual is checked by the matrix-free stencil of pde.
+residual is checked by the matrix-free stencil of pde, against the norm
+of the stencil of its boundary data alone, which the Gamma rows and the
+first box solves' loads already form.
 
 grad_H_energy is the one energy quadrature on the grid.  The oracles the
 tau-scaling experiments are tested against (fine and tan-substituted
@@ -42,8 +44,8 @@ import numpy as np
 
 from .geometry import Grid, trapezoid_weights
 from .material import MatrixField
-from .pde import (_diffusion, _lazy_splu, box_spectrum, dirichlet_solve, sine_basis,
-                  sine_rows)
+from .pde import (_diffusion, _lazy_splu, box_spectrum, dirichlet_load, dirichlet_solve,
+                  sine_basis, sine_rows)
 
 # nothing here factorizes: perfbench/spans.py SPLU_MODULES is the only
 # reader of singular.splu
@@ -125,7 +127,10 @@ def _omega_prime_operator(grid: Grid, A: MatrixField):
     box_spectrum, the DST-I solves' set-up; the Omega' interior mask,
     raveled over the interior box, on which the residual check applies the
     matrix-free stencil K = -div(A grad .); and the dOmega' node indices
-    with their coordinates, where a corrector's trace is sampled.
+    with their coordinates, where a corrector's trace is sampled.  The
+    Cholesky factor is not kept for the solve: numpy has no triangular
+    solve, and tests/test_layout.py confines scipy to the Newton fallback
+    of pde, so solve_corrector factors S again by np.linalg.solve.
     """
     h, N, pad = grid.h, grid.n_cells, grid.pad
     a = _diag_patch_first(grid, A)
@@ -194,12 +199,18 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
 
     boundary_trace is a callable on physical coordinates, an array of
     points (npts, n); it returns (npts,) values, or (K, npts) for K traces
-    solved as one stack.  Returns {"field": v} with v over the Omega'
-    bounding box (zero outside the domain), (K, *box) for a stack.  A solve
-    is two batched box solves with v = 0 on Gamma, one interface solve (one
-    np.linalg.solve of the Schur complement for the whole stack's loads)
-    and two batched box solves with Gamma filled in.  The non-finite check
-    and the residual check apply to each member of the stack.
+    solved as one stack.  Returns {"field": v, "load_norm": |b|} with v
+    over the Omega' bounding box (zero outside the domain), (K, *box) for
+    a stack, and |b| per member.  A solve is two batched box solves with
+    v = 0 on Gamma, one interface solve (one np.linalg.solve of the Schur
+    complement for the whole stack's loads) and two batched box solves
+    with Gamma filled in.  The non-finite check and the residual check
+    apply to each member of the stack.  The residual check bounds the
+    stencil K v on the Omega' interior by 1e-8 max(1, |b|), b = -K of the
+    boundary data alone, whose rows are the Gamma rows of the interface
+    load while v is still zero inside and each box's Dirichlet load
+    (pde.dirichlet_load) in its first solve: |b|^2 sums their squares, and
+    no stencil is applied to the boundary data.
     """
     op = _omega_prime_operator(grid, A) if op is None else op
     bvals = np.asarray(boundary_trace(op["coords"]), dtype=float)
@@ -208,7 +219,6 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
     stack = bvals.reshape(-1, bvals.shape[-1])
     full = np.zeros((len(stack),) + op["boundary"].shape)
     full[(slice(None),) + op["bidx"]] = stack
-    rhs = -_omega_prime_residual(op, A, grid.h, full)
 
     h, pad = grid.h, grid.pad
     a = _diag_patch_first(grid, A)
@@ -216,24 +226,40 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
     v = _patch_first(grid, full)
     tang = tuple(slice(lo, hi + 1) for lo, hi in zip(grid.patch_lo, grid.patch_hi))
     parts = (v[:, pad:], v[(slice(None), slice(0, pad + 1)) + tang])  # unit box, slab
-    for part, box in zip(parts, op["boxes"]):
-        dirichlet_solve(part, A_n, h, box)
-    # the stencil rows of Gamma with v = 0 on Gamma give the interface load
     face = (slice(None), pad) + tang
-    load = (a[0] / h ** 2) * (v[(slice(None), pad + 1) + tang] + v[(slice(None), pad - 1) + tang])
-    for e, (lo, hi) in enumerate(zip(grid.patch_lo, grid.patch_hi), start=1):
-        for sgn in (-1, 1):
-            near = list(face)
-            near[1 + e] = slice(lo + sgn, hi + 1 + sgn)
-            load += (a[e] / h ** 2) * v[tuple(near)]
-    v[face] = np.linalg.solve(op["schur"], load.reshape(len(stack), -1).T).T.reshape(load.shape)
+
+    def interface_load():
+        """The stencil rows of Gamma applied to v with v = 0 on Gamma, one
+        row per member."""
+        load = (a[0] / h ** 2) * (v[(slice(None), pad + 1) + tang]
+                                  + v[(slice(None), pad - 1) + tang])
+        for e, (lo, hi) in enumerate(zip(grid.patch_lo, grid.patch_hi), start=1):
+            for sgn in (-1, 1):
+                near = list(face)
+                near[1 + e] = slice(lo + sgn, hi + 1 + sgn)
+                load += (a[e] / h ** 2) * v[tuple(near)]
+        return load.reshape(len(stack), -1)
+
+    # |b|^2 per member, b the stencil of the boundary data alone on the
+    # Omega' interior, the scale of the residual check: the rows of Gamma
+    # while v is still zero inside, then the rows of each box, the
+    # Dirichlet load of its first solve, each reduced once solved
+    b2 = np.square(interface_load()).sum(axis=1)
+    for part, box in zip(parts, op["boxes"]):
+        load = dirichlet_load(part, A_n, h)
+        dirichlet_solve(part, A_n, h, box, load)
+        b2 += np.square(load, out=load).reshape(len(stack), -1).sum(axis=1)
+        del load
+    v[face] = np.linalg.solve(op["schur"], interface_load().T).T.reshape(v[face].shape)
     for part, box in zip(parts, op["boxes"]):
         dirichlet_solve(part, A_n, h, box)
 
-    for resid, b in zip(_omega_prime_residual(op, A, h, full), rhs):
-        if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(b)):
+    b = np.sqrt(b2)
+    for resid, b_norm in zip(_omega_prime_residual(op, A, h, full), b):
+        if np.linalg.norm(resid) > 1e-8 * max(1.0, b_norm):
             raise SingularError("corrector linear solve did not converge")
-    return {"field": full.reshape(bvals.shape[:-1] + full.shape[1:])}
+    return {"field": full.reshape(bvals.shape[:-1] + full.shape[1:]),
+            "load_norm": b.reshape(bvals.shape[:-1])}
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ a quantity the pipeline computes another way, or an oracle for one:
   (lambda_difference_flux), against dnmap.patch_linear_flux;
 - the Omega' Schur complement built from dense Kronecker products
   (schur_complement_dense), against _omega_prime_operator's assembly;
+- the norm of the boundary data's stencil on the Omega' interior
+  (corrector_load_norm), against the norm solve_corrector forms from the
+  loads of its box solves;
 - H and grad H through the general quadratic form, an explicit inverse of
   A and einsum (fundamental_H_general, fundamental_grad_H_general),
   against the diagonal-A evaluation of fundamental_H and
@@ -42,8 +45,8 @@ from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField, _flat_stride
                          _frozen_setup, _frozen_step, box_spectrum, dirichlet_solve,
                          interior_mask, sine_rows, solve_linearized)
 from dnprobe.singular import (CutoffSet, SingularError, _bump_normalization,
-                              _diag_patch_first, _raw_bump, fundamental_grad_H,
-                              fundamental_H)
+                              _diag_patch_first, _omega_prime_residual, _raw_bump,
+                              fundamental_grad_H, fundamental_H)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +172,8 @@ def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
 
 
 # ---------------------------------------------------------------------------
-# singular: dense Schur complement, general quadratic form, bump,
-# concentration defect, norm oracles
+# singular: dense Schur complement, boundary load norm, general quadratic
+# form, bump, concentration defect, norm oracles
 
 
 def schur_complement_dense(grid: Grid, A: MatrixField) -> np.ndarray:
@@ -195,6 +198,20 @@ def schur_complement_dense(grid: Grid, A: MatrixField) -> np.ndarray:
         Q = reduce(np.kron, rows)
         S -= (a[0] / h ** 2) ** 2 * (Q * g.ravel()) @ Q.T
     return S
+
+
+def corrector_load_norm(grid: Grid, boundary_trace, A: MatrixField, op) -> np.ndarray:
+    """|b| per member of a stack of corrector traces (shaped as the trace's
+    leading axes), b the stencil -div(A grad .) of the boundary data alone
+    (the trace on dOmega', zero elsewhere) on the Omega' interior, by the
+    matrix-free residual of the corrector's check
+    (singular._omega_prime_residual) applied to the boundary-only stack."""
+    bvals = np.asarray(boundary_trace(op["coords"]), dtype=float)
+    stack = bvals.reshape(-1, bvals.shape[-1])
+    full = np.zeros((len(stack),) + op["boundary"].shape)
+    full[(slice(None),) + op["bidx"]] = stack
+    b = _omega_prime_residual(op, A, grid.h, full)
+    return np.linalg.norm(b, axis=-1).reshape(bvals.shape[:-1])
 
 
 def _general_quadratic_form(x, y, A: MatrixField):

@@ -325,11 +325,15 @@ def test_verbose_forward_reports_newton_counts_on_stderr(cfg_path, capsys):
 
 def test_verbose_linearize_check_reports_counts_per_k(cfg_path, capsys):
     # the k-scaled data of linearize-check are one stacked forward solve;
-    # -v keeps one line of counts per k
+    # -v keeps one line of counts per k.  A gamma constant in space takes
+    # one residual stencil per iteration: each level's first residual is
+    # built from the stencil of the level before
     assert main(["linearize-check", "-v", "-c", cfg_path]) == 0
     err = capsys.readouterr().err
     for k in (4, 8):
         assert f"forward k={k}: steps 16 iterations 14 factorizations 0 " in err
+        line = next(x for x in err.splitlines() if x.startswith(f"forward k={k}:"))
+        assert line.endswith(" stencils 14")
 
 
 # --- paper hypotheses a subcommand needs, rejected before any solve ----------

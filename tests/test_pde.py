@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import dstn, idstn
 from scipy.sparse import identity
@@ -560,6 +560,33 @@ def test_stencil_boundary_load_is_the_sparse_one(case, seed):
     assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("case", sorted(_RESIDUAL_CASES))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), patch_only=st.booleans())
+def test_stencil_after_a_boundary_change_property(case, seed, patch_only):
+    # a forward level's first residual: once the boundary values change, the
+    # unit-gamma stencil is the old one plus A_aa / h^2 times the change on
+    # the interior plane next to each face (the periodic-shift stencil of
+    # the change, which vanishes inside); a change on the edges and corners
+    # of the faces does not enter.  That correction is dirichlet_load of
+    # the change
+    grid, A = _RESIDUAL_CASES[case]
+    rng = np.random.default_rng(seed)
+    old = rng.standard_normal(grid.shape)
+    where = ~interior_mask(grid)
+    if patch_only:
+        where = np.zeros(grid.shape, dtype=bool)
+        where[grid.face_node_selector(grid.patch_axis, grid.patch_side)] = True
+    change = rng.standard_normal(grid.shape) * where
+    got = pde._diffusion(A, grid.h, 1.0, old + change)
+    inner = (slice(1, -1),) * grid.dim
+    correction = _roll_diffusion(grid, A, np.ones(grid.shape), change)[inner]
+    ref = pde._diffusion(A, grid.h, 1.0, old) + correction
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(got).max()
+    assert np.abs(pde.dirichlet_load(change, A, grid.h) - correction).max() \
+        <= 1e-15 * np.abs(correction).max()
+
+
 _t_law = st.one_of(
     st.builds(lambda c0: ("constant", {"c0": c0}), st.floats(0.5, 3.0)),
     st.builds(lambda c0, c1: ("affine_t", {"c0": c0, "c1": c1}),
@@ -681,6 +708,34 @@ def test_stack_isolates_a_failing_datum():
                                               newton_cap=12)
 
 
+@pytest.mark.parametrize("case", sorted(_RESIDUAL_CASES))
+@settings(max_examples=10, deadline=None, phases=_NO_SHRINK)
+@given(gamma=_t_law, rho=st.one_of(_t_law, _s_law), lam=st.floats(-0.5, 0.5),
+       data=st.lists(st.tuples(st.floats(0.05, 2.5), st.booleans()), min_size=2,
+                     max_size=4))
+@example(gamma=("affine_t", {"c0": 1.0, "c1": 0.5}),
+         rho=("poly_s", {"c0": 1.0, "c1": 0.2, "c2": 0.5}), lam=0.3,
+         data=[(0.05, True), (1.5, False), (2.5, True), (0.5, False)])
+def test_reused_first_residuals_match_full_newton_property(case, gamma, rho, lam, data):
+    # a gamma constant in space: each level's first residual is built from
+    # the stencil of the level before, every later one is applied in full,
+    # and the chord may stall into the Jacobian after a reused residual (the
+    # example factorizes for its two largest data, in 2D and 3D)
+    grid, A = _RESIDUAL_CASES[case]
+    A = make_matrix(A)
+    law = make_law(gamma=gamma, rho=rho)
+    amplitudes, on_patch = zip(*data)
+    stack = _stack_data(grid, amplitudes, on_patch)
+    for datum, u in zip(stack, solve_forward(law, A, grid, lam, stack)):
+        full = datum.boundary() if isinstance(datum, PatchField) else datum
+        ref, iterations = _reference_newton(law, A, grid, lam, full)
+        assert np.abs(u.values - ref).max() <= 1e-10
+        assert u.newton["max_residual"] <= pde.NEWTON_TOL
+        assert u.newton["stencils"] == u.newton["iterations"]
+        if not law.rho.varies_in_s:  # linear: the chord step is the Newton step
+            assert u.newton["iterations"] == iterations
+
+
 # --- what the chord loop keeps of each level ---------------------------------
 
 @pytest.mark.parametrize("case", sorted(_RESIDUAL_CASES))
@@ -757,16 +812,11 @@ def test_each_level_starts_from_the_previous_interior(monkeypatch):
             assert np.array_equal(first[b][~imask], lam + full.values[m][~imask])
 
 
-@pytest.mark.parametrize("kind", ["boundary", "patch"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_datum_level_is_reported_at_its_time(kind, bad):
-    # the level that carries the NaN or inf stops its datum with the error
-    # naming t; inside a stack the other data finish as if alone
-    grid = build_grid(2, 1 / 8, 1 / 8, 1.0)
-    law = make_law(gamma=("poly_s", {"c0": 1.0, "c1": 0.2}),
-                   rho=("constant", {"c0": 1.5}))
-    full, patch = _level_data(grid)
-    good = full if kind == "boundary" else patch
+def _assert_non_finite_level_stops_its_datum(law, good, bad):
+    """The level of the datum good that carries the NaN or inf bad stops
+    that datum with the error naming t; inside a stack the other data
+    finish as if alone."""
+    grid = good.grid
     vals = good.values.copy()
     m = 3
     vals[m][np.unravel_index(np.argmax(np.abs(vals[m])), vals[m].shape)] = bad
@@ -782,6 +832,38 @@ def test_non_finite_datum_level_is_reported_at_its_time(kind, bad):
     for u in (got[0], got[2]):
         assert u.newton == ref.newton
         assert np.array_equal(u.values, ref.values)
+    return ref
+
+
+@pytest.mark.parametrize("kind", ["boundary", "patch"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_datum_level_is_reported_at_its_time(kind, bad):
+    law = make_law(gamma=("poly_s", {"c0": 1.0, "c1": 0.2}), rho=("constant", {"c0": 1.5}))
+    full, patch = _level_data(build_grid(2, 1 / 8, 1 / 8, 1.0))
+    _assert_non_finite_level_stops_its_datum(law, full if kind == "boundary" else patch, bad)
+
+
+@pytest.mark.parametrize("kind", ["boundary", "patch"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_datum_level_stops_a_reused_first_residual(kind, bad):
+    # a gamma constant in space builds a level's first residual from the
+    # stencil of the level before and the change on the faces, which
+    # carries the NaN or inf.  The other data ramp up, hold still until
+    # some levels converge at their first residual, and ramp down: each
+    # keeps its own stencil when the stack has shrunk to them
+    law = make_law(gamma=("trig_t", {"c0": 2.0, "c1": 0.5, "freq": 1.5}),
+                   rho=("constant", {"c0": 1.5}))
+    grid = build_grid(2, 1 / 8, 1 / 8, 6.0)
+    hold = lambda t: np.clip(t, 0.0, 0.5) - np.clip(t - 5.0, 0.0, 0.5)
+    full = boundary_field_from_callable(
+        grid, lambda t, x: hold(t) * np.sin(np.pi * x[..., 1]) * np.exp(-x[..., 0]))
+    face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
+    patch = PatchField(values=full.values[face] * grid.patch_support_mask(), grid=grid)
+    ref = _assert_non_finite_level_stops_its_datum(law, full if kind == "boundary" else patch,
+                                                   bad)
+    # a linear problem takes one iteration per level that changes: the
+    # others converge at their first residual
+    assert ref.newton["stencils"] == ref.newton["iterations"] < grid.nt - 10
 
 
 def _counted_evaluations(monkeypatch, law):
@@ -812,15 +894,20 @@ def test_forward_evaluates_each_coefficient_once_per_level_or_iteration(monkeypa
                                                                         gamma, rho):
     # once over grid.times for the frozen chord; then a coefficient that
     # does not vary in s once per level, and one that does once per
-    # residual: per level, its iterations plus the converged check
+    # residual stencil.  Per level, a gamma that varies in s takes a stencil
+    # for the first residual and one after each iteration; a gamma that
+    # does not builds the first residual from the last stencil of the level
+    # before, so its data take one stencil per iteration
     law = make_law(gamma=gamma, rho=rho)
     grid = build_grid(2, 1 / 8, 1 / 8, 1.0)
     gb = boundary_field_from_callable(grid, lambda t, x: 0.3 * _datum(t, x))
     counts = _counted_evaluations(monkeypatch, law)
     u = solve_forward(law, A2, grid, 0.2, gb)
     assert u.newton["factorizations"] == 0
-    residuals = u.newton["iterations"] + grid.nt
-    assert residuals >= 2 * grid.nt  # so once per residual is not once per level
+    iterations = u.newton["iterations"]
+    assert iterations >= grid.nt  # so once per stencil is not once per level
+    stencils = iterations + (grid.nt if law.gamma.varies_in_s else 0)
+    assert u.newton["stencils"] == stencils
     for name in counts:
         varies = getattr(law, name).varies_in_s
-        assert counts[name] == 1 + (residuals if varies else grid.nt)
+        assert counts[name] == 1 + (stencils if varies else grid.nt)

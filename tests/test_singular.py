@@ -13,9 +13,9 @@ from dnprobe.singular import (SingularError, _omega_prime_operator, _omega_prime
                               a_tau_value, build_basis, fundamental_H,
                               fundamental_grad_H, grad_H_energy, make_cutoffs,
                               solve_corrector)
-from reference import (base_bump, fundamental_grad_H_general, fundamental_H_general,
-                       grad_h_energy_fine, h_norms_oracle, l2_norms_H, mollifier_gap,
-                       schur_complement_dense, stiffness)
+from reference import (base_bump, corrector_load_norm, fundamental_grad_H_general,
+                       fundamental_H_general, grad_h_energy_fine, h_norms_oracle, l2_norms_H,
+                       mollifier_gap, schur_complement_dense, stiffness)
 
 A2 = make_matrix(np.eye(2))
 A3 = make_matrix(np.eye(3))
@@ -215,6 +215,27 @@ def test_schur_complement_matches_the_dense_kronecker_assembly_property(case):
     ref = schur_complement_dense(g, A)
     assert S.shape == ref.shape
     assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_omega_prime_cases(), members=st.integers(1, 3))
+@example(case=(build_grid(3, 1 / 8, 1.0, 1.0, patch_interval=[(0.25, 0.75), (0.125, 0.5)],
+                          pad=5), make_matrix(np.diag([1.0, 0.6, 1.4])), 0), members=2)
+@example(case=(build_grid(2, 1 / 8, 1.0, 1.0, patch_interval=[(0.375, 0.625)], pad=4),
+               make_matrix(np.diag([2.0, 0.5])), 1), members=1)
+def test_load_norm_is_the_boundary_stencil_norm_property(case, members):
+    # the scale of the residual check, |b| from the Gamma rows and the box
+    # loads, against the stencil of the boundary-only stack on the Omega'
+    # interior, on rough random data of 1..3 members
+    g, A, seed = case
+    op = _omega_prime_operator(g, A)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((members, len(op["coords"])))
+    trace = lambda x: data[0] if members == 1 else data
+    got = solve_corrector(g, trace, A, op=op)["load_norm"]
+    ref = corrector_load_norm(g, trace, A, op)
+    assert got.shape == ref.shape == (() if members == 1 else (members,))
+    assert np.abs(got - ref).max() <= 1e-13 * ref.max()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
