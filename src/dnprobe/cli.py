@@ -11,6 +11,11 @@ Subcommands:
   stability        eps-indexed stability-rate table, CSV + JSON
   report           summarize the JSON reports found in the output dir
 
+_probe_plan decides the probes a subcommand builds and the law pairs it
+reads at them; main checks the plan (reconstruct.check_probes) before
+dispatch.  A config or plan that fails a check exits 2 with "config
+error:" before any solve or write; an error during the run exits 1.
+
 All file writes are atomic (tmp file + rename) and embed the config hash
 and the active boundary-norm flag.  A probe or stability command makes
 one stacked corrector solve and one frozen solve call for all its laws.
@@ -33,8 +38,8 @@ from .material import MaterialError
 from .singular import SingularError
 from .pde import PatchField, PDEError, mms_problem, solve_forward
 from .dnmap import level_flux, linearization_check, make_norm, DNMapError
-from .reconstruct import (ProbeSpec, ReconstructError, point_recovery, probe_data,
-                          stability_experiment, tau_sweep)
+from .reconstruct import (ProbeSpec, ReconstructError, check_probes, point_recovery,
+                          probe_data, stability_experiment, sweep_taus, tau_sweep)
 
 _ERRORS = (GridError, MaterialError, SingularError, PDEError, DNMapError,
            ReconstructError)
@@ -89,10 +94,37 @@ def _out(cfg: ExperimentConfig, stem: str) -> str:
     return os.path.join(cfg.out_dir, f"{cfg.prefix}_{stem}")
 
 
-def _probe_spec(cfg: ExperimentConfig, tau: float, kind=None) -> ProbeSpec:
-    return ProbeSpec(x0=cfg.x0, t0=cfg.t0, tau=tau,
-                     kind=kind or cfg.probe_kind, r=cfg.probe_r,
-                     a_rule=cfg.a_rule, shape=cfg.bump_shape, conv=cfg.conv)
+def _probe_plan(cfg: ExperimentConfig, args):
+    """(probes, law pairs read at them) a subcommand builds, or None.
+
+    A probe sweep has a probe per tau of sweep_taus and the config's pair;
+    stability one probe of the target's kind at the smallest tau and the
+    pair of each nonzero eps; linearize-check, and forward without --mms
+    for a gamma kind and a tau (else zero data), a gamma probe there.
+    """
+    command, pairs = args.command, []
+    if command in ("probe-gamma", "probe-rho"):
+        kind, pairs = command[len("probe-"):], [(cfg.law1, cfg.law2)]
+    elif command == "stability":
+        if not any(cfg.eps_list):
+            raise ConfigError(f"eps_sweep fails: a stability table needs a nonzero eps, "
+                              f"eps_list = {cfg.raw['sweep']['eps_list']!r}")
+        kind = cfg.perturb_target
+        pairs = [pair for eps, pair in cfg.law_family() if eps != 0.0]
+    elif command == "linearize-check" or (command == "forward" and not args.mms
+                                          and cfg.probe_kind == "gamma" and cfg.tau_list):
+        kind = "gamma"
+    else:
+        return None
+    if command.startswith("probe-"):
+        taus = sweep_taus(cfg.tau_list)
+    elif cfg.tau_list:
+        taus = [min(cfg.tau_list)]
+    else:
+        raise ConfigError(f"probe_tau fails: {command} needs a tau, tau_list is empty")
+    return [ProbeSpec(x0=cfg.x0, t0=cfg.t0, tau=tau, kind=kind, r=cfg.probe_r,
+                      a_rule=cfg.a_rule, shape=cfg.bump_shape, conv=cfg.conv)
+            for tau in taus], pairs
 
 
 def _report_newton(args, label: str, stats):
@@ -108,13 +140,12 @@ def _report_newton(args, label: str, stats):
 # subcommands
 
 
-def cmd_forward(cfg: ExperimentConfig, args) -> int:
+def cmd_forward(cfg: ExperimentConfig, args, plan) -> int:
     if args.mms:
         return _forward_mms(cfg, args)
     grid = cfg.grid
-    if cfg.tau_list and cfg.probe_kind == "gamma":
-        [([(g, _)], _)] = probe_data(grid, cfg.A, [_probe_spec(cfg, min(cfg.tau_list))],
-                                      lam=cfg.lam)
+    if plan is not None:
+        [([(g, _)], _)] = probe_data(grid, cfg.A, *plan, lam=cfg.lam)
     else:
         face_shape = grid.patch_support_mask().shape
         g = PatchField(values=np.zeros((grid.nt + 1,) + face_shape), grid=grid)
@@ -199,10 +230,9 @@ def _forward_mms(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def cmd_linearize_check(cfg: ExperimentConfig, args) -> int:
+def cmd_linearize_check(cfg: ExperimentConfig, args, plan) -> int:
     grid = cfg.grid
-    [([(g, _)], _)] = probe_data(grid, cfg.A, [_probe_spec(cfg, min(cfg.tau_list), "gamma")],
-                                  lam=cfg.lam)
+    [([(g, _)], _)] = probe_data(grid, cfg.A, *plan, lam=cfg.lam)
     rows = linearization_check(cfg.law1, cfg.A, grid, cfg.lam, g, cfg.k_list)
     out = [(r["k"], f"{r['d_k']:.12e}", r["ok"], r["why"]) for r in rows]
     _write_csv(_out(cfg, "linearize.csv"), _meta(cfg, make_norm(grid, cfg.norm_kind).flag),
@@ -213,15 +243,17 @@ def cmd_linearize_check(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _sweep_cmd(cfg: ExperimentConfig, target: str) -> int:
+def cmd_probe(cfg: ExperimentConfig, args, plan) -> int:
+    """probe-gamma and probe-rho: the tau sweep of the plan's probes."""
     grid = cfg.grid
     norm = make_norm(grid, cfg.norm_kind)
-    pair = (cfg.law1, cfg.law2)
+    probes, [pair] = plan
+    target = probes[0].kind
+    by_tau = {probe.tau: probe for probe in probes}
     ref = float(getattr(cfg.law1, target)(cfg.t0, cfg.lam)
                 - getattr(cfg.law2, target)(cfg.t0, cfg.lam))
-    rec = lambda taus: point_recovery(pair, cfg.A, grid, cfg.lam,
-                                      [_probe_spec(cfg, tau, target) for tau in taus])
-    report = tau_sweep(rec, cfg.tau_list, target=target, point=(cfg.t0, cfg.lam),
+    rec = lambda taus: point_recovery(pair, cfg.A, grid, cfg.lam, [by_tau[t] for t in taus])
+    report = tau_sweep(rec, list(by_tau), target=target, point=(cfg.t0, cfg.lam),
                        reference=ref, norm_flag=norm.flag)
     rows = [(target, cfg.t0, cfg.lam, f"{tau:.6g}", f"{est:.12e}")
             for tau, est in zip(report.tau_sequence, report.raw_estimates)]
@@ -242,22 +274,13 @@ def _sweep_cmd(cfg: ExperimentConfig, target: str) -> int:
     return 0
 
 
-def cmd_probe_gamma(cfg, args):
-    return _sweep_cmd(cfg, "gamma")
-
-
-def cmd_probe_rho(cfg, args):
-    return _sweep_cmd(cfg, "rho")
-
-
-def cmd_stability(cfg: ExperimentConfig, args) -> int:
+def cmd_stability(cfg: ExperimentConfig, args, plan) -> int:
     grid = cfg.grid
     target = cfg.perturb_target
     norm = make_norm(grid, cfg.norm_kind)
-    tau = min(cfg.tau_list)
-    table = stability_experiment(cfg.law_family(), target, cfg.A, grid, cfg.lam,
-                                 _probe_spec(cfg, tau, target), dict_seed=cfg.dict_seed,
-                                 dict_size=cfg.dict_size, norm=norm)
+    [probe], _ = plan
+    table = stability_experiment(cfg.law_family(), target, cfg.A, grid, cfg.lam, probe,
+                                 dict_seed=cfg.dict_seed, dict_size=cfg.dict_size, norm=norm)
     rows = [(r.eps, f"{r.eta:.12e}", f"{r.true_diff:.12e}",
              f"{r.recovered:.12e}", r.ok, r.why) for r in table.rows]
     _write_csv(_out(cfg, "stability.csv"), _meta(cfg, norm.flag),
@@ -278,7 +301,7 @@ def cmd_stability(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def cmd_report(cfg: ExperimentConfig, args) -> int:
+def cmd_report(cfg: ExperimentConfig, args, plan) -> int:
     """Summarize the prefix's JSON reports; a report that cannot be read as
     a JSON object is named on stderr and makes the exit status 1."""
     try:
@@ -314,8 +337,8 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
 _COMMANDS = {
     "forward": cmd_forward,
     "linearize-check": cmd_linearize_check,
-    "probe-gamma": cmd_probe_gamma,
-    "probe-rho": cmd_probe_rho,
+    "probe-gamma": cmd_probe,
+    "probe-rho": cmd_probe,
     "stability": cmd_stability,
     "report": cmd_report,
 }
@@ -334,12 +357,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        cfg.check_command(args.command)
-    except (ConfigError, GridError, MaterialError) as exc:
+        plan = _probe_plan(cfg, args)
+        if plan is not None:
+            check_probes(cfg.grid, cfg.A, *plan, lam=cfg.lam)
+    except (ConfigError, GridError, MaterialError, SingularError, ReconstructError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](cfg, args, plan)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,14 @@
 """Experiment configuration: INI-style file, fully validated, hashable.
 
 One config file drives every CLI subcommand.  The option set is closed:
-unknown sections or keys are rejected by name, so a typo cannot silently
-fall back to a default.  The resolved configuration is hashed (sha256 of
-the canonical key=value dump) and the hash is embedded in every output
-file a run produces.
+the keys of _DEFAULTS are the ones each section accepts, and unknown
+sections or keys are rejected by name, so a typo cannot silently fall
+back to a default.  The checks here are on values: each parses, is finite
+and lies in its set, and every law a subcommand can solve with is
+admissible.  What the probes of a subcommand need is checked on its probe
+plan (cli) by reconstruct.check_probes.  The resolved configuration is
+hashed (sha256 of the canonical key=value dump) and the hash is embedded
+in every output file a run produces.
 """
 
 import configparser
@@ -13,27 +17,15 @@ import math
 
 import numpy as np
 
-from .geometry import GridError, build_grid, exterior_point
+from .geometry import build_grid
 from .material import (check_admissible, check_interior_max, make_law,
                        make_matrix, perturb_law)
-from .reconstruct import ReconstructError, require_equal_gamma
-from .singular import BUMP_SKEW, SingularError, make_cutoffs
+from .singular import BUMP_SKEW
 
 
 class ConfigError(ValueError):
     pass
 
-
-_SCHEMA = {
-    "grid": {"dim", "h", "dt", "t_final", "patch_face", "patch_interval", "pad"},
-    "material": {"a_diag", "lambda", "gamma1", "rho1", "gamma2", "rho2",
-                 "m_floor", "kappa_cap", "perturb_target", "perturb_profile"},
-    "probe": {"x0", "t0", "kind", "r", "a_rule", "shape", "conv"},
-    "norms": {"kind", "dict_seed", "dict_size"},
-    "sweep": {"tau_list", "eps_list", "k_list"},
-    "output": {"dir", "prefix"},
-    "run": {"seed"},
-}
 
 _DEFAULTS = {
     "grid": {"dim": "2", "h": "0.03125", "dt": "0.03125", "t_final": "1.0",
@@ -208,54 +200,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{pair[0].label} vs {pair[1].label}: interior_max "
                                   f"fails: |rho1 - rho2| peaks only at t = {rep.t_max:.3g}")
 
-    def check_command(self, command: str):
-        """Reject what a subcommand's probes cannot do, before any solve.
-
-        Rho probes need n >= 3 and A = Id (probe-rho, and stability with
-        perturb_target = rho); a tau sweep needs two distinct taus; a
-        stability table needs a nonzero eps.  Every probe the subcommand
-        builds must pass the placement predicates of exterior_point and
-        the cutoff-support predicates of make_cutoffs.  Rho probes also
-        need gamma1(t, lambda) = gamma2(t, lambda) at the time levels inside
-        the support of their plateau cutoff chi, where the rho estimate
-        would otherwise read the conductivity difference.
-        """
-        rho = command == "probe-rho" or (command == "stability"
-                                         and self.perturb_target == "rho")
-        if rho and self.grid.dim < 3:
-            raise ConfigError(f"rho_dim fails: rho probes need n >= 3, dim = {self.grid.dim}")
-        if rho and not self.A.is_identity:
-            raise ConfigError(f"rho_identity_A fails: rho probes need A = Id, "
-                              f"a_diag = {self.raw['material']['a_diag']}")
-        if command in ("probe-gamma", "probe-rho") and len(set(self.tau_list)) < 2:
-            raise ConfigError(f"tau_sweep fails: a tau sweep needs at least two "
-                              f"distinct values, tau_list = {self.raw['sweep']['tau_list']}")
-        if command == "stability" and not any(self.eps_list):
-            raise ConfigError(f"eps_sweep fails: a stability table needs a nonzero eps, "
-                              f"eps_list = {self.raw['sweep']['eps_list']!r}")
-        kind = {"probe-gamma": "gamma", "probe-rho": "rho", "linearize-check": "gamma",
-                "stability": self.perturb_target}.get(command)
-        if command == "forward" and self.probe_kind == "gamma" and self.tau_list:
-            kind = "gamma"  # else forward runs on zero data
-        if kind is None:
-            return
-        if not self.tau_list:
-            raise ConfigError(f"probe_tau fails: {command} needs a tau, tau_list is empty")
-        cuts = []
-        for tau in self.tau_list if command.startswith("probe-") else [min(self.tau_list)]:
-            try:
-                geom = exterior_point(self.grid, self.x0, tau, self.t0)
-                cuts.append(make_cutoffs(self.t0, tau, kind, self.grid, r=self.probe_r,
-                                         tau0=geom.tau0, shape=self.bump_shape,
-                                         a_rule=self.a_rule))
-            except (GridError, SingularError) as exc:
-                raise ConfigError(f"{exc} ({command}, tau = {tau:g})") from None
-        if rho:
-            try:
-                require_equal_gamma((self.law1, self.law2), self.lam, self.grid.times, cuts)
-            except ReconstructError as exc:
-                raise ConfigError(str(exc)) from None
-
     def law_family(self):
         """eps-indexed pairs (perturbed law1-side, law2) for stability runs."""
         return [(eps, (perturb_law(self.law1, eps, self.perturb_target,
@@ -279,10 +223,10 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"malformed config file: {exc}") from None
     raw = {s: dict(d) for s, d in _DEFAULTS.items()}
     for section, values in items.items():
-        if section not in _SCHEMA:
+        if section not in _DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, val in values.items():
-            if key not in _SCHEMA[section]:
+            if key not in _DEFAULTS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             raw[section][key] = val
     return ExperimentConfig(raw)

@@ -168,10 +168,9 @@ class Grid:
 
 @dataclass(frozen=True)
 class ProbeGeometry:
-    """Placement of one singular probe: patch point, time, exterior point."""
+    """Placement of one singular probe: patch point, exterior point."""
 
     x0: tuple
-    t0: float
     tau: float
     y_tau: tuple
     tau0: float  # admissibility radius delta of x0
@@ -238,7 +237,7 @@ def probe_admissibility_radius(grid: Grid, x0) -> float:
     return min(clear)
 
 
-def exterior_point(grid: Grid, x0, tau: float, t0: float = None) -> ProbeGeometry:
+def exterior_point(grid: Grid, x0, tau: float) -> ProbeGeometry:
     """Place the exterior source point y_tau = x0 + tau * nu(x0).
 
     x0 must lie on the patch face strictly inside S, and tau must clear
@@ -257,11 +256,8 @@ def exterior_point(grid: Grid, x0, tau: float, t0: float = None) -> ProbeGeometr
         raise GridError(f"tau_resolution fails: tau={tau} < 2h = {2 * grid.h}")
     if tau >= delta:
         raise GridError(f"tau_admissible fails: tau={tau} >= admissibility radius {delta}")
-    if t0 is not None and not (0.0 < t0 < grid.T):
-        raise GridError(f"t0_interior fails: t0={t0} is not an interior time")
     y = x0 + tau * grid.patch_normal()
-    return ProbeGeometry(x0=tuple(x0), t0=t0, tau=float(tau), y_tau=tuple(y),
-                         tau0=delta)
+    return ProbeGeometry(x0=tuple(x0), tau=float(tau), y_tau=tuple(y), tau0=delta)
 
 
 def trapezoid_weights(shape, h):

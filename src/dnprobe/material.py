@@ -203,13 +203,13 @@ class AdmissibilityReport:
         return self.passed
 
 
-def check_admissible(law: MaterialLaw, s_range=(-1.0, 1.0), t_grid=None,
-                     T=1.0, samples=256, check_kappa=False) -> AdmissibilityReport:
+def check_admissible(law: MaterialLaw, s_range=(-1.0, 1.0), T=1.0, samples=256,
+                     check_kappa=False) -> AdmissibilityReport:
     """Sample the positivity floors (and optionally the d_t rho cap).
 
     Never raises; the report records the worst sample per predicate.
     """
-    t = np.linspace(0.0, T, samples) if t_grid is None else np.asarray(t_grid, float)
+    t = np.linspace(0.0, T, samples)
     s = np.linspace(s_range[0], s_range[1], samples)
     # a t column against an s row: each margin is a fresh contiguous
     # (t, s) array, so argmin never walks a stride-0 broadcast view

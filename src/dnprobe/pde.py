@@ -142,16 +142,14 @@ class SpaceTimeField:
 class _TimeLevels:
     """Data given at every time level, values[m] at grid.times[m]."""
 
-    def check_compatible(self, where: str = "start", tol: float = 1e-12):
+    def check_compatible(self, where: str = "start"):
+        """The data vanish at t = 0 (where="start") or at t = T ("end"), to
+        1e-12 of max(1, their peak)."""
+        start = where == "start"
         scale = max(1.0, np.abs(self.values).max())
-        if where == "start":
-            bad = np.abs(self.values[0]).max() > tol * scale
-            msg = "boundary data must vanish at t=0"
-        else:
-            bad = np.abs(self.values[-1]).max() > tol * scale
-            msg = "adjoint boundary data must vanish at t=T"
-        if bad:
-            raise PDEError(msg)
+        if np.abs(self.values[0 if start else -1]).max() > 1e-12 * scale:
+            raise PDEError("boundary data must vanish at t=0" if start
+                           else "adjoint boundary data must vanish at t=T")
 
 
 @dataclass
@@ -242,13 +240,12 @@ def interior_mask(grid: Grid):
     return m
 
 
-def probe_boundary_field(grid: Grid, profile, spatial: np.ndarray,
-                         tol: float = 1e-7) -> PatchField:
+def probe_boundary_field(grid: Grid, profile, spatial: np.ndarray) -> PatchField:
     """Patch datum profile(t) * spatial(x) on S, profile given by its
     values at grid.times; the datum keeps both factors (PatchField.product).
 
     spatial is a full node array (e.g. H - v_tau); it must vanish on
-    dOmega \\ S up to tol relative to its peak, or the probe construction
+    dOmega \\ S up to 1e-7 relative to its peak, or the probe construction
     leaked outside the patch and we refuse to continue.
     """
     bmask = ~interior_mask(grid)
@@ -258,7 +255,7 @@ def probe_boundary_field(grid: Grid, profile, spatial: np.ndarray,
     off_patch[face] &= ~support
     peak = np.abs(spatial[bmask]).max()
     leak = np.abs(spatial[off_patch]).max()
-    if peak > 0.0 and leak > tol * peak:
+    if peak > 0.0 and leak > 1e-7 * peak:
         raise PDEError(f"probe support leaks off the patch: {leak:.3e} vs peak {peak:.3e}")
     return PatchField.product(profile, spatial[face], grid)
 
@@ -443,8 +440,7 @@ def _forward_jacobian(grid: Grid, A: np.ndarray, law, t: float, u: np.ndarray,
 
 
 def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
-                  source=None, newton_tol: float = NEWTON_TOL,
-                  newton_cap: int = NEWTON_CAP, keep=None):
+                  source=None, newton_cap: int = NEWTON_CAP, keep=None):
     """Implicit-Euler / chord-Newton solve of the quasilinear problem.
 
     g is one datum, a BoundaryField on all of dOmega or a PatchField on S,
@@ -568,7 +564,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
                     errors[b] = PDEError("outside operational smallness radius "
                                          f"(non-finite residual at t={t:g})")
                     continue
-                if norms[j] <= newton_tol:
+                if norms[j] <= NEWTON_TOL:
                     worst[b] = max(worst[b], float(norms[j]))
                     continue
                 if last[b] is not None and norms[j] > CHORD_RATE * last[b]:
@@ -625,8 +621,8 @@ def _frozen_step(eig, basis, rho_over_dt: float, gam: float, rhs: np.ndarray):
     return dst1(dst1(rhs, basis) / (rho_over_dt + gam * eig), basis)
 
 
-def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryField,
-                     source=None) -> SpaceTimeField:
+def solve_linearized(law, A: MatrixField, grid: Grid, lam: float,
+                     g: BoundaryField) -> SpaceTimeField:
     """Linear solve with coefficients frozen at the background s = lambda."""
     g.check_compatible("start")
     eig, basis, [gam], [rho] = _frozen_setup([law], A, grid, lam)
@@ -638,8 +634,6 @@ def solve_linearized(law, A: MatrixField, grid: Grid, lam: float, g: BoundaryFie
         # the boundary load -K g_m by the matrix-free stencil, g_m zero inside
         rhs = (rho[m] / dt) * w[m - 1][inner] \
             + gam[m] * _diffusion(A.A, grid.h, 1.0, g.values[m])
-        if source is not None:
-            rhs = rhs + source[m][inner]
         w[m][inner] = _frozen_step(eig, basis, rho[m] / dt, gam[m], rhs)
     return SpaceTimeField(values=w, grid=grid)
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .geometry import Grid, exterior_point
 from .material import MatrixField, make_matrix
-from .singular import SingularError, build_basis, grad_H_energy, make_cutoffs
+from .singular import (SingularError, build_basis, check_rho_setting, grad_H_energy,
+                       make_cutoffs)
 from .pde import PatchField, PDEError, probe_boundary_field
 from .dnmap import (eta_surrogate, make_norm, patch_linear_flux,
                     random_bump_dictionary, surface_pairing)
@@ -79,6 +80,28 @@ def require_equal_gamma(pair, lam: float, times: np.ndarray, cuts):
                                f"at t = {t[gap.argmax()]:.3g}")
 
 
+def check_probes(grid: Grid, A: MatrixField, probes, law_pairs, *, lam: float):
+    """The part of probe_data before any solve: (geoms, cuts) per probe.
+
+    Each probe is placed (exterior_point) and gets its cutoffs
+    (make_cutoffs); rho probes need check_rho_setting, and each law pair
+    read at lam equal conductivities on supp chi (require_equal_gamma).
+    A failed check raises by the name of its predicate.
+    """
+    if len({(p.kind, p.conv) for p in probes}) != 1:
+        raise ReconstructError("probes built together need one kind and one conv")
+    kind = probes[0].kind
+    if kind == "rho":
+        check_rho_setting(grid, A)
+    geoms = [exterior_point(grid, p.x0, p.tau) for p in probes]
+    cuts = [make_cutoffs(p.t0, p.tau, p.kind, grid, r=p.r, tau0=geom.tau0, shape=p.shape,
+                         a_rule=p.a_rule) for p, geom in zip(probes, geoms)]
+    if kind == "rho":
+        for pair in law_pairs:
+            require_equal_gamma(pair, lam, grid.times, cuts)
+    return geoms, cuts
+
+
 def probe_data(grid: Grid, A: MatrixField, probes, law_pairs=(), *, lam: float):
     """Boundary data and H energy of probes of one kind, built together.
 
@@ -86,24 +109,12 @@ def probe_data(grid: Grid, A: MatrixField, probes, law_pairs=(), *, lam: float):
     probe, g = phi_tau (H - v), and [(g_j, gbar_j) for each axis j] for a
     rho probe, g_j = chi Phi_tau (d_j H - v_j) and gbar_j = phi_tau
     (d_j H - v_j); energy is the gradient energy of H that the probe's
-    pairings are divided by.  The correctors of all the probes are one
-    stacked solve (build_basis).  Rho probes first reject each of the law
-    pairs to be read at lam whose conductivities differ on supp chi of any
-    probe (require_equal_gamma), before any solve.
+    pairings are divided by.  The probes and the law pairs to be read at
+    lam pass check_probes before any solve; the correctors of all the
+    probes are one stacked solve (build_basis).
     """
-    if len({(p.kind, p.conv) for p in probes}) != 1:
-        raise ReconstructError("probes built together need one kind and one conv")
+    geoms, cuts = check_probes(grid, A, probes, law_pairs, lam=lam)
     kind = probes[0].kind
-    if kind == "rho" and grid.dim < 3:
-        raise ReconstructError("rho probes need n >= 3")
-    if kind == "rho" and not A.is_identity:
-        raise ReconstructError("rho probes are restricted to A = Id")
-    geoms = [exterior_point(grid, p.x0, p.tau, p.t0) for p in probes]
-    cuts = [make_cutoffs(p.t0, p.tau, p.kind, grid, r=p.r, tau0=geom.tau0, shape=p.shape,
-                         a_rule=p.a_rule) for p, geom in zip(probes, geoms)]
-    if kind == "rho":
-        for pair in law_pairs:
-            require_equal_gamma(pair, lam, grid.times, cuts)
     bases = build_basis(grid, geoms, A, conv=probes[0].conv, kind=kind)
     out = []
     for basis, cut in zip(bases, cuts):
@@ -206,17 +217,25 @@ def _fit_extrapolation(taus, estimates):
     return e_inf, p
 
 
+def sweep_taus(tau_list) -> list:
+    """The distinct taus of a sweep, decreasing; a sweep needs two."""
+    taus = sorted(set(float(t) for t in tau_list), reverse=True)
+    if len(taus) < 2:
+        raise ReconstructError(f"tau_sweep fails: a tau sweep needs at least two "
+                               f"distinct values, tau_list = {list(tau_list)}")
+    return taus
+
+
 def tau_sweep(recover, tau_list, target: str = "gamma", point=(None, None),
               reference: float = None, norm_flag: str = "") -> ReconstructionReport:
     """Run a recovery callable over a decreasing tau sequence and fit rates.
 
-    recover: the sorted taus -> their estimates, in one call.  Extrapolation uses the e_inf + c tau^p model
-    on the last three points and is skipped (finest raw value reported)
-    when the sequence is non-monotone or not power-like.
+    recover: the taus of sweep_taus(tau_list) -> their estimates, in one
+    call.  Extrapolation uses the e_inf + c tau^p model on the last three
+    points and is skipped (finest raw value reported) when the sequence is
+    non-monotone or not power-like.
     """
-    taus = sorted(set(float(t) for t in tau_list), reverse=True)
-    if len(taus) < 2:
-        raise ReconstructError("tau sweep needs at least two distinct values")
+    taus = sweep_taus(tau_list)
     estimates = list(recover(taus))
     notes = []
     if len(taus) >= 3:
@@ -267,10 +286,9 @@ class StabilityTable:
     norm_flag: str = ""
 
 
-def _sup_coeff_difference(pair, lam: float, T: float, target: str,
-                          samples: int = 512) -> float:
+def _sup_coeff_difference(pair, lam: float, T: float, target: str) -> float:
     law1, law2 = pair
-    t = np.linspace(0.0, T, samples)
+    t = np.linspace(0.0, T, 512)
     if target == "gamma":
         d = law1.gamma(t, lam) - law2.gamma(t, lam)
     else:

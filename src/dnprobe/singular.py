@@ -407,6 +407,16 @@ class SingularBasis:
     vj_omega: list = None
 
 
+def check_rho_setting(grid: Grid, A: MatrixField):
+    """Reject a setting the rho estimate does not cover: rho probes need
+    n >= 3 and A = Id."""
+    if grid.dim < 3:
+        raise SingularError(f"rho_dim fails: rho probes need n >= 3, dim = {grid.dim}")
+    if not A.is_identity:
+        raise SingularError(f"rho_identity_A fails: rho probes need A = Id, "
+                            f"diag(A) = {np.diagonal(A.A).tolist()}")
+
+
 def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
                 kind: str = "gamma") -> list:
     """Evaluate the singular fields of the probes at geoms and solve their
@@ -414,12 +424,10 @@ def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
 
     H and, for rho probes, grad H are evaluated once per probe on the grid
     and once on dOmega' (the trace), and the correctors of every probe's H
-    and of its n first derivatives are one stacked solve_corrector call."""
+    and of its n first derivatives are one stacked solve_corrector call.
+    Rho probes are first checked by check_rho_setting."""
     if kind == "rho":
-        if grid.dim < 3:
-            raise SingularError("rho probes need n >= 3")
-        if not A.is_identity:
-            raise SingularError("rho probes are restricted to A = Id")
+        check_rho_setting(grid, A)
     ys = [np.asarray(geom.y_tau) for geom in geoms]
     coords = np.stack(grid.node_coords(), axis=-1)
 

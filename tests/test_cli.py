@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ from dnprobe import cli
 from dnprobe.cli import main
 from dnprobe.config import load_config
 from dnprobe.pde import SpaceTimeField
-from dnprobe.reconstruct import ProbeSpec, recover_gamma_point, recover_rho_point
+from dnprobe.reconstruct import recover_gamma_point, recover_rho_point
 
 GAMMA_CFG = """
 [grid]
@@ -348,6 +349,11 @@ def _set(old, new, text=GAMMA_CFG):
     return text.replace(old, new, 1)
 
 
+def _args(command, mms=False):
+    """The parsed arguments _probe_plan reads."""
+    return argparse.Namespace(command=command, mms=mms)
+
+
 def _exits_2_naming(tmp_path, capsys, text, command, predicate):
     p = tmp_path / "exp.ini"
     p.write_text(text.format(out=tmp_path / "out"))
@@ -413,13 +419,15 @@ def test_rho_plateau_that_cannot_cover_the_bump_exits_2(tmp_path, capsys):
 
 def test_forward_checks_the_probe_it_solves_with(tmp_path, capsys):
     # forward drives the gamma probe at min(tau_list); with a rho kind it
-    # runs on zero data and needs no probe
+    # runs on zero data, and with --mms on manufactured data: no probe
     text = GAMMA_CFG.replace("tau_list = 0.2,0.15,0.125", "tau_list = 0.2,0.1")
     _exits_2_naming(tmp_path, capsys, text, "forward", "tau_resolution")
     p = tmp_path / "exp.ini"
+    p.write_text(text.format(out=tmp_path / "out"))
+    assert cli._probe_plan(load_config(str(p)), _args("forward", mms=True)) is None
     p.write_text(text.replace("[probe]\n", "[probe]\nkind = rho\n")
                  .format(out=tmp_path / "out"))
-    load_config(str(p)).check_command("forward")
+    assert cli._probe_plan(load_config(str(p)), _args("forward")) is None
 
 
 # --- malformed and out-of-set config values ------------------------------------
@@ -707,13 +715,43 @@ def test_probe_sweeps_solve_one_corrector_stack_and_one_flux_per_law(
     target = command.split("-")[1]
     with open(tmp_path / "out" / f"{cfg.prefix}_{target}_report.json") as fh:
         rep = json.load(fh)
-    pair = (cfg.law1, cfg.law2)
-    for tau, est in zip(rep["tau_sequence"], rep["raw_estimates"]):
-        probe = ProbeSpec(x0=cfg.x0, t0=cfg.t0, tau=tau, kind=target, r=cfg.probe_r,
-                          a_rule=cfg.a_rule, shape=cfg.bump_shape, conv=cfg.conv)
+    probes, [pair] = cli._probe_plan(cfg, _args(command))
+    assert [probe.tau for probe in probes] == rep["tau_sequence"]
+    for probe, est in zip(probes, rep["raw_estimates"]):
         one = (recover_gamma_point(pair, cfg.A, cfg.grid, cfg.lam, probe) if target == "gamma"
                else recover_rho_point(pair, cfg.grid, cfg.lam, probe, A=cfg.A))
         assert abs(est - one) <= 1e-12 * abs(one)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("forward", GAMMA_CFG), ("linearize-check", GAMMA_CFG), ("probe-gamma", GAMMA_CFG),
+    ("probe-rho", RHO3D_SMALL), ("stability", GAMMA_CFG), ("stability", RHO3D_SMALL),
+], ids=["forward", "linearize-check", "probe-gamma", "probe-rho", "stability-gamma",
+        "stability-rho"])
+def test_main_checks_the_probes_and_pairs_its_subcommand_builds(
+        tmp_path, monkeypatch, command, text):
+    # the plan main checks before dispatch is what the subcommand then
+    # builds: the probes and law pairs reconstruct.probe_data receives
+    import dnprobe.reconstruct as reconstruct
+    real_check, real_data = cli.check_probes, reconstruct.probe_data
+    checked, built = [], []
+
+    def recorded_check(grid, A, probes, law_pairs, *, lam):
+        checked.append((list(probes), list(law_pairs)))
+        return real_check(grid, A, probes, law_pairs, lam=lam)
+
+    def recorded_data(grid, A, probes, law_pairs=(), *, lam):
+        built.append((list(probes), list(law_pairs)))
+        return real_data(grid, A, probes, law_pairs, lam=lam)
+
+    monkeypatch.setattr(cli, "check_probes", recorded_check)
+    monkeypatch.setattr(cli, "probe_data", recorded_data)
+    monkeypatch.setattr(reconstruct, "probe_data", recorded_data)
+    p = tmp_path / "exp.ini"
+    p.write_text(text.format(out=tmp_path / "out"))
+    assert main([command, "-c", str(p)]) == 0
+    assert len(checked) == 1 and checked[0][0]
+    assert built == checked
 
 
 def test_probes_and_stability_measure_patch_data_on_the_face(tmp_path, monkeypatch):

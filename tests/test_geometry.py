@@ -45,14 +45,14 @@ def test_unknown_face_rejected():
 
 def test_exterior_point_left_face():
     g = build_grid(2, 1 / 32, 1 / 32, 1.0, patch_interval=[(0.25, 0.75)])
-    p = exterior_point(g, (0.0, 0.5), 0.1, t0=0.5)
+    p = exterior_point(g, (0.0, 0.5), 0.1)
     assert p.y_tau == pytest.approx((-0.1, 0.5))
     assert np.linalg.norm(np.array(p.y_tau) - np.array(p.x0)) == pytest.approx(0.1)
 
 
 def test_exterior_point_3d():
     g = build_grid(3, 1 / 8, 1 / 8, 1.0, pad=8)
-    p = exterior_point(g, (0.0, 0.5, 0.5), 0.25, t0=0.5)
+    p = exterior_point(g, (0.0, 0.5, 0.5), 0.25)
     assert p.y_tau == pytest.approx((-0.25, 0.5, 0.5))
 
 

@@ -2,14 +2,18 @@
 
 Every top-level function of the package has a caller in the package or in
 demos/, and every name a module imports is read there; test-only
-references live in tests/reference.py.  scipy appears in
-the package only where the Newton stall fallback factorizes a Jacobian,
-and no module forms an explicit inverse with numpy.linalg.inv: a linear
-system is factored and solved.
+references live in tests/reference.py.  Every defaulted parameter of a
+package function is passed at some call site in src, demos/ or tests/.
+Each "<predicate> fails" message of a hypothesis check is raised at one
+site.  scipy appears in the package only where the Newton stall fallback
+factorizes a Jacobian, and no module forms an explicit inverse with
+numpy.linalg.inv: a linear system is factored and solved.
 """
 
 import ast
 import os
+import re
+from collections import Counter, defaultdict
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SRC = os.path.join(ROOT, "src", "dnprobe")
@@ -75,6 +79,66 @@ def test_every_top_level_function_has_a_caller_in_src_or_demos():
     orphans = sorted(f"{mod}.{name}" for mod, name in defined
                      if name not in used and name not in SPANS_BOUND)
     assert orphans == [], f"no caller in src or demos/: {orphans}"
+
+
+def _functions(tree):
+    """(function, number of leading parameters a call does not pass) for
+    the top-level functions and the methods of a module; a method's self
+    or cls is bound, not passed (the package has no staticmethod)."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt, 0
+        elif isinstance(stmt, ast.ClassDef):
+            yield from ((sub, 1) for sub in stmt.body if isinstance(sub, ast.FunctionDef))
+
+
+def _defaulted(fn, bound):
+    """(parameter, position a call passes it at, or None) of a function's
+    defaulted parameters."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default no caller overrides is a constant: keywords and positions
+    # passed, per callee name, over every call in src, demos/ and tests/
+    keywords, positions = defaultdict(set), defaultdict(int)
+    for folder in (SRC, os.path.join(ROOT, "demos"), os.path.join(ROOT, "tests")):
+        for name in os.listdir(folder):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(folder, name)) as fh:
+                tree = ast.parse(fh.read())
+            for call in ast.walk(tree):
+                if isinstance(call, ast.Call):
+                    callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                    keywords[callee].update(k.arg for k in call.keywords)
+                    positions[callee] = max(positions[callee], len(call.args))
+    unpassed = [f"{mod}.{fn.name}({param})"
+                for mod, tree in _modules().items() for fn, bound in _functions(tree)
+                for param, i in _defaulted(fn, bound)
+                if param not in keywords[fn.name] and (i is None or positions[fn.name] <= i)]
+    assert unpassed == [], f"defaulted parameters no call passes: {sorted(unpassed)}"
+
+
+def test_each_predicate_is_raised_at_one_site():
+    # "<predicate> fails" names a hypothesis check; each has one raise site
+    sites = Counter()
+    for mod, tree in _modules().items():
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.Raise):
+                sites.update({name for sub in ast.walk(stmt)
+                              if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                              for name in re.findall(r"(\w+) fails", sub.value)})
+    assert sites, "no predicate raise sites found"
+    repeated = sorted(name for name, count in sites.items() if count > 1)
+    assert repeated == [], f"predicates raised at more than one site: {repeated}"
 
 
 def test_every_imported_name_is_read_in_its_module():

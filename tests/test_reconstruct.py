@@ -8,12 +8,14 @@ from scipy.optimize import brentq
 
 import dnprobe.dnmap as dnmap
 import dnprobe.reconstruct as reconstruct
+import dnprobe.singular as singular
 from dnprobe.geometry import build_grid
 from dnprobe.material import make_law, make_matrix, perturb_law
 from dnprobe.reconstruct import (ProbeSpec, ReconstructError,
                                  ReconstructionReport, recover_gamma_point,
                                  recover_rho_point, stability_experiment,
                                  tau_sweep)
+from dnprobe.singular import SingularError
 
 A2 = make_matrix(np.eye(2))
 
@@ -73,18 +75,28 @@ def test_recover_gamma_sign_flip():
     assert got < 0.0
 
 
-def test_recover_rho_dimension_guard():
-    g = build_grid(2, 1 / 16, 1 / 16, 1.0, pad=10)
+def test_recover_rho_dimension_guard(monkeypatch):
+    # rho probes need n >= 3 and A = Id: a library caller gets each check by
+    # its name, the one the CLI gives, before any corrector solve
+    solved = []
+    monkeypatch.setattr(singular, "solve_corrector", lambda *args: solved.append(args))
     law = make_law()
+    g = build_grid(2, 1 / 16, 1 / 16, 1.0, pad=10)
     probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.15, kind="rho")
-    with pytest.raises(ReconstructError):
+    with pytest.raises(SingularError, match="rho_dim"):
         recover_rho_point((law, law), g, 0.0, probe)
+    g3 = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
+    probe3 = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
+    with pytest.raises(SingularError, match="rho_identity_A"):
+        recover_rho_point((law, law), g3, 0.0, probe3, A=make_matrix(np.diag([2.0, 1.0, 1.0])))
+    assert solved == []
 
 
 def test_rho_recovery_rejects_unequal_conductivities_before_its_frozen_solves(monkeypatch):
     # the rho estimate reads gamma1 - gamma2 on supp chi as a rho difference:
-    # a library caller gets the error the CLI's check_command gives, and no
-    # frozen solve runs; equal conductivities still recover
+    # a library caller gets the error the CLI gives on its probe plan
+    # (reconstruct.check_probes), and no frozen solve runs; equal
+    # conductivities still recover
     g3 = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
     probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
     real, solved = reconstruct.patch_linear_flux, []

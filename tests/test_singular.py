@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.sparse.linalg import spsolve
 
+import dnprobe.singular as singular
 from dnprobe.geometry import FACE_NAMES, build_grid, exterior_point
 from dnprobe.material import MatrixField, make_matrix
 from dnprobe.singular import (SingularError, _omega_prime_operator, _omega_prime_residual,
@@ -404,7 +405,7 @@ def test_moment_matches_adaptive_quadrature(kind, shape):
 def _basis(grid, tau, A, kind="gamma"):
     x0 = [0.5] * grid.dim
     x0[grid.patch_axis] = grid.patch_face_value()
-    geom = exterior_point(grid, tuple(x0), tau, t0=0.5)
+    geom = exterior_point(grid, tuple(x0), tau)
     return build_basis(grid, [geom], A, kind=kind)[0]
 
 
@@ -424,13 +425,17 @@ def test_probe_trace_vanishes_off_patch():
     assert np.abs(diff[patch]).max() > 1e-3
 
 
-def test_rho_basis_requires_3d_identity():
+def test_rho_basis_requires_3d_identity(monkeypatch):
+    # each check by its name, before any corrector solve
+    solved = []
+    monkeypatch.setattr(singular, "solve_corrector", lambda *args: solved.append(args))
     g2 = build_grid(2, 1 / 16, 1 / 16, 1.0)
-    with pytest.raises(SingularError):
+    with pytest.raises(SingularError, match="rho_dim"):
         _basis(g2, 0.15, A2, kind="rho")
     g3 = build_grid(3, 1 / 8, 1 / 8, 1.0, pad=6)
-    with pytest.raises(SingularError):
+    with pytest.raises(SingularError, match="rho_identity_A"):
         _basis(g3, 0.3, make_matrix(np.diag([2.0, 1.0, 1.0])), kind="rho")
+    assert solved == []
 
 
 def test_rho_basis_carries_derivative_fields():
