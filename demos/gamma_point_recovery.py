@@ -23,16 +23,12 @@ A = make_matrix(np.eye(2))
 law1 = make_law(gamma=("constant", {"c0": 1.0 + CONTRAST}), label="warm")
 law2 = make_law(gamma=("constant", {"c0": 1.0}), label="reference")
 
-
-def recover(taus):
-    """All probes of the sweep built and solved together."""
-    probes = [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau, kind="gamma",
-                        a_rule="power", r=0.5) for tau in taus]
-    return point_recovery((law1, law2), A, grid, 0.0, probes)
-
-
-report = tau_sweep(recover, [0.2, 0.15, 0.1, 0.07, 0.05], target="gamma",
-                   point=(0.5, 0.0), reference=CONTRAST)
+taus = [0.2, 0.15, 0.1, 0.07, 0.05]
+probes = [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau, kind="gamma",
+                    a_rule="power", r=0.5) for tau in taus]
+# all probes of the sweep built and solved together
+estimates = point_recovery((law1, law2), A, grid, 0.0, probes)
+report = tau_sweep(taus, estimates, reference=CONTRAST)
 
 print(f"true contrast: {CONTRAST}")
 print(f"{'tau':>8}  {'estimate':>12}  {'error %':>8}")

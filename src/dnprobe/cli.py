@@ -14,7 +14,8 @@ Subcommands:
 _probe_plan decides the probes a subcommand builds and the law pairs it
 reads at them; main checks the plan (reconstruct.check_probes) before
 dispatch.  A config or plan that fails a check exits 2 with "config
-error:" before any solve or write; an error during the run exits 1.
+error:" before any solve or write; an error during the run exits 1 with
+"error:".  main is where a package error becomes an exit code.
 
 All file writes are atomic (tmp file + rename) and embed the config hash
 and the active boundary-norm flag.  A probe or stability command makes
@@ -39,7 +40,8 @@ from .singular import SingularError
 from .pde import PatchField, PDEError, mms_problem, solve_forward
 from .dnmap import level_flux, linearization_check, make_norm, DNMapError
 from .reconstruct import (ProbeSpec, ReconstructError, check_probes, point_recovery,
-                          probe_data, stability_experiment, sweep_taus, tau_sweep)
+                          probe_data, stability_experiment, stability_pairs, sweep_taus,
+                          tau_sweep)
 
 _ERRORS = (GridError, MaterialError, SingularError, PDEError, DNMapError,
            ReconstructError)
@@ -106,11 +108,7 @@ def _probe_plan(cfg: ExperimentConfig, args):
     if command in ("probe-gamma", "probe-rho"):
         kind, pairs = command[len("probe-"):], [(cfg.law1, cfg.law2)]
     elif command == "stability":
-        if not any(cfg.eps_list):
-            raise ConfigError(f"eps_sweep fails: a stability table needs a nonzero eps, "
-                              f"eps_list = {cfg.raw['sweep']['eps_list']!r}")
-        kind = cfg.perturb_target
-        pairs = [pair for eps, pair in cfg.law_family() if eps != 0.0]
+        kind, pairs = cfg.perturb_target, stability_pairs(cfg.law_family())
     elif command == "linearize-check" or (command == "forward" and not args.mms
                                           and cfg.probe_kind == "gamma" and cfg.tau_list):
         kind = "gamma"
@@ -249,12 +247,10 @@ def cmd_probe(cfg: ExperimentConfig, args, plan) -> int:
     norm = make_norm(grid, cfg.norm_kind)
     probes, [pair] = plan
     target = probes[0].kind
-    by_tau = {probe.tau: probe for probe in probes}
     ref = float(getattr(cfg.law1, target)(cfg.t0, cfg.lam)
                 - getattr(cfg.law2, target)(cfg.t0, cfg.lam))
-    rec = lambda taus: point_recovery(pair, cfg.A, grid, cfg.lam, [by_tau[t] for t in taus])
-    report = tau_sweep(rec, list(by_tau), target=target, point=(cfg.t0, cfg.lam),
-                       reference=ref, norm_flag=norm.flag)
+    report = tau_sweep([probe.tau for probe in probes],
+                       point_recovery(pair, cfg.A, grid, cfg.lam, probes), reference=ref)
     rows = [(target, cfg.t0, cfg.lam, f"{tau:.6g}", f"{est:.12e}")
             for tau, est in zip(report.tau_sequence, report.raw_estimates)]
     _write_csv(_out(cfg, f"{target}_sweep.csv"), _meta(cfg, norm.flag),
@@ -265,7 +261,7 @@ def cmd_probe(cfg: ExperimentConfig, args, plan) -> int:
                "extrapolated_value": _finite_or_none(report.extrapolated_value),
                "reference_value": _finite_or_none(report.reference_value),
                "fitted_rate": _finite_or_none(report.fitted_rate),
-               "norm_flag": report.norm_flag, "notes": report.notes}
+               "norm_flag": norm.flag, "notes": report.notes}
     payload.update(_meta(cfg, norm.flag))
     _write_json(_out(cfg, f"{target}_report.json"), payload)
     print(f"{target} at (t0={cfg.t0}, lambda={cfg.lam}): "
@@ -276,16 +272,15 @@ def cmd_probe(cfg: ExperimentConfig, args, plan) -> int:
 
 def cmd_stability(cfg: ExperimentConfig, args, plan) -> int:
     grid = cfg.grid
-    target = cfg.perturb_target
     norm = make_norm(grid, cfg.norm_kind)
     [probe], _ = plan
-    table = stability_experiment(cfg.law_family(), target, cfg.A, grid, cfg.lam, probe,
+    table = stability_experiment(cfg.law_family(), cfg.A, grid, cfg.lam, probe,
                                  dict_seed=cfg.dict_seed, dict_size=cfg.dict_size, norm=norm)
     rows = [(r.eps, f"{r.eta:.12e}", f"{r.true_diff:.12e}",
              f"{r.recovered:.12e}", r.ok, r.why) for r in table.rows]
     _write_csv(_out(cfg, "stability.csv"), _meta(cfg, norm.flag),
                ["eps", "eta", "true_diff", "recovered", "ok", "note"], rows)
-    payload = {"target": target,
+    payload = {"target": table.target,
                "rows": [{k: _finite_or_none(v) for k, v in vars(r).items()}
                         for r in table.rows],
                "fitted_slope": _finite_or_none(table.fitted_slope),

@@ -180,12 +180,12 @@ class ExperimentConfig:
         self.prefix = raw["output"]["prefix"]
         self.seed = parse("run", "seed", int)
 
-        # every law a subcommand can solve with must respect the floors,
-        # and the d_t rho cap when one is set
+        # every law a subcommand can solve with must respect the floors
+        # and the d_t rho cap
         family = [pair for _, pair in self.law_family()]
         for law in [self.law1, self.law2] + [pair[0] for pair in family]:
             rep = check_admissible(law, s_range=(self.lam - 1.0, self.lam + 1.0),
-                                   T=self.grid.T, check_kappa=law.kappa_cap is not None)
+                                   T=self.grid.T)
             for name, (ok, margin, (t, s)) in rep.checks.items():
                 if not ok:
                     raise ConfigError(f"{law.label} is not admissible: {name} fails "

@@ -385,7 +385,7 @@ def patch_linear_flux(laws, A: MatrixField, grid: Grid, lam: float, data: list):
     """
     d, side = grid.patch_axis, grid.patch_side
     for g in data:
-        g.check_compatible("start")
+        g.check_compatible()
     src, row_of = _recurrence_rows(data, grid.dim - 1)
     entries = [entry if isinstance(entry, tuple) else (entry,) for entry in laws]
     distinct = list(dict.fromkeys(law for entry in entries for law in entry))

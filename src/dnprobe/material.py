@@ -161,7 +161,7 @@ class MaterialLaw:
     """Coefficient pair (gamma, rho) with exact partial derivatives.
 
     m_floor is the positivity floor both coefficients must respect;
-    kappa_cap caps sup_t d_t rho(t, s) when the rho experiment is enabled.
+    kappa_cap caps d_t rho(t, s); it is math.inf when none is set.
     """
 
     gamma: Coefficient
@@ -203,9 +203,10 @@ class AdmissibilityReport:
         return self.passed
 
 
-def check_admissible(law: MaterialLaw, s_range=(-1.0, 1.0), T=1.0, samples=256,
-                     check_kappa=False) -> AdmissibilityReport:
-    """Sample the positivity floors (and optionally the d_t rho cap).
+def check_admissible(law: MaterialLaw, s_range=(-1.0, 1.0), T=1.0,
+                     samples=256) -> AdmissibilityReport:
+    """Sample the positivity floors and the d_t rho cap (an infinite cap,
+    make_law's default, passes).
 
     Never raises; the report records the worst sample per predicate.
     """
@@ -223,8 +224,7 @@ def check_admissible(law: MaterialLaw, s_range=(-1.0, 1.0), T=1.0, samples=256,
 
     record("gamma_floor", law.gamma(tc, sr) - law.m_floor)
     record("rho_floor", law.rho(tc, sr) - law.m_floor)
-    if check_kappa:
-        record("rho_dt_cap", law.kappa_cap - law.rho.dt(tc, sr))
+    record("rho_dt_cap", law.kappa_cap - law.rho.dt(tc, sr))
     return AdmissibilityReport(passed=all(ok for ok, _, _ in checks.values()),
                                checks=checks)
 

@@ -142,14 +142,11 @@ class SpaceTimeField:
 class _TimeLevels:
     """Data given at every time level, values[m] at grid.times[m]."""
 
-    def check_compatible(self, where: str = "start"):
-        """The data vanish at t = 0 (where="start") or at t = T ("end"), to
-        1e-12 of max(1, their peak)."""
-        start = where == "start"
+    def check_compatible(self):
+        """The data vanish at t = 0, to 1e-12 of max(1, their peak)."""
         scale = max(1.0, np.abs(self.values).max())
-        if np.abs(self.values[0 if start else -1]).max() > 1e-12 * scale:
-            raise PDEError("boundary data must vanish at t=0" if start
-                           else "adjoint boundary data must vanish at t=T")
+        if np.abs(self.values[0]).max() > 1e-12 * scale:
+            raise PDEError("boundary data must vanish at t=0")
 
 
 @dataclass
@@ -473,7 +470,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
     errors = [None] * B
     for b, datum in enumerate(data):
         try:
-            datum.check_compatible("start")
+            datum.check_compatible()
         except PDEError as exc:
             errors[b] = exc
     inner = (slice(1, -1),) * dim
@@ -624,7 +621,7 @@ def _frozen_step(eig, basis, rho_over_dt: float, gam: float, rhs: np.ndarray):
 def solve_linearized(law, A: MatrixField, grid: Grid, lam: float,
                      g: BoundaryField) -> SpaceTimeField:
     """Linear solve with coefficients frozen at the background s = lambda."""
-    g.check_compatible("start")
+    g.check_compatible()
     eig, basis, [gam], [rho] = _frozen_setup([law], A, grid, lam)
     inner = (slice(1, -1),) * grid.dim
     dt = grid.dt

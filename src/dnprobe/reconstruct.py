@@ -9,7 +9,10 @@ uses the derivative probes g_{j,tau}, gbar_{j,tau} summed over axes.  Both
 recover coefficient *differences*; absolute values are differences plus
 the known reference law.  tau-sweeps, power-law extrapolation, and the
 stability-rate experiments live here too.  A point recovery and a
-stability experiment each make one dnmap.patch_linear_flux call.
+stability experiment each make one dnmap.patch_linear_flux call; a
+sweep fits the estimates of one point recovery over its probes.  A
+failed check, probe build or solve raises, by the name of its predicate
+where it has one.
 """
 
 from dataclasses import dataclass
@@ -18,9 +21,8 @@ import numpy as np
 
 from .geometry import Grid, exterior_point
 from .material import MatrixField, make_matrix
-from .singular import (SingularError, build_basis, check_rho_setting, grad_H_energy,
-                       make_cutoffs)
-from .pde import PatchField, PDEError, probe_boundary_field
+from .singular import build_basis, check_rho_setting, grad_H_energy, make_cutoffs
+from .pde import PatchField, probe_boundary_field
 from .dnmap import (eta_surrogate, make_norm, patch_linear_flux,
                     random_bump_dictionary, surface_pairing)
 
@@ -45,14 +47,11 @@ class ProbeSpec:
 
 @dataclass
 class ReconstructionReport:
-    target: str
-    point: tuple                 # (t0, lambda)
     tau_sequence: list
     raw_estimates: list
     extrapolated_value: float
     reference_value: float = None
     fitted_rate: float = None
-    norm_flag: str = ""
     notes: str = ""
 
     def __post_init__(self):
@@ -226,17 +225,20 @@ def sweep_taus(tau_list) -> list:
     return taus
 
 
-def tau_sweep(recover, tau_list, target: str = "gamma", point=(None, None),
-              reference: float = None, norm_flag: str = "") -> ReconstructionReport:
-    """Run a recovery callable over a decreasing tau sequence and fit rates.
+def tau_sweep(taus, estimates, reference: float = None) -> ReconstructionReport:
+    """Fit the estimates of a sweep, one per tau, taus strictly decreasing.
 
-    recover: the taus of sweep_taus(tau_list) -> their estimates, in one
-    call.  Extrapolation uses the e_inf + c tau^p model on the last three
-    points and is skipped (finest raw value reported) when the sequence is
-    non-monotone or not power-like.
+    The estimates are what one point_recovery call gives for the sweep's
+    probes, ordered by sweep_taus.  Extrapolation uses the e_inf + c tau^p
+    model on the last three points and is skipped (finest raw value
+    reported) when the sequence is non-monotone or not power-like; with a
+    reference value and four points or more, the log-log slope of the
+    error is the fitted rate.
     """
-    taus = sweep_taus(tau_list)
-    estimates = list(recover(taus))
+    sweep_taus(taus)  # two distinct taus; the report checks their order
+    taus, estimates = list(map(float, taus)), list(map(float, estimates))
+    if len(estimates) != len(taus):
+        raise ReconstructError("a sweep needs one estimate per tau")
     notes = []
     if len(taus) >= 3:
         e_inf, p = _fit_extrapolation(taus, estimates)
@@ -255,11 +257,10 @@ def tau_sweep(recover, tau_list, target: str = "gamma", point=(None, None),
             notes.append("rate fit skipped (exact hit)")
     elif reference is not None:
         notes.append("rate omitted (fewer than 4 sweep points)")
-    return ReconstructionReport(target=target, point=point, tau_sequence=taus,
-                                raw_estimates=list(map(float, estimates)),
+    return ReconstructionReport(tau_sequence=taus, raw_estimates=estimates,
                                 extrapolated_value=float(e_inf),
                                 reference_value=reference, fitted_rate=rate,
-                                norm_flag=norm_flag, notes="; ".join(notes))
+                                notes="; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -296,58 +297,59 @@ def _sup_coeff_difference(pair, lam: float, T: float, target: str) -> float:
     return float(np.abs(d).max())
 
 
-def stability_experiment(family, target: str, A: MatrixField, grid: Grid,
-                         lam: float, probe: ProbeSpec, dict_seed: int = 0,
-                         dict_size: int = 16, norm=None) -> StabilityTable:
+def stability_pairs(family) -> list:
+    """The law pairs of a stability family's nonzero eps, in order; a
+    table needs one, and no eps below 0 (a zero row is kept and fits
+    nothing)."""
+    eps = [e for e, _ in family]
+    if not any(eps) or min(eps) < 0.0:
+        raise ReconstructError(f"eps_sweep fails: a stability table needs a nonzero eps "
+                               f"and none below 0, eps_list = {eps}")
+    return [pair for e, pair in family if e != 0.0]
+
+
+def stability_experiment(family, A: MatrixField, grid: Grid, lam: float, probe: ProbeSpec,
+                         dict_seed: int = 0, dict_size: int = 16,
+                         norm=None) -> StabilityTable:
     """Rate table over an eps-indexed family of law pairs.
 
-    family: list of (eps, (law1, law2)).  A row's eta is the dictionary
-    surrogate of its pair, and its recovered value is read at the probe.
-    One patch_linear_flux call on the dictionary and probe data takes every
-    row's pair, so each distinct law is solved once, and forms one row's
-    difference at a time, dropped before the next is formed.  A PDEError or
-    SingularError fails the rows it reaches, not the run.  For the gamma
-    target the table gets a log-log slope of true difference vs eta; for
-    rho a one-sided check of diff <= C * eta^{1/9} with C calibrated at the
-    largest eps.
+    family: list of (eps, (law1, law2)), its eps checked by
+    stability_pairs; the probe's kind is the target.  A row's eta is the
+    dictionary surrogate of its pair, and its recovered value is read at
+    the probe.  One patch_linear_flux call on the dictionary and probe
+    data takes every row's pair, so each distinct law is solved once, and
+    forms one row's difference at a time, dropped before the next is
+    formed.  A failed probe build or solve raises, as in point_recovery.
+    For the gamma target the table gets a log-log slope of true
+    difference vs eta; for rho a one-sided check of diff <= C * eta^{1/9}
+    with C calibrated at the largest eps.
     """
+    target = probe.kind
+    pairs = stability_pairs(family)
     norm = make_norm(grid) if norm is None else norm
     dictionary = random_bump_dictionary(grid, dict_size, seed=dict_seed)
     half_norms = [norm.half(g) for g in dictionary]
-    pairs = [pair for eps, pair in family if eps != 0.0]
-    n, failure = len(dictionary), None
-    try:
-        if pairs:
-            built = probe_data(grid, A, [probe], pairs, lam=lam)
-            diffs = patch_linear_flux(pairs, A, grid, lam,
-                                      dictionary + [g for g, _ in built[0][0]])
-    except (PDEError, SingularError) as exc:
-        failure = exc
+    built = probe_data(grid, A, [probe], pairs, lam=lam)
+    n = len(dictionary)
+    diffs = patch_linear_flux(pairs, A, grid, lam, dictionary + [g for g, _ in built[0][0]])
     rows = []
     for eps, pair in family:
         if eps == 0.0:
             rows.append(StabilityRow(eps=0.0, eta=0.0, true_diff=0.0, recovered=0.0,
                                      why="zero row excluded from fits"))
             continue
-        try:
-            if failure is not None:
-                raise failure
-            diff = next(diffs)  # (Lambda^1 - Lambda^2) g of the row's pair
-            rows.append(StabilityRow(eps=eps, eta=eta_surrogate(diff[:n], half_norms, norm),
-                                     true_diff=_sup_coeff_difference(pair, lam, grid.T, target),
-                                     recovered=_estimates(built, diff[n:], grid)[0]))
-        except (PDEError, SingularError) as exc:
-            nan = float("nan")
-            rows.append(StabilityRow(eps=eps, eta=nan, true_diff=nan, recovered=nan, ok=False,
-                                     why=str(exc)))
+        diff = next(diffs)  # (Lambda^1 - Lambda^2) g of the row's pair
+        rows.append(StabilityRow(eps=eps, eta=eta_surrogate(diff[:n], half_norms, norm),
+                                 true_diff=_sup_coeff_difference(pair, lam, grid.T, target),
+                                 recovered=_estimates(built, diff[n:], grid)[0]))
         diff = None  # dropped before the next row's difference is formed
-    good = [r for r in rows if r.ok and r.eps > 0.0]
+    good = [r for r in rows if r.eps > 0.0]
     table = StabilityTable(target=target, rows=rows, norm_flag=norm.flag)
     if len(good) >= 2 and target == "gamma":
         x = np.log([r.eta for r in good])
         y = np.log([r.true_diff for r in good])
         table.fitted_slope = float(np.polyfit(x, y, 1)[0])
-    if target == "rho" and good:
+    if target == "rho":
         cal = max(good, key=lambda r: r.eps)
         C = cal.true_diff / cal.eta ** (1.0 / 9.0)
         table.holder_constant = C

@@ -8,7 +8,8 @@ a quantity the pipeline computes another way, or an oracle for one:
   which the matrix-free stencil of pde._diffusion is tested;
 - the backward adjoint solve (solve_adjoint), the discrete adjoint of
   pde.solve_linearized, for the adjoint relation and the interior form of
-  the DN-difference pairing;
+  the DN-difference pairing, and the terminal-time check of its data
+  (check_vanishes_at_end);
 - the one-sided conormal (_face_conormal), the harmonic lifting
   (lift_terminal_zero) and the weak (interior-identity) pairing
   (weak_pairing), against surface_pairing of the patch flux;
@@ -41,7 +42,7 @@ import numpy as np
 from dnprobe.dnmap import _FluxStencil, linear_flux
 from dnprobe.geometry import Grid, trapezoid_weights
 from dnprobe.material import MaterialLaw, MatrixField
-from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField, _flat_strides,
+from dnprobe.pde import (BoundaryField, PatchField, PDEError, SpaceTimeField, _flat_strides,
                          _frozen_setup, _frozen_step, box_spectrum, dirichlet_solve,
                          interior_mask, sine_rows, solve_linearized)
 from dnprobe.singular import (CutoffSet, SingularError, _bump_normalization,
@@ -92,6 +93,14 @@ def constant_stiffness(grid: Grid, A: np.ndarray):
     return stiffness(interior_mask(grid), A, grid.h)
 
 
+def check_vanishes_at_end(field: BoundaryField):
+    """Adjoint data vanish at t = T, to 1e-12 of max(1, their peak): the
+    terminal-time counterpart of BoundaryField.check_compatible."""
+    scale = max(1.0, np.abs(field.values).max())
+    if np.abs(field.values[-1]).max() > 1e-12 * scale:
+        raise PDEError("adjoint boundary data must vanish at t=T")
+
+
 def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
                   gbar: BoundaryField) -> SpaceTimeField:
     """Backward solve of -d_t(rho_lam wbar) - gamma_lam div(A grad wbar) = 0.
@@ -101,7 +110,7 @@ def solve_adjoint(law, A: MatrixField, grid: Grid, lam: float,
     sum_m gamma(t_m) (K g_m) . wbar_m = sum_m gamma(t_m) W_m . (K gbar_m)
     over interior nodes and m = 1..nt-1, to rounding.
     """
-    gbar.check_compatible("end")
+    check_vanishes_at_end(gbar)
     eig, basis, [gam], [rho] = _frozen_setup([law], A, grid, lam)
     K, _ = constant_stiffness(grid, A.A)
     inner = (slice(1, -1),) * grid.dim
@@ -127,7 +136,7 @@ def _face_conormal(field: np.ndarray, grid: Grid, A: MatrixField) -> np.ndarray:
 def lift_terminal_zero(h: BoundaryField, grid: Grid, A: MatrixField) -> np.ndarray:
     """E_T h: slice-wise A-harmonic extension into Omega (diagonal A), all
     time levels in one DST-I box solve; zero at t=T inherited from h."""
-    h.check_compatible("end")
+    check_vanishes_at_end(h)
     return dirichlet_solve(h.values.copy(), A.A, grid.h)
 
 

@@ -183,10 +183,9 @@ def test_06_gamma_recovery_constant_contrast():
     law2 = make_law(gamma=("constant", {"c0": 1.0}))
     probe = lambda tau: ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau,
                                   kind="gamma", a_rule="power", r=0.5)
-    rep = tau_sweep(
-        lambda taus: point_recovery((law1, law2), A2, g, 0.0, list(map(probe, taus))),
-        [0.2, 0.15, 0.1, 0.07, 0.05], target="gamma", point=(0.5, 0.0),
-        reference=0.02)
+    taus = [0.2, 0.15, 0.1, 0.07, 0.05]
+    rep = tau_sweep(taus, point_recovery((law1, law2), A2, g, 0.0, list(map(probe, taus))),
+                    reference=0.02)
     finest_err = abs(rep.raw_estimates[-1] - 0.02) / 0.02
     control = abs(recover_gamma_point((law2, law2), A2, g, 0.0, probe(0.05)))
     elapsed = time.time() - start
@@ -208,7 +207,7 @@ def test_07_lipschitz_stability_slope():
               for eps in (0.01, 0.02, 0.04)]
     probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.125, kind="gamma",
                       a_rule="power", r=0.5)
-    table = stability_experiment(family, "gamma", A2, g, 0.0, probe, dict_seed=3, dict_size=8)
+    table = stability_experiment(family, A2, g, 0.0, probe, dict_seed=3, dict_size=8)
     slope = table.fitted_slope
     ok = all(r.ok for r in table.rows) and 0.8 <= slope <= 1.2
     _line("Lipschitz stability slope", ok,
@@ -230,15 +229,14 @@ def test_08_rho_recovery_and_holder_bound():
     assert imax.interior and not imax.degenerate_zero
     probe = lambda tau: ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=tau,
                                   kind="rho", r=0.25)
-    rep = tau_sweep(
-        lambda taus: point_recovery((law1, base), A3, g, 0.0, list(map(probe, taus))),
-        [0.2, 0.175, 0.15, 0.125], target="rho", point=(1.25, 0.0), reference=eps)
+    taus = [0.2, 0.175, 0.15, 0.125]
+    rep = tau_sweep(taus, point_recovery((law1, base), A3, g, 0.0, list(map(probe, taus))),
+                    reference=eps)
     value = base.rho(1.25, 0.0) + rep.raw_estimates[-1]
     ref = float(law1.rho(1.25, 0.0))
     value_err = abs(value - ref) / abs(ref)
     family = [(e, (perturb_law(base, e, "rho", prof), base)) for e in (0.1, 0.2)]
-    table = stability_experiment(family, "rho", A3, g, 0.0, probe(0.125),
-                                 dict_seed=0, dict_size=16)
+    table = stability_experiment(family, A3, g, 0.0, probe(0.125), dict_seed=0, dict_size=16)
     elapsed = time.time() - start
     ok = (value_err <= 0.30 and table.holder_ok
           and all(r.ok for r in table.rows) and elapsed < 1800.0)

@@ -160,29 +160,22 @@ def test_stability_report(cfg_path, tmp_path, capsys):
     assert "slope" in capsys.readouterr().out
 
 
-def test_stability_failed_row_is_strict_json(cfg_path, tmp_path, monkeypatch):
+def test_a_failed_stability_solve_exits_1_and_writes_nothing(cfg_path, tmp_path, monkeypatch,
+                                                             capsys):
+    # a PDEError met while the table is formed fails the run: exit 1 with
+    # an error line naming it, and neither the CSV nor the JSON is written
     import dnprobe.reconstruct as reconstruct
     from dnprobe.pde import PDEError
-    real, calls = reconstruct.eta_surrogate, []
 
-    def fail_first_eps(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            raise PDEError("outside operational smallness radius (injected)")
-        return real(*args, **kwargs)
+    def fail(*args, **kwargs):
+        raise PDEError("outside operational smallness radius (injected)")
 
-    monkeypatch.setattr(reconstruct, "eta_surrogate", fail_first_eps)
-    assert main(["stability", "-c", cfg_path]) == 0
-
-    def reject(name):
-        raise ValueError(f"invalid JSON constant {name}")
-
-    with open(tmp_path / "out" / "demo_stability_report.json") as fh:
-        rep = json.load(fh, parse_constant=reject)
-    failed, good = rep["rows"]
-    assert not failed["ok"] and "injected" in failed["why"]
-    assert failed["eta"] is None and failed["recovered"] is None
-    assert good["ok"] and good["eta"] > 0.0
+    monkeypatch.setattr(reconstruct, "eta_surrogate", fail)
+    assert main(["stability", "-c", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: outside operational smallness radius (injected)"
+    assert not (tmp_path / "out" / "demo_stability.csv").exists()
+    assert not (tmp_path / "out" / "demo_stability_report.json").exists()
 
 
 @pytest.mark.parametrize("field", ["fitted_rate", "extrapolated_value"])
@@ -460,8 +453,11 @@ def test_malformed_config_exits_2(tmp_path, capsys, text, named):
     ("stability", _set("dict_size = 2", "dict_size = 0"), "dict_size"),
     ("linearize-check", _set("k_list = 4,8", "k_list = 0"), "k_list"),
     ("stability", _set("eps_list = 0.02,0.04", "eps_list ="), "eps_sweep fails"),
+    ("stability", _set("eps_list = 0.02,0.04", "eps_list = -0.01,-0.02,-0.04"),
+     "eps_sweep fails"),
+    ("stability", _set("eps_list = 0.02,0.04", "eps_list = 0,-0.02,0.04"), "eps_sweep fails"),
 ], ids=["probe-kind", "a-rule", "shape", "norm-kind", "spectral-3d", "dict-size",
-        "k-list", "eps-list"])
+        "k-list", "eps-list", "negative-eps", "one-negative-eps"])
 def test_value_outside_its_set_exits_2(tmp_path, capsys, command, text, named):
     p = tmp_path / "exp.ini"
     p.write_text(text.format(out=tmp_path / "out"))

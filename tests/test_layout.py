@@ -5,9 +5,11 @@ demos/, and every name a module imports is read there; test-only
 references live in tests/reference.py.  Every defaulted parameter of a
 package function is passed at some call site in src, demos/ or tests/.
 Each "<predicate> fails" message of a hypothesis check is raised at one
-site.  scipy appears in the package only where the Newton stall fallback
-factorizes a Jacobian, and no module forms an explicit inverse with
-numpy.linalg.inv: a linear system is factored and solved.
+site, and a package error class is caught only where a failure becomes
+an exit code (cli.main) or a per-datum result (pde.solve_forward).  scipy
+appears in the package only where the Newton stall fallback factorizes a
+Jacobian, and no module forms an explicit inverse with numpy.linalg.inv:
+a linear system is factored and solved.
 """
 
 import ast
@@ -22,6 +24,9 @@ SRC = os.path.join(ROOT, "src", "dnprobe")
 # together with that binding (ROADMAP item 1)
 SPANS_BOUND = {"solve_linearized", "linear_flux", "nonlinear_flux",
                "recover_gamma_point", "recover_rho_point"}
+
+# (module, top-level function) where a package error class may be caught
+CATCH_SITES = {("cli", "main"), ("pde", "solve_forward")}
 
 # (module, top-level function) where scipy may be named: the lazy splu
 # binding and the Jacobian it factorizes
@@ -139,6 +144,24 @@ def test_each_predicate_is_raised_at_one_site():
     assert sites, "no predicate raise sites found"
     repeated = sorted(name for name, count in sites.items() if count > 1)
     assert repeated == [], f"predicates raised at more than one site: {repeated}"
+
+
+def test_package_errors_are_caught_only_in_main_and_the_forward_solve():
+    # a check, build or solve that fails raises up to main: no layer in
+    # between turns a package error into a value
+    modules = _modules()
+    errors = {stmt.name for tree in modules.values() for stmt in tree.body
+              if isinstance(stmt, ast.ClassDef) and stmt.name.endswith("Error")}
+    assert errors, "no package error classes found"
+    sites = set()
+    for mod, tree in modules.items():
+        for stmt in tree.body:
+            for handler in ast.walk(stmt):
+                if (isinstance(handler, ast.ExceptHandler) and handler.type is not None
+                        and errors & set(_names(handler.type))):
+                    sites.add((mod, getattr(stmt, "name", None)))
+    assert sites <= CATCH_SITES, f"package errors caught at: {sorted(sites - CATCH_SITES)}"
+    assert sites == CATCH_SITES, f"the catch sites moved: {sorted(CATCH_SITES - sites)}"
 
 
 def test_every_imported_name_is_read_in_its_module():

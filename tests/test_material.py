@@ -181,21 +181,22 @@ def test_admissible_detects_floor_violation():
 
 def test_admissible_kappa_cap():
     law = make_law(rho=("trig_t", {"c0": 2.0, "c1": 0.5}), kappa_cap=1.0)
-    rep = check_admissible(law, check_kappa=True)
+    rep = check_admissible(law)
     assert not rep.checks["rho_dt_cap"][0]  # sup d_t rho = pi > 1
     loose = make_law(rho=("trig_t", {"c0": 2.0, "c1": 0.5}), kappa_cap=4.0)
-    assert check_admissible(loose, check_kappa=True).checks["rho_dt_cap"][0]
+    assert check_admissible(loose).checks["rho_dt_cap"][0]
+    uncapped = make_law(rho=("trig_t", {"c0": 2.0, "c1": 0.5}))
+    assert check_admissible(uncapped).checks["rho_dt_cap"][0]  # an infinite cap passes
 
 
-def _meshgrid_admissible(law, s_range, T, samples, check_kappa):
+def _meshgrid_admissible(law, s_range, T, samples):
     """check_admissible's checks evaluated on two full meshgrid arrays."""
     t = np.linspace(0.0, T, samples)
     s = np.linspace(s_range[0], s_range[1], samples)
     tt, ss = np.meshgrid(t, s, indexing="ij")
     margins = {"gamma_floor": law.gamma(tt, ss) - law.m_floor,
-               "rho_floor": law.rho(tt, ss) - law.m_floor}
-    if check_kappa:
-        margins["rho_dt_cap"] = law.kappa_cap - law.rho.dt(tt, ss)
+               "rho_floor": law.rho(tt, ss) - law.m_floor,
+               "rho_dt_cap": law.kappa_cap - law.rho.dt(tt, ss)}
     checks = {}
     for name, margin in margins.items():
         k = np.unravel_index(np.argmin(margin), margin.shape)
@@ -209,18 +210,17 @@ def _meshgrid_admissible(law, s_range, T, samples, check_kappa):
        eps=st.sampled_from([0.0, 0.37, -1.3]), target=st.sampled_from(["gamma", "rho"]),
        m_floor=st.sampled_from([1e-3, 0.5, 1.5]), kappa_cap=st.sampled_from([None, 0.2, 4.0]),
        lam=st.floats(-1.0, 1.0), T=st.sampled_from([1.0, 2.5]),
-       samples=st.sampled_from([7, 256]), check_kappa=st.booleans())
+       samples=st.sampled_from([7, 256]))
 def test_admissible_report_equals_the_meshgrid_evaluation(gamma, rho, profile, eps, target,
                                                           m_floor, kappa_cap, lam, T,
-                                                          samples, check_kappa):
+                                                          samples):
     # a t column against an s row gives the margins, worst values and worst
     # points of the full meshgrid evaluation, bit for bit
     law = perturb_law(make_law(gamma=gamma, rho=rho, m_floor=m_floor, kappa_cap=kappa_cap),
                       eps, target, profile)
     s_range = (lam - 1.0, lam + 1.0)
-    rep = check_admissible(law, s_range=s_range, T=T, samples=samples,
-                           check_kappa=check_kappa)
-    ref = _meshgrid_admissible(law, s_range, T, samples, check_kappa)
+    rep = check_admissible(law, s_range=s_range, T=T, samples=samples)
+    ref = _meshgrid_admissible(law, s_range, T, samples)
     assert rep.checks == ref
     assert rep.passed == all(ok for ok, _, _ in ref.values())
 

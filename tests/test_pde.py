@@ -17,8 +17,8 @@ from dnprobe.pde import (BoundaryField, PatchField, PDEError, box_spectrum,
                          dirichlet_solve, dst1, interior_mask, mms_problem,
                          probe_boundary_field, sine_basis, solve_forward,
                          solve_linearized)
-from reference import (boundary_field_from_callable, constant_stiffness,
-                       lambda_difference_flux, solve_adjoint, stiffness)
+from reference import (boundary_field_from_callable, check_vanishes_at_end,
+                       constant_stiffness, lambda_difference_flux, solve_adjoint, stiffness)
 from test_material import _library_laws
 
 A2 = make_matrix(np.eye(2))
@@ -44,11 +44,13 @@ def test_boundary_field_rejects_interior_values():
 def test_compatibility_guard():
     g = build_grid(2, 1 / 8, 1 / 8, 1.0)
     gb = boundary_field_from_callable(g, lambda t, x: 1.0 + 0.0 * x[..., 0])
-    with pytest.raises(PDEError):
-        gb.check_compatible("start")
+    with pytest.raises(PDEError, match="t=0"):
+        gb.check_compatible()
+    with pytest.raises(PDEError, match="t=T"):
+        check_vanishes_at_end(gb)
     gb2 = boundary_field_from_callable(g, _datum)
-    gb2.check_compatible("start")  # sin(pi t) vanishes at t=0
-    gb2.check_compatible("end")
+    gb2.check_compatible()  # sin(pi t) vanishes at t=0
+    check_vanishes_at_end(gb2)  # and at t=T
 
 
 def test_probe_boundary_field_leak_guard():

@@ -14,7 +14,7 @@ from dnprobe.material import make_law, make_matrix, perturb_law
 from dnprobe.reconstruct import (ProbeSpec, ReconstructError,
                                  ReconstructionReport, recover_gamma_point,
                                  recover_rho_point, stability_experiment,
-                                 tau_sweep)
+                                 sweep_taus, tau_sweep)
 from dnprobe.singular import SingularError
 
 A2 = make_matrix(np.eye(2))
@@ -29,15 +29,13 @@ def _gamma_probe(grid, tau, t0=0.5):
 
 def test_report_validates_tau_order():
     with pytest.raises(ReconstructError):
-        ReconstructionReport(target="gamma", point=(0.5, 0.0),
-                             tau_sequence=[0.1, 0.2], raw_estimates=[1.0, 1.0],
+        ReconstructionReport(tau_sequence=[0.1, 0.2], raw_estimates=[1.0, 1.0],
                              extrapolated_value=1.0)
 
 
 def test_report_rejects_nonfinite():
     with pytest.raises(ReconstructError):
-        ReconstructionReport(target="gamma", point=(0.5, 0.0),
-                             tau_sequence=[0.2, 0.1],
+        ReconstructionReport(tau_sequence=[0.2, 0.1],
                              raw_estimates=[1.0, float("nan")],
                              extrapolated_value=1.0)
 
@@ -140,37 +138,38 @@ def test_recover_rho_equal_laws_is_zero():
 
 
 def test_tau_sweep_extrapolates_power_decay():
-    # synthetic recovery e(tau) = 0.7 + 0.3 tau^1.5 recovers e_inf and the rate
-    rep = tau_sweep(lambda taus: [0.7 + 0.3 * tau ** 1.5 for tau in taus],
-                    [0.4, 0.2, 0.1, 0.05], target="gamma",
-                    point=(0.5, 0.0), reference=0.7)
+    # synthetic estimates e(tau) = 0.7 + 0.3 tau^1.5 recover e_inf and the rate
+    taus = [0.4, 0.2, 0.1, 0.05]
+    rep = tau_sweep(taus, [0.7 + 0.3 * tau ** 1.5 for tau in taus], reference=0.7)
     assert rep.extrapolated_value == pytest.approx(0.7, abs=1e-10)
     assert rep.fitted_rate == pytest.approx(1.5, abs=0.01)
 
 
 def test_tau_sweep_skips_non_power_trend():
-    vals = {0.4: 1.0, 0.2: 2.0, 0.1: 1.5}  # non-monotone, no power fit
-    rep = tau_sweep(lambda taus: [vals[tau] for tau in taus], [0.4, 0.2, 0.1],
-                    target="gamma", point=(0.5, 0.0))
+    # non-monotone, no power fit
+    rep = tau_sweep([0.4, 0.2, 0.1], [1.0, 2.0, 1.5])
     assert "skipped" in rep.notes
     assert rep.extrapolated_value == pytest.approx(1.5)
 
 
 def test_tau_sweep_needs_two_points():
-    with pytest.raises(ReconstructError):
-        tau_sweep(lambda taus: taus, [0.1], target="gamma")
+    with pytest.raises(ReconstructError, match="tau_sweep fails"):
+        tau_sweep([0.1], [1.0])
+    with pytest.raises(ReconstructError, match="tau_sweep fails"):
+        tau_sweep([0.1, 0.1], [1.0, 1.0])
 
 
-def test_tau_sweep_orders_input():
-    seen = []
+def test_tau_sweep_fits_decreasing_taus_one_estimate_each():
+    with pytest.raises(ReconstructError, match="strictly decreasing"):
+        tau_sweep([0.05, 0.2, 0.1], [1.05, 1.2, 1.1])
+    with pytest.raises(ReconstructError, match="one estimate per tau"):
+        tau_sweep([0.2, 0.1, 0.05], [1.2, 1.1])
 
-    def rec(taus):
-        seen.append(taus)
-        return [1.0 + tau for tau in taus]
 
-    rep = tau_sweep(rec, [0.05, 0.2, 0.1], target="gamma")
-    assert seen == [[0.2, 0.1, 0.05]]  # one call, on the decreasing taus
-    assert rep.raw_estimates == [1.0 + tau for tau in (0.2, 0.1, 0.05)]
+def test_sweep_taus_orders_input():
+    # the distinct taus, decreasing: the order a sweep's probes are built in
+    assert sweep_taus([0.05, 0.2, 0.1, 0.2]) == [0.2, 0.1, 0.05]
+    assert sweep_taus(["0.1", 0.3]) == [0.3, 0.1]
 
 
 def test_stability_gamma_linear_slope():
@@ -179,7 +178,7 @@ def test_stability_gamma_linear_slope():
     family = [(eps, (perturb_law(base, eps, "gamma"), base))
               for eps in (0.01, 0.02, 0.04)]
     probe = _gamma_probe(g, 0.15)
-    table = stability_experiment(family, "gamma", A2, g, 0.0, probe, dict_size=4, dict_seed=3)
+    table = stability_experiment(family, A2, g, 0.0, probe, dict_size=4, dict_seed=3)
     assert all(r.ok for r in table.rows)
     for r, (_, pair) in zip(table.rows, family):
         one = recover_gamma_point(pair, A2, g, 0.0, probe)
@@ -209,7 +208,7 @@ def test_stability_solves_the_reference_dictionary_once(monkeypatch):
 
     monkeypatch.setattr(dnmap, "patch_linear_flux", counted)
     monkeypatch.setattr(reconstruct, "patch_linear_flux", counted)
-    table = stability_experiment(family, "gamma", A2, g, 0.0, _COARSE_PROBE, dict_size=4)
+    table = stability_experiment(family, A2, g, 0.0, _COARSE_PROBE, dict_size=4)
     assert all(r.ok and r.eta > 0.0 for r in table.rows)
     assert solved == [([pair for _, pair in family], 4 + 1)]
 
@@ -225,10 +224,10 @@ def test_stability_measures_the_dictionary_once(monkeypatch):
         measured.append(1)
         return real(self, field)
 
-    reference = stability_experiment(family, "gamma", A2, g, 0.0, _COARSE_PROBE,
+    reference = stability_experiment(family, A2, g, 0.0, _COARSE_PROBE,
                                      dict_size=4)
     monkeypatch.setattr(dnmap.BoundaryNorm, "half", counted)
-    table = stability_experiment(family, "gamma", A2, g, 0.0, _COARSE_PROBE, dict_size=4)
+    table = stability_experiment(family, A2, g, 0.0, _COARSE_PROBE, dict_size=4)
     assert len(measured) == 4  # once per datum, not once per datum and eps
     assert [r.eta for r in table.rows] == [r.eta for r in reference.rows]
     monkeypatch.undo()
@@ -245,7 +244,7 @@ def test_stability_zero_row_excluded():
     family = [(0.0, (base, base)),
               (0.02, (perturb_law(base, 0.02, "gamma"), base)),
               (0.04, (perturb_law(base, 0.04, "gamma"), base))]
-    table = stability_experiment(family, "gamma", A2, g, 0.0, _COARSE_PROBE, dict_size=2)
+    table = stability_experiment(family, A2, g, 0.0, _COARSE_PROBE, dict_size=2)
     assert table.rows[0].why.startswith("zero row")
     assert table.fitted_slope is not None
 
@@ -261,11 +260,34 @@ def test_stability_rho_holder_bound():
                      base))
               for eps in (0.1, 0.2)]
     probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho")
-    table = stability_experiment(family, "rho", A3, g, 0.0, probe, dict_size=2)
+    table = stability_experiment(family, A3, g, 0.0, probe, dict_size=2)
     assert all(r.ok for r in table.rows)
     assert table.holder_ok
     assert table.holder_constant > 0.0
     assert table.norm_flag == "L2"
+    assert table.target == "rho"  # the probe's kind
+
+
+def test_stability_rho_probe_on_two_dimensions_raises_rho_dim():
+    # a hypothesis failure of the probe raises by name; it fails no rows
+    g = build_grid(2, 1 / 8, 2.5 / 24, 2.5, pad=6)
+    base = make_law(rho=("trig_t", {"c0": 2.0, "c1": 0.3, "freq": 0.4}))
+    family = [(eps, (perturb_law(base, eps, "rho",
+                                 ("trig_t", {"c0": 0.0, "c1": 1.0, "freq": 0.2})),
+                     base))
+              for eps in (0.1, 0.2)]
+    probe = ProbeSpec(x0=(0.0, 0.5), t0=1.25, tau=0.3, kind="rho")
+    with pytest.raises(SingularError, match="rho_dim fails"):
+        stability_experiment(family, A2, g, 0.0, probe, dict_size=2)
+
+
+@pytest.mark.parametrize("eps_list", [(-0.01, -0.02, -0.04), (0.0, -0.02, 0.04), (0.0,), ()])
+def test_stability_needs_a_nonzero_eps_and_none_below_0(eps_list):
+    g = build_grid(2, 1 / 8, 1 / 8, 1.0, pad=6)
+    base = make_law(gamma=("constant", {"c0": 2.0}))
+    family = [(eps, (perturb_law(base, eps, "gamma"), base)) for eps in eps_list]
+    with pytest.raises(ReconstructError, match="eps_sweep fails"):
+        stability_experiment(family, A2, g, 0.0, _COARSE_PROBE, dict_size=2)
 
 
 @settings(max_examples=200, deadline=None)
