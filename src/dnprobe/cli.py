@@ -108,7 +108,7 @@ def _probe_plan(cfg: ExperimentConfig, args):
     if command in ("probe-gamma", "probe-rho"):
         kind, pairs = command[len("probe-"):], [(cfg.law1, cfg.law2)]
     elif command == "stability":
-        kind, pairs = cfg.perturb_target, stability_pairs(cfg.law_family())
+        kind, pairs = cfg.perturb_target, stability_pairs(cfg.law_family)
     elif command == "linearize-check" or (command == "forward" and not args.mms
                                           and cfg.probe_kind == "gamma" and cfg.tau_list):
         kind = "gamma"
@@ -274,7 +274,7 @@ def cmd_stability(cfg: ExperimentConfig, args, plan) -> int:
     grid = cfg.grid
     norm = make_norm(grid, cfg.norm_kind)
     [probe], _ = plan
-    table = stability_experiment(cfg.law_family(), cfg.A, grid, cfg.lam, probe,
+    table = stability_experiment(cfg.law_family, cfg.A, grid, cfg.lam, probe,
                                  dict_seed=cfg.dict_seed, dict_size=cfg.dict_size, norm=norm)
     rows = [(r.eps, f"{r.eta:.12e}", f"{r.true_diff:.12e}",
              f"{r.recovered:.12e}", r.ok, r.why) for r in table.rows]

@@ -180,9 +180,15 @@ class ExperimentConfig:
         self.prefix = raw["output"]["prefix"]
         self.seed = parse("run", "seed", int)
 
+        # eps-indexed pairs (perturbed law1-side, law2) for stability runs,
+        # built once: the checks below, the CLI plan and the table read them
+        self.law_family = [(eps, (perturb_law(self.law1, eps, self.perturb_target,
+                                              self.perturb_profile), self.law2))
+                           for eps in self.eps_list]
+
         # every law a subcommand can solve with must respect the floors
         # and the d_t rho cap
-        family = [pair for _, pair in self.law_family()]
+        family = [pair for _, pair in self.law_family]
         for law in [self.law1, self.law2] + [pair[0] for pair in family]:
             rep = check_admissible(law, s_range=(self.lam - 1.0, self.lam + 1.0),
                                    T=self.grid.T)
@@ -199,12 +205,6 @@ class ExperimentConfig:
             if not rep.interior:
                 raise ConfigError(f"{pair[0].label} vs {pair[1].label}: interior_max "
                                   f"fails: |rho1 - rho2| peaks only at t = {rep.t_max:.3g}")
-
-    def law_family(self):
-        """eps-indexed pairs (perturbed law1-side, law2) for stability runs."""
-        return [(eps, (perturb_law(self.law1, eps, self.perturb_target,
-                                   self.perturb_profile), self.law2))
-                for eps in self.eps_list]
 
     @property
     def hash(self) -> str:

@@ -107,10 +107,12 @@ def probe_data(grid: Grid, A: MatrixField, probes, law_pairs=(), *, lam: float):
     Returns one (pairs, energy) per probe.  pairs is [(g, g)] for a gamma
     probe, g = phi_tau (H - v), and [(g_j, gbar_j) for each axis j] for a
     rho probe, g_j = chi Phi_tau (d_j H - v_j) and gbar_j = phi_tau
-    (d_j H - v_j); energy is the gradient energy of H that the probe's
-    pairings are divided by.  The probes and the law pairs to be read at
-    lam pass check_probes before any solve; the correctors of all the
-    probes are one stacked solve (build_basis).
+    (d_j H - v_j): each d_j H - v_j is leak-checked and cut to the patch
+    face once (probe_boundary_field, which forms g_j), and gbar_j is the
+    other PatchField.product of that face.  energy is the gradient energy
+    of H that the probe's pairings are divided by.  The probes and the law
+    pairs to be read at lam pass check_probes before any solve; the
+    correctors of all the probes are one stacked solve (build_basis).
     """
     geoms, cuts = check_probes(grid, A, probes, law_pairs, lam=lam)
     kind = probes[0].kind
@@ -126,9 +128,9 @@ def probe_data(grid: Grid, A: MatrixField, probes, law_pairs=(), *, lam: float):
             pairs = [(g, g)]
         else:
             chi_Phi = cut.chi(grid.times) * cut.Phi_tau(grid.times)
-            pairs = [(probe_boundary_field(grid, chi_Phi, spatial),
-                      probe_boundary_field(grid, phi, spatial))
-                     for spatial in map(np.subtract, basis.djH_omega, basis.vj_omega)]
+            gs = [probe_boundary_field(grid, chi_Phi, spatial)
+                  for spatial in map(np.subtract, basis.djH_omega, basis.vj_omega)]
+            pairs = [(g, PatchField.product(phi, g.face, grid)) for g in gs]
         out.append((pairs, energy))
     return out
 

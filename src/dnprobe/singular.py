@@ -24,12 +24,14 @@ eliminated by the DST-I solver of pde, and the Gamma x Gamma Schur
 complement, dense and closed-form in the tangential sine bases, is built
 from its per-axis factors and checked positive definite by numpy's
 Cholesky factor.  A corrector solve takes a stack of traces: the probes of
-a tau sweep solve the correctors of their H, and for rho probes of its n
-first derivatives, as one stack, with batched box solves and one linear
-solve of the Schur complement for the interface, and each member's
-residual is checked by the matrix-free stencil of pde, against the norm
-of the stencil of its boundary data alone, which the Gamma rows and the
-first box solves' loads already form.
+a tau sweep solve the correctors their data read, of H for gamma probes
+and of its n first derivatives (not of H) for rho probes, as one stack,
+with batched box solves and one linear solve of the Schur complement for
+the interface; a member's corrector does not depend on the others in its
+stack, bit for bit.  Each member's residual is checked by the
+matrix-free stencil of pde, against the norm of the stencil of its
+boundary data alone, which the Gamma rows and the first box solves'
+loads already form.
 
 grad_H_energy is the one energy quadrature on the grid.  The oracles the
 tau-scaling experiments are tested against (fine and tan-substituted
@@ -288,11 +290,19 @@ def _s_lattice():
     return s, trapezoid_weights(s.shape, 2.0 / (_S_NODES - 1))
 
 
-def _bump_normalization(shape: str) -> float:
-    if shape not in BUMP_SKEW:
-        raise SingularError(f"unknown bump shape {shape!r}")
+def _l2_constant(shape: str) -> float:
     s, w = _s_lattice()
     return 1.0 / math.sqrt(float((w * _raw_bump(s, shape) ** 2).sum()))
+
+
+# the L2 constant of each bump shape, one float per shape, formed at import
+_BUMP_NORM = {shape: _l2_constant(shape) for shape in BUMP_SKEW}
+
+
+def _bump_normalization(shape: str) -> float:
+    if shape not in _BUMP_NORM:
+        raise SingularError(f"unknown bump shape {shape!r}")
+    return _BUMP_NORM[shape]
 
 
 def a_tau_value(tau: float, kind: str, r: float = 0.25, a_rule: str = None) -> float:
@@ -397,14 +407,15 @@ def make_cutoffs(t0: float, tau: float, kind: str, grid: Grid, r: float = 0.25,
 
 @dataclass
 class SingularBasis:
-    """Grid evaluations of H (and, for rho probes, its first derivatives)
-    together with the matching correctors on Omega'."""
+    """Grid evaluations of H and of the correctors a probe's data read: for
+    a gamma probe the corrector of H, for a rho probe the first derivatives
+    of H and their correctors (H is kept for its energy)."""
 
     A: MatrixField
     H_omega: np.ndarray          # H(., y_tau) on closure-of-Omega nodes
-    v_omega: np.ndarray          # corrector restricted to Omega nodes
+    v_omega: np.ndarray = None   # corrector of H on Omega nodes (gamma kind)
     djH_omega: list = None       # d_j H on Omega nodes, j = 0..n-1 (rho kind)
-    vj_omega: list = None
+    vj_omega: list = None        # corrector of d_j H on Omega nodes (rho kind)
 
 
 def check_rho_setting(grid: Grid, A: MatrixField):
@@ -422,33 +433,35 @@ def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
     """Evaluate the singular fields of the probes at geoms and solve their
     correctors; one SingularBasis per geometry.
 
-    H and, for rho probes, grad H are evaluated once per probe on the grid
-    and once on dOmega' (the trace), and the correctors of every probe's H
-    and of its n first derivatives are one stacked solve_corrector call.
-    Rho probes are first checked by check_rho_setting."""
+    H is evaluated once per probe on the grid.  The corrector stack holds
+    what the probes' data read, as one solve_corrector call: per gamma
+    probe the trace of H on dOmega', per rho probe the traces of its n
+    first derivatives, which are also evaluated once on the grid; H itself
+    is not solved for rho probes.  Rho probes are first checked by
+    check_rho_setting."""
     if kind == "rho":
         check_rho_setting(grid, A)
     ys = [np.asarray(geom.y_tau) for geom in geoms]
     coords = np.stack(grid.node_coords(), axis=-1)
 
     def trace(x):
-        """Per probe: H, and for rho probes its n first derivatives."""
-        vals = []
-        for y in ys:
-            vals.append(fundamental_H(x, y, A, conv=conv))
-            if kind == "rho":
-                vals.extend(np.moveaxis(fundamental_grad_H(x, y, A, conv=conv), -1, 0))
-        return np.stack(vals)
+        """Per probe: its n first derivatives of H for rho probes, else H."""
+        if kind == "rho":
+            return np.concatenate([np.moveaxis(fundamental_grad_H(x, y, A, conv=conv), -1, 0)
+                                   for y in ys])
+        return np.stack([fundamental_H(x, y, A, conv=conv) for y in ys])
 
     v = solve_corrector(grid, trace, A)["field"][(slice(None),) + grid.omega_slice()]
     bases = []
     for y, vy in zip(ys, np.split(v, len(ys))):
-        djH, vj = None, None
+        basis = SingularBasis(A=A, H_omega=fundamental_H(coords, y, A, conv=conv))
         if kind == "rho":
-            djH = list(np.moveaxis(fundamental_grad_H(coords, y, A, conv=conv), -1, 0))
-            vj = list(vy[1:])
-        bases.append(SingularBasis(A=A, H_omega=fundamental_H(coords, y, A, conv=conv),
-                                   v_omega=vy[0], djH_omega=djH, vj_omega=vj))
+            basis.djH_omega = list(np.moveaxis(fundamental_grad_H(coords, y, A, conv=conv),
+                                               -1, 0))
+            basis.vj_omega = list(vy)
+        else:
+            basis.v_omega = vy[0]
+        bases.append(basis)
     return bases
 
 

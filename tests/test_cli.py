@@ -613,6 +613,65 @@ def test_stability_builds_its_probe_once(tmp_path, monkeypatch):
     assert len(solved) == 1
 
 
+@pytest.mark.parametrize("command", ["probe-gamma", "stability"])
+def test_a_command_builds_the_law_family_once(tmp_path, monkeypatch, command):
+    # the config keeps the family its admissibility check builds, and the
+    # plan and the stability table read it: one perturb_law per eps
+    import dnprobe.config as config
+    real, built = config.perturb_law, []
+    monkeypatch.setattr(config, "perturb_law",
+                        lambda base, eps, *args: built.append(eps) or real(base, eps, *args))
+    p = tmp_path / "exp.ini"
+    p.write_text(GAMMA_CFG.replace("eps_list = 0.02,0.04", "eps_list = 0.01,0.02,0.04")
+                 .format(out=tmp_path / "out"))
+    assert main([command, "-c", str(p)]) == 0
+    assert built == [0.01, 0.02, 0.04]
+
+
+def test_rho3d_probe_builds_only_what_its_data_read(tmp_path, monkeypatch):
+    # on the benchmark's rho3d-probe configs: probe-rho solves one corrector
+    # stack of the n = 3 derivatives of each of its four probes, no H, and
+    # cuts each derivative field to the patch face once; stability solves
+    # the 3 of its one probe; make_cutoffs forms no s-lattice, the bump
+    # constant being formed at import
+    import dnprobe.reconstruct as reconstruct
+    import dnprobe.singular as singular
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir,
+                                             "perfbench"))
+    import workloads
+    paths = workloads.write_configs("rho3d-probe", 0, str(tmp_path), str(tmp_path / "out"))
+    real_corrector, real_face = singular.solve_corrector, reconstruct.probe_boundary_field
+    real_lattice, real_cutoffs = singular._s_lattice, reconstruct.make_cutoffs
+    stacks, faces, lattices, in_cutoffs = [], [], [], []
+
+    def counted_corrector(*args, **kwargs):
+        out = real_corrector(*args, **kwargs)
+        stacks.append(len(out["load_norm"]))
+        return out
+
+    def counted_cutoffs(*args, **kwargs):
+        in_cutoffs.append(1)
+        try:
+            return real_cutoffs(*args, **kwargs)
+        finally:
+            in_cutoffs.pop()
+
+    monkeypatch.setattr(singular, "solve_corrector", counted_corrector)
+    monkeypatch.setattr(reconstruct, "probe_boundary_field",
+                        lambda *args: faces.append(1) or real_face(*args))
+    monkeypatch.setattr(singular, "_s_lattice",
+                        lambda: lattices.append(bool(in_cutoffs)) or real_lattice())
+    monkeypatch.setattr(reconstruct, "make_cutoffs", counted_cutoffs)
+    counts = {}
+    for _, argv in workloads.pass_commands("rho3d-probe", paths):
+        stacks.clear()
+        faces.clear()
+        assert main(argv) == 0, argv
+        counts[argv[0]] = (list(stacks), len(faces))
+    assert counts == {"probe-rho": ([12], 12), "stability": ([3], 3)}
+    assert lattices and not any(lattices)  # Phi_tau reads the lattice, make_cutoffs not
+
+
 def test_forward_prints_the_row_count_it_writes(cfg_path, tmp_path, capsys):
     assert main(["forward", "-c", cfg_path]) == 0
     _, _, body = _read_csv(tmp_path / "out" / "demo_flux.csv")
@@ -683,9 +742,10 @@ prefix = rho
                          ids=["probe-gamma", "probe-rho"])
 def test_probe_sweeps_solve_one_corrector_stack_and_one_flux_per_law(
         tmp_path, monkeypatch, command, text):
-    # every probe of the sweep, with H and for rho its n first derivatives,
-    # shares one stacked Omega' corrector solve and one frozen call on the
-    # law pair; the estimates are those of the probes recovered one at a time
+    # every probe of the sweep, with H for gamma and its n first derivatives
+    # for rho, shares one stacked Omega' corrector solve and one frozen call
+    # on the law pair; the estimates are those of the probes recovered one
+    # at a time
     import dnprobe.reconstruct as reconstruct
     import dnprobe.singular as singular
     real_corrector, real_flux = singular.solve_corrector, reconstruct.patch_linear_flux

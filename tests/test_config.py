@@ -64,7 +64,7 @@ def test_law_family_perturbs_requested_target(tmp_path):
     cfg = load_config(_write(
         tmp_path, "[sweep]\neps_list = 0.1,0.2\n"
         "[material]\nperturb_target = rho\n"))
-    fam = cfg.law_family()
+    fam = cfg.law_family
     assert [eps for eps, _ in fam] == [0.1, 0.2]
     pert, base = fam[1][1]
     assert pert.rho(0.5, 0.0) == pytest.approx(base.rho(0.5, 0.0) + 0.2)

@@ -9,12 +9,15 @@ site, and a package error class is caught only where a failure becomes
 an exit code (cli.main) or a per-datum result (pde.solve_forward).  scipy
 appears in the package only where the Newton stall fallback factorizes a
 Jacobian, and no module forms an explicit inverse with numpy.linalg.inv:
-a linear system is factored and solved.
+a linear system is factored and solved.  Importing the package builds no
+array that a module keeps.
 """
 
 import ast
 import os
 import re
+import subprocess
+import sys
 from collections import Counter, defaultdict
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -214,3 +217,27 @@ def test_no_module_forms_an_explicit_inverse():
                     and any(alias.name == "inv" for alias in sub.names)):
                 sites.append(f"{mod}:{sub.lineno}")
     assert sites == [], f"np.linalg.inv in src: {sites}"
+
+
+def test_import_builds_no_arrays():
+    # a table formed at import is paid by every interpreter that imports
+    # the package, used or not: after `import dnprobe.cli`, no global of a
+    # dnprobe module is an array, nor holds one in a dict, list or tuple
+    code = """if True:
+        import sys
+        import numpy as np
+        import dnprobe.cli
+        for name, mod in sorted(sys.modules.items()):
+            if name.split(".")[0] != "dnprobe":
+                continue
+            for key, value in vars(mod).items():
+                held = list(value.values()) if isinstance(value, dict) else value
+                held = held if isinstance(held, (list, tuple)) else []
+                if any(isinstance(v, np.ndarray) for v in [value, *held]):
+                    print(f"{name}.{key}")
+        """
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []

@@ -277,6 +277,34 @@ def test_stacked_corrector_equals_the_one_trace_solves(dim):
         assert np.abs(v - one).max() <= 1e-14 * np.abs(one).max()
 
 
+@pytest.mark.parametrize("grid, taus", [
+    (build_grid(3, 1 / 16, 1 / 16, 2.5, pad=8), [0.2, 0.175, 0.15, 0.125]),
+    (build_grid(3, 1 / 16, 1 / 16, 1.0, patch_face="right",
+                patch_interval=[(0.125, 0.875), (0.25, 0.875)], pad=10), [0.2, 0.15]),
+], ids=["rho3d", "right-face-patch"])
+def test_derivative_correctors_do_not_depend_on_the_h_members(grid, taus):
+    # the derivative members of a sweep's stack [H, d1 H, d2 H, d3 H per
+    # probe] equal those of [d1 H, d2 H, d3 H per probe] bit for bit, so a
+    # rho probe need not solve the corrector of H
+    x0 = [0.5] * 3
+    x0[grid.patch_axis] = grid.patch_face_value()
+    ys = [exterior_point(grid, tuple(x0), tau).y_tau for tau in taus]
+    op = _omega_prime_operator(grid, A3)
+
+    def members(x, with_h):
+        out = []
+        for y in ys:
+            out += [fundamental_H(x, y, A3)] if with_h else []
+            out += list(np.moveaxis(fundamental_grad_H(x, y, A3), -1, 0))
+        return np.stack(out)
+
+    full = solve_corrector(grid, lambda x: members(x, True), A3, op=op)
+    derivs = solve_corrector(grid, lambda x: members(x, False), A3, op=op)
+    keep = [k for k in range(4 * len(ys)) if k % 4]
+    assert np.array_equal(full["field"][keep], derivs["field"])
+    assert np.array_equal(full["load_norm"][keep], derivs["load_norm"])
+
+
 def test_stacked_corrector_rejects_one_nonfinite_member():
     g = build_grid(2, 1 / 8, 1 / 8, 1.0, pad=4)
 
@@ -299,6 +327,18 @@ def test_bump_is_l2_normalized():
         assert val == pytest.approx(1.0, abs=1e-9)
         assert phi(1.0) == 0.0 and phi(-1.0) == 0.0
         assert phi(2.5) == 0.0
+
+
+def test_bump_constant_is_the_lattice_quadrature_and_refuses_unknown_shapes():
+    # the constant formed at import is, bit for bit, the trapezoid rule on
+    # the s-lattice; an unknown shape is refused by name
+    g = build_grid(2, 1 / 16, 1 / 16, 1.0)
+    s, w = singular._s_lattice()
+    for shape in singular.BUMP_SKEW:
+        quad = 1.0 / math.sqrt(float((w * singular._raw_bump(s, shape) ** 2).sum()))
+        assert make_cutoffs(0.5, 0.2, "gamma", g, r=0.5, shape=shape, a_rule="power").norm == quad
+    with pytest.raises(SingularError, match="unknown bump shape 'flat'"):
+        make_cutoffs(0.5, 0.2, "gamma", g, r=0.5, shape="flat", a_rule="power")
 
 
 def test_a_tau_reference_values():
@@ -442,6 +482,7 @@ def test_rho_basis_carries_derivative_fields():
     g = build_grid(3, 1 / 8, 1 / 8, 1.0, pad=6)
     basis = _basis(g, 0.3, A3, kind="rho")
     assert len(basis.djH_omega) == 3 and len(basis.vj_omega) == 3
+    assert basis.v_omega is None  # the data read d_j H - v_j only
     for j in range(3):
         assert basis.djH_omega[j].shape == g.shape
 
