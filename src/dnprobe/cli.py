@@ -145,8 +145,7 @@ def cmd_forward(cfg: ExperimentConfig, args, plan) -> int:
     if plan is not None:
         [([(g, _)], _)] = probe_data(grid, cfg.A, *plan, lam=cfg.lam)
     else:
-        face_shape = grid.patch_support_mask().shape
-        g = PatchField(values=np.zeros((grid.nt + 1,) + face_shape), grid=grid)
+        g = PatchField(np.zeros(grid.nt + 1), np.zeros(grid.patch_support_mask().shape), grid)
     flux = solve_forward(cfg.law1, cfg.A, grid, cfg.lam, g,
                          keep=level_flux(cfg.law1, cfg.A, grid))
     _report_newton(args, "forward", flux.newton)

@@ -11,25 +11,26 @@ used by the stability experiments; nothing here is factorized.  The weak
 form of the pairing, through an interior lifting, is a reference the
 tests check surface_pairing against (tests/reference.py).
 
-Fluxes, the dictionary and the data they pair with are pde.PatchField
-face arrays.  The probes, eta and the linearization check read Lambda g
-off patch_linear_flux, which solves the frozen problem in the sine basis
-for a list of laws or law pairs and a stack of patch data at once: every
-datum is profile x face (PatchField.product), one recurrence row per
-distinct profile, and an entry is a signed list of laws whose flux is
-formed in mode space, so a pair's difference costs one inverse DST per
-datum.  A probe or stability command makes one such call on its law
-pairs and all of its data, and eta_surrogate measures the flux
-differences it is handed.  The full-field solve_linearized plus
-linear_flux on PatchField.boundary() is the reference it is tested
-against; no subcommand calls either.  The boundary norms measure a
-PatchField on its face array, without forming it on all of dOmega; the
-2D spectral norm sums the half spectrum of a real FFT in time over the
-patch columns only.  The linearization check advances its data g/k for
-all k in one stacked pde.solve_forward whose keep is level_flux: the
-nonlinear flux of each level as it converges, so no solution history is
-formed; the stencil the flux reads (node planes and support mask) is
-built once per solve, not per level.
+Fluxes and their differences are plain (nt+1, *face_shape) face
+arrays, zero off S; the pairing, the L2 norm and the boundary norms take
+them as such.  Patch data (the probes and the dictionary) are
+pde.PatchFields, profile x face.  The probes, eta and the linearization
+check read Lambda g off patch_linear_flux, which solves the frozen
+problem in the sine basis for a list of laws or law pairs and a stack of
+patch data at once: one recurrence row per distinct profile, and an
+entry is a signed list of laws whose flux is formed in mode space, so a
+pair's difference costs one inverse DST per datum.  A probe or
+stability command makes one such call on its law pairs and all of its
+data, and eta_surrogate measures the flux differences it is handed.  The
+full-field solve_linearized plus linear_flux is the reference it is
+tested against; no subcommand calls either.  The boundary norms measure
+a face array without forming it on all of dOmega; the 2D spectral norm
+sums the half spectrum of a real FFT in time over the patch columns
+only.  The linearization check advances its data g/k for all k in one
+stacked pde.solve_forward whose keep is level_flux: the nonlinear flux
+of each level as it converges, so no solution history is formed; the
+stencil the flux reads (node planes and support mask) is built once per
+solve, not per level.
 """
 
 import math
@@ -42,7 +43,7 @@ from numpy.random import default_rng
 from .geometry import Grid, trapezoid_weights
 from .material import MaterialLaw, MatrixField
 from .pde import (PatchField, SpaceTimeField, _frozen_setup, _lazy_splu, dst1,
-                  interior_mask, solve_forward, PDEError)
+                  solve_forward, PDEError)
 
 # nothing here factorizes: perfbench/spans.py SPLU_MODULES is the only
 # reader of dnmap.splu
@@ -91,18 +92,18 @@ def _face_times(grid: Grid) -> np.ndarray:
 
 
 def nonlinear_flux(u: SpaceTimeField, law: MaterialLaw, A: MatrixField,
-                   grid: Grid) -> PatchField:
-    """DN output gamma(t, u) (A grad u . nu) on S at every time level."""
+                   grid: Grid) -> np.ndarray:
+    """DN output gamma(t, u) (A grad u . nu) on S at every time level,
+    (nt+1, *face_shape)."""
     stencil = _FluxStencil(grid, A)
-    vals = stencil.flux(u.values, law.gamma(_face_times(grid), u.values[stencil.planes[0]]))
-    return PatchField(values=vals, grid=grid)
+    return stencil.flux(u.values, law.gamma(_face_times(grid), u.values[stencil.planes[0]]))
 
 
 def level_flux(law: MaterialLaw, A: MatrixField, grid: Grid):
     """The keep of pde.solve_forward that makes it the DN map: each
     converged level's gamma(t_m, u) (A grad u . nu) on S, nonlinear_flux's
     arithmetic on a (B, *grid.shape) stack of levels, so the values of a
-    solve are its PatchField values and no history is formed.  The
+    solve are its flux and no history is formed.  The
     stencil (planes, mask) is built once, not per level."""
     stencil = _FluxStencil(grid, A)
     face = stencil.planes[0]
@@ -110,26 +111,27 @@ def level_flux(law: MaterialLaw, A: MatrixField, grid: Grid):
 
 
 def linear_flux(w: SpaceTimeField, law: MaterialLaw, A: MatrixField,
-                grid: Grid, lam: float) -> PatchField:
-    """Linearized DN output gamma(t, lambda) (A grad w . nu) on S."""
-    vals = _FluxStencil(grid, A).flux(w.values, law.gamma(_face_times(grid), lam))
-    return PatchField(values=vals, grid=grid)
+                grid: Grid, lam: float) -> np.ndarray:
+    """Linearized DN output gamma(t, lambda) (A grad w . nu) on S,
+    (nt+1, *face_shape)."""
+    return _FluxStencil(grid, A).flux(w.values, law.gamma(_face_times(grid), lam))
 
 
 # ---------------------------------------------------------------------------
 # surface quadrature and the direct pairing
 
 
-def surface_pairing(flux: PatchField, h: PatchField, grid: Grid) -> float:
-    """int_{S x (0,T)} flux * h dsigma dt by trapezoid quadrature."""
-    W = trapezoid_weights(flux.values.shape[1:], grid.h)
+def surface_pairing(flux: np.ndarray, h: np.ndarray, grid: Grid) -> float:
+    """int_{S x (0,T)} flux * h dsigma dt by trapezoid quadrature, both
+    (nt+1, *face_shape) face arrays."""
+    W = trapezoid_weights(flux.shape[1:], grid.h)
     wt = trapezoid_weights(grid.times.shape, grid.dt)
-    per_level = (flux.values * h.values * W).reshape(grid.nt + 1, -1).sum(axis=1)
+    per_level = (flux * h * W).reshape(grid.nt + 1, -1).sum(axis=1)
     return float((per_level * wt).sum())
 
 
-def flux_l2_st(flux: PatchField, grid: Grid) -> float:
-    """L2(S x (0,T)) norm of patch values."""
+def flux_l2_st(flux: np.ndarray, grid: Grid) -> float:
+    """L2(S x (0,T)) norm of a face array."""
     return math.sqrt(surface_pairing(flux, flux, grid))
 
 
@@ -164,12 +166,11 @@ class BoundaryNorm:
     spectral kind sums over the half spectrum of an rfft in time, where
     every row but the zero row and the Nyquist row (even nt) stands for
     itself and its mirror and counts twice; an fft along arclength
-    completes it.  A PatchField is measured on its face array: the rfft
-    runs over its columns only, scattered into their slots of the
-    closed-curve half spectrum; the L2 kind sums its squares over the face.
-    A BoundaryField is walked around dOmega.  The half-spectrum weights,
-    the row multiplicities and the face slots are built once, with the
-    norm.
+    completes it.  A norm measures a (nt+1, *face_shape) face array, zero
+    off S: the rfft runs over its columns only, scattered into their slots
+    of the closed-curve half spectrum; the L2 kind sums its squares over
+    the face.  The half-spectrum weights, the row multiplicities and the
+    face slots are built once, with the norm.
     """
 
     grid: Grid
@@ -206,26 +207,21 @@ class BoundaryNorm:
     def flag(self) -> str:
         return "spectral-half" if self.kind == "spectral" else "L2"
 
-    def half(self, field) -> float:
-        return self._norm(field, lambda p, w: w * p)
+    def half(self, values: np.ndarray) -> float:
+        return self._norm(values, lambda p, w: w * p)
 
-    def dual(self, field) -> float:
-        return self._norm(field, lambda p, w: p / w)
+    def dual(self, values: np.ndarray) -> float:
+        return self._norm(values, lambda p, w: p / w)
 
-    def _norm(self, field, weigh) -> float:
+    def _norm(self, values: np.ndarray, weigh) -> float:
         """sqrt(sum weigh(p, w)) over the (arclength, time) power spectrum p
-        of a BoundaryField or PatchField and the weights w; the L2 kind is
-        plain L2(Sigma)."""
-        grid, patch = self.grid, isinstance(field, PatchField)
+        of a face array and the weights w; the L2 kind is plain
+        L2(Sigma)."""
         if self.kind == "L2":
-            return _l2_sigma(field.values if patch else field.values[:, ~interior_mask(grid)],
-                             grid)
-        if patch:
-            slot, node = self.slots
-            half = np.zeros(self.weights.shape, dtype=complex)
-            half[:, slot] = rfft(field.values[:-1, node], axis=0)
-        else:
-            half = rfft(_closed_curve_samples(field.values, grid)[:-1], axis=0)
+            return _l2_sigma(values, self.grid)
+        slot, node = self.slots
+        half = np.zeros(self.weights.shape, dtype=complex)
+        half[:, slot] = rfft(values[:-1, node], axis=0)
         p = np.abs(fft(half, axis=1)) ** 2 * self.scale
         return math.sqrt(float(weigh(p, self.weights).sum()))
 
@@ -258,15 +254,14 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
                         g: PatchField, k_list) -> list:
     """Frechet-derivative decay table d_k = ||k N(g/k) - Lambda g||.
 
-    Lambda g comes from patch_linear_flux, so g is profile x face
-    (PatchField.product), as the subcommand's probe datum is.  The data g/k
-    for every k are advanced in one stacked solve_forward that keeps each
-    level's level_flux only; a datum whose Newton solve diverges leaves the
-    stack and its row is flagged instead of raising.  "newton" holds the
-    solver counts of the row's datum.
+    Lambda g comes from patch_linear_flux.  The data g/k, the face of g
+    scaled, for every k are advanced in one stacked solve_forward that
+    keeps each level's level_flux only; a datum whose Newton solve
+    diverges leaves the stack and its row is flagged instead of raising.
+    "newton" holds the solver counts of the row's datum.
     """
     [[lam_flux]] = patch_linear_flux([law], A, grid, lam, [g])
-    scaled = [PatchField(values=g.values / k, grid=grid) for k in k_list]
+    scaled = [PatchField(g.profile, g.face / k, grid) for k in k_list]
     rows = []
     for k, nf in zip(k_list, solve_forward(law, A, grid, lam, scaled,
                                            keep=level_flux(law, A, grid))):
@@ -274,9 +269,8 @@ def linearization_check(law: MaterialLaw, A: MatrixField, grid: Grid, lam: float
             rows.append({"k": k, "d_k": float("nan"), "ok": False, "why": str(nf),
                          "newton": None})
             continue
-        diff = PatchField(values=k * nf.values - lam_flux, grid=grid)
-        rows.append({"k": k, "d_k": flux_l2_st(diff, grid), "ok": True, "why": "",
-                     "newton": nf.newton})
+        rows.append({"k": k, "d_k": flux_l2_st(k * nf.values - lam_flux, grid), "ok": True,
+                     "why": "", "newton": nf.newton})
     return rows
 
 
@@ -334,16 +328,11 @@ def _planes_by_convolution(src, eig, col, row, r, gam, w):
 
 
 def _recurrence_rows(data, n_tang: int):
-    """The rows a call hands the plane helpers and the row of each datum.
-    Every datum is profile x face (PatchField.product); one row per
-    distinct profile (compared by its bytes, level 0 zeroed as
+    """The rows a call hands the plane helpers and the row of each datum:
+    one row per distinct profile (compared by its bytes, level 0 zeroed as
     solve_linearized's w(0) = 0) at unit amplitude in every tangential
     mode: (R, nt+1) with n_tang singleton tangential axes, which broadcast
-    against the spectrum, so the row is not formed over the modes.  A
-    datum without its factors is refused before anything is solved."""
-    if any(g.profile is None for g in data):
-        raise DNMapError("the frozen patch solve takes profile x face data, with the "
-                         "factors PatchField.product keeps")
+    against the spectrum, so the row is not formed over the modes."""
     zeroed = [np.concatenate(([0.0], g.profile[1:])) for g in data]
     keys = [p.tobytes() for p in zeroed]
     distinct = list(dict.fromkeys(keys))
@@ -352,15 +341,15 @@ def _recurrence_rows(data, n_tang: int):
 
 
 def patch_linear_flux(laws, A: MatrixField, grid: Grid, lam: float, data: list):
-    """Lambda g on S for each entry of laws and each patch datum g of data
-    (PatchField.product): an iterator over the entries, in order, of
+    """Lambda g on S for each entry of laws and each PatchField g of data:
+    an iterator over the entries, in order, of
     (len(data), nt+1, *face_shape) flux values, zero off S, row b for
     data[b].  An entry is a law, or a pair (law1, law2) giving
     (Lambda^1 - Lambda^2) g.
 
-    Same numbers as linear_flux(solve_linearized(g.boundary())), but solved
-    in the sine basis of the interior box, forming only what the face
-    reconstruction reads.  For data on the face, K g is -(a_dd / h^2)
+    Same numbers as linear_flux of solve_linearized on g as Dirichlet data
+    on all of dOmega, but solved in the sine basis of the interior box,
+    forming only what the face reconstruction reads.  For data on the face, K g is -(a_dd / h^2)
     g_face on the interior plane p next to it, whose DST-I along the normal
     is 2 sin(pi k p / N), so an implicit Euler step is one elementwise
     update per mode.  The one-sided normal derivative reads the planes P_0,
@@ -431,8 +420,8 @@ def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
 
     Space: Gaussian bump in the patch tangential coordinates, clipped by a
     smooth patch window; time: sine arch sin^2(pi k t / T), k in {1, 2, 3},
-    vanishing at both endpoints.  Each datum keeps the two factors
-    (PatchField.product), so data of one k share their frozen solve.
+    vanishing at both endpoints.  Data of one k share their profile, so
+    they share their frozen solve.
     """
     rng = default_rng(seed)
     smask = grid.patch_support_mask()
@@ -455,7 +444,7 @@ def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
         mode = rng.integers(1, 4)
         prof = np.sin(np.pi * mode * times / grid.T) ** 2
         prof[0] = prof[-1] = 0.0  # exact, not sin(pi*k) roundoff
-        out.append(PatchField.product(prof, space, grid))
+        out.append(PatchField(prof, space, grid))
     return out
 
 
@@ -463,7 +452,7 @@ def eta_surrogate(diffs, half_norms, norm: BoundaryNorm) -> float:
     """Dictionary maximum of ||(Lambda^1-Lambda^2) g||_dual / ||g||_half.
 
     diffs holds (Lambda^1 - Lambda^2) g of each dictionary datum g (two
-    laws' patch_linear_flux rows) and half_norms holds norm.half(g).  A
+    laws' patch_linear_flux rows) and half_norms holds norm.half(g.values).  A
     lower bound of the operator norm; acceptance fits use it on both sides
     of every relation, so the bias is consistent.
 
@@ -478,5 +467,5 @@ def eta_surrogate(diffs, half_norms, norm: BoundaryNorm) -> float:
     for denom, diff in zip(half_norms, diffs):
         if denom == 0.0:
             continue
-        best = max(best, norm.dual(PatchField(values=diff, grid=norm.grid)) / denom)
+        best = max(best, norm.dual(diff) / denom)
     return best

@@ -69,19 +69,18 @@ factorized.  Its load, dirichlet_load, is the unit stencil of the box's
 boundary values alone; the corrector reduces it to the scale of its
 residual check.
 
-Data on the measurement patch S x (0, T) -- probes, dictionary data and
-every flux -- are PatchField face arrays, zero off S.  Probes and
-dictionary data are a time profile times a face array and keep both
-factors (PatchField.product), the only data dnmap.patch_linear_flux
-takes; it solves the frozen problem once per distinct profile.  The
-full-field frozen solves take BoundaryField node arrays on all of dOmega;
-PatchField.boundary() is that conversion, for those reference solves and
-the tests: no subcommand calls it, and the boundary norms of dnmap read
-the face array itself.  solve_forward takes either kind and writes one
-level of the data at a time onto its iterate (dirichlet_level), so patch
-data never become histories on all of dOmega.  Every frozen solve reads
-gamma(t_m, lambda) and rho(t_m, lambda) from arrays over grid.times
-(_frozen_setup), one law evaluation each per solve.
+Data on the measurement patch S x (0, T) -- the probes and the
+dictionary -- are PatchFields: a time profile over grid.times times a
+face array, zero off S, with their product as values.  That is the one
+form patch data take, and dnmap.patch_linear_flux solves the frozen
+problem once per distinct profile.  Fluxes and their differences are
+plain (nt+1, *face_shape) face arrays.  The full-field frozen solves take
+BoundaryField node arrays on all of dOmega; solve_forward takes either
+kind and writes one level of the data at a time onto its iterate
+(dirichlet_level), so patch data never become histories on all of
+dOmega.  Every frozen solve reads gamma(t_m, lambda) and rho(t_m,
+lambda) from arrays over grid.times (_frozen_setup), one law evaluation
+each per solve.
 
 Spatial discretization is the standard second-order stencil with
 face-averaged diffusion coefficients times the diagonal of A, applied
@@ -173,60 +172,42 @@ class BoundaryField(_TimeLevels):
 
 @dataclass
 class PatchField(_TimeLevels):
-    """Values on the patch face at every time level, zero off S: the probe
-    and dictionary data and every flux.
+    """Data profile(t) * face(x) on the patch face at every time level,
+    zero off S: the probes and the dictionary.
 
-    Data built as profile(t) * face(x) (PatchField.product: the probes and
-    the dictionary) also keep the two factors, the (nt+1,) profile over
-    grid.times and the face_shape face array, zero off S; values is their
-    product, formed once by product, so the two cannot disagree.  Any
-    other PatchField (fluxes, differences, scaled data) has neither.
+    profile holds the values at grid.times, (nt+1,), and face is a
+    face_shape array whose values off S are dropped.  values, (nt+1,
+    *face_shape), is their product, formed once here, so the factors and
+    the values cannot disagree.  A factor of another shape raises
+    PDEError.
     """
 
-    values: np.ndarray  # (nt+1, *face_shape), axes as patch_support_mask
+    profile: np.ndarray
+    face: np.ndarray
     grid: Grid
-    profile: np.ndarray = dc_field(default=None, init=False, repr=False, compare=False)
-    face: np.ndarray = dc_field(default=None, init=False, repr=False, compare=False)
-
-    @classmethod
-    def product(cls, profile, face: np.ndarray, grid: Grid) -> "PatchField":
-        """The datum profile(t) * face(x) on S, with its factors kept:
-        profile is given by its values at grid.times, face is a face_shape
-        array whose values off S are dropped."""
-        support = grid.patch_support_mask()
-        profile = np.asarray(profile, dtype=float)
-        face = np.where(support, face, 0.0)
-        values = np.zeros((grid.nt + 1,) + support.shape)
-        values[:, support] = profile[:, None] * face[support][None, :]
-        out = cls(values=values, grid=grid)
-        out.profile, out.face = profile, face
-        return out
+    values: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = self.grid.patch_support_mask()
-        shape = (self.grid.nt + 1,) + support.shape
-        if self.values.shape != shape:
-            raise PDEError(f"patch data needs shape {shape}, not {self.values.shape}")
-        if self.values[:, ~support].any():
-            raise PDEError("patch data carries values off S")
+        self.profile = np.asarray(self.profile, dtype=float)
+        if self.profile.shape != (self.grid.nt + 1,):
+            raise PDEError(f"patch profile needs shape {(self.grid.nt + 1,)}, "
+                           f"not {self.profile.shape}")
+        if np.shape(self.face) != support.shape:
+            raise PDEError(f"patch face needs shape {support.shape}, not {np.shape(self.face)}")
+        self.face = np.where(support, self.face, 0.0)
+        self.values = np.zeros((self.grid.nt + 1,) + support.shape)
+        self.values[:, support] = self.profile[:, None] * self.face[support][None, :]
 
     def dirichlet_level(self, m: int, lam: float, out: np.ndarray):
         """Write lam + the data of level m onto the patch face of the node
-        array out: one level of boundary(), with no history on all of
-        dOmega formed.  The data vanish on the rest of dOmega, whose nodes
-        of out must hold lam already (solve_forward's iterate does from
-        its start); those and the interior nodes are left as they are."""
+        array out, with no history on all of dOmega formed.  The data
+        vanish on the rest of dOmega, whose nodes of out must hold lam
+        already (solve_forward's iterate does from its start); those and
+        the interior nodes are left as they are."""
         grid = self.grid
         face = grid.face_node_selector(grid.patch_axis, grid.patch_side)
         np.add(lam, self.values[m], out=out[face])
-
-    def boundary(self) -> BoundaryField:
-        """The same data as Dirichlet data on all of dOmega."""
-        grid = self.grid
-        face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
-        vals = np.zeros((grid.nt + 1,) + grid.shape)
-        vals[face] = self.values
-        return BoundaryField(values=vals, grid=grid)
 
 
 def interior_mask(grid: Grid):
@@ -239,7 +220,7 @@ def interior_mask(grid: Grid):
 
 def probe_boundary_field(grid: Grid, profile, spatial: np.ndarray) -> PatchField:
     """Patch datum profile(t) * spatial(x) on S, profile given by its
-    values at grid.times; the datum keeps both factors (PatchField.product).
+    values at grid.times.
 
     spatial is a full node array (e.g. H - v_tau); it must vanish on
     dOmega \\ S up to 1e-7 relative to its peak, or the probe construction
@@ -254,7 +235,7 @@ def probe_boundary_field(grid: Grid, profile, spatial: np.ndarray) -> PatchField
     leak = np.abs(spatial[off_patch]).max()
     if peak > 0.0 and leak > 1e-7 * peak:
         raise PDEError(f"probe support leaks off the patch: {leak:.3e} vs peak {peak:.3e}")
-    return PatchField.product(profile, spatial[face], grid)
+    return PatchField(profile, spatial[face], grid)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +378,12 @@ def _diffusion(A: np.ndarray, h: float, gamma, u: np.ndarray):
 
 
 def _forward_jacobian(grid: Grid, A: np.ndarray, law, t: float, u: np.ndarray,
-                      u_prev: np.ndarray, dt: float, flat_int, red):
+                      u_prev: np.ndarray, dt: float):
     """Analytic Jacobian of the implicit-Euler residual wrt interior u."""
     shape = grid.shape
+    flat_int = np.flatnonzero(interior_mask(grid).ravel())
+    red = -np.ones(int(np.prod(shape)), dtype=np.int64)  # node -> interior row
+    red[flat_int] = np.arange(flat_int.size)
     strides = _flat_strides(shape)
     h2 = grid.h ** 2
     uf = u.ravel()
@@ -475,9 +459,6 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
             errors[b] = exc
     inner = (slice(1, -1),) * dim
     stack_inner = (slice(None),) + inner
-    flat_int = np.flatnonzero(interior_mask(grid).ravel())
-    red = -np.ones(int(np.prod(grid.shape)), dtype=np.int64)
-    red[flat_int] = np.arange(flat_int.size)
     eig, basis, [gam], [rho] = _frozen_setup([law], A, grid, lam)
 
     keep = (lambda t, levels: levels) if keep is None else keep
@@ -567,8 +548,7 @@ def solve_forward(law, A: MatrixField, grid: Grid, lam: float, g,
                 if last[b] is not None and norms[j] > CHORD_RATE * last[b]:
                     # splu through the module attribute: a rebinding is what runs
                     splu = sys.modules[__name__].splu
-                    lus[b] = splu(_forward_jacobian(grid, A.A, law, t, c[j], p[j],
-                                                    dt, flat_int, red))
+                    lus[b] = splu(_forward_jacobian(grid, A.A, law, t, c[j], p[j], dt))
                     factorizations[b] += 1
                 last[b] = norms[j]
                 iterations[b] += 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid, exterior_point
-from .material import MatrixField, make_matrix
+from .material import MatrixField
 from .singular import build_basis, check_rho_setting, grad_H_energy, make_cutoffs
 from .pde import PatchField, probe_boundary_field
 from .dnmap import (eta_surrogate, make_norm, patch_linear_flux,
@@ -109,7 +109,7 @@ def probe_data(grid: Grid, A: MatrixField, probes, law_pairs=(), *, lam: float):
     rho probe, g_j = chi Phi_tau (d_j H - v_j) and gbar_j = phi_tau
     (d_j H - v_j): each d_j H - v_j is leak-checked and cut to the patch
     face once (probe_boundary_field, which forms g_j), and gbar_j is the
-    other PatchField.product of that face.  energy is the gradient energy
+    PatchField of phi_tau and that face.  energy is the gradient energy
     of H that the probe's pairings are divided by.  The probes and the law
     pairs to be read at lam pass check_probes before any solve; the
     correctors of all the probes are one stacked solve (build_basis).
@@ -130,7 +130,7 @@ def probe_data(grid: Grid, A: MatrixField, probes, law_pairs=(), *, lam: float):
             chi_Phi = cut.chi(grid.times) * cut.Phi_tau(grid.times)
             gs = [probe_boundary_field(grid, chi_Phi, spatial)
                   for spatial in map(np.subtract, basis.djH_omega, basis.vj_omega)]
-            pairs = [(g, PatchField.product(phi, g.face, grid)) for g in gs]
+            pairs = [(g, PatchField(phi, g.face, grid)) for g in gs]
         out.append((pairs, energy))
     return out
 
@@ -143,17 +143,17 @@ def recover_gamma_point(pair, A: MatrixField, grid: Grid, lam: float,
     return point_recovery(pair, A, grid, lam, [probe])[0]
 
 
-def recover_rho_point(pair, grid: Grid, lam: float, probe: ProbeSpec,
-                      A: MatrixField = None) -> float:
+def recover_rho_point(pair, A: MatrixField, grid: Grid, lam: float,
+                      probe: ProbeSpec) -> float:
     """Estimate of rho^1(t0, lambda) - rho^2(t0, lambda), n >= 3, A = Id.
 
     Needs gamma^1 = gamma^2 on supp chi, so the conductivity cross term of
     the rho identity vanishes identically; point_recovery raises
-    ReconstructError naming rho_equal_gamma otherwise.
+    ReconstructError naming rho_equal_gamma otherwise, and any A but the
+    identity by check_rho_setting.
     """
     if probe.kind != "rho":
         raise ReconstructError("rho recovery needs a rho-kind probe")
-    A = make_matrix(np.eye(grid.dim)) if A is None else A
     return point_recovery(pair, A, grid, lam, [probe])[0]
 
 
@@ -161,7 +161,7 @@ def _estimates(built, diffs, grid: Grid) -> list:
     """Each probe's pairing <diff, gbar> summed over its data, over its
     energy of H; diffs: (Lambda^1 - Lambda^2) g of built's data g in order."""
     diffs = iter(diffs)
-    return [sum(surface_pairing(PatchField(values=diff, grid=grid), gbar, grid)
+    return [sum(surface_pairing(diff, gbar.values, grid)
                 for (_, gbar), diff in zip(pairs, diffs)) / energy
             for pairs, energy in built]
 
@@ -330,7 +330,7 @@ def stability_experiment(family, A: MatrixField, grid: Grid, lam: float, probe: 
     pairs = stability_pairs(family)
     norm = make_norm(grid) if norm is None else norm
     dictionary = random_bump_dictionary(grid, dict_size, seed=dict_seed)
-    half_norms = [norm.half(g) for g in dictionary]
+    half_norms = [norm.half(g.values) for g in dictionary]
     built = probe_data(grid, A, [probe], pairs, lam=lam)
     n = len(dictionary)
     diffs = patch_linear_flux(pairs, A, grid, lam, dictionary + [g for g, _ in built[0][0]])

@@ -257,8 +257,8 @@ def solve_corrector(grid: Grid, boundary_trace, A: MatrixField, op=None):
         dirichlet_solve(part, A_n, h, box)
 
     b = np.sqrt(b2)
-    for resid, b_norm in zip(_omega_prime_residual(op, A, h, full), b):
-        if np.linalg.norm(resid) > 1e-8 * max(1.0, b_norm):
+    for member, b_norm in zip(full, b):  # one member at a time: no stack-sized temporaries
+        if np.linalg.norm(_omega_prime_residual(op, A, h, member)) > 1e-8 * max(1.0, b_norm):
             raise SingularError("corrector linear solve did not converge")
     return {"field": full.reshape(bvals.shape[:-1] + full.shape[1:]),
             "load_norm": b.reshape(bvals.shape[:-1])}
@@ -365,12 +365,6 @@ class CutoffSet:
         up = _smoothstep((t - (self.t0 - self.half - self.ramp)) / self.ramp)
         down = _smoothstep(((self.t0 + self.half + self.ramp) - t) / self.ramp)
         return np.minimum(up, down)
-
-    def moment(self, f):
-        """integral of phi_tau^2 * f over (0, T), by the trapezoid rule in
-        s = a_tau (t - t0); f must accept an array of times."""
-        s, w = _s_lattice()
-        return float((w * self._phi(s) ** 2 * f(self.t0 + s / self.a_tau)).sum())
 
 
 def make_cutoffs(t0: float, tau: float, kind: str, grid: Grid, r: float = 0.25,

@@ -3,7 +3,8 @@
 No subcommand or demo calls any of these; each is an independent route to
 a quantity the pipeline computes another way, or an oracle for one:
 
-- full-field boundary data (boundary_field_from_callable) and the sparse
+- full-field boundary data (boundary_field_from_callable, and
+  boundary_from_face for a face array) and the sparse
   stiffness K = -div(A grad .) (stiffness, constant_stiffness), against
   which the matrix-free stencil of pde._diffusion is tested;
 - the backward adjoint solve (solve_adjoint), the discrete adjoint of
@@ -15,6 +16,9 @@ a quantity the pipeline computes another way, or an oracle for one:
   (weak_pairing), against surface_pairing of the patch flux;
 - (Lambda^1 - Lambda^2) g by two full-field frozen solves
   (lambda_difference_flux), against dnmap.patch_linear_flux;
+- the boundary norms of data on all of dOmega, walked around the closed
+  curve or summed over every boundary node (boundary_half,
+  boundary_dual), against BoundaryNorm of a face array;
 - the Omega' Schur complement built from dense Kronecker products
   (schur_complement_dense), against _omega_prime_operator's assembly;
 - the norm of the boundary data's stencil on the Omega' interior
@@ -24,8 +28,8 @@ a quantity the pipeline computes another way, or an oracle for one:
   A and einsum (fundamental_H_general, fundamental_grad_H_general),
   against the diagonal-A evaluation of fundamental_H and
   fundamental_grad_H;
-- the unit-L2 time bump (base_bump) and the concentration defect of a
-  cutoff (mollifier_gap);
+- the unit-L2 time bump (base_bump), the moment of a cutoff against a
+  function of time (moment) and its concentration defect (mollifier_gap);
 - fine and tan-substituted quadratures of the singular field's norms
   (grad_h_energy_fine, h_norms_oracle, l2_norms_H), the oracles of the
   tau-scaling experiments.
@@ -38,15 +42,17 @@ import math
 from functools import reduce
 
 import numpy as np
+from numpy.fft import fft, rfft
 
-from dnprobe.dnmap import _FluxStencil, linear_flux
+from dnprobe.dnmap import (BoundaryNorm, _closed_curve_samples, _FluxStencil, _l2_sigma,
+                           linear_flux)
 from dnprobe.geometry import Grid, trapezoid_weights
 from dnprobe.material import MaterialLaw, MatrixField
-from dnprobe.pde import (BoundaryField, PatchField, PDEError, SpaceTimeField, _flat_strides,
+from dnprobe.pde import (BoundaryField, PDEError, SpaceTimeField, _flat_strides,
                          _frozen_setup, _frozen_step, box_spectrum, dirichlet_solve,
                          interior_mask, sine_rows, solve_linearized)
 from dnprobe.singular import (CutoffSet, SingularError, _bump_normalization,
-                              _diag_patch_first, _omega_prime_residual, _raw_bump,
+                              _diag_patch_first, _omega_prime_residual, _raw_bump, _s_lattice,
                               fundamental_grad_H, fundamental_H)
 
 
@@ -62,6 +68,15 @@ def boundary_field_from_callable(grid: Grid, fn) -> BoundaryField:
     for m, t in enumerate(grid.times):
         full = np.asarray(fn(t, coords), dtype=float)
         vals[m][bmask] = full[bmask]
+    return BoundaryField(values=vals, grid=grid)
+
+
+def boundary_from_face(values: np.ndarray, grid: Grid) -> BoundaryField:
+    """A (nt+1, *face_shape) face array as Dirichlet data on all of
+    dOmega, zero off the patch face."""
+    face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
+    vals = np.zeros((grid.nt + 1,) + grid.shape)
+    vals[face] = values
     return BoundaryField(values=vals, grid=grid)
 
 
@@ -170,14 +185,34 @@ def weak_pairing(w: SpaceTimeField, h: BoundaryField, law: MaterialLaw,
 
 
 def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
-                           g: BoundaryField) -> PatchField:
+                           g: BoundaryField) -> np.ndarray:
     """(Lambda^1 - Lambda^2) g on S by two full-field frozen solves."""
     law1, law2 = law_pair
     w1 = solve_linearized(law1, A, grid, lam, g)
     w2 = solve_linearized(law2, A, grid, lam, g)
-    f1 = linear_flux(w1, law1, A, grid, lam)
-    f2 = linear_flux(w2, law2, A, grid, lam)
-    return PatchField(values=f1.values - f2.values, grid=grid)
+    return linear_flux(w1, law1, A, grid, lam) - linear_flux(w2, law2, A, grid, lam)
+
+
+def _boundary_norm(norm: BoundaryNorm, field: BoundaryField, weigh) -> float:
+    """BoundaryNorm._norm of data on all of dOmega: the spectral kind
+    walks the boundary nodes around the closed curve, the L2 kind sums
+    over every boundary node."""
+    grid = norm.grid
+    if norm.kind == "L2":
+        return _l2_sigma(field.values[:, ~interior_mask(grid)], grid)
+    half = rfft(_closed_curve_samples(field.values, grid)[:-1], axis=0)
+    p = np.abs(fft(half, axis=1)) ** 2 * norm.scale
+    return math.sqrt(float(weigh(p, norm.weights).sum()))
+
+
+def boundary_half(norm: BoundaryNorm, field: BoundaryField) -> float:
+    """norm.half of data on all of dOmega."""
+    return _boundary_norm(norm, field, lambda p, w: w * p)
+
+
+def boundary_dual(norm: BoundaryNorm, field: BoundaryField) -> float:
+    """norm.dual of data on all of dOmega."""
+    return _boundary_norm(norm, field, lambda p, w: p / w)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +288,16 @@ def base_bump(shape: str = "symmetric"):
     return lambda s: c * np.asarray(_raw_bump(s, shape))
 
 
+def moment(cut: CutoffSet, f) -> float:
+    """integral of phi_tau^2 * f over (0, T), by the trapezoid rule in
+    s = a_tau (t - t0); f must accept an array of times."""
+    s, w = _s_lattice()
+    return float((w * cut._phi(s) ** 2 * f(cut.t0 + s / cut.a_tau)).sum())
+
+
 def mollifier_gap(cut: CutoffSet, f) -> float:
     """|integral of phi_tau^2 f - f(t0)|, the concentration defect."""
-    return abs(cut.moment(f) - f(cut.t0))
+    return abs(moment(cut, f) - f(cut.t0))
 
 
 def grad_h_energy_fine(y, A: MatrixField, dim: int, N: int, conv: float = 1.0,

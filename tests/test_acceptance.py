@@ -22,7 +22,8 @@ from dnprobe.reconstruct import (ProbeSpec, point_recovery, probe_data,
                                  recover_gamma_point,
                                  stability_experiment, tau_sweep)
 from dnprobe.singular import make_cutoffs
-from reference import h_norms_oracle, lift_terminal_zero, mollifier_gap, weak_pairing
+from reference import (boundary_from_face, h_norms_oracle, lift_terminal_zero, mollifier_gap,
+                       weak_pairing)
 
 A2 = make_matrix(np.eye(2))
 A3 = make_matrix(np.eye(3))
@@ -252,9 +253,9 @@ def test_09_weak_strong_pairing_agreement():
     law = make_law(gamma=("trig_t", {"c0": 2.0, "c1": 0.3}),
                    rho=("trig_t", {"c0": 1.0, "c1": 0.2, "phase": 0.4}))
     gb, hb = random_bump_dictionary(g, count=2, seed=2)
-    w = solve_linearized(law, A2, g, 0.0, gb.boundary())
-    strong = surface_pairing(linear_flux(w, law, A2, g, 0.0), hb, g)
-    hb = hb.boundary()
+    w = solve_linearized(law, A2, g, 0.0, boundary_from_face(gb.values, g))
+    strong = surface_pairing(linear_flux(w, law, A2, g, 0.0), hb.values, g)
+    hb = boundary_from_face(hb.values, g)
     weak = weak_pairing(w, hb, law, A2, g, 0.0)
     rel = abs(weak - strong) / abs(strong)
     # lifting contracts: boundary trace reproduced exactly, zero at t=T

@@ -775,7 +775,7 @@ def test_probe_sweeps_solve_one_corrector_stack_and_one_flux_per_law(
     assert [probe.tau for probe in probes] == rep["tau_sequence"]
     for probe, est in zip(probes, rep["raw_estimates"]):
         one = (recover_gamma_point(pair, cfg.A, cfg.grid, cfg.lam, probe) if target == "gamma"
-               else recover_rho_point(pair, cfg.grid, cfg.lam, probe, A=cfg.A))
+               else recover_rho_point(pair, cfg.A, cfg.grid, cfg.lam, probe))
         assert abs(est - one) <= 1e-12 * abs(one)
 
 
@@ -811,14 +811,14 @@ def test_main_checks_the_probes_and_pairs_its_subcommand_builds(
 
 
 def test_probes_and_stability_measure_patch_data_on_the_face(tmp_path, monkeypatch):
-    # the boundary norms read PatchField face arrays (the 2D spectral and the
-    # 3D L2 kind): no subcommand scatters patch data onto all of dOmega
-    from dnprobe.pde import PatchField
+    # the boundary norms read face arrays (the 2D spectral and the 3D L2
+    # kind): no subcommand forms data on all of dOmega
+    from dnprobe.pde import BoundaryField
 
     def refuse(self):
-        raise AssertionError("PatchField.boundary() called")
+        raise AssertionError("BoundaryField formed")
 
-    monkeypatch.setattr(PatchField, "boundary", refuse)
+    monkeypatch.setattr(BoundaryField, "__post_init__", refuse)
     for text, commands in ((GAMMA_CFG, ("probe-gamma", "stability")),
                            (RHO3D_SMALL, ("probe-rho", "stability"))):
         p = tmp_path / "exp.ini"

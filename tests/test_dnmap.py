@@ -18,7 +18,8 @@ from dnprobe.material import Coefficient, coefficient, make_law, make_matrix
 from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField,
                          solve_forward, solve_linearized)
 from dnprobe.reconstruct import ProbeSpec, recover_rho_point
-from reference import (_face_conormal, boundary_field_from_callable, constant_stiffness,
+from reference import (_face_conormal, boundary_dual, boundary_field_from_callable,
+                       boundary_from_face, boundary_half, constant_stiffness,
                        lambda_difference_flux, lift_terminal_zero, solve_adjoint,
                        weak_pairing)
 from test_pde import _NO_SHRINK, _laws
@@ -35,17 +36,16 @@ def _grid(nh=16, nt=16, T=1.0):
 
 
 def _on_patch(g, fn):
-    """fn(t, X) sampled on the patch face as patch data, zero off S."""
+    """fn(t, X) sampled on the patch face as a face array, zero off S."""
     face = (slice(None),) + g.face_node_selector(g.patch_axis, g.patch_side)
-    vals = boundary_field_from_callable(g, fn).values[face] * g.patch_support_mask()
-    return PatchField(values=vals, grid=g)
+    return boundary_field_from_callable(g, fn).values[face] * g.patch_support_mask()
 
 
 def _datum_on_patch(g, amplitude=1.0):
     """amplitude * _datum, which is separable, as the patch datum
-    PatchField.product(sin(pi t), face)."""
-    face = _on_patch(g, lambda t, x: amplitude * _datum(0.5, x)).values[0]
-    return PatchField.product(np.sin(np.pi * g.times), face, g)
+    PatchField(sin(pi t), face)."""
+    face = _on_patch(g, lambda t, x: amplitude * _datum(0.5, x))[0]
+    return PatchField(np.sin(np.pi * g.times), face, g)
 
 
 # --- flux extraction --------------------------------------------------------
@@ -61,8 +61,8 @@ def test_flux_exact_on_affine_field():
     u = SpaceTimeField(values=vals, grid=g)
     fl = nonlinear_flux(u, law, A2, g)
     smask = g.patch_support_mask()
-    assert np.allclose(fl.values[:, smask], 1.5 * 3.0, atol=1e-12)
-    assert np.all(fl.values[:, ~smask] == 0.0)
+    assert np.allclose(fl[:, smask], 1.5 * 3.0, atol=1e-12)
+    assert np.all(fl[:, ~smask] == 0.0)
 
 
 def test_flux_anisotropic_conormal():
@@ -76,8 +76,8 @@ def test_flux_anisotropic_conormal():
     u = SpaceTimeField(values=vals, grid=g)
     fl = nonlinear_flux(u, make_law(), A, g)
     smask = g.patch_support_mask()
-    assert np.allclose(fl.values[:, smask], -2.0, atol=1e-10)
-    assert np.all(fl.values[:, ~smask] == 0.0)
+    assert np.allclose(fl[:, smask], -2.0, atol=1e-10)
+    assert np.all(fl[:, ~smask] == 0.0)
 
 
 def test_linear_flux_uses_background_coefficient():
@@ -89,7 +89,7 @@ def test_linear_flux_uses_background_coefficient():
     fl = linear_flux(w, law, A2, g, lam=0.5)
     smask = g.patch_support_mask()
     # gamma(t, 0.5) = 2, du/dnu = -1 on the left face
-    assert np.allclose(fl.values[:, smask], -2.0, atol=1e-12)
+    assert np.allclose(fl[:, smask], -2.0, atol=1e-12)
 
 
 _FLUX_CASES = {
@@ -115,7 +115,7 @@ def test_flux_over_the_history_equals_level_by_level(case):
                        grid=g)
     face_sel = g.face_node_selector(g.patch_axis, g.patch_side)
     smask = g.patch_support_mask()
-    fluxes = (nonlinear_flux(u, law, A, g).values, linear_flux(u, law, A, g, 0.3).values)
+    fluxes = (nonlinear_flux(u, law, A, g), linear_flux(u, law, A, g, 0.3))
     for m, t in enumerate(g.times):
         con = _face_conormal(u.values[m], g, A)
         for got, gam in zip(fluxes, (law.gamma(t, u.values[m][face_sel]), law.gamma(t, 0.3))):
@@ -129,9 +129,8 @@ def test_surface_pairing_matches_closed_form():
     smask = g.patch_support_mask()
     vals = np.ones((g.nt + 1,) + smask.shape)
     vals[:, ~smask] = 0.0
-    fl = PatchField(values=vals, grid=g)
     hb = _on_patch(g, lambda t, x: math.sin(math.pi * t) + 0.0 * x[..., 0])
-    got = surface_pairing(fl, hb, g)
+    got = surface_pairing(vals, hb, g)
     # sharp indicator: each patch node carries weight h in the face rule
     exact = (2.0 / math.pi) * smask.sum() * g.h
     assert got == pytest.approx(exact, rel=1e-3)
@@ -195,7 +194,7 @@ def test_probes_and_lifting_factorize_nothing(monkeypatch):
     g3 = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
     law = make_law(rho=("trig_t", {"c0": 2.0, "c1": 0.3, "freq": 0.4}))
     probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
-    recover_rho_point((law, make_law()), g3, 0.0, probe)
+    recover_rho_point((law, make_law()), make_matrix(np.eye(3)), g3, 0.0, probe)
     g = _grid()
     lift_terminal_zero(boundary_field_from_callable(
         g, lambda t, x: (1 - t) * x[..., 0] * x[..., 1]), g, A2)
@@ -215,9 +214,9 @@ def test_weak_pairing_matches_surface_pairing():
                    rho=("trig_t", {"c0": 1.0, "c1": 0.2, "phase": 0.4}))
     # both data live on the patch so the flux quadrature sees all of <Lg, h>
     gb, hb = random_bump_dictionary(g, count=2, seed=2)
-    w = solve_linearized(law, A2, g, 0.0, gb.boundary())
-    strong = surface_pairing(linear_flux(w, law, A2, g, 0.0), hb, g)
-    weak = weak_pairing(w, hb.boundary(), law, A2, g, 0.0)
+    w = solve_linearized(law, A2, g, 0.0, boundary_from_face(gb.values, g))
+    strong = surface_pairing(linear_flux(w, law, A2, g, 0.0), hb.values, g)
+    weak = weak_pairing(w, boundary_from_face(hb.values, g), law, A2, g, 0.0)
     assert weak == pytest.approx(strong, rel=0.05)
 
 
@@ -243,12 +242,12 @@ def test_norm_homogeneity_and_positivity(c, mode):
     nrm = make_norm(g)
     hb = boundary_field_from_callable(
         g, lambda t, x: np.sin(np.pi * mode * t) * np.sin(np.pi * x[..., 1]))
-    base = nrm.half(hb)
+    base = boundary_half(nrm, hb)
     assert base > 0.0
     scaled = BoundaryField(values=c * hb.values, grid=g)
-    assert nrm.half(scaled) == pytest.approx(abs(c) * base, rel=1e-12, abs=1e-12)
-    assert nrm.dual(scaled) == pytest.approx(abs(c) * nrm.dual(hb), rel=1e-12,
-                                             abs=1e-12)
+    assert boundary_half(nrm, scaled) == pytest.approx(abs(c) * base, rel=1e-12, abs=1e-12)
+    assert boundary_dual(nrm, scaled) == pytest.approx(abs(c) * boundary_dual(nrm, hb),
+                                                       rel=1e-12, abs=1e-12)
 
 
 def test_norm_triangle_inequality():
@@ -259,7 +258,7 @@ def test_norm_triangle_inequality():
     h2 = boundary_field_from_callable(
         g, lambda t, x: np.sin(2 * np.pi * t) * np.cos(np.pi * x[..., 1]))
     hs = BoundaryField(values=h1.values + h2.values, grid=g)
-    assert nrm.half(hs) <= nrm.half(h1) + nrm.half(h2) + 1e-12
+    assert boundary_half(nrm, hs) <= boundary_half(nrm, h1) + boundary_half(nrm, h2) + 1e-12
 
 
 def test_dual_bounds_the_l2_pairing():
@@ -270,11 +269,11 @@ def test_dual_bounds_the_l2_pairing():
     fields = random_bump_dictionary(g, count=4, seed=5)
     f, q = fields[0], fields[1]
     from dnprobe.dnmap import _closed_curve_samples
-    sf = _closed_curve_samples(f.boundary().values, g)[:-1]
-    sq = _closed_curve_samples(q.boundary().values, g)[:-1]
+    sf = _closed_curve_samples(boundary_from_face(f.values, g).values, g)[:-1]
+    sq = _closed_curve_samples(boundary_from_face(q.values, g).values, g)[:-1]
     ds = 4.0 / sf.shape[1]
     inner = float((sf * sq).sum()) * g.dt * ds
-    assert abs(inner) <= nrm.dual(f) * nrm.half(q) + 1e-12
+    assert abs(inner) <= nrm.dual(f.values) * nrm.half(q.values) + 1e-12
 
 
 def test_rougher_data_has_larger_half_norm():
@@ -285,7 +284,7 @@ def test_rougher_data_has_larger_half_norm():
     rough = boundary_field_from_callable(
         g, lambda t, x: np.sin(np.pi * t) * np.sin(7 * np.pi * x[..., 1]))
     # equal L2 mass up to the window, but the oscillatory trace costs more
-    assert nrm.half(rough) > 1.5 * nrm.half(smooth)
+    assert boundary_half(nrm, rough) > 1.5 * boundary_half(nrm, smooth)
 
 
 _FACES_2D = [build_grid(2, 1 / 16, 1 / 16, 1.0, patch_face=f)
@@ -296,29 +295,30 @@ _FACES_3D = [build_grid(3, 1 / 8, 1 / 8, 1.0, patch_face=f)
 
 
 def _face_data(g, seed):
-    """Two dictionary data and one rough datum on S, nonzero at t = T."""
+    """The face arrays of two dictionary data and of one rough datum on S,
+    nonzero at t = T."""
     rough = np.random.default_rng(seed).standard_normal((g.nt + 1,) + g.patch_support_mask().shape)
     rough[:, ~g.patch_support_mask()] = 0.0
-    return random_bump_dictionary(g, count=2, seed=seed) + [PatchField(values=rough, grid=g)]
+    return [datum.values for datum in random_bump_dictionary(g, count=2, seed=seed)] + [rough]
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 16))
 def test_face_norms_equal_the_norms_of_the_boundary_field(seed):
-    # patch data are measured on their face array; the walk around dOmega
-    # of PatchField.boundary() is the reference
+    # face arrays are measured as they are; the walk around dOmega of the
+    # same data on all of dOmega is the reference
     for g in _FACES_2D:
         nrm = make_norm(g)
         for datum in _face_data(g, seed):
-            full = datum.boundary()
-            assert nrm.half(datum) == nrm.half(full)
-            assert nrm.dual(datum) == nrm.dual(full)
+            full = boundary_from_face(datum, g)
+            assert nrm.half(datum) == boundary_half(nrm, full)
+            assert nrm.dual(datum) == boundary_dual(nrm, full)
     for g in _FACES_3D:
         nrm = make_norm(g)
         for datum in _face_data(g, seed):
-            full = datum.boundary()
-            for face, ref in ((nrm.half(datum), nrm.half(full)),
-                              (nrm.dual(datum), nrm.dual(full))):
+            full = boundary_from_face(datum, g)
+            for face, ref in ((nrm.half(datum), boundary_half(nrm, full)),
+                              (nrm.dual(datum), boundary_dual(nrm, full))):
                 assert abs(face - ref) <= 1e-15 * ref
 
 
@@ -337,8 +337,8 @@ def _fft2_norms(g, field: BoundaryField):
 
 @pytest.mark.parametrize("nt", [16, 15])
 def test_half_spectrum_norms_match_the_full_fft2(nt):
-    # even nt has a Nyquist row that counts once, odd nt has none; patch
-    # data on their face, their boundary() and data on all of dOmega
+    # even nt has a Nyquist row that counts once, odd nt has none; face
+    # arrays, the same data on all of dOmega, and data on all of dOmega
     for g in (_grid(16, nt), build_grid(2, 1 / 16, 1 / nt, 1.0, patch_face="top",
                                         patch_interval=[(0.25, 0.625)])):
         nrm = make_norm(g)
@@ -346,11 +346,14 @@ def test_half_spectrum_norms_match_the_full_fft2(nt):
         everywhere = BoundaryField(
             values=rng.standard_normal((nt + 1,) + g.shape) * ~pde.interior_mask(g), grid=g)
         for datum in _face_data(g, nt) + [everywhere]:
-            full = datum if isinstance(datum, BoundaryField) else datum.boundary()
+            full = datum if isinstance(datum, BoundaryField) else boundary_from_face(datum, g)
             half, dual = _fft2_norms(g, full)
-            for field in (datum, full):
-                assert abs(nrm.half(field) - half) <= 1e-14 * half
-                assert abs(nrm.dual(field) - dual) <= 1e-14 * dual
+            norms = [(boundary_half(nrm, full), boundary_dual(nrm, full))]
+            if not isinstance(datum, BoundaryField):
+                norms.append((nrm.half(datum), nrm.dual(datum)))
+            for got_half, got_dual in norms:
+                assert abs(got_half - half) <= 1e-14 * half
+                assert abs(got_dual - dual) <= 1e-14 * dual
 
 
 # --- linearization check and eta surrogate ----------------------------------
@@ -389,10 +392,10 @@ def test_linearization_check_flags_a_diverging_row_and_keeps_the_rest():
     [[lam_flux]] = patch_linear_flux([law], A2, g, 0.0, [gb])
     for row in rows[1:]:
         k = row["k"]
-        u = solve_forward(law, A2, g, 0.0, PatchField(values=gb.values / k, grid=g))
-        diff = k * nonlinear_flux(u, law, A2, g).values - lam_flux
+        u = solve_forward(law, A2, g, 0.0, PatchField(gb.profile, gb.face / k, g))
+        diff = k * nonlinear_flux(u, law, A2, g) - lam_flux
         assert row["ok"] and row["newton"] == u.newton
-        assert row["d_k"] == flux_l2_st(PatchField(values=diff, grid=g), g)
+        assert row["d_k"] == flux_l2_st(diff, g)
 
 
 def test_linearization_check_forms_no_history():
@@ -435,7 +438,7 @@ def _eta(pair, A, g, dictionary):
     """eta_surrogate of a law pair on a dictionary, from one frozen call."""
     norm = make_norm(g)
     [diff] = patch_linear_flux([pair], A, g, 0.0, dictionary)
-    return eta_surrogate(diff, [norm.half(datum) for datum in dictionary], norm)
+    return eta_surrogate(diff, [norm.half(datum.values) for datum in dictionary], norm)
 
 
 def test_eta_surrogate_scales_with_contrast():
@@ -485,7 +488,8 @@ def _assert_patch_flux_matches_full_field(case, law1, law2, lam, seed):
     f1, f2 = patch_linear_flux([law1, law2], A, g, lam, data)
     scale = max(np.abs(f1).max(), np.abs(f2).max())
     for datum, diff in zip(data, f1 - f2):
-        ref = lambda_difference_flux((law1, law2), A, g, lam, datum.boundary()).values
+        ref = lambda_difference_flux((law1, law2), A, g, lam,
+                                     boundary_from_face(datum.values, g))
         assert np.abs(diff - ref).max() <= 1e-11 * scale
 
 
@@ -506,8 +510,8 @@ def _interior_form(law_pair, A, g, lam, datum, test):
     the sum over levels m = 1..nt, the form in which the implicit-Euler steps
     of w and v satisfy the identity exactly."""
     law1, law2 = law_pair
-    w = solve_linearized(law1, A, g, lam, datum.boundary()).values
-    v = solve_adjoint(law2, A, g, lam, test.boundary()).values
+    w = solve_linearized(law1, A, g, lam, boundary_from_face(datum.values, g)).values
+    v = solve_adjoint(law2, A, g, lam, boundary_from_face(test.values, g)).values
     dgam = law1.gamma(g.times, lam) - law2.gamma(g.times, lam)
     drho = law1.rho(g.times, lam) - law2.rho(g.times, lam)
     W = trapezoid_weights(g.shape, g.h)
@@ -548,11 +552,10 @@ def test_dn_difference_pairing_has_the_interior_form_property(case, law1, law2, 
     g, A = _PATCH_CASES[case]
     datum, test = random_bump_dictionary(g, count=2, seed=seed)
     [diff], [f1], [f2] = patch_linear_flux([(law1, law2), law1, law2], A, g, lam, [datum])
-    lhs = surface_pairing(PatchField(values=diff, grid=g), test, g)
+    lhs = surface_pairing(diff, test.values, g)
     rhs, scale = _interior_form((law1, law2), A, g, lam, datum, test)
     rounding = 4.0 * np.finfo(float).eps * surface_pairing(
-        PatchField(values=np.abs(f1) + np.abs(f2), grid=g),
-        PatchField(values=np.abs(test.values), grid=g), g)
+        np.abs(f1) + np.abs(f2), np.abs(test.values), g)
     assert abs(lhs - rhs) <= 0.5 * (g.h + g.dt) * scale + rounding
 
 
@@ -686,7 +689,7 @@ def test_one_call_on_mixed_laws_equals_single_law_calls(monkeypatch, case):
             make_law(gamma=("trig_t", {"c0": 1.2, "c1": 0.3}),
                      rho=("trig_t", {"c0": 1.0, "c1": 0.2, "freq": 0.4}))]
     d = random_bump_dictionary(g, count=4, seed=11)
-    data = d + [PatchField.product(d[0].profile, 0.5 * d[0].face, g)]
+    data = d + [PatchField(d[0].profile, 0.5 * d[0].face, g)]
     keys = [datum.profile.tobytes() for datum in data]
     assert any(keys.count(k) > 1 for k in keys) and any(keys.count(k) == 1 for k in keys)
     rows = _count_rows(monkeypatch)
@@ -772,8 +775,23 @@ def test_factored_data_values_are_the_products_byte_for_byte(case):
     ref[:, support] = profile[:, None] * spatial[face][support][None, :]
     assert datum.values.tobytes() == ref.tobytes()
     assert not datum.face[~support].any()  # what leaks off S is dropped
-    # data formed from values alone keep no factors
-    assert PatchField(values=datum.values, grid=g).profile is None
+
+
+def test_data_without_factors_are_refused_before_any_solve(monkeypatch):
+    # patch data are only ever formed from both factors: values alone, or a
+    # missing factor, are refused where the datum is built, and no plane
+    # helper runs
+    g, A = _PATCH_CASES["2d-left"]
+    d = random_bump_dictionary(g, count=2, seed=5)
+    rows = _count_rows(monkeypatch)
+    with pytest.raises(TypeError):
+        PatchField(values=d[1].values, grid=g)
+    for profile, face, what in ((d[1].profile, None, "face"), (None, d[1].face, "profile")):
+        with pytest.raises(pde.PDEError, match=f"patch {what} needs shape"):
+            PatchField(profile, face, g)
+    [flux] = patch_linear_flux([_CONSTANT_LAW], A, g, 0.0, [d[0]])
+    assert rows == [("_planes_by_convolution", 1)]
+    assert flux.shape == (1, g.nt + 1) + g.patch_support_mask().shape
 
 
 def _count_rows(mp):
@@ -804,7 +822,7 @@ def test_shared_profiles_give_the_flux_of_their_values_property(case, groups, la
     support = g.patch_support_mask()
     profiles = rng.standard_normal((4, g.nt + 1))
     profiles[:, 0] = 0.0
-    data = [PatchField.product(profiles[i].copy(), rng.standard_normal(support.shape), g)
+    data = [PatchField(profiles[i].copy(), rng.standard_normal(support.shape), g)
             for i in groups]
     data = [data[b] for b in rng.permutation(len(data))]
     R = len(set(groups))
@@ -816,20 +834,8 @@ def test_shared_profiles_give_the_flux_of_their_values_property(case, groups, la
             [got] = patch_linear_flux([pair], A, g, lam, data)
         assert rows == [(helper, R) for helper in helpers]
         for datum, diff in zip(data, got):
-            ref = lambda_difference_flux(pair, A, g, lam, datum.boundary()).values
+            ref = lambda_difference_flux(pair, A, g, lam, boundary_from_face(datum.values, g))
             assert np.abs(diff - ref).max() <= 1e-11 * np.abs(ref).max()
-
-
-def test_data_without_factors_are_refused_before_any_solve(monkeypatch):
-    # a datum formed from values alone is refused by name, and no plane
-    # helper runs
-    g, A = _PATCH_CASES["2d-left"]
-    d = random_bump_dictionary(g, count=2, seed=5)
-    rows = _count_rows(monkeypatch)
-    plain = PatchField(values=d[1].values, grid=g)
-    with pytest.raises(DNMapError, match="PatchField.product"):
-        list(patch_linear_flux([_CONSTANT_LAW, _VARYING_LAW], A, g, 0.0, [d[0], plain]))
-    assert rows == []
 
 
 def test_probes_and_dictionary_solve_one_row_per_shared_profile(monkeypatch):

@@ -1,16 +1,17 @@
 """The package is the pipeline: a static check of src/dnprobe.
 
-Every top-level function of the package has a caller in the package or in
-demos/, and every name a module imports is read there; test-only
-references live in tests/reference.py.  Every defaulted parameter of a
-package function is passed at some call site in src, demos/ or tests/.
-Each "<predicate> fails" message of a hypothesis check is raised at one
-site, and a package error class is caught only where a failure becomes
-an exit code (cli.main) or a per-datum result (pde.solve_forward).  scipy
-appears in the package only where the Newton stall fallback factorizes a
-Jacobian, and no module forms an explicit inverse with numpy.linalg.inv:
-a linear system is factored and solved.  Importing the package builds no
-array that a module keeps.
+Every top-level function and every method of the package has a caller in
+the package or in demos/ outside its own body, and every name a module
+imports is read there; test-only references live in tests/reference.py.
+Every defaulted parameter of a package function is passed at some call
+site in src, demos/ or tests/.  Each "<predicate> fails" message of a
+hypothesis check is raised at one site, and a package error class is
+caught only where a failure becomes an exit code (cli.main) or a
+per-datum result (pde.solve_forward).  scipy appears in the package only
+where the Newton stall fallback factorizes a Jacobian, and no module
+forms an explicit inverse with numpy.linalg.inv: a linear system is
+factored and solved.  Importing the package builds no array that a
+module keeps.
 """
 
 import ast
@@ -87,6 +88,31 @@ def test_every_top_level_function_has_a_caller_in_src_or_demos():
     orphans = sorted(f"{mod}.{name}" for mod, name in defined
                      if name not in used and name not in SPANS_BOUND)
     assert orphans == [], f"no caller in src or demos/: {orphans}"
+
+
+def _attributes(tree):
+    """The attribute names a subtree reads, x.name, one per read."""
+    return Counter(sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute))
+
+
+def test_every_method_has_a_caller_in_src_or_demos():
+    # as for top-level functions, a method's own body is not a caller of
+    # it; a method is reached as an attribute (obj.name, self.name, cls.name),
+    # so a local variable of the same name is not a caller either, and
+    # dunder methods are called by Python itself
+    modules = _modules()
+    used = Counter()
+    for folder in (SRC, os.path.join(ROOT, "demos")):
+        for name in os.listdir(folder):
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name)) as fh:
+                    used.update(_attributes(ast.parse(fh.read())))
+    orphans = sorted(f"{mod}.{cls.name}.{fn.name}" for mod, tree in modules.items()
+                     for cls in tree.body if isinstance(cls, ast.ClassDef)
+                     for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                     and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                     and used[fn.name] <= _attributes(fn)[fn.name])
+    assert orphans == [], f"methods with no caller in src or demos/: {orphans}"
 
 
 def _functions(tree):

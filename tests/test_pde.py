@@ -17,7 +17,7 @@ from dnprobe.pde import (BoundaryField, PatchField, PDEError, box_spectrum,
                          dirichlet_solve, dst1, interior_mask, mms_problem,
                          probe_boundary_field, sine_basis, solve_forward,
                          solve_linearized)
-from reference import (boundary_field_from_callable, check_vanishes_at_end,
+from reference import (boundary_field_from_callable, boundary_from_face, check_vanishes_at_end,
                        constant_stiffness, lambda_difference_flux, solve_adjoint, stiffness)
 from test_material import _library_laws
 
@@ -31,6 +31,12 @@ _NO_SHRINK = [p for p in Phase if p is not Phase.shrink]
 
 def _datum(t, x):
     return np.sin(np.pi * t) * np.sin(np.pi * x[..., 1]) * np.exp(-x[..., 0])
+
+
+def _on_face(grid, fn):
+    """fn(X) sampled on the patch face, zero off S."""
+    face = grid.face_node_selector(grid.patch_axis, grid.patch_side)
+    return fn(np.stack(grid.node_coords(), axis=-1)[face]) * grid.patch_support_mask()
 
 
 def test_boundary_field_rejects_interior_values():
@@ -68,21 +74,49 @@ def test_probe_boundary_field_ok_on_patch():
     gb = probe_boundary_field(g, np.sin(np.pi * g.times), spatial)
     assert gb.values.shape == (g.nt + 1, g.n_cells + 1)
     assert np.array_equal(gb.values, np.sin(np.pi * g.times)[:, None] * spatial[0])
-    full = gb.boundary().values
+    full = boundary_from_face(gb.values, g).values
     assert np.array_equal(full[:, 0], gb.values)
     assert not full[:, 1:].any()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_patch_field_is_its_profile_times_its_face(dim):
+    # the one form of patch data: a factor of another shape is refused,
+    # face values off S are dropped, and values is the product of the two
+    g = build_grid(dim, 1 / 8, 1 / 8, 1.0, patch_interval=[(0.25, 0.75)] * (dim - 1))
+    support = g.patch_support_mask()
+    rng = np.random.default_rng(dim)
+    profile = np.sin(2.0 * np.pi * g.times)  # of both signs
+    face = rng.standard_normal(support.shape)  # nonzero off S too
+    datum = PatchField(profile, face, g)
+    assert np.array_equal(datum.face, np.where(support, face, 0.0))
+    assert datum.values.shape == (g.nt + 1,) + support.shape
+    assert not datum.values[:, ~support].any()
+    assert datum.values[:, support].tobytes() == \
+        np.multiply.outer(profile, face[support]).tobytes()
+    for bad_profile, bad_face, what in ((profile[1:], face, "profile"),
+                                        (np.outer(profile, face), face, "profile"),
+                                        (profile, face[1:], "face"),
+                                        (profile, np.zeros(g.shape), "face")):
+        with pytest.raises(PDEError, match=f"patch {what} needs shape"):
+            PatchField(bad_profile, bad_face, g)
+
+
 def test_patch_field_rejects_values_off_s():
+    # S is node-closed: face values on its end nodes are kept, and a value
+    # one node off S, however small, never reaches the datum's values
     g = build_grid(2, 1 / 8, 1 / 8, 1.0, patch_interval=[(0.25, 0.75)])
-    vals = np.zeros((g.nt + 1, g.n_cells + 1))
-    vals[3, g.patch_lo[0]:g.patch_hi[0] + 1] = 1.0  # S is node-closed
-    PatchField(values=vals, grid=g)
-    vals[3, g.patch_lo[0] - 1] = 1e-300
-    with pytest.raises(PDEError, match="off S"):
-        PatchField(values=vals, grid=g)
-    with pytest.raises(PDEError, match="shape"):
-        PatchField(values=np.zeros((g.nt + 1,) + g.shape), grid=g)
+    lo, hi = g.patch_lo[0], g.patch_hi[0]
+    face = np.zeros(g.n_cells + 1)
+    face[lo:hi + 1] = 1.0
+    profile = np.zeros(g.nt + 1)
+    profile[3] = 1.0
+    on_s = PatchField(profile, face, g)
+    assert np.array_equal(on_s.face, face)
+    face[lo - 1] = face[hi + 1] = 1e-300
+    datum = PatchField(profile, face, g)
+    assert datum.values.tobytes() == on_s.values.tobytes()
+    assert datum.face[lo - 1] == 0.0 and datum.face[hi + 1] == 0.0
 
 
 def test_forward_constant_data_is_steady():
@@ -411,7 +445,7 @@ def test_frozen_superposition_property(law, lam, alpha, beta):
 def test_equal_laws_give_zero_difference_flux_property(law, lam):
     gb = boundary_field_from_callable(_GRID8, _datum)
     fl = lambda_difference_flux((law, law), A2, _GRID8, lam, gb)
-    assert not fl.values.any()
+    assert not fl.any()
 
 
 # --- chord Newton against full Newton ----------------------------------------
@@ -452,8 +486,7 @@ def _reference_newton(law, A, grid, lam, g):
             norm = np.abs(res).max()
             if norm <= pde.NEWTON_TOL:
                 break
-            J = pde._forward_jacobian(grid, A.A, law, t, cur, u[m - 1], grid.dt,
-                                      flat_int, red)
+            J = pde._forward_jacobian(grid, A.A, law, t, cur, u[m - 1], grid.dt)
             cur.ravel()[flat_int] -= splu(J).solve(res)
             iterations += 1
         u[m] = cur
@@ -630,9 +663,8 @@ def _stack_data(grid, amplitudes, on_patch):
     """amplitude * a smooth datum, on all of dOmega or restricted to S."""
     full = boundary_field_from_callable(
         grid, lambda t, x: _datum(t, x) * (1.0 + x[..., -1] ** 2)).values
-    face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
-    patch = full[face] * grid.patch_support_mask()
-    return [PatchField(values=a * patch, grid=grid) if p
+    patch = _on_face(grid, lambda x: _datum(0.5, x) * (1.0 + x[..., -1] ** 2))
+    return [PatchField(np.sin(np.pi * grid.times), a * patch, grid) if p
             else BoundaryField(values=a * full, grid=grid)
             for a, p in zip(amplitudes, on_patch)]
 
@@ -647,7 +679,7 @@ def _assert_streamed_flux_is_the_history_flux(law, A, grid, lam, data, stacked, 
             assert isinstance(flux, PDEError) and str(flux) == str(got)
             continue
         assert flux.newton == got.newton
-        assert np.array_equal(flux.values, nonlinear_flux(got, law, A, grid).values)
+        assert np.array_equal(flux.values, nonlinear_flux(got, law, A, grid))
 
 
 def _assert_stack_matches_single_solves(law, A, grid, lam, data):
@@ -729,7 +761,7 @@ def test_reused_first_residuals_match_full_newton_property(case, gamma, rho, lam
     amplitudes, on_patch = zip(*data)
     stack = _stack_data(grid, amplitudes, on_patch)
     for datum, u in zip(stack, solve_forward(law, A, grid, lam, stack)):
-        full = datum.boundary() if isinstance(datum, PatchField) else datum
+        full = boundary_from_face(datum.values, grid) if isinstance(datum, PatchField) else datum
         ref, iterations = _reference_newton(law, A, grid, lam, full)
         assert np.abs(u.values - ref).max() <= 1e-10
         assert u.newton["max_residual"] <= pde.NEWTON_TOL
@@ -757,8 +789,9 @@ def _level_data(grid):
     """A BoundaryField and a PatchField, each nonzero on its boundary nodes."""
     full = boundary_field_from_callable(
         grid, lambda t, x: _datum(t, x) * (1.0 + x[..., -1] ** 2) + t * x[..., 0])
-    face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
-    return full, PatchField(values=full.values[face] * grid.patch_support_mask(), grid=grid)
+    return full, PatchField(np.sin(np.pi * grid.times),
+                            _on_face(grid, lambda x: _datum(0.5, x) * (1.0 + x[..., -1] ** 2)),
+                            grid)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -809,7 +842,8 @@ def test_each_level_starts_from_the_previous_interior(monkeypatch):
     for m in range(1, grid.nt + 1):
         first = firsts[m - 1]
         for b, datum in enumerate(data):
-            full = datum.boundary() if isinstance(datum, PatchField) else datum
+            full = boundary_from_face(datum.values, grid) if isinstance(datum, PatchField) \
+                else datum
             assert np.array_equal(first[b][imask], levels[m - 1][b][imask])
             assert np.array_equal(first[b][~imask], lam + full.values[m][~imask])
 
@@ -819,10 +853,16 @@ def _assert_non_finite_level_stops_its_datum(law, good, bad):
     that datum with the error naming t; inside a stack the other data
     finish as if alone."""
     grid = good.grid
-    vals = good.values.copy()
     m = 3
-    vals[m][np.unravel_index(np.argmax(np.abs(vals[m])), vals[m].shape)] = bad
-    datum = type(good)(values=vals, grid=grid)
+    if isinstance(good, PatchField):  # bad times the face: the whole level
+        profile = good.profile.copy()
+        profile[m] = bad
+        with np.errstate(invalid="ignore"):  # inf * 0
+            datum = PatchField(profile, good.face, grid)
+    else:
+        vals = good.values.copy()
+        vals[m][np.unravel_index(np.argmax(np.abs(vals[m])), vals[m].shape)] = bad
+        datum = BoundaryField(values=vals, grid=grid)
     msg = f"non-finite residual at t={grid.times[m]:g})"
     # inf - inf and 0 * inf warn on the way; the loop's own check is tested
     with np.errstate(invalid="ignore"), pytest.raises(PDEError, match=re.escape(msg)):
@@ -859,8 +899,8 @@ def test_non_finite_datum_level_stops_a_reused_first_residual(kind, bad):
     hold = lambda t: np.clip(t, 0.0, 0.5) - np.clip(t - 5.0, 0.0, 0.5)
     full = boundary_field_from_callable(
         grid, lambda t, x: hold(t) * np.sin(np.pi * x[..., 1]) * np.exp(-x[..., 0]))
-    face = (slice(None),) + grid.face_node_selector(grid.patch_axis, grid.patch_side)
-    patch = PatchField(values=full.values[face] * grid.patch_support_mask(), grid=grid)
+    patch = PatchField(hold(grid.times), _on_face(grid, lambda x: np.sin(np.pi * x[..., 1])),
+                       grid)
     ref = _assert_non_finite_level_stops_its_datum(law, full if kind == "boundary" else patch,
                                                    bad)
     # a linear problem takes one iteration per level that changes: the

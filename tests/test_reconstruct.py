@@ -18,6 +18,7 @@ from dnprobe.reconstruct import (ProbeSpec, ReconstructError,
 from dnprobe.singular import SingularError
 
 A2 = make_matrix(np.eye(2))
+A3 = make_matrix(np.eye(3))
 
 
 def _gamma_probe(grid, tau, t0=0.5):
@@ -82,11 +83,11 @@ def test_recover_rho_dimension_guard(monkeypatch):
     g = build_grid(2, 1 / 16, 1 / 16, 1.0, pad=10)
     probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.15, kind="rho")
     with pytest.raises(SingularError, match="rho_dim"):
-        recover_rho_point((law, law), g, 0.0, probe)
+        recover_rho_point((law, law), A2, g, 0.0, probe)
     g3 = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
     probe3 = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
     with pytest.raises(SingularError, match="rho_identity_A"):
-        recover_rho_point((law, law), g3, 0.0, probe3, A=make_matrix(np.diag([2.0, 1.0, 1.0])))
+        recover_rho_point((law, law), make_matrix(np.diag([2.0, 1.0, 1.0])), g3, 0.0, probe3)
     assert solved == []
 
 
@@ -106,14 +107,15 @@ def test_rho_recovery_rejects_unequal_conductivities_before_its_frozen_solves(mo
     monkeypatch.setattr(reconstruct, "patch_linear_flux", counted)
     base = make_law()
     with pytest.raises(ReconstructError, match="rho_equal_gamma"):
-        recover_rho_point((make_law(gamma=("constant", {"c0": 1.05})), base), g3, 0.0, probe)
+        recover_rho_point((make_law(gamma=("constant", {"c0": 1.05})), base), A3, g3, 0.0,
+                          probe)
     with pytest.raises(ReconstructError, match="rho_equal_gamma"):
         reconstruct.point_recovery((make_law(gamma=("trig_t", {"c0": 1.0, "c1": 0.01})), base),
                                    make_matrix(np.eye(3)), g3, 0.0,
                                    [probe, replace(probe, tau=0.25)])
     assert solved == []
     rho1 = make_law(rho=("constant", {"c0": 1.2}))
-    assert recover_rho_point((rho1, base), g3, 0.0, probe) > 0.0
+    assert recover_rho_point((rho1, base), A3, g3, 0.0, probe) > 0.0
     assert solved == [[(rho1, base)]]  # one call, on the pair
 
 
@@ -133,7 +135,7 @@ def test_recover_rho_equal_laws_is_zero():
     g = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
     law = make_law(rho=("trig_t", {"c0": 2.0, "c1": 0.3, "freq": 0.4}))
     probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
-    got = recover_rho_point((law, law), g, 0.0, probe)
+    got = recover_rho_point((law, law), A3, g, 0.0, probe)
     assert abs(got) < 1e-12
 
 
@@ -234,7 +236,7 @@ def test_stability_measures_the_dictionary_once(monkeypatch):
     d = dnmap.random_bump_dictionary(g, 4)
     norm = dnmap.make_norm(g)
     [diff] = dnmap.patch_linear_flux([family[0][1]], A2, g, 0.0, d)
-    eta = dnmap.eta_surrogate(diff, [norm.half(datum) for datum in d], norm)
+    eta = dnmap.eta_surrogate(diff, [norm.half(datum.values) for datum in d], norm)
     assert eta == table.rows[0].eta
 
 
