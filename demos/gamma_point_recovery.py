@@ -14,7 +14,7 @@ import numpy as np
 
 from dnprobe import build_grid, make_law, tau_sweep
 from dnprobe.material import make_matrix
-from dnprobe.reconstruct import ProbeSpec, point_recovery
+from dnprobe.reconstruct import ProbeSpec, check_probes, point_recovery
 
 CONTRAST = 0.02
 
@@ -26,8 +26,9 @@ law2 = make_law(gamma=("constant", {"c0": 1.0}), label="reference")
 taus = [0.2, 0.15, 0.1, 0.07, 0.05]
 probes = [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau, kind="gamma",
                     a_rule="power", r=0.5) for tau in taus]
-# all probes of the sweep built and solved together
-estimates = point_recovery((law1, law2), A, grid, 0.0, probes)
+# all probes of the sweep checked once, then built and solved together
+checked = check_probes(grid, A, probes, [(law1, law2)], lam=0.0)
+estimates = point_recovery(checked, (law1, law2))
 report = tau_sweep(taus, estimates, reference=CONTRAST)
 
 print(f"true contrast: {CONTRAST}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from dnprobe import build_grid, make_law, stability_experiment
 from dnprobe.material import make_matrix, perturb_law
-from dnprobe.reconstruct import ProbeSpec
+from dnprobe.reconstruct import ProbeSpec, check_probes
 
 # --- conductivity: Lipschitz slope -----------------------------------------
 
@@ -25,7 +25,8 @@ family = [(eps, (perturb_law(base, eps, "gamma"), base))
           for eps in (0.01, 0.02, 0.04)]
 probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.125, kind="gamma",
                   a_rule="power", r=0.5)
-table = stability_experiment(family, A, grid, 0.0, probe, dict_seed=3, dict_size=8)
+checked = check_probes(grid, A, [probe], [pair for _, pair in family], lam=0.0)
+table = stability_experiment(checked, family, dict_seed=3, dict_size=8)
 
 print("conductivity target (norm:", table.norm_flag + ")")
 print(f"{'eps':>6}  {'eta':>12}  {'sup diff':>10}  {'recovered':>10}")
@@ -42,7 +43,8 @@ prof = ("trig_t", {"c0": 0.0, "c1": 1.0, "freq": 0.2})  # peaks at t = 1.25
 family3 = [(eps, (perturb_law(base3, eps, "rho", prof), base3))
            for eps in (0.1, 0.2)]
 probe3 = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.125, kind="rho", r=0.25)
-table3 = stability_experiment(family3, A3, grid3, 0.0, probe3, dict_seed=0, dict_size=16)
+checked3 = check_probes(grid3, A3, [probe3], [pair for _, pair in family3], lam=0.0)
+table3 = stability_experiment(checked3, family3, dict_seed=0, dict_size=16)
 
 print("heat-capacity target (norm:", table3.norm_flag + ")")
 for r in table3.rows:

@@ -21,6 +21,6 @@ from .dnmap import (BoundaryNorm, DNMapError, eta_surrogate,
                     linear_flux, linearization_check, make_norm,
                     nonlinear_flux, patch_linear_flux, surface_pairing)
 from .reconstruct import (ProbeSpec, ReconstructError, ReconstructionReport,
-                          StabilityTable, recover_gamma_point,
+                          StabilityTable, check_probes, recover_gamma_point,
                           recover_rho_point, stability_experiment, tau_sweep)
 from .config import ConfigError, ExperimentConfig, load_config

@@ -12,10 +12,12 @@ Subcommands:
   report           summarize the JSON reports found in the output dir
 
 _probe_plan decides the probes a subcommand builds and the law pairs it
-reads at them; main checks the plan (reconstruct.check_probes) before
-dispatch.  A config or plan that fails a check exits 2 with "config
-error:" before any solve or write; an error during the run exits 1 with
-"error:".  main is where a package error becomes an exit code.
+reads at them, and checks them once (reconstruct.check_probes); main
+passes the checked probes to the subcommand, which builds and solves
+them without checking them again.  A config or plan that fails a check
+exits 2 with "config error:" before any solve or write; an error during
+the run exits 1 with "error:".  main is where a package error becomes an
+exit code.
 
 All file writes are atomic (tmp file + rename) and embed the config hash
 and the active boundary-norm flag.  A probe or stability command makes
@@ -97,18 +99,21 @@ def _out(cfg: ExperimentConfig, stem: str) -> str:
 
 
 def _probe_plan(cfg: ExperimentConfig, args):
-    """(probes, law pairs read at them) a subcommand builds, or None.
+    """The checked probes a subcommand builds with the law pairs it reads
+    at them (reconstruct.check_probes), or None.
 
     A probe sweep has a probe per tau of sweep_taus and the config's pair;
     stability one probe of the target's kind at the smallest tau and the
-    pair of each nonzero eps; linearize-check, and forward without --mms
-    for a gamma kind and a tau (else zero data), a gamma probe there.
+    pair of each nonzero eps (stability_pairs); linearize-check, which
+    needs a k, and forward without --mms for a gamma kind and a tau (else
+    zero data), a gamma probe there.
     """
     command, pairs = args.command, []
     if command in ("probe-gamma", "probe-rho"):
         kind, pairs = command[len("probe-"):], [(cfg.law1, cfg.law2)]
     elif command == "stability":
-        kind, pairs = cfg.perturb_target, stability_pairs(cfg.law_family)
+        kind = cfg.perturb_target
+        pairs = stability_pairs(cfg.law_family, kind, cfg.lam, cfg.grid.T)
     elif command == "linearize-check" or (command == "forward" and not args.mms
                                           and cfg.probe_kind == "gamma" and cfg.tau_list):
         kind = "gamma"
@@ -120,9 +125,12 @@ def _probe_plan(cfg: ExperimentConfig, args):
         taus = [min(cfg.tau_list)]
     else:
         raise ConfigError(f"probe_tau fails: {command} needs a tau, tau_list is empty")
-    return [ProbeSpec(x0=cfg.x0, t0=cfg.t0, tau=tau, kind=kind, r=cfg.probe_r,
-                      a_rule=cfg.a_rule, shape=cfg.bump_shape, conv=cfg.conv)
-            for tau in taus], pairs
+    if command == "linearize-check" and not cfg.k_list:
+        raise ConfigError("k_sweep fails: linearize-check needs a k, k_list is empty")
+    probes = [ProbeSpec(x0=cfg.x0, t0=cfg.t0, tau=tau, kind=kind, r=cfg.probe_r,
+                        a_rule=cfg.a_rule, shape=cfg.bump_shape, conv=cfg.conv)
+              for tau in taus]
+    return check_probes(cfg.grid, cfg.A, probes, pairs, lam=cfg.lam)
 
 
 def _report_newton(args, label: str, stats):
@@ -138,12 +146,12 @@ def _report_newton(args, label: str, stats):
 # subcommands
 
 
-def cmd_forward(cfg: ExperimentConfig, args, plan) -> int:
+def cmd_forward(cfg: ExperimentConfig, args, checked) -> int:
     if args.mms:
         return _forward_mms(cfg, args)
     grid = cfg.grid
-    if plan is not None:
-        [([(g, _)], _)] = probe_data(grid, cfg.A, *plan, lam=cfg.lam)
+    if checked is not None:
+        [([(g, _)], _)] = probe_data(checked)
     else:
         g = PatchField(np.zeros(grid.nt + 1), np.zeros(grid.patch_support_mask().shape), grid)
     flux = solve_forward(cfg.law1, cfg.A, grid, cfg.lam, g,
@@ -168,57 +176,47 @@ def cmd_forward(cfg: ExperimentConfig, args, plan) -> int:
 
 def _forward_mms(cfg: ExperimentConfig, args) -> int:
     """Refinement study with a manufactured solution; prints observed orders."""
-    lam = cfg.lam
-    base = cfg.grid
+    lam, base, n = cfg.lam, cfg.grid, cfg.grid.dim
 
-    def spatial_exact(t, X):
+    def spatial(X):
         out = np.sin(np.pi * X[..., 0])
-        for a in range(1, X.shape[-1]):
+        for a in range(1, n):
             out = out * np.sin(np.pi * X[..., a])
         return out
 
-    def err_space(h, dt):
-        # exact field linear in t: implicit Euler is exact in time, so the
-        # measured error is purely spatial
-        grid = build_grid(base.dim, h, dt, base.T, pad=base.pad)
-        exact = lambda t, X: lam + t * spatial_exact(t, X)
-        exact_dt = lambda t, X: spatial_exact(t, X)
+    def spatial_grad(t, X):
+        grads = []
+        for a in range(n):
+            g = np.pi * np.cos(np.pi * X[..., a])
+            for b in range(n):
+                if b != a:
+                    g = g * np.sin(np.pi * X[..., b])
+            grads.append(t * g)
+        return grads
 
-        def exact_grad(t, X):
-            grads = []
-            for a in range(grid.dim):
-                g = np.pi * np.cos(np.pi * X[..., a])
-                for b in range(grid.dim):
-                    if b != a:
-                        g = g * np.sin(np.pi * X[..., b])
-                grads.append(t * g)
-            return grads
+    # (u, d_t u, grad u, second derivatives) of each exact field.  In
+    # space: linear in t, so implicit Euler is exact in time and the
+    # measured error is purely spatial.  In time: affine in x, resolved
+    # exactly by the stencil, so the measured error is purely temporal.
+    sx = lambda X: sum(X[..., a] for a in range(n))
+    in_space = (lambda t, X: lam + t * spatial(X), lambda t, X: spatial(X), spatial_grad,
+                lambda t, X: [t * (-np.pi ** 2 * spatial(X))] * n)
+    in_time = (lambda t, X: lam + np.sin(0.9 * t) * sx(X),
+               lambda t, X: 0.9 * np.cos(0.9 * t) * sx(X),
+               lambda t, X: [np.sin(0.9 * t) + 0.0 * X[..., 0]] * n,
+               lambda t, X: [0.0 * X[..., 0]] * n)
 
-        exact_d2 = lambda t, X: [t * (-np.pi ** 2 * spatial_exact(t, X))] * grid.dim
-        g, src, ex = mms_problem(grid, cfg.law1, cfg.A, lam, exact, exact_dt,
-                                 exact_grad, exact_d2)
+    def error(label, exact, h, dt):
+        """Max error of the forward solve of exact's problem at (h, dt)."""
+        grid = build_grid(n, h, dt, base.T, pad=base.pad)
+        g, src, ex = mms_problem(grid, cfg.law1, cfg.A, lam, *exact)
         u = solve_forward(cfg.law1, cfg.A, grid, lam, g, source=src)
-        _report_newton(args, f"mms space h={h:g} dt={dt:g}", u.newton)
-        return float(np.abs(u.values - ex).max())
-
-    def err_time(h, dt):
-        # exact field affine in x: resolved exactly by the stencil, so the
-        # measured error is purely temporal
-        grid = build_grid(base.dim, h, dt, base.T, pad=base.pad)
-        sx = lambda X: sum(X[..., a] for a in range(grid.dim))
-        exact = lambda t, X: lam + np.sin(0.9 * t) * sx(X)
-        exact_dt = lambda t, X: 0.9 * np.cos(0.9 * t) * sx(X)
-        exact_grad = lambda t, X: [np.sin(0.9 * t) + 0.0 * X[..., 0]] * grid.dim
-        exact_d2 = lambda t, X: [0.0 * X[..., 0]] * grid.dim
-        g, src, ex = mms_problem(grid, cfg.law1, cfg.A, lam, exact, exact_dt,
-                                 exact_grad, exact_d2)
-        u = solve_forward(cfg.law1, cfg.A, grid, lam, g, source=src)
-        _report_newton(args, f"mms time h={h:g} dt={dt:g}", u.newton)
+        _report_newton(args, f"mms {label} h={h:g} dt={dt:g}", u.newton)
         return float(np.abs(u.values - ex).max())
 
     h0, dt0 = base.h, base.dt
-    e_h = [err_space(h0, dt0), err_space(h0 / 2, dt0)]
-    e_t = [err_time(h0, dt0), err_time(h0, dt0 / 2)]
+    e_h = [error("space", in_space, h0, dt0), error("space", in_space, h0 / 2, dt0)]
+    e_t = [error("time", in_time, h0, dt0), error("time", in_time, h0, dt0 / 2)]
     p_h = np.log2(e_h[0] / e_h[1])
     p_t = np.log2(e_t[0] / e_t[1])
     print("refinement   error_coarse   error_fine   observed_order")
@@ -227,9 +225,9 @@ def _forward_mms(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def cmd_linearize_check(cfg: ExperimentConfig, args, plan) -> int:
+def cmd_linearize_check(cfg: ExperimentConfig, args, checked) -> int:
     grid = cfg.grid
-    [([(g, _)], _)] = probe_data(grid, cfg.A, *plan, lam=cfg.lam)
+    [([(g, _)], _)] = probe_data(checked)
     rows = linearization_check(cfg.law1, cfg.A, grid, cfg.lam, g, cfg.k_list)
     out = [(r["k"], f"{r['d_k']:.12e}", r["ok"], r["why"]) for r in rows]
     _write_csv(_out(cfg, "linearize.csv"), _meta(cfg, make_norm(grid, cfg.norm_kind).flag),
@@ -240,16 +238,14 @@ def cmd_linearize_check(cfg: ExperimentConfig, args, plan) -> int:
     return 0
 
 
-def cmd_probe(cfg: ExperimentConfig, args, plan) -> int:
+def cmd_probe(cfg: ExperimentConfig, args, checked) -> int:
     """probe-gamma and probe-rho: the tau sweep of the plan's probes."""
-    grid = cfg.grid
-    norm = make_norm(grid, cfg.norm_kind)
-    probes, [pair] = plan
-    target = probes[0].kind
+    norm = make_norm(cfg.grid, cfg.norm_kind)
+    [pair], target = checked.pairs, checked.kind
     ref = float(getattr(cfg.law1, target)(cfg.t0, cfg.lam)
                 - getattr(cfg.law2, target)(cfg.t0, cfg.lam))
-    report = tau_sweep([probe.tau for probe in probes],
-                       point_recovery(pair, cfg.A, grid, cfg.lam, probes), reference=ref)
+    report = tau_sweep([probe.tau for probe in checked.probes],
+                       point_recovery(checked, pair), reference=ref)
     rows = [(target, cfg.t0, cfg.lam, f"{tau:.6g}", f"{est:.12e}")
             for tau, est in zip(report.tau_sequence, report.raw_estimates)]
     _write_csv(_out(cfg, f"{target}_sweep.csv"), _meta(cfg, norm.flag),
@@ -269,12 +265,10 @@ def cmd_probe(cfg: ExperimentConfig, args, plan) -> int:
     return 0
 
 
-def cmd_stability(cfg: ExperimentConfig, args, plan) -> int:
-    grid = cfg.grid
-    norm = make_norm(grid, cfg.norm_kind)
-    [probe], _ = plan
-    table = stability_experiment(cfg.law_family, cfg.A, grid, cfg.lam, probe,
-                                 dict_seed=cfg.dict_seed, dict_size=cfg.dict_size, norm=norm)
+def cmd_stability(cfg: ExperimentConfig, args, checked) -> int:
+    norm = make_norm(cfg.grid, cfg.norm_kind)
+    table = stability_experiment(checked, cfg.law_family, dict_seed=cfg.dict_seed,
+                                 dict_size=cfg.dict_size, norm=norm)
     rows = [(r.eps, f"{r.eta:.12e}", f"{r.true_diff:.12e}",
              f"{r.recovered:.12e}", r.ok, r.why) for r in table.rows]
     _write_csv(_out(cfg, "stability.csv"), _meta(cfg, norm.flag),
@@ -295,7 +289,7 @@ def cmd_stability(cfg: ExperimentConfig, args, plan) -> int:
     return 0
 
 
-def cmd_report(cfg: ExperimentConfig, args, plan) -> int:
+def cmd_report(cfg: ExperimentConfig, args, checked) -> int:
     """Summarize the prefix's JSON reports; a report that cannot be read as
     a JSON object is named on stderr and makes the exit status 1."""
     try:
@@ -351,14 +345,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        plan = _probe_plan(cfg, args)
-        if plan is not None:
-            check_probes(cfg.grid, cfg.A, *plan, lam=cfg.lam)
+        checked = _probe_plan(cfg, args)
     except (ConfigError, GridError, MaterialError, SingularError, ReconstructError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](cfg, args, plan)
+        return _COMMANDS[args.command](cfg, args, checked)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

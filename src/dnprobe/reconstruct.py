@@ -8,11 +8,15 @@ where g_tau is the singular probe concentrated at (x0, t0); the rho value
 uses the derivative probes g_{j,tau}, gbar_{j,tau} summed over axes.  Both
 recover coefficient *differences*; absolute values are differences plus
 the known reference law.  tau-sweeps, power-law extrapolation, and the
-stability-rate experiments live here too.  A point recovery and a
-stability experiment each make one dnmap.patch_linear_flux call; a
-sweep fits the estimates of one point recovery over its probes.  A
-failed check, probe build or solve raises, by the name of its predicate
-where it has one.
+stability-rate experiments live here too.
+
+check_probes runs every check of probes and the law pairs read at them
+once, before any solve, and returns them as a CheckedProbes value;
+probe_data, point_recovery and stability_experiment take that value and
+check nothing again.  A point recovery and a stability experiment each
+make one dnmap.patch_linear_flux call; a sweep fits the estimates of one
+point recovery over its probes.  A failed check, probe build or solve
+raises, by the name of its predicate where it has one.
 """
 
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ import numpy as np
 
 from .geometry import Grid, exterior_point
 from .material import MatrixField
-from .singular import build_basis, check_rho_setting, grad_H_energy, make_cutoffs
+from .singular import SingularError, build_basis, grad_H_energy, make_cutoffs
 from .pde import PatchField, probe_boundary_field
 from .dnmap import (eta_surrogate, make_norm, patch_linear_flux,
                     random_bump_dictionary, surface_pairing)
@@ -79,59 +83,88 @@ def require_equal_gamma(pair, lam: float, times: np.ndarray, cuts):
                                f"at t = {t[gap.argmax()]:.3g}")
 
 
-def check_probes(grid: Grid, A: MatrixField, probes, law_pairs, *, lam: float):
-    """The part of probe_data before any solve: (geoms, cuts) per probe.
+@dataclass(frozen=True)
+class CheckedProbes:
+    """Probes of one kind and one conv, placed, cut off and checked with
+    the law pairs read at them at lam.  check_probes builds it;
+    probe_data, point_recovery and stability_experiment take it, check
+    nothing again, and solve no pair it was not checked with (require)."""
 
+    grid: Grid
+    A: MatrixField
+    lam: float
+    probes: tuple  # ProbeSpec
+    geoms: tuple   # ProbeGeometry of each probe (exterior_point)
+    cuts: tuple    # CutoffSet of each probe (make_cutoffs)
+    pairs: tuple   # the law pairs checked
+
+    @property
+    def kind(self) -> str:
+        return self.probes[0].kind
+
+    def require(self, pairs) -> list:
+        """pairs, each one of the checked pairs; else raise checked_pairs."""
+        for law1, law2 in pairs:
+            if (law1, law2) not in self.pairs:
+                raise ReconstructError(f"checked_pairs fails: {law1.label} vs {law2.label} "
+                                       f"is not a law pair these probes were checked with")
+        return list(pairs)
+
+
+def check_probes(grid: Grid, A: MatrixField, probes, law_pairs, *,
+                 lam: float) -> CheckedProbes:
+    """Everything before a solve of probes and the law pairs read at them.
+
+    Rho probes need n >= 3 and A = Id, which the rho estimate assumes.
     Each probe is placed (exterior_point) and gets its cutoffs
-    (make_cutoffs); rho probes need check_rho_setting, and each law pair
-    read at lam equal conductivities on supp chi (require_equal_gamma).
-    A failed check raises by the name of its predicate.
+    (make_cutoffs); for rho probes each law pair read at lam needs equal
+    conductivities on supp chi (require_equal_gamma).  A failed check
+    raises by the name of its predicate.
     """
     if len({(p.kind, p.conv) for p in probes}) != 1:
         raise ReconstructError("probes built together need one kind and one conv")
     kind = probes[0].kind
-    if kind == "rho":
-        check_rho_setting(grid, A)
+    if kind == "rho" and grid.dim < 3:
+        raise SingularError(f"rho_dim fails: rho probes need n >= 3, dim = {grid.dim}")
+    if kind == "rho" and not A.is_identity:
+        raise SingularError(f"rho_identity_A fails: rho probes need A = Id, "
+                            f"diag(A) = {np.diagonal(A.A).tolist()}")
     geoms = [exterior_point(grid, p.x0, p.tau) for p in probes]
     cuts = [make_cutoffs(p.t0, p.tau, p.kind, grid, r=p.r, tau0=geom.tau0, shape=p.shape,
                          a_rule=p.a_rule) for p, geom in zip(probes, geoms)]
     if kind == "rho":
         for pair in law_pairs:
             require_equal_gamma(pair, lam, grid.times, cuts)
-    return geoms, cuts
+    return CheckedProbes(grid, A, lam, tuple(probes), tuple(geoms), tuple(cuts),
+                         tuple(law_pairs))
 
 
-def probe_data(grid: Grid, A: MatrixField, probes, law_pairs=(), *, lam: float):
-    """Boundary data and H energy of probes of one kind, built together.
+def probe_data(checked: CheckedProbes):
+    """Boundary data and H energy of checked probes, built together.
 
-    Returns one (pairs, energy) per probe.  pairs is [(g, g)] for a gamma
-    probe, g = phi_tau (H - v), and [(g_j, gbar_j) for each axis j] for a
-    rho probe, g_j = chi Phi_tau (d_j H - v_j) and gbar_j = phi_tau
-    (d_j H - v_j): each d_j H - v_j is leak-checked and cut to the patch
-    face once (probe_boundary_field, which forms g_j), and gbar_j is the
-    PatchField of phi_tau and that face.  energy is the gradient energy
-    of H that the probe's pairings are divided by.  The probes and the law
-    pairs to be read at lam pass check_probes before any solve; the
-    correctors of all the probes are one stacked solve (build_basis).
+    Returns one (pairs, energy) per probe: a pair (g, gbar) per member
+    of its basis (build_basis), g the member cut to the patch face once
+    (probe_boundary_field, which leak-checks it) times the probe's time
+    profile.  The kind sets only the profiles: a gamma datum is
+    g = phi_tau (H - v), read against itself; a rho datum is
+    g_j = chi Phi_tau (d_j H - v_j), read against gbar_j = phi_tau
+    (d_j H - v_j), the PatchField of phi_tau and g_j's face.  energy is
+    the gradient energy of H that the probe's pairings are divided by.
+    The correctors of all the probes are one stacked solve.
     """
-    geoms, cuts = check_probes(grid, A, probes, law_pairs, lam=lam)
-    kind = probes[0].kind
-    bases = build_basis(grid, geoms, A, conv=probes[0].conv, kind=kind)
+    grid, kind = checked.grid, checked.kind
+    bases = build_basis(grid, checked.geoms, checked.A, conv=checked.probes[0].conv,
+                        kind=kind)
     out = []
-    for basis, cut in zip(bases, cuts):
+    for basis, cut in zip(bases, checked.cuts):
         energy = grad_H_energy(basis, grid)
         if energy <= 1e-14:
             raise ReconstructError("singular-basis energy underflow")
         phi = cut.phi_tau(grid.times)
-        if kind == "gamma":
-            g = probe_boundary_field(grid, phi, basis.H_omega - basis.v_omega)
-            pairs = [(g, g)]
-        else:
-            chi_Phi = cut.chi(grid.times) * cut.Phi_tau(grid.times)
-            gs = [probe_boundary_field(grid, chi_Phi, spatial)
-                  for spatial in map(np.subtract, basis.djH_omega, basis.vj_omega)]
-            pairs = [(g, PatchField(phi, g.face, grid)) for g in gs]
-        out.append((pairs, energy))
+        profile = phi if kind == "gamma" else cut.chi(grid.times) * cut.Phi_tau(grid.times)
+        gs = [probe_boundary_field(grid, profile, member) for member in basis.members]
+        out.append(([(g, g if profile is phi else PatchField(phi, g.face, grid)) for g in gs],
+                    energy))
     return out
 
 
@@ -140,7 +173,7 @@ def recover_gamma_point(pair, A: MatrixField, grid: Grid, lam: float,
     """Estimate of gamma^1(t0, lambda) - gamma^2(t0, lambda)."""
     if probe.kind != "gamma":
         raise ReconstructError("gamma recovery needs a gamma-kind probe")
-    return point_recovery(pair, A, grid, lam, [probe])[0]
+    return point_recovery(check_probes(grid, A, [probe], [pair], lam=lam), pair)[0]
 
 
 def recover_rho_point(pair, A: MatrixField, grid: Grid, lam: float,
@@ -148,13 +181,14 @@ def recover_rho_point(pair, A: MatrixField, grid: Grid, lam: float,
     """Estimate of rho^1(t0, lambda) - rho^2(t0, lambda), n >= 3, A = Id.
 
     Needs gamma^1 = gamma^2 on supp chi, so the conductivity cross term of
-    the rho identity vanishes identically; point_recovery raises
-    ReconstructError naming rho_equal_gamma otherwise, and any A but the
-    identity by check_rho_setting.
+    the rho identity vanishes identically; check_probes raises
+    ReconstructError naming rho_equal_gamma otherwise, and SingularError
+    naming rho_dim or rho_identity_A in fewer than 3 dimensions or for any
+    A but the identity.
     """
     if probe.kind != "rho":
         raise ReconstructError("rho recovery needs a rho-kind probe")
-    return point_recovery(pair, A, grid, lam, [probe])[0]
+    return point_recovery(check_probes(grid, A, [probe], [pair], lam=lam), pair)[0]
 
 
 def _estimates(built, diffs, grid: Grid) -> list:
@@ -166,20 +200,20 @@ def _estimates(built, diffs, grid: Grid) -> list:
             for pairs, energy in built]
 
 
-def point_recovery(pair, A: MatrixField, grid: Grid, lam: float, probes) -> list:
-    """Recovered differences of the law pair at the probes, one per probe.
+def point_recovery(checked: CheckedProbes, pair) -> list:
+    """Recovered differences of the law pair at the checked probes, one
+    per probe; the pair must be one they were checked with.
 
-    The probes share one kind, which sets the target, and are built
-    together (probe_data).  Each probe's pairing <(Lambda^1 - Lambda^2) g,
-    gbar>, summed over its data (g = gbar for gamma; g_j, gbar_j per axis
-    for rho), is divided by its gradient energy of H.  All their data go
-    through one patch_linear_flux call on the pair; for rho probes a pair
-    whose conductivities differ on supp chi is rejected before it
-    (require_equal_gamma).
+    The probes' kind sets the target.  Each probe's pairing
+    <(Lambda^1 - Lambda^2) g, gbar>, summed over its data (probe_data),
+    is divided by its gradient energy of H.  All their data go through
+    one patch_linear_flux call on the pair.
     """
-    built = probe_data(grid, A, probes, [pair], lam=lam)
-    [diff] = patch_linear_flux([pair], A, grid, lam, [g for pairs, _ in built for g, _ in pairs])
-    return _estimates(built, diff, grid)
+    laws = checked.require([pair])
+    built = probe_data(checked)
+    [diff] = patch_linear_flux(laws, checked.A, checked.grid, checked.lam,
+                               [g for pairs, _ in built for g, _ in pairs])
+    return _estimates(built, diff, checked.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -289,51 +323,61 @@ class StabilityTable:
     norm_flag: str = ""
 
 
-def _sup_coeff_difference(pair, lam: float, T: float, target: str) -> float:
-    law1, law2 = pair
+def _coeff_difference(pair, lam: float, T: float, target: str) -> np.ndarray:
+    """target^1 - target^2 of a law pair at lam, on 512 times across [0, T]."""
     t = np.linspace(0.0, T, 512)
-    if target == "gamma":
-        d = law1.gamma(t, lam) - law2.gamma(t, lam)
-    else:
-        d = law1.rho(t, lam) - law2.rho(t, lam)
-    return float(np.abs(d).max())
+    return getattr(pair[0], target)(t, lam) - getattr(pair[1], target)(t, lam)
 
 
-def stability_pairs(family) -> list:
-    """The law pairs of a stability family's nonzero eps, in order; a
-    table needs one, and no eps below 0 (a zero row is kept and fits
-    nothing)."""
+def stability_pairs(family, target: str, lam: float, T: float) -> list:
+    """The law pairs of a stability family's nonzero eps, in order.
+
+    A table needs a nonzero eps and none below 0 (a zero row is kept and
+    fits nothing).  Its target difference at lam must be nonzero at each
+    nonzero eps and differ between any two: a perturbation profile that
+    is zero at lam leaves every row with the same difference, so a slope
+    or Holder constant fitted to the rows would divide by zero or mean
+    nothing.
+    """
     eps = [e for e, _ in family]
     if not any(eps) or min(eps) < 0.0:
         raise ReconstructError(f"eps_sweep fails: a stability table needs a nonzero eps "
                                f"and none below 0, eps_list = {eps}")
+    rows = [(e, _coeff_difference(pair, lam, T, target)) for e, pair in family if e != 0.0]
+    for i, (e, d) in enumerate(rows):
+        if not d.any() or any(np.array_equal(d, prior) for _, prior in rows[:i]):
+            raise ReconstructError(f"eps_perturbation fails: the {target} difference at "
+                                   f"lambda = {lam} is zero at eps = {e} or that of an "
+                                   f"earlier eps; it must change with eps")
     return [pair for e, pair in family if e != 0.0]
 
 
-def stability_experiment(family, A: MatrixField, grid: Grid, lam: float, probe: ProbeSpec,
-                         dict_seed: int = 0, dict_size: int = 16,
-                         norm=None) -> StabilityTable:
-    """Rate table over an eps-indexed family of law pairs.
+def stability_experiment(checked: CheckedProbes, family, dict_seed: int = 0,
+                         dict_size: int = 16, norm=None) -> StabilityTable:
+    """Rate table over an eps-indexed family of law pairs at one checked
+    probe, whose kind is the target.
 
-    family: list of (eps, (law1, law2)), its eps checked by
-    stability_pairs; the probe's kind is the target.  A row's eta is the
-    dictionary surrogate of its pair, and its recovered value is read at
-    the probe.  One patch_linear_flux call on the dictionary and probe
-    data takes every row's pair, so each distinct law is solved once, and
-    forms one row's difference at a time, dropped before the next is
-    formed.  A failed probe build or solve raises, as in point_recovery.
-    For the gamma target the table gets a log-log slope of true
-    difference vs eta; for rho a one-sided check of diff <= C * eta^{1/9}
-    with C calibrated at the largest eps.
+    family: list of (eps, (law1, law2)), checked by stability_pairs; its
+    nonzero-eps pairs must be ones the probe was checked with.  A row's
+    eta is the dictionary surrogate of its pair, and its recovered value
+    is read at the probe.  One patch_linear_flux call on the dictionary
+    and probe data takes every row's pair, so each distinct law is solved
+    once, and forms one row's difference at a time, dropped before the
+    next is formed.  For the gamma target the table gets a log-log slope
+    of true difference vs eta; for rho a one-sided check of
+    diff <= C * eta^{1/9} with C calibrated at the largest eps.
     """
-    target = probe.kind
-    pairs = stability_pairs(family)
+    grid, lam, target = checked.grid, checked.lam, checked.kind
+    pairs = checked.require(stability_pairs(family, target, lam, grid.T))
+    if len(checked.probes) != 1:
+        raise ReconstructError("a stability table reads one probe")
     norm = make_norm(grid) if norm is None else norm
     dictionary = random_bump_dictionary(grid, dict_size, seed=dict_seed)
     half_norms = [norm.half(g.values) for g in dictionary]
-    built = probe_data(grid, A, [probe], pairs, lam=lam)
+    built = probe_data(checked)
     n = len(dictionary)
-    diffs = patch_linear_flux(pairs, A, grid, lam, dictionary + [g for g, _ in built[0][0]])
+    diffs = patch_linear_flux(pairs, checked.A, grid, lam,
+                              dictionary + [g for g, _ in built[0][0]])
     rows = []
     for eps, pair in family:
         if eps == 0.0:
@@ -342,7 +386,8 @@ def stability_experiment(family, A: MatrixField, grid: Grid, lam: float, probe: 
             continue
         diff = next(diffs)  # (Lambda^1 - Lambda^2) g of the row's pair
         rows.append(StabilityRow(eps=eps, eta=eta_surrogate(diff[:n], half_norms, norm),
-                                 true_diff=_sup_coeff_difference(pair, lam, grid.T, target),
+                                 true_diff=float(np.abs(_coeff_difference(
+                                     pair, lam, grid.T, target)).max()),
                                  recovered=_estimates(built, diff[n:], grid)[0]))
         diff = None  # dropped before the next row's difference is formed
     good = [r for r in rows if r.eps > 0.0]

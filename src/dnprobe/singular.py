@@ -401,25 +401,14 @@ def make_cutoffs(t0: float, tau: float, kind: str, grid: Grid, r: float = 0.25,
 
 @dataclass
 class SingularBasis:
-    """Grid evaluations of H and of the correctors a probe's data read: for
-    a gamma probe the corrector of H, for a rho probe the first derivatives
-    of H and their correctors (H is kept for its energy)."""
+    """Grid evaluations of a probe's singular fields: H, kept for its
+    energy, and the members its data read, each a field minus its
+    corrector: H - v for a gamma probe, d_j H - v_j for each axis j of a
+    rho probe."""
 
     A: MatrixField
-    H_omega: np.ndarray          # H(., y_tau) on closure-of-Omega nodes
-    v_omega: np.ndarray = None   # corrector of H on Omega nodes (gamma kind)
-    djH_omega: list = None       # d_j H on Omega nodes, j = 0..n-1 (rho kind)
-    vj_omega: list = None        # corrector of d_j H on Omega nodes (rho kind)
-
-
-def check_rho_setting(grid: Grid, A: MatrixField):
-    """Reject a setting the rho estimate does not cover: rho probes need
-    n >= 3 and A = Id."""
-    if grid.dim < 3:
-        raise SingularError(f"rho_dim fails: rho probes need n >= 3, dim = {grid.dim}")
-    if not A.is_identity:
-        raise SingularError(f"rho_identity_A fails: rho probes need A = Id, "
-                            f"diag(A) = {np.diagonal(A.A).tolist()}")
+    H_omega: np.ndarray  # H(., y_tau) on closure-of-Omega nodes
+    members: list        # field minus corrector on Omega nodes, one per datum
 
 
 def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
@@ -427,35 +416,32 @@ def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
     """Evaluate the singular fields of the probes at geoms and solve their
     correctors; one SingularBasis per geometry.
 
-    H is evaluated once per probe on the grid.  The corrector stack holds
-    what the probes' data read, as one solve_corrector call: per gamma
-    probe the trace of H on dOmega', per rho probe the traces of its n
-    first derivatives, which are also evaluated once on the grid; H itself
-    is not solved for rho probes.  Rho probes are first checked by
-    check_rho_setting."""
-    if kind == "rho":
-        check_rho_setting(grid, A)
+    The kind sets only what the corrector stack solves: per gamma probe
+    H, per rho probe its n first derivatives (not H).  The stack is one
+    solve_corrector call on the fields' traces on dOmega'; each member is
+    the field on the grid minus its corrector.  H, kept for its energy, is
+    a gamma probe's own field and is evaluated on the grid once more for a
+    rho probe.  The setting is the caller's to check
+    (reconstruct.check_probes)."""
     ys = [np.asarray(geom.y_tau) for geom in geoms]
     coords = np.stack(grid.node_coords(), axis=-1)
 
-    def trace(x):
-        """Per probe: its n first derivatives of H for rho probes, else H."""
+    def fields(x, y):
+        """What a probe's data read at points x, along a leading axis."""
         if kind == "rho":
-            return np.concatenate([np.moveaxis(fundamental_grad_H(x, y, A, conv=conv), -1, 0)
-                                   for y in ys])
-        return np.stack([fundamental_H(x, y, A, conv=conv) for y in ys])
+            return np.moveaxis(fundamental_grad_H(x, y, A, conv=conv), -1, 0)
+        return fundamental_H(x, y, A, conv=conv)[None]
+
+    def trace(x):
+        """Every probe's fields at points x, as one stack."""
+        return np.concatenate([fields(x, y) for y in ys])
 
     v = solve_corrector(grid, trace, A)["field"][(slice(None),) + grid.omega_slice()]
     bases = []
     for y, vy in zip(ys, np.split(v, len(ys))):
-        basis = SingularBasis(A=A, H_omega=fundamental_H(coords, y, A, conv=conv))
-        if kind == "rho":
-            basis.djH_omega = list(np.moveaxis(fundamental_grad_H(coords, y, A, conv=conv),
-                                               -1, 0))
-            basis.vj_omega = list(vy)
-        else:
-            basis.v_omega = vy[0]
-        bases.append(basis)
+        read = fields(coords, y)
+        H = read[0] if kind == "gamma" else fundamental_H(coords, y, A, conv=conv)
+        bases.append(SingularBasis(A=A, H_omega=H, members=list(read - vy)))
     return bases
 
 

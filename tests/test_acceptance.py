@@ -18,7 +18,7 @@ from dnprobe.geometry import build_grid
 from dnprobe.material import (check_interior_max, make_law, make_matrix,
                               perturb_law)
 from dnprobe.pde import mms_problem, solve_forward, solve_linearized
-from dnprobe.reconstruct import (ProbeSpec, point_recovery, probe_data,
+from dnprobe.reconstruct import (ProbeSpec, check_probes, point_recovery, probe_data,
                                  recover_gamma_point,
                                  stability_experiment, tau_sweep)
 from dnprobe.singular import make_cutoffs
@@ -103,7 +103,7 @@ def test_02_frechet_derivative_decay():
     g = build_grid(2, 1 / 32, 1 / 32, 1.0, pad=16)
     probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.15, kind="gamma",
                       a_rule="power", r=0.5)
-    [([(gb, _)], _)] = probe_data(g, A2, [probe], lam=0.5)
+    [([(gb, _)], _)] = probe_data(check_probes(g, A2, [probe], [], lam=0.5))
     law = make_law(gamma=("poly_s", {"c0": 1.0, "c2": 1.0}))
     rows = linearization_check(law, A2, g, 0.5, gb, [4, 8, 16, 32])
     d = {r["k"]: r["d_k"] for r in rows}
@@ -185,8 +185,8 @@ def test_06_gamma_recovery_constant_contrast():
     probe = lambda tau: ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau,
                                   kind="gamma", a_rule="power", r=0.5)
     taus = [0.2, 0.15, 0.1, 0.07, 0.05]
-    rep = tau_sweep(taus, point_recovery((law1, law2), A2, g, 0.0, list(map(probe, taus))),
-                    reference=0.02)
+    checked = check_probes(g, A2, list(map(probe, taus)), [(law1, law2)], lam=0.0)
+    rep = tau_sweep(taus, point_recovery(checked, (law1, law2)), reference=0.02)
     finest_err = abs(rep.raw_estimates[-1] - 0.02) / 0.02
     control = abs(recover_gamma_point((law2, law2), A2, g, 0.0, probe(0.05)))
     elapsed = time.time() - start
@@ -208,7 +208,8 @@ def test_07_lipschitz_stability_slope():
               for eps in (0.01, 0.02, 0.04)]
     probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.125, kind="gamma",
                       a_rule="power", r=0.5)
-    table = stability_experiment(family, A2, g, 0.0, probe, dict_seed=3, dict_size=8)
+    checked = check_probes(g, A2, [probe], [pair for _, pair in family], lam=0.0)
+    table = stability_experiment(checked, family, dict_seed=3, dict_size=8)
     slope = table.fitted_slope
     ok = all(r.ok for r in table.rows) and 0.8 <= slope <= 1.2
     _line("Lipschitz stability slope", ok,
@@ -231,13 +232,14 @@ def test_08_rho_recovery_and_holder_bound():
     probe = lambda tau: ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=tau,
                                   kind="rho", r=0.25)
     taus = [0.2, 0.175, 0.15, 0.125]
-    rep = tau_sweep(taus, point_recovery((law1, base), A3, g, 0.0, list(map(probe, taus))),
-                    reference=eps)
+    checked = check_probes(g, A3, list(map(probe, taus)), [(law1, base)], lam=0.0)
+    rep = tau_sweep(taus, point_recovery(checked, (law1, base)), reference=eps)
     value = base.rho(1.25, 0.0) + rep.raw_estimates[-1]
     ref = float(law1.rho(1.25, 0.0))
     value_err = abs(value - ref) / abs(ref)
     family = [(e, (perturb_law(base, e, "rho", prof), base)) for e in (0.1, 0.2)]
-    table = stability_experiment(family, A3, g, 0.0, probe(0.125), dict_seed=0, dict_size=16)
+    checked = check_probes(g, A3, [probe(0.125)], [pair for _, pair in family], lam=0.0)
+    table = stability_experiment(checked, family, dict_seed=0, dict_size=16)
     elapsed = time.time() - start
     ok = (value_err <= 0.30 and table.holder_ok
           and all(r.ok for r in table.rows) and elapsed < 1800.0)

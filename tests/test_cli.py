@@ -405,6 +405,16 @@ def test_infeasible_probe_geometry_exits_2(tmp_path, capsys, command, text, pred
     _exits_2_naming(tmp_path, capsys, text, command, predicate)
 
 
+def test_linearize_check_without_a_k_exits_2(tmp_path, capsys, monkeypatch):
+    # an empty k_list would solve the probe and write a table of no rows
+    import dnprobe.singular as singular
+    solved = []
+    monkeypatch.setattr(singular, "solve_corrector", lambda *args: solved.append(args))
+    _exits_2_naming(tmp_path, capsys, _set("k_list = 4,8", "k_list ="), "linearize-check",
+                    "k_sweep")
+    assert solved == []
+
+
 def test_rho_plateau_that_cannot_cover_the_bump_exits_2(tmp_path, capsys):
     # T = 1, t0 = 0.5: the plateau half-width is 0.3 < tau^r = sqrt(0.2)
     _exits_2_naming(tmp_path, capsys, RHO3D, "probe-rho", "plateau_cover")
@@ -771,34 +781,38 @@ def test_probe_sweeps_solve_one_corrector_stack_and_one_flux_per_law(
     target = command.split("-")[1]
     with open(tmp_path / "out" / f"{cfg.prefix}_{target}_report.json") as fh:
         rep = json.load(fh)
-    probes, [pair] = cli._probe_plan(cfg, _args(command))
-    assert [probe.tau for probe in probes] == rep["tau_sequence"]
-    for probe, est in zip(probes, rep["raw_estimates"]):
+    checked = cli._probe_plan(cfg, _args(command))
+    [pair] = checked.pairs
+    assert [probe.tau for probe in checked.probes] == rep["tau_sequence"]
+    for probe, est in zip(checked.probes, rep["raw_estimates"]):
         one = (recover_gamma_point(pair, cfg.A, cfg.grid, cfg.lam, probe) if target == "gamma"
                else recover_rho_point(pair, cfg.A, cfg.grid, cfg.lam, probe))
         assert abs(est - one) <= 1e-12 * abs(one)
 
 
-@pytest.mark.parametrize("command, text", [
+_SUBCOMMANDS = pytest.mark.parametrize("command, text", [
     ("forward", GAMMA_CFG), ("linearize-check", GAMMA_CFG), ("probe-gamma", GAMMA_CFG),
     ("probe-rho", RHO3D_SMALL), ("stability", GAMMA_CFG), ("stability", RHO3D_SMALL),
 ], ids=["forward", "linearize-check", "probe-gamma", "probe-rho", "stability-gamma",
         "stability-rho"])
+
+
+@_SUBCOMMANDS
 def test_main_checks_the_probes_and_pairs_its_subcommand_builds(
         tmp_path, monkeypatch, command, text):
-    # the plan main checks before dispatch is what the subcommand then
-    # builds: the probes and law pairs reconstruct.probe_data receives
+    # the probes main checks before dispatch are what the subcommand then
+    # builds: reconstruct.probe_data receives the value check_probes made
     import dnprobe.reconstruct as reconstruct
     real_check, real_data = cli.check_probes, reconstruct.probe_data
     checked, built = [], []
 
-    def recorded_check(grid, A, probes, law_pairs, *, lam):
-        checked.append((list(probes), list(law_pairs)))
-        return real_check(grid, A, probes, law_pairs, lam=lam)
+    def recorded_check(*args, **kwargs):
+        checked.append(real_check(*args, **kwargs))
+        return checked[-1]
 
-    def recorded_data(grid, A, probes, law_pairs=(), *, lam):
-        built.append((list(probes), list(law_pairs)))
-        return real_data(grid, A, probes, law_pairs, lam=lam)
+    def recorded_data(probes):
+        built.append(probes)
+        return real_data(probes)
 
     monkeypatch.setattr(cli, "check_probes", recorded_check)
     monkeypatch.setattr(cli, "probe_data", recorded_data)
@@ -806,8 +820,63 @@ def test_main_checks_the_probes_and_pairs_its_subcommand_builds(
     p = tmp_path / "exp.ini"
     p.write_text(text.format(out=tmp_path / "out"))
     assert main([command, "-c", str(p)]) == 0
-    assert len(checked) == 1 and checked[0][0]
-    assert built == checked
+    assert len(checked) == 1 and checked[0].probes
+    assert len(built) == 1 and built[0] is checked[0]
+
+
+# (probes, rho law pairs) of each subcommand of _SUBCOMMANDS: the taus of
+# a sweep, one probe otherwise; the pair of a rho sweep, each nonzero eps
+# of a rho stability table
+_CHECKED = {"forward": (1, 0), "linearize-check": (1, 0), "probe-gamma": (3, 0),
+            "probe-rho": (2, 1), "stability-gamma": (1, 0), "stability-rho": (1, 2)}
+
+
+@_SUBCOMMANDS
+def test_a_subcommand_places_cuts_off_and_checks_each_probe_once(
+        tmp_path, monkeypatch, request, command, text):
+    # one placement and one cutoff build per probe, and one
+    # require_equal_gamma per rho law pair, over the whole subcommand
+    import dnprobe.reconstruct as reconstruct
+    names = ("exterior_point", "make_cutoffs", "require_equal_gamma")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(reconstruct, name, counted(name, getattr(reconstruct, name)))
+    p = tmp_path / "exp.ini"
+    p.write_text(text.format(out=tmp_path / "out"))
+    assert main([command, "-c", str(p)]) == 0
+    probes, rho_pairs = _CHECKED[request.node.callspec.id]
+    assert calls == {"exterior_point": probes, "make_cutoffs": probes,
+                     "require_equal_gamma": rho_pairs}
+
+
+_ZERO_PROFILE = "perturb_profile = constant:c0=0"
+
+
+@pytest.mark.parametrize("text", [
+    _set("[material]\n", f"[material]\n{_ZERO_PROFILE}\n"),
+    _set("[material]\n", f"[material]\n{_ZERO_PROFILE}\n",
+         _set("gamma1 = constant:c0=1.02", "gamma1 = constant:c0=1")),
+    _set("perturb_profile = trig_t:c0=0:c1=1:freq=0.2", _ZERO_PROFILE, RHO3D_SMALL),
+    _set("perturb_profile = trig_t:c0=0:c1=1:freq=0.2", _ZERO_PROFILE,
+         _set("rho1 = trig_t:c0=1:c1=0.2:freq=0.2", "rho1 = constant:c0=1", RHO3D_SMALL)),
+], ids=["gamma2d", "gamma2d-equal-laws", "rho3d", "rho3d-equal-laws"])
+def test_stability_with_a_perturbation_zero_at_lambda_exits_2(tmp_path, capsys,
+                                                               monkeypatch, text):
+    # every eps then reads the same coefficient difference, zero for equal
+    # laws: a slope or Holder constant fitted to the rows would divide by
+    # zero or mean nothing, so the family is refused before any solve
+    import dnprobe.singular as singular
+    solved = []
+    monkeypatch.setattr(singular, "solve_corrector", lambda *args: solved.append(args))
+    _exits_2_naming(tmp_path, capsys, text, "stability", "eps_perturbation")
+    assert solved == []
 
 
 def test_probes_and_stability_measure_patch_data_on_the_face(tmp_path, monkeypatch):

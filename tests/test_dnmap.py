@@ -854,12 +854,15 @@ def test_probes_and_dictionary_solve_one_row_per_shared_profile(monkeypatch):
     varying_rho = make_law(rho=("trig_t", {"c0": 1.0, "c1": 0.2, "freq": 0.2}))
     rho_probes = [ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=tau, kind="rho", r=0.25)
                   for tau in (0.2, 0.175, 0.15, 0.125)]
-    reconstruct.point_recovery((varying_rho, make_law()), A3, g3, 0.0, rho_probes)
+    pair = (varying_rho, make_law())
+    reconstruct.point_recovery(reconstruct.check_probes(g3, A3, rho_probes, [pair], lam=0.0),
+                               pair)
     assert rows == [("_planes_by_convolution", 4), ("_planes_by_steps", 4)]
     rows.clear()
     g2 = build_grid(2, 1 / 64, 1 / 64, 1.0, pad=52)
     gamma_probes = [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau, kind="gamma", a_rule="power",
                               r=0.5) for tau in (0.2, 0.15, 0.1, 0.07, 0.05)]
-    reconstruct.point_recovery((make_law(gamma=("constant", {"c0": 1.02})), make_law()),
-                               A2, g2, 0.0, gamma_probes)
+    pair = (make_law(gamma=("constant", {"c0": 1.02})), make_law())
+    reconstruct.point_recovery(reconstruct.check_probes(g2, A2, gamma_probes, [pair], lam=0.0),
+                               pair)
     assert rows == [("_planes_by_convolution", 5)]  # both laws in one call

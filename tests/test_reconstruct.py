@@ -12,13 +12,19 @@ import dnprobe.singular as singular
 from dnprobe.geometry import build_grid
 from dnprobe.material import make_law, make_matrix, perturb_law
 from dnprobe.reconstruct import (ProbeSpec, ReconstructError,
-                                 ReconstructionReport, recover_gamma_point,
+                                 ReconstructionReport, check_probes, recover_gamma_point,
                                  recover_rho_point, stability_experiment,
                                  sweep_taus, tau_sweep)
 from dnprobe.singular import SingularError
 
 A2 = make_matrix(np.eye(2))
 A3 = make_matrix(np.eye(3))
+
+
+def _stability(family, A, grid, probe, **kwargs):
+    """stability_experiment at the probe checked with the family's pairs."""
+    checked = check_probes(grid, A, [probe], [pair for eps, pair in family if eps], lam=0.0)
+    return stability_experiment(checked, family, **kwargs)
 
 
 def _gamma_probe(grid, tau, t0=0.5):
@@ -110,9 +116,9 @@ def test_rho_recovery_rejects_unequal_conductivities_before_its_frozen_solves(mo
         recover_rho_point((make_law(gamma=("constant", {"c0": 1.05})), base), A3, g3, 0.0,
                           probe)
     with pytest.raises(ReconstructError, match="rho_equal_gamma"):
-        reconstruct.point_recovery((make_law(gamma=("trig_t", {"c0": 1.0, "c1": 0.01})), base),
-                                   make_matrix(np.eye(3)), g3, 0.0,
-                                   [probe, replace(probe, tau=0.25)])
+        pair = (make_law(gamma=("trig_t", {"c0": 1.0, "c1": 0.01})), base)
+        check_probes(g3, make_matrix(np.eye(3)), [probe, replace(probe, tau=0.25)], [pair],
+                     lam=0.0)
     assert solved == []
     rho1 = make_law(rho=("constant", {"c0": 1.2}))
     assert recover_rho_point((rho1, base), A3, g3, 0.0, probe) > 0.0
@@ -121,11 +127,12 @@ def test_rho_recovery_rejects_unequal_conductivities_before_its_frozen_solves(mo
 
 def test_probe_data_live_on_the_patch_face():
     g2 = build_grid(2, 1 / 16, 1 / 16, 1.0, pad=10)
-    [([(gb, _)], _)] = reconstruct.probe_data(g2, A2, [_gamma_probe(g2, 0.15)], lam=0.0)
+    checked = check_probes(g2, A2, [_gamma_probe(g2, 0.15)], [], lam=0.0)
+    [([(gb, _)], _)] = reconstruct.probe_data(checked)
     assert gb.values.shape == (g2.nt + 1,) + g2.patch_support_mask().shape
     g3 = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
     probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
-    [(fam, _)] = reconstruct.probe_data(g3, make_matrix(np.eye(3)), [probe], lam=0.0)
+    [(fam, _)] = reconstruct.probe_data(check_probes(g3, A3, [probe], [], lam=0.0))
     assert len(fam) == 3
     for datum in (d for pair in fam for d in pair):
         assert datum.values.shape == (g3.nt + 1,) + g3.patch_support_mask().shape
@@ -180,7 +187,7 @@ def test_stability_gamma_linear_slope():
     family = [(eps, (perturb_law(base, eps, "gamma"), base))
               for eps in (0.01, 0.02, 0.04)]
     probe = _gamma_probe(g, 0.15)
-    table = stability_experiment(family, A2, g, 0.0, probe, dict_size=4, dict_seed=3)
+    table = _stability(family, A2, g, probe, dict_size=4, dict_seed=3)
     assert all(r.ok for r in table.rows)
     for r, (_, pair) in zip(table.rows, family):
         one = recover_gamma_point(pair, A2, g, 0.0, probe)
@@ -210,7 +217,7 @@ def test_stability_solves_the_reference_dictionary_once(monkeypatch):
 
     monkeypatch.setattr(dnmap, "patch_linear_flux", counted)
     monkeypatch.setattr(reconstruct, "patch_linear_flux", counted)
-    table = stability_experiment(family, A2, g, 0.0, _COARSE_PROBE, dict_size=4)
+    table = _stability(family, A2, g, _COARSE_PROBE, dict_size=4)
     assert all(r.ok and r.eta > 0.0 for r in table.rows)
     assert solved == [([pair for _, pair in family], 4 + 1)]
 
@@ -226,10 +233,9 @@ def test_stability_measures_the_dictionary_once(monkeypatch):
         measured.append(1)
         return real(self, field)
 
-    reference = stability_experiment(family, A2, g, 0.0, _COARSE_PROBE,
-                                     dict_size=4)
+    reference = _stability(family, A2, g, _COARSE_PROBE, dict_size=4)
     monkeypatch.setattr(dnmap.BoundaryNorm, "half", counted)
-    table = stability_experiment(family, A2, g, 0.0, _COARSE_PROBE, dict_size=4)
+    table = _stability(family, A2, g, _COARSE_PROBE, dict_size=4)
     assert len(measured) == 4  # once per datum, not once per datum and eps
     assert [r.eta for r in table.rows] == [r.eta for r in reference.rows]
     monkeypatch.undo()
@@ -246,7 +252,7 @@ def test_stability_zero_row_excluded():
     family = [(0.0, (base, base)),
               (0.02, (perturb_law(base, 0.02, "gamma"), base)),
               (0.04, (perturb_law(base, 0.04, "gamma"), base))]
-    table = stability_experiment(family, A2, g, 0.0, _COARSE_PROBE, dict_size=2)
+    table = _stability(family, A2, g, _COARSE_PROBE, dict_size=2)
     assert table.rows[0].why.startswith("zero row")
     assert table.fitted_slope is not None
 
@@ -262,7 +268,7 @@ def test_stability_rho_holder_bound():
                      base))
               for eps in (0.1, 0.2)]
     probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho")
-    table = stability_experiment(family, A3, g, 0.0, probe, dict_size=2)
+    table = _stability(family, A3, g, probe, dict_size=2)
     assert all(r.ok for r in table.rows)
     assert table.holder_ok
     assert table.holder_constant > 0.0
@@ -280,7 +286,7 @@ def test_stability_rho_probe_on_two_dimensions_raises_rho_dim():
               for eps in (0.1, 0.2)]
     probe = ProbeSpec(x0=(0.0, 0.5), t0=1.25, tau=0.3, kind="rho")
     with pytest.raises(SingularError, match="rho_dim fails"):
-        stability_experiment(family, A2, g, 0.0, probe, dict_size=2)
+        _stability(family, A2, g, probe, dict_size=2)
 
 
 @pytest.mark.parametrize("eps_list", [(-0.01, -0.02, -0.04), (0.0, -0.02, 0.04), (0.0,), ()])
@@ -289,7 +295,52 @@ def test_stability_needs_a_nonzero_eps_and_none_below_0(eps_list):
     base = make_law(gamma=("constant", {"c0": 2.0}))
     family = [(eps, (perturb_law(base, eps, "gamma"), base)) for eps in eps_list]
     with pytest.raises(ReconstructError, match="eps_sweep fails"):
-        stability_experiment(family, A2, g, 0.0, _COARSE_PROBE, dict_size=2)
+        _stability(family, A2, g, _COARSE_PROBE, dict_size=2)
+
+
+def _refuse_solves(monkeypatch):
+    """A list that records any corrector or frozen solve, which runs none."""
+    solved = []
+    monkeypatch.setattr(singular, "solve_corrector", lambda *args: solved.append(args))
+    monkeypatch.setattr(reconstruct, "patch_linear_flux", lambda *args: solved.append(args))
+    return solved
+
+
+def test_checked_probes_refuse_a_pair_or_family_they_were_not_checked_with(monkeypatch):
+    # by name, before any solve: the checks ran on the pairs the value holds
+    solved = _refuse_solves(monkeypatch)
+    g = build_grid(2, 1 / 8, 1 / 8, 1.0, pad=6)
+    base = make_law(gamma=("constant", {"c0": 2.0}))
+    family = [(eps, (perturb_law(base, eps, "gamma"), base)) for eps in (0.01, 0.02)]
+    checked = check_probes(g, A2, [_COARSE_PROBE], [family[0][1]], lam=0.0)
+    with pytest.raises(ReconstructError, match="checked_pairs fails"):
+        reconstruct.point_recovery(checked, family[1][1])
+    with pytest.raises(ReconstructError, match="checked_pairs fails"):
+        stability_experiment(checked, family, dict_size=2)
+    assert solved == []
+
+
+@pytest.mark.parametrize("target", ["gamma", "rho"])
+def test_stability_with_a_perturbation_zero_at_lambda_raises_eps_perturbation(
+        monkeypatch, target):
+    # s vanishes at lambda = 0 and nowhere else: every eps reads the same
+    # target difference, zero for equal base laws and the base contrast
+    # otherwise; the family is refused by name before any solve
+    solved = _refuse_solves(monkeypatch)
+    if target == "gamma":
+        g, A, probe = build_grid(2, 1 / 8, 1 / 8, 1.0, pad=6), A2, _COARSE_PROBE
+    else:
+        g, A = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6), A3
+        probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho")
+    profile = ("poly_s", {"c0": 0.0, "c1": 1.0})
+    for c0 in (1.0, 1.05):
+        base = make_law(**{target: ("constant", {"c0": 1.0})})
+        family = [(eps, (perturb_law(make_law(**{target: ("constant", {"c0": c0})}), eps,
+                                     target, profile), base))
+                  for eps in (0.1, 0.2)]
+        with pytest.raises(ReconstructError, match="eps_perturbation fails"):
+            _stability(family, A, g, probe, dict_size=2)
+    assert solved == []
 
 
 @settings(max_examples=200, deadline=None)

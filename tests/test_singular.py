@@ -10,6 +10,7 @@ from scipy.sparse.linalg import spsolve
 import dnprobe.singular as singular
 from dnprobe.geometry import FACE_NAMES, build_grid, exterior_point
 from dnprobe.material import MatrixField, make_matrix
+from dnprobe.reconstruct import ProbeSpec, check_probes
 from dnprobe.singular import (SingularError, _omega_prime_operator, _omega_prime_residual,
                               a_tau_value, build_basis, fundamental_H,
                               fundamental_grad_H, grad_H_energy, make_cutoffs,
@@ -452,7 +453,7 @@ def _basis(grid, tau, A, kind="gamma"):
 def test_probe_trace_vanishes_off_patch():
     g = build_grid(2, 1 / 32, 1 / 32, 1.0, patch_interval=[(0.25, 0.75)], pad=10)
     basis = _basis(g, 0.1, A2)
-    diff = basis.H_omega - basis.v_omega
+    [diff] = basis.members  # H - v
     # every boundary node of the unit box outside the open patch is exact 0
     bmask = np.zeros(g.shape, dtype=bool)
     for a in range(2):
@@ -466,25 +467,27 @@ def test_probe_trace_vanishes_off_patch():
 
 
 def test_rho_basis_requires_3d_identity(monkeypatch):
-    # each check by its name, before any corrector solve
+    # each check by its name where rho probes are checked, before any
+    # corrector solve
     solved = []
     monkeypatch.setattr(singular, "solve_corrector", lambda *args: solved.append(args))
     g2 = build_grid(2, 1 / 16, 1 / 16, 1.0)
     with pytest.raises(SingularError, match="rho_dim"):
-        _basis(g2, 0.15, A2, kind="rho")
+        check_probes(g2, A2, [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.15, kind="rho")], [],
+                     lam=0.0)
     g3 = build_grid(3, 1 / 8, 1 / 8, 1.0, pad=6)
     with pytest.raises(SingularError, match="rho_identity_A"):
-        _basis(g3, 0.3, make_matrix(np.diag([2.0, 1.0, 1.0])), kind="rho")
+        check_probes(g3, make_matrix(np.diag([2.0, 1.0, 1.0])),
+                     [ProbeSpec(x0=(0.0, 0.5, 0.5), t0=0.5, tau=0.3, kind="rho")], [], lam=0.0)
     assert solved == []
 
 
 def test_rho_basis_carries_derivative_fields():
     g = build_grid(3, 1 / 8, 1 / 8, 1.0, pad=6)
     basis = _basis(g, 0.3, A3, kind="rho")
-    assert len(basis.djH_omega) == 3 and len(basis.vj_omega) == 3
-    assert basis.v_omega is None  # the data read d_j H - v_j only
+    assert len(basis.members) == 3  # the data read d_j H - v_j only
     for j in range(3):
-        assert basis.djH_omega[j].shape == g.shape
+        assert basis.members[j].shape == g.shape
 
 
 def test_h_norms_oracle_matches_grid_quadrature():
