@@ -17,9 +17,9 @@ from .singular import (CutoffSet, SingularBasis, SingularError, a_tau_value,
                        solve_corrector)
 from .pde import (BoundaryField, PatchField, PDEError, SpaceTimeField,
                   solve_forward, solve_linearized)
-from .dnmap import (BoundaryNorm, DNMapError, eta_surrogate,
-                    linear_flux, linearization_check, make_norm,
-                    nonlinear_flux, patch_linear_flux, surface_pairing)
+from .dnmap import (BoundaryNorm, DNMapError, eta_surrogate, linear_flux,
+                    linearization_check, nonlinear_flux, patch_linear_flux,
+                    surface_pairing)
 from .reconstruct import (ProbeSpec, ReconstructError, ReconstructionReport,
                           StabilityTable, check_probes, recover_gamma_point,
                           recover_rho_point, stability_experiment, tau_sweep)

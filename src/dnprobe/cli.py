@@ -20,8 +20,9 @@ the run exits 1 with "error:".  main is where a package error becomes an
 exit code.
 
 All file writes are atomic (tmp file + rename) and embed the config hash
-and the active boundary-norm flag.  A probe or stability command makes
-one stacked corrector solve and one frozen solve call for all its laws.
+and the flag of the grid's boundary norm (dnmap.norm_flag).  A probe or
+stability command makes one stacked corrector solve and one frozen solve
+call for all its laws.
 """
 
 import argparse
@@ -40,7 +41,7 @@ from .geometry import GridError, build_grid
 from .material import MaterialError
 from .singular import SingularError
 from .pde import PatchField, PDEError, mms_problem, solve_forward
-from .dnmap import level_flux, linearization_check, make_norm, DNMapError
+from .dnmap import level_flux, linearization_check, norm_flag, DNMapError
 from .reconstruct import (ProbeSpec, ReconstructError, check_probes, point_recovery,
                           probe_data, stability_experiment, stability_pairs, sweep_taus,
                           tau_sweep)
@@ -89,8 +90,8 @@ def _write_json(path, payload: dict):
                                              allow_nan=False))
 
 
-def _meta(cfg: ExperimentConfig, norm_flag: str):
-    return {"config_hash": cfg.hash, "norm": norm_flag,
+def _meta(cfg: ExperimentConfig):
+    return {"config_hash": cfg.hash, "norm": norm_flag(cfg.grid.dim),
             "seed": cfg.seed, "version": __version__}
 
 
@@ -158,7 +159,7 @@ def cmd_forward(cfg: ExperimentConfig, args, checked) -> int:
                          keep=level_flux(cfg.law1, cfg.A, grid))
     _report_newton(args, "forward", flux.newton)
     ids = np.flatnonzero(grid.patch_support_mask().ravel())
-    meta = _meta(cfg, make_norm(grid, cfg.norm_kind).flag)
+    meta = _meta(cfg)
 
     def write(fh):  # one level at a time, not held: a list of all rows costs a full GC
         _csv_header(fh, meta, ["face_node_id", "t", "flux"])
@@ -226,12 +227,10 @@ def _forward_mms(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_linearize_check(cfg: ExperimentConfig, args, checked) -> int:
-    grid = cfg.grid
     [([(g, _)], _)] = probe_data(checked)
-    rows = linearization_check(cfg.law1, cfg.A, grid, cfg.lam, g, cfg.k_list)
+    rows = linearization_check(cfg.law1, cfg.A, cfg.grid, cfg.lam, g, cfg.k_list)
     out = [(r["k"], f"{r['d_k']:.12e}", r["ok"], r["why"]) for r in rows]
-    _write_csv(_out(cfg, "linearize.csv"), _meta(cfg, make_norm(grid, cfg.norm_kind).flag),
-               ["k", "d_k", "ok", "note"], out)
+    _write_csv(_out(cfg, "linearize.csv"), _meta(cfg), ["k", "d_k", "ok", "note"], out)
     for r in rows:
         print(f"k={r['k']:<6d} d_k={r['d_k']:.6e} ok={r['ok']}")
         _report_newton(args, f"forward k={r['k']}", r["newton"])
@@ -240,7 +239,6 @@ def cmd_linearize_check(cfg: ExperimentConfig, args, checked) -> int:
 
 def cmd_probe(cfg: ExperimentConfig, args, checked) -> int:
     """probe-gamma and probe-rho: the tau sweep of the plan's probes."""
-    norm = make_norm(cfg.grid, cfg.norm_kind)
     [pair], target = checked.pairs, checked.kind
     ref = float(getattr(cfg.law1, target)(cfg.t0, cfg.lam)
                 - getattr(cfg.law2, target)(cfg.t0, cfg.lam))
@@ -248,7 +246,7 @@ def cmd_probe(cfg: ExperimentConfig, args, checked) -> int:
                        point_recovery(checked, pair), reference=ref)
     rows = [(target, cfg.t0, cfg.lam, f"{tau:.6g}", f"{est:.12e}")
             for tau, est in zip(report.tau_sequence, report.raw_estimates)]
-    _write_csv(_out(cfg, f"{target}_sweep.csv"), _meta(cfg, norm.flag),
+    _write_csv(_out(cfg, f"{target}_sweep.csv"), _meta(cfg),
                ["target", "t0", "lambda", "tau", "estimate"], rows)
     payload = {"target": target, "point": [cfg.t0, cfg.lam],
                "tau_sequence": report.tau_sequence,
@@ -256,8 +254,8 @@ def cmd_probe(cfg: ExperimentConfig, args, checked) -> int:
                "extrapolated_value": _finite_or_none(report.extrapolated_value),
                "reference_value": _finite_or_none(report.reference_value),
                "fitted_rate": _finite_or_none(report.fitted_rate),
-               "norm_flag": norm.flag, "notes": report.notes}
-    payload.update(_meta(cfg, norm.flag))
+               "norm_flag": norm_flag(cfg.grid.dim), "notes": report.notes}
+    payload.update(_meta(cfg))
     _write_json(_out(cfg, f"{target}_report.json"), payload)
     print(f"{target} at (t0={cfg.t0}, lambda={cfg.lam}): "
           f"extrapolated {report.extrapolated_value:.6g} "
@@ -266,12 +264,11 @@ def cmd_probe(cfg: ExperimentConfig, args, checked) -> int:
 
 
 def cmd_stability(cfg: ExperimentConfig, args, checked) -> int:
-    norm = make_norm(cfg.grid, cfg.norm_kind)
     table = stability_experiment(checked, cfg.law_family, dict_seed=cfg.dict_seed,
-                                 dict_size=cfg.dict_size, norm=norm)
+                                 dict_size=cfg.dict_size)
     rows = [(r.eps, f"{r.eta:.12e}", f"{r.true_diff:.12e}",
              f"{r.recovered:.12e}", r.ok, r.why) for r in table.rows]
-    _write_csv(_out(cfg, "stability.csv"), _meta(cfg, norm.flag),
+    _write_csv(_out(cfg, "stability.csv"), _meta(cfg),
                ["eps", "eta", "true_diff", "recovered", "ok", "note"], rows)
     payload = {"target": table.target,
                "rows": [{k: _finite_or_none(v) for k, v in vars(r).items()}
@@ -280,7 +277,7 @@ def cmd_stability(cfg: ExperimentConfig, args, checked) -> int:
                "holder_constant": _finite_or_none(table.holder_constant),
                "holder_ok": table.holder_ok,
                "norm_flag": table.norm_flag}
-    payload.update(_meta(cfg, norm.flag))
+    payload.update(_meta(cfg))
     _write_json(_out(cfg, "stability_report.json"), payload)
     if table.fitted_slope is not None:
         print(f"fitted slope (true diff vs eta): {table.fitted_slope:.4f}")

@@ -5,8 +5,10 @@ the keys of _DEFAULTS are the ones each section accepts, and unknown
 sections or keys are rejected by name, so a typo cannot silently fall
 back to a default.  The checks here are on values: each parses, is finite
 and lies in its set, and every law a subcommand can solve with is
-admissible.  What the probes of a subcommand need is checked on its probe
-plan (cli) by reconstruct.check_probes.  The resolved configuration is
+admissible.  What the probes of a subcommand need, such as a rho
+difference that peaks inside (0, T), is checked on its probe plan (cli)
+by reconstruct.check_probes.  No key chooses the boundary norm: the
+grid's dimension does (dnmap.BoundaryNorm).  The resolved configuration is
 hashed (sha256 of the canonical key=value dump) and the hash is embedded
 in every output file a run produces.
 """
@@ -18,8 +20,7 @@ import math
 import numpy as np
 
 from .geometry import build_grid
-from .material import (check_admissible, check_interior_max, make_law,
-                       make_matrix, perturb_law)
+from .material import check_admissible, make_law, make_matrix, perturb_law
 from .singular import BUMP_SKEW
 
 
@@ -37,7 +38,7 @@ _DEFAULTS = {
                  "perturb_target": "gamma", "perturb_profile": "constant:c0=1"},
     "probe": {"x0": "", "t0": "0.5", "kind": "gamma", "r": "0.25",
               "a_rule": "", "shape": "symmetric", "conv": "1.0"},
-    "norms": {"kind": "auto", "dict_seed": "0", "dict_size": "16"},
+    "norms": {"dict_seed": "0", "dict_size": "16"},
     "sweep": {"tau_list": "0.2,0.1,0.05", "eps_list": "0.01,0.02,0.04",
               "k_list": "4,8,16,32"},
     "output": {"dir": ".", "prefix": "run"},
@@ -51,7 +52,6 @@ _CHOICES = {
     ("probe", "kind"): ("gamma", "rho"),
     ("probe", "a_rule"): ("", "log", "power"),
     ("probe", "shape"): tuple(BUMP_SKEW),
-    ("norms", "kind"): ("auto", "spectral", "L2"),
 }
 
 
@@ -159,10 +159,6 @@ class ExperimentConfig:
         if self.conv == 0.0:
             raise ConfigError(f"[probe] conv = {p['conv']} must be nonzero")
 
-        n = raw["norms"]
-        self.norm_kind = None if n["kind"] == "auto" else n["kind"]
-        if self.norm_kind == "spectral" and self.grid.dim != 2:
-            raise ConfigError(f"[norms] kind = 'spectral' needs dim = 2, not {self.grid.dim}")
         self.dict_seed = parse("norms", "dict_seed", int)
         if self.dict_seed < 0:
             raise ConfigError(f"[norms] dict_seed = {self.dict_seed} must be at least 0")
@@ -181,30 +177,20 @@ class ExperimentConfig:
         self.seed = parse("run", "seed", int)
 
         # eps-indexed pairs (perturbed law1-side, law2) for stability runs,
-        # built once: the checks below, the CLI plan and the table read them
+        # built once: the check below, the CLI plan and the table read them
         self.law_family = [(eps, (perturb_law(self.law1, eps, self.perturb_target,
                                               self.perturb_profile), self.law2))
                            for eps in self.eps_list]
 
         # every law a subcommand can solve with must respect the floors
         # and the d_t rho cap
-        family = [pair for _, pair in self.law_family]
-        for law in [self.law1, self.law2] + [pair[0] for pair in family]:
+        for law in [self.law1, self.law2] + [pair[0] for _, pair in self.law_family]:
             rep = check_admissible(law, s_range=(self.lam - 1.0, self.lam + 1.0),
                                    T=self.grid.T)
             for name, (ok, margin, (t, s)) in rep.checks.items():
                 if not ok:
                     raise ConfigError(f"{law.label} is not admissible: {name} fails "
                                       f"by {-margin:.3g} at (t, s) = ({t:.3g}, {s:.3g})")
-        # a rho difference the experiments probe must peak inside (0, T)
-        rho_pairs = family if self.perturb_target == "rho" else []
-        if self.probe_kind == "rho":
-            rho_pairs = [(self.law1, self.law2)] + rho_pairs
-        for pair in rho_pairs:
-            rep = check_interior_max(pair, self.lam, self.grid.times)
-            if not rep.interior:
-                raise ConfigError(f"{pair[0].label} vs {pair[1].label}: interior_max "
-                                  f"fails: |rho1 - rho2| peaks only at t = {rep.t_max:.3g}")
 
     @property
     def hash(self) -> str:

@@ -23,14 +23,15 @@ pair's difference costs one inverse DST per datum.  A probe or
 stability command makes one such call on its law pairs and all of its
 data, and eta_surrogate measures the flux differences it is handed.  The
 full-field solve_linearized plus linear_flux is the reference it is
-tested against; no subcommand calls either.  The boundary norms measure
-a face array without forming it on all of dOmega; the 2D spectral norm
-sums the half spectrum of a real FFT in time over the patch columns
-only.  The linearization check advances its data g/k for all k in one
-stacked pde.solve_forward whose keep is level_flux: the nonlinear flux
-of each level as it converges, so no solution history is formed; the
-stencil the flux reads (node planes and support mask) is built once per
-solve, not per level.
+tested against; no subcommand calls either.  The grid's dimension
+chooses the boundary norm (norm_flag): spectral in 2D, L2 in 3D.  The
+norms measure a face array without forming it on all of dOmega; the 2D
+spectral norm sums the half spectrum of a real FFT in time over the
+patch columns only.  The linearization check advances its data g/k for
+all k in one stacked pde.solve_forward whose keep is level_flux: the
+nonlinear flux of each level as it converges, so no solution history is
+formed; the stencil the flux reads (node planes and support mask) is
+built once per solve, not per level.
 """
 
 import math
@@ -154,35 +155,40 @@ def _closed_curve_samples(values_full: np.ndarray, grid: Grid) -> np.ndarray:
                           axis=1)
 
 
+def norm_flag(dim: int) -> str:
+    """The flag of the boundary norm of a dim-dimensional grid, which
+    BoundaryNorm measures with: spectral in 2D, L2 in 3D."""
+    return "spectral-half" if dim == 2 else "L2"
+
+
 @dataclass
 class BoundaryNorm:
-    """Discrete stand-in for the H^{1/2,1/2} boundary norm and its dual.
+    """Discrete stand-in for the H^{1/2,1/2} boundary norm and its dual,
+    chosen by the grid's dimension (norm_flag).
 
     n=2: DFT in (arclength, time) with weights (1+|xi_s|) + (1+|xi_t|);
     dual uses inverse weights, so |<f,g>_L2| <= dual(f) * half(g).
-    n=3: plain L2(Sigma) and flag "L2".
+    n=3: plain L2(Sigma), flux_l2_st, for both.
 
     The samples are real and the weights even in both frequencies, so the
-    spectral kind sums over the half spectrum of an rfft in time, where
+    spectral norm sums over the half spectrum of an rfft in time, where
     every row but the zero row and the Nyquist row (even nt) stands for
     itself and its mirror and counts twice; an fft along arclength
     completes it.  A norm measures a (nt+1, *face_shape) face array, zero
     off S: the rfft runs over its columns only, scattered into their slots
-    of the closed-curve half spectrum; the L2 kind sums its squares over
-    the face.  The half-spectrum weights, the row multiplicities and the
-    face slots are built once, with the norm.
+    of the closed-curve half spectrum.  The half-spectrum weights, the row
+    multiplicities and the face slots are built once, with the norm.
     """
 
     grid: Grid
-    kind: str   # "spectral" or "L2"
     weights: np.ndarray = dc_field(init=False, default=None, repr=False, compare=False)
     scale: np.ndarray = dc_field(init=False, default=None, repr=False, compare=False)
     slots: tuple = dc_field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind != "spectral":
-            return
         grid = self.grid
+        if grid.dim != 2:
+            return
         n_t, n_s = grid.nt, 4 * grid.n_cells
         ds = 4.0 / n_s
         xi_s = 2.0 * math.pi * np.abs(fftfreq(n_s, d=ds))
@@ -205,7 +211,7 @@ class BoundaryNorm:
 
     @property
     def flag(self) -> str:
-        return "spectral-half" if self.kind == "spectral" else "L2"
+        return norm_flag(self.grid.dim)
 
     def half(self, values: np.ndarray) -> float:
         return self._norm(values, lambda p, w: w * p)
@@ -215,35 +221,14 @@ class BoundaryNorm:
 
     def _norm(self, values: np.ndarray, weigh) -> float:
         """sqrt(sum weigh(p, w)) over the (arclength, time) power spectrum p
-        of a face array and the weights w; the L2 kind is plain
-        L2(Sigma)."""
-        if self.kind == "L2":
-            return _l2_sigma(values, self.grid)
+        of a face array and the weights w; in 3D plain L2(Sigma)."""
+        if self.grid.dim != 2:
+            return flux_l2_st(values, self.grid)
         slot, node = self.slots
         half = np.zeros(self.weights.shape, dtype=complex)
         half[:, slot] = rfft(values[:-1, node], axis=0)
         p = np.abs(fft(half, axis=1)) ** 2 * self.scale
         return math.sqrt(float(weigh(p, self.weights).sum()))
-
-
-def make_norm(grid: Grid, kind: str = None) -> BoundaryNorm:
-    if kind is None:
-        kind = "spectral" if grid.dim == 2 else "L2"
-    if kind == "spectral" and grid.dim != 2:
-        raise DNMapError("the spectral boundary norm exists only in 2D")
-    if kind not in ("spectral", "L2"):
-        raise DNMapError(f"unknown norm kind {kind!r}")
-    return BoundaryNorm(grid=grid, kind=kind)
-
-
-def _l2_sigma(values: np.ndarray, grid: Grid) -> float:
-    """L2(Sigma) of boundary-node values, (nt+1, ...) with every node after
-    the time axis on dOmega."""
-    # each boundary node carries a face-area weight; corner/edge nodes are
-    # shared between faces, a second-order detail ignored by this stand-in
-    wt = trapezoid_weights(grid.times.shape, grid.dt)
-    per_level = (values ** 2).reshape(grid.nt + 1, -1).sum(axis=1) * grid.h ** (grid.dim - 1)
-    return math.sqrt(float((per_level * wt).sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,9 @@ def build_grid(dim, h, dt, T, patch_face="left", patch_interval=None, pad=8) -> 
     """
     if dim not in (2, 3):
         raise GridError(f"dim must be 2 or 3, got {dim}")
+    for name, step in (("h", h), ("dt", dt)):
+        if step <= 0.0:
+            raise GridError(f"{name} must be positive, got {step}")
     N = round(1.0 / h)
     if abs(N * h - 1.0) > 1e-12 or N < 4:
         raise GridError(f"h={h} does not divide the unit interval")

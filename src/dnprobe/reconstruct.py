@@ -13,7 +13,9 @@ stability-rate experiments live here too.
 check_probes runs every check of probes and the law pairs read at them
 once, before any solve, and returns them as a CheckedProbes value;
 probe_data, point_recovery and stability_experiment take that value and
-check nothing again.  A point recovery and a stability experiment each
+check nothing again.  The hypotheses of the rho estimate on a law pair
+(interior_max, rho_equal_gamma) are checked there, on the pairs of rho
+probes only.  A point recovery and a stability experiment each
 make one dnmap.patch_linear_flux call; a sweep fits the estimates of one
 point recovery over its probes.  A failed check, probe build or solve
 raises, by the name of its predicate where it has one.
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid, exterior_point
-from .material import MatrixField
+from .material import MatrixField, check_interior_max
 from .singular import SingularError, build_basis, grad_H_energy, make_cutoffs
 from .pde import PatchField, probe_boundary_field
-from .dnmap import (eta_surrogate, make_norm, patch_linear_flux,
+from .dnmap import (BoundaryNorm, eta_surrogate, patch_linear_flux,
                     random_bump_dictionary, surface_pairing)
 
 
@@ -117,9 +119,11 @@ def check_probes(grid: Grid, A: MatrixField, probes, law_pairs, *,
 
     Rho probes need n >= 3 and A = Id, which the rho estimate assumes.
     Each probe is placed (exterior_point) and gets its cutoffs
-    (make_cutoffs); for rho probes each law pair read at lam needs equal
-    conductivities on supp chi (require_equal_gamma).  A failed check
-    raises by the name of its predicate.
+    (make_cutoffs); for rho probes each law pair read at lam needs a
+    difference |rho1 - rho2| that peaks inside (0, T) or is zero
+    (interior_max, material.check_interior_max) and equal conductivities
+    on supp chi (require_equal_gamma).  A failed check raises by the name
+    of its predicate.
     """
     if len({(p.kind, p.conv) for p in probes}) != 1:
         raise ReconstructError("probes built together need one kind and one conv")
@@ -134,6 +138,11 @@ def check_probes(grid: Grid, A: MatrixField, probes, law_pairs, *,
                          a_rule=p.a_rule) for p, geom in zip(probes, geoms)]
     if kind == "rho":
         for pair in law_pairs:
+            peak = check_interior_max(pair, lam, grid.times)
+            if not peak.interior:
+                raise ReconstructError(f"{pair[0].label} vs {pair[1].label}: interior_max "
+                                       f"fails: |rho1 - rho2| peaks only at t = "
+                                       f"{peak.t_max:.3g}")
             require_equal_gamma(pair, lam, grid.times, cuts)
     return CheckedProbes(grid, A, lam, tuple(probes), tuple(geoms), tuple(cuts),
                          tuple(law_pairs))
@@ -181,8 +190,9 @@ def recover_rho_point(pair, A: MatrixField, grid: Grid, lam: float,
     """Estimate of rho^1(t0, lambda) - rho^2(t0, lambda), n >= 3, A = Id.
 
     Needs gamma^1 = gamma^2 on supp chi, so the conductivity cross term of
-    the rho identity vanishes identically; check_probes raises
-    ReconstructError naming rho_equal_gamma otherwise, and SingularError
+    the rho identity vanishes identically, and a rho difference that peaks
+    inside (0, T); check_probes raises ReconstructError naming
+    rho_equal_gamma or interior_max otherwise, and SingularError
     naming rho_dim or rho_identity_A in fewer than 3 dimensions or for any
     A but the identity.
     """
@@ -329,8 +339,9 @@ def _coeff_difference(pair, lam: float, T: float, target: str) -> np.ndarray:
     return getattr(pair[0], target)(t, lam) - getattr(pair[1], target)(t, lam)
 
 
-def stability_pairs(family, target: str, lam: float, T: float) -> list:
-    """The law pairs of a stability family's nonzero eps, in order.
+def _family_differences(family, target: str, lam: float, T: float) -> list:
+    """(eps, pair, _coeff_difference of the pair) of a stability family's
+    nonzero eps, in order.
 
     A table needs a nonzero eps and none below 0 (a zero row is kept and
     fits nothing).  Its target difference at lam must be nonzero at each
@@ -343,51 +354,61 @@ def stability_pairs(family, target: str, lam: float, T: float) -> list:
     if not any(eps) or min(eps) < 0.0:
         raise ReconstructError(f"eps_sweep fails: a stability table needs a nonzero eps "
                                f"and none below 0, eps_list = {eps}")
-    rows = [(e, _coeff_difference(pair, lam, T, target)) for e, pair in family if e != 0.0]
-    for i, (e, d) in enumerate(rows):
-        if not d.any() or any(np.array_equal(d, prior) for _, prior in rows[:i]):
+    rows = [(e, pair, _coeff_difference(pair, lam, T, target))
+            for e, pair in family if e != 0.0]
+    for i, (e, _, d) in enumerate(rows):
+        if not d.any() or any(np.array_equal(d, prior) for _, _, prior in rows[:i]):
             raise ReconstructError(f"eps_perturbation fails: the {target} difference at "
                                    f"lambda = {lam} is zero at eps = {e} or that of an "
                                    f"earlier eps; it must change with eps")
-    return [pair for e, pair in family if e != 0.0]
+    return rows
+
+
+def stability_pairs(family, target: str, lam: float, T: float) -> list:
+    """The law pairs of a stability family's nonzero eps, in order, checked
+    by _family_differences."""
+    return [pair for _, pair, _ in _family_differences(family, target, lam, T)]
 
 
 def stability_experiment(checked: CheckedProbes, family, dict_seed: int = 0,
-                         dict_size: int = 16, norm=None) -> StabilityTable:
+                         dict_size: int = 16) -> StabilityTable:
     """Rate table over an eps-indexed family of law pairs at one checked
     probe, whose kind is the target.
 
     family: list of (eps, (law1, law2)), checked by stability_pairs; its
     nonzero-eps pairs must be ones the probe was checked with.  A row's
-    eta is the dictionary surrogate of its pair, and its recovered value
-    is read at the probe.  One patch_linear_flux call on the dictionary
-    and probe data takes every row's pair, so each distinct law is solved
-    once, and forms one row's difference at a time, dropped before the
-    next is formed.  For the gamma target the table gets a log-log slope
-    of true difference vs eta; for rho a one-sided check of
-    diff <= C * eta^{1/9} with C calibrated at the largest eps.
+    eta is the dictionary surrogate of its pair in the grid's
+    BoundaryNorm, its true difference is the largest of the target
+    difference its check formed, and its recovered value is read at the
+    probe.  One patch_linear_flux call on the dictionary and probe data
+    takes every row's pair, so each distinct law is solved once, and forms
+    one row's difference at a time, dropped before the next is formed.
+    For the gamma target the table gets a log-log slope of true
+    difference vs eta; for rho a one-sided check of diff <= C *
+    eta^{1/9} with C calibrated at the largest eps.
     """
     grid, lam, target = checked.grid, checked.lam, checked.kind
-    pairs = checked.require(stability_pairs(family, target, lam, grid.T))
+    nonzero = _family_differences(family, target, lam, grid.T)
+    pairs = checked.require([pair for _, pair, _ in nonzero])
     if len(checked.probes) != 1:
         raise ReconstructError("a stability table reads one probe")
-    norm = make_norm(grid) if norm is None else norm
+    norm = BoundaryNorm(grid)
     dictionary = random_bump_dictionary(grid, dict_size, seed=dict_seed)
     half_norms = [norm.half(g.values) for g in dictionary]
     built = probe_data(checked)
     n = len(dictionary)
     diffs = patch_linear_flux(pairs, checked.A, grid, lam,
                               dictionary + [g for g, _ in built[0][0]])
+    true_diffs = (float(np.abs(d).max()) for _, _, d in nonzero)
     rows = []
-    for eps, pair in family:
+    for eps, _ in family:
         if eps == 0.0:
             rows.append(StabilityRow(eps=0.0, eta=0.0, true_diff=0.0, recovered=0.0,
                                      why="zero row excluded from fits"))
             continue
         diff = next(diffs)  # (Lambda^1 - Lambda^2) g of the row's pair
         rows.append(StabilityRow(eps=eps, eta=eta_surrogate(diff[:n], half_norms, norm),
-                                 true_diff=float(np.abs(_coeff_difference(
-                                     pair, lam, grid.T, target)).max()),
+                                 true_diff=next(true_diffs),
                                  recovered=_estimates(built, diff[n:], grid)[0]))
         diff = None  # dropped before the next row's difference is formed
     good = [r for r in rows if r.eps > 0.0]

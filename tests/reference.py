@@ -17,7 +17,7 @@ a quantity the pipeline computes another way, or an oracle for one:
 - (Lambda^1 - Lambda^2) g by two full-field frozen solves
   (lambda_difference_flux), against dnmap.patch_linear_flux;
 - the boundary norms of data on all of dOmega, walked around the closed
-  curve or summed over every boundary node (boundary_half,
+  curve or summed over every boundary node (l2_sigma; boundary_half,
   boundary_dual), against BoundaryNorm of a face array;
 - the Omega' Schur complement built from dense Kronecker products
   (schur_complement_dense), against _omega_prime_operator's assembly;
@@ -44,8 +44,7 @@ from functools import reduce
 import numpy as np
 from numpy.fft import fft, rfft
 
-from dnprobe.dnmap import (BoundaryNorm, _closed_curve_samples, _FluxStencil, _l2_sigma,
-                           linear_flux)
+from dnprobe.dnmap import BoundaryNorm, _closed_curve_samples, _FluxStencil, linear_flux
 from dnprobe.geometry import Grid, trapezoid_weights
 from dnprobe.material import MaterialLaw, MatrixField
 from dnprobe.pde import (BoundaryField, PDEError, SpaceTimeField, _flat_strides,
@@ -193,13 +192,23 @@ def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
     return linear_flux(w1, law1, A, grid, lam) - linear_flux(w2, law2, A, grid, lam)
 
 
+def l2_sigma(values: np.ndarray, grid: Grid) -> float:
+    """L2(Sigma) of boundary-node values, (nt+1, ...) with every node after
+    the time axis on dOmega."""
+    # each boundary node carries a face-area weight; corner/edge nodes are
+    # shared between faces, a second-order detail ignored by this stand-in
+    wt = trapezoid_weights(grid.times.shape, grid.dt)
+    per_level = (values ** 2).reshape(grid.nt + 1, -1).sum(axis=1) * grid.h ** (grid.dim - 1)
+    return math.sqrt(float((per_level * wt).sum()))
+
+
 def _boundary_norm(norm: BoundaryNorm, field: BoundaryField, weigh) -> float:
-    """BoundaryNorm._norm of data on all of dOmega: the spectral kind
-    walks the boundary nodes around the closed curve, the L2 kind sums
-    over every boundary node."""
+    """BoundaryNorm._norm of data on all of dOmega: in 2D the walk of the
+    boundary nodes around the closed curve, in 3D the L2 sum over every
+    boundary node (l2_sigma)."""
     grid = norm.grid
-    if norm.kind == "L2":
-        return _l2_sigma(field.values[:, ~interior_mask(grid)], grid)
+    if grid.dim != 2:
+        return l2_sigma(field.values[:, ~interior_mask(grid)], grid)
     half = rfft(_closed_curve_samples(field.values, grid)[:-1], axis=0)
     p = np.abs(fft(half, axis=1)) ** 2 * norm.scale
     return math.sqrt(float(weigh(p, norm.weights).sum()))

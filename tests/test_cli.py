@@ -107,7 +107,7 @@ def test_forward_csv_is_what_csv_writer_writes(cfg_path, tmp_path, monkeypatch):
     assert main(["forward", "-c", cfg_path]) == 0
     ids = np.flatnonzero(grid.patch_support_mask().ravel())
     buf = io.StringIO(newline="")
-    meta = cli._meta(cfg, cli.make_norm(grid, cfg.norm_kind).flag)
+    meta = cli._meta(cfg)
     cli._csv_header(buf, meta, ["face_node_id", "t", "flux"]).writerows(
         (i, f"{t:.10g}", f"{v:.12e}")
         for t, level in zip(grid.times, values) for i, v in zip(ids, level.ravel()[ids]))
@@ -293,20 +293,6 @@ def test_kappa_cap_is_enforced_at_load(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_rho_pair_without_interior_maximum_exits_2(tmp_path, capsys):
-    # rho1 - rho2 = 0.2 t peaks only at t = T: the rho probe cannot see it
-    text = GAMMA_CFG.format(out=tmp_path / "out").replace("[probe]\n", "[probe]\nkind = rho\n")
-    p = tmp_path / "exp.ini"
-    p.write_text(text.replace("gamma2 = constant:c0=1",
-                              "gamma2 = constant:c0=1\nrho1 = affine_t:c0=1:c1=0.2"))
-    assert main(["probe-rho", "-c", str(p)]) == 2
-    assert "interior_max" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-    # equal rho laws are a degenerate zero difference, which stays allowed
-    p.write_text(text)
-    assert load_config(str(p)).probe_kind == "rho"
-
-
 def test_verbose_forward_reports_newton_counts_on_stderr(cfg_path, capsys):
     assert main(["forward", "-c", cfg_path]) == 0
     quiet = capsys.readouterr()
@@ -456,10 +442,11 @@ def test_malformed_config_exits_2(tmp_path, capsys, text, named):
     ("forward", _set("[probe]\n", "[probe]\nkind = foo\n"), "kind = 'foo'"),
     ("probe-gamma", _set("a_rule = power", "a_rule = cubic"), "a_rule = 'cubic'"),
     ("probe-gamma", _set("[probe]\n", "[probe]\nshape = bogus\n"), "shape = 'bogus'"),
-    ("probe-gamma", _set("dict_size = 2", "dict_size = 2\nkind = bogus"), "kind = 'bogus'"),
+    ("probe-gamma", _set("dict_size = 2", "dict_size = 2\nkind = bogus"),
+     "unknown key 'kind' in section [norms]"),
     ("probe-gamma", _set("[grid]\n", "[grid]\ndim = 3\n",
                          _set("dict_size = 2", "dict_size = 2\nkind = spectral")),
-     "spectral"),
+     "unknown key 'kind' in section [norms]"),
     ("stability", _set("dict_size = 2", "dict_size = 0"), "dict_size"),
     ("linearize-check", _set("k_list = 4,8", "k_list = 0"), "k_list"),
     ("stability", _set("eps_list = 0.02,0.04", "eps_list ="), "eps_sweep fails"),
@@ -496,6 +483,19 @@ def test_value_outside_its_set_exits_2(tmp_path, capsys, command, text, named):
 def test_non_finite_config_number_exits_2(tmp_path, capsys, command, text, named):
     # NaN and infinity parse as floats: each is refused by name at load,
     # before a solve, a traceback or a bare NaN in a JSON report
+    p = tmp_path / "exp.ini"
+    p.write_text(text.format(out=tmp_path / "out"))
+    assert main([command, "-c", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "linearize-check", "probe-gamma", "stability"])
+@pytest.mark.parametrize("text, named", [(_set("h = 0.0625", "h = 0"), "h must be positive"),
+                                         (_set("dt = 0.0625", "dt = 0"), "dt must be positive")],
+                         ids=["h", "dt"])
+def test_zero_grid_step_exits_2_by_name(tmp_path, capsys, command, text, named):
     p = tmp_path / "exp.ini"
     p.write_text(text.format(out=tmp_path / "out"))
     assert main([command, "-c", str(p)]) == 2
@@ -788,6 +788,48 @@ def test_probe_sweeps_solve_one_corrector_stack_and_one_flux_per_law(
         one = (recover_gamma_point(pair, cfg.A, cfg.grid, cfg.lam, probe) if target == "gamma"
                else recover_rho_point(pair, cfg.A, cfg.grid, cfg.lam, probe))
         assert abs(est - one) <= 1e-12 * abs(one)
+
+
+_RHO1_TRIG = "rho1 = trig_t:c0=1:c1=0.2:freq=0.2"
+_RHO1_RISING = "rho1 = affine_t:c0=1:c1=0.2"
+
+
+def test_rho_pair_without_interior_maximum_exits_2(tmp_path, capsys):
+    # rho1 - rho2 = 0.2 t peaks only at t = T: the rho probe cannot see it
+    text = RHO3D_SMALL.format(out=tmp_path / "out")
+    p = tmp_path / "exp.ini"
+    p.write_text(text.replace(_RHO1_TRIG, _RHO1_RISING))
+    assert main(["probe-rho", "-c", str(p)]) == 2
+    assert "interior_max" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # equal rho laws are a degenerate zero difference, which stays allowed
+    p.write_text(text.replace(_RHO1_TRIG, "rho1 = constant:c0=1"))
+    assert load_config(str(p)).probe_kind == "rho"
+
+
+def test_interior_max_is_checked_on_the_rho_probes_a_command_builds(tmp_path, capsys):
+    # [probe] kind picks only forward's datum: probe-rho builds rho probes
+    # whatever it says, and forward with kind = rho builds none
+    text = _set(_RHO1_TRIG, _RHO1_RISING, RHO3D_SMALL)
+    defaults = _set("kind = rho\n", "", _set("perturb_target = rho\n", "", text))
+    _exits_2_naming(tmp_path, capsys, defaults, "probe-rho", "interior_max")
+    p = tmp_path / "exp.ini"
+    p.write_text(text.format(out=tmp_path / "out"))
+    assert main(["forward", "-c", str(p)]) == 0
+
+
+@pytest.mark.parametrize("text", [GAMMA_CFG, RHO3D_SMALL], ids=["gamma", "rho"])
+def test_stability_forms_each_target_difference_twice(tmp_path, monkeypatch, text):
+    # once in the plan's check and once in the table's, whose rows read
+    # their true difference off it
+    import dnprobe.reconstruct as reconstruct
+    real, formed = reconstruct._coeff_difference, []
+    monkeypatch.setattr(reconstruct, "_coeff_difference",
+                        lambda pair, *args: formed.append(pair) or real(pair, *args))
+    p = tmp_path / "exp.ini"
+    p.write_text(text.format(out=tmp_path / "out"))
+    assert main(["stability", "-c", str(p)]) == 0
+    assert len(formed) == 2 * len(load_config(str(p)).eps_list)
 
 
 _SUBCOMMANDS = pytest.mark.parametrize("command, text", [

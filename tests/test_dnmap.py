@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from dnprobe import dnmap, pde, reconstruct, singular
-from dnprobe.dnmap import (DNMapError, eta_surrogate, flux_l2_st,
-                           linear_flux, linearization_check, make_norm,
-                           nonlinear_flux, patch_linear_flux,
-                           random_bump_dictionary, surface_pairing)
+from dnprobe.dnmap import (BoundaryNorm, DNMapError, eta_surrogate, flux_l2_st,
+                           linear_flux, linearization_check, nonlinear_flux, norm_flag,
+                           patch_linear_flux, random_bump_dictionary, surface_pairing)
 from dnprobe.geometry import build_grid, trapezoid_weights
 from dnprobe.material import Coefficient, coefficient, make_law, make_matrix
 from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField,
@@ -224,14 +223,11 @@ def test_weak_pairing_matches_surface_pairing():
 
 
 def test_norm_kinds():
+    # the grid's dimension chooses the norm, and the flag names it
     g2 = _grid()
-    assert make_norm(g2).flag == "spectral-half"
+    assert BoundaryNorm(g2).flag == norm_flag(2) == "spectral-half"
     g3 = build_grid(3, 1 / 8, 1 / 8, 1.0)
-    assert make_norm(g3).flag == "L2"
-    with pytest.raises(DNMapError):
-        make_norm(g3, kind="spectral")
-    with pytest.raises(DNMapError):
-        make_norm(g2, kind="sobolev")
+    assert BoundaryNorm(g3).flag == norm_flag(3) == "L2"
 
 
 @given(c=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
@@ -239,7 +235,7 @@ def test_norm_kinds():
 @settings(max_examples=20, deadline=None)
 def test_norm_homogeneity_and_positivity(c, mode):
     g = _grid()
-    nrm = make_norm(g)
+    nrm = BoundaryNorm(g)
     hb = boundary_field_from_callable(
         g, lambda t, x: np.sin(np.pi * mode * t) * np.sin(np.pi * x[..., 1]))
     base = boundary_half(nrm, hb)
@@ -252,7 +248,7 @@ def test_norm_homogeneity_and_positivity(c, mode):
 
 def test_norm_triangle_inequality():
     g = _grid()
-    nrm = make_norm(g)
+    nrm = BoundaryNorm(g)
     h1 = boundary_field_from_callable(
         g, lambda t, x: np.sin(np.pi * t) * np.sin(np.pi * x[..., 1]))
     h2 = boundary_field_from_callable(
@@ -264,7 +260,7 @@ def test_norm_triangle_inequality():
 def test_dual_bounds_the_l2_pairing():
     # |<f, g>_L2(curve x time)| <= dual(f) * half(g) is the defining duality
     g = _grid()
-    nrm = make_norm(g)
+    nrm = BoundaryNorm(g)
     rng = np.random.default_rng(1)
     fields = random_bump_dictionary(g, count=4, seed=5)
     f, q = fields[0], fields[1]
@@ -278,7 +274,7 @@ def test_dual_bounds_the_l2_pairing():
 
 def test_rougher_data_has_larger_half_norm():
     g = _grid(32, 32)
-    nrm = make_norm(g)
+    nrm = BoundaryNorm(g)
     smooth = boundary_field_from_callable(
         g, lambda t, x: np.sin(np.pi * t) * np.sin(np.pi * x[..., 1]))
     rough = boundary_field_from_callable(
@@ -308,13 +304,13 @@ def test_face_norms_equal_the_norms_of_the_boundary_field(seed):
     # face arrays are measured as they are; the walk around dOmega of the
     # same data on all of dOmega is the reference
     for g in _FACES_2D:
-        nrm = make_norm(g)
+        nrm = BoundaryNorm(g)
         for datum in _face_data(g, seed):
             full = boundary_from_face(datum, g)
             assert nrm.half(datum) == boundary_half(nrm, full)
             assert nrm.dual(datum) == boundary_dual(nrm, full)
     for g in _FACES_3D:
-        nrm = make_norm(g)
+        nrm = BoundaryNorm(g)
         for datum in _face_data(g, seed):
             full = boundary_from_face(datum, g)
             for face, ref in ((nrm.half(datum), boundary_half(nrm, full)),
@@ -341,7 +337,7 @@ def test_half_spectrum_norms_match_the_full_fft2(nt):
     # arrays, the same data on all of dOmega, and data on all of dOmega
     for g in (_grid(16, nt), build_grid(2, 1 / 16, 1 / nt, 1.0, patch_face="top",
                                         patch_interval=[(0.25, 0.625)])):
-        nrm = make_norm(g)
+        nrm = BoundaryNorm(g)
         rng = np.random.default_rng(nt)
         everywhere = BoundaryField(
             values=rng.standard_normal((nt + 1,) + g.shape) * ~pde.interior_mask(g), grid=g)
@@ -436,7 +432,7 @@ def test_dictionary_is_deterministic_and_supported():
 
 def _eta(pair, A, g, dictionary):
     """eta_surrogate of a law pair on a dictionary, from one frozen call."""
-    norm = make_norm(g)
+    norm = BoundaryNorm(g)
     [diff] = patch_linear_flux([pair], A, g, 0.0, dictionary)
     return eta_surrogate(diff, [norm.half(datum.values) for datum in dictionary], norm)
 
@@ -468,7 +464,7 @@ def test_eta_surrogate_monotone_in_dictionary():
 def test_eta_surrogate_empty_dictionary():
     g = _grid(8, 8)
     with pytest.raises(DNMapError):
-        eta_surrogate(np.zeros((0, g.nt + 1, g.n_cells + 1)), [], make_norm(g))
+        eta_surrogate(np.zeros((0, g.nt + 1, g.n_cells + 1)), [], BoundaryNorm(g))
 
 
 # --- the patch path against the full-field reference -------------------------

@@ -28,6 +28,15 @@ def test_nondividing_h_rejected():
         build_grid(2, 0.3, 0.25, 1.0)
 
 
+@pytest.mark.parametrize("h, dt, named", [(0.0, 1 / 32, "h must be positive"),
+                                           (-1 / 32, 1 / 32, "h must be positive"),
+                                           (1 / 32, 0.0, "dt must be positive"),
+                                           (1 / 32, -1 / 32, "dt must be positive")])
+def test_non_positive_step_rejected_by_name(h, dt, named):
+    with pytest.raises(GridError, match=named):
+        build_grid(2, h, dt, 1.0)
+
+
 def test_patch_corner_rejected():
     with pytest.raises(GridError):
         build_grid(2, 1 / 32, 1 / 32, 1.0, patch_interval=[(0.0, 0.5)])

@@ -7,7 +7,8 @@ Every defaulted parameter of a package function is passed at some call
 site in src, demos/ or tests/.  Each "<predicate> fails" message of a
 hypothesis check is raised at one site, and a package error class is
 caught only where a failure becomes an exit code (cli.main) or a
-per-datum result (pde.solve_forward).  scipy appears in the package only
+per-datum result (pde.solve_forward).  Every key config accepts is read
+in config.py outside its schema tables.  scipy appears in the package only
 where the Newton stall fallback factorizes a Jacobian, and no module
 forms an explicit inverse with numpy.linalg.inv: a linear system is
 factored and solved.  Importing the package builds no array that a
@@ -267,3 +268,43 @@ def test_import_builds_no_arrays():
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == []
+
+
+def test_every_config_key_is_read_outside_the_schema_tables():
+    # a key of _DEFAULTS that nothing reads is an option accepted and
+    # ignored; a read is parse(section, key, ...), raw[section][key], or
+    # x[key] or f(x, key) with x = raw[section].  _DEFAULTS and _CHOICES
+    # name every key, so they are not readers
+    with open(os.path.join(SRC, "config.py")) as fh:
+        tree = ast.parse(fh.read())
+    tables = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+            tables[stmt.targets[0].id] = stmt
+    schema = ast.literal_eval(tables["_DEFAULTS"].value)
+    code = [stmt for stmt in tree.body
+            if stmt not in (tables["_DEFAULTS"], tables["_CHOICES"])]
+
+    def text(node):
+        is_text = isinstance(node, ast.Constant) and isinstance(node.value, str)
+        return node.value if is_text else None
+
+    def section(node):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "raw":
+            return text(node.slice)
+        return aliases.get(getattr(node, "id", None))
+
+    nodes, aliases, read = [sub for top in code for sub in ast.walk(top)], {}, set()
+    for node in nodes:
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and section(node.value)):
+            aliases[node.targets[0].id] = section(node.value)
+    for node in nodes:
+        if isinstance(node, ast.Subscript):
+            read.add((section(node.value), text(node.slice)))
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            first = text(node.args[0]) or section(node.args[0])
+            read.add((first, text(node.args[1])))
+    unread = sorted(f"[{s}] {k}" for s, keys in schema.items() for k in keys
+                    if (s, k) not in read)
+    assert unread == [], f"config keys accepted but never read: {unread}"

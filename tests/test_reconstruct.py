@@ -125,6 +125,23 @@ def test_rho_recovery_rejects_unequal_conductivities_before_its_frozen_solves(mo
     assert solved == [[(rho1, base)]]  # one call, on the pair
 
 
+def test_rho_recovery_rejects_a_difference_without_an_interior_maximum(monkeypatch):
+    # rho1 - rho2 = 0.2 t peaks only at t = T, where no rho probe reads it:
+    # a library caller gets the error the CLI gives, on every pair, before
+    # any solve; equal rho laws, a zero difference, pass
+    solved = _refuse_solves(monkeypatch)
+    g3 = build_grid(3, 1 / 8, 2.5 / 24, 2.5, pad=6)
+    probe = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.3, kind="rho", r=0.25)
+    base = make_law()
+    pair = (make_law(rho=("affine_t", {"c0": 1.0, "c1": 0.2})), base)
+    with pytest.raises(ReconstructError, match="interior_max fails"):
+        recover_rho_point(pair, A3, g3, 0.0, probe)
+    with pytest.raises(ReconstructError, match="interior_max fails"):
+        check_probes(g3, A3, [probe], [(base, base), pair], lam=0.0)
+    assert check_probes(g3, A3, [probe], [(base, base)], lam=0.0).pairs == ((base, base),)
+    assert solved == []
+
+
 def test_probe_data_live_on_the_patch_face():
     g2 = build_grid(2, 1 / 16, 1 / 16, 1.0, pad=10)
     checked = check_probes(g2, A2, [_gamma_probe(g2, 0.15)], [], lam=0.0)
@@ -240,7 +257,7 @@ def test_stability_measures_the_dictionary_once(monkeypatch):
     assert [r.eta for r in table.rows] == [r.eta for r in reference.rows]
     monkeypatch.undo()
     d = dnmap.random_bump_dictionary(g, 4)
-    norm = dnmap.make_norm(g)
+    norm = dnmap.BoundaryNorm(g)
     [diff] = dnmap.patch_linear_flux([family[0][1]], A2, g, 0.0, d)
     eta = dnmap.eta_surrogate(diff, [norm.half(datum.values) for datum in d], norm)
     assert eta == table.rows[0].eta
