@@ -12,9 +12,9 @@ Run:  python3 demos/gamma_point_recovery.py
 
 import numpy as np
 
-from dnprobe import build_grid, make_law, tau_sweep
-from dnprobe.material import make_matrix
-from dnprobe.reconstruct import ProbeSpec, check_probes, point_recovery
+from dnprobe.geometry import build_grid
+from dnprobe.material import make_law, make_matrix
+from dnprobe.reconstruct import ProbeSpec, check_probes, point_recovery, tau_sweep
 
 CONTRAST = 0.02
 

@@ -12,9 +12,10 @@ Run:  python3 demos/stability_rates.py
 
 import numpy as np
 
-from dnprobe import build_grid, make_law, stability_experiment
-from dnprobe.material import make_matrix, perturb_law
-from dnprobe.reconstruct import ProbeSpec, check_probes
+from dnprobe.dnmap import norm_flag
+from dnprobe.geometry import build_grid
+from dnprobe.material import make_law, make_matrix, perturb_law
+from dnprobe.reconstruct import ProbeSpec, check_probes, stability_experiment
 
 # --- conductivity: Lipschitz slope -----------------------------------------
 
@@ -28,7 +29,7 @@ probe = ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=0.125, kind="gamma",
 checked = check_probes(grid, A, [probe], [pair for _, pair in family], lam=0.0)
 table = stability_experiment(checked, family, dict_seed=3, dict_size=8)
 
-print("conductivity target (norm:", table.norm_flag + ")")
+print("conductivity target (norm:", norm_flag(grid.dim) + ")")
 print(f"{'eps':>6}  {'eta':>12}  {'sup diff':>10}  {'recovered':>10}")
 for r in table.rows:
     print(f"{r.eps:6.3f}  {r.eta:12.6e}  {r.true_diff:10.4f}  {r.recovered:10.4f}")
@@ -46,7 +47,7 @@ probe3 = ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=0.125, kind="rho", r=0.25)
 checked3 = check_probes(grid3, A3, [probe3], [pair for _, pair in family3], lam=0.0)
 table3 = stability_experiment(checked3, family3, dict_seed=0, dict_size=16)
 
-print("heat-capacity target (norm:", table3.norm_flag + ")")
+print("heat-capacity target (norm:", norm_flag(grid3.dim) + ")")
 for r in table3.rows:
     print(f"eps={r.eps:.2f}  eta={r.eta:.4e}  sup diff={r.true_diff:.4f}  "
           f"C*eta^(1/9)={table3.holder_constant * r.eta ** (1 / 9):.4f}")

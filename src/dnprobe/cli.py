@@ -2,8 +2,8 @@
 
 Subcommands:
 
-  forward          solve the quasilinear problem with the configured probe
-                   datum (or zero data) and dump the patch flux as CSV;
+  forward          solve the quasilinear problem with the configured gamma
+                   probe datum and dump the patch flux as CSV;
                    --mms runs a refinement study instead and prints orders
   linearize-check  Frechet-derivative decay table d_k
   probe-gamma      tau-sweep gamma recovery, CSV + JSON report
@@ -40,7 +40,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .geometry import GridError, build_grid
 from .material import MaterialError
 from .singular import SingularError
-from .pde import PatchField, PDEError, mms_problem, solve_forward
+from .pde import PDEError, mms_problem, solve_forward
 from .dnmap import level_flux, linearization_check, norm_flag, DNMapError
 from .reconstruct import (ProbeSpec, ReconstructError, check_probes, point_recovery,
                           probe_data, stability_experiment, stability_pairs, sweep_taus,
@@ -106,8 +106,8 @@ def _probe_plan(cfg: ExperimentConfig, args):
     A probe sweep has a probe per tau of sweep_taus and the config's pair;
     stability one probe of the target's kind at the smallest tau and the
     pair of each nonzero eps (stability_pairs); linearize-check, which
-    needs a k, and forward without --mms for a gamma kind and a tau (else
-    zero data), a gamma probe there.
+    needs a k, and forward without --mms, which needs [probe] kind =
+    gamma, a gamma probe there.
     """
     command, pairs = args.command, []
     if command in ("probe-gamma", "probe-rho"):
@@ -115,9 +115,11 @@ def _probe_plan(cfg: ExperimentConfig, args):
     elif command == "stability":
         kind = cfg.perturb_target
         pairs = stability_pairs(cfg.law_family, kind, cfg.lam, cfg.grid.T)
-    elif command == "linearize-check" or (command == "forward" and not args.mms
-                                          and cfg.probe_kind == "gamma" and cfg.tau_list):
+    elif command == "linearize-check" or (command == "forward" and not args.mms):
         kind = "gamma"
+        if command == "forward" and cfg.probe_kind != kind:
+            raise ConfigError(f"forward_kind fails: forward drives a gamma probe, "
+                              f"[probe] kind = {cfg.probe_kind!r}")
     else:
         return None
     if command.startswith("probe-"):
@@ -129,7 +131,7 @@ def _probe_plan(cfg: ExperimentConfig, args):
     if command == "linearize-check" and not cfg.k_list:
         raise ConfigError("k_sweep fails: linearize-check needs a k, k_list is empty")
     probes = [ProbeSpec(x0=cfg.x0, t0=cfg.t0, tau=tau, kind=kind, r=cfg.probe_r,
-                        a_rule=cfg.a_rule, shape=cfg.bump_shape, conv=cfg.conv)
+                        a_rule=cfg.a_rule, shape=cfg.bump_shape)
               for tau in taus]
     return check_probes(cfg.grid, cfg.A, probes, pairs, lam=cfg.lam)
 
@@ -151,10 +153,7 @@ def cmd_forward(cfg: ExperimentConfig, args, checked) -> int:
     if args.mms:
         return _forward_mms(cfg, args)
     grid = cfg.grid
-    if checked is not None:
-        [([(g, _)], _)] = probe_data(checked)
-    else:
-        g = PatchField(np.zeros(grid.nt + 1), np.zeros(grid.patch_support_mask().shape), grid)
+    [([(g, _)], _)] = probe_data(checked)
     flux = solve_forward(cfg.law1, cfg.A, grid, cfg.lam, g,
                          keep=level_flux(cfg.law1, cfg.A, grid))
     _report_newton(args, "forward", flux.newton)
@@ -276,7 +275,7 @@ def cmd_stability(cfg: ExperimentConfig, args, checked) -> int:
                "fitted_slope": _finite_or_none(table.fitted_slope),
                "holder_constant": _finite_or_none(table.holder_constant),
                "holder_ok": table.holder_ok,
-               "norm_flag": table.norm_flag}
+               "norm_flag": norm_flag(cfg.grid.dim)}
     payload.update(_meta(cfg))
     _write_json(_out(cfg, "stability_report.json"), payload)
     if table.fitted_slope is not None:

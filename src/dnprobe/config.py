@@ -37,7 +37,7 @@ _DEFAULTS = {
                  "m_floor": "0.001", "kappa_cap": "",
                  "perturb_target": "gamma", "perturb_profile": "constant:c0=1"},
     "probe": {"x0": "", "t0": "0.5", "kind": "gamma", "r": "0.25",
-              "a_rule": "", "shape": "symmetric", "conv": "1.0"},
+              "a_rule": "", "shape": "symmetric"},
     "norms": {"dict_seed": "0", "dict_size": "16"},
     "sweep": {"tau_list": "0.2,0.1,0.05", "eps_list": "0.01,0.02,0.04",
               "k_list": "4,8,16,32"},
@@ -155,9 +155,6 @@ class ExperimentConfig:
         self.probe_r = parse("probe", "r", float)
         self.a_rule = p["a_rule"] or None
         self.bump_shape = p["shape"]
-        self.conv = parse("probe", "conv", float)
-        if self.conv == 0.0:
-            raise ConfigError(f"[probe] conv = {p['conv']} must be nonzero")
 
         self.dict_seed = parse("norms", "dict_seed", int)
         if self.dict_seed < 0:

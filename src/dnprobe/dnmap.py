@@ -209,10 +209,6 @@ class BoundaryNorm:
         slot = slot[grid.patch_support_mask()[walk[slot]]]
         self.slots = (slot, walk[slot])
 
-    @property
-    def flag(self) -> str:
-        return norm_flag(self.grid.dim)
-
     def half(self, values: np.ndarray) -> float:
         return self._norm(values, lambda p, w: w * p)
 

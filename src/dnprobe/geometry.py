@@ -186,7 +186,7 @@ def build_grid(dim, h, dt, T, patch_face="left", patch_interval=None, pad=8) -> 
     """
     if dim not in (2, 3):
         raise GridError(f"dim must be 2 or 3, got {dim}")
-    for name, step in (("h", h), ("dt", dt)):
+    for name, step in (("h", h), ("dt", dt), ("t_final", T)):
         if step <= 0.0:
             raise GridError(f"{name} must be positive, got {step}")
     N = round(1.0 / h)

@@ -48,7 +48,6 @@ class ProbeSpec:
     r: float = 0.25
     a_rule: str = None
     shape: str = "symmetric"
-    conv: float = 1.0
 
 
 @dataclass
@@ -87,7 +86,7 @@ def require_equal_gamma(pair, lam: float, times: np.ndarray, cuts):
 
 @dataclass(frozen=True)
 class CheckedProbes:
-    """Probes of one kind and one conv, placed, cut off and checked with
+    """Probes of one kind, placed, cut off and checked with
     the law pairs read at them at lam.  check_probes builds it;
     probe_data, point_recovery and stability_experiment take it, check
     nothing again, and solve no pair it was not checked with (require)."""
@@ -125,8 +124,8 @@ def check_probes(grid: Grid, A: MatrixField, probes, law_pairs, *,
     on supp chi (require_equal_gamma).  A failed check raises by the name
     of its predicate.
     """
-    if len({(p.kind, p.conv) for p in probes}) != 1:
-        raise ReconstructError("probes built together need one kind and one conv")
+    if len({p.kind for p in probes}) != 1:
+        raise ReconstructError("probes built together need one kind")
     kind = probes[0].kind
     if kind == "rho" and grid.dim < 3:
         raise SingularError(f"rho_dim fails: rho probes need n >= 3, dim = {grid.dim}")
@@ -162,8 +161,7 @@ def probe_data(checked: CheckedProbes):
     The correctors of all the probes are one stacked solve.
     """
     grid, kind = checked.grid, checked.kind
-    bases = build_basis(grid, checked.geoms, checked.A, conv=checked.probes[0].conv,
-                        kind=kind)
+    bases = build_basis(grid, checked.geoms, checked.A, kind=kind)
     out = []
     for basis, cut in zip(bases, checked.cuts):
         energy = grad_H_energy(basis, grid)
@@ -330,7 +328,6 @@ class StabilityTable:
     fitted_slope: float = None   # gamma target
     holder_constant: float = None  # rho target
     holder_ok: bool = None
-    norm_flag: str = ""
 
 
 def _coeff_difference(pair, lam: float, T: float, target: str) -> np.ndarray:
@@ -412,7 +409,7 @@ def stability_experiment(checked: CheckedProbes, family, dict_seed: int = 0,
                                  recovered=_estimates(built, diff[n:], grid)[0]))
         diff = None  # dropped before the next row's difference is formed
     good = [r for r in rows if r.eps > 0.0]
-    table = StabilityTable(target=target, rows=rows, norm_flag=norm.flag)
+    table = StabilityTable(target=target, rows=rows)
     if len(good) >= 2 and target == "gamma":
         x = np.log([r.eta for r in good])
         y = np.log([r.true_diff for r in good])

@@ -8,8 +8,9 @@ the field
 
 solves -div(A grad H) = 0 away from y; for A = Id it reduces to the bare
 |x-y|^{2-n} (resp. -ln|x-y|).  No normalizing constant is applied: every
-reconstruction formula divides by an energy computed with the same
-convention, so constants cancel (and a convention knob exists to prove it).
+reconstruction formula divides a pairing of data built from H by an
+energy of H, both quadratic in H, so constants cancel; test 10 of the
+acceptance suite checks it by scaling H.
 
 A probe couples H centered at an exterior point y_tau with a corrector v
 that matches H on the outer boundary dOmega', making the boundary datum
@@ -70,7 +71,7 @@ def _quadratic_form(x, y, A: MatrixField):
     return w, (w * d).sum(axis=-1)
 
 
-def fundamental_H(x, y, A: MatrixField, conv: float = 1.0):
+def fundamental_H(x, y, A: MatrixField):
     """Evaluate H(x, y); x may be an array of points (..., n).
 
     A is diagonal by construction (make_matrix) and constant (the
@@ -82,19 +83,19 @@ def fundamental_H(x, y, A: MatrixField, conv: float = 1.0):
     if np.any(q <= 0.0):
         raise SingularError("fundamental solution evaluated at its pole")
     if n >= 3:
-        return conv * q ** ((2.0 - n) / 2.0)
-    return conv * (-0.5) * np.log(q)
+        return q ** ((2.0 - n) / 2.0)
+    return -0.5 * np.log(q)
 
 
-def fundamental_grad_H(x, y, A: MatrixField, conv: float = 1.0):
+def fundamental_grad_H(x, y, A: MatrixField):
     """Analytic gradient of H(., y) at points x (..., n) -> (..., n)."""
     n = A.dim
     w, q = _quadratic_form(x, y, A)  # w = A^{-1}(x - y)
     if np.any(q <= 0.0):
         raise SingularError("gradient evaluated at the pole")
     if n >= 3:
-        return conv * (2.0 - n) * q[..., None] ** (-n / 2.0) * w
-    return conv * (-w) / q[..., None]
+        return (2.0 - n) * q[..., None] ** (-n / 2.0) * w
+    return -w / q[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +412,7 @@ class SingularBasis:
     members: list        # field minus corrector on Omega nodes, one per datum
 
 
-def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
-                kind: str = "gamma") -> list:
+def build_basis(grid: Grid, geoms, A: MatrixField, kind: str = "gamma") -> list:
     """Evaluate the singular fields of the probes at geoms and solve their
     correctors; one SingularBasis per geometry.
 
@@ -429,8 +429,8 @@ def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
     def fields(x, y):
         """What a probe's data read at points x, along a leading axis."""
         if kind == "rho":
-            return np.moveaxis(fundamental_grad_H(x, y, A, conv=conv), -1, 0)
-        return fundamental_H(x, y, A, conv=conv)[None]
+            return np.moveaxis(fundamental_grad_H(x, y, A), -1, 0)
+        return fundamental_H(x, y, A)[None]
 
     def trace(x):
         """Every probe's fields at points x, as one stack."""
@@ -440,7 +440,7 @@ def build_basis(grid: Grid, geoms, A: MatrixField, conv: float = 1.0,
     bases = []
     for y, vy in zip(ys, np.split(v, len(ys))):
         read = fields(coords, y)
-        H = read[0] if kind == "gamma" else fundamental_H(coords, y, A, conv=conv)
+        H = read[0] if kind == "gamma" else fundamental_H(coords, y, A)
         bases.append(SingularBasis(A=A, H_omega=H, members=list(read - vy)))
     return bases
 

@@ -274,21 +274,21 @@ def _general_quadratic_form(x, y, A: MatrixField):
     return d @ Ainv.T, np.einsum("...i,ij,...j->...", d, Ainv, d)
 
 
-def fundamental_H_general(x, y, A: MatrixField, conv: float = 1.0):
+def fundamental_H_general(x, y, A: MatrixField):
     """H(x, y) through the general quadratic form (A^{-1}(x-y) . (x-y))."""
     _, q = _general_quadratic_form(x, y, A)
     if A.dim >= 3:
-        return conv * q ** ((2.0 - A.dim) / 2.0)
-    return conv * (-0.5) * np.log(q)
+        return q ** ((2.0 - A.dim) / 2.0)
+    return -0.5 * np.log(q)
 
 
-def fundamental_grad_H_general(x, y, A: MatrixField, conv: float = 1.0):
+def fundamental_grad_H_general(x, y, A: MatrixField):
     """grad H(., y) at x through the general quadratic form."""
     n = A.dim
     w, q = _general_quadratic_form(x, y, A)
     if n >= 3:
-        return conv * (2.0 - n) * q[..., None] ** (-n / 2.0) * w
-    return conv * (-w) / q[..., None]
+        return (2.0 - n) * q[..., None] ** (-n / 2.0) * w
+    return -w / q[..., None]
 
 
 def base_bump(shape: str = "symmetric"):
@@ -309,8 +309,7 @@ def mollifier_gap(cut: CutoffSet, f) -> float:
     return abs(moment(cut, f) - f(cut.t0))
 
 
-def grad_h_energy_fine(y, A: MatrixField, dim: int, N: int, conv: float = 1.0,
-                       chunk: int = 64) -> float:
+def grad_h_energy_fine(y, A: MatrixField, dim: int, N: int, chunk: int = 64) -> float:
     """Fine-resolution energy quadrature, streamed in slabs along axis 0.
 
     Used as the independent oracle for the tau-scaling experiments, where
@@ -330,7 +329,7 @@ def grad_h_energy_fine(y, A: MatrixField, dim: int, N: int, conv: float = 1.0,
         pts[..., 0] = ax[lo:hi].reshape((-1,) + (1,) * (dim - 1))
         for a in range(1, dim):
             pts[..., a] = tang[a - 1]
-        G = fundamental_grad_H(pts, y, A, conv=conv)
+        G = fundamental_grad_H(pts, y, A)
         quad = np.einsum("...i,ij,...j->...", G, A.A, G)
         sel = slice(start - lo, start - lo + (stop - start))
         block = quad[sel] * Wt
@@ -373,13 +372,13 @@ def h_norms_oracle(tau: float, dim: int, n_nodes: int = 192) -> dict:
     return {"l2_H_sq": l2, "energy": en}
 
 
-def l2_norms_H(y, A: MatrixField, dim: int, N: int, conv: float = 1.0):
+def l2_norms_H(y, A: MatrixField, dim: int, N: int):
     """(||H||_L2(Omega), ||grad H||_L2(Omega)) by fine trapezoid quadrature."""
     h = 1.0 / N
     ax = np.linspace(0.0, 1.0, N + 1)
     pts = np.stack(np.meshgrid(*([ax] * dim), indexing="ij"), axis=-1)
-    H = fundamental_H(pts, y, A, conv=conv)
-    G = fundamental_grad_H(pts, y, A, conv=conv)
+    H = fundamental_H(pts, y, A)
+    G = fundamental_grad_H(pts, y, A)
     W = trapezoid_weights(H.shape, h)
     return (math.sqrt(float((H ** 2 * W).sum())),
             math.sqrt(float(((G ** 2).sum(axis=-1) * W).sum())))

@@ -12,7 +12,7 @@ import pytest
 
 from dnprobe import cli
 from dnprobe.cli import main
-from dnprobe.config import load_config
+from dnprobe.config import ConfigError, load_config
 from dnprobe.pde import SpaceTimeField
 from dnprobe.reconstruct import recover_gamma_point, recover_rho_point
 
@@ -407,8 +407,8 @@ def test_rho_plateau_that_cannot_cover_the_bump_exits_2(tmp_path, capsys):
 
 
 def test_forward_checks_the_probe_it_solves_with(tmp_path, capsys):
-    # forward drives the gamma probe at min(tau_list); with a rho kind it
-    # runs on zero data, and with --mms on manufactured data: no probe
+    # forward drives the gamma probe at min(tau_list) and refuses a rho
+    # kind; with --mms it runs on manufactured data: no probe
     text = GAMMA_CFG.replace("tau_list = 0.2,0.15,0.125", "tau_list = 0.2,0.1")
     _exits_2_naming(tmp_path, capsys, text, "forward", "tau_resolution")
     p = tmp_path / "exp.ini"
@@ -416,7 +416,22 @@ def test_forward_checks_the_probe_it_solves_with(tmp_path, capsys):
     assert cli._probe_plan(load_config(str(p)), _args("forward", mms=True)) is None
     p.write_text(text.replace("[probe]\n", "[probe]\nkind = rho\n")
                  .format(out=tmp_path / "out"))
-    assert cli._probe_plan(load_config(str(p)), _args("forward")) is None
+    with pytest.raises(ConfigError, match="forward_kind fails"):
+        cli._probe_plan(load_config(str(p)), _args("forward"))
+    assert cli._probe_plan(load_config(str(p)), _args("forward", mms=True)) is None
+
+
+@pytest.mark.parametrize("text, predicate", [
+    (_set("[probe]\n", "[probe]\nkind = rho\n"), "forward_kind"),
+    (_set("tau_list = 0.2,0.15,0.125", "tau_list ="), "probe_tau"),
+], ids=["rho-kind", "no-tau"])
+def test_forward_without_a_gamma_probe_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                                text, predicate):
+    # a datum of no probe would solve zero data and write an all-zero flux
+    solved = []
+    monkeypatch.setattr(cli, "solve_forward", lambda *args, **kwargs: solved.append(args))
+    _exits_2_naming(tmp_path, capsys, text, "forward", predicate)
+    assert solved == []
 
 
 # --- malformed and out-of-set config values ------------------------------------
@@ -447,14 +462,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, text, named):
     ("probe-gamma", _set("[grid]\n", "[grid]\ndim = 3\n",
                          _set("dict_size = 2", "dict_size = 2\nkind = spectral")),
      "unknown key 'kind' in section [norms]"),
+    # the constant of H cancels in every estimate: no key sets it
+    ("probe-gamma", _set("[probe]\n", "[probe]\nconv = 10\n"),
+     "unknown key 'conv' in section [probe]"),
     ("stability", _set("dict_size = 2", "dict_size = 0"), "dict_size"),
     ("linearize-check", _set("k_list = 4,8", "k_list = 0"), "k_list"),
     ("stability", _set("eps_list = 0.02,0.04", "eps_list ="), "eps_sweep fails"),
     ("stability", _set("eps_list = 0.02,0.04", "eps_list = -0.01,-0.02,-0.04"),
      "eps_sweep fails"),
     ("stability", _set("eps_list = 0.02,0.04", "eps_list = 0,-0.02,0.04"), "eps_sweep fails"),
-], ids=["probe-kind", "a-rule", "shape", "norm-kind", "spectral-3d", "dict-size",
-        "k-list", "eps-list", "negative-eps", "one-negative-eps"])
+], ids=["probe-kind", "a-rule", "shape", "norm-kind", "spectral-3d", "probe-conv",
+        "dict-size", "k-list", "eps-list", "negative-eps", "one-negative-eps"])
 def test_value_outside_its_set_exits_2(tmp_path, capsys, command, text, named):
     p = tmp_path / "exp.ini"
     p.write_text(text.format(out=tmp_path / "out"))
@@ -492,9 +510,13 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, command, text, named
 
 
 @pytest.mark.parametrize("command", ["forward", "linearize-check", "probe-gamma", "stability"])
-@pytest.mark.parametrize("text, named", [(_set("h = 0.0625", "h = 0"), "h must be positive"),
-                                         (_set("dt = 0.0625", "dt = 0"), "dt must be positive")],
-                         ids=["h", "dt"])
+@pytest.mark.parametrize("text, named", [
+    (_set("h = 0.0625", "h = 0"), "h must be positive"),
+    (_set("dt = 0.0625", "dt = 0"), "dt must be positive"),
+    # not "dt does not divide T", which names the wrong key
+    (_set("[grid]\n", "[grid]\nt_final = 0\n"), "t_final must be positive"),
+    (_set("[grid]\n", "[grid]\nt_final = -1\n"), "t_final must be positive"),
+], ids=["h", "dt", "t_final-0", "t_final-negative"])
 def test_zero_grid_step_exits_2_by_name(tmp_path, capsys, command, text, named):
     p = tmp_path / "exp.ini"
     p.write_text(text.format(out=tmp_path / "out"))
@@ -522,15 +544,6 @@ def test_non_positive_floor_exits_2_before_any_solve(tmp_path, capsys, floor):
                  .format(out=tmp_path / "out"))
     assert main(["forward", "-c", str(p)]) == 2
     assert f"[material] m_floor = {floor} must be positive" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_zero_convention_constant_exits_2_before_any_solve(tmp_path, capsys):
-    # conv = 0 zeroes every singular field, and the energies it divides by
-    p = tmp_path / "exp.ini"
-    p.write_text(_set("[probe]\n", "[probe]\nconv = 0\n").format(out=tmp_path / "out"))
-    assert main(["probe-gamma", "-c", str(p)]) == 2
-    assert "[probe] conv = 0 must be nonzero" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -808,14 +821,12 @@ def test_rho_pair_without_interior_maximum_exits_2(tmp_path, capsys):
 
 
 def test_interior_max_is_checked_on_the_rho_probes_a_command_builds(tmp_path, capsys):
-    # [probe] kind picks only forward's datum: probe-rho builds rho probes
-    # whatever it says, and forward with kind = rho builds none
+    # [probe] kind picks no probe: probe-rho builds rho probes whatever it
+    # says, and forward refuses kind = rho before building any
     text = _set(_RHO1_TRIG, _RHO1_RISING, RHO3D_SMALL)
     defaults = _set("kind = rho\n", "", _set("perturb_target = rho\n", "", text))
     _exits_2_naming(tmp_path, capsys, defaults, "probe-rho", "interior_max")
-    p = tmp_path / "exp.ini"
-    p.write_text(text.format(out=tmp_path / "out"))
-    assert main(["forward", "-c", str(p)]) == 0
+    _exits_2_naming(tmp_path, capsys, text, "forward", "forward_kind")
 
 
 @pytest.mark.parametrize("text", [GAMMA_CFG, RHO3D_SMALL], ids=["gamma", "rho"])

@@ -223,11 +223,12 @@ def test_weak_pairing_matches_surface_pairing():
 
 
 def test_norm_kinds():
-    # the grid's dimension chooses the norm, and the flag names it
-    g2 = _grid()
-    assert BoundaryNorm(g2).flag == norm_flag(2) == "spectral-half"
-    g3 = build_grid(3, 1 / 8, 1 / 8, 1.0)
-    assert BoundaryNorm(g3).flag == norm_flag(3) == "L2"
+    # the grid's dimension chooses the norm, and norm_flag names it: the
+    # 3D norm is flux_l2_st, the 2D spectral one is not
+    for g, flag in ((_FACES_2D[0], "spectral-half"), (_FACES_3D[0], "L2")):
+        datum = _face_data(g, 0)[-1]
+        assert norm_flag(g.dim) == flag
+        assert (BoundaryNorm(g).half(datum) == flux_l2_st(datum, g)) == (flag == "L2")
 
 
 @given(c=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),

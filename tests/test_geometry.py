@@ -28,13 +28,23 @@ def test_nondividing_h_rejected():
         build_grid(2, 0.3, 0.25, 1.0)
 
 
-@pytest.mark.parametrize("h, dt, named", [(0.0, 1 / 32, "h must be positive"),
-                                           (-1 / 32, 1 / 32, "h must be positive"),
-                                           (1 / 32, 0.0, "dt must be positive"),
-                                           (1 / 32, -1 / 32, "dt must be positive")])
-def test_non_positive_step_rejected_by_name(h, dt, named):
+def _non_positive(h, dt, T, name):
+    """A case of a step or T that is not positive; its id shows T when
+    it is not the default 1.0."""
+    named = f"{name} must be positive"
+    shown = (h, dt, named) if T == 1.0 else (h, dt, T, named)
+    return pytest.param(h, dt, T, named, id="-".join(map(str, shown)))
+
+
+@pytest.mark.parametrize("h, dt, T, named", [_non_positive(0.0, 1 / 32, 1.0, "h"),
+                                              _non_positive(-1 / 32, 1 / 32, 1.0, "h"),
+                                              _non_positive(1 / 32, 0.0, 1.0, "dt"),
+                                              _non_positive(1 / 32, -1 / 32, 1.0, "dt"),
+                                              _non_positive(1 / 32, 1 / 32, 0.0, "t_final"),
+                                              _non_positive(1 / 32, 1 / 32, -1.0, "t_final")])
+def test_non_positive_step_rejected_by_name(h, dt, T, named):
     with pytest.raises(GridError, match=named):
-        build_grid(2, h, dt, 1.0)
+        build_grid(2, h, dt, T)
 
 
 def test_patch_corner_rejected():

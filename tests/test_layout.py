@@ -8,7 +8,8 @@ site in src, demos/ or tests/.  Each "<predicate> fails" message of a
 hypothesis check is raised at one site, and a package error class is
 caught only where a failure becomes an exit code (cli.main) or a
 per-datum result (pde.solve_forward).  Every key config accepts is read
-in config.py outside its schema tables.  scipy appears in the package only
+in config.py outside its schema tables, and every attribute the config
+sets is read (cfg.name, or self.name in config.py).  scipy appears in the package only
 where the Newton stall fallback factorizes a Jacobian, and no module
 forms an explicit inverse with numpy.linalg.inv: a linear system is
 factored and solved.  Importing the package builds no array that a
@@ -308,3 +309,25 @@ def test_every_config_key_is_read_outside_the_schema_tables():
     unread = sorted(f"[{s}] {k}" for s, keys in schema.items() for k in keys
                     if (s, k) not in read)
     assert unread == [], f"config keys accepted but never read: {unread}"
+
+
+def test_every_config_attribute_is_read_outside_its_assignment():
+    # a key read into an attribute that nothing reads is an option accepted
+    # and ignored, as an unread key is; a read is cfg.name anywhere in the
+    # package, or self.name in config.py
+    modules = _modules()
+    [cls] = [stmt for stmt in modules["config"].body
+             if isinstance(stmt, ast.ClassDef) and stmt.name == "ExperimentConfig"]
+    [init] = [fn for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+
+    def owner(node):
+        return getattr(node.value, "id", None)
+
+    assigned = {node.attr for node in ast.walk(init) if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store) and owner(node) == "self"}
+    assert assigned, "ExperimentConfig.__init__ sets no attributes"
+    read = {node.attr for mod, tree in modules.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and (owner(node) == "cfg" or (mod == "config" and owner(node) == "self"))}
+    unread = sorted(assigned - read)
+    assert unread == [], f"config attributes set but never read: {unread}"

@@ -289,7 +289,7 @@ def test_stability_rho_holder_bound():
     assert all(r.ok for r in table.rows)
     assert table.holder_ok
     assert table.holder_constant > 0.0
-    assert table.norm_flag == "L2"
+    assert dnmap.norm_flag(g.dim) == "L2"
     assert table.target == "rho"  # the probe's kind
 
 

@@ -23,8 +23,8 @@ A2 = make_matrix(np.eye(2))
 A3 = make_matrix(np.eye(3))
 
 
-def fundamental_dj_H(x, y, A: MatrixField, j: int, conv: float = 1.0):
-    return fundamental_grad_H(x, y, A, conv)[..., j]
+def fundamental_dj_H(x, y, A: MatrixField, j: int):
+    return fundamental_grad_H(x, y, A)[..., j]
 
 
 # --- fundamental solution ---------------------------------------------------
@@ -40,12 +40,6 @@ def test_h_2d_reference_value():
     # log kernel vanishes on the unit circle
     assert fundamental_H([1.0, 0.0], [0.0, 0.0], A2) == pytest.approx(0.0)
     assert fundamental_H([0.0, math.e], [0.0, 0.0], A2) == pytest.approx(-1.0)
-
-
-def test_h_conv_scaling():
-    x, y = [0.3, 0.2, 0.9], [0.0, -0.1, 0.0]
-    assert fundamental_H(x, y, A3, conv=10.0) == pytest.approx(
-        10.0 * fundamental_H(x, y, A3))
 
 
 def test_h_pole_rejected():
@@ -78,9 +72,8 @@ def test_h_and_grad_h_match_the_general_quadratic_form_property(dim, diag, pole,
     y = np.array(pole[:dim])
     y[0] = -dist  # outside the unit box, across its left face
     x = np.random.default_rng(seed).random((40, dim))
-    for got, ref in ((fundamental_H(x, y, A, conv=1.7), fundamental_H_general(x, y, A, conv=1.7)),
-                     (fundamental_grad_H(x, y, A, conv=1.7),
-                      fundamental_grad_H_general(x, y, A, conv=1.7))):
+    for got, ref in ((fundamental_H(x, y, A), fundamental_H_general(x, y, A)),
+                     (fundamental_grad_H(x, y, A), fundamental_grad_H_general(x, y, A))):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
