@@ -9,13 +9,16 @@ admissible.  What the probes of a subcommand need, such as a rho
 difference that peaks inside (0, T), is checked on its probe plan (cli)
 by reconstruct.check_probes.  No key chooses the boundary norm: the
 grid's dimension does (dnmap.BoundaryNorm).  The resolved configuration is
-hashed (sha256 of the canonical key=value dump) and the hash is embedded
-in every output file a run produces.
+hashed and the hash is embedded in every output file a run produces: the
+CRC-32 and the Adler-32 (zlib) of the canonical key=value dump, 8 hex
+digits each.  The hash names a config in output metadata and is compared
+for equality only; it guards no security property, so no cryptographic
+hash (and no OpenSSL) is loaded for it.
 """
 
 import configparser
-import hashlib
 import math
+import zlib
 
 import numpy as np
 
@@ -192,8 +195,8 @@ class ExperimentConfig:
     @property
     def hash(self) -> str:
         blob = "\n".join(f"{s}.{k}={self.raw[s][k]}"
-                         for s in sorted(self.raw) for k in sorted(self.raw[s]))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+                         for s in sorted(self.raw) for k in sorted(self.raw[s])).encode()
+        return f"{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}"
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -31,7 +31,10 @@ patch columns only.  The linearization check advances its data g/k for
 all k in one stacked pde.solve_forward whose keep is level_flux: the
 nonlinear flux of each level as it converges, so no solution history is
 formed; the stencil the flux reads (node planes and support mask) is
-built once per solve, not per level.
+built once per solve, not per level.  The random dictionary draws the
+numbers of numpy.random.default_rng(seed) from a PCG64 stream of its own
+(_PCG64), so numpy.random, with the hashlib and secrets it imports, is
+not loaded for its few draws.
 """
 
 import math
@@ -39,7 +42,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from numpy.fft import fft, fftfreq, irfft, rfft, rfftfreq
-from numpy.random import default_rng
 
 from .geometry import Grid, trapezoid_weights
 from .material import MaterialLaw, MatrixField
@@ -396,15 +398,104 @@ def patch_linear_flux(laws, A: MatrixField, grid: Grid, lam: float, data: list):
     return map(flux, entries)
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hashmix(const: int, mult: int):
+    """numpy SeedSequence's 32-bit hash, whose constant starts at const and
+    is multiplied by mult at each call."""
+    state = [const]
+
+    def hashmix(value):
+        value ^= state[0]
+        state[0] = state[0] * mult & _M32
+        value = value * state[0] & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_words(seed: int) -> list:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64): the 32-bit
+    words of seed, least significant first, hashed into a pool of 4 words;
+    8 words drawn from the pool, paired low word first."""
+    entropy = [seed >> 32 * i & _M32 for i in range((seed.bit_length() + 31) // 32 or 1)]
+    # numpy's INIT_A, MULT_A; MIX_MULT_L, MIX_MULT_R; INIT_B, MULT_B
+    mix_in = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [mix_in(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], mix_in(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], mix_in(word))
+    draw = _hashmix(0x8B51F9DD, 0x58F38DED)
+    out = [draw(pool[i % 4]) for i in range(8)]
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _PCG64:
+    """The stream of numpy.random.default_rng(seed), for the draws the
+    dictionary makes: PCG64 (O'Neill, HMC-CS-2014-0905), a 128-bit LCG
+    whose XSL-RR output is taken after each step, seeded by the
+    SeedSequence words (w0 w1 the state, w2 w3 the increment, high word
+    first) through the srandom routine."""
+
+    MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        w = _seed_words(seed)
+        self.inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+        self.state = ((self.inc + (w[0] << 64 | w[1])) * self.MULT + self.inc) & _M128
+        self.half = None  # the kept high half of a 64-bit output
+
+    def next64(self) -> int:
+        self.state = (self.state * self.MULT + self.inc) & _M128
+        x, rot = (self.state >> 64 ^ self.state) & _M64, self.state >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def next32(self) -> int:
+        """The low half of a fresh 64-bit output, whose high half is the
+        next call's word."""
+        if self.half is not None:
+            x, self.half = self.half, None
+            return x
+        x = self.next64()
+        self.half = x >> 32
+        return x & _M32
+
+    def uniform(self, lo: float, hi: float, size: int = None):
+        """lo + (hi - lo) u, u the top 53 bits of a 64-bit output times
+        2^-53: a float, or an array of size draws."""
+        draws = [lo + (hi - lo) * ((self.next64() >> 11) * 2.0 ** -53)
+                 for _ in range(1 if size is None else size)]
+        return draws[0] if size is None else np.array(draws)
+
+    def integers(self, lo: int, hi: int) -> int:
+        """An integer in [lo, hi), 2 <= hi - lo <= 2^32, by Lemire's bounded
+        draw over 32-bit words (ACM TOMACS 29(1), 2019)."""
+        n = hi - lo
+        while True:
+            m = self.next32() * n
+            if (m & _M32) >= ((1 << 32) - n) % n:
+                return lo + (m >> 32)
+
+
 def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
     """Smooth random boundary data supported in S x (0,T).
 
     Space: Gaussian bump in the patch tangential coordinates, clipped by a
     smooth patch window; time: sine arch sin^2(pi k t / T), k in {1, 2, 3},
     vanishing at both endpoints.  Data of one k share their profile, so
-    they share their frozen solve.
+    they share their frozen solve.  The draws are those of
+    numpy.random.default_rng(seed), from _PCG64.
     """
-    rng = default_rng(seed)
+    rng = _PCG64(seed)
     smask = grid.patch_support_mask()
     ax = grid.axis_nodes()
     tang = np.meshgrid(*([ax] * (grid.dim - 1)), indexing="ij")

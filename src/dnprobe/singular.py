@@ -311,7 +311,8 @@ def a_tau_value(tau: float, kind: str, r: float = 0.25, a_rule: str = None) -> f
 
     The gamma default follows the calibration used in the stability
     analysis; it is deliberately weak, so experiments may force the power
-    rule via a_rule="power".
+    rule via a_rule="power".  The power rule needs r > 0: otherwise the
+    window 1/a_tau does not shrink as tau falls.
     """
     rule = a_rule or ("log" if kind == "gamma" else "power")
     if rule == "log":
@@ -319,6 +320,8 @@ def a_tau_value(tau: float, kind: str, r: float = 0.25, a_rule: str = None) -> f
             raise SingularError(f"a_tau_log fails: the log rule needs tau in (0, 1), tau={tau}")
         return abs(math.log(tau)) ** (1.0 / 16.0)
     if rule == "power":
+        if not r > 0.0:
+            raise SingularError(f"a_tau_power fails: the power rule needs r > 0, r = {r:g}")
         return tau ** (-r)
     raise SingularError(f"unknown a_tau rule {rule!r}")
 

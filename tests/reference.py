@@ -16,6 +16,9 @@ a quantity the pipeline computes another way, or an oracle for one:
   (weak_pairing), against surface_pairing of the patch flux;
 - (Lambda^1 - Lambda^2) g by two full-field frozen solves
   (lambda_difference_flux), against dnmap.patch_linear_flux;
+- the random dictionary drawn from numpy.random.default_rng
+  (bump_dictionary_numpy), against random_bump_dictionary and its
+  package PCG64 stream;
 - the boundary norms of data on all of dOmega, walked around the closed
   curve or summed over every boundary node (l2_sigma; boundary_half,
   boundary_dual), against BoundaryNorm of a face array;
@@ -43,11 +46,12 @@ from functools import reduce
 
 import numpy as np
 from numpy.fft import fft, rfft
+from numpy.random import default_rng
 
 from dnprobe.dnmap import BoundaryNorm, _closed_curve_samples, _FluxStencil, linear_flux
 from dnprobe.geometry import Grid, trapezoid_weights
 from dnprobe.material import MaterialLaw, MatrixField
-from dnprobe.pde import (BoundaryField, PDEError, SpaceTimeField, _flat_strides,
+from dnprobe.pde import (BoundaryField, PatchField, PDEError, SpaceTimeField, _flat_strides,
                          _frozen_setup, _frozen_step, box_spectrum, dirichlet_solve,
                          interior_mask, sine_rows, solve_linearized)
 from dnprobe.singular import (CutoffSet, SingularError, _bump_normalization,
@@ -190,6 +194,31 @@ def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
     w1 = solve_linearized(law1, A, grid, lam, g)
     w2 = solve_linearized(law2, A, grid, lam, g)
     return linear_flux(w1, law1, A, grid, lam) - linear_flux(w2, law2, A, grid, lam)
+
+
+def bump_dictionary_numpy(grid: Grid, count: int, seed: int) -> list:
+    """dnmap.random_bump_dictionary with its draws from
+    numpy.random.default_rng(seed), the generator the package's own PCG64
+    stream reproduces."""
+    rng = default_rng(seed)
+    smask = grid.patch_support_mask()
+    tang = np.meshgrid(*([grid.axis_nodes()] * (grid.dim - 1)), indexing="ij")
+    lo = np.array(grid.patch_lo) * grid.h
+    hi = np.array(grid.patch_hi) * grid.h
+    window = np.ones_like(tang[0])
+    for k in range(grid.dim - 1):
+        window = window * np.sin(np.pi * np.clip((tang[k] - lo[k]) / (hi[k] - lo[k]), 0, 1))
+    out = []
+    for _ in range(count):
+        c = lo + rng.uniform(0.25, 0.75, size=grid.dim - 1) * (hi - lo)
+        wdt = rng.uniform(0.1, 0.3) * (hi - lo).min()
+        r2 = sum((tang[k] - c[k]) ** 2 for k in range(grid.dim - 1))
+        space = np.exp(-r2 / (2 * wdt ** 2)) * window
+        space[~smask] = 0.0
+        prof = np.sin(np.pi * rng.integers(1, 4) * grid.times / grid.T) ** 2
+        prof[0] = prof[-1] = 0.0
+        out.append(PatchField(prof, space, grid))
+    return out
 
 
 def l2_sigma(values: np.ndarray, grid: Grid) -> float:

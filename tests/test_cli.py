@@ -391,6 +391,14 @@ def test_infeasible_probe_geometry_exits_2(tmp_path, capsys, command, text, pred
     _exits_2_naming(tmp_path, capsys, text, command, predicate)
 
 
+@pytest.mark.parametrize("r", ["0", "-0.1"])
+def test_power_rule_without_positive_r_exits_2(tmp_path, capsys, r):
+    # t0 = 1.5 of T = 3: the window 1/a_tau = tau^r fits inside (0, T), so
+    # only a_tau_power refuses it
+    text = _set("r = 0.5", f"r = {r}\nt0 = 1.5").replace("[grid]\n", "[grid]\nt_final = 3\n")
+    _exits_2_naming(tmp_path, capsys, text, "probe-gamma", "a_tau_power")
+
+
 def test_linearize_check_without_a_k_exits_2(tmp_path, capsys, monkeypatch):
     # an empty k_list would solve the probe and write a table of no rows
     import dnprobe.singular as singular

@@ -1,6 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
 from dnprobe.config import ConfigError, load_config
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 
 def _write(tmp_path, text):
@@ -58,6 +65,31 @@ def test_hash_is_stable_and_sensitive(tmp_path):
     assert c1.hash == c2.hash
     c3 = load_config(_write(tmp_path, "[grid]\nh = 0.0625\n"))
     assert c3.hash != c1.hash
+    # every key enters the hash: one changed value changes it
+    hashes = {c1.hash}
+    for values in c1.raw.values():
+        for key, value in values.items():
+            values[key] = value + "0"
+            hashes.add(c1.hash)
+            values[key] = value
+    assert len(hashes) == 1 + sum(map(len, c1.raw.values()))
+
+
+def test_hash_is_16_hex_digits_pinned_and_process_independent():
+    # CRC-32 then Adler-32 of the canonical dump: pinned for the demo
+    # config, so a change of algorithm or of the dump shows, and the same
+    # under any PYTHONHASHSEED (no dict or set order leaks into it)
+    demo = os.path.join(ROOT, "demos", "gamma.ini")
+    digest = load_config(demo).hash
+    assert re.fullmatch("[0-9a-f]{16}", digest)
+    assert digest == "ea2549dfa673def7"
+    code = f"from dnprobe.config import load_config; print(load_config({demo!r}).hash)"
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONHASHSEED=hash_seed)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == digest
 
 
 def test_law_family_perturbs_requested_target(tmp_path):

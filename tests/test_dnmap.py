@@ -18,9 +18,9 @@ from dnprobe.pde import (BoundaryField, PatchField, SpaceTimeField,
                          solve_forward, solve_linearized)
 from dnprobe.reconstruct import ProbeSpec, recover_rho_point
 from reference import (_face_conormal, boundary_dual, boundary_field_from_callable,
-                       boundary_from_face, boundary_half, constant_stiffness,
-                       lambda_difference_flux, lift_terminal_zero, solve_adjoint,
-                       weak_pairing)
+                       boundary_from_face, boundary_half, bump_dictionary_numpy,
+                       constant_stiffness, lambda_difference_flux, lift_terminal_zero,
+                       solve_adjoint, weak_pairing)
 from test_pde import _NO_SHRINK, _laws
 
 A2 = make_matrix(np.eye(2))
@@ -429,6 +429,34 @@ def test_dictionary_is_deterministic_and_supported():
         assert a.values.shape == (g.nt + 1,) + g.patch_support_mask().shape
         assert np.array_equal(a.values, b.values)
         assert np.abs(a.values[0]).max() == 0.0  # compatible at t=0
+
+
+@given(seed=st.integers(0, 2 ** 128), dim=st.sampled_from([2, 3]), count=st.integers(1, 16))
+@example(seed=2 ** 33 + 1, dim=3, count=16)
+@example(seed=10 ** 25, dim=2, count=16)
+@example(seed=2 ** 128, dim=3, count=16)
+@settings(max_examples=60, deadline=None)
+def test_dictionary_stream_is_numpys_default_rng(seed, dim, count):
+    # the draws of random_bump_dictionary, in its order: dim - 1 uniforms
+    # on (0.25, 0.75), one on (0.1, 0.3), then one integer in [1, 4), per
+    # datum; a seed of several 32-bit words included
+    ours, theirs = dnmap._PCG64(seed), np.random.default_rng(seed)
+    for _ in range(count):
+        a, b = ours.uniform(0.25, 0.75, size=dim - 1), theirs.uniform(0.25, 0.75, size=dim - 1)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert ours.uniform(0.1, 0.3) == theirs.uniform(0.1, 0.3)
+        assert ours.integers(1, 4) == theirs.integers(1, 4)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dictionary_is_numpys_bit_for_bit(dim):
+    # a datum's values are formed from its profile and face
+    g = build_grid(dim, 1 / 16, 1 / 16, 1.0)
+    factors = lambda data: [(d.profile.tobytes(), d.face.tobytes()) for d in data]
+    for seed in range(32):
+        for count in range(1, 17):
+            assert factors(random_bump_dictionary(g, count=count, seed=seed)) == \
+                factors(bump_dictionary_numpy(g, count, seed)), (seed, count)
 
 
 def _eta(pair, A, g, dictionary):

@@ -13,7 +13,8 @@ sets is read (cfg.name, or self.name in config.py).  scipy appears in the packag
 where the Newton stall fallback factorizes a Jacobian, and no module
 forms an explicit inverse with numpy.linalg.inv: a linear system is
 factored and solved.  Importing the package builds no array that a
-module keeps.
+module keeps, and its subcommands load neither numpy.random, hashlib,
+secrets nor scipy when no Newton step stalls.
 """
 
 import ast
@@ -269,6 +270,38 @@ def test_import_builds_no_arrays():
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == []
+
+
+# modules a command pays for in memory and start-up without needing them:
+# the dictionary draws its own stream, the config hash is zlib's, and a
+# law constant in s needs no sparse Jacobian
+UNNEEDED_MODULES = ("numpy.random", "hashlib", "_hashlib", "secrets", "scipy")
+
+
+def test_commands_load_no_unneeded_module(tmp_path):
+    # in a fresh interpreter, since pytest and hypothesis load hashlib
+    # themselves: every subcommand of a small 2D config whose laws are
+    # constant in s, and probe-rho on a small 3D one
+    from test_cli import GAMMA_CFG, RHO3D_SMALL
+    argv = []
+    for name, text, commands in (
+            ("gamma", GAMMA_CFG, ["forward", "linearize-check", "probe-gamma", "stability"]),
+            ("rho", RHO3D_SMALL, ["probe-rho"])):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text.format(out=tmp_path / "out"))
+        argv += [[command, "-c", str(path)] for command in commands]
+    code = f"""if True:
+        import sys
+        from dnprobe.cli import main
+        codes = [main(argv) for argv in {argv!r}]
+        loaded = [m for m in {UNNEEDED_MODULES!r} if m in sys.modules]
+        print("exits", *codes, "loaded", *loaded)
+        """
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "exits 0 0 0 0 0 loaded"
 
 
 def test_every_config_key_is_read_outside_the_schema_tables():

@@ -346,6 +346,15 @@ def test_a_tau_rejects_bad_rule():
         a_tau_value(0.1, "gamma", a_rule="cubic")
 
 
+@pytest.mark.parametrize("kind, a_rule", [("gamma", "power"), ("rho", None)])
+@pytest.mark.parametrize("r", [0.0, -0.1])
+def test_a_tau_power_needs_positive_r(kind, a_rule, r):
+    # a_tau = tau^-r with r <= 0: the window 1/a_tau does not shrink as tau
+    # falls, or it widens
+    with pytest.raises(SingularError, match=f"a_tau_power fails: .* r > 0, r = {r:g}$"):
+        a_tau_value(0.1, kind, r=r, a_rule=a_rule)
+
+
 def test_phi_tau_is_l2_normalized_in_time():
     g = build_grid(2, 1 / 16, 1 / 256, 1.0)
     cut = make_cutoffs(0.5, 0.05, "gamma", g, a_rule="power", r=0.5)
