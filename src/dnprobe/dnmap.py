@@ -128,7 +128,7 @@ def surface_pairing(flux: np.ndarray, h: np.ndarray, grid: Grid) -> float:
     """int_{S x (0,T)} flux * h dsigma dt by trapezoid quadrature, both
     (nt+1, *face_shape) face arrays."""
     W = trapezoid_weights(flux.shape[1:], grid.h)
-    wt = trapezoid_weights(grid.times.shape, grid.dt)
+    wt = trapezoid_weights((grid.nt + 1,), grid.dt)
     per_level = (flux * h * W).reshape(grid.nt + 1, -1).sum(axis=1)
     return float((per_level * wt).sum())
 
@@ -325,10 +325,9 @@ def _recurrence_rows(data, n_tang: int):
 
 def patch_linear_flux(laws, A: MatrixField, grid: Grid, lam: float, data: list):
     """Lambda g on S for each entry of laws and each PatchField g of data:
-    an iterator over the entries, in order, of
-    (len(data), nt+1, *face_shape) flux values, zero off S, row b for
-    data[b].  An entry is a law, or a pair (law1, law2) giving
-    (Lambda^1 - Lambda^2) g.
+    an iterator over the entries, in order, each an iterator over data in
+    order of the datum's (nt+1, *face_shape) flux values, zero off S.  An
+    entry is a law, or a pair (law1, law2) giving (Lambda^1 - Lambda^2) g.
 
     Same numbers as linear_flux of solve_linearized on g as Dirichlet data
     on all of dOmega, but solved in the sine basis of the interior box,
@@ -348,12 +347,12 @@ def patch_linear_flux(laws, A: MatrixField, grid: Grid, lam: float, data: list):
     response (_planes_by_convolution; the paths differ by rounding only),
     and the other laws are stepped level by level together
     (_planes_by_steps).  An entry is a signed list of laws, [+law] or
-    [+law1, -law2]; its flux gamma a_dd (-inward), inward = (-3 g +
-    (4 P_0 - P_1)) / (2h), is formed in mode space in one pass over the
-    data, -a_dd / (2h) [sum +-gam_i (-3 g) + D(sum +-gam_i rows_i)], D one
-    inverse DST per datum.  The iterator holds the mode-space rows and
-    forms an entry when it is reached: a caller that drops each entry's
-    values before taking the next holds one flux at a time.
+    [+law1, -law2]; a datum's flux gamma a_dd (-inward), inward = (-3 g +
+    (4 P_0 - P_1)) / (2h), is formed in mode space, -a_dd / (2h) [sum
+    +-gam_i (-3 g) + D(sum +-gam_i rows_i)], D one inverse DST.  The
+    iterators hold the mode-space rows and form a datum's flux, from its
+    product profile x face, when it is reached: a caller that drops each
+    flux before taking the next holds one datum's flux at a time.
     """
     d, side = grid.patch_axis, grid.patch_side
     for g in data:
@@ -383,19 +382,21 @@ def patch_linear_flux(laws, A: MatrixField, grid: Grid, lam: float, data: list):
                 rows[i] = near
     modes = dst1(np.stack([g.face[inner] for g in data]), basis)
     gam = gam.reshape(gam.shape + (1,) * (grid.dim - 1))  # levels against faces and modes
+    off = ~grid.patch_support_mask()
 
-    def flux(entry):
+    def fluxes(entry):
         terms = [(s * gam[i], rows[i]) for s, i in zip((1.0, -1.0), map(distinct.index, entry))]
-        out = np.stack([g.values for g in data])  # (len(data), nt+1, *face_shape)
-        out[:, 0] = 0.0  # as solve_linearized's w(0) = 0
-        out *= -3.0 * sum(c for c, _ in terms)
-        for o, j, m in zip(out, row_of, modes):
-            o[inner] += dst1(sum(c * near[j] for c, near in terms) * m, basis)
-        out *= -a_dd / (2.0 * h)
-        out[:, :, ~grid.patch_support_mask()] = 0.0
-        return out
+        scale = -3.0 * sum(c for c, _ in terms)
+        for g, j, m in zip(data, row_of, modes):
+            out = np.multiply.outer(g.profile, g.face)  # g.values but off S, zeroed below
+            out[0] = 0.0  # as solve_linearized's w(0) = 0
+            out *= scale
+            out[inner] += dst1(sum(c * near[j] for c, near in terms) * m, basis)
+            out *= -a_dd / (2.0 * h)
+            out[:, off] = 0.0
+            yield out
 
-    return map(flux, entries)
+    return map(fluxes, entries)
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -523,8 +524,10 @@ def random_bump_dictionary(grid: Grid, count: int = 16, seed: int = 0) -> list:
 def eta_surrogate(diffs, half_norms, norm: BoundaryNorm) -> float:
     """Dictionary maximum of ||(Lambda^1-Lambda^2) g||_dual / ||g||_half.
 
-    diffs holds (Lambda^1 - Lambda^2) g of each dictionary datum g (two
-    laws' patch_linear_flux rows) and half_norms holds norm.half(g.values).  A
+    diffs yields (Lambda^1 - Lambda^2) g of each dictionary datum g in
+    order (the data of a pair's patch_linear_flux entry), each measured and
+    dropped before the next is taken, and half_norms holds
+    norm.half(g.values); diffs is read for as many data as half_norms has.  A
     lower bound of the operator norm; acceptance fits use it on both sides
     of every relation, so the bias is consistent.
 

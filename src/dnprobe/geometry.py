@@ -210,6 +210,8 @@ def build_grid(dim, h, dt, T, patch_face="left", patch_interval=None, pad=8) -> 
         raise GridError("patch_interval needs one (lo, hi) pair per tangential axis")
     los, his = [], []
     for lo, hi in patch_interval:
+        if lo >= hi:
+            raise GridError(f"patch interval ({lo}, {hi}) needs lo < hi")
         ilo, ihi = round(lo / h), round(hi / h)
         if abs(ilo * h - lo) > 1e-9 or abs(ihi * h - hi) > 1e-9:
             raise GridError(f"patch interval ({lo}, {hi}) is not node-aligned")

@@ -71,10 +71,11 @@ residual check.
 
 Data on the measurement patch S x (0, T) -- the probes and the
 dictionary -- are PatchFields: a time profile over grid.times times a
-face array, zero off S, with their product as values.  That is the one
-form patch data take, and dnmap.patch_linear_flux solves the frozen
-problem once per distinct profile.  Fluxes and their differences are
-plain (nt+1, *face_shape) face arrays.  The full-field frozen solves take
+face array, zero off S.  Only the two factors are stored; their product,
+the values, is formed when it is read.  That is the one form patch data
+take, and dnmap.patch_linear_flux solves the frozen problem once per
+distinct profile.  Fluxes and their differences are plain (nt+1,
+*face_shape) face arrays.  The full-field frozen solves take
 BoundaryField node arrays on all of dOmega; solve_forward takes either
 kind and writes one level of the data at a time onto its iterate
 (dirichlet_level), so patch data never become histories on all of
@@ -95,7 +96,7 @@ studies.
 """
 
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,8 +144,9 @@ class _TimeLevels:
 
     def check_compatible(self):
         """The data vanish at t = 0, to 1e-12 of max(1, their peak)."""
-        scale = max(1.0, np.abs(self.values).max())
-        if np.abs(self.values[0]).max() > 1e-12 * scale:
+        values = self.values
+        scale = max(1.0, np.abs(values).max())
+        if np.abs(values[0]).max() > 1e-12 * scale:
             raise PDEError("boundary data must vanish at t=0")
 
 
@@ -176,16 +178,15 @@ class PatchField(_TimeLevels):
     zero off S: the probes and the dictionary.
 
     profile holds the values at grid.times, (nt+1,), and face is a
-    face_shape array whose values off S are dropped.  values, (nt+1,
-    *face_shape), is their product, formed once here, so the factors and
-    the values cannot disagree.  A factor of another shape raises
-    PDEError.
+    face_shape array whose values off S are dropped.  Only the two factors
+    are stored; values, (nt+1, *face_shape), is their product, formed on
+    each read and zero off S, and dirichlet_level forms one level of it.
+    A factor of another shape raises PDEError.
     """
 
     profile: np.ndarray
     face: np.ndarray
     grid: Grid
-    values: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = self.grid.patch_support_mask()
@@ -196,18 +197,26 @@ class PatchField(_TimeLevels):
         if np.shape(self.face) != support.shape:
             raise PDEError(f"patch face needs shape {support.shape}, not {np.shape(self.face)}")
         self.face = np.where(support, self.face, 0.0)
-        self.values = np.zeros((self.grid.nt + 1,) + support.shape)
-        self.values[:, support] = self.profile[:, None] * self.face[support][None, :]
+        self._off = ~support
+
+    @property
+    def values(self) -> np.ndarray:
+        """profile times face, +0.0 off S: face is zero there, but a
+        negative level times 0.0 is -0.0, so those nodes are zeroed."""
+        out = np.multiply.outer(self.profile, self.face)
+        out[:, self._off] = 0.0
+        return out
 
     def dirichlet_level(self, m: int, lam: float, out: np.ndarray):
-        """Write lam + the data of level m onto the patch face of the node
-        array out, with no history on all of dOmega formed.  The data
+        """Write lam + profile[m] * face onto the patch face of the node
+        array out, with no history on all of dOmega formed; off S that is
+        lam + (+-0.0), lam + values[m] for every lam but -0.0.  The data
         vanish on the rest of dOmega, whose nodes of out must hold lam
         already (solve_forward's iterate does from its start); those and
         the interior nodes are left as they are."""
         grid = self.grid
         face = grid.face_node_selector(grid.patch_axis, grid.patch_side)
-        np.add(lam, self.values[m], out=out[face])
+        np.add(lam, self.profile[m] * self.face, out=out[face])
 
 
 def interior_mask(grid: Grid):

@@ -22,6 +22,7 @@ raises, by the name of its predicate where it has one.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -378,8 +379,9 @@ def stability_experiment(checked: CheckedProbes, family, dict_seed: int = 0,
     BoundaryNorm, its true difference is the largest of the target
     difference its check formed, and its recovered value is read at the
     probe.  One patch_linear_flux call on the dictionary and probe data
-    takes every row's pair, so each distinct law is solved once, and forms
-    one row's difference at a time, dropped before the next is formed.
+    takes every row's pair, so each distinct law is solved once, and a row
+    reads its difference one datum's flux at a time: the dictionary's
+    first, to eta_surrogate, then the probe's, to the pairings.
     For the gamma target the table gets a log-log slope of true
     difference vs eta; for rho a one-sided check of diff <= C *
     eta^{1/9} with C calibrated at the largest eps.
@@ -403,11 +405,10 @@ def stability_experiment(checked: CheckedProbes, family, dict_seed: int = 0,
             rows.append(StabilityRow(eps=0.0, eta=0.0, true_diff=0.0, recovered=0.0,
                                      why="zero row excluded from fits"))
             continue
-        diff = next(diffs)  # (Lambda^1 - Lambda^2) g of the row's pair
-        rows.append(StabilityRow(eps=eps, eta=eta_surrogate(diff[:n], half_norms, norm),
+        diff = next(diffs)  # (Lambda^1 - Lambda^2) g of the row's pair, datum by datum
+        rows.append(StabilityRow(eps=eps, eta=eta_surrogate(islice(diff, n), half_norms, norm),
                                  true_diff=next(true_diffs),
-                                 recovered=_estimates(built, diff[n:], grid)[0]))
-        diff = None  # dropped before the next row's difference is formed
+                                 recovered=_estimates(built, diff, grid)[0]))
     good = [r for r in rows if r.eps > 0.0]
     table = StabilityTable(target=target, rows=rows)
     if len(good) >= 2 and target == "gamma":

@@ -16,6 +16,11 @@ a quantity the pipeline computes another way, or an oracle for one:
   (weak_pairing), against surface_pairing of the patch flux;
 - (Lambda^1 - Lambda^2) g by two full-field frozen solves
   (lambda_difference_flux), against dnmap.patch_linear_flux;
+- a PatchField's values formed on S only, by boolean indexing into
+  zeros (values_on_support), and the patch fluxes of an entry stacked over all
+  its data from them (patch_linear_flux_stacked): the bytes the product a
+  PatchField forms on each read, its dirichlet_level and the per-datum
+  fluxes of dnmap.patch_linear_flux must equal;
 - the random dictionary drawn from numpy.random.default_rng
   (bump_dictionary_numpy), against random_bump_dictionary and its
   package PCG64 stream;
@@ -48,11 +53,13 @@ import numpy as np
 from numpy.fft import fft, rfft
 from numpy.random import default_rng
 
-from dnprobe.dnmap import BoundaryNorm, _closed_curve_samples, _FluxStencil, linear_flux
+from dnprobe.dnmap import (BoundaryNorm, _closed_curve_samples, _FluxStencil,
+                           _planes_by_convolution, _planes_by_steps, _recurrence_rows,
+                           linear_flux)
 from dnprobe.geometry import Grid, trapezoid_weights
 from dnprobe.material import MaterialLaw, MatrixField
 from dnprobe.pde import (BoundaryField, PatchField, PDEError, SpaceTimeField, _flat_strides,
-                         _frozen_setup, _frozen_step, box_spectrum, dirichlet_solve,
+                         _frozen_setup, _frozen_step, box_spectrum, dirichlet_solve, dst1,
                          interior_mask, sine_rows, solve_linearized)
 from dnprobe.singular import (CutoffSet, SingularError, _bump_normalization,
                               _diag_patch_first, _omega_prime_residual, _raw_bump, _s_lattice,
@@ -194,6 +201,58 @@ def lambda_difference_flux(law_pair, A: MatrixField, grid: Grid, lam: float,
     w1 = solve_linearized(law1, A, grid, lam, g)
     w2 = solve_linearized(law2, A, grid, lam, g)
     return linear_flux(w1, law1, A, grid, lam) - linear_flux(w2, law2, A, grid, lam)
+
+
+def values_on_support(datum: PatchField) -> np.ndarray:
+    """The (nt+1, *face_shape) values of a PatchField formed on S only:
+    zeros, then profile times face on the support by boolean indexing."""
+    support = datum.grid.patch_support_mask()
+    values = np.zeros((datum.grid.nt + 1,) + support.shape)
+    values[:, support] = datum.profile[:, None] * datum.face[support][None, :]
+    return values
+
+
+def patch_linear_flux_stacked(laws, A: MatrixField, grid: Grid, lam: float,
+                              data: list) -> list:
+    """dnmap.patch_linear_flux with each entry formed at once: the
+    (len(data), nt+1, *face_shape) stack of its data's fluxes, from the
+    stack of their values_on_support, by the same mode-space rows."""
+    d, side = grid.patch_axis, grid.patch_side
+    src, row_of = _recurrence_rows(data, grid.dim - 1)
+    entries = [entry if isinstance(entry, tuple) else (entry,) for entry in laws]
+    distinct = list(dict.fromkeys(law for entry in entries for law in entry))
+    eig, basis, gam, rho = _frozen_setup(distinct, A, grid, lam)
+    basis = [basis[e] for e in grid.tangential_axes]
+    N, h, a_dd = grid.n_cells, grid.h, A.A[d, d]
+    inner = (Ellipsis,) + (slice(1, -1),) * (grid.dim - 1)
+    eig = np.moveaxis(eig, d, 0)
+    k = np.arange(1, N)
+    p0, p1 = (1, 2) if side == 0 else (N - 1, N - 2)
+    col = (2.0 * np.sin(np.pi * k * p0 / N)).reshape((-1,) + (1,) * (grid.dim - 1))
+    row = (4.0 * np.sin(np.pi * k * p0 / N) - np.sin(np.pi * k * p1 / N)) / N
+    r, w = rho / grid.dt, gam * a_dd / h ** 2
+    constant_in_t = np.all((gam[:, 1:] == gam[:, 1:2]) & (rho[:, 1:] == rho[:, 1:2]), axis=1)
+    rows = [None] * len(distinct)
+    for face_row, on in ((_planes_by_convolution, constant_in_t),
+                         (_planes_by_steps, ~constant_in_t)):
+        if on.any():
+            for i, near in zip(np.flatnonzero(on), face_row(src, eig, col, row, r[on],
+                                                             gam[on], w[on])):
+                rows[i] = near
+    modes = dst1(np.stack([g.face[inner] for g in data]), basis)
+    gam = gam.reshape(gam.shape + (1,) * (grid.dim - 1))
+    out = []
+    for entry in entries:
+        terms = [(s * gam[i], rows[i]) for s, i in zip((1.0, -1.0), map(distinct.index, entry))]
+        flux = np.stack([values_on_support(g) for g in data])
+        flux[:, 0] = 0.0
+        flux *= -3.0 * sum(c for c, _ in terms)
+        for o, j, m in zip(flux, row_of, modes):
+            o[inner] += dst1(sum(c * near[j] for c, near in terms) * m, basis)
+        flux *= -a_dd / (2.0 * h)
+        flux[:, :, ~grid.patch_support_mask()] = 0.0
+        out.append(flux)
+    return out
 
 
 def bump_dictionary_numpy(grid: Grid, count: int, seed: int) -> list:

@@ -534,6 +534,21 @@ def test_zero_grid_step_exits_2_by_name(tmp_path, capsys, command, text, named):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["forward", "probe-gamma"])
+def test_reversed_patch_interval_exits_2_by_name(tmp_path, capsys, monkeypatch, command):
+    # refused at load as lo >= hi, before any solve, with no file written
+    solved = []
+    for name in ("solve_forward", "point_recovery"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: solved.append(args))
+    p = tmp_path / "exp.ini"
+    p.write_text(_set("pad = 12", "pad = 12\npatch_interval = 0.75:0.25")
+                 .format(out=tmp_path / "out"))
+    assert main([command, "-c", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "patch interval (0.75, 0.25) needs lo < hi" in err
+    assert solved == [] and not (tmp_path / "out").exists()
+
+
 def test_negative_dict_seed_exits_2_before_any_solve(tmp_path, capsys):
     p = tmp_path / "exp.ini"
     p.write_text(_set("dict_size = 2", "dict_size = 2\ndict_seed = -1")

@@ -20,7 +20,7 @@ from dnprobe.reconstruct import ProbeSpec, recover_rho_point
 from reference import (_face_conormal, boundary_dual, boundary_field_from_callable,
                        boundary_from_face, boundary_half, bump_dictionary_numpy,
                        constant_stiffness, lambda_difference_flux, lift_terminal_zero,
-                       solve_adjoint, weak_pairing)
+                       patch_linear_flux_stacked, solve_adjoint, weak_pairing)
 from test_pde import _NO_SHRINK, _laws
 
 A2 = make_matrix(np.eye(2))
@@ -507,10 +507,16 @@ _PATCH_CASES = {
 }
 
 
+def _stacked(entries):
+    """Each entry of patch_linear_flux, one flux per datum, as one
+    (len(data), nt+1, *face_shape) array."""
+    return [np.stack(list(entry)) for entry in entries]
+
+
 def _assert_patch_flux_matches_full_field(case, law1, law2, lam, seed):
     g, A = _PATCH_CASES[case]
     data = random_bump_dictionary(g, count=3, seed=seed)
-    f1, f2 = patch_linear_flux([law1, law2], A, g, lam, data)
+    f1, f2 = _stacked(patch_linear_flux([law1, law2], A, g, lam, data))
     scale = max(np.abs(f1).max(), np.abs(f2).max())
     for datum, diff in zip(data, f1 - f2):
         ref = lambda_difference_flux((law1, law2), A, g, lam,
@@ -719,14 +725,14 @@ def test_one_call_on_mixed_laws_equals_single_law_calls(monkeypatch, case):
     assert any(keys.count(k) > 1 for k in keys) and any(keys.count(k) == 1 for k in keys)
     rows = _count_rows(monkeypatch)
     pairs = [(laws[2], laws[0]), (laws[1], laws[3])]
-    fluxes = list(patch_linear_flux(laws + pairs, A, g, 0.3, data))
+    fluxes = _stacked(patch_linear_flux(laws + pairs, A, g, 0.3, data))
     expected = len(set(keys))
     assert rows == [("_planes_by_convolution", expected), ("_planes_by_steps", expected)]
     for got, (a, b) in zip(fluxes[4:], ((2, 0), (1, 3))):
         scale = max(np.abs(fluxes[a]).max(), np.abs(fluxes[b]).max())
         assert np.abs(got - (fluxes[a] - fluxes[b])).max() <= 1e-13 * scale
     for law, got in zip(laws, fluxes):
-        [ref] = patch_linear_flux([law], A, g, 0.3, data)
+        [ref] = _stacked(patch_linear_flux([law], A, g, 0.3, data))
         assert got.shape == (len(data), g.nt + 1) + g.patch_support_mask().shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -814,9 +820,55 @@ def test_data_without_factors_are_refused_before_any_solve(monkeypatch):
     for profile, face, what in ((d[1].profile, None, "face"), (None, d[1].face, "profile")):
         with pytest.raises(pde.PDEError, match=f"patch {what} needs shape"):
             PatchField(profile, face, g)
-    [flux] = patch_linear_flux([_CONSTANT_LAW], A, g, 0.0, [d[0]])
+    [flux] = _stacked(patch_linear_flux([_CONSTANT_LAW], A, g, 0.0, [d[0]]))
     assert rows == [("_planes_by_convolution", 1)]
     assert flux.shape == (1, g.nt + 1) + g.patch_support_mask().shape
+
+
+@pytest.mark.parametrize("case", sorted(_PATCH_CASES))
+def test_per_datum_fluxes_are_the_stacked_entries_byte_for_byte(case):
+    # single laws and pairs, constant and varying in t, on dictionary data
+    # and a datum of both signs with an exact zero on S: each datum's flux,
+    # formed when it is reached, is its row of the entry stacked at once
+    g, A = _PATCH_CASES[case]
+    rng = np.random.default_rng(3)
+    profile = rng.standard_normal(g.nt + 1)
+    profile[0] = 0.0
+    face = rng.standard_normal(g.patch_support_mask().shape)
+    face[g.patch_lo] = 0.0
+    data = random_bump_dictionary(g, count=4, seed=2) + [PatchField(profile, face, g)]
+    other = make_law(gamma=("trig_t", {"c0": 1.2, "c1": 0.3}),
+                     rho=("trig_t", {"c0": 1.0, "c1": 0.2, "freq": 0.4}))
+    laws = [_CONSTANT_LAW, _VARYING_LAW, (_CONSTANT_LAW, _OTHER_CONSTANT_LAW),
+            (_VARYING_LAW, other), (_OTHER_CONSTANT_LAW, _VARYING_LAW)]
+    for entry, ref in zip(patch_linear_flux(laws, A, g, 0.3, data),
+                          patch_linear_flux_stacked(laws, A, g, 0.3, data), strict=True):
+        fluxes = list(entry)
+        assert len(fluxes) == len(data)
+        for got, row in zip(fluxes, ref):
+            assert got.shape == row.shape and got.tobytes() == row.tobytes()
+
+
+def test_an_entry_holds_one_datum_flux_at_a_time():
+    # iterating one entry and dropping each datum's flux: numpy reports its
+    # buffers to tracemalloc, and the traced peak with 16 data exceeds that
+    # with 4 by less than one datum's flux
+    g, A = build_grid(3, 1 / 8, 1 / 16, 2.0), make_matrix(np.eye(3))
+    faces = np.random.default_rng(0).standard_normal((16,) + g.patch_support_mask().shape)
+    profile = np.sin(np.pi * g.times / g.T) ** 2  # one row for all data
+    data = [PatchField(profile, face, g) for face in faces]
+
+    def peak(data):
+        tracemalloc.start()
+        try:
+            [entry] = patch_linear_flux([(_VARYING_LAW, _CONSTANT_LAW)], A, g, 0.0, data)
+            for flux in entry:
+                assert flux.shape == (g.nt + 1,) + faces[0].shape
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(data) - peak(data[:4]) < (g.nt + 1) * faces[0].size * 8
 
 
 def _count_rows(mp):

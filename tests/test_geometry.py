@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,15 @@ def test_non_positive_step_rejected_by_name(h, dt, T, named):
 def test_patch_corner_rejected():
     with pytest.raises(GridError):
         build_grid(2, 1 / 32, 1 / 32, 1.0, patch_interval=[(0.0, 0.5)])
+
+
+@pytest.mark.parametrize("dim, interval", [(2, (0.75, 0.25)), (2, (0.5, 0.5)),
+                                           (3, (0.625, 0.375))])
+def test_reversed_patch_interval_rejected_by_name(dim, interval):
+    # lo >= hi is named as such, not as a patch that "is not open"
+    intervals = [(0.25, 0.75)] * (dim - 2) + [interval]
+    with pytest.raises(GridError, match=re.escape(f"patch interval {interval} needs lo < hi")):
+        build_grid(dim, 1 / 16, 1 / 16, 1.0, patch_interval=intervals)
 
 
 def test_small_pad_rejected():

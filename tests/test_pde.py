@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from dnprobe.pde import (BoundaryField, PatchField, PDEError, box_spectrum,
                          probe_boundary_field, sine_basis, solve_forward,
                          solve_linearized)
 from reference import (boundary_field_from_callable, boundary_from_face, check_vanishes_at_end,
-                       constant_stiffness, lambda_difference_flux, solve_adjoint, stiffness)
+                       constant_stiffness, lambda_difference_flux, solve_adjoint, stiffness,
+                       values_on_support)
 from test_material import _library_laws
 
 A2 = make_matrix(np.eye(2))
@@ -117,6 +119,55 @@ def test_patch_field_rejects_values_off_s():
     datum = PatchField(profile, face, g)
     assert datum.values.tobytes() == on_s.values.tobytes()
     assert datum.face[lo - 1] == 0.0 and datum.face[hi + 1] == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_patch_field_holds_no_product(dim):
+    # a datum keeps its two factors: numpy reports its buffers to
+    # tracemalloc, and making one leaves less than one (nt+1, *face_shape)
+    # array alive, nor does any attribute of it have that shape
+    g = build_grid(dim, 1 / 8, 1 / 16, 2.0)
+    support = g.patch_support_mask()
+    profile = np.sin(np.pi * g.times)
+    face = np.random.default_rng(dim).standard_normal(support.shape)
+    product = (g.nt + 1,) + support.shape
+    tracemalloc.start()
+    try:
+        datum = PatchField(profile, face, g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < math.prod(product) * 8
+    assert all(np.shape(v) != product for v in vars(datum).values())
+    assert datum.values.shape == product
+
+
+_LEVEL = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), lam=st.sampled_from([0.0, 0.3, -0.7]))
+def test_dirichlet_level_writes_lam_plus_the_values_bytes_property(dim, data, lam):
+    # lam + profile[m] * face on the patch face, byte for byte
+    # np.add(lam, values[m]) of the values formed on S only: +0.0 off S,
+    # and the signed zeros of a profile level of either sign times an
+    # exact zero of the face on S
+    g = build_grid(dim, 1 / 8, 1 / 8, 1.0)
+    support = g.patch_support_mask()
+    profile = np.array(data.draw(st.lists(_LEVEL, min_size=g.nt + 1, max_size=g.nt + 1)))
+    face = np.array(data.draw(st.lists(_LEVEL, min_size=support.size,
+                                       max_size=support.size))).reshape(support.shape)
+    face[g.patch_lo] = 0.0
+    on_face = g.face_node_selector(g.patch_axis, g.patch_side)
+    for sign in (1.0, -1.0):
+        datum = PatchField(sign * profile, face, g)
+        old = values_on_support(datum)
+        for m in range(g.nt + 1):
+            out = np.full(g.shape, lam)
+            datum.dirichlet_level(m, lam, out)
+            assert out[on_face].tobytes() == np.add(lam, old[m]).tobytes()
+        assert datum.values.tobytes() == old.tobytes()
 
 
 def test_forward_constant_data_is_steady():
@@ -857,8 +908,7 @@ def _assert_non_finite_level_stops_its_datum(law, good, bad):
     if isinstance(good, PatchField):  # bad times the face: the whole level
         profile = good.profile.copy()
         profile[m] = bad
-        with np.errstate(invalid="ignore"):  # inf * 0
-            datum = PatchField(profile, good.face, grid)
+        datum = PatchField(profile, good.face, grid)
     else:
         vals = good.values.copy()
         vals[m][np.unravel_index(np.argmax(np.abs(vals[m])), vals[m].shape)] = bad
