@@ -28,7 +28,7 @@ probes = [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau, kind="gamma",
                     a_rule="power", r=0.5) for tau in taus]
 # all probes of the sweep checked once, then built and solved together
 checked = check_probes(grid, A, probes, [(law1, law2)], lam=0.0)
-estimates = point_recovery(checked, (law1, law2))
+[estimates] = point_recovery(checked)
 report = tau_sweep(taus, estimates, reference=CONTRAST)
 
 print(f"true contrast: {CONTRAST}")

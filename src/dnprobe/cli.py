@@ -16,8 +16,8 @@ reads at them, and checks them once (reconstruct.check_probes); main
 passes the checked probes to the subcommand, which builds and solves
 them without checking them again.  A config or plan that fails a check
 exits 2 with "config error:" before any solve or write; an error during
-the run exits 1 with "error:".  main is where a package error becomes an
-exit code.
+the run exits 1 with "error:", as does an output directory or file that
+cannot be written.  main is where a package error becomes an exit code.
 
 All file writes are atomic (tmp file + rename) and embed the config hash
 and the flag of the grid's boundary norm (dnmap.norm_flag).  A probe or
@@ -46,8 +46,10 @@ from .reconstruct import (ProbeSpec, ReconstructError, check_probes, point_recov
                           probe_data, stability_experiment, stability_pairs, sweep_taus,
                           tau_sweep)
 
+# what ends a run with exit 1: a package error, or an output that cannot
+# be written (an OSError)
 _ERRORS = (GridError, MaterialError, SingularError, PDEError, DNMapError,
-           ReconstructError)
+           ReconstructError, OSError)
 
 
 def _atomic_write(path: str, writer):
@@ -238,11 +240,11 @@ def cmd_linearize_check(cfg: ExperimentConfig, args, checked) -> int:
 
 def cmd_probe(cfg: ExperimentConfig, args, checked) -> int:
     """probe-gamma and probe-rho: the tau sweep of the plan's probes."""
-    [pair], target = checked.pairs, checked.kind
+    target = checked.kind
     ref = float(getattr(cfg.law1, target)(cfg.t0, cfg.lam)
                 - getattr(cfg.law2, target)(cfg.t0, cfg.lam))
-    report = tau_sweep([probe.tau for probe in checked.probes],
-                       point_recovery(checked, pair), reference=ref)
+    [estimates] = point_recovery(checked)
+    report = tau_sweep([probe.tau for probe in checked.probes], estimates, reference=ref)
     rows = [(target, cfg.t0, cfg.lam, f"{tau:.6g}", f"{est:.12e}")
             for tau, est in zip(report.tau_sequence, report.raw_estimates)]
     _write_csv(_out(cfg, f"{target}_sweep.csv"), _meta(cfg),

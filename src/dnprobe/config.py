@@ -185,9 +185,9 @@ class ExperimentConfig:
         # every law a subcommand can solve with must respect the floors
         # and the d_t rho cap
         for law in [self.law1, self.law2] + [pair[0] for _, pair in self.law_family]:
-            rep = check_admissible(law, s_range=(self.lam - 1.0, self.lam + 1.0),
-                                   T=self.grid.T)
-            for name, (ok, margin, (t, s)) in rep.checks.items():
+            checks = check_admissible(law, s_range=(self.lam - 1.0, self.lam + 1.0),
+                                      T=self.grid.T)
+            for name, (ok, margin, (t, s)) in checks.items():
                 if not ok:
                     raise ConfigError(f"{law.label} is not admissible: {name} fails "
                                       f"by {-margin:.3g} at (t, s) = ({t:.3g}, {s:.3g})")

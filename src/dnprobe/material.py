@@ -24,7 +24,6 @@ class MatrixField:
     """Constant diagonal elliptic coefficient matrix A (make_matrix)."""
 
     A: np.ndarray
-    ellipticity_c: float
 
     @property
     def dim(self) -> int:
@@ -49,7 +48,7 @@ def make_matrix(A) -> MatrixField:
         raise MaterialError(f"A is not elliptic (min eigenvalue {c})")
     if np.any(A != np.diag(np.diagonal(A))):
         raise MaterialError("A must be diagonal: the solvers have no cross-term stencils")
-    return MatrixField(A=A, ellipticity_c=c)
+    return MatrixField(A=A)
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +193,13 @@ def perturb_law(base: MaterialLaw, eps: float, target: str = "gamma",
 # admissibility
 
 
-@dataclass
-class AdmissibilityReport:
-    passed: bool
-    checks: dict  # name -> (ok, worst_value, worst_point)
-
-    def __bool__(self):
-        return self.passed
-
-
 def check_admissible(law: MaterialLaw, s_range=(-1.0, 1.0), T=1.0,
-                     samples=256) -> AdmissibilityReport:
+                     samples=256) -> dict:
     """Sample the positivity floors and the d_t rho cap (an infinite cap,
     make_law's default, passes).
 
-    Never raises; the report records the worst sample per predicate.
+    Never raises; returns the worst sample per predicate, name -> (ok,
+    worst margin, worst (t, s)).
     """
     t = np.linspace(0.0, T, samples)
     s = np.linspace(s_range[0], s_range[1], samples)
@@ -225,38 +216,29 @@ def check_admissible(law: MaterialLaw, s_range=(-1.0, 1.0), T=1.0,
     record("gamma_floor", law.gamma(tc, sr) - law.m_floor)
     record("rho_floor", law.rho(tc, sr) - law.m_floor)
     record("rho_dt_cap", law.kappa_cap - law.rho.dt(tc, sr))
-    return AdmissibilityReport(passed=all(ok for ok, _, _ in checks.values()),
-                               checks=checks)
+    return checks
 
 
 @dataclass
 class InteriorMaxReport:
     t_max: float
-    value: float
     interior: bool
-    degenerate_zero: bool
 
 
 def check_interior_max(law_pair, lam: float, t_grid) -> InteriorMaxReport:
     """Locate max_t |rho1 - rho2|(t, lam) and flag boundary maximizers.
 
     A maximum attained only at t in {0, T} violates the interior-maximum
-    requirement of the rho experiment; an identically-zero difference is
-    reported as degenerate.
+    requirement of the rho experiment; an identically-zero difference
+    passes, at the middle time.
     """
     law1, law2 = law_pair
     t = np.asarray(t_grid, dtype=float)
     d = np.abs(law1.rho(t, lam) - law2.rho(t, lam))
     peak = d.max()
     if peak <= 1e-15:
-        return InteriorMaxReport(t_max=float(t[len(t) // 2]), value=0.0,
-                                 interior=True, degenerate_zero=True)
+        return InteriorMaxReport(t_max=float(t[len(t) // 2]), interior=True)
     hits = np.flatnonzero(d >= peak * (1.0 - 1e-12))
     interior_hits = hits[(hits > 0) & (hits < len(t) - 1)]
-    if interior_hits.size == 0:
-        k = hits[0]
-        return InteriorMaxReport(t_max=float(t[k]), value=float(peak),
-                                 interior=False, degenerate_zero=False)
-    k = interior_hits[0]
-    return InteriorMaxReport(t_max=float(t[k]), value=float(peak),
-                             interior=True, degenerate_zero=False)
+    k = interior_hits[0] if interior_hits.size else hits[0]
+    return InteriorMaxReport(t_max=float(t[k]), interior=bool(interior_hits.size))

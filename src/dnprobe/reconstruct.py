@@ -11,14 +11,16 @@ the known reference law.  tau-sweeps, power-law extrapolation, and the
 stability-rate experiments live here too.
 
 check_probes runs every check of probes and the law pairs read at them
-once, before any solve, and returns them as a CheckedProbes value;
-probe_data, point_recovery and stability_experiment take that value and
-check nothing again.  The hypotheses of the rho estimate on a law pair
+once, before any solve, and returns them as a CheckedProbes value, the
+whole input of a solve: probe_data, point_recovery and
+stability_experiment take that value, check nothing again and solve the
+pairs it holds.  The hypotheses of the rho estimate on a law pair
 (interior_max, rho_equal_gamma) are checked there, on the pairs of rho
-probes only.  A point recovery and a stability experiment each
-make one dnmap.patch_linear_flux call; a sweep fits the estimates of one
-point recovery over its probes.  A failed check, probe build or solve
-raises, by the name of its predicate where it has one.
+probes only.  A point recovery and a stability experiment each build
+their probes once and make one dnmap.patch_linear_flux call for all
+their pairs; a sweep fits the estimates of one point recovery over its
+probes.  A failed check, probe build or solve raises, by the name of its
+predicate where it has one.
 """
 
 from dataclasses import dataclass
@@ -90,7 +92,7 @@ class CheckedProbes:
     """Probes of one kind, placed, cut off and checked with
     the law pairs read at them at lam.  check_probes builds it;
     probe_data, point_recovery and stability_experiment take it, check
-    nothing again, and solve no pair it was not checked with (require)."""
+    nothing again, and solve its pairs: no other pair reaches a solve."""
 
     grid: Grid
     A: MatrixField
@@ -103,14 +105,6 @@ class CheckedProbes:
     @property
     def kind(self) -> str:
         return self.probes[0].kind
-
-    def require(self, pairs) -> list:
-        """pairs, each one of the checked pairs; else raise checked_pairs."""
-        for law1, law2 in pairs:
-            if (law1, law2) not in self.pairs:
-                raise ReconstructError(f"checked_pairs fails: {law1.label} vs {law2.label} "
-                                       f"is not a law pair these probes were checked with")
-        return list(pairs)
 
 
 def check_probes(grid: Grid, A: MatrixField, probes, law_pairs, *,
@@ -181,7 +175,8 @@ def recover_gamma_point(pair, A: MatrixField, grid: Grid, lam: float,
     """Estimate of gamma^1(t0, lambda) - gamma^2(t0, lambda)."""
     if probe.kind != "gamma":
         raise ReconstructError("gamma recovery needs a gamma-kind probe")
-    return point_recovery(check_probes(grid, A, [probe], [pair], lam=lam), pair)[0]
+    [[estimate]] = point_recovery(check_probes(grid, A, [probe], [pair], lam=lam))
+    return estimate
 
 
 def recover_rho_point(pair, A: MatrixField, grid: Grid, lam: float,
@@ -197,7 +192,8 @@ def recover_rho_point(pair, A: MatrixField, grid: Grid, lam: float,
     """
     if probe.kind != "rho":
         raise ReconstructError("rho recovery needs a rho-kind probe")
-    return point_recovery(check_probes(grid, A, [probe], [pair], lam=lam), pair)[0]
+    [[estimate]] = point_recovery(check_probes(grid, A, [probe], [pair], lam=lam))
+    return estimate
 
 
 def _estimates(built, diffs, grid: Grid) -> list:
@@ -209,20 +205,26 @@ def _estimates(built, diffs, grid: Grid) -> list:
             for pairs, energy in built]
 
 
-def point_recovery(checked: CheckedProbes, pair) -> list:
-    """Recovered differences of the law pair at the checked probes, one
-    per probe; the pair must be one they were checked with.
+def _probe_fluxes(checked: CheckedProbes, leading=()):
+    """probe_data(checked) and the entries of one patch_linear_flux call on
+    the checked pairs, over the data leading followed by the probes' data g."""
+    built = probe_data(checked)
+    return built, patch_linear_flux(checked.pairs, checked.A, checked.grid, checked.lam,
+                                    [*leading, *(g for pairs, _ in built for g, _ in pairs)])
+
+
+def point_recovery(checked: CheckedProbes) -> list:
+    """Recovered differences of each checked law pair at the checked
+    probes: one list per pair, in order, of one estimate per probe.
 
     The probes' kind sets the target.  Each probe's pairing
     <(Lambda^1 - Lambda^2) g, gbar>, summed over its data (probe_data),
-    is divided by its gradient energy of H.  All their data go through
-    one patch_linear_flux call on the pair.
+    is divided by its gradient energy of H.  The probes are built once,
+    and all their data go through one patch_linear_flux call on every
+    pair, which solves each distinct law once.
     """
-    laws = checked.require([pair])
-    built = probe_data(checked)
-    [diff] = patch_linear_flux(laws, checked.A, checked.grid, checked.lam,
-                               [g for pairs, _ in built for g, _ in pairs])
-    return _estimates(built, diff, checked.grid)
+    built, diffs = _probe_fluxes(checked)
+    return [_estimates(built, diff, checked.grid) for diff in diffs]
 
 
 # ---------------------------------------------------------------------------
@@ -374,30 +376,32 @@ def stability_experiment(checked: CheckedProbes, family, dict_seed: int = 0,
     probe, whose kind is the target.
 
     family: list of (eps, (law1, law2)), checked by stability_pairs; its
-    nonzero-eps pairs must be ones the probe was checked with.  A row's
+    nonzero-eps pairs must be the probe's checked pairs, in order, else
+    it is refused by name, checked_pairs, before any solve.  A row's
     eta is the dictionary surrogate of its pair in the grid's
     BoundaryNorm, its true difference is the largest of the target
     difference its check formed, and its recovered value is read at the
     probe.  One patch_linear_flux call on the dictionary and probe data
-    takes every row's pair, so each distinct law is solved once, and a row
-    reads its difference one datum's flux at a time: the dictionary's
-    first, to eta_surrogate, then the probe's, to the pairings.
+    takes the checked pairs, as in point_recovery, so each distinct law
+    is solved once, and a row reads its difference one datum's flux at a
+    time: the dictionary's first, to eta_surrogate, then the probe's, to
+    the pairings.
     For the gamma target the table gets a log-log slope of true
     difference vs eta; for rho a one-sided check of diff <= C *
     eta^{1/9} with C calibrated at the largest eps.
     """
     grid, lam, target = checked.grid, checked.lam, checked.kind
     nonzero = _family_differences(family, target, lam, grid.T)
-    pairs = checked.require([pair for _, pair, _ in nonzero])
+    if [pair for _, pair, _ in nonzero] != list(checked.pairs):
+        raise ReconstructError("checked_pairs fails: the family's nonzero-eps pairs are not "
+                               "the law pairs these probes were checked with, in order")
     if len(checked.probes) != 1:
         raise ReconstructError("a stability table reads one probe")
     norm = BoundaryNorm(grid)
     dictionary = random_bump_dictionary(grid, dict_size, seed=dict_seed)
     half_norms = [norm.half(g.values) for g in dictionary]
-    built = probe_data(checked)
     n = len(dictionary)
-    diffs = patch_linear_flux(pairs, checked.A, grid, lam,
-                              dictionary + [g for g, _ in built[0][0]])
+    built, diffs = _probe_fluxes(checked, dictionary)
     true_diffs = (float(np.abs(d).max()) for _, _, d in nonzero)
     rows = []
     for eps, _ in family:

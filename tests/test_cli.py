@@ -178,6 +178,23 @@ def test_a_failed_stability_solve_exits_1_and_writes_nothing(cfg_path, tmp_path,
     assert not (tmp_path / "out" / "demo_stability_report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["forward", "probe-gamma"])
+def test_an_output_dir_that_cannot_be_made_exits_1_with_one_error_line(tmp_path, capsys,
+                                                                      command):
+    # [output] dir under a regular file: one "error:" line, no traceback,
+    # exit 1, and no file written anywhere
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    p = tmp_path / "exp.ini"
+    p.write_text(GAMMA_CFG.format(out=blocker / "out"))
+    assert main([command, "-c", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and str(blocker) in err
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "exp.ini"]
+    assert blocker.read_text() == "a file\n"
+
+
 @pytest.mark.parametrize("field", ["fitted_rate", "extrapolated_value"])
 def test_sweep_with_a_non_finite_fit_is_strict_json(cfg_path, tmp_path, monkeypatch, field):
     # a non-finite fitted rate or extrapolated value is written as null,

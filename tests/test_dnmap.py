@@ -932,14 +932,12 @@ def test_probes_and_dictionary_solve_one_row_per_shared_profile(monkeypatch):
     rho_probes = [ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=tau, kind="rho", r=0.25)
                   for tau in (0.2, 0.175, 0.15, 0.125)]
     pair = (varying_rho, make_law())
-    reconstruct.point_recovery(reconstruct.check_probes(g3, A3, rho_probes, [pair], lam=0.0),
-                               pair)
+    reconstruct.point_recovery(reconstruct.check_probes(g3, A3, rho_probes, [pair], lam=0.0))[0]
     assert rows == [("_planes_by_convolution", 4), ("_planes_by_steps", 4)]
     rows.clear()
     g2 = build_grid(2, 1 / 64, 1 / 64, 1.0, pad=52)
     gamma_probes = [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau, kind="gamma", a_rule="power",
                               r=0.5) for tau in (0.2, 0.15, 0.1, 0.07, 0.05)]
     pair = (make_law(gamma=("constant", {"c0": 1.02})), make_law())
-    reconstruct.point_recovery(reconstruct.check_probes(g2, A2, gamma_probes, [pair], lam=0.0),
-                               pair)
+    reconstruct.point_recovery(reconstruct.check_probes(g2, A2, gamma_probes, [pair], lam=0.0))[0]
     assert rows == [("_planes_by_convolution", 5)]  # both laws in one call

@@ -1,8 +1,9 @@
 """The package is the pipeline: a static check of src/dnprobe.
 
 Every top-level function and every method of the package has a caller in
-the package or in demos/ outside its own body, and every name a module
-imports is read there; test-only references live in tests/reference.py.
+the package or in demos/ outside its own body, every field of a package
+class is read there, and every name a module imports is read there;
+test-only references live in tests/reference.py.
 Every defaulted parameter of a package function is passed at some call
 site in src, demos/ or tests/.  Each "<predicate> fails" message of a
 hypothesis check is raised at one site, and a package error class is
@@ -98,24 +99,42 @@ def _attributes(tree):
     return Counter(sub.attr for sub in ast.walk(tree) if isinstance(sub, ast.Attribute))
 
 
-def test_every_method_has_a_caller_in_src_or_demos():
-    # as for top-level functions, a method's own body is not a caller of
-    # it; a method is reached as an attribute (obj.name, self.name, cls.name),
-    # so a local variable of the same name is not a caller either, and
-    # dunder methods are called by Python itself
-    modules = _modules()
+def _read_attributes():
+    """The attribute names src and demos/ read, one count per read."""
     used = Counter()
     for folder in (SRC, os.path.join(ROOT, "demos")):
         for name in os.listdir(folder):
             if name.endswith(".py"):
                 with open(os.path.join(folder, name)) as fh:
                     used.update(_attributes(ast.parse(fh.read())))
+    return used
+
+
+def test_every_method_has_a_caller_in_src_or_demos():
+    # as for top-level functions, a method's own body is not a caller of
+    # it; a method is reached as an attribute (obj.name, self.name, cls.name),
+    # so a local variable of the same name is not a caller either, and
+    # dunder methods are called by Python itself
+    modules = _modules()
+    used = _read_attributes()
     orphans = sorted(f"{mod}.{cls.name}.{fn.name}" for mod, tree in modules.items()
                      for cls in tree.body if isinstance(cls, ast.ClassDef)
                      for fn in cls.body if isinstance(fn, ast.FunctionDef)
                      and not (fn.name.startswith("__") and fn.name.endswith("__"))
                      and used[fn.name] <= _attributes(fn)[fn.name])
     assert orphans == [], f"methods with no caller in src or demos/: {orphans}"
+
+
+def test_every_field_is_read_in_src_or_demos():
+    # an annotated field of a package class is read as an attribute (x.name)
+    # somewhere in src or demos/; a read in its own class counts, as some
+    # fields are read only there (BoundaryNorm.weights, CutoffSet.a_tau)
+    used = _read_attributes()
+    unread = sorted(f"{mod}.{cls.name}.{stmt.target.id}" for mod, tree in _modules().items()
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name) and not used[stmt.target.id])
+    assert unread == [], f"fields no code in src or demos/ reads: {unread}"
 
 
 def _functions(tree):

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -331,10 +332,71 @@ def test_checked_probes_refuse_a_pair_or_family_they_were_not_checked_with(monke
     family = [(eps, (perturb_law(base, eps, "gamma"), base)) for eps in (0.01, 0.02)]
     checked = check_probes(g, A2, [_COARSE_PROBE], [family[0][1]], lam=0.0)
     with pytest.raises(ReconstructError, match="checked_pairs fails"):
-        reconstruct.point_recovery(checked, family[1][1])
-    with pytest.raises(ReconstructError, match="checked_pairs fails"):
         stability_experiment(checked, family, dict_size=2)
     assert solved == []
+
+
+def test_stability_refuses_a_family_whose_pairs_are_not_the_checked_pairs_in_order(
+        monkeypatch):
+    # the table solves checked.pairs: a family whose nonzero-eps pairs differ
+    # from them in content, in number or only in order is refused by name
+    # before any solve
+    solved = _refuse_solves(monkeypatch)
+    g = build_grid(2, 1 / 8, 1 / 8, 1.0, pad=6)
+    base = make_law(gamma=("constant", {"c0": 2.0}))
+    family = [(eps, (perturb_law(base, eps, "gamma"), base)) for eps in (0.01, 0.02, 0.04)]
+    pairs = [pair for _, pair in family]
+    for checked_pairs in (pairs[::-1], [pairs[1], pairs[0], pairs[2]], pairs[:2],
+                          pairs + [(base, base)], [pairs[0], pairs[1], (base, base)]):
+        checked = check_probes(g, A2, [_COARSE_PROBE], checked_pairs, lam=0.0)
+        with pytest.raises(ReconstructError, match="checked_pairs fails"):
+            stability_experiment(checked, family, dict_size=2)
+    assert solved == []
+
+
+def _count_calls(monkeypatch, *sites):
+    """A Counter of the calls to each (module, name), which still run."""
+    calls = Counter()
+    for module, name in sites:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+_GAMMA2D_PAIRS = [(make_law(gamma=("constant", {"c0": 1.02})), make_law()),
+                  (make_law(), make_law(gamma=("constant", {"c0": 1.02}))),
+                  (make_law(gamma=("constant", {"c0": 1.04})), make_law()),
+                  (make_law(gamma=("trig_t", {"c0": 1.0, "c1": 0.02})), make_law())]
+_RHO3D_PAIRS = [(make_law(rho=("trig_t", {"c0": 1.0, "c1": 0.2, "freq": 0.2})), make_law()),
+                (make_law(rho=("constant", {"c0": 1.2})), make_law())]
+
+
+@pytest.mark.parametrize("grid, A, probes, pairs", [
+    (build_grid(2, 1 / 64, 1 / 64, 1.0, pad=52), A2,
+     [ProbeSpec(x0=(0.0, 0.5), t0=0.5, tau=tau, kind="gamma", a_rule="power", r=0.5)
+      for tau in (0.2, 0.15, 0.1, 0.07, 0.05)], _GAMMA2D_PAIRS),
+    (build_grid(3, 1 / 16, 0.0625, 2.5, pad=8), A3,
+     [ProbeSpec(x0=(0.0, 0.5, 0.5), t0=1.25, tau=tau, kind="rho", r=0.25)
+      for tau in (0.2, 0.175, 0.15, 0.125)], _RHO3D_PAIRS),
+], ids=["gamma2d", "rho3d"])
+def test_one_point_recovery_call_on_k_pairs_equals_k_one_pair_calls(monkeypatch, grid, A,
+                                                                    probes, pairs):
+    # the probes are built once, one corrector stack, and every pair goes
+    # through one frozen call; each pair's estimates are those of a call on
+    # that pair alone, bit for bit
+    alone = [reconstruct.point_recovery(check_probes(grid, A, probes, [pair], lam=0.0))
+             for pair in pairs]
+    calls = _count_calls(monkeypatch, (singular, "solve_corrector"),
+                         (reconstruct, "patch_linear_flux"))
+    together = reconstruct.point_recovery(check_probes(grid, A, probes, pairs, lam=0.0))
+    assert calls == {"solve_corrector": 1, "patch_linear_flux": 1}
+    assert together == [estimates for [estimates] in alone]
+    assert all(len(estimates) == len(probes) for estimates in together)
 
 
 @pytest.mark.parametrize("target", ["gamma", "rho"])
